@@ -2,9 +2,7 @@
 //! determine the analyzer's constant factors (octagon closure is the cubic
 //! bottleneck the paper keeps affordable via small packs, Sect. 7.2.1).
 
-use astree_domains::{
-    set_generic_kernels, Ellipsoid, FloatItv, IntItv, LinForm, Octagon, Thresholds,
-};
+use astree_domains::{Ellipsoid, FloatItv, IntItv, LinForm, Octagon, Thresholds};
 use astree_ir::FloatKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -27,59 +25,47 @@ fn bench_octagon_closure(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sweeps the closure kernels over the pack sizes the analyzer actually
-/// sees (2–3 variables dominate pack discovery; 8 is the default cap),
-/// across the full / incremental paths with the specialized small-pack
-/// kernels on and off — so a kernel regression is visible without the
-/// end-to-end bench. Specialization only exists for n ≤ 3; at larger
-/// sizes the two modes measure the same generic code.
+/// Sweeps closure over the pack sizes the analyzer actually sees (2–3
+/// variables dominate pack discovery; 8 is the default cap), across the
+/// full and incremental paths — so a kernel regression is visible without
+/// the end-to-end bench.
 fn bench_octagon_closure_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("octagon_closure_kernels");
     for n in 2usize..=8 {
         // Full closure: every variable constrained, so `close()` takes the
         // full pair-sweep path.
-        for (mode, generic) in [("specialized", false), ("generic", true)] {
-            group.bench_with_input(BenchmarkId::new(format!("full_{mode}"), n), &n, |b, &n| {
-                let prev = set_generic_kernels(generic);
-                b.iter(|| {
-                    let mut o = Octagon::top(n);
-                    for i in 0..n {
-                        o.add_upper(i, 8.0 + i as f64);
-                        o.add_lower(i, -1.0);
-                    }
-                    for i in 0..n - 1 {
-                        o.add_diff_le(i, i + 1, i as f64);
-                        o.add_sum_le(i, i + 1, 10.0);
-                    }
-                    o.close();
-                    black_box(o.bounds(0))
-                });
-                set_generic_kernels(prev);
+        group.bench_with_input(BenchmarkId::new("full", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut o = Octagon::top(n);
+                for i in 0..n {
+                    o.add_upper(i, 8.0 + i as f64);
+                    o.add_lower(i, -1.0);
+                }
+                for i in 0..n - 1 {
+                    o.add_diff_le(i, i + 1, i as f64);
+                    o.add_sum_le(i, i + 1, 10.0);
+                }
+                o.close();
+                black_box(o.bounds(0))
             });
-            // Incremental closure: one variable re-constrained on an
-            // already-closed octagon.
-            group.bench_with_input(
-                BenchmarkId::new(format!("incremental_{mode}"), n),
-                &n,
-                |b, &n| {
-                    let prev = set_generic_kernels(generic);
-                    let mut base = Octagon::top(n);
-                    for i in 0..n - 1 {
-                        base.add_diff_le(i, i + 1, i as f64);
-                        base.add_sum_le(i, i + 1, 10.0);
-                    }
-                    base.add_upper(n - 1, 10.0);
-                    base.close();
-                    b.iter(|| {
-                        let mut o = base.clone();
-                        o.add_upper(0, 3.5);
-                        o.close();
-                        black_box(o.bounds(0))
-                    });
-                    set_generic_kernels(prev);
-                },
-            );
-        }
+        });
+        // Incremental closure: one variable re-constrained on an
+        // already-closed octagon.
+        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, &n| {
+            let mut base = Octagon::top(n);
+            for i in 0..n - 1 {
+                base.add_diff_le(i, i + 1, i as f64);
+                base.add_sum_le(i, i + 1, 10.0);
+            }
+            base.add_upper(n - 1, 10.0);
+            base.close();
+            b.iter(|| {
+                let mut o = base.clone();
+                o.add_upper(0, 3.5);
+                o.close();
+                black_box(o.bounds(0))
+            });
+        });
     }
     group.finish();
 }

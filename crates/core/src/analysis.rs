@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct AnalysisStats {
     /// Wall time of the invariant-generation phase. On a cache replay this
-    /// is the *stored cold-run* time, so throughput comparisons (e.g. the
-    /// `jobs_scaling` bench) stay meaningful; the actual replay cost is in
+    /// is the *stored cold-run* time, so throughput comparisons stay
+    /// meaningful; the actual replay cost is in
     /// [`AnalysisStats::time_replay`].
     pub time_iterate: Duration,
     /// Wall time of the checking phase (stored cold-run time on a replay).
@@ -360,11 +360,10 @@ impl<'a> AnalysisSession<'a> {
         // the test harness) are not affected. The flag never changes results
         // — it is excluded from the cache fingerprint.
         let prev_shortcuts = astree_pmap::set_ptr_shortcuts(!self.config.debug_no_ptr_shortcuts);
-        let prev_kernels = astree_domains::set_generic_kernels(self.config.debug_generic_kernels);
 
         let mut iter = Iter::with_recorder(self.program, &layout, &packs, &self.config, rec);
         iter.pool = pool;
-        iter.seeds = seeds;
+        iter.seeds = Arc::new(seeds);
 
         let t0 = Instant::now();
         let _final_state = iter.run_mode(Mode::Iterate);
@@ -378,7 +377,6 @@ impl<'a> AnalysisSession<'a> {
         let mut pmap_stats = astree_pmap::take_stats();
         pmap_stats.absorb(&iter.pmap_worker_stats);
         astree_pmap::set_ptr_shortcuts(prev_shortcuts);
-        astree_domains::set_generic_kernels(prev_kernels);
         if rec.enabled() {
             rec.phase_time("iterate", time_iterate.as_nanos() as u64);
             rec.phase_time("check", time_check.as_nanos() as u64);
@@ -436,14 +434,14 @@ impl<'a> AnalysisSession<'a> {
             invariant_cells,
             parallel_stages: iter.stats.par_stages,
             parallel_slices: iter.stats.par_slices,
-            loops_solved: iter.loops_solved,
-            loops_replayed: iter.loops_replayed,
-            loops_seeded: iter.loops_seeded,
-            seed_hits: iter.seed_hits,
-            loops_rechecked: iter.loops_rechecked,
+            loops_solved: iter.stats.loops_solved,
+            loops_replayed: iter.stats.loops_replayed,
+            loops_seeded: iter.stats.loops_seeded,
+            seed_hits: iter.stats.seed_hits,
+            loops_rechecked: iter.stats.loops_rechecked,
         };
-        report.loops_solved_by_function = std::mem::take(&mut iter.solved_by_func);
-        report.loops_replayed_by_function = std::mem::take(&mut iter.replayed_by_func);
+        report.loops_solved_by_function = std::mem::take(&mut iter.stats.solved_by_func);
+        report.loops_replayed_by_function = std::mem::take(&mut iter.stats.replayed_by_func);
         let alarms = std::mem::take(&mut iter.sink).into_sorted();
 
         if let (Some(store), Some((key, program_fp, fps, store_before))) = (&self.cache, cache_ctx)

@@ -75,58 +75,82 @@ pub const CACHE_FORMAT: &str = "astree-cache/1";
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-/// Fingerprint of the analysis-relevant slice of the configuration.
-///
-/// Everything that can change a fixpoint is included: thresholds, widening
-/// schedule, unrolling, the physical clock bound, float perturbation, array
-/// shrinking, the domain set, partitioning and packing parameters.
-/// Deliberately excluded: `jobs`, `nested_slicing`, `nested_cost_fraction`
-/// (parallel slicing — flat or nested, for every worker count — is
-/// bit-identical to the sequential analysis, enforced by `tests/parallel`)
-/// and the `debug_panic_slice` / `debug_force_steal` fault injections
-/// (replayed stages and forced-steal placements are bit-identical too).
-/// `debug_no_ptr_shortcuts` and `debug_generic_kernels` are likewise
-/// excluded: both disable pure fast paths (pointer shortcuts, specialized
-/// octagon kernels) whose results are bit-identical by contract.
+/// Fingerprint of the analysis-relevant slice of the configuration:
+/// everything that can change a fixpoint. The destructuring is exhaustive,
+/// so a new field does not compile until it is hashed or ignored here.
 pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
+    let AnalysisConfig {
+        thresholds,
+        widening_delay,
+        stabilization_grace,
+        max_iterations,
+        narrowing_iterations,
+        loop_unroll,
+        per_loop_unroll,
+        max_clock,
+        float_perturbation,
+        shrink_threshold,
+        enable_octagons,
+        enable_ellipsoids,
+        enable_dtrees,
+        enable_clocked,
+        enable_linearization,
+        partitioned_functions,
+        max_partitions,
+        octagon_pack_cap,
+        dtree_pack_bool_cap,
+        octagon_pack_filter,
+        octagon_packs_extra,
+        // Slicing, flat or nested, at any worker count is bit-identical to
+        // the sequential analysis (`tests/parallel`).
+        jobs: _,
+        nested_slicing: _,
+        nested_cost_fraction: _,
+        // Replayed stages and forced-steal placements are bit-identical too.
+        debug_panic_slice: _,
+        debug_force_steal: _,
+        // Disables pure fast paths; results are bit-identical by contract.
+        debug_no_ptr_shortcuts: _,
+        // Only adds per-statement captures; alarms and invariants unchanged.
+        collect_stmt_invariants: _,
+    } = config;
     let mut h = Fnv::new();
     h.str("astree-config");
-    let ramp = config.thresholds.ramp();
+    let ramp = thresholds.ramp();
     h.usize(ramp.len());
     for &v in ramp {
         h.f64(v);
     }
-    h.u32(config.widening_delay);
-    h.u32(config.stabilization_grace);
-    h.u32(config.max_iterations);
-    h.u32(config.narrowing_iterations);
-    h.u32(config.loop_unroll);
-    let mut unrolls: Vec<(u32, u32)> =
-        config.per_loop_unroll.iter().map(|(id, f)| (id.0, *f)).collect();
+    h.u32(*widening_delay);
+    h.u32(*stabilization_grace);
+    h.u32(*max_iterations);
+    h.u32(*narrowing_iterations);
+    h.u32(*loop_unroll);
+    let mut unrolls: Vec<(u32, u32)> = per_loop_unroll.iter().map(|(id, f)| (id.0, *f)).collect();
     unrolls.sort_unstable();
     h.usize(unrolls.len());
     for (id, f) in unrolls {
         h.u32(id);
         h.u32(f);
     }
-    h.i64(config.max_clock);
-    h.f64(config.float_perturbation);
-    h.usize(config.shrink_threshold);
-    h.byte(config.enable_octagons as u8);
-    h.byte(config.enable_ellipsoids as u8);
-    h.byte(config.enable_dtrees as u8);
-    h.byte(config.enable_clocked as u8);
-    h.byte(config.enable_linearization as u8);
-    let mut parts: Vec<&str> = config.partitioned_functions.iter().map(|s| s.as_str()).collect();
+    h.i64(*max_clock);
+    h.f64(*float_perturbation);
+    h.usize(*shrink_threshold);
+    h.byte(*enable_octagons as u8);
+    h.byte(*enable_ellipsoids as u8);
+    h.byte(*enable_dtrees as u8);
+    h.byte(*enable_clocked as u8);
+    h.byte(*enable_linearization as u8);
+    let mut parts: Vec<&str> = partitioned_functions.iter().map(|s| s.as_str()).collect();
     parts.sort_unstable();
     h.usize(parts.len());
     for p in parts {
         h.str(p);
     }
-    h.usize(config.max_partitions);
-    h.usize(config.octagon_pack_cap);
-    h.usize(config.dtree_pack_bool_cap);
-    match &config.octagon_pack_filter {
+    h.usize(*max_partitions);
+    h.usize(*octagon_pack_cap);
+    h.usize(*dtree_pack_bool_cap);
+    match octagon_pack_filter {
         None => h.byte(0),
         Some(keep) => {
             h.byte(1);
@@ -136,8 +160,8 @@ pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
             }
         }
     }
-    h.usize(config.octagon_packs_extra.len());
-    for pack in &config.octagon_packs_extra {
+    h.usize(octagon_packs_extra.len());
+    for pack in octagon_packs_extra {
         h.usize(pack.len());
         for name in pack {
             h.str(name);
@@ -1807,14 +1831,6 @@ mod tests {
             fp,
             config_fingerprint(&no_shortcuts),
             "debug_no_ptr_shortcuts is excluded (results identical)"
-        );
-
-        let mut generic = AnalysisConfig::default();
-        generic.debug_generic_kernels = true;
-        assert_eq!(
-            fp,
-            config_fingerprint(&generic),
-            "debug_generic_kernels is excluded (results identical)"
         );
 
         let mut widen = AnalysisConfig::default();

@@ -92,13 +92,6 @@ pub struct AnalysisConfig {
     /// must stay bit-identical to the unseeded run.
     #[doc(hidden)]
     pub debug_force_steal: Option<u64>,
-    /// Runs every slice of a sliced stage inline on the calling thread, in
-    /// index order, instead of on the pool. Same plan, same chunks, same
-    /// (bit-identical) result — but per-slice timings are uncontaminated by
-    /// preemption, which the scaling benchmark needs for its critical-path
-    /// estimate on CPU-starved hosts, and backtraces stay on one thread.
-    #[doc(hidden)]
-    pub debug_inline_slices: bool,
     /// Disables every pointer-equality shortcut in the persistent-map layer
     /// (root/interior merge shortcuts, identity-preserving no-op inserts,
     /// `diff2`/`all2` shared-subtree skips and the iterator's `ptr_eq` fast
@@ -108,15 +101,6 @@ pub struct AnalysisConfig {
     /// excluded from the cache fingerprint.
     #[doc(hidden)]
     pub debug_no_ptr_shortcuts: bool,
-    /// Disables the monomorphized small-pack octagon kernels (closure /
-    /// `leq` / `join` / `widen` for 2–3-variable packs), forcing the generic
-    /// half-matrix path everywhere. The specialized kernels are
-    /// instantiations of the same inlined bodies — identical float-operation
-    /// order — so alarms, census and invariants must stay bit-identical to
-    /// the default run; CI diffs both modes. Purely a validation knob: it is
-    /// excluded from the cache fingerprint.
-    #[doc(hidden)]
-    pub debug_generic_kernels: bool,
     /// Records the joined abstract state observed at *every* statement during
     /// the Check pass (not just loop heads) into
     /// [`AnalysisResult::stmt_invariants`]. Used by the differential
@@ -158,9 +142,7 @@ impl Default for AnalysisConfig {
             nested_slicing: true,
             nested_cost_fraction: 0.25,
             debug_force_steal: None,
-            debug_inline_slices: false,
             debug_no_ptr_shortcuts: false,
-            debug_generic_kernels: false,
             collect_stmt_invariants: false,
         }
     }

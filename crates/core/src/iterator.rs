@@ -1,7 +1,8 @@
 //! The iterator: abstract execution by induction on the abstract syntax
 //! (paper Sect. 5.3–5.5 and 7.1).
 //!
-//! Two modes share the same transfer functions:
+//! Two modes share the same transfer functions and the same loop routine
+//! (`Iter::exec_loop`):
 //!
 //! - **iteration mode** computes loop invariants by unrolled first
 //!   iterations (Sect. 7.1.1), plain unions for the first iterations
@@ -56,16 +57,45 @@ pub struct IterStats {
     pub par_stages: u64,
     /// Total slices run across all parallel stages.
     pub par_slices: u64,
+    /// Loops solved by full widening/narrowing iteration (iteration mode).
+    pub loops_solved: u64,
+    /// Loops whose cached invariant was verified by a single body pass.
+    pub loops_replayed: u64,
+    /// Loops seeded from a per-loop or cross-member candidate that passed
+    /// the acceptance check.
+    pub loops_seeded: u64,
+    /// The subset of [`IterStats::loops_seeded`] whose candidate came from
+    /// another family member (portable store).
+    pub seed_hits: u64,
+    /// Loops re-solved during the checking pass because the stored
+    /// invariant did not cover the arriving context (see
+    /// [`Iter::exec_loop`]).
+    pub loops_rechecked: u64,
+    /// Per-function breakdown of `loops_solved`.
+    pub solved_by_func: BTreeMap<String, u64>,
+    /// Per-function breakdown of `loops_replayed`.
+    pub replayed_by_func: BTreeMap<String, u64>,
 }
 
 impl IterStats {
     /// Folds a worker iterator's counters into this one.
-    fn merge_worker(&mut self, o: &IterStats) {
+    fn merge_worker(&mut self, o: IterStats) {
         self.loop_iterations += o.loop_iterations;
         self.stmts_interpreted += o.stmts_interpreted;
         self.peak_partitions = self.peak_partitions.max(o.peak_partitions);
         self.par_stages += o.par_stages;
         self.par_slices += o.par_slices;
+        self.loops_solved += o.loops_solved;
+        self.loops_replayed += o.loops_replayed;
+        self.loops_seeded += o.loops_seeded;
+        self.seed_hits += o.seed_hits;
+        self.loops_rechecked += o.loops_rechecked;
+        for (k, v) in o.solved_by_func {
+            *self.solved_by_func.entry(k).or_insert(0) += v;
+        }
+        for (k, v) in o.replayed_by_func {
+            *self.replayed_by_func.entry(k).or_insert(0) += v;
+        }
     }
 }
 
@@ -87,7 +117,7 @@ pub struct Iter<'a> {
     /// failed pass's iterate `entry ⊔ F(seed)` is itself re-checked with
     /// the same predicate (one Kleene step absorbs drift in cells the
     /// candidate could not carry, e.g. member-specific temporaries).
-    pub seeds: HashMap<LoopId, Seed>,
+    pub seeds: Arc<HashMap<LoopId, Seed>>,
     /// Per-loop *coverage witness*: the post-unroll entry iterate (`base`)
     /// of the **last** iteration-mode visit, recorded alongside the stored
     /// invariant. The checking pass replays a loop against the stored
@@ -95,8 +125,8 @@ pub struct Iter<'a> {
     /// witness — the stored invariant is a post-fixpoint of the body
     /// transfer above it, so it soundly describes exactly those contexts.
     /// Any other context (nested loops re-solved per outer iteration,
-    /// shared bodies reached from several call statements) is re-solved by
-    /// [`Iter::recheck_invariant`]. The invariant itself cannot serve as
+    /// shared bodies reached from several call statements) is re-solved in
+    /// context by [`Iter::exec_loop`]. The invariant itself cannot serve as
     /// the witness: the loop-done reduction preserves concretizations but
     /// can tighten the invariant below `base` in the abstract order, which
     /// would flag every single-visit loop as uncovered.
@@ -107,24 +137,6 @@ pub struct Iter<'a> {
     /// arrival (unrolled passes and the residual invariant), matching the
     /// concrete interpreter's per-arrival observer.
     pub stmt_invariants: HashMap<StmtId, AbsState>,
-    /// Loops solved by full widening/narrowing iteration (iteration mode).
-    pub loops_solved: u64,
-    /// Loops whose cached invariant was verified by a single body pass.
-    pub loops_replayed: u64,
-    /// Loops seeded from a per-loop or cross-member candidate that passed
-    /// the acceptance check.
-    pub loops_seeded: u64,
-    /// The subset of [`Iter::loops_seeded`] whose candidate came from
-    /// another family member (portable store).
-    pub seed_hits: u64,
-    /// Loops re-solved during the checking pass because the stored
-    /// invariant did not cover the arriving context (see
-    /// [`Iter::recheck_invariant`]).
-    pub loops_rechecked: u64,
-    /// Per-function breakdown of `loops_solved`.
-    pub solved_by_func: BTreeMap<String, u64>,
-    /// Per-function breakdown of `loops_replayed`.
-    pub replayed_by_func: BTreeMap<String, u64>,
     /// The alarm sink (checking mode).
     pub sink: AlarmSink,
     /// Per-octagon-pack usefulness counters (Sect. 7.2.2).
@@ -137,8 +149,8 @@ pub struct Iter<'a> {
     /// Whether the top-level dispatch may be sliced across workers
     /// (Monniaux's partition-and-join scheme); disabled inside workers.
     par_enabled: bool,
-    /// The persistent work-stealing pool slices run on. `None` falls back
-    /// to the per-stage fork-join scatter (and disables nested slicing).
+    /// The persistent work-stealing pool slices run on; `None` (sessions
+    /// with `jobs == 1`, worker iterators) never slices.
     pub(crate) pool: Option<&'a astree_sched::WorkerPool>,
     /// Per-statement cost (nanos) measured the last time the statement ran
     /// in a staged block; feeds cost-guided chunking and the fat-statement
@@ -191,13 +203,6 @@ struct SliceOut {
     saved_closures: u64,
     /// Persistent-map counters drained from this slice's thread.
     pmap_stats: astree_pmap::PmapStats,
-    loops_solved: u64,
-    loops_replayed: u64,
-    loops_seeded: u64,
-    seed_hits: u64,
-    loops_rechecked: u64,
-    solved_by_func: BTreeMap<String, u64>,
-    replayed_by_func: BTreeMap<String, u64>,
 }
 
 impl<'a> Iter<'a> {
@@ -232,15 +237,8 @@ impl<'a> Iter<'a> {
             mode: Mode::Iterate,
             invariants: HashMap::new(),
             cover: HashMap::new(),
-            seeds: HashMap::new(),
+            seeds: Arc::default(),
             stmt_invariants: HashMap::new(),
-            loops_solved: 0,
-            loops_replayed: 0,
-            loops_seeded: 0,
-            seed_hits: 0,
-            loops_rechecked: 0,
-            solved_by_func: BTreeMap::new(),
-            replayed_by_func: BTreeMap::new(),
             sink: AlarmSink::new(),
             oct_useful: vec![0; packs.octagons.len()],
             stats: IterStats::default(),
@@ -292,13 +290,13 @@ impl<'a> Iter<'a> {
         depth: u32,
     ) -> AbsState {
         assert!(depth < 128, "call depth exceeded (recursion should be rejected)");
-        let f = self.program.func(func);
+        let program: &'a Program = self.program;
+        let f = program.func(func);
         let partitioning = self.config.partitioned_functions.contains(&f.name);
-        let body = f.body.clone();
         let bot = state.bottom_like();
-        self.func_stack.push(self.program.func(func).name.as_str());
+        self.func_stack.push(f.name.as_str());
         let mut flow = Flow { parts: vec![state], returned: bot };
-        self.exec_block(&mut flow, &body, ret_target, partitioning, depth);
+        self.exec_block(&mut flow, &f.body, ret_target, partitioning, depth);
         let mut out = flow.returned;
         for p in flow.parts {
             out = out.join(&p, self.layout, self.packs);
@@ -320,10 +318,7 @@ impl<'a> Iter<'a> {
         // of a fat `if` may be sliced one level deeper (nested slicing),
         // their sub-slices becoming stealable tasks on the pool.
         let nest_ok = self.branch_level == 0
-            || (self.config.nested_slicing
-                && self.pool.is_some()
-                && self.branch_level == 1
-                && self.nested_fat);
+            || (self.config.nested_slicing && self.branch_level == 1 && self.nested_fat);
         if self.par_enabled
             && depth == 0
             && !partitioning
@@ -444,6 +439,7 @@ impl<'a> Iter<'a> {
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> bool {
+        let Some(pool) = self.pool else { return false };
         let stmts = &block[stage.range()];
         // Chunk by last-measured statement cost when available (zero-cost
         // vectors fall back to equal counts); chunks above the cost-fraction
@@ -487,7 +483,6 @@ impl<'a> Iter<'a> {
                 // sharing flag: align it with the session's configuration on
                 // every slice (the session only sets the caller's thread).
                 astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
-                astree_domains::set_generic_kernels(config.debug_generic_kernels);
                 let t0 = Instant::now();
                 let mut w = Iter::new(program, layout, packs, config);
                 w.par_enabled = false;
@@ -495,7 +490,7 @@ impl<'a> Iter<'a> {
                 // Cache seeds feed both iteration-mode solves and the
                 // checking pass's context re-solves; share them either way
                 // so worker and sequential solves stay identical.
-                w.seeds = cache_seeds.clone();
+                w.seeds = Arc::clone(cache_seeds);
                 if mode == Mode::Check {
                     w.invariants = seed_invariants.clone();
                     w.cover = cover_map.clone();
@@ -524,25 +519,11 @@ impl<'a> Iter<'a> {
                     stmt_nanos,
                     saved_closures: astree_domains::take_saved_closures(),
                     pmap_stats: astree_pmap::take_stats(),
-                    loops_solved: w.loops_solved,
-                    loops_replayed: w.loops_replayed,
-                    loops_seeded: w.loops_seeded,
-                    seed_hits: w.seed_hits,
-                    loops_rechecked: w.loops_rechecked,
-                    solved_by_func: w.solved_by_func,
-                    replayed_by_func: w.replayed_by_func,
                 }
             }))
             .ok()
         };
-        let results = if config.debug_inline_slices {
-            chunks.iter().cloned().enumerate().map(|(ci, r)| worker(ci, r)).collect()
-        } else {
-            match self.pool {
-                Some(pool) => pool.scatter_seeded(config.debug_force_steal, chunks.clone(), worker),
-                None => astree_sched::scatter(chunks.clone(), worker),
-            }
-        };
+        let results = pool.scatter_seeded(config.debug_force_steal, chunks.clone(), worker);
 
         if results.iter().any(|r| r.is_none()) {
             if self.rec_on {
@@ -583,7 +564,6 @@ impl<'a> Iter<'a> {
                 &plan.footprints[stage.start + r.start..stage.start + r.end],
             );
             merged.overlay_from(&pre, &post, &eff, self.layout);
-            self.loops_rechecked += out.loops_rechecked;
             if mode == Mode::Iterate {
                 for (id, inv) in out.invariants {
                     self.invariants.insert(id, inv);
@@ -591,19 +571,9 @@ impl<'a> Iter<'a> {
                 for (id, c) in out.cover {
                     self.cover.insert(id, c);
                 }
-                self.loops_solved += out.loops_solved;
-                self.loops_replayed += out.loops_replayed;
-                self.loops_seeded += out.loops_seeded;
-                self.seed_hits += out.seed_hits;
-                for (k, v) in out.solved_by_func {
-                    *self.solved_by_func.entry(k).or_insert(0) += v;
-                }
-                for (k, v) in out.replayed_by_func {
-                    *self.replayed_by_func.entry(k).or_insert(0) += v;
-                }
             }
             self.sink.absorb(out.sink);
-            self.stats.merge_worker(&out.stats);
+            self.stats.merge_worker(out.stats);
             for (pi, n) in out.oct_useful.into_iter().enumerate() {
                 self.oct_useful[pi] += n;
             }
@@ -706,11 +676,7 @@ impl<'a> Iter<'a> {
                 for p in std::mem::take(&mut flow.parts) {
                     entry = entry.join(&p, self.layout, self.packs);
                 }
-                let exit = match self.mode {
-                    Mode::Iterate => self.solve_loop(entry, *id, c, body, ret_target, depth),
-                    Mode::Check => self.check_loop(entry, *id, c, body, s, ret_target, depth),
-                };
-                flow.parts = vec![exit];
+                flow.parts = vec![self.exec_loop(entry, *id, c, body, s, ret_target, depth)];
             }
             StmtKind::Call(ret, callee, args) => {
                 let parts = std::mem::take(&mut flow.parts);
@@ -768,92 +734,193 @@ impl<'a> Iter<'a> {
         (astree_pmap::ptr_shortcuts_enabled() && fval.ptr_eq(inv)) || fval.leq(inv)
     }
 
-    fn solve_loop(
+    /// The one loop routine, shared by both passes (Sect. 5.3–5.4). The
+    /// unrolled prefix (Sect. 7.1.1), the exit accumulation and the
+    /// `exits ⊔ guard(inv, ¬c)` epilogue are the same in both modes; the
+    /// only mode-dependent step is where the residual loop's invariant
+    /// `inv` comes from:
+    ///
+    /// - **Iterate** solves the residual loop from the post-unroll iterate
+    ///   ([`Iter::solve_residual`]) and stores the invariant together with
+    ///   that iterate as its coverage witness (see [`Iter::cover`]).
+    /// - **Check** takes the stored invariant when the witness covers the
+    ///   arriving iterate. Otherwise the context is one iteration mode
+    ///   overwrote — invariants are stored per loop, so a loop visited
+    ///   under several contexts (nested loops re-solved per outer
+    ///   iteration, shared bodies reached from several call statements)
+    ///   keeps only the *last* visit's, and checking another context
+    ///   against it could miss real errors (the differential soundness
+    ///   oracle caught a concrete first-tick store escaping the claimed
+    ///   exit state of an inner history-shift loop). Such a context gets
+    ///   the same solve iteration mode ran for it, on a scratch iterator:
+    ///   no alarms, no telemetry, and nothing but the returned invariant
+    ///   kept, so the checking pass never perturbs stored results or the
+    ///   widening counters (parallel check slices start from the stage's
+    ///   entry state, whose off-footprint cells can spuriously fail the
+    ///   coverage test; counting those solves would break the bit-identical
+    ///   parallel-vs-sequential contract). Either way one alarm-collecting
+    ///   body pass from `inv` follows (Sect. 5.4).
+    #[allow(clippy::too_many_arguments)]
+    fn exec_loop(
         &mut self,
         entry: AbsState,
+        id: LoopId,
+        cond: &Expr,
+        body: &Block,
+        s: &Stmt,
+        ret_target: Option<&Lvalue>,
+        depth: u32,
+    ) -> AbsState {
+        let check = self.mode == Mode::Check;
+        // Alarm provenance: the loop iteration the checking pass is in.
+        let track = check && self.rec_on;
+        let mut exits = entry.bottom_like();
+        let mut cur = entry;
+        // Semantic loop unrolling (Sect. 7.1.1).
+        let unroll = self.config.unroll_for(id);
+        if self.rec_on && !check && unroll > 0 {
+            self.rec.unroll(self.cur_func(), id.0, unroll);
+        }
+        for k in 0..unroll {
+            if track {
+                self.loop_stack.push((id.0, k as u64 + 1));
+            }
+            if check {
+                self.check_expr(Some(&cur), cond, s);
+            }
+            exits = exits.join(&self.state_guard(&cur, cond, false), self.layout, self.packs);
+            let body_in = self.state_guard(&cur, cond, true);
+            if body_in.is_bottom() {
+                if track {
+                    self.loop_stack.pop();
+                }
+                if !check {
+                    // Residual unreachable in this context: a checking-mode
+                    // context that *does* reach the residual is uncovered.
+                    self.invariants.insert(id, body_in.bottom_like());
+                    self.cover.insert(id, body_in.bottom_like());
+                }
+                return exits;
+            }
+            cur = self.exec_loop_body(body_in, body, ret_target, depth);
+            // Each back edge of an unrolled pass arrives at the loop head
+            // with `cur`; record it so the soundness oracle can check the
+            // concrete per-arrival observations of early iterations.
+            self.note_stmt_state(s.id, &cur);
+            if track {
+                self.loop_stack.pop();
+            }
+        }
+        let inv = match self.mode {
+            Mode::Iterate => {
+                let inv = self.solve_residual(&cur, id, cond, body, ret_target, depth);
+                self.invariants.insert(id, inv.clone());
+                self.cover.insert(id, cur);
+                inv
+            }
+            Mode::Check => {
+                let inv = match (self.cover.get(&id), self.invariants.get(&id)) {
+                    // The stored invariant is a post-fixpoint of the body
+                    // transfer above the recorded coverage witness, so it
+                    // soundly describes the residual iterations of any
+                    // context at or below it.
+                    (Some(c), Some(stored)) if Self::post_fixpoint(&cur, c) => stored.clone(),
+                    _ => {
+                        let mut w = Iter::new(self.program, self.layout, self.packs, self.config);
+                        w.par_enabled = false;
+                        w.seeds = Arc::clone(&self.seeds);
+                        // Pack usefulness is the one thing the scratch solve
+                        // contributes besides its invariant.
+                        w.oct_useful = std::mem::take(&mut self.oct_useful);
+                        let inv = w.solve_residual(&cur, id, cond, body, ret_target, depth);
+                        self.oct_useful = w.oct_useful;
+                        self.stats.loops_rechecked += 1;
+                        inv
+                    }
+                };
+                // All residual loop-head arrivals (beyond the unrolled
+                // prefix) are covered by the loop invariant.
+                self.note_stmt_state(s.id, &inv);
+                if track {
+                    self.loop_stack.push((id.0, unroll as u64 + 1));
+                }
+                self.check_expr(Some(&inv), cond, s);
+                let body_in = self.state_guard(&inv, cond, true);
+                if !body_in.is_bottom() {
+                    let _ = self.exec_loop_body(body_in, body, ret_target, depth);
+                }
+                if track {
+                    self.loop_stack.pop();
+                }
+                inv
+            }
+        };
+        exits.join(&self.state_guard(&inv, cond, false), self.layout, self.packs)
+    }
+
+    /// Solves the residual loop (the iterations beyond the unrolled prefix)
+    /// above the post-unroll iterate `base` and returns its invariant: a
+    /// verified cache seed when one fits, else delayed widening with
+    /// thresholds (Sect. 7.1.2–7.1.4), narrowing (Sect. 5.5) and the
+    /// loop-done reduction. Storing the result is the caller's business.
+    fn solve_residual(
+        &mut self,
+        base: &AbsState,
         id: LoopId,
         cond: &Expr,
         body: &Block,
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> AbsState {
-        let mut exits = entry.bottom_like();
-        let mut cur = entry;
-        // Semantic loop unrolling (Sect. 7.1.1).
-        let unroll = self.config.unroll_for(id);
-        if self.rec_on && unroll > 0 {
-            self.rec.unroll(self.cur_func(), id.0, unroll);
-        }
-        for _ in 0..unroll {
-            exits = exits.join(&self.state_guard(&cur, cond, false), self.layout, self.packs);
-            let body_in = self.state_guard(&cur, cond, true);
-            if body_in.is_bottom() {
-                self.invariants.insert(id, body_in.bottom_like());
-                // Residual unreachable in this context: a checking-mode
-                // context that *does* reach the residual is uncovered.
-                self.cover.insert(id, body_in.bottom_like());
-                return exits;
-            }
-            cur = self.exec_loop_body(body_in, body, ret_target, depth);
-        }
-        // Widening iterations for the residual loop.
-        let base = cur.clone();
         // Incremental replay: a cached candidate invariant is accepted iff
         // one body pass proves it is still a post-fixpoint of the residual
         // loop (`entry ⊔ F(seed) ⊑ seed`, sound by Tarski). A stale
         // candidate costs one pass and falls back to cold iteration.
-        if self.mode == Mode::Iterate {
-            if let Some(seed) = self.seeds.get(&id).cloned() {
-                let (mut cand, origin) = match seed {
-                    Seed::Full(st, o) => (st, o),
-                    Seed::Portable(p) => (p.apply(&base), SeedOrigin::Portable),
-                };
-                // A whole-function candidate either fits verbatim or not;
-                // per-loop and cross-member candidates get the one-step
-                // rescue (see the `seeds` field).
-                let attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
-                for attempt in 0..attempts {
-                    let body_in = self.state_guard(&cand, cond, true);
-                    let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
-                    let fval = base.join(&body_out, self.layout, self.packs);
-                    if Self::post_fixpoint(&fval, &cand) {
-                        match origin {
-                            SeedOrigin::Func => {
-                                self.loops_replayed += 1;
-                                let f = self.cur_func().to_string();
-                                *self.replayed_by_func.entry(f).or_insert(0) += 1;
-                            }
-                            SeedOrigin::Loop => self.loops_seeded += 1,
-                            SeedOrigin::Portable => {
-                                self.loops_seeded += 1;
-                                self.seed_hits += 1;
-                            }
+        if let Some(seed) = self.seeds.get(&id).cloned() {
+            let (mut cand, origin) = match seed {
+                Seed::Full(st, o) => (st, o),
+                Seed::Portable(p) => (p.apply(base), SeedOrigin::Portable),
+            };
+            // A whole-function candidate either fits verbatim or not;
+            // per-loop and cross-member candidates get the one-step
+            // rescue (see the `seeds` field).
+            let attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
+            for attempt in 0..attempts {
+                let body_in = self.state_guard(&cand, cond, true);
+                let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
+                let fval = base.join(&body_out, self.layout, self.packs);
+                // Acceptance also proves `base ⊑ cand`: `base` is a valid
+                // coverage witness for it.
+                if Self::post_fixpoint(&fval, &cand) {
+                    match origin {
+                        SeedOrigin::Func => {
+                            self.stats.loops_replayed += 1;
+                            let f = self.cur_func().to_string();
+                            *self.stats.replayed_by_func.entry(f).or_insert(0) += 1;
                         }
-                        if self.rec_on {
-                            self.rec.loop_done(&LoopDoneEvent {
-                                func: self.cur_func(),
-                                loop_id: id.0,
-                                iterations: (attempt + 1) as u64,
-                                stabilized_at: 1,
-                            });
+                        SeedOrigin::Loop => self.stats.loops_seeded += 1,
+                        SeedOrigin::Portable => {
+                            self.stats.loops_seeded += 1;
+                            self.stats.seed_hits += 1;
                         }
-                        self.invariants.insert(id, cand.clone());
-                        // The acceptance test proved `base ⊑ cand`.
-                        self.cover.insert(id, base.clone());
-                        return exits.join(
-                            &self.state_guard(&cand, cond, false),
-                            self.layout,
-                            self.packs,
-                        );
                     }
-                    cand = fval;
+                    if self.rec_on {
+                        self.rec.loop_done(&LoopDoneEvent {
+                            func: self.cur_func(),
+                            loop_id: id.0,
+                            iterations: (attempt + 1) as u64,
+                            stabilized_at: 1,
+                        });
+                    }
+                    return cand;
                 }
+                cand = fval;
             }
-            self.loops_solved += 1;
-            let f = self.cur_func().to_string();
-            *self.solved_by_func.entry(f).or_insert(0) += 1;
         }
-        let mut inv = cur;
+        self.stats.loops_solved += 1;
+        let f = self.cur_func().to_string();
+        *self.stats.solved_by_func.entry(f).or_insert(0) += 1;
+        let mut inv = base.clone();
         let mut iter = 0u32;
         let mut grace = self.config.stabilization_grace;
         let mut prev_unstable = usize::MAX;
@@ -943,9 +1010,7 @@ impl<'a> Iter<'a> {
                 stabilized_at,
             });
         }
-        self.invariants.insert(id, inv.clone());
-        self.cover.insert(id, base);
-        exits.join(&self.state_guard(&inv, cond, false), self.layout, self.packs)
+        inv
     }
 
     /// The reduction closing a loop solve. Depth-0 loops (the synchronous
@@ -1064,140 +1129,6 @@ impl<'a> Iter<'a> {
                 v.insert(st.clone());
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn check_loop(
-        &mut self,
-        entry: AbsState,
-        id: LoopId,
-        cond: &Expr,
-        body: &Block,
-        s: &Stmt,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) -> AbsState {
-        let mut exits = entry.bottom_like();
-        let entry0 = entry.clone();
-        let mut cur = entry;
-        let unroll = self.config.unroll_for(id);
-        for k in 0..unroll {
-            if self.rec_on {
-                self.loop_stack.push((id.0, k as u64 + 1));
-            }
-            self.check_expr(Some(&cur), cond, s);
-            exits = exits.join(&self.state_guard(&cur, cond, false), self.layout, self.packs);
-            let body_in = self.state_guard(&cur, cond, true);
-            if body_in.is_bottom() {
-                if self.rec_on {
-                    self.loop_stack.pop();
-                }
-                return exits;
-            }
-            cur = self.exec_loop_body(body_in, body, ret_target, depth);
-            // Each back edge of an unrolled pass arrives at the loop head
-            // with `cur`; record it so the soundness oracle can check the
-            // concrete per-arrival observations of early iterations.
-            self.note_stmt_state(s.id, &cur);
-            if self.rec_on {
-                self.loop_stack.pop();
-            }
-        }
-        let covered = self.cover.get(&id).is_some_and(|c| Self::post_fixpoint(&cur, c));
-        let inv = match self.invariants.get(&id) {
-            // The stored invariant is a post-fixpoint of the body transfer
-            // above the recorded coverage witness, so it soundly describes
-            // the residual iterations of any context at or below it.
-            Some(stored) if covered => stored.clone(),
-            // Uncovered context: iteration mode stores loop invariants by
-            // overwrite, so a loop revisited under several contexts (nested
-            // loops re-solved per outer iteration, shared bodies reached
-            // from several call statements) keeps only the *last* visit's
-            // invariant. Checking this context against it would be unsound
-            // — reproduce the iteration-mode in-context solve instead.
-            Some(_) => self.recheck_invariant(entry0, id, cond, body, ret_target, depth),
-            None => cur,
-        };
-        // All residual loop-head arrivals (beyond the unrolled prefix) are
-        // covered by the loop invariant.
-        self.note_stmt_state(s.id, &inv);
-        // One extra pass in checking mode from the invariant (Sect. 5.4).
-        if self.rec_on {
-            self.loop_stack.push((id.0, unroll as u64 + 1));
-        }
-        self.check_expr(Some(&inv), cond, s);
-        let body_in = self.state_guard(&inv, cond, true);
-        if !body_in.is_bottom() {
-            let _ = self.exec_loop_body(body_in, body, ret_target, depth);
-        }
-        if self.rec_on {
-            self.loop_stack.pop();
-        }
-        exits.join(&self.state_guard(&inv, cond, false), self.layout, self.packs)
-    }
-
-    /// Re-solves a loop during the checking pass, for a context the stored
-    /// invariant does not cover.
-    ///
-    /// Iteration mode stores `invariants[id]` by overwrite, so a loop
-    /// visited under several contexts keeps only the last one: a nested
-    /// loop re-solved on every outer iteration ends up described by the
-    /// residual outer invariant alone, losing the unrolled first outer
-    /// iterations (the differential soundness oracle caught this — a
-    /// concrete first-tick store escaped the claimed exit state of an inner
-    /// history-shift loop). Checking an uncovered context against the
-    /// stored invariant could miss real errors.
-    ///
-    /// The cure reproduces what iteration mode computed when it visited the
-    /// loop under *this* context: run [`Iter::solve_loop`] from the same
-    /// entry state, in iteration mode (alarms and per-statement captures
-    /// suppressed), and hand the resulting in-context invariant to the
-    /// caller's single checking pass. Because the entry state is
-    /// bit-identical to the iteration-mode visit's, so is the re-solved
-    /// invariant — exit states match the fixpoint phase exactly and the
-    /// mismatch does not cascade into enclosing loops. The invariant and
-    /// coverage maps are snapshotted around the solve: checking mode must
-    /// not perturb stored results (parallel check slices drop their local
-    /// maps, and sequential runs must stay bit-identical to them).
-    fn recheck_invariant(
-        &mut self,
-        entry: AbsState,
-        id: LoopId,
-        cond: &Expr,
-        body: &Block,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) -> AbsState {
-        let saved_invariants = self.invariants.clone();
-        let saved_cover = self.cover.clone();
-        // The re-solve is also counter- and telemetry-neutral: parallel
-        // check slices execute from the stage's entry state, so their
-        // off-footprint cells can spuriously fail the coverage test and
-        // re-solve loops the sequential pass accepted (harmless — by slice
-        // disjointness the re-solved invariant agrees on every cell the
-        // slice touches). Letting those solves bump the widening counters
-        // would break the bit-identical parallel-vs-sequential contract.
-        let saved_stats = self.stats.clone();
-        let saved_solved =
-            (self.loops_solved, self.loops_replayed, self.loops_seeded, self.seed_hits);
-        let saved_solved_func = self.solved_by_func.clone();
-        let saved_replayed_func = self.replayed_by_func.clone();
-        let prev_rec = self.rec_on;
-        self.rec_on = false;
-        let prev_mode = self.mode;
-        self.mode = Mode::Iterate;
-        let _ = self.solve_loop(entry, id, cond, body, ret_target, depth);
-        self.mode = prev_mode;
-        self.rec_on = prev_rec;
-        let inv = self.invariants.get(&id).cloned().expect("solve_loop stores an invariant");
-        self.invariants = saved_invariants;
-        self.cover = saved_cover;
-        self.stats = saved_stats;
-        (self.loops_solved, self.loops_replayed, self.loops_seeded, self.seed_hits) = saved_solved;
-        self.solved_by_func = saved_solved_func;
-        self.replayed_by_func = saved_replayed_func;
-        self.loops_rechecked += 1;
-        inv
     }
 
     fn exec_loop_body(
@@ -1553,12 +1484,17 @@ impl<'a> Iter<'a> {
             return cur;
         }
         // Abstract inlining with by-ref substitution.
-        let body =
-            if ref_map.is_empty() { f.body.clone() } else { substitute_block(&f.body, &ref_map) };
+        let substituted;
+        let body = if ref_map.is_empty() {
+            &f.body
+        } else {
+            substituted = substitute_block(&f.body, &ref_map);
+            &substituted
+        };
         let partitioning = self.config.partitioned_functions.contains(&f.name);
-        self.func_stack.push(self.program.func(callee).name.as_str());
+        self.func_stack.push(f.name.as_str());
         let mut flow = Flow { parts: vec![cur.clone()], returned: cur.bottom_like() };
-        self.exec_block(&mut flow, &body, ret, partitioning, depth + 1);
+        self.exec_block(&mut flow, body, ret, partitioning, depth + 1);
         self.func_stack.pop();
         let mut out = flow.returned;
         for p in flow.parts {

@@ -20,17 +20,6 @@
 //! mirrors through the coherence map, so the inner loops stay branch-light
 //! and vectorizable.
 //!
-//! # Small-pack kernels
-//!
-//! `close_full`, `join`, `widen` and `leq` dispatch on the pack size to
-//! monomorphized kernels for n = 2 and n = 3 (fully unrolled, no runtime
-//! index arithmetic). The kernels are const-generic instantiations of the
-//! *same* `#[inline(always)]` body as the generic path, so they perform the
-//! identical float operations in the identical order — results are bitwise
-//! equal by construction. [`set_generic_kernels`] disables the dispatch on
-//! the current thread (the `--debug-generic-kernels` differential), and a
-//! property test asserts the bitwise agreement on random constraint streams.
-//!
 //! Soundness with floats: the abstract element denotes a subset of `ℝⁿ`
 //! (invariants are interpreted in the real field, per the paper's two-step
 //! design), and every bound addition rounds *up*, so closure and transfer
@@ -51,13 +40,6 @@ thread_local! {
     /// count without synchronization; drained per-slice by the iterator
     /// and reported through `domain_op_n("octagon", "closure_saved", …)`.
     static SAVED_CLOSURES: Cell<u64> = const { Cell::new(0) };
-
-    /// When set, the small-pack specialized kernels are bypassed and every
-    /// operation runs the generic body (the `--debug-generic-kernels`
-    /// differential). Thread-local for the same reason as the pmap
-    /// `ptr_shortcuts` flag: parallel slice workers arm it per slice
-    /// without synchronization.
-    static GENERIC_KERNELS: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Drains this thread's saved-closure counter (see [`Octagon::leq_ref`]).
@@ -67,20 +49,6 @@ pub fn take_saved_closures() -> u64 {
 
 fn note_saved_closure() {
     SAVED_CLOSURES.with(|c| c.set(c.get() + 1));
-}
-
-/// Disables (`true`) or re-enables (`false`) the small-pack specialized
-/// kernels on the current thread, returning the previous setting. The
-/// specialized and generic paths are bitwise identical by construction
-/// (same inlined body), so this is a validation knob, not a semantics
-/// switch — `--debug-generic-kernels` arms it to prove exactly that.
-pub fn set_generic_kernels(generic: bool) -> bool {
-    GENERIC_KERNELS.with(|c| c.replace(generic))
-}
-
-#[inline]
-fn specialized_enabled() -> bool {
-    GENERIC_KERNELS.with(|c| !c.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -161,16 +129,6 @@ fn with_scratch<R>(dim: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
-//
-// Each kernel is written once as an `#[inline(always)]` body over a runtime
-// dimension and instantiated twice: through a generic wrapper (dimension
-// stays a runtime value) and through const-generic wrappers for the n = 2
-// and n = 3 pack sizes (the dimension becomes a compile-time constant, so
-// the loops fully unroll and the coherence-map branches const-fold away).
-// Both instantiations execute the identical float operations in the
-// identical order, so their results are bitwise equal by construction —
-// the property test below and the `--debug-generic-kernels` differential
-// in CI both enforce it end to end.
 
 /// Relaxes every canonical slot through the node pair `{2t, 2t+1}` whose
 /// rows are snapshotted in `rowk`/`rowk1` (snapshots taken before the pass,
@@ -277,18 +235,6 @@ fn strengthen_body(m: &mut [f64], dim: usize) {
     });
 }
 
-/// Generic (runtime-dimension) instantiation of the closure body.
-fn close_full_generic(m: &mut [f64], dim: usize) {
-    close_full_body(m, dim);
-}
-
-/// Monomorphized closure for a compile-time pack size: the body inlines
-/// with `DIM` constant, unrolling every loop and const-folding the slot
-/// arithmetic and coherence branches.
-fn close_full_kernel<const DIM: usize>(m: &mut [f64]) {
-    close_full_body(m, DIM);
-}
-
 /// Entrywise combine over the live half slices.
 #[inline(always)]
 fn zip_body(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64 + Copy) {
@@ -297,53 +243,10 @@ fn zip_body(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64 +
     }
 }
 
-/// Monomorphized entrywise combine for a compile-time slot count.
-fn zip_kernel<const LEN: usize>(
-    out: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    f: impl Fn(f64, f64) -> f64 + Copy,
-) {
-    let out: &mut [f64; LEN] = (&mut out[..LEN]).try_into().unwrap();
-    let a: &[f64; LEN] = (&a[..LEN]).try_into().unwrap();
-    let b: &[f64; LEN] = (&b[..LEN]).try_into().unwrap();
-    zip_body(out, a, b, f);
-}
-
-/// Entrywise combine with small-pack dispatch (n = 2 → 12 slots,
-/// n = 3 → 24 slots).
-fn zip_dispatch(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64 + Copy) {
-    if specialized_enabled() {
-        match out.len() {
-            12 => return zip_kernel::<12>(out, a, b, f),
-            24 => return zip_kernel::<24>(out, a, b, f),
-            _ => {}
-        }
-    }
-    zip_body(out, a, b, f);
-}
-
 /// Entrywise `≤` over the live half slices.
 #[inline(always)]
 fn leq_body(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
-}
-
-fn leq_kernel<const LEN: usize>(a: &[f64], b: &[f64]) -> bool {
-    let a: &[f64; LEN] = (&a[..LEN]).try_into().unwrap();
-    let b: &[f64; LEN] = (&b[..LEN]).try_into().unwrap();
-    leq_body(a, b)
-}
-
-fn leq_dispatch(a: &[f64], b: &[f64]) -> bool {
-    if specialized_enabled() {
-        match a.len() {
-            12 => return leq_kernel::<12>(a, b),
-            24 => return leq_kernel::<24>(a, b),
-            _ => {}
-        }
-    }
-    leq_body(a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -616,20 +519,10 @@ impl Octagon {
         }
     }
 
-    /// Full strong closure (cubic Floyd–Warshall + strengthening), with
-    /// small-pack kernel dispatch.
+    /// Full strong closure (cubic Floyd–Warshall + strengthening).
     fn close_full(&mut self) {
         let dim = 2 * self.n;
-        let m = self.hm_mut();
-        if specialized_enabled() {
-            match dim {
-                4 => close_full_kernel::<4>(m),
-                6 => close_full_kernel::<6>(m),
-                _ => close_full_generic(m, dim),
-            }
-        } else {
-            close_full_generic(m, dim);
-        }
+        close_full_body(self.hm_mut(), dim);
         self.closure = Closure::Closed;
     }
 
@@ -862,7 +755,7 @@ impl Octagon {
             Buf::Inline(a) => &mut a[..hm_len(self.n)],
             Buf::Heap(b) => &mut b[..],
         };
-        zip_dispatch(out, self.hm(), other.hm(), f);
+        zip_body(out, self.hm(), other.hm(), f);
         Octagon { n: self.n, buf, closure }
     }
 
@@ -916,7 +809,7 @@ impl Octagon {
         assert_eq!(self.n, other.n, "pack size mismatch");
         if self.closure == Closure::Closed {
             note_saved_closure();
-            return leq_dispatch(self.hm(), other.hm());
+            return leq_body(self.hm(), other.hm());
         }
         let mut a = self.clone();
         a.leq(other)
@@ -960,7 +853,7 @@ impl Octagon {
     pub fn leq(&mut self, other: &Octagon) -> bool {
         assert_eq!(self.n, other.n, "pack size mismatch");
         self.close();
-        leq_dispatch(self.hm(), other.hm())
+        leq_body(self.hm(), other.hm())
     }
 
     /// Intersects interval information into the octagon (reduction from the
@@ -1442,58 +1335,6 @@ mod tests {
             inc.close();
             assert_eq!(before, inc.to_raw().1);
         }
-    }
-
-    /// The `--debug-generic-kernels` contract at the domain level: the
-    /// monomorphized n=2/n=3 kernels produce bitwise-identical elements to
-    /// the generic path on random constraint streams — including float
-    /// constants, because both paths execute the same inlined body.
-    #[test]
-    fn specialized_kernels_are_bitwise_identical_to_generic() {
-        let prev = set_generic_kernels(false);
-        for n in [2usize, 3] {
-            for seed in 0..48u64 {
-                let mut rng = Lcg(seed.wrapping_mul(0x517c_c1b7_2722_0a95) + 11);
-                let mut spec = Octagon::top(n);
-                let mut generic = Octagon::top(n);
-                for step in 0..40 {
-                    let m = draw_mutation(&mut rng, n, false);
-                    // Mutations themselves may close (forget → close), so
-                    // the flag wraps every operation, not just close().
-                    set_generic_kernels(false);
-                    apply_mutation(&mut spec, m);
-                    set_generic_kernels(true);
-                    apply_mutation(&mut generic, m);
-                    if rng.below(3) == 0 {
-                        set_generic_kernels(false);
-                        spec.close();
-                        set_generic_kernels(true);
-                        generic.close();
-                    }
-                    assert!(
-                        spec.same(&generic),
-                        "n={n} seed {seed} step {step}: specialized kernels diverged"
-                    );
-                    // Exercise the entrywise kernel dispatch too.
-                    if rng.below(5) == 0 {
-                        let t = Thresholds::geometric(1.0, 100.0, 4);
-                        set_generic_kernels(false);
-                        let js = spec.join_ref(&spec.clone());
-                        let ws = spec.widen_ref(&spec.clone(), &t);
-                        let ls = spec.leq_ref(&js);
-                        set_generic_kernels(true);
-                        let jg = generic.join_ref(&generic.clone());
-                        let wg = generic.widen_ref(&generic.clone(), &t);
-                        let lg = generic.leq_ref(&jg);
-                        assert!(js.same(&jg), "n={n} seed {seed}: join diverged");
-                        assert!(ws.same(&wg), "n={n} seed {seed}: widen diverged");
-                        assert_eq!(ls, lg, "n={n} seed {seed}: leq diverged");
-                    }
-                }
-            }
-        }
-        set_generic_kernels(prev);
-        let _ = take_saved_closures();
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 use crate::proto::Endpoint;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{BatchJobEvent, FleetCounters, Recorder};
-use astree_sched::{run_batch, BatchConfig, Job, WorkerPool};
+use astree_sched::{panic_message, run_batch, BatchConfig, Job, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,16 +310,6 @@ impl<'p> FleetSessionBuilder<'p> {
 fn default_worker_cmd() -> Vec<String> {
     let exe = std::env::current_exe().expect("cannot locate current executable for worker spawn");
     vec![exe.display().to_string(), "worker".into(), "--stdio".into()]
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 #[cfg(test)]

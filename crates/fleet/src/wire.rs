@@ -10,7 +10,7 @@ use crate::job::{ConfigOverrides, JobOutcome, JobSpec, JobStatus, OracleJob};
 use astree_core::{AlarmKind, AnalysisConfig};
 use astree_domains::Thresholds;
 use astree_gen::{BugKind, StructKnobs};
-use astree_ir::LoopId;
+use astree_ir::{Fnv, LoopId};
 use astree_obs::Json;
 use astree_oracle::{Divergence, DivergenceKind, MemberOutcome, MemberSpec};
 use std::collections::BTreeMap;
@@ -46,12 +46,9 @@ fn f64_bits(v: f64) -> Json {
 /// already holds (content-level dedup on top of the store's own
 /// merge-level dedup).
 pub fn content_fingerprint(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    h.finish()
 }
 
 fn get_f64_bits(obj: &Json, key: &str) -> Result<f64, String> {
@@ -106,21 +103,53 @@ fn get_str_arr(obj: &Json, key: &str) -> Result<Vec<String>, String> {
 // AnalysisConfig
 // ---------------------------------------------------------------------------
 
-/// Encodes the full analysis configuration for the `init` frame.
+/// Encodes the full analysis configuration for the `init` frame. The
+/// destructuring is exhaustive, so a new field does not compile until it is
+/// encoded or ignored here.
 pub fn config_to_json(c: &AnalysisConfig) -> Json {
-    let thresholds = Json::Arr(c.thresholds.ramp().iter().map(|&v| f64_bits(v)).collect());
-    let mut per_loop: Vec<(LoopId, u32)> =
-        c.per_loop_unroll.iter().map(|(k, v)| (*k, *v)).collect();
+    let AnalysisConfig {
+        thresholds,
+        widening_delay,
+        stabilization_grace,
+        max_iterations,
+        narrowing_iterations,
+        loop_unroll,
+        per_loop_unroll,
+        max_clock,
+        float_perturbation,
+        shrink_threshold,
+        enable_octagons,
+        enable_ellipsoids,
+        enable_dtrees,
+        enable_clocked,
+        enable_linearization,
+        partitioned_functions,
+        max_partitions,
+        octagon_pack_cap,
+        dtree_pack_bool_cap,
+        octagon_pack_filter,
+        octagon_packs_extra,
+        jobs,
+        nested_slicing,
+        nested_cost_fraction,
+        debug_no_ptr_shortcuts,
+        collect_stmt_invariants,
+        // Fault injections target one local run; they never cross the wire.
+        debug_panic_slice: _,
+        debug_force_steal: _,
+    } = c;
+    let thresholds = Json::Arr(thresholds.ramp().iter().map(|&v| f64_bits(v)).collect());
+    let mut per_loop: Vec<(LoopId, u32)> = per_loop_unroll.iter().map(|(k, v)| (*k, *v)).collect();
     per_loop.sort();
-    let mut partitioned: Vec<&String> = c.partitioned_functions.iter().collect();
+    let mut partitioned: Vec<&String> = partitioned_functions.iter().collect();
     partitioned.sort();
     Json::obj([
         ("thresholds", thresholds),
-        ("widening_delay", Json::UInt(c.widening_delay as u64)),
-        ("stabilization_grace", Json::UInt(c.stabilization_grace as u64)),
-        ("max_iterations", Json::UInt(c.max_iterations as u64)),
-        ("narrowing_iterations", Json::UInt(c.narrowing_iterations as u64)),
-        ("loop_unroll", Json::UInt(c.loop_unroll as u64)),
+        ("widening_delay", Json::UInt(*widening_delay as u64)),
+        ("stabilization_grace", Json::UInt(*stabilization_grace as u64)),
+        ("max_iterations", Json::UInt(*max_iterations as u64)),
+        ("narrowing_iterations", Json::UInt(*narrowing_iterations as u64)),
+        ("loop_unroll", Json::UInt(*loop_unroll as u64)),
         (
             "per_loop_unroll",
             Json::Arr(
@@ -130,35 +159,34 @@ pub fn config_to_json(c: &AnalysisConfig) -> Json {
                     .collect(),
             ),
         ),
-        ("max_clock", Json::Int(c.max_clock)),
-        ("float_perturbation", f64_bits(c.float_perturbation)),
-        ("shrink_threshold", Json::UInt(c.shrink_threshold as u64)),
-        ("enable_octagons", Json::Bool(c.enable_octagons)),
-        ("enable_ellipsoids", Json::Bool(c.enable_ellipsoids)),
-        ("enable_dtrees", Json::Bool(c.enable_dtrees)),
-        ("enable_clocked", Json::Bool(c.enable_clocked)),
-        ("enable_linearization", Json::Bool(c.enable_linearization)),
+        ("max_clock", Json::Int(*max_clock)),
+        ("float_perturbation", f64_bits(*float_perturbation)),
+        ("shrink_threshold", Json::UInt(*shrink_threshold as u64)),
+        ("enable_octagons", Json::Bool(*enable_octagons)),
+        ("enable_ellipsoids", Json::Bool(*enable_ellipsoids)),
+        ("enable_dtrees", Json::Bool(*enable_dtrees)),
+        ("enable_clocked", Json::Bool(*enable_clocked)),
+        ("enable_linearization", Json::Bool(*enable_linearization)),
         ("partitioned_functions", Json::Arr(partitioned.iter().map(|s| Json::str(*s)).collect())),
-        ("max_partitions", Json::UInt(c.max_partitions as u64)),
-        ("octagon_pack_cap", Json::UInt(c.octagon_pack_cap as u64)),
-        ("dtree_pack_bool_cap", Json::UInt(c.dtree_pack_bool_cap as u64)),
+        ("max_partitions", Json::UInt(*max_partitions as u64)),
+        ("octagon_pack_cap", Json::UInt(*octagon_pack_cap as u64)),
+        ("dtree_pack_bool_cap", Json::UInt(*dtree_pack_bool_cap as u64)),
         (
             "octagon_pack_filter",
-            match &c.octagon_pack_filter {
+            match octagon_pack_filter {
                 Some(idxs) => Json::Arr(idxs.iter().map(|&i| Json::UInt(i as u64)).collect()),
                 None => Json::Null,
             },
         ),
         (
             "octagon_packs_extra",
-            Json::Arr(c.octagon_packs_extra.iter().map(|pack| str_arr(pack)).collect()),
+            Json::Arr(octagon_packs_extra.iter().map(|pack| str_arr(pack)).collect()),
         ),
-        ("jobs", Json::UInt(c.jobs as u64)),
-        ("nested_slicing", Json::Bool(c.nested_slicing)),
-        ("nested_cost_fraction", f64_bits(c.nested_cost_fraction)),
-        ("debug_no_ptr_shortcuts", Json::Bool(c.debug_no_ptr_shortcuts)),
-        ("debug_generic_kernels", Json::Bool(c.debug_generic_kernels)),
-        ("collect_stmt_invariants", Json::Bool(c.collect_stmt_invariants)),
+        ("jobs", Json::UInt(*jobs as u64)),
+        ("nested_slicing", Json::Bool(*nested_slicing)),
+        ("nested_cost_fraction", f64_bits(*nested_cost_fraction)),
+        ("debug_no_ptr_shortcuts", Json::Bool(*debug_no_ptr_shortcuts)),
+        ("collect_stmt_invariants", Json::Bool(*collect_stmt_invariants)),
     ])
 }
 
@@ -230,7 +258,6 @@ pub fn config_from_json(j: &Json) -> Result<AnalysisConfig, String> {
     c.nested_slicing = get_bool(j, "nested_slicing")?;
     c.nested_cost_fraction = get_f64_bits(j, "nested_cost_fraction")?;
     c.debug_no_ptr_shortcuts = get_bool(j, "debug_no_ptr_shortcuts")?;
-    c.debug_generic_kernels = get_bool(j, "debug_generic_kernels")?;
     c.collect_stmt_invariants = get_bool(j, "collect_stmt_invariants")?;
     Ok(c)
 }
@@ -526,6 +553,8 @@ mod tests {
         assert_eq!(back.octagon_packs_extra, c.octagon_packs_extra);
         assert_eq!(back.nested_cost_fraction.to_bits(), c.nested_cost_fraction.to_bits());
         assert!(back.collect_stmt_invariants);
+        // Peers compare these across versions: the constant must not move.
+        assert_eq!(content_fingerprint("astree-cache/1\n"), 0x94b9_1c21_e4ee_bd60);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO, SYNC_BYTES_CA
 use crate::wire::{config_from_json, content_fingerprint, outcome_to_json, spec_from_json};
 use astree_core::InvariantStore;
 use astree_obs::Json;
+use astree_sched::panic_message;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -352,16 +353,6 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
         }
     }
     Ok(())
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -118,13 +118,14 @@ impl<R> BatchReport<R> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The human-readable message of a caught panic payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "non-string panic payload".to_string()
+        "panic with non-string payload".to_string()
     }
 }
 
@@ -132,7 +133,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_inline<R>(job: Box<dyn FnOnce() -> R + Send>) -> JobStatus<R> {
     match catch_unwind(AssertUnwindSafe(job)) {
         Ok(v) => JobStatus::Done(v),
-        Err(e) => JobStatus::Panicked(panic_message(e)),
+        Err(e) => JobStatus::Panicked(panic_message(e.as_ref())),
     }
 }
 

@@ -10,8 +10,6 @@
 //! - [`pool`]: a persistent work-stealing worker pool with per-worker
 //!   deques (LIFO-local, FIFO-steal) and indexed result slots, so results
 //!   come back in input order regardless of steal interleaving;
-//! - [`scatter`]: a deterministic fork-join over an ephemeral pool —
-//!   results come back in input order, never completion order;
 //! - [`plan`]: partitions a statement sequence into contiguous *stages*
 //!   whose members are pairwise independent, given a conflict oracle, and
 //!   chunks stages into near-equal (or cost-balanced) ranges;
@@ -24,9 +22,7 @@
 pub mod batch;
 pub mod plan;
 pub mod pool;
-pub mod scatter;
 
-pub use batch::{run_batch, BatchConfig, BatchReport, Job, JobResult, JobStatus};
+pub use batch::{panic_message, run_batch, BatchConfig, BatchReport, Job, JobResult, JobStatus};
 pub use plan::{chunk_ranges, cost_chunk_ranges, plan_stages, Stage};
 pub use pool::{PoolStats, WorkerPool};
-pub use scatter::scatter;

@@ -1,10 +1,9 @@
 //! Persistent work-stealing worker pool.
 //!
-//! [`WorkerPool`] replaces the one-thread-per-slice fork-join in
-//! [`crate::scatter`] for long-lived sessions: the pool is created once
-//! (sized by `--jobs`) and every parallel stage is scattered onto it, so
-//! slice execution pays queue pushes instead of thread spawns, and uneven
-//! slice costs are load-balanced by stealing.
+//! The pool is created once per session (sized by `--jobs`) and every
+//! parallel stage is scattered onto it, so slice execution pays queue
+//! pushes instead of thread spawns, and uneven slice costs are
+//! load-balanced by stealing.
 //!
 //! Scheduling is the classic work-stealing shape:
 //!
@@ -212,8 +211,7 @@ impl WorkerPool {
 
     /// Runs `f` over `items` on the pool and returns the results in input
     /// order. Panics in a task are captured per-task and the first one (in
-    /// input order) is re-raised after every task has finished — same
-    /// contract as [`crate::scatter::scatter`].
+    /// input order) is re-raised after every task has finished.
     pub fn scatter<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,

@@ -19,7 +19,7 @@ use astree_obs::{
     events, AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, Json, LoopDoneEvent,
     LoopIterEvent, PoolCounters, Recorder, ServeCounters, SliceEvent,
 };
-use astree_sched::WorkerPool;
+use astree_sched::{panic_message, WorkerPool};
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -604,7 +604,7 @@ fn handle_analyze(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u64, req: &Js
         }
         Err(panic) => {
             daemon.count(|c| c.panicked += 1);
-            send(writer, &error_frame(id, "panicked", &panic_message(&panic)));
+            send(writer, &error_frame(id, "panicked", &panic_message(panic.as_ref())));
         }
     }
 }
@@ -699,14 +699,4 @@ fn batch_outcome_fields(o: &JobOutcome) -> Json {
         fields.push(("message", Json::str(o.detail.clone().unwrap_or_default())));
     }
     Json::obj(fields)
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "analysis panicked".to_string()
-    }
 }

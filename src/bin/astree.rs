@@ -103,14 +103,10 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
                      \x20      [--pack VAR1,VAR2,...] [--census] [--dump-invariant]\n\
                      \x20      [--jobs N] [--metrics FILE] [--metrics-stream FILE]\n\
                      \x20      [--trace] [--cache DIR] [--debug-no-ptr-shortcuts]\n\
-                     \x20      [--debug-generic-kernels]\n\
                      --jobs N analyzes with N worker threads (results are\n\
                      identical to the sequential analysis for every N)\n\
                      --debug-no-ptr-shortcuts disables the persistent-map\n\
                      sharing fast paths (validation: results are identical)\n\
-                     --debug-generic-kernels disables the specialized\n\
-                     small-pack octagon kernels (validation: results are\n\
-                     identical)\n\
                      {RUN_OPTIONS_HELP}\n\
                      exit status: 0 = proven error-free, 1 = alarms reported"
                 );
@@ -150,7 +146,6 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             "--census" => show_census = true,
             "--dump-invariant" => dump_invariant = true,
             "--debug-no-ptr-shortcuts" => config.debug_no_ptr_shortcuts = true,
-            "--debug-generic-kernels" => config.debug_generic_kernels = true,
             f if !f.starts_with('-') => files.push(f.to_string()),
             other => return Err(format!("unknown option {other}")),
         }

@@ -114,22 +114,6 @@ fn forced_steal_orders_do_not_change_results() {
 }
 
 #[test]
-fn inline_slice_execution_is_bit_identical() {
-    // `debug_inline_slices` runs the same plan with every slice on the
-    // calling thread (the scaling benchmark's measurement mode); it must not
-    // change any observable either.
-    let src = generate(&GenConfig { channels: 4, seed: 3, bug: None });
-    let p = Frontend::new().compile_str(&src).expect("compiles");
-    let pooled = run_with_jobs(&src, 4);
-    let mut cfg = AnalysisConfig::default();
-    cfg.jobs = 4;
-    cfg.debug_inline_slices = true;
-    let inline = AnalysisSession::builder(&p).config(cfg).build().run();
-    assert_equivalent("inline-slices", &pooled, &inline, 4);
-    assert!(inline.stats.parallel_slices > 0, "inline mode still executes the sliced plan");
-}
-
-#[test]
 fn nested_slicing_splits_fat_branches() {
     // A handwritten shape the nested planner targets: the synchronous loop
     // holds one fat `if` whose branch blocks contain independent per-signal
