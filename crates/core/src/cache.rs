@@ -320,7 +320,7 @@ impl StatePatch {
         let mut st = base.clone();
         let mut env = st.env.clone();
         for (c, v) in &self.cells {
-            env = env.set(*c, *v);
+            env.set(*c, *v);
         }
         if env.is_bottom() {
             return base.clone(); // a mapped donor value was unrepresentable
@@ -1092,7 +1092,7 @@ fn decode_state<'a>(
         return None;
     }
     if t.bool()? {
-        return Some(AbsState::initial(layout, packs).bottom_like());
+        return Some(AbsState::bottom());
     }
     let mut t = toks(lines.next()?);
     if t.tok()? != "k" {
@@ -1112,7 +1112,7 @@ fn decode_state<'a>(
         }
         let c = CellId(t.u32()?);
         let v = decode_cell_val(&mut t)?;
-        env = env.set(c, v);
+        env.set(c, v);
     }
     if env.is_bottom() {
         return None; // a stored non-bottom state cannot hold bottom cells
@@ -1871,7 +1871,7 @@ mod tests {
         let (program, config) = sample();
         let layout = CellLayout::new(&program, &LayoutConfig::default());
         let packs = Packs::discover(&program, &layout, &config);
-        let bot = AbsState::initial(&layout, &packs).bottom_like();
+        let bot = AbsState::bottom();
         let mut lines = Vec::new();
         encode_state(&mut lines, &bot);
         assert_eq!(lines, vec!["S 1".to_string()]);

@@ -203,7 +203,7 @@ mod tests {
         let p = Frontend::new().compile_str("int x; void main(void) { x = 1; }").unwrap();
         let layout = CellLayout::new(&p, &LayoutConfig::default());
         let packs = Packs::discover(&p, &layout, &AnalysisConfig::default());
-        let s = AbsState::initial(&layout, &packs).bottom_like();
+        let s = AbsState::bottom();
         assert_eq!(Census::of_state(&s, &layout, &packs).total(), 0);
     }
 
@@ -228,20 +228,10 @@ mod tests {
         let wide = p.var_by_name("wide").unwrap();
         let b = p.var_by_name("b").unwrap();
         use astree_domains::{Clocked, IntItv};
-        s.env = s
-            .env
-            .set(
-                layout.scalar_cell(narrow),
-                CellVal::Int(Clocked::of_val(IntItv::new(0, 5), IntItv::singleton(0))),
-            )
-            .set(
-                layout.scalar_cell(wide),
-                CellVal::Int(Clocked::of_val(IntItv::of_type(IntType::INT), IntItv::singleton(0))),
-            )
-            .set(
-                layout.scalar_cell(b),
-                CellVal::Int(Clocked::of_val(IntItv::new(0, 1), IntItv::singleton(0))),
-            );
+        let int = |itv| CellVal::Int(Clocked::of_val(itv, IntItv::singleton(0)));
+        s.env.set(layout.scalar_cell(narrow), int(IntItv::new(0, 5)));
+        s.env.set(layout.scalar_cell(wide), int(IntItv::of_type(IntType::INT)));
+        s.env.set(layout.scalar_cell(b), int(IntItv::new(0, 1)));
         let weak = under_constrained_vars(&s, &layout, 1e6);
         assert!(weak.contains(&wide), "{weak:?}");
         assert!(weak.contains(&b), "booleans that may take any value are weak");

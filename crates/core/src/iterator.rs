@@ -21,7 +21,7 @@ use crate::alarms::AlarmSink;
 use crate::cache::{Seed, SeedOrigin};
 use crate::config::AnalysisConfig;
 use crate::packs::Packs;
-use crate::state::{float_view, meet_cell_with_float, AbsState, PackEnv};
+use crate::state::{float_view, meet_cell_with_float, AbsState, DTree, PackEnv};
 use crate::substitute::substitute_block;
 use astree_domains::dtree::Lattice;
 use astree_domains::{Ellipsoid, ErrFlags, FloatItv, Thresholds};
@@ -29,7 +29,7 @@ use astree_ir::{
     Binop, Block, CallArg, Expr, FuncId, LoopId, Lvalue, Program, ScalarType, Stmt, StmtId,
     StmtKind, Unop, VarId,
 };
-use astree_memory::{CellId, CellLayout, CellVal, Evaluator};
+use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
 use astree_obs::{AlarmEvent, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -293,9 +293,8 @@ impl<'a> Iter<'a> {
         let program: &'a Program = self.program;
         let f = program.func(func);
         let partitioning = self.config.partitioned_functions.contains(&f.name);
-        let bot = state.bottom_like();
         self.func_stack.push(f.name.as_str());
-        let mut flow = Flow { parts: vec![state], returned: bot };
+        let mut flow = Flow { parts: vec![state], returned: AbsState::bottom() };
         self.exec_block(&mut flow, &f.body, ret_target, partitioning, depth);
         let mut out = flow.returned;
         for p in flow.parts {
@@ -495,7 +494,7 @@ impl<'a> Iter<'a> {
                     w.invariants = seed_invariants.clone();
                     w.cover = cover_map.clone();
                 }
-                let mut wf = Flow { parts: vec![pre.clone()], returned: pre.bottom_like() };
+                let mut wf = Flow { parts: vec![pre.clone()], returned: AbsState::bottom() };
                 let mut stmt_nanos = Vec::with_capacity(r.len());
                 for s in &stmts[r] {
                     let ts = Instant::now();
@@ -615,8 +614,9 @@ impl<'a> Iter<'a> {
         }
         match &s.kind {
             StmtKind::Assign(lv, e) => {
-                for p in &mut flow.parts {
-                    *p = self.transfer_assign(p, lv, e, s);
+                for p in std::mem::take(&mut flow.parts) {
+                    let out = self.transfer_assign(p, lv, e, s);
+                    flow.parts.push(out);
                 }
             }
             StmtKind::If(c, then_b, else_b) => {
@@ -637,12 +637,12 @@ impl<'a> Iter<'a> {
                 let fat = self.nested_fat;
                 self.branch_level += 1;
                 for p in parts {
-                    let t_in = self.state_guard(&p, c, true);
-                    let f_in = self.state_guard(&p, c, false);
-                    let mut tf = Flow { parts: vec![t_in], returned: p.bottom_like() };
+                    let t_in = self.state_guard(p.clone(), c, true);
+                    let f_in = self.state_guard(p, c, false);
+                    let mut tf = Flow { parts: vec![t_in], returned: AbsState::bottom() };
                     self.nested_fat = fat;
                     self.exec_block(&mut tf, then_b, ret_target, partitioning, depth);
-                    let mut ff = Flow { parts: vec![f_in], returned: p.bottom_like() };
+                    let mut ff = Flow { parts: vec![f_in], returned: AbsState::bottom() };
                     self.nested_fat = fat;
                     self.exec_block(&mut ff, else_b, ret_target, partitioning, depth);
                     flow.returned = flow.returned.join(&tf.returned, self.layout, self.packs);
@@ -651,7 +651,7 @@ impl<'a> Iter<'a> {
                         merged.extend(tf.parts);
                         merged.extend(ff.parts);
                     } else {
-                        let mut j = p.bottom_like();
+                        let mut j = AbsState::bottom();
                         for q in tf.parts.into_iter().chain(ff.parts) {
                             j = j.join(&q, self.layout, self.packs);
                         }
@@ -661,7 +661,7 @@ impl<'a> Iter<'a> {
                 self.branch_level -= 1;
                 // Cap the number of live partitions.
                 if merged.len() > self.config.max_partitions {
-                    let mut j = merged[0].bottom_like();
+                    let mut j = AbsState::bottom();
                     for q in merged {
                         j = j.join(&q, self.layout, self.packs);
                     }
@@ -672,7 +672,7 @@ impl<'a> Iter<'a> {
             StmtKind::While(id, c, body) => {
                 // Loops merge partitions (partitioning applies to acyclic
                 // code; the invariant is one abstract element).
-                let mut entry = flow.parts[0].bottom_like();
+                let mut entry = AbsState::bottom();
                 for p in std::mem::take(&mut flow.parts) {
                     entry = entry.join(&p, self.layout, self.packs);
                 }
@@ -689,7 +689,7 @@ impl<'a> Iter<'a> {
                 let parts = std::mem::take(&mut flow.parts);
                 for p in parts {
                     let p = match (e, ret_target) {
-                        (Some(e), Some(target)) => self.transfer_assign(&p, target, e, s),
+                        (Some(e), Some(target)) => self.transfer_assign(p, target, e, s),
                         (Some(e), None) => {
                             if self.mode == Mode::Check {
                                 self.check_expr(Some(&p), e, s);
@@ -702,21 +702,24 @@ impl<'a> Iter<'a> {
                 }
             }
             StmtKind::Wait => {
-                for p in &mut flow.parts {
-                    p.env = self.eval.tick(&p.env);
+                for mut p in std::mem::take(&mut flow.parts) {
+                    p.env = self.eval.tick(p.env);
                     if self.config.enable_clocked {
                         p.tick_relational();
                     }
+                    flow.parts.push(p);
                 }
             }
             StmtKind::Assume(c) => {
-                for p in flow.parts.iter_mut() {
-                    *p = self.state_guard(p, c, true);
+                for p in std::mem::take(&mut flow.parts) {
+                    let out = self.state_guard(p, c, true);
+                    flow.parts.push(out);
                 }
             }
             StmtKind::ReadVolatile(v) => {
-                for p in &mut flow.parts {
-                    *p = self.transfer_read_volatile(p, *v);
+                for p in std::mem::take(&mut flow.parts) {
+                    let out = self.transfer_read_volatile(p, *v);
+                    flow.parts.push(out);
                 }
             }
         }
@@ -774,7 +777,7 @@ impl<'a> Iter<'a> {
         let check = self.mode == Mode::Check;
         // Alarm provenance: the loop iteration the checking pass is in.
         let track = check && self.rec_on;
-        let mut exits = entry.bottom_like();
+        let mut exits = AbsState::bottom();
         let mut cur = entry;
         // Semantic loop unrolling (Sect. 7.1.1).
         let unroll = self.config.unroll_for(id);
@@ -788,8 +791,9 @@ impl<'a> Iter<'a> {
             if check {
                 self.check_expr(Some(&cur), cond, s);
             }
-            exits = exits.join(&self.state_guard(&cur, cond, false), self.layout, self.packs);
-            let body_in = self.state_guard(&cur, cond, true);
+            let exit = self.state_guard(cur.clone(), cond, false);
+            exits = exits.join(&exit, self.layout, self.packs);
+            let body_in = self.state_guard(cur, cond, true);
             if body_in.is_bottom() {
                 if track {
                     self.loop_stack.pop();
@@ -797,8 +801,8 @@ impl<'a> Iter<'a> {
                 if !check {
                     // Residual unreachable in this context: a checking-mode
                     // context that *does* reach the residual is uncovered.
-                    self.invariants.insert(id, body_in.bottom_like());
-                    self.cover.insert(id, body_in.bottom_like());
+                    self.invariants.insert(id, AbsState::bottom());
+                    self.cover.insert(id, AbsState::bottom());
                 }
                 return exits;
             }
@@ -845,7 +849,7 @@ impl<'a> Iter<'a> {
                     self.loop_stack.push((id.0, unroll as u64 + 1));
                 }
                 self.check_expr(Some(&inv), cond, s);
-                let body_in = self.state_guard(&inv, cond, true);
+                let body_in = self.state_guard(inv.clone(), cond, true);
                 if !body_in.is_bottom() {
                     let _ = self.exec_loop_body(body_in, body, ret_target, depth);
                 }
@@ -855,7 +859,7 @@ impl<'a> Iter<'a> {
                 inv
             }
         };
-        exits.join(&self.state_guard(&inv, cond, false), self.layout, self.packs)
+        exits.join(&self.state_guard(inv, cond, false), self.layout, self.packs)
     }
 
     /// Solves the residual loop (the iterations beyond the unrolled prefix)
@@ -886,7 +890,7 @@ impl<'a> Iter<'a> {
             // rescue (see the `seeds` field).
             let attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
             for attempt in 0..attempts {
-                let body_in = self.state_guard(&cand, cond, true);
+                let body_in = self.state_guard(cand.clone(), cond, true);
                 let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
                 let fval = base.join(&body_out, self.layout, self.packs);
                 // Acceptance also proves `base ⊑ cand`: `base` is a valid
@@ -929,7 +933,7 @@ impl<'a> Iter<'a> {
         loop {
             iter += 1;
             self.stats.loop_iterations += 1;
-            let body_in = self.state_guard(&inv, cond, true);
+            let body_in = self.state_guard(inv.clone(), cond, true);
             let mut body_out = self.exec_loop_body(body_in, body, ret_target, depth);
             self.perturb(&mut body_out);
             let fval = base.join(&body_out, self.layout, self.packs);
@@ -976,7 +980,7 @@ impl<'a> Iter<'a> {
         }
         // Narrowing iterations (Sect. 5.5).
         for k in 0..self.config.narrowing_iterations {
-            let body_in = self.state_guard(&inv, cond, true);
+            let body_in = self.state_guard(inv.clone(), cond, true);
             let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
             let fval = base.join(&body_out, self.layout, self.packs);
             // Widening-overshoot correction: a physically unchanged iterate
@@ -1138,13 +1142,13 @@ impl<'a> Iter<'a> {
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> AbsState {
-        let mut flow = Flow { parts: vec![state.clone()], returned: state.bottom_like() };
+        let mut flow = Flow { parts: vec![state], returned: AbsState::bottom() };
         self.exec_block(&mut flow, body, ret_target, false, depth);
         // `return` inside a loop leaves the function, not the loop; the
         // returned state is handled by the caller via `flow.returned`, which
         // we conservatively fold into the enclosing function by re-joining.
         // (The family's reactive main loops do not return.)
-        let mut out = state.bottom_like();
+        let mut out = AbsState::bottom();
         for p in flow.parts {
             out = out.join(&p, self.layout, self.packs);
         }
@@ -1161,72 +1165,83 @@ impl<'a> Iter<'a> {
         if eps <= 0.0 || state.is_bottom() {
             return;
         }
-        let updates: Vec<(CellId, CellVal)> = state
-            .env
-            .iter()
-            .filter_map(|(id, v)| match v {
-                CellVal::Float(f) if !f.is_bottom() => {
-                    let lo = f.lo - eps * f.lo.abs();
-                    let hi = f.hi + eps * f.hi.abs();
-                    Some((*id, CellVal::Float(FloatItv::new(lo, hi))))
-                }
-                _ => None,
-            })
-            .collect();
-        for (id, v) in updates {
-            state.env = state.env.set(id, v);
-        }
+        state.env.set_each(|v| match v {
+            CellVal::Float(f) if !f.is_bottom() => {
+                let lo = f.lo - eps * f.lo.abs();
+                let hi = f.hi + eps * f.hi.abs();
+                Some(CellVal::Float(FloatItv::new(lo, hi)))
+            }
+            _ => None,
+        });
     }
 
     // ----- transfers ---------------------------------------------------------
 
-    fn transfer_assign(&mut self, state: &AbsState, lv: &Lvalue, e: &Expr, s: &Stmt) -> AbsState {
+    fn transfer_assign(
+        &mut self,
+        mut state: AbsState,
+        lv: &Lvalue,
+        e: &Expr,
+        s: &Stmt,
+    ) -> AbsState {
         if state.is_bottom() {
-            return state.clone();
+            return state;
         }
-        let mut out = state.clone();
         // Ellipsoid pending computation at the filter group's first stmt.
         if let Some(&pi) = self.packs.ellipse_starts.get(&s.id) {
             let t0 = self.rec_on.then(Instant::now);
-            let d = self.ellipse_delta(&out, pi);
-            out.set_pending(pi, d);
+            let d = self.ellipse_delta(&state, pi);
+            state.set_pending(pi, d);
             if let Some(t0) = t0 {
                 self.rec.domain_op("ellipsoid", "delta", Self::nanos_since(t0));
             }
         }
-        let (env, flags) = self.eval.assign(&state.env, lv, e);
+        // The state is written in place from here on, so everything the
+        // relational transfers need of the pre-state is read first: the
+        // target cells, the octagon shape of `e`, the decision-tree leaves.
+        let target = self.eval.resolve(&state.env, lv);
+        let cell = (target.strong && target.cells.len() == 1).then(|| target.cells[0]);
+        let t0 = self.rec_on.then(Instant::now);
+        let shape = cell
+            .filter(|c| self.packs.oct_index.contains_key(c))
+            .and_then(|_| self.affine_shape(&state.env, e));
+        let shape_ns = t0.map_or(0, Self::nanos_since);
+        let t0 = self.rec_on.then(Instant::now);
+        let dtrees = cell.map_or_else(Vec::new, |c| self.dtree_assign(&state, c, e));
+        let dtree_ns = t0.map_or(0, Self::nanos_since);
+        let (env, flags) = self.eval.assign(state.env, &target, e);
+        state.env = env;
         if self.mode == Mode::Check && !flags.is_empty() {
             self.report(s, flags, lv, Some(e));
         }
-        out.env = env;
-        if out.is_bottom() {
-            return out;
+        if state.is_bottom() {
+            return state;
         }
         // Relational updates.
-        let r = self.eval.resolve(&state.env, lv);
-        if r.strong && r.cells.len() == 1 {
-            let cell = r.cells[0];
-            if self.rec_on {
-                let t0 = Instant::now();
-                self.oct_assign(&mut out, state, cell, e);
-                self.rec.domain_op("octagon", "assign", Self::nanos_since(t0));
-                let t0 = Instant::now();
-                self.dtree_assign(&mut out, state, cell, e);
-                self.rec.domain_op("dtree", "assign", Self::nanos_since(t0));
-                let t0 = Instant::now();
-                self.ellipse_assign(&mut out, cell, s);
-                self.rec.domain_op("ellipsoid", "commit", Self::nanos_since(t0));
-            } else {
-                self.oct_assign(&mut out, state, cell, e);
-                self.dtree_assign(&mut out, state, cell, e);
-                self.ellipse_assign(&mut out, cell, s);
+        let Some(cell) = cell else {
+            for c in &target.cells {
+                state.forget_cell(*c, self.packs);
             }
-        } else {
-            for c in &r.cells {
-                out.forget_cell(*c, self.packs);
-            }
+            return state;
+        };
+        let t0 = self.rec_on.then(Instant::now);
+        self.oct_assign(&mut state, cell, shape);
+        if let Some(t0) = t0 {
+            self.rec.domain_op("octagon", "assign", shape_ns + Self::nanos_since(t0));
         }
-        out
+        let t0 = self.rec_on.then(Instant::now);
+        for (pi, tree) in dtrees {
+            state.set_dtree(pi, tree);
+        }
+        if let Some(t0) = t0 {
+            self.rec.domain_op("dtree", "assign", dtree_ns + Self::nanos_since(t0));
+        }
+        let t0 = self.rec_on.then(Instant::now);
+        self.ellipse_assign(&mut state, cell, s);
+        if let Some(t0) = t0 {
+            self.rec.domain_op("ellipsoid", "commit", Self::nanos_since(t0));
+        }
+        state
     }
 
     /// The `δ` update for filter pack `pi`, evaluated in the pre-state.
@@ -1252,28 +1267,28 @@ impl<'a> Iter<'a> {
         ell.delta(t_max)
     }
 
-    /// Octagon transfer for a strong scalar assignment.
-    fn oct_assign(&mut self, out: &mut AbsState, pre: &AbsState, cell: CellId, e: &Expr) {
+    /// Octagon transfer for a strong scalar assignment whose right-hand
+    /// side had the affine `shape` in the pre-state (see
+    /// [`Iter::affine_shape`]).
+    fn oct_assign(
+        &mut self,
+        out: &mut AbsState,
+        cell: CellId,
+        shape: Option<(CellId, bool, f64, f64)>,
+    ) {
         let Some(pids) = self.packs.oct_index.get(&cell) else { return };
         for &pi in pids {
             let slot = self.packs.oct_slot(pi, cell).expect("cell in pack");
-            // Try the exact affine shapes x := ±y + [lo, hi].
-            if let Some((src, neg, lo, hi)) = self.affine_shape(pre, e) {
-                if let Some(src_slot) = self.packs.oct_slot(pi, src) {
-                    let mut oct = out.oct(pi).clone();
-                    if neg {
-                        oct.assign_neg_var_plus_const(slot, src_slot, lo, hi);
-                    } else {
-                        oct.assign_var_plus_const(slot, src_slot, lo, hi);
-                    }
-                    out.set_oct(pi, oct);
-                    continue;
-                }
-            }
-            // Fallback: interval assignment.
-            let v = float_view(out.env.get(cell, self.layout));
             let mut oct = out.oct(pi).clone();
-            oct.assign_interval(slot, v);
+            // The exact affine shapes x := ±y + [lo, hi] when y is in the
+            // pack too; else the interval assignment.
+            let affine = shape
+                .and_then(|(src, neg, lo, hi)| Some((self.packs.oct_slot(pi, src)?, neg, lo, hi)));
+            match affine {
+                Some((src, true, lo, hi)) => oct.assign_neg_var_plus_const(slot, src, lo, hi),
+                Some((src, false, lo, hi)) => oct.assign_var_plus_const(slot, src, lo, hi),
+                None => oct.assign_interval(slot, float_view(out.env.get(cell, self.layout))),
+            }
             out.set_oct(pi, oct);
         }
     }
@@ -1284,13 +1299,13 @@ impl<'a> Iter<'a> {
     /// error, making the real-field octagon constraint sound for the
     /// floating-point semantics (the per-operator error absorption of
     /// Sect. 6.3).
-    fn affine_shape(&self, pre: &AbsState, e: &Expr) -> Option<(CellId, bool, f64, f64)> {
+    fn affine_shape(&self, pre: &AbsEnv, e: &Expr) -> Option<(CellId, bool, f64, f64)> {
         let plain = |lv: &Lvalue| -> Option<CellId> {
-            let r = self.eval.resolve(&pre.env, lv);
+            let r = self.eval.resolve(pre, lv);
             (r.strong && r.cells.len() == 1).then(|| r.cells[0])
         };
         let eval_itv = |e: &Expr| -> Option<(f64, f64)> {
-            let (v, f) = self.eval.eval(&pre.env, e);
+            let (v, f) = self.eval.eval(pre, e);
             if !f.is_empty() {
                 return None;
             }
@@ -1354,75 +1369,74 @@ impl<'a> Iter<'a> {
         }
     }
 
-    /// Decision-tree transfer for a strong scalar assignment.
-    fn dtree_assign(&mut self, out: &mut AbsState, pre: &AbsState, cell: CellId, e: &Expr) {
-        let Some(pids) = self.packs.dtree_index.get(&cell) else { return };
-        for &pi in pids {
-            let pack = &self.packs.dtrees[pi];
-            let tree = pre.dtree(pi).clone();
-            if pack.bools.contains(&cell) {
-                // b := e — split each context on the truth of e.
-                let eval = &self.eval;
-                let layout = self.layout;
-                let env = &pre.env;
-                let restrict = |value: bool| {
-                    move |leaf: &PackEnv| -> PackEnv {
-                        if leaf.is_bottom() {
-                            return PackEnv { cells: leaf.cells.clone(), unreachable: true };
-                        }
-                        // Refine env with the leaf context, then guard on e.
-                        let mut ctx = env.clone();
-                        for (c, v) in &leaf.cells {
-                            let m = ctx.get(*c, layout).meet(v);
-                            if m.is_bottom() {
-                                return PackEnv { cells: leaf.cells.clone(), unreachable: true };
-                            }
-                            ctx = ctx.set(*c, m);
-                        }
-                        let guarded = eval.guard(&ctx, e, value);
-                        if guarded.is_bottom() {
-                            PackEnv { cells: leaf.cells.clone(), unreachable: true }
-                        } else {
-                            PackEnv::from_env(&guarded, layout, &cells_of(leaf))
-                        }
-                    }
-                };
-                let new = tree.assign_bool(cell, &restrict(false), &restrict(true));
-                out.set_dtree(pi, new);
-            } else {
-                // numeric := e — update the member in every context.
-                let eval = &self.eval;
-                let layout = self.layout;
-                let env = &pre.env;
-                let new = tree.map(&|leaf: &PackEnv| {
-                    if leaf.is_bottom() {
-                        return leaf.clone();
-                    }
-                    let mut ctx = env.clone();
-                    for (c, v) in &leaf.cells {
-                        let m = ctx.get(*c, layout).meet(v);
-                        if m.is_bottom() {
-                            return PackEnv { cells: leaf.cells.clone(), unreachable: true };
-                        }
-                        ctx = ctx.set(*c, m);
-                    }
-                    let (val, flags) = eval.eval(&ctx, e);
-                    let new_val = if flags.is_empty() {
-                        match val {
-                            astree_memory::AbsVal::Int(i) => {
-                                CellVal::Int(astree_domains::Clocked::of_val(i, ctx.clock))
-                            }
-                            astree_memory::AbsVal::Float(f) => CellVal::Float(f),
-                        }
-                    } else {
-                        // Errors possible: fall back to the post-env value.
-                        env.get(cell, layout)
-                    };
-                    leaf.set(cell, new_val)
-                });
-                out.set_dtree(pi, new);
+    /// Decision-tree transfer for a strong scalar assignment: the new tree
+    /// of every pack holding `cell`, computed from the pre-state `pre` alone
+    /// (the caller writes them once the environment is updated).
+    fn dtree_assign(&self, pre: &AbsState, cell: CellId, e: &Expr) -> Vec<(usize, DTree)> {
+        let Some(pids) = self.packs.dtree_index.get(&cell) else { return Vec::new() };
+        let eval = &self.eval;
+        let layout = self.layout;
+        let env = &pre.env;
+        // The environment refined with a leaf's context (`None` when the
+        // context is unreachable in it).
+        let context = |leaf: &PackEnv| -> Option<AbsEnv> {
+            let mut ctx = env.clone();
+            for (c, v) in &leaf.cells {
+                let m = ctx.get(*c, layout).meet(v);
+                if m.is_bottom() {
+                    return None;
+                }
+                ctx.set(*c, m);
             }
-        }
+            Some(ctx)
+        };
+        let dead = |leaf: &PackEnv| PackEnv { cells: leaf.cells.clone(), unreachable: true };
+        pids.iter()
+            .map(|&pi| {
+                let tree = pre.dtree(pi);
+                let new = if self.packs.dtrees[pi].bools.contains(&cell) {
+                    // b := e — split each context on the truth of e.
+                    let restrict = |value: bool| {
+                        move |leaf: &PackEnv| -> PackEnv {
+                            if leaf.is_bottom() {
+                                return dead(leaf);
+                            }
+                            // Refine env with the leaf context, then guard on e.
+                            let Some(ctx) = context(leaf) else { return dead(leaf) };
+                            let guarded = eval.guard(ctx, e, value);
+                            if guarded.is_bottom() {
+                                dead(leaf)
+                            } else {
+                                PackEnv::from_env(&guarded, layout, &cells_of(leaf))
+                            }
+                        }
+                    };
+                    tree.assign_bool(cell, &restrict(false), &restrict(true))
+                } else {
+                    // numeric := e — update the member in every context.
+                    tree.map(&|leaf: &PackEnv| {
+                        if leaf.is_bottom() {
+                            return leaf.clone();
+                        }
+                        let Some(ctx) = context(leaf) else { return dead(leaf) };
+                        let (val, flags) = eval.eval(&ctx, e);
+                        let new_val = if flags.is_empty() {
+                            match val {
+                                astree_memory::AbsVal::Int(i) => {
+                                    CellVal::Int(astree_domains::Clocked::of_val(i, ctx.clock))
+                                }
+                                astree_memory::AbsVal::Float(f) => CellVal::Float(f),
+                            }
+                        } else {
+                            // Errors possible: fall back to the env's value.
+                            env.get(cell, layout)
+                        };
+                        leaf.set(cell, new_val)
+                    })
+                };
+                (pi, new)
+            })
+            .collect()
     }
 
     /// Ellipsoid commit at the filter group's final statement.
@@ -1473,7 +1487,7 @@ impl<'a> Iter<'a> {
             match arg {
                 CallArg::Value(e) => {
                     let target = Lvalue::var(param.var);
-                    cur = self.transfer_assign(&cur, &target, e, s);
+                    cur = self.transfer_assign(cur, &target, e, s);
                 }
                 CallArg::Ref(lv) => {
                     ref_map.insert(param.var, lv.clone());
@@ -1493,7 +1507,7 @@ impl<'a> Iter<'a> {
         };
         let partitioning = self.config.partitioned_functions.contains(&f.name);
         self.func_stack.push(f.name.as_str());
-        let mut flow = Flow { parts: vec![cur.clone()], returned: cur.bottom_like() };
+        let mut flow = Flow { parts: vec![cur], returned: AbsState::bottom() };
         self.exec_block(&mut flow, body, ret, partitioning, depth + 1);
         self.func_stack.pop();
         let mut out = flow.returned;
@@ -1503,9 +1517,11 @@ impl<'a> Iter<'a> {
         out
     }
 
-    fn transfer_read_volatile(&mut self, state: &AbsState, var: VarId) -> AbsState {
-        let mut out = state.clone();
-        out.env = self.eval.read_volatile(&state.env, var);
+    fn transfer_read_volatile(&mut self, mut out: AbsState, var: VarId) -> AbsState {
+        if out.is_bottom() {
+            return out;
+        }
+        out.env = self.eval.read_volatile(out.env, var);
         let cell = self.layout.scalar_cell(var);
         out.forget_cell(cell, self.packs);
         // The octagon can keep the fresh interval.
@@ -1524,10 +1540,12 @@ impl<'a> Iter<'a> {
 
     // ----- guards ------------------------------------------------------------
 
-    /// Full-state guard: environment refinement plus relational constraints.
-    pub fn state_guard(&mut self, state: &AbsState, cond: &Expr, positive: bool) -> AbsState {
+    /// Full-state guard: environment refinement plus relational constraints,
+    /// applied to `state` in place (a caller that keeps its state guards a
+    /// clone of it).
+    pub fn state_guard(&mut self, mut state: AbsState, cond: &Expr, positive: bool) -> AbsState {
         if state.is_bottom() {
-            return state.clone();
+            return state;
         }
         if !positive {
             return self.state_guard(state, &cond.negate_condition(), true);
@@ -1535,10 +1553,10 @@ impl<'a> Iter<'a> {
         match cond {
             Expr::Binop(Binop::LAnd, _, a, b) => {
                 let s1 = self.state_guard(state, a, true);
-                self.state_guard(&s1, b, true)
+                self.state_guard(s1, b, true)
             }
             Expr::Binop(Binop::LOr, _, a, b) => {
-                let s1 = self.state_guard(state, a, true);
+                let s1 = self.state_guard(state.clone(), a, true);
                 let s2 = self.state_guard(state, b, true);
                 s1.join(&s2, self.layout, self.packs)
             }
@@ -1550,29 +1568,31 @@ impl<'a> Iter<'a> {
                 self.state_guard(state, &a.negate_condition(), true)
             }
             _ => {
-                let mut out = state.clone();
-                out.env = self.eval.guard(&state.env, cond, true);
-                if out.is_bottom() {
-                    return out;
-                }
-                let t_guard = self.rec_on.then(Instant::now);
-                self.oct_guard(&mut out, cond);
-                self.dtree_guard(&mut out, cond, true);
-                if let Some(t0) = t_guard {
-                    self.rec.domain_op("octagon", "guard", Self::nanos_since(t0));
-                }
-                // Localized reduction: only the packs the condition touches.
+                // The cells the condition reads, resolved in the pre-state:
+                // the localized reduction below covers only their packs.
                 let mut cells = Vec::new();
                 cond.for_each_lvalue(&mut |lv| {
                     let r = self.eval.resolve(&state.env, lv);
                     cells.extend(r.cells);
                 });
+                state.env = self.eval.guard(state.env, cond, true);
+                if state.is_bottom() {
+                    // Let go of the packs: the other branch of the fork
+                    // this guard belongs to can then write its own in place.
+                    return AbsState::bottom();
+                }
+                let t_guard = self.rec_on.then(Instant::now);
+                self.oct_guard(&mut state, cond);
+                self.dtree_guard(&mut state, cond, true);
+                if let Some(t0) = t_guard {
+                    self.rec.domain_op("octagon", "guard", Self::nanos_since(t0));
+                }
                 let t_red = self.rec_on.then(Instant::now);
-                out.reduce_local(self.layout, self.packs, &cells, Some(&mut self.oct_useful));
+                state.reduce_local(self.layout, self.packs, &cells, Some(&mut self.oct_useful));
                 if let Some(t0) = t_red {
                     self.rec.domain_op("octagon", "closure", Self::nanos_since(t0));
                 }
-                out
+                state
             }
         }
     }
@@ -1630,19 +1650,19 @@ impl<'a> Iter<'a> {
     }
 
     /// Pack and slot pairs shared by two cells.
-    fn pack_pairs(&self, x: CellId, y: CellId) -> HashMap<usize, (usize, usize)> {
-        let mut out = HashMap::new();
-        if let (Some(pxs), Some(pys)) = (self.packs.oct_index.get(&x), self.packs.oct_index.get(&y))
-        {
-            for pi in pxs {
-                if pys.contains(pi) {
-                    let sx = self.packs.oct_slot(*pi, x).expect("in pack");
-                    let sy = self.packs.oct_slot(*pi, y).expect("in pack");
-                    out.insert(*pi, (sx, sy));
-                }
-            }
-        }
-        out
+    fn pack_pairs(&self, x: CellId, y: CellId) -> Vec<(usize, (usize, usize))> {
+        let (Some(pxs), Some(pys)) = (self.packs.oct_index.get(&x), self.packs.oct_index.get(&y))
+        else {
+            return Vec::new();
+        };
+        pxs.iter()
+            .filter(|pi| pys.contains(pi))
+            .map(|&pi| {
+                let sx = self.packs.oct_slot(pi, x).expect("in pack");
+                let sy = self.packs.oct_slot(pi, y).expect("in pack");
+                (pi, (sx, sy))
+            })
+            .collect()
     }
 
     fn const_bounds(&self, state: &AbsState, e: &Expr) -> Option<(f64, f64)> {

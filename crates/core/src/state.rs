@@ -234,9 +234,17 @@ impl AbsState {
         }
     }
 
-    /// The unreachable state (O(1): shares every pack).
-    pub fn bottom_like(&self) -> AbsState {
-        AbsState { env: AbsEnv::bottom(), ..self.clone() }
+    /// The unreachable state. It holds no pack, so keeping one (a function's
+    /// accumulated return state, a loop's exits) never makes a live state's
+    /// pack trees shared.
+    pub fn bottom() -> AbsState {
+        AbsState {
+            env: AbsEnv::bottom(),
+            octs: PMap::new(),
+            dtrees: PMap::new(),
+            ellipses: PMap::new(),
+            pending: PMap::new(),
+        }
     }
 
     /// `true` when no execution reaches this point.
@@ -249,11 +257,12 @@ impl AbsState {
         self.octs.get(&(pi as u32)).expect("pack index in range")
     }
 
-    /// Replaces the octagon of pack `pi`. Writing back a bitwise-identical
-    /// octagon (the common case after a reduction that improved nothing)
-    /// keeps the pack tree physically unchanged.
+    /// Replaces the octagon of pack `pi`, in place where this state is the
+    /// pack tree's only holder ([`PMap::set`]). Writing back a
+    /// bitwise-identical octagon (the common case after a reduction that
+    /// improved nothing) keeps the pack tree physically unchanged.
     pub fn set_oct(&mut self, pi: usize, o: Octagon) {
-        self.octs = self.octs.insert_if_changed(pi as u32, o, Octagon::same);
+        self.octs.set(pi as u32, o, Octagon::same);
     }
 
     /// The decision tree of pack `pi`.
@@ -263,7 +272,7 @@ impl AbsState {
 
     /// Replaces the decision tree of pack `pi` (no-op writes preserved).
     pub fn set_dtree(&mut self, pi: usize, t: DTree) {
-        self.dtrees = self.dtrees.insert_if_changed(pi as u32, t, dtree_same);
+        self.dtrees.set(pi as u32, t, dtree_same);
     }
 
     /// The ellipsoid bound of pack `pi`.
@@ -273,7 +282,7 @@ impl AbsState {
 
     /// Replaces the ellipsoid bound of pack `pi` (no-op writes preserved).
     pub fn set_ell(&mut self, pi: usize, k: f64) {
-        self.ellipses = self.ellipses.insert_if_changed(pi as u32, k, f64_same);
+        self.ellipses.set(pi as u32, k, f64_same);
     }
 
     /// The pending `δ(k)` of pack `pi`.
@@ -283,7 +292,7 @@ impl AbsState {
 
     /// Replaces the pending `δ(k)` of pack `pi` (no-op writes preserved).
     pub fn set_pending(&mut self, pi: usize, k: f64) {
-        self.pending = self.pending.insert_if_changed(pi as u32, k, f64_same);
+        self.pending.set(pi as u32, k, f64_same);
     }
 
     /// Iterates over octagons.
@@ -378,7 +387,7 @@ impl AbsState {
     #[must_use]
     pub fn narrow(&self, other: &AbsState) -> AbsState {
         if self.is_bottom() || other.is_bottom() {
-            return self.bottom_like();
+            return AbsState::bottom();
         }
         AbsState {
             env: self.env.narrow(&other.env),
@@ -534,7 +543,7 @@ impl AbsState {
                 }
                 if m != old {
                     improved += 1;
-                    self.env = self.env.set(*cell, m);
+                    self.env.set(*cell, m);
                 }
             }
             let env = &self.env;
@@ -600,8 +609,7 @@ impl AbsState {
     ) {
         self.env.overlay_changed(&pre.env, &post.env);
         for &c in &eff.must_writes {
-            let v = post.env.get(c, layout);
-            self.env = self.env.set(c, v);
+            self.env.set(c, post.env.get(c, layout));
         }
         for &key in &eff.packs_write {
             match key {
@@ -621,24 +629,18 @@ impl AbsState {
     /// environment's (otherwise later reductions would meet stale bounds —
     /// unsound).
     pub fn tick_relational(&mut self) {
-        let updates: Vec<(usize, DTree)> = self
-            .dtrees_iter()
-            .map(|(pi, tree)| {
-                let ticked = tree.map(&|leaf: &PackEnv| {
-                    let mut out = leaf.clone();
-                    for (_, v) in &mut out.cells {
-                        if let CellVal::Int(c) = v {
-                            *v = CellVal::Int(c.tick());
-                        }
+        self.dtrees.set_each(|_, tree| {
+            let ticked = tree.map(&|leaf: &PackEnv| {
+                let mut out = leaf.clone();
+                for (_, v) in &mut out.cells {
+                    if let CellVal::Int(c) = v {
+                        *v = CellVal::Int(c.tick());
                     }
-                    out
-                });
-                (pi, ticked)
-            })
-            .collect();
-        for (pi, t) in updates {
-            self.set_dtree(pi, t);
-        }
+                }
+                out
+            });
+            (!dtree_same(&ticked, tree)).then_some(ticked)
+        });
     }
 
     /// Drops relational information about a cell (after a weak or imprecise
@@ -744,7 +746,7 @@ pub fn meet_cell_with_float(
         return true;
     }
     if new != old {
-        *env = env.set(cell, new);
+        env.set(cell, new);
         true
     } else {
         false
@@ -794,7 +796,7 @@ mod tests {
     fn join_with_bottom() {
         let (_, l, packs) = setup("int x; int y; void main(void) { x = y + 1; }");
         let s = AbsState::initial(&l, &packs);
-        let b = s.bottom_like();
+        let b = AbsState::bottom();
         assert!(!b.join(&s, &l, &packs).is_bottom());
         assert!(!s.join(&b, &l, &packs).is_bottom());
     }

@@ -299,7 +299,7 @@ pub struct Octagon {
 /// Numeric equality is deliberate and correct **only because nothing
 /// identity-sensitive uses it**: `PartialEq` serves tests and assertions,
 /// where `-0.0 == 0.0` is the right notion of "same constraints". Every
-/// sharing/identity decision in the analyzer (pmap `insert_if_changed`,
+/// sharing/identity decision in the analyzer (pmap `set`,
 /// aligned-roots merges) goes through the bitwise [`Octagon::same`]
 /// instead — substituting a `PartialEq`-equal octagon with different
 /// `-0.0` bit patterns (or treating two NaN-shaped bounds as unequal)

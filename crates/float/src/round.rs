@@ -415,11 +415,11 @@ mod tests {
     #[test]
     fn subnormal_region_is_sound() {
         // 2^-1060 sits inside the subnormal range (the smallest subnormal
-        // is 2^-1074): representable, positive, below MIN_POSITIVE. (An
-        // earlier revision asserted it underflows to 0 — that only holds
-        // for `powi` implementations computing `1 / 2^1060` through an
-        // infinite intermediate, not for direct negative-exponent squaring.)
-        let tiny = 2f64.powi(-1060);
+        // is 2^-1074, bit 0): representable, positive, below MIN_POSITIVE.
+        // Built from its bit pattern — `2f64.powi(-1060)` is 0 or 2^-1060
+        // depending on whether the platform's `powi` goes through
+        // `1 / 2^1060`.
+        let tiny = f64::from_bits(1 << 14);
         assert!(tiny > 0.0 && tiny < f64::MIN_POSITIVE);
         let a = 1e-300;
         let b = 1e-10;

@@ -192,33 +192,54 @@ impl AbsEnv {
         self.cells.get(&id).copied().unwrap_or_else(|| CellVal::top_of(layout.info(id).ty))
     }
 
-    /// Strong update. Writing a value bitwise-identical to the current one
-    /// returns the same cell tree (no path copy), so a statement that
-    /// rewrites a cell to its old value keeps the environment `ptr_eq` to
-    /// its input.
-    #[must_use]
-    pub fn set(&self, id: CellId, val: CellVal) -> AbsEnv {
+    /// Strong update, in place: only the tree nodes another environment
+    /// shares with this one are copied ([`PMap::set`]), so a uniquely owned
+    /// environment is written without allocating. Writing a value
+    /// bitwise-identical to the current one leaves the cell tree untouched,
+    /// so a statement that rewrites a cell to its old value keeps the
+    /// environment `ptr_eq` to its clones.
+    pub fn set(&mut self, id: CellId, val: CellVal) {
         if self.bottom {
-            return self.clone();
+            return;
         }
         if val.is_bottom() {
-            return AbsEnv::bottom();
+            *self = AbsEnv::bottom();
+            return;
         }
-        AbsEnv {
-            cells: self.cells.insert_if_changed(id, val, CellVal::same),
-            clock: self.clock,
-            bottom: false,
-        }
+        self.cells.set(id, val, CellVal::same);
     }
 
     /// Weak update: the cell may or may not have been written.
-    #[must_use]
-    pub fn set_weak(&self, id: CellId, val: CellVal, layout: &CellLayout) -> AbsEnv {
+    pub fn set_weak(&mut self, id: CellId, val: CellVal, layout: &CellLayout) {
         if self.bottom {
-            return self.clone();
+            return;
         }
         let old = self.get(id, layout);
-        self.set(id, old.join(&val))
+        self.set(id, old.join(&val));
+    }
+
+    /// Rewrites, in one in-place pass over the cell tree, every cell for
+    /// which `f` returns a value (bitwise-identical values are skipped like
+    /// in [`AbsEnv::set`]; a ⊥ value makes the environment unreachable).
+    pub fn set_each(&mut self, mut f: impl FnMut(&CellVal) -> Option<CellVal>) {
+        if self.bottom {
+            return;
+        }
+        let mut dead = false;
+        self.cells.set_each(|_, old| {
+            if dead {
+                return None;
+            }
+            let new = f(old)?;
+            if new.is_bottom() {
+                dead = true;
+                return None;
+            }
+            (!new.same(old)).then_some(new)
+        });
+        if dead {
+            *self = AbsEnv::bottom();
+        }
     }
 
     /// Number of tracked cells.
@@ -343,7 +364,6 @@ impl AbsEnv {
     /// pre value are forced separately via [`AbsEnv::set`].
     pub fn overlay_changed(&mut self, pre: &AbsEnv, post: &AbsEnv) {
         debug_assert!(!self.bottom && !pre.bottom && !post.bottom);
-        let mut cells = self.cells.clone();
         post.cells.diff2(&pre.cells, |k, post_v, pre_v| {
             if let Some(v) = post_v {
                 // Bitwise comparison, not `PartialEq`: a slice that flips
@@ -351,11 +371,10 @@ impl AbsEnv {
                 // slices, exactly as the sequential execution would.
                 let unchanged = matches!(pre_v, Some(p) if p.same(v));
                 if !unchanged {
-                    cells = cells.insert(*k, *v);
+                    self.cells.set(*k, *v, CellVal::same);
                 }
             }
         });
-        self.cells = cells;
         self.clock = post.clock;
     }
 
@@ -407,6 +426,13 @@ mod tests {
     use crate::layout::LayoutConfig;
     use astree_ir::{Function, IntType, Program, Type, VarInfo, VarKind};
 
+    /// `env` with one cell strongly updated; `env` itself keeps its value.
+    fn with(env: &AbsEnv, id: CellId, val: CellVal) -> AbsEnv {
+        let mut out = env.clone();
+        out.set(id, val);
+        out
+    }
+
     fn small_layout() -> (Program, CellLayout) {
         let mut p = Program::new();
         p.add_var(VarInfo::scalar("x", ScalarType::Int(IntType::INT), VarKind::Global));
@@ -452,12 +478,13 @@ mod tests {
         let (_, l) = small_layout();
         let env = AbsEnv::initial(&l);
         let v = CellVal::Int(Clocked::of_val(IntItv::new(5, 7), env.clock));
-        let strong = env.set(CellId(0), v);
+        let strong = with(&env, CellId(0), v);
         match strong.get(CellId(0), &l) {
             CellVal::Int(c) => assert_eq!(c.val, IntItv::new(5, 7)),
             other => panic!("{other:?}"),
         }
-        let weak = env.set_weak(CellId(0), v, &l);
+        let mut weak = env.clone();
+        weak.set_weak(CellId(0), v, &l);
         match weak.get(CellId(0), &l) {
             CellVal::Int(c) => assert_eq!(c.val, IntItv::new(0, 7)),
             other => panic!("{other:?}"),
@@ -469,9 +496,9 @@ mod tests {
         let (_, l) = small_layout();
         let base = AbsEnv::initial(&l);
         let a =
-            base.set(CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(1), base.clock)));
+            with(&base, CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(1), base.clock)));
         let b =
-            base.set(CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(3), base.clock)));
+            with(&base, CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(3), base.clock)));
         let j = a.join(&b);
         assert!(a.leq(&j) && b.leq(&j));
         match j.get(CellId(0), &l) {
@@ -498,7 +525,7 @@ mod tests {
     fn setting_bottom_value_bottoms_env() {
         let (_, l) = small_layout();
         let env = AbsEnv::initial(&l);
-        let out = env.set(CellId(0), CellVal::Int(Clocked::BOTTOM));
+        let out = with(&env, CellId(0), CellVal::Int(Clocked::BOTTOM));
         assert!(out.is_bottom());
         let _ = l;
     }
@@ -510,8 +537,8 @@ mod tests {
         let iv = |n: i64, clock| CellVal::Int(Clocked::of_val(IntItv::singleton(n), clock));
         // Slice A changed cell 0; slice B changed cell 3 (and its tree path
         // copies may make cell 0 "visible" in the diff with an equal value).
-        let post_a = pre.set(CellId(0), iv(7, pre.clock));
-        let post_b = pre.set(CellId(3), iv(9, pre.clock));
+        let post_a = with(&pre, CellId(0), iv(7, pre.clock));
+        let post_b = with(&pre, CellId(3), iv(9, pre.clock));
         let mut merged = pre.clone();
         merged.overlay_changed(&pre, &post_a);
         merged.overlay_changed(&pre, &post_b);
@@ -543,7 +570,7 @@ mod tests {
         // zero, so `b ⊑ a` must be false.
         assert!(!b.leq(&a), "implicit ⊤ on the left is not below a finite value");
         // And a genuine value violation on a common cell still fails.
-        let wide = a.set(CellId(0), CellVal::Int(Clocked::of_val(IntItv::new(0, 100), a.clock)));
+        let wide = with(&a, CellId(0), CellVal::Int(Clocked::of_val(IntItv::new(0, 100), a.clock)));
         assert!(!wide.leq(&a));
     }
 
@@ -552,12 +579,12 @@ mod tests {
         let (_, l) = small_layout();
         let base = AbsEnv::initial(&l);
         let grown =
-            base.set(CellId(0), CellVal::Int(Clocked::of_val(IntItv::new(0, 9), base.clock)));
+            with(&base, CellId(0), CellVal::Int(Clocked::of_val(IntItv::new(0, 9), base.clock)));
         // Joining in an env that adds no information returns self's tree.
         let j = grown.join(&base);
         assert!(j.ptr_eq(&grown), "no-op join must preserve identity");
         // Rewriting a cell to its current value is physically a no-op.
-        let rewrite = grown.set(CellId(0), grown.get(CellId(0), &l));
+        let rewrite = with(&grown, CellId(0), grown.get(CellId(0), &l));
         assert!(rewrite.ptr_eq(&grown), "no-op set must preserve identity");
         // A narrow that changes nothing also preserves identity.
         let n = grown.narrow(&grown.clone());
@@ -578,7 +605,7 @@ mod tests {
         let (_, l) = small_layout();
         let env = AbsEnv::initial(&l);
         let changed =
-            env.set(CellId(2), CellVal::Int(Clocked::of_val(IntItv::singleton(4), env.clock)));
+            with(&env, CellId(2), CellVal::Int(Clocked::of_val(IntItv::singleton(4), env.clock)));
         let mut cells = Vec::new();
         env.changed_cells(&changed, &mut cells);
         assert_eq!(cells, vec![CellId(2)]);
@@ -591,7 +618,7 @@ mod tests {
         let (_, l) = small_layout();
         let env = AbsEnv::initial(&l);
         let changed =
-            env.set(CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(9), env.clock)));
+            with(&env, CellId(0), CellVal::Int(Clocked::of_val(IntItv::singleton(9), env.clock)));
         assert_eq!(env.count_diff(&changed), 1);
         assert_eq!(env.count_diff(&env), 0);
     }

@@ -310,19 +310,21 @@ impl<'a> Evaluator<'a> {
 
     // ----- assignment ----------------------------------------------------
 
-    /// Transfer for `lv := e`. Returns the new environment and the potential
-    /// errors of the statement.
-    pub fn assign(&self, env: &AbsEnv, lv: &Lvalue, e: &Expr) -> (AbsEnv, ErrFlags) {
+    /// Transfer for `lv := e`, where `target` is `lv` resolved in `env` (the
+    /// caller resolves once and keeps the cells for its relational
+    /// transfers). Returns the environment, written in place where `env`
+    /// was uniquely owned, and the potential errors of the statement.
+    pub fn assign(&self, mut env: AbsEnv, target: &Resolved, e: &Expr) -> (AbsEnv, ErrFlags) {
         if env.is_bottom() {
-            return (env.clone(), ErrFlags::NONE);
+            return (env, ErrFlags::NONE);
         }
-        let (mut val, mut flags) = self.eval(env, e);
+        let (mut val, mut flags) = self.eval(&env, e);
         // Linear-form refinement (Sect. 6.3): only when no error was
         // possible, so the linearized semantics matches the expression's.
         if self.linearize && flags.is_empty() {
             if let (AbsVal::Float(v), ScalarType::Float(k)) = (&val, e.ty()) {
-                if let Some(lf) = self.linearize_expr(env, e, k) {
-                    let refined = lf.eval(|c| self.float_cell(env, *c));
+                if let Some(lf) = self.linearize_expr(&env, e, k) {
+                    let refined = lf.eval(|c| self.float_cell(&env, *c));
                     let m = v.meet(refined.on_grid(k));
                     val = AbsVal::Float(m);
                 }
@@ -332,11 +334,10 @@ impl<'a> Evaluator<'a> {
             // No non-erroneous value: execution cannot continue.
             return (AbsEnv::bottom(), flags);
         }
-        let r = self.resolve(env, lv);
-        if r.may_oob {
+        if target.may_oob {
             flags |= ErrFlags::OUT_OF_BOUNDS;
         }
-        if r.cells.is_empty() {
+        if target.cells.is_empty() {
             return (AbsEnv::bottom(), flags);
         }
         let cell_val = match val {
@@ -344,23 +345,22 @@ impl<'a> Evaluator<'a> {
             AbsVal::Int(i) => {
                 let mut c = Clocked::of_val(i, env.clock);
                 if self.clocked {
-                    let minus = self.clock_offset(env, e, OffsetMode::Minus);
-                    let plus = self.clock_offset(env, e, OffsetMode::Plus);
+                    let minus = self.clock_offset(&env, e, OffsetMode::Minus);
+                    let plus = self.clock_offset(&env, e, OffsetMode::Plus);
                     c.minus = c.minus.meet(minus);
                     c.plus = c.plus.meet(plus);
                 }
                 CellVal::Int(c)
             }
         };
-        let mut out = env.clone();
-        if r.strong {
-            out = out.set(r.cells[0], cell_val);
+        if target.strong {
+            env.set(target.cells[0], cell_val);
         } else {
-            for c in &r.cells {
-                out = out.set_weak(*c, cell_val, self.layout);
+            for c in &target.cells {
+                env.set_weak(*c, cell_val, self.layout);
             }
         }
-        (out, flags)
+        (env, flags)
     }
 
     /// Bounds on `e − clock` / `e + clock` (the clocked-domain transfer of
@@ -512,10 +512,12 @@ impl<'a> Evaluator<'a> {
     // ----- guards ---------------------------------------------------------
 
     /// `guard♯(env, c)` when `positive`, `guard♯(env, ¬c)` otherwise
-    /// (paper Sect. 5.4). Compound conditions decompose structurally.
-    pub fn guard(&self, env: &AbsEnv, cond: &Expr, positive: bool) -> AbsEnv {
+    /// (paper Sect. 5.4). Compound conditions decompose structurally. The
+    /// environment is refined in place; only a disjunction needs a second
+    /// (O(1)) handle on it.
+    pub fn guard(&self, env: AbsEnv, cond: &Expr, positive: bool) -> AbsEnv {
         if env.is_bottom() {
-            return env.clone();
+            return env;
         }
         if !positive {
             return self.guard(env, &cond.negate_condition(), true);
@@ -523,10 +525,10 @@ impl<'a> Evaluator<'a> {
         match cond {
             Expr::Binop(Binop::LAnd, _, a, b) => {
                 let e1 = self.guard(env, a, true);
-                self.guard(&e1, b, true)
+                self.guard(e1, b, true)
             }
             Expr::Binop(Binop::LOr, _, a, b) => {
-                self.guard(env, a, true).join(&self.guard(env, b, true))
+                self.guard(env.clone(), a, true).join(&self.guard(env, b, true))
             }
             Expr::Unop(Unop::LNot, _, a) => {
                 if is_structural_condition(a) {
@@ -534,7 +536,7 @@ impl<'a> Evaluator<'a> {
                     self.guard(env, &a.negate_condition(), true)
                 } else {
                     // Atomic: `!a` means `a == 0`.
-                    let (v, _) = self.eval(env, a);
+                    let (v, _) = self.eval(&env, a);
                     let (can_zero, _) = v.truthiness();
                     if !can_zero {
                         return AbsEnv::bottom();
@@ -553,12 +555,12 @@ impl<'a> Evaluator<'a> {
                 if *v == 0 {
                     AbsEnv::bottom()
                 } else {
-                    env.clone()
+                    env
                 }
             }
             e => {
                 // Truthiness guard: e ≠ 0.
-                let (v, _) = self.eval(env, e);
+                let (v, _) = self.eval(&env, e);
                 let (_, can_true) = v.truthiness();
                 if !can_true {
                     return AbsEnv::bottom();
@@ -567,14 +569,14 @@ impl<'a> Evaluator<'a> {
                     let nz = exclude_zero(i);
                     return self.refine(env, e, AbsVal::Int(nz));
                 }
-                env.clone()
+                env
             }
         }
     }
 
-    fn atomic_guard(&self, env: &AbsEnv, op: Binop, t: ScalarType, a: &Expr, b: &Expr) -> AbsEnv {
-        let (av, _) = self.eval(env, a);
-        let (bv, _) = self.eval(env, b);
+    fn atomic_guard(&self, env: AbsEnv, op: Binop, t: ScalarType, a: &Expr, b: &Expr) -> AbsEnv {
+        let (av, _) = self.eval(&env, a);
+        let (bv, _) = self.eval(&env, b);
         if av.is_bottom() || bv.is_bottom() {
             return AbsEnv::bottom();
         }
@@ -587,28 +589,28 @@ impl<'a> Evaluator<'a> {
                 let (x, y) = (av.as_int(), bv.as_int());
                 let (rx, ry) = refine_int_cmp(op, x, y);
                 let env = self.refine(env, a, AbsVal::Int(rx));
-                self.refine(&env, b, AbsVal::Int(ry))
+                self.refine(env, b, AbsVal::Int(ry))
             }
             ScalarType::Float(_) => {
                 let (x, y) = (av.as_float(), bv.as_float());
                 let (rx, ry) = refine_float_cmp(op, x, y);
                 let env = self.refine(env, a, AbsVal::Float(rx));
-                self.refine(&env, b, AbsVal::Float(ry))
+                self.refine(env, b, AbsVal::Float(ry))
             }
         }
     }
 
     /// Back-propagates a refined value onto the expression's source cells
     /// (through loads, negation and ±constant chains).
-    fn refine(&self, env: &AbsEnv, e: &Expr, refined: AbsVal) -> AbsEnv {
+    fn refine(&self, mut env: AbsEnv, e: &Expr, refined: AbsVal) -> AbsEnv {
         if env.is_bottom() {
-            return env.clone();
+            return env;
         }
         match e {
             Expr::Load(lv, ty) => {
-                let r = self.resolve(env, lv);
+                let r = self.resolve(&env, lv);
                 if r.cells.len() != 1 || !r.strong {
-                    return env.clone();
+                    return env;
                 }
                 let cell = r.cells[0];
                 let old = env.get(cell, self.layout);
@@ -623,10 +625,8 @@ impl<'a> Evaluator<'a> {
                     }
                     (old, _, _) => old,
                 };
-                if new.is_bottom() {
-                    return AbsEnv::bottom();
-                }
-                env.set(cell, new)
+                env.set(cell, new);
+                env
             }
             Expr::Unop(Unop::Neg, _, inner) => {
                 let flipped = match refined {
@@ -645,7 +645,7 @@ impl<'a> Evaluator<'a> {
                         let r = refined.as_int().sub(IntItv::singleton(k));
                         self.refine(env, c, AbsVal::Int(r))
                     }
-                    _ => env.clone(),
+                    _ => env,
                 }
             }
             Expr::Binop(Binop::Sub, ScalarType::Int(_), x, c) => match self.const_int(c) {
@@ -653,9 +653,9 @@ impl<'a> Evaluator<'a> {
                     let r = refined.as_int().add(IntItv::singleton(k));
                     self.refine(env, x, AbsVal::Int(r))
                 }
-                None => env.clone(),
+                None => env,
             },
-            _ => env.clone(),
+            _ => env,
         }
     }
 
@@ -670,9 +670,9 @@ impl<'a> Evaluator<'a> {
 
     /// Transfer for `ReadVolatile(v)`: the variable takes any value in its
     /// declared input range.
-    pub fn read_volatile(&self, env: &AbsEnv, var: VarId) -> AbsEnv {
+    pub fn read_volatile(&self, mut env: AbsEnv, var: VarId) -> AbsEnv {
         if env.is_bottom() {
-            return env.clone();
+            return env;
         }
         let range =
             self.program.var(var).volatile_input.expect("ReadVolatile on declared volatile input");
@@ -683,42 +683,30 @@ impl<'a> Evaluator<'a> {
             }
             InputRange::Float(lo, hi) => CellVal::Float(FloatItv::new(lo, hi)),
         };
-        env.set(cell, val)
+        env.set(cell, val);
+        env
     }
 
     /// Transfer for `wait`: the hidden clock advances, clipped by the
     /// maximal operating time; clocked components shift accordingly.
-    pub fn tick(&self, env: &AbsEnv) -> AbsEnv {
+    pub fn tick(&self, mut env: AbsEnv) -> AbsEnv {
         if env.is_bottom() {
-            return env.clone();
+            return env;
         }
         let clock = env.clock.add(IntItv::singleton(1)).meet(IntItv::new(0, self.max_clock));
         if clock.is_bottom() {
             // Executions past the maximal operating time do not exist.
             return AbsEnv::bottom();
         }
-        let mut out = env.clone();
         if self.clocked {
             // Shift every integer cell's clock-relative components.
-            let updates: Vec<(CellId, CellVal)> = env
-                .iter()
-                .filter_map(|(id, v)| match v {
-                    CellVal::Int(c) => Some((*id, CellVal::Int(c.tick()))),
-                    CellVal::Float(_) => None,
-                })
-                .collect();
-            for (id, v) in updates {
-                out = out.set(id, v);
-            }
+            env.set_each(|v| match v {
+                CellVal::Int(c) => Some(CellVal::Int(c.tick())),
+                CellVal::Float(_) => None,
+            });
         }
-        out.clock = clock;
-        out
-    }
-
-    /// Transfer for `assume(c)`: like a guard, plus bottom when the
-    /// assumption cannot hold.
-    pub fn assume(&self, env: &AbsEnv, cond: &Expr) -> AbsEnv {
-        self.guard(env, cond, true)
+        env.clock = clock;
+        env
     }
 }
 
@@ -884,6 +872,18 @@ mod tests {
         Fix { program: p, layout }
     }
 
+    /// `lv := e` on a copy of `env`, resolving the target the way the
+    /// iterator does.
+    fn assign(ev: &Evaluator, env: &AbsEnv, lv: &Lvalue, e: &Expr) -> (AbsEnv, ErrFlags) {
+        ev.assign(env.clone(), &ev.resolve(env, lv), e)
+    }
+
+    fn with(env: &AbsEnv, cell: CellId, val: CellVal) -> AbsEnv {
+        let mut out = env.clone();
+        out.set(cell, val);
+        out
+    }
+
     fn int_t() -> ScalarType {
         ScalarType::Int(IntType::INT)
     }
@@ -923,7 +923,7 @@ mod tests {
         // Both bounds overflow: no non-erroneous result.
         assert!(v.as_int().is_bottom());
         // Partial overflow keeps the sound part.
-        let (env2, _) = ev.assign(&env, &Lvalue::var(VarId(0)), &Expr::int(i32::MAX as i64 - 5));
+        let (env2, _) = assign(&ev, &env, &Lvalue::var(VarId(0)), &Expr::int(i32::MAX as i64 - 5));
         let e = Expr::Binop(
             Binop::Add,
             int_t(),
@@ -951,7 +951,7 @@ mod tests {
         let f = fixture();
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
         let env = AbsEnv::initial(&f.layout);
-        let (env, flags) = ev.assign(&env, &Lvalue::var(VarId(0)), &Expr::int(42));
+        let (env, flags) = assign(&ev, &env, &Lvalue::var(VarId(0)), &Expr::int(42));
         assert!(flags.is_empty());
         let (v, _) = ev.eval(&env, &load(0));
         assert_eq!(v.as_int(), IntItv::singleton(42));
@@ -962,16 +962,17 @@ mod tests {
         let f = fixture();
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
         let env = AbsEnv::initial(&f.layout);
-        let (env, _) = ev.assign(&env, &Lvalue::var(VarId(4)), &load(4)); // x := volatile? no-op
-        let env = ev.read_volatile(&env, VarId(4));
-        let (env, _) = ev.assign(&env, &Lvalue::var(VarId(0)), &load(4)); // x ∈ [-10, 10]
-                                                                          // Guard x > 3.
+        let (env, _) = assign(&ev, &env, &Lvalue::var(VarId(4)), &load(4)); // x := volatile? no-op
+        let env = ev.read_volatile(env, VarId(4));
+        let (env, _) = assign(&ev, &env, &Lvalue::var(VarId(0)), &load(4)); // x ∈ [-10, 10]
+
+        // Guard x > 3.
         let cond = Expr::Binop(Binop::Gt, int_t(), Box::new(load(0)), Box::new(Expr::int(3)));
-        let refined = ev.guard(&env, &cond, true);
+        let refined = ev.guard(env.clone(), &cond, true);
         let (v, _) = ev.eval(&refined, &load(0));
         assert_eq!(v.as_int(), IntItv::new(4, 10));
         // Negative guard.
-        let refined = ev.guard(&env, &cond, false);
+        let refined = ev.guard(env.clone(), &cond, false);
         let (v, _) = ev.eval(&refined, &load(0));
         assert_eq!(v.as_int(), IntItv::new(-10, 3));
     }
@@ -983,26 +984,26 @@ mod tests {
         let env = AbsEnv::initial(&f.layout);
         // x = 0: guard (x > 5) is bottom.
         let cond = Expr::Binop(Binop::Gt, int_t(), Box::new(load(0)), Box::new(Expr::int(5)));
-        assert!(ev.guard(&env, &cond, true).is_bottom());
-        assert!(!ev.guard(&env, &cond, false).is_bottom());
+        assert!(ev.guard(env.clone(), &cond, true).is_bottom());
+        assert!(!ev.guard(env.clone(), &cond, false).is_bottom());
     }
 
     #[test]
     fn compound_guards_decompose() {
         let f = fixture();
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
-        let env = ev.read_volatile(&AbsEnv::initial(&f.layout), VarId(4));
-        let (env, _) = ev.assign(&env, &Lvalue::var(VarId(0)), &load(4));
+        let env = ev.read_volatile(AbsEnv::initial(&f.layout), VarId(4));
+        let (env, _) = assign(&ev, &env, &Lvalue::var(VarId(0)), &load(4));
         // x >= -2 && x <= 2
         let c1 = Expr::Binop(Binop::Ge, int_t(), Box::new(load(0)), Box::new(Expr::int(-2)));
         let c2 = Expr::Binop(Binop::Le, int_t(), Box::new(load(0)), Box::new(Expr::int(2)));
         let cond = Expr::Binop(Binop::LAnd, int_t(), Box::new(c1), Box::new(c2));
-        let g = ev.guard(&env, &cond, true);
+        let g = ev.guard(env.clone(), &cond, true);
         let (v, _) = ev.eval(&g, &load(0));
         assert_eq!(v.as_int(), IntItv::new(-2, 2));
         // Negation: x < -2 || x > 2 — interval join loses the hole but keeps
         // the range.
-        let g = ev.guard(&env, &cond, false);
+        let g = ev.guard(env.clone(), &cond, false);
         let (v, _) = ev.eval(&g, &load(0));
         assert_eq!(v.as_int(), IntItv::new(-10, 10));
     }
@@ -1015,7 +1016,7 @@ mod tests {
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
         let env = AbsEnv::initial(&f.layout);
         let fcell = f.layout.scalar_cell(VarId(2));
-        let env = env.set(fcell, CellVal::Float(FloatItv::new(0.0, 1.0)));
+        let env = with(&env, fcell, CellVal::Float(FloatItv::new(0.0, 1.0)));
         let tf = ScalarType::Float(FloatKind::F64);
         let rhs = Expr::Binop(
             Binop::Sub,
@@ -1023,7 +1024,7 @@ mod tests {
             Box::new(loadf(2)),
             Box::new(Expr::Binop(Binop::Mul, tf, Box::new(Expr::float(0.2)), Box::new(loadf(2)))),
         );
-        let (env2, flags) = ev.assign(&env, &Lvalue::var(VarId(2)), &rhs);
+        let (env2, flags) = assign(&ev, &env, &Lvalue::var(VarId(2)), &rhs);
         assert!(flags.is_empty());
         let (v, _) = ev.eval(&env2, &loadf(2));
         let v = v.as_float();
@@ -1032,7 +1033,7 @@ mod tests {
         // Without linearization the result is the naive one.
         let mut ev2 = Evaluator::new(&f.program, &f.layout, 1000);
         ev2.linearize = false;
-        let (env3, _) = ev2.assign(&env, &Lvalue::var(VarId(2)), &rhs);
+        let (env3, _) = assign(&ev2, &env, &Lvalue::var(VarId(2)), &rhs);
         let (v, _) = ev2.eval(&env3, &loadf(2));
         assert!(v.as_float().lo <= -0.19);
     }
@@ -1041,7 +1042,7 @@ mod tests {
     fn volatile_read_sets_range() {
         let f = fixture();
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
-        let env = ev.read_volatile(&AbsEnv::initial(&f.layout), VarId(4));
+        let env = ev.read_volatile(AbsEnv::initial(&f.layout), VarId(4));
         let (v, _) = ev.eval(&env, &load(4));
         assert_eq!(v.as_int(), IntItv::new(-10, 10));
     }
@@ -1055,8 +1056,8 @@ mod tests {
         // the clocked component keeps x ≤ clock.
         let inc = Expr::Binop(Binop::Add, int_t(), Box::new(load(0)), Box::new(Expr::int(1)));
         for _ in 0..3 {
-            let (e2, _) = ev.assign(&env, &Lvalue::var(VarId(0)), &inc);
-            env = ev.tick(&e2);
+            let (e2, _) = assign(&ev, &env, &Lvalue::var(VarId(0)), &inc);
+            env = ev.tick(e2);
         }
         let (v, _) = ev.eval(&env, &load(0));
         assert_eq!(v.as_int(), IntItv::singleton(3));
@@ -1065,7 +1066,7 @@ mod tests {
         let cell = f.layout.scalar_cell(VarId(0));
         if let CellVal::Int(mut c) = env.get(cell, &f.layout) {
             c.val = IntItv::TOP;
-            let env2 = env.set(cell, CellVal::Int(c));
+            let env2 = with(&env, cell, CellVal::Int(c));
             let (v, _) = ev.eval(&env2, &load(0));
             // x − clock = 0 held, clock = 3 → x = 3 recovered.
             assert_eq!(v.as_int(), IntItv::singleton(3));
@@ -1079,10 +1080,10 @@ mod tests {
         let f = fixture();
         let ev = Evaluator::new(&f.program, &f.layout, 2);
         let env = AbsEnv::initial(&f.layout);
-        let env = ev.tick(&env);
-        let env = ev.tick(&env);
+        let env = ev.tick(env);
+        let env = ev.tick(env);
         assert!(!env.is_bottom());
-        let env = ev.tick(&env);
+        let env = ev.tick(env);
         assert!(env.is_bottom());
     }
 
@@ -1105,10 +1106,10 @@ mod tests {
         let ev = Evaluator::new(&f.program, &f.layout, 1000);
         let env = AbsEnv::initial(&f.layout);
         let fcell = f.layout.scalar_cell(VarId(2));
-        let env = env.set(fcell, CellVal::Float(FloatItv::new(0.0, 10.0)));
+        let env = with(&env, fcell, CellVal::Float(FloatItv::new(0.0, 10.0)));
         let tf = ScalarType::Float(FloatKind::F64);
         let cond = Expr::Binop(Binop::Lt, tf, Box::new(loadf(2)), Box::new(Expr::float(5.0)));
-        let g = ev.guard(&env, &cond, true);
+        let g = ev.guard(env.clone(), &cond, true);
         let (v, _) = ev.eval(&g, &loadf(2));
         assert!(v.as_float().hi < 5.0);
         assert!(v.as_float().hi > 4.999);

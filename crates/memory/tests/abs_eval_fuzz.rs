@@ -180,11 +180,11 @@ fn env_with(fix: &Fix, iranges: &[(i64, i64)], franges: &[(f64, f64)]) -> AbsEnv
     let mut env = AbsEnv::initial(&fix.layout);
     for (i, (lo, hi)) in iranges.iter().enumerate() {
         let cell = fix.layout.scalar_cell(VarId(i as u32));
-        env = env.set(cell, CellVal::Int(Clocked::of_val(IntItv::new(*lo, *hi), env.clock)));
+        env.set(cell, CellVal::Int(Clocked::of_val(IntItv::new(*lo, *hi), env.clock)));
     }
     for (i, (lo, hi)) in franges.iter().enumerate() {
         let cell = fix.layout.scalar_cell(VarId((NVARS + i) as u32));
-        env = env.set(cell, CellVal::Float(FloatItv::new(*lo, *hi)));
+        env.set(cell, CellVal::Float(FloatItv::new(*lo, *hi)));
     }
     env
 }
@@ -269,8 +269,8 @@ proptest! {
         let fix = fixture();
         let ev = Evaluator::new(&fix.program, &fix.layout, 1000);
         let env = env_with(&fix, &iranges, &[(0.0, 0.0); NVARS]);
-        let guarded_true = ev.guard(&env, &e, true);
-        let guarded_false = ev.guard(&env, &e, false);
+        let guarded_true = ev.guard(env.clone(), &e, true);
+        let guarded_false = ev.guard(env.clone(), &e, false);
         for frac in &fracs {
             let ivals: Vec<i64> = iranges
                 .iter()

@@ -1,15 +1,17 @@
 //! [`PArc`]: an atomically reference-counted pointer whose allocations come
 //! from the [`crate::slab`] arena instead of the global allocator.
 //!
-//! `astree-pmap` only ever uses three capabilities of `std::sync::Arc` —
-//! `new`, `clone`, and `ptr_eq` (there is no `get_mut`/`make_mut`/weak
-//! anywhere in the tree code) — so a minimal hand-rolled refcount over slab
-//! slots is a drop-in replacement. The memory-ordering protocol is the
-//! standard `Arc` one: `clone` bumps the count with `Relaxed` (creating a
-//! new reference requires already holding one), `drop` decrements with
-//! `Release` and the last owner issues an `Acquire` fence before dropping
-//! the value, so every thread's writes to the pointee happen-before its
-//! destruction.
+//! `astree-pmap` only ever uses four capabilities of `std::sync::Arc` —
+//! `new`, `clone`, `ptr_eq` and `get_mut` (no weak references anywhere in
+//! the tree code) — so a minimal hand-rolled refcount over slab slots is a
+//! drop-in replacement. The memory-ordering protocol is the standard `Arc`
+//! one: `clone` bumps the count with `Relaxed` (creating a new reference
+//! requires already holding one), `drop` decrements with `Release` and the
+//! last owner issues an `Acquire` fence before dropping the value, so every
+//! thread's writes to the pointee happen-before its destruction;
+//! `get_mut` loads the count with `Acquire`, pairing with those `Release`
+//! decrements, so every former owner's reads happen-before the writes of
+//! the one that is left.
 //!
 //! Oversized or over-aligned pointees (beyond what [`crate::slab`] serves)
 //! transparently fall back to the global allocator; the choice is made from
@@ -56,6 +58,27 @@ impl<T> PArc<T> {
     #[inline]
     pub(crate) fn ptr_eq(a: &PArc<T>, b: &PArc<T>) -> bool {
         a.ptr == b.ptr
+    }
+
+    /// The pointee, mutably, when this is the only handle to it.
+    ///
+    /// A count of 1 under `&mut self` means no other handle exists and none
+    /// can appear (a new one is only ever cloned from an existing one), so
+    /// the write cannot be observed. This says nothing about pointees
+    /// *inside* `T`: a tree node is only unobservable when every node above
+    /// it is unique too, which callers establish by descending through the
+    /// references this returns.
+    #[inline]
+    pub(crate) fn get_mut(&mut self) -> Option<&mut T> {
+        if self.inner().refcount.load(Ordering::Acquire) != 1 {
+            return None;
+        }
+        // SAFETY: the count is 1 and we hold the handle exclusively, so this
+        // is the only path to the pointee for as long as the borrow of
+        // `self` lasts; the `Acquire` load above synchronizes with the
+        // `Release` decrement of every handle dropped before it, so their
+        // reads of the pointee happen-before any write through the result.
+        Some(unsafe { &mut self.ptr.as_mut().value })
     }
 
     #[inline]
@@ -131,6 +154,22 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 0, "value alive through clone");
         drop(b);
         assert_eq!(DROPS.load(Ordering::SeqCst), 1, "last owner drops the value");
+    }
+
+    #[test]
+    fn get_mut_only_when_unique() {
+        let mut a = PArc::new(vec![1u64]);
+        a.get_mut().expect("sole handle").push(2);
+        let mut b = a.clone();
+        assert!(a.get_mut().is_none() && b.get_mut().is_none(), "two handles: neither may write");
+        assert_eq!(*b, [1, 2], "the clone sees the write made before it existed");
+        drop(a);
+        b.get_mut().expect("unique again once the other handle is gone").push(3);
+        assert_eq!(*b, [1, 2, 3]);
+        // A clone dropped on another thread hands uniqueness back too.
+        let c = b.clone();
+        std::thread::spawn(move || assert_eq!(c.len(), 3)).join().unwrap();
+        assert!(b.get_mut().is_some());
     }
 
     #[test]

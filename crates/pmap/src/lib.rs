@@ -3,12 +3,14 @@
 //! The PLDI 2003 analyzer (Sect. 6.1.2) stores abstract environments in
 //! functional maps implemented as sharable balanced binary trees, with
 //! short-cut evaluation when joining physically identical subtrees. This crate
-//! provides that substrate: an immutable AVL map ([`PMap`]) whose nodes are
+//! provides that substrate: a persistent AVL map ([`PMap`]) whose nodes are
 //! reference-counted and whose bulk operations ([`PMap::union_with`],
 //! [`PMap::all2`], …) skip shared subtrees in constant time, so the cost of a
 //! join between two environments derived from a common ancestor is
 //! proportional to the number of *differing* bindings rather than to the total
-//! environment size. Nodes live in a size-classed slab arena ([`mod@slab`])
+//! environment size. A point write by a map's only holder ([`PMap::set`])
+//! touches no allocator at all: nodes nobody else can see are written in
+//! place. Nodes live in a size-classed slab arena ([`mod@slab`])
 //! behind a minimal refcounted pointer, with dropped nodes recycled through
 //! free lists — [`PmapStats::nodes_recycled`] and the `slab_bytes_*` counters
 //! quantify the allocator traffic this removes from the hot path.

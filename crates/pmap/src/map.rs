@@ -29,11 +29,16 @@ fn size<K, V>(t: &Link<K, V>) -> usize {
 /// Builds a node assuming `left` and `right` are already balanced relative to
 /// each other (height difference at most 2). The single allocation site for
 /// tree nodes, so [`stats::take_stats`] counts every path copy.
-fn create<K, V>(key: K, value: V, left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
+fn node<K, V>(key: K, value: V, left: Link<K, V>, right: Link<K, V>) -> PArc<Node<K, V>> {
     stats::note_node_alloc();
     let height = height(&left).max(height(&right)) + 1;
     let size = size(&left) + size(&right) + 1;
-    Some(PArc::new(Node { key, value, height, size, left, right }))
+    PArc::new(Node { key, value, height, size, left, right })
+}
+
+/// [`node`] as a link.
+fn create<K, V>(key: K, value: V, left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
+    Some(node(key, value, left, right))
 }
 
 /// Rebalances after one insertion/removal: `left` and `right` may differ in
@@ -145,9 +150,10 @@ fn concat<K: Clone + Ord, V: Clone>(left: Link<K, V>, right: Link<K, V>) -> Link
 // node, so a value replacement preserves the tree *shape*. That shape
 // stability is what keeps environments over a fixed cell layout permanently
 // root-aligned, which the merge operations below exploit. Replacing a value
-// with an identical one still copies the path — callers that can check value
-// identity cheaply should use [`PMap::insert_if_changed`], which returns
-// `self` untouched instead.
+// with an identical one still copies the path — a caller that owns its map
+// and replaces values at existing keys should use [`PMap::set`], which
+// leaves the tree untouched then and otherwise copies only the nodes another
+// handle can see.
 fn insert_at<K: Clone + Ord, V: Clone>(t: &Link<K, V>, key: K, value: V) -> Link<K, V> {
     match t {
         None => create(key, value, None, None),
@@ -194,6 +200,60 @@ fn remove_at<K: Clone + Ord, V: Clone>(t: &Link<K, V>, key: &K) -> (Link<K, V>, 
             }
         },
     }
+}
+
+/// The node behind `arc`, writable: in place when this handle is the only one
+/// (count 1), else a copy holding clones of the two child handles — which
+/// makes the children shared, so a descent through the result copies them in
+/// turn. Only sound top-down: the caller must have reached `arc` through
+/// nodes this function already returned (or the map's own root), or another
+/// handle could still see the node through a shared ancestor.
+fn unique<K: Clone, V: Clone>(arc: &mut PArc<Node<K, V>>) -> &mut Node<K, V> {
+    if arc.get_mut().is_none() {
+        *arc = node(arc.key.clone(), arc.value.clone(), arc.left.clone(), arc.right.clone());
+    }
+    arc.get_mut().expect("count is 1 (just checked or just allocated) and `&mut` bars new clones")
+}
+
+/// In-place [`PMap::set_each`] below a link reached through unique nodes.
+fn set_each_at<K: Clone, V: Clone>(t: &mut Link<K, V>, f: &mut impl FnMut(&K, &V) -> Option<V>) {
+    let Some(arc) = t else { return };
+    match arc.get_mut() {
+        Some(n) => {
+            set_each_at(&mut n.left, f);
+            if let Some(v) = f(&n.key, &n.value) {
+                n.value = v;
+            }
+            set_each_at(&mut n.right, f);
+        }
+        None => {
+            if let Some(copy) = set_each_shared(arc, f) {
+                *arc = copy;
+            }
+        }
+    }
+}
+
+/// [`PMap::set_each`] below a node some other handle can see (its own count,
+/// or an ancestor's, is above 1): nothing is written; a subtree in which `f`
+/// replaces a value is rebuilt with the same shape, one in which it replaces
+/// none is left as it is (`None`).
+fn set_each_shared<K: Clone, V: Clone>(
+    n: &Node<K, V>,
+    f: &mut impl FnMut(&K, &V) -> Option<V>,
+) -> Option<PArc<Node<K, V>>> {
+    let left = n.left.as_ref().and_then(|c| set_each_shared(c, f));
+    let value = f(&n.key, &n.value);
+    let right = n.right.as_ref().and_then(|c| set_each_shared(c, f));
+    if left.is_none() && value.is_none() && right.is_none() {
+        return None;
+    }
+    Some(node(
+        n.key.clone(),
+        value.unwrap_or_else(|| n.value.clone()),
+        left.map_or_else(|| n.left.clone(), Some),
+        right.map_or_else(|| n.right.clone(), Some),
+    ))
 }
 
 /// Splits `t` into bindings below `key`, the binding at `key` (if any), and
@@ -488,12 +548,16 @@ fn diff2<'a, K: Ord, V>(
     }
 }
 
-/// An immutable, reference-counted AVL map.
+/// A persistent, reference-counted AVL map.
 ///
-/// Cloning is O(1); all "mutating" operations return a new map sharing
+/// Cloning is O(1); the `&self` operations return a new map sharing
 /// unmodified subtrees with the original. Bulk binary operations take a
 /// physical-equality shortcut on shared subtrees, which is what makes abstract
-/// environment joins cheap in the analyzer (paper Sect. 6.1.2).
+/// environment joins cheap in the analyzer (paper Sect. 6.1.2). The two
+/// `&mut self` writes ([`PMap::set`], [`PMap::set_each`]) replace values at
+/// existing keys and write in place every node no other handle can see, so
+/// a map nobody else holds is updated without allocating, and no clone ever
+/// observes a write made after it was taken.
 ///
 /// # Examples
 ///
@@ -619,26 +683,56 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
         PMap { root: insert_at(&self.root, key, value) }
     }
 
-    /// Returns a map with `key` bound to `value`, or `self` physically
-    /// unchanged when `key` is already bound to a value for which
-    /// `same(old, &value)` holds — the no-op insert then costs one lookup
-    /// and zero allocations.
+    /// Binds `key` to `value` in this map, writing in place what only this
+    /// map can see.
+    ///
+    /// When `key` is already bound to a value for which `same(old, &value)`
+    /// holds the tree is left untouched (one lookup, zero allocations, and
+    /// the map stays `ptr_eq` to its clones). Otherwise the root-to-key path
+    /// is made unique top-down — a node whose count is 1, reached through
+    /// nodes already unique, is kept; a shared one is copied — and the value
+    /// is replaced at the end of it. A map cloned just before therefore pays
+    /// the same path copy as [`PMap::insert`]; a map nobody else holds pays
+    /// nothing. The tree's shape does not change. An absent `key` falls back
+    /// to the persistent, rebalancing `insert`.
     ///
     /// `same` may be any conservative identity check (`true` implies the
     /// values are interchangeable); bitwise comparisons are ideal. Under
-    /// `debug_no_ptr_shortcuts` the fast path is disabled and this behaves
-    /// exactly like [`PMap::insert`].
-    #[must_use]
-    pub fn insert_if_changed(&self, key: K, value: V, same: impl FnOnce(&V, &V) -> bool) -> Self {
-        if stats::ptr_shortcuts_enabled() {
-            if let Some(old) = self.get(&key) {
-                if same(old, &value) {
-                    stats::note_identity_preserved();
-                    return self.clone();
-                }
-            }
+    /// `debug_no_ptr_shortcuts` it is not consulted and the write always
+    /// happens — the resulting bindings are the same either way.
+    pub fn set(&mut self, key: K, value: V, same: impl FnOnce(&V, &V) -> bool) {
+        let Some(old) = self.get(&key) else {
+            *self = self.insert(key, value);
+            return;
+        };
+        if stats::ptr_shortcuts_enabled() && same(old, &value) {
+            stats::note_identity_preserved();
+            return;
         }
-        self.insert(key, value)
+        let mut link = &mut self.root;
+        loop {
+            let arc = link.as_mut().expect("key is bound: the lookup above found it");
+            let side = key.cmp(&arc.key);
+            if side == Ordering::Equal {
+                match arc.get_mut() {
+                    Some(n) => n.value = value,
+                    // Shared target: copy it with the new value already in.
+                    None => *arc = node(key, value, arc.left.clone(), arc.right.clone()),
+                }
+                return;
+            }
+            let n = unique(arc);
+            link = if side == Ordering::Less { &mut n.left } else { &mut n.right };
+        }
+    }
+
+    /// Visits every binding in ascending key order and replaces the value
+    /// wherever `f` returns `Some`, in one pass with the ownership rule of
+    /// [`PMap::set`]: nodes only this map can see are written in place,
+    /// shared subtrees are copied where (and only where) a value under them
+    /// is replaced, and a subtree `f` leaves alone keeps its identity.
+    pub fn set_each(&mut self, mut f: impl FnMut(&K, &V) -> Option<V>) {
+        set_each_at(&mut self.root, &mut f)
     }
 
     /// Returns a map without `key`. Returns a clone of `self` if absent.
@@ -921,16 +1015,60 @@ mod tests {
     }
 
     #[test]
-    fn insert_if_changed_preserves_identity() {
+    fn set_same_value_preserves_identity() {
         let m: PMap<u32, u32> = (0..100).map(|i| (i, i)).collect();
-        let same = m.insert_if_changed(7, 7, |a, b| a == b);
-        assert!(m.ptr_eq(&same), "no-op insert must return self");
-        let changed = m.insert_if_changed(7, 99, |a, b| a == b);
+        let mut same = m.clone();
+        same.set(7, 7, |a, b| a == b);
+        assert!(m.ptr_eq(&same), "no-op set must leave the tree untouched");
+        let mut changed = m.clone();
+        changed.set(7, 99, |a, b| a == b);
         assert!(!m.ptr_eq(&changed));
-        assert_eq!(changed.get(&7), Some(&99));
-        let fresh = m.insert_if_changed(1000, 1, |a, b| a == b);
+        assert_eq!((m.get(&7), changed.get(&7)), (Some(&7), Some(&99)), "the clone is unaffected");
+        let mut fresh = m.clone();
+        fresh.set(1000, 1, |a, b| a == b);
         assert_eq!(fresh.len(), 101);
         check_avl(&fresh.root);
+    }
+
+    #[test]
+    fn set_writes_in_place_when_unique_and_copies_what_is_shared() {
+        let mut m: PMap<u32, u32> = (0..1000).map(|i| (i, i)).collect();
+        let _ = stats::take_stats();
+        for k in 0..1000 {
+            m.set(k, k + 1, |a, b| a == b);
+        }
+        assert_eq!(stats::take_stats().nodes_allocated, 0, "sole owner: every write is in place");
+        let old = m.clone();
+        m.set(3, 0, |a, b| a == b);
+        let first = stats::take_stats().nodes_allocated;
+        assert!((1..=12).contains(&first), "a clone shares the root: one path copy, got {first}");
+        m.set(3, 1, |a, b| a == b);
+        assert_eq!(stats::take_stats().nodes_allocated, 0, "that path is now this map's own");
+        assert_eq!((old.get(&3), m.get(&3)), (Some(&4), Some(&1)));
+        check_avl(&m.root);
+    }
+
+    #[test]
+    fn set_each_copies_only_changed_shared_subtrees() {
+        let base: PMap<u32, u32> = (0..1024).map(|i| (i, i)).collect();
+        let mut m = base.clone();
+        let _ = stats::take_stats();
+        m.set_each(|_, _| None);
+        assert!(m.ptr_eq(&base), "nothing replaced: identity kept");
+        m.set_each(|k, v| (*k == 700).then_some(v + 1));
+        let copied = stats::take_stats().nodes_allocated;
+        assert!((1..=12).contains(&copied), "one changed key under a shared root: {copied}");
+        assert_eq!((base.get(&700), m.get(&700)), (Some(&700), Some(&701)));
+        drop(base);
+        m.set_each(|_, v| Some(v * 2));
+        assert_eq!(
+            stats::take_stats().nodes_allocated,
+            0,
+            "sole owner: the whole pass is in place"
+        );
+        assert_eq!(m.get(&700), Some(&1402));
+        assert_eq!(m.iter().map(|(k, _)| *k).collect::<Vec<_>>(), (0..1024).collect::<Vec<_>>());
+        check_avl(&m.root);
     }
 
     #[test]
@@ -1029,12 +1167,13 @@ mod tests {
         let fast = a.union_outcome(&b, max);
         let was = stats::set_ptr_shortcuts(false);
         let slow = a.union_outcome(&b, max);
-        let slow_ins = a.insert_if_changed(7, 7, |x, y| x == y);
+        let mut slow_ins = a.clone();
+        slow_ins.set(7, 7, |x, y| x == y);
         stats::set_ptr_shortcuts(was);
         assert_eq!(fast, slow, "shortcut and no-shortcut merges must agree");
         assert!(!slow.ptr_eq(&a) && !slow.ptr_eq(&b), "no identity without shortcuts");
         assert_eq!(slow_ins, a);
-        assert!(!slow_ins.ptr_eq(&a), "no-op insert fast path must be off");
+        assert!(!slow_ins.ptr_eq(&a), "no-op set fast path must be off");
         check_avl(&slow.root);
     }
 

@@ -9,7 +9,7 @@
 //!
 //! The kill switch ([`set_ptr_shortcuts`]) disables every physical-equality
 //! fast path (root and interior subtree skips, identity-preserving merge
-//! returns, the no-op-insert return of `self`). Disabling is always
+//! returns, the no-op write that leaves the tree alone). Disabling is always
 //! semantics-preserving — the combiners the analyzer passes are idempotent
 //! (`f(k, v, v) == v`) and the predicates reflexive — so CI can diff
 //! alarms/invariants bit-for-bit between the two modes while the allocation
@@ -43,7 +43,7 @@ pub struct PmapStats {
     /// Shared subtrees skipped inside a merge/walk recursion.
     pub interior_shortcut_hits: u64,
     /// Operations that returned an *input* tree unchanged without the root
-    /// shortcut: identity-preserving merges and no-op inserts.
+    /// shortcut: identity-preserving merges and no-op writes.
     pub identity_preserved: u64,
     /// Node allocations served from a slab free list instead of fresh
     /// chunk (or global-allocator) memory.

@@ -4,7 +4,9 @@
 //! every combiner call is observable) and *derived* maps (`ops_b` applied on
 //! top of a common ancestor, so subtrees really are shared and the
 //! identity/shortcut machinery is exercised). The structural invariant
-//! checker runs after every single mutation.
+//! checker runs after every single mutation. The ownership tests at the end
+//! interleave the in-place writes with clones, persistent inserts, merges
+//! and drops over several handles, each against a model of its own.
 
 use astree_pmap::{MergeOutcome, PMap, PSet};
 use proptest::prelude::*;
@@ -115,12 +117,14 @@ proptest! {
         prop_assert!(pa.union_with(&pa.clone(), |_, a, _| *a).ptr_eq(&pa));
         prop_assert!(pa.union_outcome(&pa.clone(), |_, _, _| MergeOutcome::Left).ptr_eq(&pa));
         for (k, v) in ma.iter().take(16) {
-            let p2 = pa.insert_if_changed(*k, *v, |a, b| a == b);
-            prop_assert!(p2.ptr_eq(&pa), "no-op insert of ({}, {}) copied the path", k, v);
+            let mut p2 = pa.clone();
+            p2.set(*k, *v, |a, b| a == b);
+            prop_assert!(p2.ptr_eq(&pa), "no-op set of ({}, {}) copied the path", k, v);
         }
-        // Key 999 is outside the generated 0..256 range, so this insert is
-        // never a no-op.
-        let p3 = pa.insert_if_changed(999, 1, |a, b| a == b);
+        // Key 999 is outside the generated 0..256 range, so this set is
+        // never a no-op: it takes the rebalancing fallback.
+        let mut p3 = pa.clone();
+        p3.set(999, 1, |a, b| a == b);
         p3.assert_invariants();
         prop_assert_eq!(p3.len(), ma.len() + 1);
     }
@@ -193,4 +197,137 @@ proptest! {
         let gu: BTreeSet<u16> = u.iter().copied().collect();
         prop_assert_eq!(gu, wu);
     }
+
+    /// The ownership rule: whatever the interleaving of clones, in-place
+    /// writes, persistent inserts, merges and drops, every handle holds
+    /// exactly what its own model says — so no handle ever observes a write
+    /// made through another — stays a valid AVL tree, and physical equality
+    /// still implies equal contents.
+    #[test]
+    fn handles_never_observe_each_others_writes(steps in handle_ops()) {
+        let mut handles = vec![Handle::default()];
+        for step in &steps {
+            let n = handles.len();
+            let at = |i: u8| i as usize % n;
+            match *step {
+                HandleOp::Clone(i) if handles.len() < 8 => {
+                    let h = handles[at(i)].clone();
+                    handles.push(h);
+                }
+                HandleOp::Clone(_) => {}
+                HandleOp::Set(i, k, v) => {
+                    let h = &mut handles[at(i)];
+                    h.map.set(k, v, |a, b| a == b);
+                    h.model.insert(k, v);
+                }
+                HandleOp::SetEach(i, d) => {
+                    let h = &mut handles[at(i)];
+                    h.map.set_each(|k, v| (k % 3 == 0).then(|| v.wrapping_add(d)));
+                    for (k, v) in h.model.iter_mut() {
+                        if k % 3 == 0 {
+                            *v = v.wrapping_add(d);
+                        }
+                    }
+                }
+                HandleOp::Insert(i, k, v) => {
+                    let h = &mut handles[at(i)];
+                    h.map = h.map.insert(k, v);
+                    h.model.insert(k, v);
+                }
+                HandleOp::Union(i, j) => {
+                    let other = handles[at(j)].clone();
+                    let h = &mut handles[at(i)];
+                    h.map = h.map.union_outcome(&other.map, |_, a, b| {
+                        if a >= b { MergeOutcome::Left } else { MergeOutcome::Right }
+                    });
+                    for (k, v) in &other.model {
+                        h.model.entry(*k).and_modify(|x| *x = (*x).max(*v)).or_insert(*v);
+                    }
+                }
+                HandleOp::Drop(i) if handles.len() > 1 => {
+                    let i = at(i);
+                    handles.swap_remove(i);
+                }
+                HandleOp::Drop(_) => {}
+            }
+            for (i, h) in handles.iter().enumerate() {
+                h.map.assert_invariants();
+                let got: Vec<(u16, i32)> = h.map.iter().map(|(k, v)| (*k, *v)).collect();
+                let want: Vec<(u16, i32)> = h.model.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(got, want, "handle {} after {:?}", i, step);
+                for g in &handles[..i] {
+                    if g.map.ptr_eq(&h.map) {
+                        prop_assert_eq!(&g.model, &h.model, "ptr_eq handles differ after {:?}", step);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+struct Handle {
+    map: PMap<u16, i32>,
+    model: BTreeMap<u16, i32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum HandleOp {
+    Clone(u8),
+    Set(u8, u16, i32),
+    SetEach(u8, i32),
+    Insert(u8, u16, i32),
+    Union(u8, u8),
+    Drop(u8),
+}
+
+fn handle_ops() -> impl Strategy<Value = Vec<HandleOp>> {
+    let key = || any::<u16>().prop_map(|k| k % 48);
+    prop::collection::vec(
+        prop_oneof![
+            any::<u8>().prop_map(HandleOp::Clone),
+            (any::<u8>(), key(), any::<i32>()).prop_map(|(i, k, v)| HandleOp::Set(i, k, v)),
+            (any::<u8>(), key(), any::<i32>()).prop_map(|(i, k, v)| HandleOp::Set(i, k, v)),
+            (any::<u8>(), any::<i32>()).prop_map(|(i, d)| HandleOp::SetEach(i, d % 2)),
+            (any::<u8>(), key(), any::<i32>()).prop_map(|(i, k, v)| HandleOp::Insert(i, k, v)),
+            (any::<u8>(), any::<u8>()).prop_map(|(i, j)| HandleOp::Union(i, j)),
+            any::<u8>().prop_map(HandleOp::Drop),
+        ],
+        0..120,
+    )
+}
+
+/// A clone handed to another thread keeps its contents while the original is
+/// written, and once that thread has dropped it the original writes in place
+/// again. The channel and the join force both orders; no sleeps.
+#[test]
+fn clone_on_another_thread_is_isolated_from_writes() {
+    use std::sync::mpsc::channel;
+    let mut map: PMap<u32, u64> = (0..512).map(|k| (k, 0)).collect();
+    let snapshot = map.clone();
+    let (holding_tx, holding_rx) = channel();
+    let (written_tx, written_rx) = channel::<()>();
+    let reader = std::thread::spawn(move || {
+        holding_tx.send(()).unwrap();
+        // Read while the writer is busy, then once more after it is done.
+        let busy: u64 = snapshot.values().sum();
+        written_rx.recv().unwrap();
+        let after: u64 = snapshot.values().sum();
+        (busy, after)
+    });
+    holding_rx.recv().unwrap();
+    for k in 0..512 {
+        map.set(k, 1, |a, b| a == b);
+    }
+    written_tx.send(()).unwrap();
+    assert_eq!(reader.join().unwrap(), (0, 0), "the clone saw a write made after it was taken");
+    assert_eq!(map.values().sum::<u64>(), 512);
+    // The reader's handle is gone and the paths above were copied once:
+    // everything is this map's own now.
+    let _ = astree_pmap::take_stats();
+    for k in 0..512 {
+        map.set(k, 2, |a, b| a == b);
+    }
+    assert_eq!(astree_pmap::take_stats().nodes_allocated, 0);
+    map.assert_invariants();
 }

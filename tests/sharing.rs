@@ -130,3 +130,35 @@ fn stabilized_iterates_share_storage() {
     assert!(pmap.identity_preserved > 0);
     assert!(pmap.interior_shortcut_hits + pmap.root_shortcut_hits > 0);
 }
+
+#[test]
+fn assignments_to_an_owned_state_write_in_place() {
+    // Straight-line code runs on a state nobody else holds: N strong
+    // assignments to N distinct cells must cost O(cells + depth) tree nodes
+    // (here: none beyond building the initial state), not the N × depth of
+    // one root-to-leaf path copy per assignment.
+    use astree::core::iterator::{Iter, Mode};
+    use astree::core::{AbsState, Packs};
+    use astree::memory::{CellLayout, LayoutConfig};
+    const N: usize = 512;
+    let decls: String = (0..N).map(|i| format!("int v{i}; ")).collect();
+    let body: String = (0..N).map(|i| format!("v{i} = {}; ", i + 1)).collect();
+    let p = Frontend::new().compile_str(&format!("{decls} void main(void) {{ {body} }}")).unwrap();
+    let cfg = AnalysisConfig::default();
+    let layout = CellLayout::new(&p, &LayoutConfig::default());
+    let packs = Packs::discover(&p, &layout, &cfg);
+    let _ = astree::pmap::take_stats();
+    let initial = AbsState::initial(&layout, &packs);
+    let build = astree::pmap::take_stats().nodes_allocated;
+    assert!(build as usize >= N, "the initial state holds one node per cell");
+    let end = Iter::new(&p, &layout, &packs, &cfg).run_mode(Mode::Iterate);
+    let run = astree::pmap::take_stats().nodes_allocated;
+    assert_eq!(end.env.count_diff(&initial.env), N, "every assignment took effect");
+    let writes = run.saturating_sub(build) as usize;
+    let depth = N.ilog2() as usize + 1;
+    assert!(
+        writes <= N + depth,
+        "{writes} nodes allocated by {N} assignments: path copies are back (N × depth = {})",
+        N * depth
+    );
+}
