@@ -18,7 +18,7 @@ use astree_ir::{
     parametric_fingerprints, program_fingerprint, FuncId, LoopId, Program, StmtId,
 };
 use astree_memory::{CellLayout, LayoutConfig};
-use astree_obs::{CacheCounters, PmapCounters, PoolCounters, Recorder, NULL};
+use astree_obs::{CacheCounters, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
 use astree_sched::WorkerPool;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -392,6 +392,11 @@ impl<'a> AnalysisSession<'a> {
                 nodes_recycled: pmap_stats.nodes_recycled,
                 slab_bytes_allocated: pmap_stats.slab_bytes_allocated,
                 slab_bytes_freed: pmap_stats.slab_bytes_freed,
+            });
+            rec.frames(&FrameCounters {
+                cells_per_frame: iter.frames.framed().map(|f| f.cells.len() as u64).collect(),
+                packs_per_frame: iter.frames.framed().map(|f| f.packs() as u64).collect(),
+                ..iter.stats.frames.clone()
             });
             let oct_sizes: Vec<usize> = packs.octagons.iter().map(|p| p.cells.len()).collect();
             rec.pack_sizes(&oct_sizes);

@@ -59,8 +59,10 @@ use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
 use astree_ir::stmt::for_each_stmt;
-use astree_ir::{canon_ident, expand_ident, Fnv, Function, Loc, LoopId, StmtId, StmtKind};
-use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
+use astree_ir::{
+    canon_ident, expand_ident, Fnv, Function, Loc, LoopId, ScalarType, StmtId, StmtKind,
+};
+use astree_memory::{CellId, CellLayout, CellVal};
 use astree_obs::CacheCounters;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -69,7 +71,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The format identifier on the first line of every cache file.
-pub const CACHE_FORMAT: &str = "astree-cache/1";
+/// `/2`: a loop inside a framed call stores its invariant at the size of the
+/// frame, and a stored state decodes to exactly the keys it was encoded with
+/// (`/1` padded every state to the whole layout). Stores written before
+/// that parse as foreign and miss.
+pub const CACHE_FORMAT: &str = "astree-cache/2";
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -312,14 +318,17 @@ pub struct StatePatch {
 }
 
 impl StatePatch {
-    /// `base` with every mapped component replaced by the donor's value.
+    /// `base` with every mapped component it holds replaced by the donor's
+    /// value. Components `base` does not hold — it is the state of a frame,
+    /// the donor's loop ran in a larger one — are dropped: the result has
+    /// `base`'s shape.
     pub fn apply(&self, base: &AbsState) -> AbsState {
         if base.is_bottom() {
             return base.clone();
         }
         let mut st = base.clone();
         let mut env = st.env.clone();
-        for (c, v) in &self.cells {
+        for (c, v) in self.cells.iter().filter(|(c, _)| base.env.tracks(*c)) {
             env.set(*c, *v);
         }
         if env.is_bottom() {
@@ -327,13 +336,13 @@ impl StatePatch {
         }
         env.clock = self.clock;
         st.env = env;
-        for (pi, o) in &self.octs {
+        for (pi, o) in self.octs.iter().filter(|(pi, _)| base.has_oct(*pi)) {
             st.set_oct(*pi, o.clone());
         }
-        for (pi, t) in &self.dtrees {
+        for (pi, t) in self.dtrees.iter().filter(|(pi, _)| base.has_dtree(*pi)) {
             st.set_dtree(*pi, t.clone());
         }
-        for (pi, k, pending) in &self.ells {
+        for (pi, k, pending) in self.ells.iter().filter(|(pi, _, _)| base.has_ell(*pi)) {
             st.set_ell(*pi, *k);
             st.set_pending(*pi, *pending);
         }
@@ -1080,8 +1089,59 @@ fn encode_state(out: &mut Vec<String>, st: &AbsState) {
     }
 }
 
-/// Decodes one abstract state from a line iterator. Returns `None` on any
-/// malformation or shape mismatch against the current layout/packs.
+/// Reads `n` lines `<tag> <key> …` and parses each with `item`.
+fn decode_section<'a, T>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+    n: usize,
+    mut item: impl FnMut(&mut Toks<'a, std::str::SplitAsciiWhitespace<'a>>) -> Option<T>,
+) -> Option<Vec<T>> {
+    // `n` comes from the file: grow with the lines actually there.
+    let mut out = Vec::new();
+    for _ in 0..n {
+        let mut t = toks(lines.next()?);
+        if t.tok()? != tag {
+            return None;
+        }
+        out.push(item(&mut t)?);
+    }
+    Some(out)
+}
+
+/// Reads a section header `<tag> <count>`.
+fn decode_count<'a>(lines: &mut impl Iterator<Item = &'a str>, tag: &str) -> Option<usize> {
+    let mut t = toks(lines.next()?);
+    if t.tok()? != tag {
+        return None;
+    }
+    t.usize()
+}
+
+/// Reads a run-length encoded octagon matrix of `n` variables.
+fn decode_oct_matrix<'a, I: Iterator<Item = &'a str>>(
+    t: &mut Toks<'a, I>,
+    n: usize,
+) -> Option<Vec<f64>> {
+    // `n` may come straight from the file: no overflow, no huge reservation.
+    let len = n.checked_mul(n)?.checked_mul(4)?;
+    let mut m = Vec::with_capacity(len.min(1 << 12));
+    while m.len() < len {
+        let (count, bits) = t.tok()?.split_once(':')?;
+        let count: usize = count.parse().ok()?;
+        if count > len - m.len() {
+            return None;
+        }
+        let v = f64::from_bits(u64::from_str_radix(bits, 16).ok()?);
+        m.extend(std::iter::repeat_n(v, count));
+    }
+    Some(m)
+}
+
+/// Decodes one abstract state from a line iterator: exactly the cells and
+/// packs that were encoded, so a frame-sized invariant comes back
+/// frame-sized. Returns `None` on any malformation or mismatch against the
+/// current layout/packs (a cell or pack that does not exist, a value of the
+/// wrong kind, an octagon of the wrong size).
 fn decode_state<'a>(
     lines: &mut impl Iterator<Item = &'a str>,
     layout: &CellLayout,
@@ -1099,100 +1159,41 @@ fn decode_state<'a>(
         return None;
     }
     let clock = IntItv { lo: t.i64()?, hi: t.i64()? };
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "e" {
-        return None;
-    }
-    let ncells = t.usize()?;
-    let mut env = AbsEnv::initial(layout);
-    for _ in 0..ncells {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "c" {
-            return None;
-        }
+    let n = decode_count(lines, "e")?;
+    let cells = decode_section(lines, "c", n, |t| {
         let c = CellId(t.u32()?);
-        let v = decode_cell_val(&mut t)?;
-        env.set(c, v);
-    }
-    if env.is_bottom() {
-        return None; // a stored non-bottom state cannot hold bottom cells
-    }
-    env.clock = clock;
-    let mut st = AbsState::initial(layout, packs);
-    st.env = env;
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "o" {
-        return None;
-    }
-    let nocts = t.usize()?;
-    if nocts != packs.octagons.len() {
-        return None;
-    }
-    for _ in 0..nocts {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "x" {
-            return None;
-        }
+        let v = decode_cell_val(t)?;
+        let kind_ok = (c.0 as usize) < layout.num_cells()
+            && matches!(
+                (&v, layout.info(c).ty),
+                (CellVal::Int(_), ScalarType::Int(_)) | (CellVal::Float(_), ScalarType::Float(_))
+            );
+        // A stored non-bottom state cannot hold bottom cells.
+        (kind_ok && !v.is_bottom()).then_some((c, v))
+    })?;
+    let n = decode_count(lines, "o")?;
+    let octs = decode_section(lines, "x", n, |t| {
         let pi = t.usize()?;
         let n = t.usize()?;
         let closed = t.bool()?;
-        let mut m = Vec::with_capacity(4 * n * n);
-        while m.len() < 4 * n * n {
-            let run = t.tok()?;
-            let (count, bits) = run.split_once(':')?;
-            let count: usize = count.parse().ok()?;
-            let bits = u64::from_str_radix(bits, 16).ok()?;
-            for _ in 0..count {
-                m.push(f64::from_bits(bits));
-            }
-        }
-        if pi >= packs.octagons.len() || n != packs.octagons[pi].cells.len() {
+        if n != packs.octagons.get(pi)?.cells.len() {
             return None;
         }
-        st.set_oct(pi, Octagon::from_raw(n, m, closed)?);
-    }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "d" {
-        return None;
-    }
-    let ndts = t.usize()?;
-    if ndts != packs.dtrees.len() {
-        return None;
-    }
-    for _ in 0..ndts {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "t" {
-            return None;
-        }
+        Some((pi, Octagon::from_raw(n, decode_oct_matrix(t, n)?, closed)?))
+    })?;
+    let n = decode_count(lines, "d")?;
+    let dtrees = decode_section(lines, "t", n, |t| {
         let pi = t.usize()?;
-        if pi >= packs.dtrees.len() {
-            return None;
-        }
-        st.set_dtree(pi, decode_dtree(&mut t)?);
-    }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "l" {
-        return None;
-    }
-    let nells = t.usize()?;
-    if nells != packs.ellipses.len() {
-        return None;
-    }
-    for _ in 0..nells {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "p" {
-            return None;
-        }
+        packs.dtrees.get(pi)?;
+        Some((pi, decode_dtree(t)?))
+    })?;
+    let n = decode_count(lines, "l")?;
+    let ells = decode_section(lines, "p", n, |t| {
         let pi = t.usize()?;
-        if pi >= packs.ellipses.len() {
-            return None;
-        }
-        let k = t.f64()?;
-        let pending = t.f64()?;
-        st.set_ell(pi, k);
-        st.set_pending(pi, pending);
-    }
-    Some(st)
+        packs.ellipses.get(pi)?;
+        Some((pi, t.f64()?, t.f64()?))
+    })?;
+    Some(AbsState::from_parts(clock, cells, octs, dtrees, ells))
 }
 
 // ---------------------------------------------------------------------------
@@ -1363,11 +1364,7 @@ fn decode_patch<'a>(
         return None;
     }
     let clock = IntItv { lo: t.i64()?, hi: t.i64()? };
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "e" {
-        return None;
-    }
-    let ncells = t.usize()?;
+    let ncells = decode_count(lines, "e")?;
     let mut cells = Vec::with_capacity(ncells);
     for _ in 0..ncells {
         let mut t = toks(lines.next()?);
@@ -1382,11 +1379,7 @@ fn decode_patch<'a>(
     }
     let oct_index: HashMap<&[CellId], usize> =
         packs.octagons.iter().enumerate().map(|(i, p)| (p.cells.as_slice(), i)).collect();
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "o" {
-        return None;
-    }
-    let nocts = t.usize()?;
+    let nocts = decode_count(lines, "o")?;
     let mut octs = Vec::new();
     for _ in 0..nocts {
         let line = lines.next()?;
@@ -1407,16 +1400,7 @@ fn decode_patch<'a>(
             };
         }
         let closed = t.bool()?;
-        let mut m = Vec::with_capacity(4 * n * n);
-        while m.len() < 4 * n * n {
-            let run = t.tok()?;
-            let (count, bits) = run.split_once(':')?;
-            let count: usize = count.parse().ok()?;
-            let bits = u64::from_str_radix(bits, 16).ok()?;
-            for _ in 0..count {
-                m.push(f64::from_bits(bits));
-            }
-        }
+        let m = decode_oct_matrix(&mut t, n)?;
         if let Some(pi) = members.and_then(|mm| oct_index.get(mm.as_slice()).copied()) {
             if let Some(o) = Octagon::from_raw(n, m, closed) {
                 octs.push((pi, o));
@@ -1429,11 +1413,7 @@ fn decode_patch<'a>(
         .enumerate()
         .map(|(i, p)| ((p.bools.as_slice(), p.nums.as_slice()), i))
         .collect();
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "d" {
-        return None;
-    }
-    let ndts = t.usize()?;
+    let ndts = decode_count(lines, "d")?;
     let mut dtrees = Vec::new();
     for _ in 0..ndts {
         let line = lines.next()?;
@@ -1465,11 +1445,7 @@ fn decode_patch<'a>(
             }
         }
     }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "l" {
-        return None;
-    }
-    let nells = t.usize()?;
+    let nells = decode_count(lines, "l")?;
     let mut ells = Vec::new();
     for _ in 0..nells {
         let line = lines.next()?;
@@ -1863,6 +1839,75 @@ mod tests {
         assert_eq!(
             Census::of_state(&inv, &layout, &packs),
             Census::of_state(&decoded, &layout, &packs),
+        );
+    }
+
+    /// `decode(encode(s))` holds exactly `s`'s cells and packs — for a
+    /// whole-program state and for the frame-sized state of a loop inside a
+    /// framed call — and a portable patch never adds a key its base lacks.
+    #[test]
+    fn decoding_keeps_the_encoded_key_set() {
+        let src = astree_gen::generate(&astree_gen::GenConfig { channels: 4, seed: 3, bug: None });
+        let program = Frontend::new().compile_str(&src).expect("compiles");
+        let config = AnalysisConfig::default();
+        let layout = CellLayout::new(&program, &LayoutConfig::default());
+        let packs = Packs::discover(&program, &layout, &config);
+        let result = crate::analysis::AnalysisSession::builder(&program).build().run();
+        let whole = result.main_invariant.expect("has a main invariant");
+        let frames = crate::frames::Frames::discover(&program, &layout, &packs);
+        let mut frames: Vec<_> = frames.framed().collect();
+        frames.sort_by_key(|f| f.cells[0]);
+        assert_eq!(frames.len(), 4, "one frame per stepK");
+        let framed = whole.project(frames[0]);
+        assert!(!framed.same_shape(&whole) && framed.env.len() == frames[0].cells.len());
+
+        for st in [&whole, &framed] {
+            let mut lines = Vec::new();
+            encode_state(&mut lines, st);
+            let decoded = decode_state(&mut lines.iter().map(String::as_str), &layout, &packs)
+                .expect("decodes");
+            assert!(decoded.same_shape(st), "key set changed in the round trip");
+            assert_eq!(format!("{st}"), format!("{decoded}"));
+            assert!(decoded.leq(st) && st.leq(&decoded), "packs changed in the round trip");
+        }
+
+        // The name-keyed codec: the patch of channel 0's frame lands on
+        // channel 0's frame of the same member, and applied over a base of
+        // another shape it writes only what that base holds.
+        let mut lines = Vec::new();
+        encode_state_named(&mut lines, &framed, &layout, &packs, "0");
+        let patch = decode_patch(&mut lines.iter().map(String::as_str), &layout, &packs, "0")
+            .expect("decodes");
+        let initial = AbsState::initial(&layout, &packs);
+        for base in [initial.project(frames[0]), initial.project(frames[1]), initial.clone()] {
+            let applied = patch.apply(&base);
+            assert!(applied.same_shape(&base), "the patch added or dropped a key");
+        }
+        let applied = patch.apply(&initial.project(frames[0]));
+        assert!(applied.octs_iter().zip(framed.octs_iter()).all(|(a, b)| a.1.same(b.1)));
+    }
+
+    #[test]
+    fn malformed_states_do_not_decode() {
+        let (program, config) = sample();
+        let layout = CellLayout::new(&program, &LayoutConfig::default());
+        let packs = Packs::discover(&program, &layout, &config);
+        let decode = |lines: &[&str]| decode_state(&mut lines.iter().copied(), &layout, &packs);
+        let head = ["S 0", "k 0 0"];
+        let tail = ["o 0", "d 0", "l 0"];
+        let with_cell = |cell: &'static str| [&head[..], &["e 1", cell], &tail[..]].concat();
+        assert!(decode(&with_cell("c 0 i 0 0 0 0 0 0")).is_some());
+        assert!(decode(&with_cell("c 9999 i 0 0 0 0 0 0")).is_none());
+        assert!(
+            decode(&with_cell("c 0 f 0000000000000000 0000000000000000")).is_none(),
+            "cell 0 is an int"
+        );
+        assert!(decode(&with_cell("c 0 i 1 0 0 0 0 0")).is_none(), "a ⊥ cell");
+        assert!(
+            decode(&[&head[..], &["e 0", "o 1", "x 9999 2 1 16:0"], &tail[1..]].concat()).is_none()
+        );
+        assert!(
+            decode(&[&head[..], &["e 0", "o 0", "d 0", "l 1", "p 9999 0 0"]].concat()).is_none()
         );
     }
 

@@ -69,9 +69,9 @@ impl Census {
                 }
             }
         }
-        for pi in 0..packs.octagons.len() {
+        for (pi, o) in state.octs_iter() {
             let n = packs.octagons[pi].cells.len();
-            let mut o = state.oct(pi).clone();
+            let mut o = o.clone();
             o.close();
             for i in 0..n {
                 for j in 0..n {

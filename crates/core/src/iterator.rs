@@ -20,6 +20,7 @@
 use crate::alarms::AlarmSink;
 use crate::cache::{Seed, SeedOrigin};
 use crate::config::AnalysisConfig;
+use crate::frames::{FrameChoice, Frames, Whole};
 use crate::packs::Packs;
 use crate::state::{float_view, meet_cell_with_float, AbsState, DTree, PackEnv};
 use crate::substitute::substitute_block;
@@ -30,7 +31,9 @@ use astree_ir::{
     StmtKind, Unop, VarId,
 };
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
-use astree_obs::{AlarmEvent, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent};
+use astree_obs::{
+    AlarmEvent, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,6 +74,10 @@ pub struct IterStats {
     /// invariant did not cover the arriving context (see
     /// [`Iter::exec_loop`]).
     pub loops_rechecked: u64,
+    /// How the depth-0 call statements ran (see [`crate::frames`]) and
+    /// what the shape rules turned away; the per-frame sizes are filled in
+    /// by the session when it reports.
+    pub frames: FrameCounters,
     /// Per-function breakdown of `loops_solved`.
     pub solved_by_func: BTreeMap<String, u64>,
     /// Per-function breakdown of `loops_replayed`.
@@ -90,6 +97,7 @@ impl IterStats {
         self.loops_seeded += o.loops_seeded;
         self.seed_hits += o.seed_hits;
         self.loops_rechecked += o.loops_rechecked;
+        self.frames.add(&o.frames);
         for (k, v) in o.solved_by_func {
             *self.solved_by_func.entry(k).or_insert(0) += v;
         }
@@ -118,6 +126,9 @@ pub struct Iter<'a> {
     /// the same predicate (one Kleene step absorbs drift in cells the
     /// candidate could not carry, e.g. member-specific temporaries).
     pub seeds: Arc<HashMap<LoopId, Seed>>,
+    /// What every depth-0 call statement runs on; shared like `seeds` with
+    /// slice workers and the checking pass's scratch iterators.
+    pub(crate) frames: Arc<Frames>,
     /// Per-loop *coverage witness*: the post-unroll entry iterate (`base`)
     /// of the **last** iteration-mode visit, recorded alongside the stored
     /// invariant. The checking pass replays a loop against the stored
@@ -176,6 +187,10 @@ pub struct Iter<'a> {
     /// `(loop id, checking iteration)` context stack (maintained when
     /// `rec_on`), for alarm provenance.
     loop_stack: Vec<(u32, u64)>,
+    /// Differential mode of the frame tests: every framed call of the
+    /// iteration pass is also run on the caller's state and compared.
+    #[cfg(test)]
+    pub(crate) differential: bool,
 }
 
 /// The set of partitions flowing through a block, plus the accumulated
@@ -225,6 +240,28 @@ impl<'a> Iter<'a> {
         config: &'a AnalysisConfig,
         rec: &'a dyn Recorder,
     ) -> Self {
+        let frames = Arc::new(Frames::discover(program, layout, packs));
+        let mut it = Iter::sharing(program, layout, packs, config, Arc::default(), frames);
+        // Parallel slices run on worker `Iter`s whose per-statement
+        // captures would be dropped at merge; collection forces the
+        // sequential interpreter (alarms are identical either way).
+        it.par_enabled = config.jobs > 1 && !config.collect_stmt_invariants;
+        it.rec = rec;
+        it.rec_on = rec.enabled();
+        it
+    }
+
+    /// An iterator for work the main one hands out — a slice of a parallel
+    /// stage, a context re-solve of the checking pass: it shares the cache
+    /// seeds and the frames, never slices, and records no telemetry.
+    fn sharing(
+        program: &'a Program,
+        layout: &'a CellLayout,
+        packs: &'a Packs,
+        config: &'a AnalysisConfig,
+        seeds: Arc<HashMap<LoopId, Seed>>,
+        frames: Arc<Frames>,
+    ) -> Self {
         let mut eval = Evaluator::new(program, layout, config.max_clock);
         eval.linearize = config.enable_linearization;
         eval.clocked = config.enable_clocked;
@@ -237,25 +274,25 @@ impl<'a> Iter<'a> {
             mode: Mode::Iterate,
             invariants: HashMap::new(),
             cover: HashMap::new(),
-            seeds: Arc::default(),
+            seeds,
+            frames,
             stmt_invariants: HashMap::new(),
             sink: AlarmSink::new(),
             oct_useful: vec![0; packs.octagons.len()],
             stats: IterStats::default(),
             pmap_worker_stats: astree_pmap::PmapStats::default(),
-            // Parallel slices run on worker `Iter`s whose per-statement
-            // captures would be dropped at merge; collection forces the
-            // sequential interpreter (alarms are identical either way).
-            par_enabled: config.jobs > 1 && !config.collect_stmt_invariants,
+            par_enabled: false,
             pool: None,
             stmt_cost: HashMap::new(),
             branch_level: 0,
             nested_fat: true,
             plans: HashMap::new(),
-            rec,
-            rec_on: rec.enabled(),
+            rec: &astree_obs::NULL,
+            rec_on: false,
             func_stack: Vec::new(),
             loop_stack: Vec::new(),
+            #[cfg(test)]
+            differential: false,
         }
     }
 
@@ -466,6 +503,7 @@ impl<'a> Iter<'a> {
         let seed_invariants = &self.invariants;
         let cover_map = &self.cover;
         let cache_seeds = &self.seeds;
+        let frames = &self.frames;
         let panic_slice = self.config.debug_panic_slice;
 
         // Each worker runs under `catch_unwind`: a panicking slice must not
@@ -483,13 +521,18 @@ impl<'a> Iter<'a> {
                 // every slice (the session only sets the caller's thread).
                 astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
                 let t0 = Instant::now();
-                let mut w = Iter::new(program, layout, packs, config);
-                w.par_enabled = false;
-                w.mode = mode;
                 // Cache seeds feed both iteration-mode solves and the
                 // checking pass's context re-solves; share them either way
                 // so worker and sequential solves stay identical.
-                w.seeds = Arc::clone(cache_seeds);
+                let mut w = Iter::sharing(
+                    program,
+                    layout,
+                    packs,
+                    config,
+                    Arc::clone(cache_seeds),
+                    Arc::clone(frames),
+                );
+                w.mode = mode;
                 if mode == Mode::Check {
                     w.invariants = seed_invariants.clone();
                     w.cover = cover_map.clone();
@@ -562,7 +605,7 @@ impl<'a> Iter<'a> {
             let eff = crate::parallel::slice_effects(
                 &plan.footprints[stage.start + r.start..stage.start + r.end],
             );
-            merged.overlay_from(&pre, &post, &eff, self.layout);
+            merged.overlay_from(&pre, &post, &eff, self.layout, self.packs);
             if mode == Mode::Iterate {
                 for (id, inv) in out.invariants {
                     self.invariants.insert(id, inv);
@@ -829,10 +872,18 @@ impl<'a> Iter<'a> {
                     // soundly describes the residual iterations of any
                     // context at or below it.
                     (Some(c), Some(stored)) if Self::post_fixpoint(&cur, c) => stored.clone(),
-                    _ => {
-                        let mut w = Iter::new(self.program, self.layout, self.packs, self.config);
-                        w.par_enabled = false;
-                        w.seeds = Arc::clone(&self.seeds);
+                    (witness, _) => {
+                        if witness.is_some_and(|c| !c.is_bottom() && !c.same_shape(&cur)) {
+                            self.stats.frames.witnesses_rejected_shape += 1;
+                        }
+                        let mut w = Iter::sharing(
+                            self.program,
+                            self.layout,
+                            self.packs,
+                            self.config,
+                            Arc::clone(&self.seeds),
+                            Arc::clone(&self.frames),
+                        );
                         // Pack usefulness is the one thing the scratch solve
                         // contributes besides its invariant.
                         w.oct_useful = std::mem::take(&mut self.oct_useful);
@@ -888,7 +939,14 @@ impl<'a> Iter<'a> {
             // A whole-function candidate either fits verbatim or not;
             // per-loop and cross-member candidates get the one-step
             // rescue (see the `seeds` field).
-            let attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
+            let mut attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
+            // A candidate of another shape belongs to another frame (the
+            // loop sits in a helper reached from several call statements, or
+            // the store predates an edit that moved the frame): not tried.
+            if !cand.is_bottom() && !base.is_bottom() && !cand.same_shape(base) {
+                self.stats.frames.seeds_rejected_shape += 1;
+                attempts = 0;
+            }
             for attempt in 0..attempts {
                 let body_in = self.state_guard(cand.clone(), cond, true);
                 let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
@@ -1074,8 +1132,8 @@ impl<'a> Iter<'a> {
         let mut changed = Vec::new();
         before.changed_cells(after, &mut changed);
         for id in changed {
-            let old = before.get(id, self.layout);
-            let new = after.get(id, self.layout);
+            let old = before.read(id, self.layout);
+            let new = after.read(id, self.layout);
             match (old, &new) {
                 (CellVal::Int(o), CellVal::Int(n)) => {
                     if n.val.lo < o.val.lo {
@@ -1118,7 +1176,8 @@ impl<'a> Iter<'a> {
     /// Joins `st` into the per-statement invariant record for `id` (Check
     /// mode with `collect_stmt_invariants` only; bottom states — claimed
     /// unreachable — are skipped so absence in the map means "the analyzer
-    /// claims no execution reaches this point").
+    /// claims no execution reaches this point"). A helper's statement is
+    /// reached from several frames: the record keeps the keys they share.
     fn note_stmt_state(&mut self, id: StmtId, st: &AbsState) {
         if !self.config.collect_stmt_invariants || self.mode != Mode::Check || st.is_bottom() {
             return;
@@ -1126,7 +1185,7 @@ impl<'a> Iter<'a> {
         let (layout, packs) = (self.layout, self.packs);
         match self.stmt_invariants.entry(id) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                let joined = e.get().join(st, layout, packs);
+                let joined = e.get().join_arrivals(st, layout, packs);
                 e.insert(joined);
             }
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -1220,7 +1279,7 @@ impl<'a> Iter<'a> {
         // Relational updates.
         let Some(cell) = cell else {
             for c in &target.cells {
-                state.forget_cell(*c, self.packs);
+                state.forget_cell(*c, self.layout, self.packs);
             }
             return state;
         };
@@ -1247,8 +1306,8 @@ impl<'a> Iter<'a> {
     /// The `δ` update for filter pack `pi`, evaluated in the pre-state.
     fn ellipse_delta(&self, state: &AbsState, pi: usize) -> f64 {
         let pack = &self.packs.ellipses[pi];
-        let x = float_view(state.env.get(pack.x, self.layout));
-        let y = float_view(state.env.get(pack.y, self.layout));
+        let x = float_view(state.env.read(pack.x, self.layout));
+        let y = float_view(state.env.read(pack.y, self.layout));
         let ell = Ellipsoid { a: pack.a, b: pack.b, k: state.ell(pi) }.reduce_from_box(x, y);
         let t_max = match &pack.t {
             None => 0.0,
@@ -1279,7 +1338,7 @@ impl<'a> Iter<'a> {
         let Some(pids) = self.packs.oct_index.get(&cell) else { return };
         for &pi in pids {
             let slot = self.packs.oct_slot(pi, cell).expect("cell in pack");
-            let mut oct = out.oct(pi).clone();
+            let mut oct = out.oct(pi, self.packs).into_owned();
             // The exact affine shapes x := ±y + [lo, hi] when y is in the
             // pack too; else the interval assignment.
             let affine = shape
@@ -1287,7 +1346,7 @@ impl<'a> Iter<'a> {
             match affine {
                 Some((src, true, lo, hi)) => oct.assign_neg_var_plus_const(slot, src, lo, hi),
                 Some((src, false, lo, hi)) => oct.assign_var_plus_const(slot, src, lo, hi),
-                None => oct.assign_interval(slot, float_view(out.env.get(cell, self.layout))),
+                None => oct.assign_interval(slot, float_view(out.env.read(cell, self.layout))),
             }
             out.set_oct(pi, oct);
         }
@@ -1382,7 +1441,7 @@ impl<'a> Iter<'a> {
         let context = |leaf: &PackEnv| -> Option<AbsEnv> {
             let mut ctx = env.clone();
             for (c, v) in &leaf.cells {
-                let m = ctx.get(*c, layout).meet(v);
+                let m = ctx.read(*c, layout).meet(v);
                 if m.is_bottom() {
                     return None;
                 }
@@ -1393,7 +1452,7 @@ impl<'a> Iter<'a> {
         let dead = |leaf: &PackEnv| PackEnv { cells: leaf.cells.clone(), unreachable: true };
         pids.iter()
             .map(|&pi| {
-                let tree = pre.dtree(pi);
+                let tree = pre.dtree(pi, layout, self.packs);
                 let new = if self.packs.dtrees[pi].bools.contains(&cell) {
                     // b := e — split each context on the truth of e.
                     let restrict = |value: bool| {
@@ -1429,7 +1488,7 @@ impl<'a> Iter<'a> {
                             }
                         } else {
                             // Errors possible: fall back to the env's value.
-                            env.get(cell, layout)
+                            env.read(cell, layout)
                         };
                         leaf.set(cell, new_val)
                     })
@@ -1468,9 +1527,15 @@ impl<'a> Iter<'a> {
         }
     }
 
+    /// A call statement. At depth 0 it runs on its frame when it has one
+    /// (see [`crate::frames`]): the arriving state is projected, the callee
+    /// runs on the projection exactly as it would on the whole state —
+    /// nested calls, branches, inner loops, alarms — and what changed is
+    /// written back. Loop invariants, coverage witnesses and cache seeds of
+    /// loops inside are therefore frame-sized.
     fn transfer_call(
         &mut self,
-        state: AbsState,
+        mut state: AbsState,
         callee: FuncId,
         args: &[CallArg],
         ret: Option<&Lvalue>,
@@ -1480,6 +1545,67 @@ impl<'a> Iter<'a> {
         if state.is_bottom() {
             return state;
         }
+        let frames = Arc::clone(&self.frames);
+        let frame = match frames.get(s.id).filter(|_| depth == 0) {
+            Some(FrameChoice::Framed(frame)) => frame,
+            Some(FrameChoice::Whole(why)) => {
+                let n = match why {
+                    Whole::Wait => &mut self.stats.frames.calls_whole_wait,
+                    Whole::DepthCap => &mut self.stats.frames.calls_whole_depth_cap,
+                    Whole::NotSmall => &mut self.stats.frames.calls_whole_not_small,
+                };
+                *n += 1;
+                return self.inline_call(state, callee, args, ret, s, depth);
+            }
+            None => return self.inline_call(state, callee, args, ret, s, depth),
+        };
+        self.stats.frames.calls_framed += 1;
+        #[cfg(test)]
+        let whole = (self.differential && self.mode == Mode::Iterate).then(|| {
+            let mut w = Iter::sharing(
+                self.program,
+                self.layout,
+                self.packs,
+                self.config,
+                Arc::clone(&self.seeds),
+                Arc::default(),
+            );
+            w.inline_call(state.clone(), callee, args, ret, s, depth)
+        });
+        let t0 = self.rec_on.then(Instant::now);
+        let pre = state.project(frame);
+        if let Some(t0) = t0 {
+            self.rec.domain_op("state", "project", Self::nanos_since(t0));
+        }
+        let post = self.inline_call(pre.clone(), callee, args, ret, s, depth);
+        // A key the callee added is a write the frame did not foresee:
+        // `absorb` carries it over (sound), debug builds stop.
+        debug_assert!(post.is_bottom() || post.same_shape(&pre), "callee left its frame");
+        let t0 = self.rec_on.then(Instant::now);
+        state.absorb(&pre, &post, self.layout, self.packs);
+        if let Some(t0) = t0 {
+            self.rec.domain_op("state", "absorb", Self::nanos_since(t0));
+        }
+        #[cfg(test)]
+        if let Some(whole) = whole {
+            let name = &self.program.func(callee).name;
+            assert_eq!(format!("{state}"), format!("{whole}"), "framed call of {name}");
+            assert!(state.leq(&whole) && whole.leq(&state), "framed call of {name}: packs");
+        }
+        state
+    }
+
+    /// Abstract inlining (Sect. 5.4): binds the parameters and executes the
+    /// callee's body on `state`.
+    fn inline_call(
+        &mut self,
+        state: AbsState,
+        callee: FuncId,
+        args: &[CallArg],
+        ret: Option<&Lvalue>,
+        s: &Stmt,
+        depth: u32,
+    ) -> AbsState {
         let f = self.program.func(callee);
         let mut cur = state;
         let mut ref_map: HashMap<VarId, Lvalue> = HashMap::new();
@@ -1497,7 +1623,7 @@ impl<'a> Iter<'a> {
         if cur.is_bottom() {
             return cur;
         }
-        // Abstract inlining with by-ref substitution.
+        // By-ref parameters are substituted by the actual l-values.
         let substituted;
         let body = if ref_map.is_empty() {
             &f.body
@@ -1523,13 +1649,13 @@ impl<'a> Iter<'a> {
         }
         out.env = self.eval.read_volatile(out.env, var);
         let cell = self.layout.scalar_cell(var);
-        out.forget_cell(cell, self.packs);
+        out.forget_cell(cell, self.layout, self.packs);
         // The octagon can keep the fresh interval.
         if let Some(pids) = self.packs.oct_index.get(&cell) {
             for &pi in pids.iter() {
                 if let Some(slot) = self.packs.oct_slot(pi, cell) {
-                    let v = float_view(out.env.get(cell, self.layout));
-                    let mut oct = out.oct(pi).clone();
+                    let v = float_view(out.env.read(cell, self.layout));
+                    let mut oct = out.oct(pi, self.packs).into_owned();
                     oct.assign_interval(slot, v);
                     out.set_oct(pi, oct);
                 }
@@ -1619,7 +1745,7 @@ impl<'a> Iter<'a> {
         match (ca, cb) {
             (Some(x), Some(y)) => {
                 for (pi, (sx, sy)) in self.pack_pairs(x, y) {
-                    let mut oct = state.oct(pi).clone();
+                    let mut oct = state.oct(pi, self.packs).into_owned();
                     match op {
                         Binop::Lt => oct.add_diff_le(sx, sy, -margin),
                         Binop::Le => oct.add_diff_le(sx, sy, 0.0),
@@ -1694,7 +1820,7 @@ impl<'a> Iter<'a> {
         let Some(pids) = self.packs.oct_index.get(&x) else { return };
         for &pi in pids {
             let slot = self.packs.oct_slot(pi, x).expect("in pack");
-            let mut oct = state.oct(pi).clone();
+            let mut oct = state.oct(pi, self.packs).into_owned();
             match op {
                 Binop::Lt => oct.add_upper(slot, hi - margin),
                 Binop::Le => oct.add_upper(slot, hi),
@@ -1749,7 +1875,7 @@ impl<'a> Iter<'a> {
         if let Some(pids) = self.packs.dtree_index.get(&cell) {
             for &pi in pids {
                 if self.packs.dtrees[pi].bools.contains(&cell) {
-                    let g = state.dtree(pi).guard(cell, value);
+                    let g = state.dtree(pi, self.layout, self.packs).guard(cell, value);
                     state.set_dtree(pi, g);
                 }
             }

@@ -56,6 +56,7 @@ pub mod analysis;
 pub mod cache;
 pub mod census;
 pub mod config;
+pub(crate) mod frames;
 pub mod iterator;
 pub mod packs;
 pub(crate) mod parallel;

@@ -16,7 +16,7 @@
 use crate::packs::Packs;
 use crate::substitute::substitute_block;
 use astree_ir::{
-    Access, Block, CallArg, Expr, Lvalue, Program, Stmt, StmtId, StmtKind, Type, VarId,
+    Access, Block, CallArg, Expr, FuncId, Lvalue, Program, Stmt, StmtId, StmtKind, Type, VarId,
 };
 use astree_memory::{CellId, CellLayout};
 use astree_sched::Stage;
@@ -129,6 +129,15 @@ pub(crate) fn plan_block(
     BlockPlan { stages, footprints, parallel }
 }
 
+/// Why a syntactic walk of touched cells has no finite answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unbounded {
+    /// A clock tick: its effect is global (every clocked value shifts).
+    Wait,
+    /// The walk hit [`WALK_DEPTH_CAP`] nested calls.
+    DepthCap,
+}
+
 /// All cells a loop may read or write (guard, body, callees — with by-ref
 /// substitution, exactly like the interpreter's abstract inlining), the
 /// scope of the localized loop-done reduction. `None` when the walk hits
@@ -142,11 +151,25 @@ pub(crate) fn loop_touched_cells(
 ) -> Option<BTreeSet<CellId>> {
     let mut out = BTreeSet::new();
     touch_expr(program, layout, cond, &mut out);
-    if touch_block(program, layout, body, 0, &mut out) {
-        Some(out)
-    } else {
-        None
-    }
+    touch_block(program, layout, body, 0, &mut out).ok()?;
+    Some(out)
+}
+
+/// All cells one call statement may read or write: its return target, its
+/// arguments, the callee's parameters and everything the callee's body (and
+/// its callees) touches. The same walk as [`loop_touched_cells`], which is
+/// what makes a frame built from it a superset of every loop footprint
+/// inside the callee.
+pub(crate) fn call_touched_cells(
+    program: &Program,
+    layout: &CellLayout,
+    ret: Option<&Lvalue>,
+    callee: FuncId,
+    args: &[CallArg],
+) -> Result<BTreeSet<CellId>, Unbounded> {
+    let mut out = BTreeSet::new();
+    touch_call(program, layout, ret, callee, args, 0, &mut out)?;
+    Ok(out)
 }
 
 fn touch_lvalue(program: &Program, layout: &CellLayout, lv: &Lvalue, out: &mut BTreeSet<CellId>) {
@@ -162,11 +185,54 @@ fn touch_lvalue(program: &Program, layout: &CellLayout, lv: &Lvalue, out: &mut B
     }
 }
 
-fn touch_expr(program: &Program, layout: &CellLayout, e: &Expr, out: &mut BTreeSet<CellId>) {
+/// The cells an expression may read (a static superset of what
+/// `Evaluator::resolve` can return for its l-values).
+pub(crate) fn touch_expr(
+    program: &Program,
+    layout: &CellLayout,
+    e: &Expr,
+    out: &mut BTreeSet<CellId>,
+) {
     let mut lvs: Vec<Lvalue> = Vec::new();
     e.for_each_lvalue(&mut |lv| lvs.push(lv.clone()));
     for lv in lvs {
         touch_lvalue(program, layout, &lv, out);
+    }
+}
+
+fn touch_call(
+    program: &Program,
+    layout: &CellLayout,
+    ret: Option<&Lvalue>,
+    callee: FuncId,
+    args: &[CallArg],
+    depth: u32,
+    out: &mut BTreeSet<CellId>,
+) -> Result<(), Unbounded> {
+    if depth >= WALK_DEPTH_CAP {
+        return Err(Unbounded::DepthCap);
+    }
+    if let Some(lv) = ret {
+        touch_lvalue(program, layout, lv, out);
+    }
+    let f = program.func(callee);
+    let mut ref_map: HashMap<VarId, Lvalue> = HashMap::new();
+    for (param, arg) in f.params.iter().zip(args) {
+        match arg {
+            CallArg::Value(e) => {
+                out.insert(layout.scalar_cell(param.var));
+                touch_expr(program, layout, e, out);
+            }
+            CallArg::Ref(lv) => {
+                touch_lvalue(program, layout, lv, out);
+                ref_map.insert(param.var, lv.clone());
+            }
+        }
+    }
+    if ref_map.is_empty() {
+        touch_block(program, layout, &f.body, depth + 1, out)
+    } else {
+        touch_block(program, layout, &substitute_block(&f.body, &ref_map), depth + 1, out)
     }
 }
 
@@ -176,7 +242,7 @@ fn touch_block(
     block: &Block,
     depth: u32,
     out: &mut BTreeSet<CellId>,
-) -> bool {
+) -> Result<(), Unbounded> {
     for s in block {
         match &s.kind {
             StmtKind::Assign(lv, e) => {
@@ -185,61 +251,29 @@ fn touch_block(
             }
             StmtKind::If(c, a, b) => {
                 touch_expr(program, layout, c, out);
-                if !touch_block(program, layout, a, depth, out)
-                    || !touch_block(program, layout, b, depth, out)
-                {
-                    return false;
-                }
+                touch_block(program, layout, a, depth, out)?;
+                touch_block(program, layout, b, depth, out)?;
             }
             StmtKind::While(_, c, body) => {
                 touch_expr(program, layout, c, out);
-                if !touch_block(program, layout, body, depth, out) {
-                    return false;
-                }
+                touch_block(program, layout, body, depth, out)?;
             }
             StmtKind::Call(ret, callee, args) => {
-                if depth >= WALK_DEPTH_CAP {
-                    return false;
-                }
-                if let Some(lv) = ret {
-                    touch_lvalue(program, layout, lv, out);
-                }
-                let f = program.func(*callee);
-                let mut ref_map: HashMap<VarId, Lvalue> = HashMap::new();
-                for (param, arg) in f.params.iter().zip(args) {
-                    match arg {
-                        CallArg::Value(e) => {
-                            out.insert(layout.scalar_cell(param.var));
-                            touch_expr(program, layout, e, out);
-                        }
-                        CallArg::Ref(lv) => {
-                            touch_lvalue(program, layout, lv, out);
-                            ref_map.insert(param.var, lv.clone());
-                        }
-                    }
-                }
-                let body = if ref_map.is_empty() {
-                    f.body.clone()
-                } else {
-                    substitute_block(&f.body, &ref_map)
-                };
-                if !touch_block(program, layout, &body, depth + 1, out) {
-                    return false;
-                }
+                touch_call(program, layout, ret.as_ref(), *callee, args, depth, out)?;
             }
             StmtKind::Return(e) => {
                 if let Some(e) = e {
                     touch_expr(program, layout, e, out);
                 }
             }
-            StmtKind::Wait => return false,
+            StmtKind::Wait => return Err(Unbounded::Wait),
             StmtKind::Assume(c) => touch_expr(program, layout, c, out),
             StmtKind::ReadVolatile(v) => {
                 out.insert(layout.scalar_cell(*v));
             }
         }
     }
-    true
+    Ok(())
 }
 
 /// The footprint of a single statement.

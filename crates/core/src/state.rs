@@ -8,11 +8,13 @@
 //! packs — the paper's "sub-linear time costs via sharing of unmodified
 //! octagons" (Sect. 7.2.1).
 
+use crate::frames::Frame;
 use crate::packs::Packs;
 use astree_domains::dtree::Lattice;
 use astree_domains::{Clocked, DecisionTree, Ellipsoid, FloatItv, IntItv, Octagon, Thresholds};
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
 use astree_pmap::{MergeOutcome, PMap};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -31,7 +33,7 @@ impl PackEnv {
     /// Builds a leaf from the current environment for the given cells.
     pub fn from_env(env: &AbsEnv, layout: &CellLayout, cells: &[CellId]) -> PackEnv {
         PackEnv {
-            cells: cells.iter().map(|c| (*c, env.get(*c, layout))).collect(),
+            cells: cells.iter().map(|c| (*c, env.read(*c, layout))).collect(),
             unreachable: env.is_bottom(),
         }
     }
@@ -218,7 +220,7 @@ impl AbsState {
                 .octagons
                 .iter()
                 .enumerate()
-                .map(|(i, p)| (i as u32, Octagon::top(p.cells.len())))
+                .map(|(i, _)| (i as u32, top_oct(packs, i)))
                 .collect(),
             dtrees: packs
                 .dtrees
@@ -231,6 +233,24 @@ impl AbsState {
             ellipses: (0..packs.ellipses.len()).map(|i| (i as u32, f64::INFINITY)).collect(),
             pending: (0..packs.ellipses.len()).map(|i| (i as u32, f64::INFINITY)).collect(),
             env,
+        }
+    }
+
+    /// A reachable state holding exactly the given cells and packs (the
+    /// cache decoder's constructor; filters come as `(pack, k, pending δ)`).
+    pub(crate) fn from_parts(
+        clock: IntItv,
+        cells: Vec<(CellId, CellVal)>,
+        octs: Vec<(usize, Octagon)>,
+        dtrees: Vec<(usize, DTree)>,
+        ells: Vec<(usize, f64, f64)>,
+    ) -> AbsState {
+        AbsState {
+            env: AbsEnv::from_cells(clock, cells),
+            octs: octs.into_iter().map(|(pi, o)| (pi as u32, o)).collect(),
+            dtrees: dtrees.into_iter().map(|(pi, t)| (pi as u32, t)).collect(),
+            ellipses: ells.iter().map(|(pi, k, _)| (*pi as u32, *k)).collect(),
+            pending: ells.iter().map(|(pi, _, d)| (*pi as u32, *d)).collect(),
         }
     }
 
@@ -252,9 +272,109 @@ impl AbsState {
         self.env.is_bottom()
     }
 
-    /// The octagon of pack `pi`.
-    pub fn oct(&self, pi: usize) -> &Octagon {
-        self.octs.get(&(pi as u32)).expect("pack index in range")
+    /// Cells and packs held, by map: equal sizes are what the binary
+    /// operations can afford to check of "same shape" on every call.
+    fn sizes(&self) -> [usize; 4] {
+        [self.env.len(), self.octs.len(), self.dtrees.len(), self.ellipses.len()]
+    }
+
+    /// `true` when both states track the same cells and hold the same packs
+    /// — the states of one frame, or two whole-program states. States of
+    /// different shape are never compared, joined or widened with each
+    /// other (⊥, which holds nothing, excepted).
+    pub fn same_shape(&self, other: &AbsState) -> bool {
+        self.env.same_cells(&other.env)
+            && self.octs.same_keys(&other.octs)
+            && self.dtrees.same_keys(&other.dtrees)
+            && self.ellipses.same_keys(&other.ellipses)
+    }
+
+    /// The state restricted to a frame: the frame's cells and packs with
+    /// the values they have here, and the clock.
+    #[must_use]
+    pub(crate) fn project(&self, frame: &Frame) -> AbsState {
+        if self.is_bottom() {
+            return AbsState::bottom();
+        }
+        AbsState {
+            env: self.env.project(&frame.cells),
+            octs: self.octs.pick(&frame.octs),
+            dtrees: self.dtrees.pick(&frame.dtrees),
+            ellipses: self.ellipses.pick(&frame.ells),
+            pending: self.pending.pick(&frame.ells),
+        }
+    }
+
+    /// Writes a framed call's result back: `pre` is the projection of this
+    /// state the callee ran on, `post` what it returned. Cells and packs
+    /// whose value is not bitwise the one in `pre` are written in place,
+    /// everything else — the whole state outside the frame included — is
+    /// left as it is; the clock is `post`'s; ⊥ propagates. A key of `pre`
+    /// that `post` no longer holds reads as ⊤ there and is written as ⊤, and
+    /// a key only `post` holds is written too, so the write-back is sound
+    /// even for a frame that missed something the callee touched.
+    pub(crate) fn absorb(
+        &mut self,
+        pre: &AbsState,
+        post: &AbsState,
+        layout: &CellLayout,
+        packs: &Packs,
+    ) {
+        if post.is_bottom() {
+            *self = AbsState::bottom();
+            return;
+        }
+        self.env.overlay_changed(&pre.env, &post.env, layout);
+        self.octs.overlay(&pre.octs, &post.octs, Octagon::same, |pi| top_oct(packs, *pi as usize));
+        self.dtrees.overlay(&pre.dtrees, &post.dtrees, dtree_same, |pi| {
+            top_dtree(layout, packs, *pi as usize)
+        });
+        self.ellipses.overlay(&pre.ellipses, &post.ellipses, f64_same, |_| f64::INFINITY);
+        self.pending.overlay(&pre.pending, &post.pending, f64_same, |_| f64::INFINITY);
+    }
+
+    /// Join of two arrivals at one program point that may belong to
+    /// different frames (a helper's statement is reached from every call
+    /// site): an absent key reads as ⊤, so a value only one side tracks
+    /// claims nothing and only the keys both sides hold survive.
+    #[must_use]
+    pub(crate) fn join_arrivals(
+        &self,
+        other: &AbsState,
+        layout: &CellLayout,
+        packs: &Packs,
+    ) -> AbsState {
+        if self.is_bottom() || other.is_bottom() || self.same_shape(other) {
+            return self.join(other, layout, packs);
+        }
+        self.restrict_to(other).join(&other.restrict_to(self), layout, packs)
+    }
+
+    /// The state restricted to the keys `other` holds too.
+    pub(crate) fn restrict_to(&self, other: &AbsState) -> AbsState {
+        fn common<V: Clone>(map: &PMap<u32, V>, other: &PMap<u32, V>) -> PMap<u32, V> {
+            map.filter_map(|k, v| other.contains_key(k).then(|| v.clone()))
+        }
+        AbsState {
+            env: self.env.restrict_to(&other.env),
+            octs: common(&self.octs, &other.octs),
+            dtrees: common(&self.dtrees, &other.dtrees),
+            ellipses: common(&self.ellipses, &other.ellipses),
+            pending: common(&self.pending, &other.ellipses),
+        }
+    }
+
+    /// The octagon of pack `pi`. Like [`AbsEnv::read`], reading a pack a
+    /// reachable state does not hold is a frame that under-approximates:
+    /// debug builds stop, release builds read ⊤.
+    pub fn oct(&self, pi: usize, packs: &Packs) -> Cow<'_, Octagon> {
+        match self.octs.get(&(pi as u32)) {
+            Some(o) => Cow::Borrowed(o),
+            None => {
+                debug_assert!(self.is_bottom(), "read of absent octagon pack {pi}");
+                Cow::Owned(top_oct(packs, pi))
+            }
+        }
     }
 
     /// Replaces the octagon of pack `pi`, in place where this state is the
@@ -265,9 +385,15 @@ impl AbsState {
         self.octs.set(pi as u32, o, Octagon::same);
     }
 
-    /// The decision tree of pack `pi`.
-    pub fn dtree(&self, pi: usize) -> &DTree {
-        self.dtrees.get(&(pi as u32)).expect("pack index in range")
+    /// The decision tree of pack `pi` (⊤ when absent, see [`AbsState::oct`]).
+    pub fn dtree(&self, pi: usize, layout: &CellLayout, packs: &Packs) -> Cow<'_, DTree> {
+        match self.dtrees.get(&(pi as u32)) {
+            Some(t) => Cow::Borrowed(t),
+            None => {
+                debug_assert!(self.is_bottom(), "read of absent decision-tree pack {pi}");
+                Cow::Owned(top_dtree(layout, packs, pi))
+            }
+        }
     }
 
     /// Replaces the decision tree of pack `pi` (no-op writes preserved).
@@ -275,9 +401,12 @@ impl AbsState {
         self.dtrees.set(pi as u32, t, dtree_same);
     }
 
-    /// The ellipsoid bound of pack `pi`.
+    /// The ellipsoid bound of pack `pi` (`+∞` when absent, see
+    /// [`AbsState::oct`]).
     pub fn ell(&self, pi: usize) -> f64 {
-        *self.ellipses.get(&(pi as u32)).expect("pack index in range")
+        let k = self.ellipses.get(&(pi as u32));
+        debug_assert!(k.is_some() || self.is_bottom(), "read of absent filter pack {pi}");
+        k.copied().unwrap_or(f64::INFINITY)
     }
 
     /// Replaces the ellipsoid bound of pack `pi` (no-op writes preserved).
@@ -285,14 +414,32 @@ impl AbsState {
         self.ellipses.set(pi as u32, k, f64_same);
     }
 
-    /// The pending `δ(k)` of pack `pi`.
+    /// The pending `δ(k)` of pack `pi` (`+∞` when absent, see
+    /// [`AbsState::oct`]).
     pub fn pending(&self, pi: usize) -> f64 {
-        *self.pending.get(&(pi as u32)).expect("pack index in range")
+        let k = self.pending.get(&(pi as u32));
+        debug_assert!(k.is_some() || self.is_bottom(), "read of absent filter pack {pi}");
+        k.copied().unwrap_or(f64::INFINITY)
     }
 
     /// Replaces the pending `δ(k)` of pack `pi` (no-op writes preserved).
     pub fn set_pending(&mut self, pi: usize, k: f64) {
         self.pending.set(pi as u32, k, f64_same);
+    }
+
+    /// `true` when the state holds octagon pack `pi`.
+    pub fn has_oct(&self, pi: usize) -> bool {
+        self.octs.contains_key(&(pi as u32))
+    }
+
+    /// `true` when the state holds decision-tree pack `pi`.
+    pub fn has_dtree(&self, pi: usize) -> bool {
+        self.dtrees.contains_key(&(pi as u32))
+    }
+
+    /// `true` when the state holds filter pack `pi`.
+    pub fn has_ell(&self, pi: usize) -> bool {
+        self.ellipses.contains_key(&(pi as u32))
     }
 
     /// Iterates over octagons.
@@ -321,6 +468,7 @@ impl AbsState {
         if other.is_bottom() {
             return self.clone();
         }
+        debug_assert_eq!(self.sizes(), other.sizes(), "join across shapes");
         let ellipses = self.ellipses.union_outcome(&other.ellipses, |k, a, b| {
             merged(a, b, f64_same, |a, b| {
                 let pi = *k as usize;
@@ -359,6 +507,7 @@ impl AbsState {
         if other.is_bottom() {
             return self.clone();
         }
+        debug_assert_eq!(self.sizes(), other.sizes(), "widening across shapes");
         let ellipses = self.ellipses.union_outcome(&other.ellipses, |k, a, b| {
             merged(a, b, f64_same, |a, b| {
                 let pi = *k as usize;
@@ -412,11 +561,11 @@ impl AbsState {
             && self.pending.ptr_eq(&other.pending)
     }
 
-    /// Inclusion `⊑`. A pack present on one side only reads as ⊤ there, so
-    /// left-only packs are always included; in practice every state carries
-    /// the full fixed `0..npacks` key set and the one-sided closures never
-    /// fire (right-only keeps its historical permissive answer for the
-    /// ellipse map, where ⊤ = +∞ is checkable).
+    /// Inclusion `⊑`, between states of the same shape only: a cell or pack
+    /// one side alone holds answers `false` (see [`AbsEnv::leq`]), so
+    /// [`crate::iterator::Iter`]'s post-fixpoint test rejects a stored
+    /// invariant, coverage witness or cache seed that belongs to another
+    /// frame, and the loop is solved in context.
     pub fn leq(&self, other: &AbsState) -> bool {
         if self.is_bottom() {
             return true;
@@ -425,14 +574,9 @@ impl AbsState {
             return false;
         }
         self.env.leq(&other.env)
-            && self.octs.all2(&other.octs, |_, _| true, |_, _| true, |_, a, b| a.leq_ref(b))
-            && self.dtrees.all2(&other.dtrees, |_, _| true, |_, _| true, |_, a, b| a.leq(b))
-            && self.ellipses.all2(
-                &other.ellipses,
-                |_, _| true,
-                |_, b| b.is_infinite(),
-                |_, a, b| a <= b,
-            )
+            && self.octs.all2(&other.octs, |_, _| false, |_, _| false, |_, a, b| a.leq_ref(b))
+            && self.dtrees.all2(&other.dtrees, |_, _| false, |_, _| false, |_, a, b| a.leq(b))
+            && self.ellipses.all2(&other.ellipses, |_, _| false, |_, _| false, |_, a, b| a <= b)
     }
 
     /// Bidirectional reduction between the environment and every relational
@@ -500,9 +644,9 @@ impl AbsState {
         // env → octagons, then octagons → env.
         for &pi in oct_ids {
             let pack = &packs.octagons[pi];
-            let mut oct = self.oct(pi).clone();
+            let mut oct = self.oct(pi, packs).into_owned();
             for (slot, cell) in pack.cells.iter().enumerate() {
-                let itv = float_view(self.env.get(*cell, layout));
+                let itv = float_view(self.env.read(*cell, layout));
                 if !itv.is_bottom() {
                     oct.refine_with_interval(slot, itv);
                 }
@@ -528,14 +672,14 @@ impl AbsState {
         }
         // dtrees → env (collapse) and env → dtrees (context meet).
         for &pi in dtree_ids {
-            let tree = self.dtree(pi).clone();
+            let tree = self.dtree(pi, layout, packs).into_owned();
             if tree.is_bottom() {
                 self.env.set_bottom();
                 return improved;
             }
             let collapsed = tree.collapse();
             for (cell, val) in &collapsed.cells {
-                let old = self.env.get(*cell, layout);
+                let old = self.env.read(*cell, layout);
                 let m = old.meet(val);
                 if m.is_bottom() {
                     self.env.set_bottom();
@@ -550,7 +694,7 @@ impl AbsState {
             let refined = tree.map(&|leaf: &PackEnv| {
                 let mut out = leaf.clone();
                 for (c, v) in &mut out.cells {
-                    let ev = env.get(*c, layout);
+                    let ev = env.read(*c, layout);
                     let m = v.meet(&ev);
                     if m.is_bottom() {
                         out.unreachable = true;
@@ -566,8 +710,8 @@ impl AbsState {
             let pack = &packs.ellipses[pi];
             let k = self.ell(pi);
             let ell = Ellipsoid { a: pack.a, b: pack.b, k };
-            let x = float_view(self.env.get(pack.x, layout));
-            let y = float_view(self.env.get(pack.y, layout));
+            let x = float_view(self.env.read(pack.x, layout));
+            let y = float_view(self.env.read(pack.y, layout));
             let reduced = ell.reduce_from_box(x, y);
             self.set_ell(pi, reduced.k);
             let xb = reduced.x_bound();
@@ -606,15 +750,20 @@ impl AbsState {
         post: &AbsState,
         eff: &crate::parallel::SliceEffects,
         layout: &CellLayout,
+        packs: &Packs,
     ) {
-        self.env.overlay_changed(&pre.env, &post.env);
+        self.env.overlay_changed(&pre.env, &post.env, layout);
         for &c in &eff.must_writes {
-            self.env.set(c, post.env.get(c, layout));
+            self.env.set(c, post.env.read(c, layout));
         }
         for &key in &eff.packs_write {
             match key {
-                crate::parallel::PackKey::Oct(pi) => self.set_oct(pi, post.oct(pi).clone()),
-                crate::parallel::PackKey::Dtree(pi) => self.set_dtree(pi, post.dtree(pi).clone()),
+                crate::parallel::PackKey::Oct(pi) => {
+                    self.set_oct(pi, post.oct(pi, packs).into_owned())
+                }
+                crate::parallel::PackKey::Dtree(pi) => {
+                    self.set_dtree(pi, post.dtree(pi, layout, packs).into_owned())
+                }
                 crate::parallel::PackKey::Ell(pi) => {
                     self.set_ell(pi, post.ell(pi));
                     self.set_pending(pi, post.pending(pi));
@@ -645,11 +794,11 @@ impl AbsState {
 
     /// Drops relational information about a cell (after a weak or imprecise
     /// update).
-    pub fn forget_cell(&mut self, cell: CellId, packs: &Packs) {
+    pub fn forget_cell(&mut self, cell: CellId, layout: &CellLayout, packs: &Packs) {
         if let Some(pids) = packs.oct_index.get(&cell) {
             for &pi in pids {
                 if let Some(slot) = packs.oct_slot(pi, cell) {
-                    let mut o = self.oct(pi).clone();
+                    let mut o = self.oct(pi, packs).into_owned();
                     o.forget(slot);
                     self.set_oct(pi, o);
                 }
@@ -658,7 +807,7 @@ impl AbsState {
         if let Some(pids) = packs.dtree_index.get(&cell) {
             for &pi in pids {
                 let pack = &packs.dtrees[pi];
-                let tree = self.dtree(pi);
+                let tree = self.dtree(pi, layout, packs);
                 let new = if pack.bools.contains(&cell) {
                     tree.forget(cell)
                 } else {
@@ -682,6 +831,19 @@ impl AbsState {
     }
 }
 
+/// The unconstrained octagon of pack `pi`.
+fn top_oct(packs: &Packs, pi: usize) -> Octagon {
+    Octagon::top(packs.octagons[pi].cells.len())
+}
+
+/// The unconstrained decision tree of pack `pi`: one reachable context in
+/// which every numeric member is ⊤.
+fn top_dtree(layout: &CellLayout, packs: &Packs, pi: usize) -> DTree {
+    let cells =
+        packs.dtrees[pi].nums.iter().map(|c| (*c, CellVal::top_of(layout.info(*c).ty))).collect();
+    DecisionTree::leaf(PackEnv { cells, unreachable: false })
+}
+
 /// Pre-join/widen reduction: replace an `∞` constraint by the box bound when
 /// the other side is finite, so a reinitialization branch does not wipe the
 /// filter invariant.
@@ -697,8 +859,8 @@ fn reduce_if_infinite(
         return k;
     }
     let pack = &packs.ellipses[pi];
-    let x = float_view(env.get(pack.x, layout));
-    let y = float_view(env.get(pack.y, layout));
+    let x = float_view(env.read(pack.x, layout));
+    let y = float_view(env.read(pack.y, layout));
     Ellipsoid { a: pack.a, b: pack.b, k: f64::INFINITY }.reduce_from_box(x, y).k
 }
 
@@ -731,7 +893,7 @@ pub fn meet_cell_with_float(
         env.set_bottom();
         return true;
     }
-    let old = env.get(cell, layout);
+    let old = env.read(cell, layout);
     let new = match old {
         CellVal::Float(f) => CellVal::Float(f.meet(itv)),
         CellVal::Int(mut c) => {
@@ -820,14 +982,14 @@ mod tests {
         let slot_x = packs.oct_slot(0, xc).expect("x in pack");
         let pack = &packs.octagons[0];
         let slot_y = (0..pack.cells.len()).find(|i| *i != slot_x).expect("y slot");
-        let mut oct = s.oct(0).clone();
+        let mut oct = s.oct(0, &packs).into_owned();
         oct.add_diff_le(slot_x, slot_y, -3.0);
         oct.add_upper(slot_y, 10.0);
         s.set_oct(0, oct);
         s.env = AbsEnv::top(&l);
         let improved = s.reduce(&l, &packs);
         assert!(improved > 0);
-        let x_after = float_view(s.env.get(xc, &l));
+        let x_after = float_view(s.env.read(xc, &l));
         assert!(x_after.hi <= 7.0 + 1e-9, "x ≤ y − 3 ≤ 7 expected, got {x_after}");
     }
 
@@ -846,7 +1008,7 @@ mod tests {
         let ac = l.scalar_cell(astree_ir::VarId(0));
         // Constrain both packs' octagons, then reduce only around `a`.
         for pi in 0..packs.octagons.len() {
-            let mut o = s.oct(pi).clone();
+            let mut o = s.oct(pi, &packs).into_owned();
             o.add_upper(0, 5.0);
             s.set_oct(pi, o);
         }
@@ -854,8 +1016,73 @@ mod tests {
         assert!(improved >= 1);
         // The pack not containing `a` was untouched: its cells stay ⊤.
         let dc = l.scalar_cell(astree_ir::VarId(3));
-        let d_itv = float_view(s.env.get(dc, &l));
+        let d_itv = float_view(s.env.read(dc, &l));
         assert_eq!(d_itv.hi, f64::INFINITY);
+    }
+
+    #[test]
+    fn absorb_writes_back_the_difference_and_top_for_dropped_keys() {
+        let (_, l, packs) = setup(
+            "int a; int b; int c; int d;
+             void main(void) {
+                 a = b + 1;
+                 if (a < b) { c = d + 2; if (c < d) { a = 0; } }
+             }",
+        );
+        assert!(packs.octagons.len() >= 2);
+        let cell = |v| l.scalar_cell(astree_ir::VarId(v));
+        let frame = Frame {
+            cells: packs.octagons[0].cells.clone(),
+            octs: vec![0],
+            dtrees: vec![],
+            ells: vec![],
+        };
+        let whole = AbsState::initial(&l, &packs);
+        let pre = whole.project(&frame);
+        assert_eq!((pre.env.len(), pre.octs.len()), (frame.cells.len(), 1));
+        assert!(!pre.same_shape(&whole) && !pre.leq(&whole) && !whole.leq(&pre));
+
+        // The callee moved one cell and one octagon: only those are written.
+        let mut post = pre.clone();
+        let five = CellVal::Int(Clocked::of_val(IntItv::singleton(5), post.env.clock));
+        post.env.set(frame.cells[0], five);
+        let mut oct = post.oct(0, &packs).into_owned();
+        oct.add_upper(0, 5.0);
+        post.set_oct(0, oct);
+        let mut caller = whole.clone();
+        caller.absorb(&pre, &post, &l, &packs);
+        assert!(caller.same_shape(&whole));
+        assert!(caller.env.read(frame.cells[0], &l).same(&five));
+        assert_eq!(caller.env.count_diff(&whole.env), 1);
+        assert!(caller.oct(0, &packs).same(&post.oct(0, &packs)));
+        assert!(caller.oct(1, &packs).same(&whole.oct(1, &packs)));
+
+        // A post-state that no longer holds a frame key reads ⊤ there.
+        let dropped = post.project(&Frame { cells: frame.cells[1..].to_vec(), ..Frame::default() });
+        let mut caller = whole.clone();
+        caller.absorb(&pre, &dropped, &l, &packs);
+        let top = CellVal::top_of(l.info(frame.cells[0]).ty);
+        assert!(caller.env.read(frame.cells[0], &l).same(&top));
+        assert!(caller.oct(0, &packs).same(&Octagon::top(packs.octagons[0].cells.len())));
+        assert!(caller.env.read(cell(3), &l).same(&whole.env.read(cell(3), &l)));
+
+        // ⊥ propagates.
+        let mut caller = whole.clone();
+        caller.absorb(&pre, &AbsState::bottom(), &l, &packs);
+        assert!(caller.is_bottom());
+    }
+
+    #[test]
+    fn arrivals_from_different_frames_join_on_their_common_keys() {
+        let (_, l, packs) = setup("int a; int b; int c; void main(void) { a = b + 1; c = a; }");
+        let whole = AbsState::initial(&l, &packs);
+        let cells: Vec<CellId> = l.iter().map(|(id, _)| id).collect();
+        let left = whole.project(&Frame { cells: cells[..2].to_vec(), ..Frame::default() });
+        let right = whole.project(&Frame { cells: cells[1..].to_vec(), ..Frame::default() });
+        let joined = left.join_arrivals(&right, &l, &packs);
+        assert_eq!(joined.env.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![cells[1]]);
+        assert!(whole.join_arrivals(&whole, &l, &packs).same_shape(&whole));
+        assert!(AbsState::bottom().join_arrivals(&left, &l, &packs).same_shape(&left));
     }
 
     #[test]
@@ -878,11 +1105,11 @@ mod tests {
         let mut s = AbsState::initial(&l, &packs);
         let xc = l.scalar_cell(astree_ir::VarId(0));
         let slot = packs.oct_slot(0, xc).expect("in pack");
-        let mut o = s.oct(0).clone();
+        let mut o = s.oct(0, &packs).into_owned();
         o.add_upper(slot, 5.0);
         s.set_oct(0, o);
-        s.forget_cell(xc, &packs);
-        let mut o = s.oct(0).clone();
+        s.forget_cell(xc, &l, &packs);
+        let mut o = s.oct(0, &packs).into_owned();
         o.close();
         assert_eq!(o.bounds(slot).hi, f64::INFINITY);
     }

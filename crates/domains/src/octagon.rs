@@ -361,7 +361,7 @@ impl Octagon {
     ///
     /// The matrix is the row-major `(2n)×(2n)` difference-bound matrix
     /// (expanded from the stored half matrix through coherence — the
-    /// on-disk `astree-cache/1` codec predates the half-matrix storage and
+    /// on-disk `astree-cache` octagon codec predates the half-matrix storage and
     /// stays format-compatible); the `closed` flag records whether strong
     /// closure has been applied. Feeding these three values back through
     /// [`Octagon::from_raw`] reconstructs a physically identical element.

@@ -2,7 +2,7 @@
 
 use crate::layout::{CellId, CellLayout};
 use astree_domains::{Clocked, FloatItv, IntItv, Thresholds};
-use astree_ir::{FloatKind, ScalarType};
+use astree_ir::ScalarType;
 use astree_pmap::{MergeOutcome, PMap};
 use std::fmt;
 
@@ -170,6 +170,12 @@ impl AbsEnv {
         AbsEnv { cells, clock, bottom: false }
     }
 
+    /// A reachable environment tracking exactly the given cells (the cache
+    /// decoder's constructor; values must not be ⊥).
+    pub fn from_cells(clock: IntItv, cells: impl IntoIterator<Item = (CellId, CellVal)>) -> AbsEnv {
+        AbsEnv { cells: cells.into_iter().collect(), clock, bottom: false }
+    }
+
     /// An environment with every cell ⊤ (used for entry points with unknown
     /// initial state).
     pub fn top(layout: &CellLayout) -> AbsEnv {
@@ -187,9 +193,57 @@ impl AbsEnv {
         self.bottom = true;
     }
 
-    /// Reads a cell (⊤ of the right kind when untracked).
+    /// Reads a cell (⊤ of the right kind when untracked). Total on purpose:
+    /// consumers that render a state they did not compute (the soundness
+    /// oracle's per-statement tables) rely on the ⊤ default. The analyzer's
+    /// own transfer functions go through [`AbsEnv::read`].
     pub fn get(&self, id: CellId, layout: &CellLayout) -> CellVal {
         self.cells.get(&id).copied().unwrap_or_else(|| CellVal::top_of(layout.info(id).ty))
+    }
+
+    /// [`AbsEnv::get`] for the analyzer's own read paths: a reachable
+    /// environment is only ever read at cells it tracks — a frame (see
+    /// `DESIGN.md`, "Frames") holds every cell its callee can touch — so an
+    /// untracked read is a frame that under-approximates. Debug builds stop
+    /// there; release builds read ⊤, which is imprecise but never unsound.
+    pub fn read(&self, id: CellId, layout: &CellLayout) -> CellVal {
+        debug_assert!(
+            self.bottom || self.cells.contains_key(&id),
+            "read of untracked cell {} ({})",
+            id.0,
+            layout.info(id).name
+        );
+        self.get(id, layout)
+    }
+
+    /// `true` when the environment tracks `id`.
+    pub fn tracks(&self, id: CellId) -> bool {
+        self.cells.contains_key(&id)
+    }
+
+    /// `true` when both environments track exactly the same cells.
+    pub fn same_cells(&self, other: &AbsEnv) -> bool {
+        self.cells.same_keys(&other.cells)
+    }
+
+    /// The environment restricted to `cells` (ascending): same clock, and of
+    /// `cells` those this environment tracks. ⊥ stays ⊥.
+    #[must_use]
+    pub fn project(&self, cells: &[CellId]) -> AbsEnv {
+        if self.bottom {
+            return AbsEnv::bottom();
+        }
+        AbsEnv { cells: self.cells.pick(cells), clock: self.clock, bottom: false }
+    }
+
+    /// The environment restricted to the cells `other` tracks too.
+    #[must_use]
+    pub fn restrict_to(&self, other: &AbsEnv) -> AbsEnv {
+        AbsEnv {
+            cells: self.cells.filter_map(|c, v| other.tracks(*c).then_some(*v)),
+            clock: self.clock,
+            bottom: self.bottom,
+        }
     }
 
     /// Strong update, in place: only the tree nodes another environment
@@ -214,7 +268,7 @@ impl AbsEnv {
         if self.bottom {
             return;
         }
-        let old = self.get(id, layout);
+        let old = self.read(id, layout);
         self.set(id, old.join(&val));
     }
 
@@ -325,14 +379,12 @@ impl AbsEnv {
     /// Inclusion test `⊑` (with the physical-equality shortcut at every
     /// level of the cell-tree walk).
     ///
-    /// Untracked cells read as ⊤ (see [`AbsEnv::get`]), which settles the
-    /// one-sided cases: a cell tracked only on the left is included in the
-    /// right's implicit ⊤, so it answers `true`; a cell tracked only on the
-    /// right requires the right-hand value to cover the left's implicit ⊤,
-    /// which without the layout at hand we approximate soundly by testing
-    /// against the widest ⊤ of the value's kind (conservatively `false` for
-    /// narrower float kinds). In practice every non-⊥ environment tracks
-    /// the full fixed cell layout, so neither closure fires.
+    /// Both sides must track the same cells: a cell tracked on one side only
+    /// answers `false`. An untracked cell reads as ⊤, so a left-only cell
+    /// would be included semantically — but environments of different shape
+    /// belong to different frames, and an invariant, coverage witness or
+    /// cache seed of another frame must be rejected, not compared on the
+    /// cells the two happen to share.
     pub fn leq(&self, other: &AbsEnv) -> bool {
         if self.bottom {
             return true;
@@ -341,39 +393,29 @@ impl AbsEnv {
             return false;
         }
         self.clock.leq(other.clock)
-            && self.cells.all2(
-                &other.cells,
-                |_, _| true,
-                |_, w| match w {
-                    CellVal::Int(c) => Clocked::TOP.leq(*c),
-                    CellVal::Float(x) => FloatItv::top_of(FloatKind::F64).leq(*x),
-                },
-                |_, a, b| a.leq(b),
-            )
+            && self.cells.all2(&other.cells, |_, _| false, |_, _| false, |_, a, b| a.leq(b))
     }
 
     /// Three-way overlay: applies onto `self` every cell whose value in
-    /// `post` differs from its value in `pre`.
+    /// `post` differs from its value in `pre`, the environment `post` was
+    /// computed from, and takes `post`'s clock.
     ///
-    /// Used by the parallel executor's deterministic merge: each slice runs
-    /// from the same `pre` state and its changes (`post` vs `pre`) are
-    /// overlaid in slice order. Cells with equal values are skipped even
+    /// Used by the parallel executor's deterministic merge (each slice runs
+    /// from the same `pre` state and its changes are overlaid in slice
+    /// order) and by a framed call's write-back (`pre` is the projection the
+    /// callee ran on). Cells with bitwise-equal values are skipped even
     /// when the underlying tree nodes differ (path copies from neighbouring
-    /// inserts), so an untouched cell never clobbers an earlier slice's
+    /// writes), so an untouched cell never clobbers an earlier slice's
     /// write; cells a slice *must* write but may have rewritten to their
-    /// pre value are forced separately via [`AbsEnv::set`].
-    pub fn overlay_changed(&mut self, pre: &AbsEnv, post: &AbsEnv) {
+    /// pre value are forced separately via [`AbsEnv::set`]. A cell `post`
+    /// no longer tracks reads as ⊤ there and is written as ⊤.
+    pub fn overlay_changed(&mut self, pre: &AbsEnv, post: &AbsEnv, layout: &CellLayout) {
         debug_assert!(!self.bottom && !pre.bottom && !post.bottom);
-        post.cells.diff2(&pre.cells, |k, post_v, pre_v| {
-            if let Some(v) = post_v {
-                // Bitwise comparison, not `PartialEq`: a slice that flips
-                // only a zero sign (+0.0 → -0.0) still shadows earlier
-                // slices, exactly as the sequential execution would.
-                let unchanged = matches!(pre_v, Some(p) if p.same(v));
-                if !unchanged {
-                    self.cells.set(*k, *v, CellVal::same);
-                }
-            }
+        // Bitwise comparison, not `PartialEq`: a slice that flips only a
+        // zero sign (+0.0 → -0.0) still shadows earlier slices, exactly as
+        // the sequential execution would.
+        self.cells.overlay(&pre.cells, &post.cells, CellVal::same, |c| {
+            CellVal::top_of(layout.info(*c).ty)
         });
         self.clock = post.clock;
     }
@@ -540,8 +582,8 @@ mod tests {
         let post_a = with(&pre, CellId(0), iv(7, pre.clock));
         let post_b = with(&pre, CellId(3), iv(9, pre.clock));
         let mut merged = pre.clone();
-        merged.overlay_changed(&pre, &post_a);
-        merged.overlay_changed(&pre, &post_b);
+        merged.overlay_changed(&pre, &post_a, &l);
+        merged.overlay_changed(&pre, &post_b, &l);
         match merged.get(CellId(0), &l) {
             CellVal::Int(c) => assert_eq!(c.val, IntItv::singleton(7)),
             other => panic!("{other:?}"),
@@ -555,23 +597,37 @@ mod tests {
     }
 
     #[test]
-    fn leq_with_strict_superset_of_cells() {
-        // Regression: `a` tracks a strict superset of `b`'s cells. The
-        // untracked cells read as ⊤ on `b`'s side, so `a ⊑ b` must hold
-        // whenever the common cells are included — the left-only closure
-        // used to answer `false` against its own comment.
+    fn leq_is_false_across_shapes() {
+        // Environments tracking different cells belong to different frames:
+        // neither is below the other, whatever the common cells hold.
         let (_, l) = small_layout();
         let a = AbsEnv::initial(&l);
-        let mut b = a.clone();
-        b.cells = b.cells.remove(&CellId(0));
+        let b = a.project(&[CellId(1), CellId(2), CellId(3), CellId(4)]);
         assert_eq!(b.len() + 1, a.len(), "b must track strictly fewer cells");
-        assert!(a.leq(&b), "tracked ⊑ implicit ⊤ on the right");
-        // The reverse direction: `b` reads ⊤ at cell 0 while `a` pins it to
-        // zero, so `b ⊑ a` must be false.
-        assert!(!b.leq(&a), "implicit ⊤ on the left is not below a finite value");
+        assert!(!a.same_cells(&b));
+        assert!(!a.leq(&b), "left-only cell");
+        assert!(!b.leq(&a), "right-only cell");
+        assert!(b.leq(&a.restrict_to(&b)) && a.restrict_to(&b).same_cells(&b));
         // And a genuine value violation on a common cell still fails.
         let wide = with(&a, CellId(0), CellVal::Int(Clocked::of_val(IntItv::new(0, 100), a.clock)));
         assert!(!wide.leq(&a));
+    }
+
+    #[test]
+    fn overlay_writes_top_for_a_cell_the_post_state_dropped() {
+        let (_, l) = small_layout();
+        let full = AbsEnv::initial(&l);
+        let pre = full.project(&[CellId(0), CellId(1)]);
+        let post = with(
+            &pre.project(&[CellId(0)]),
+            CellId(0),
+            CellVal::Int(Clocked::of_val(IntItv::singleton(4), pre.clock)),
+        );
+        let mut merged = full.clone();
+        merged.overlay_changed(&pre, &post, &l);
+        assert_eq!(merged.get(CellId(0), &l), post.get(CellId(0), &l));
+        assert!(merged.get(CellId(1), &l).same(&CellVal::top_of(l.info(CellId(1)).ty)));
+        assert_eq!(merged.count_diff(&full), 2, "cells outside the projection are untouched");
     }
 
     #[test]

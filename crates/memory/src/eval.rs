@@ -149,7 +149,7 @@ impl<'a> Evaluator<'a> {
         }
         let mut acc: Option<CellVal> = None;
         for c in &r.cells {
-            let v = env.get(*c, self.layout);
+            let v = env.read(*c, self.layout);
             acc = Some(match acc {
                 None => v,
                 Some(a) => a.join(&v),
@@ -377,7 +377,7 @@ impl<'a> Evaluator<'a> {
             Expr::Load(lv, ScalarType::Int(_)) => {
                 let r = self.resolve(env, lv);
                 if r.cells.len() == 1 && !r.may_oob {
-                    if let CellVal::Int(c) = env.get(r.cells[0], self.layout) {
+                    if let CellVal::Int(c) = env.read(r.cells[0], self.layout) {
                         return match mode {
                             OffsetMode::Minus => c.minus,
                             OffsetMode::Plus => c.plus,
@@ -418,7 +418,7 @@ impl<'a> Evaluator<'a> {
     /// The float interval of a cell (⊤ for int cells — linear forms only
     /// track float cells).
     pub fn float_cell(&self, env: &AbsEnv, c: CellId) -> FloatItv {
-        match env.get(c, self.layout) {
+        match env.read(c, self.layout) {
             CellVal::Float(f) => f,
             CellVal::Int(i) => {
                 if i.val.is_bottom() {
@@ -613,7 +613,7 @@ impl<'a> Evaluator<'a> {
                     return env;
                 }
                 let cell = r.cells[0];
-                let old = env.get(cell, self.layout);
+                let old = env.read(cell, self.layout);
                 let new = match (old, refined, ty) {
                     (CellVal::Int(c), AbsVal::Int(ri), ScalarType::Int(_)) => {
                         let mut m = c;
@@ -1064,7 +1064,7 @@ mod tests {
         assert_eq!(env.clock, IntItv::singleton(3));
         // Force the interval to top and check the clocked reduction.
         let cell = f.layout.scalar_cell(VarId(0));
-        if let CellVal::Int(mut c) = env.get(cell, &f.layout) {
+        if let CellVal::Int(mut c) = env.read(cell, &f.layout) {
             c.val = IntItv::TOP;
             let env2 = with(&env, cell, CellVal::Int(c));
             let (v, _) = ev.eval(&env2, &load(0));

@@ -271,6 +271,78 @@ impl PmapCounters {
     }
 }
 
+/// Frame usage of one analysis run: how the entry function's call
+/// statements ran, how large their frames are, and what the shape rules
+/// turned away.
+///
+/// Emitted once per run by the analysis session. The [`Collector`] sums the
+/// counts and pools the per-frame sizes across runs; the document reports
+/// the sizes as min/median/max.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct FrameCounters {
+    /// Call executions run on their frame.
+    pub calls_framed: u64,
+    /// Call executions run on the caller's state because the callee may
+    /// tick the clock.
+    pub calls_whole_wait: u64,
+    /// … because the callee's call tree exceeds the syntactic walk's depth.
+    pub calls_whole_depth_cap: u64,
+    /// … because the frame is too large a share of the cell layout.
+    pub calls_whole_not_small: u64,
+    /// Cache seeds not tried because they have another frame's shape.
+    pub seeds_rejected_shape: u64,
+    /// Checking-pass loop visits re-solved because the stored coverage
+    /// witness has another frame's shape.
+    pub witnesses_rejected_shape: u64,
+    /// Cells per frame, one entry per framed call statement.
+    pub cells_per_frame: Vec<u64>,
+    /// Relational packs (all kinds) per frame, same order.
+    pub packs_per_frame: Vec<u64>,
+}
+
+impl FrameCounters {
+    /// Sums the counts and pools the per-frame sizes.
+    pub fn add(&mut self, o: &FrameCounters) {
+        self.calls_framed += o.calls_framed;
+        self.calls_whole_wait += o.calls_whole_wait;
+        self.calls_whole_depth_cap += o.calls_whole_depth_cap;
+        self.calls_whole_not_small += o.calls_whole_not_small;
+        self.seeds_rejected_shape += o.seeds_rejected_shape;
+        self.witnesses_rejected_shape += o.witnesses_rejected_shape;
+        self.cells_per_frame.extend(&o.cells_per_frame);
+        self.packs_per_frame.extend(&o.packs_per_frame);
+    }
+
+    fn to_json(&self) -> Json {
+        let spread = |sizes: &[u64]| {
+            let mut v = sizes.to_vec();
+            v.sort_unstable();
+            let at = |i: usize| v.get(i).map_or(Json::Null, |n| Json::UInt(*n));
+            Json::obj([
+                ("min", at(0)),
+                ("median", at(v.len() / 2)),
+                ("max", at(v.len().saturating_sub(1))),
+            ])
+        };
+        Json::obj([
+            ("calls_framed", Json::UInt(self.calls_framed)),
+            (
+                "calls_whole",
+                Json::obj([
+                    ("wait", Json::UInt(self.calls_whole_wait)),
+                    ("depth_cap", Json::UInt(self.calls_whole_depth_cap)),
+                    ("not_small", Json::UInt(self.calls_whole_not_small)),
+                ]),
+            ),
+            ("frames", Json::UInt(self.cells_per_frame.len() as u64)),
+            ("cells_per_frame", spread(&self.cells_per_frame)),
+            ("packs_per_frame", spread(&self.packs_per_frame)),
+            ("seeds_rejected_shape", Json::UInt(self.seeds_rejected_shape)),
+            ("witnesses_rejected_shape", Json::UInt(self.witnesses_rejected_shape)),
+        ])
+    }
+}
+
 /// Work-stealing pool counters for one analysis run.
 ///
 /// Emitted once per run by the analysis session when a worker pool was
@@ -464,6 +536,10 @@ pub trait Recorder: Send + Sync {
     /// per run by the analysis session).
     fn pmap(&self, _c: &PmapCounters) {}
 
+    /// Frame usage of one analysis run (emitted once per run by the analysis
+    /// session).
+    fn frames(&self, _c: &FrameCounters) {}
+
     /// Octagon pack sizes (variable count per discovered pack), emitted
     /// once per run right after pack discovery. Feeds the pack-size
     /// histogram that backs the small-pack kernel dispatch policy.
@@ -612,6 +688,8 @@ pub struct Metrics {
     pub cache: CacheCounters,
     /// Persistent-map sharing counters, summed across recorded runs.
     pub pmap: PmapCounters,
+    /// Frame usage, summed across recorded runs.
+    pub frames: FrameCounters,
     /// Octagon pack-size histogram (variables per pack → pack count),
     /// summed across recorded runs. The mass at 2–3 variables is what
     /// justifies the specialized small-pack closure kernels.
@@ -841,6 +919,7 @@ impl Metrics {
             ("scheduler", scheduler),
             ("cache", cache),
             ("pmap", pmap),
+            ("core", Json::obj([("frames", self.frames.to_json())])),
             ("packs", packs),
             ("fleet", fleet),
         ])
@@ -1112,6 +1191,23 @@ impl Recorder for Collector {
         }
     }
 
+    fn frames(&self, c: &FrameCounters) {
+        self.metrics.lock().expect("collector poisoned").frames.add(c);
+        if self.trace_on {
+            self.push_trace(format!(
+                "frames: framed={} whole={}/{}/{} (wait/depth_cap/not_small) frames={} \
+                 seeds_rejected={} witnesses_rejected={}",
+                c.calls_framed,
+                c.calls_whole_wait,
+                c.calls_whole_depth_cap,
+                c.calls_whole_not_small,
+                c.cells_per_frame.len(),
+                c.seeds_rejected_shape,
+                c.witnesses_rejected_shape,
+            ));
+        }
+    }
+
     fn pack_sizes(&self, sizes: &[usize]) {
         {
             let mut m = self.metrics.lock().expect("collector poisoned");
@@ -1276,6 +1372,14 @@ mod tests {
             slab_bytes_freed: 128,
             ..Default::default()
         });
+        c.frames(&FrameCounters {
+            calls_framed: 7,
+            calls_whole_not_small: 1,
+            witnesses_rejected_shape: 2,
+            cells_per_frame: vec![51, 49, 60],
+            packs_per_frame: vec![15, 15, 16],
+            ..FrameCounters::default()
+        });
         c.pack_sizes(&[2, 2, 3, 2]);
         c.fleet(&FleetCounters {
             workers: 2,
@@ -1300,11 +1404,24 @@ mod tests {
             "scheduler",
             "cache",
             "pmap",
+            "core",
             "packs",
             "fleet",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }
+        let frames = j.get("core").and_then(|c| c.get("frames")).expect("core.frames");
+        assert_eq!(frames.get("calls_framed"), Some(&Json::UInt(7)));
+        assert_eq!(
+            frames.get("calls_whole").and_then(|w| w.get("not_small")),
+            Some(&Json::UInt(1))
+        );
+        let cells = frames.get("cells_per_frame").expect("cells_per_frame");
+        assert_eq!(
+            (cells.get("min"), cells.get("median"), cells.get("max")),
+            (Some(&Json::UInt(49)), Some(&Json::UInt(51)), Some(&Json::UInt(60)))
+        );
+        assert_eq!(frames.get("witnesses_rejected_shape"), Some(&Json::UInt(2)));
         let rendered = j.to_string();
         assert!(rendered.contains("\"div_by_zero\""));
         assert!(rendered.contains("\"batch_jobs\""));

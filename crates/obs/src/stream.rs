@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::{
-    events, AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, LoopDoneEvent, LoopIterEvent,
-    PoolCounters, Recorder, SliceEvent,
+    events, AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, FrameCounters, LoopDoneEvent,
+    LoopIterEvent, PoolCounters, Recorder, SliceEvent,
 };
 
 /// The schema identifier on the first line of every event stream.
@@ -213,6 +213,10 @@ impl Recorder for Fanout {
 
     fn fleet(&self, c: &FleetCounters) {
         fan!(self, fleet(c));
+    }
+
+    fn frames(&self, c: &FrameCounters) {
+        fan!(self, frames(c));
     }
 
     fn trace(&self, line: &str) {

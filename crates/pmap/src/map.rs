@@ -804,13 +804,53 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
     /// with the returned value.
     #[must_use]
     pub fn filter_map(&self, mut f: impl FnMut(&K, &V) -> Option<V>) -> Self {
-        let mut out = PMap::new();
-        for (k, v) in self.iter() {
-            if let Some(v2) = f(k, v) {
-                out = out.insert(k.clone(), v2);
+        self.iter().filter_map(|(k, v)| Some((k.clone(), f(k, v)?))).collect()
+    }
+
+    /// The bindings this map holds for `keys` (strictly ascending), as a map
+    /// of its own: one descent shared by all the keys — a node is visited
+    /// only if a key lies under it — instead of one lookup from the root per
+    /// key, and the result is built directly like any ascending input.
+    #[must_use]
+    pub fn pick(&self, keys: &[K]) -> Self {
+        fn go<K: Clone + Ord, V: Clone>(t: &Link<K, V>, keys: &[K], out: &mut Vec<(K, V)>) {
+            let (Some(n), false) = (t, keys.is_empty()) else { return };
+            let (below, above) = match keys.binary_search(&n.key) {
+                Ok(i) => (&keys[..i], &keys[i + 1..]),
+                Err(i) => (&keys[..i], &keys[i..]),
+            };
+            go(&n.left, below, out);
+            if below.len() + above.len() < keys.len() {
+                out.push((n.key.clone(), n.value.clone()));
             }
+            go(&n.right, above, out);
         }
-        out
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be strictly ascending");
+        let mut picked = Vec::with_capacity(keys.len());
+        go(&self.root, keys, &mut picked);
+        let n = picked.len();
+        PMap { root: build_ascending(&mut picked.into_iter(), n) }
+    }
+
+    /// Three-way overlay: writes into `self` (with [`PMap::set`]) what
+    /// `post` changed relative to `pre`, the map it was derived from. A key
+    /// bound in both to values for which `same` holds is skipped; a key whose
+    /// value differs, or that only `post` binds, takes `post`'s value; a key
+    /// `post` dropped takes `absent(key)`. Subtrees `post` still shares with
+    /// `pre` are skipped wholesale ([`PMap::diff2`]), so the cost is that of
+    /// the difference, not of the maps.
+    pub fn overlay(
+        &mut self,
+        pre: &Self,
+        post: &Self,
+        same: impl Fn(&V, &V) -> bool,
+        absent: impl Fn(&K) -> V,
+    ) {
+        post.diff2(pre, |k, post_v, pre_v| match (post_v, pre_v) {
+            (Some(v), Some(p)) if same(v, p) => {}
+            (Some(v), _) => self.set(k.clone(), v.clone(), &same),
+            (None, _) => self.set(k.clone(), absent(k), &same),
+        });
     }
 
     /// Applies `f` to every value, producing a new map with the same keys.
@@ -855,6 +895,12 @@ impl<K: Ord, V> PMap<K, V> {
         all2(&self.root, &other.root, &mut only_a, &mut only_b, &mut both)
     }
 
+    /// `true` when the two maps bind exactly the same keys (shared subtrees
+    /// are skipped like in [`PMap::all2`]).
+    pub fn same_keys(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.all2(other, |_, _| false, |_, _| false, |_, _, _| true)
+    }
+
     /// Visits, in ascending key order, the bindings of the two maps that lie
     /// in non-shared subtrees — bindings differing or present on one side
     /// only, plus any equal-valued bindings whose surrounding spine was path
@@ -890,10 +936,34 @@ impl<K: Ord, V> PMap<K, V> {
     }
 }
 
+/// Builds the balanced tree of the next `n` bindings of `it`, which arrive in
+/// strictly ascending key order: the middle binding becomes the root, so
+/// sibling sizes differ by at most one and every node is allocated once.
+fn build_ascending<K, V>(it: &mut impl Iterator<Item = (K, V)>, n: usize) -> Link<K, V> {
+    if n == 0 {
+        return None;
+    }
+    let left = build_ascending(it, n / 2);
+    let (key, value) = it.next().expect("the caller counted n bindings");
+    let right = build_ascending(it, n - n / 2 - 1);
+    create(key, value, left, right)
+}
+
+/// Strictly ascending input (what the analyzer feeds: cell ids and pack
+/// indices in layout order) is built in O(n) with one allocation per binding;
+/// anything else goes through `n` rebalancing inserts, the last binding of a
+/// key winning. The tree's shape depends only on the number of bindings, so
+/// two maps built from the same ascending keys are root-aligned all the way
+/// down.
 impl<K: Clone + Ord, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        let items: Vec<(K, V)> = iter.into_iter().collect();
+        if items.windows(2).all(|w| w[0].0 < w[1].0) {
+            let n = items.len();
+            return PMap { root: build_ascending(&mut items.into_iter(), n) };
+        }
         let mut m = PMap::new();
-        for (k, v) in iter {
+        for (k, v) in items {
             m = m.insert(k, v);
         }
         m

@@ -186,6 +186,64 @@ proptest! {
         prop_assert_eq!(n, want.len());
     }
 
+    /// `collect()` builds ascending input directly and anything else by
+    /// inserts: either way the result is a valid AVL tree holding what the
+    /// insert-built map holds (the last binding of a duplicated key).
+    #[test]
+    fn from_iter_matches_insert_built_map(
+        pairs in prop::collection::vec((0u16..512, any::<i32>()), 0..300),
+    ) {
+        let by_inserts = |input: &[(u16, i32)]| {
+            input.iter().fold(PMap::new(), |m, (k, v)| m.insert(*k, *v))
+        };
+        let model: BTreeMap<u16, i32> = pairs.iter().copied().collect();
+        let sorted: Vec<(u16, i32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        let reversed: Vec<(u16, i32)> = sorted.iter().rev().copied().collect();
+        let duplicated: Vec<(u16, i32)> =
+            sorted.iter().flat_map(|(k, v)| [(*k, v.wrapping_add(1)), (*k, *v)]).collect();
+        for input in [&sorted, &reversed, &duplicated, &pairs] {
+            let built: PMap<u16, i32> = input.iter().copied().collect();
+            built.assert_invariants();
+            prop_assert_eq!(&built, &by_inserts(input));
+            prop_assert_eq!(built.len(), model.len());
+        }
+        let built: PMap<u16, i32> = sorted.iter().copied().collect();
+        // `pick` is the lookup of each key, in one descent.
+        let wanted: Vec<u16> = (0u16..512).filter(|k| k % 3 != 1).collect();
+        let picked = by_inserts(&pairs).pick(&wanted);
+        picked.assert_invariants();
+        let looked_up: PMap<u16, i32> =
+            wanted.iter().filter_map(|k| Some((*k, *model.get(k)?))).collect();
+        prop_assert_eq!(&picked, &looked_up);
+        let again: PMap<u16, i32> = sorted.iter().map(|(k, v)| (*k, v.wrapping_mul(3))).collect();
+        prop_assert!(built.same_keys(&again));
+        prop_assert_eq!(built.same_keys(&again.remove(&sorted.first().map_or(0, |p| p.0))),
+                        sorted.is_empty());
+    }
+
+    /// `overlay` writes into a third map exactly what `post` changed against
+    /// `pre`: changed and added keys take `post`'s value, dropped keys the
+    /// `absent` value, everything else keeps what the target held.
+    #[test]
+    fn overlay_applies_the_difference(ops_a in ops(), ops_b in ops(), ops_c in ops()) {
+        let (pre, m_pre) = run(&ops_a);
+        let (post, m_post) = apply(pre.clone(), m_pre.clone(), &ops_b);
+        let (mut into, mut m_into) = apply(pre.clone(), m_pre.clone(), &ops_c);
+        into.overlay(&pre, &post, |a, b| a == b, |_| -1);
+        into.assert_invariants();
+        let keys: BTreeSet<u16> = m_pre.keys().chain(m_post.keys()).copied().collect();
+        for k in keys {
+            match (m_post.get(&k), m_pre.get(&k)) {
+                (Some(v), p) if p != Some(v) => { m_into.insert(k, *v); }
+                (None, Some(_)) => { m_into.insert(k, -1); }
+                _ => {}
+            }
+        }
+        let got: Vec<(u16, i32)> = into.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(u16, i32)> = m_into.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn set_subset_matches_model(xs in prop::collection::btree_set(0u16..64, 0..32),
                                 ys in prop::collection::btree_set(0u16..64, 0..32)) {

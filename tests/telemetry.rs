@@ -221,6 +221,31 @@ fn json_document_has_the_documented_shape() {
     for key in ["stages", "slices", "merges", "merge_nanos", "fallbacks", "batch_jobs"] {
         assert!(sched.get(key).is_some(), "scheduler key {key}");
     }
+    // `core.frames`: every call of the entry function is accounted for, on
+    // its frame or on the caller's state with the reason.
+    let frames = j.get("core").and_then(|c| c.get("frames")).expect("core.frames");
+    for key in [
+        "calls_framed",
+        "calls_whole",
+        "frames",
+        "cells_per_frame",
+        "packs_per_frame",
+        "seeds_rejected_shape",
+        "witnesses_rejected_shape",
+    ] {
+        assert!(frames.get(key).is_some(), "core.frames key {key}");
+    }
+    let whole = frames.get("calls_whole").unwrap();
+    for key in ["wait", "depth_cap", "not_small"] {
+        assert!(whole.get(key).is_some(), "core.frames.calls_whole key {key}");
+    }
+    let count = |j: Option<&Json>| match j {
+        Some(Json::UInt(n)) => *n,
+        other => panic!("not a count: {other:?}"),
+    };
+    let calls = count(frames.get("calls_framed"))
+        + ["wait", "depth_cap", "not_small"].iter().map(|k| count(whole.get(k))).sum::<u64>();
+    assert!(calls > 0, "a 2-channel member calls its two stepK every iteration");
     let rendered = j.to_string();
     assert_eq!(rendered.matches('{').count(), rendered.matches('}').count());
     assert!(rendered.contains("\"div_by_zero\""));
