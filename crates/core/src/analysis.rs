@@ -337,7 +337,7 @@ impl<'a> AnalysisSession<'a> {
             cache_ctx = Some((key, program_fp, fps, store_before));
         }
 
-        // One persistent work-stealing pool for the whole session (both
+        // One persistent worker pool for the whole session (both
         // phases): stages pay queue pushes, not thread spawns. An external
         // pool (the daemon's warm one) is reused as-is; otherwise one is
         // created only when `jobs > 1` *and* only after the cache-hit early
@@ -408,7 +408,9 @@ impl<'a> AnalysisSession<'a> {
                 rec.pool(&PoolCounters {
                     workers: s.workers as u64,
                     tasks: s.tasks,
-                    steals: s.steals,
+                    // One shared queue: nothing to steal. The slot stays
+                    // for readers of `astree-metrics/1`.
+                    steals: 0,
                     max_queue_depth: s.max_queue_depth,
                     busy_nanos: s.busy_nanos,
                 });

@@ -107,14 +107,11 @@ pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
         dtree_pack_bool_cap,
         octagon_pack_filter,
         octagon_packs_extra,
-        // Slicing, flat or nested, at any worker count is bit-identical to
-        // the sequential analysis (`tests/parallel`).
+        // Slicing at any worker count is bit-identical to the sequential
+        // analysis (`tests/parallel`).
         jobs: _,
-        nested_slicing: _,
-        nested_cost_fraction: _,
-        // Replayed stages and forced-steal placements are bit-identical too.
+        // Replayed stages are bit-identical too.
         debug_panic_slice: _,
-        debug_force_steal: _,
         // Disables pure fast paths; results are bit-identical by contract.
         debug_no_ptr_shortcuts: _,
         // Only adds per-statement captures; alarms and invariants unchanged.

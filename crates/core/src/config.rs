@@ -69,29 +69,16 @@ pub struct AnalysisConfig {
     pub octagon_packs_extra: Vec<Vec<String>>,
     /// Worker threads for intra-analysis parallelism (Monniaux's
     /// partition-and-join scheme). `1` (the default) runs the purely
-    /// sequential interpreter; `N > 1` slices independent top-level
-    /// statement runs across `N` workers and merges the slice deltas in a
-    /// fixed order, so alarms and invariants are identical for every value.
+    /// sequential interpreter; `N > 1` slices runs of independent statements
+    /// of the synchronous loop's dispatch across `N` workers and merges the
+    /// slice deltas in a fixed order, so alarms and invariants are identical
+    /// for every value.
     pub jobs: usize,
     /// Fault injection for tests: the parallel worker running this slice
     /// index panics, exercising the panic-isolation fallback (the stage is
     /// replayed sequentially and the reason lands in the metrics output).
     #[doc(hidden)]
     pub debug_panic_slice: Option<usize>,
-    /// Recurse one level into fat top-level `if` statements and submit their
-    /// branch-block slices as independently stealable tasks (nested slicing).
-    /// Off means top-level-only slicing, as in previous releases.
-    pub nested_slicing: bool,
-    /// A top-level statement is "fat" (worth nested slicing) when its
-    /// measured cost from the previous iteration exceeds this fraction of
-    /// the stage's total cost. Also the split threshold for cost-guided
-    /// chunking.
-    pub nested_cost_fraction: f64,
-    /// Fault injection for tests: seeds an adversarial pseudo-random initial
-    /// task placement in the worker pool so steals are forced; the result
-    /// must stay bit-identical to the unseeded run.
-    #[doc(hidden)]
-    pub debug_force_steal: Option<u64>,
     /// Disables every pointer-equality shortcut in the persistent-map layer
     /// (root/interior merge shortcuts, identity-preserving no-op inserts,
     /// `diff2`/`all2` shared-subtree skips and the iterator's `ptr_eq` fast
@@ -139,9 +126,6 @@ impl Default for AnalysisConfig {
             octagon_packs_extra: Vec::new(),
             jobs: 1,
             debug_panic_slice: None,
-            nested_slicing: true,
-            nested_cost_fraction: 0.25,
-            debug_force_steal: None,
             debug_no_ptr_shortcuts: false,
             collect_stmt_invariants: false,
         }

@@ -157,25 +157,12 @@ pub struct Iter<'a> {
     /// Persistent-map counters drained from worker slices (the main thread's
     /// own counters stay in its thread-local and are drained by the session).
     pub(crate) pmap_worker_stats: astree_pmap::PmapStats,
-    /// Whether the top-level dispatch may be sliced across workers
+    /// Whether the synchronous loop's dispatch may be sliced across workers
     /// (Monniaux's partition-and-join scheme); disabled inside workers.
     par_enabled: bool,
-    /// The persistent work-stealing pool slices run on; `None` (sessions
-    /// with `jobs == 1`, worker iterators) never slices.
+    /// The session's worker pool slices run on; `None` (sessions with
+    /// `jobs == 1`, worker iterators) never slices.
     pub(crate) pool: Option<&'a astree_sched::WorkerPool>,
-    /// Per-statement cost (nanos) measured the last time the statement ran
-    /// in a staged block; feeds cost-guided chunking and the fat-statement
-    /// test for nested slicing. Purely a scheduling hint: any chunking of a
-    /// parallel stage merges identically.
-    stmt_cost: HashMap<StmtId, u64>,
-    /// How many `if` branch levels below a staged block the current block
-    /// sits at (0 = the staged block itself). Nested slicing recurses one
-    /// level only.
-    branch_level: u32,
-    /// Whether the statement currently executing on the main iterator was
-    /// measured fat enough (cost share ≥ `nested_cost_fraction`) for its
-    /// branch blocks to be worth slicing.
-    nested_fat: bool,
     /// Cached stage plans, keyed by the first statement of the block.
     plans: HashMap<StmtId, Arc<crate::parallel::BlockPlan>>,
     /// Telemetry sink (the no-op recorder by default).
@@ -212,8 +199,6 @@ struct SliceOut {
     stats: IterStats,
     oct_useful: Vec<usize>,
     wall: Duration,
-    /// Per-statement cost, fed back into the chunking heuristic.
-    stmt_nanos: Vec<(StmtId, u64)>,
     /// Octagon closures the ref fast paths skipped on this slice's thread.
     saved_closures: u64,
     /// Persistent-map counters drained from this slice's thread.
@@ -283,9 +268,6 @@ impl<'a> Iter<'a> {
             pmap_worker_stats: astree_pmap::PmapStats::default(),
             par_enabled: false,
             pool: None,
-            stmt_cost: HashMap::new(),
-            branch_level: 0,
-            nested_fat: true,
             plans: HashMap::new(),
             rec: &astree_obs::NULL,
             rec_on: false,
@@ -344,31 +326,12 @@ impl<'a> Iter<'a> {
     fn exec_block(
         &mut self,
         flow: &mut Flow,
-        block: &Block,
+        block: &[Stmt],
         ret_target: Option<&Lvalue>,
         partitioning: bool,
         depth: u32,
     ) {
-        // Top-level blocks (the entry dispatch and the synchronous loop's
-        // body) may be sliced across workers when `jobs > 1`. Branch blocks
-        // of a fat `if` may be sliced one level deeper (nested slicing),
-        // their sub-slices becoming stealable tasks on the pool.
-        let nest_ok = self.branch_level == 0
-            || (self.config.nested_slicing && self.branch_level == 1 && self.nested_fat);
-        if self.par_enabled
-            && depth == 0
-            && !partitioning
-            && nest_ok
-            && block.len() >= 2
-            && flow.parts.len() == 1
-            && !flow.parts[0].is_bottom()
-        {
-            self.exec_block_staged(flow, block, ret_target, depth);
-            return;
-        }
         for s in block {
-            // A lone statement is the whole block's cost: always fat.
-            self.nested_fat = true;
             self.exec_stmt(flow, s, ret_target, partitioning, depth);
             flow.parts.retain(|p| !p.is_bottom());
             if flow.parts.is_empty() {
@@ -377,24 +340,10 @@ impl<'a> Iter<'a> {
         }
     }
 
-    /// Cost share of `s` within `block` per the last measurements, deciding
-    /// whether its branch blocks are worth nested slicing. Unmeasured blocks
-    /// (first iteration, cold cache) count as fat — recursing is how the
-    /// costs get measured.
-    fn is_fat(&self, block: &Block, s: &Stmt) -> bool {
-        let total: u64 =
-            block.iter().map(|s| self.stmt_cost.get(&s.id).copied().unwrap_or(0)).sum();
-        if total == 0 {
-            return true;
-        }
-        let cost = self.stmt_cost.get(&s.id).copied().unwrap_or(0);
-        cost as f64 >= self.config.nested_cost_fraction.clamp(0.0, 1.0) * total as f64
-    }
-
-    /// Executes a block stage by stage, slicing parallel stages across
-    /// `config.jobs` workers. Statement order inside each stage's merge is
-    /// fixed, so the result is bit-identical to the sequential interpreter
-    /// for every worker count.
+    /// Executes the body of a depth-0 loop — the synchronous loop's dispatch
+    /// — stage by stage, slicing parallel stages across the worker pool.
+    /// Statement order inside each stage's merge is fixed, so the result is
+    /// bit-identical to the sequential interpreter for every worker count.
     fn exec_block_staged(
         &mut self,
         flow: &mut Flow,
@@ -405,95 +354,46 @@ impl<'a> Iter<'a> {
         let plan = match self.plans.get(&block[0].id) {
             Some(p) => Arc::clone(p),
             None => {
+                let t0 = self.rec_on.then(Instant::now);
                 let p = Arc::new(crate::parallel::plan_block(
                     self.program,
                     self.layout,
                     self.packs,
                     block,
+                    self.config.jobs,
                 ));
+                if let Some(t0) = t0 {
+                    self.rec.plan(Self::nanos_since(t0));
+                }
                 self.plans.insert(block[0].id, Arc::clone(&p));
                 p
             }
         };
-        if !plan.parallel {
-            // No stage can be sliced: plain sequential execution.
-            for s in block {
-                self.exec_stmt_timed(flow, block, s, ret_target, depth);
-                flow.parts.retain(|p| !p.is_bottom());
+        for (stage, slices) in plan.stages.iter().zip(&plan.slices) {
+            let run_par = stage.parallel && flow.parts.len() == 1 && !flow.parts[0].is_bottom();
+            if !run_par || !self.exec_stage_parallel(flow, block, slices, ret_target, depth) {
+                self.exec_block(flow, &block[stage.range()], ret_target, false, depth);
                 if flow.parts.is_empty() {
                     return;
                 }
             }
-            return;
-        }
-        for stage in &plan.stages {
-            let run_par = stage.parallel
-                && self.config.jobs > 1
-                && flow.parts.len() == 1
-                && !flow.parts[0].is_bottom();
-            if !run_par || !self.exec_stage_parallel(flow, block, &plan, stage, ret_target, depth) {
-                for s in &block[stage.range()] {
-                    self.exec_stmt_timed(flow, block, s, ret_target, depth);
-                    flow.parts.retain(|p| !p.is_bottom());
-                    if flow.parts.is_empty() {
-                        return;
-                    }
-                }
-            }
         }
     }
 
-    /// Executes one statement of a staged block on the main iterator,
-    /// recording its cost (the chunking heuristic for the next encounter —
-    /// staged blocks re-run every fixpoint iteration) and flagging whether
-    /// it is fat enough for nested slicing of its branch blocks.
-    fn exec_stmt_timed(
-        &mut self,
-        flow: &mut Flow,
-        block: &Block,
-        s: &Stmt,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) {
-        self.nested_fat = self.is_fat(block, s);
-        let t0 = Instant::now();
-        self.exec_stmt(flow, s, ret_target, false, depth);
-        self.stmt_cost.insert(s.id, Self::nanos_since(t0));
-    }
-
-    /// Runs one parallel stage: the statement range is chunked into
-    /// contiguous slices, each slice is analyzed from the shared pre-state by
-    /// a fresh worker iterator, and the slice deltas are overlaid in slice
-    /// order. Returns `false` (leaving the flow untouched) when the stage
-    /// must be replayed sequentially instead.
+    /// Runs one parallel stage: each of its slices (cut when the block was
+    /// planned) is analyzed from the shared pre-state by a fresh worker
+    /// iterator, and the slice deltas are overlaid in slice order. Returns
+    /// `false` (leaving the flow untouched) when the stage must be replayed
+    /// sequentially instead.
     fn exec_stage_parallel(
         &mut self,
         flow: &mut Flow,
         block: &Block,
-        plan: &crate::parallel::BlockPlan,
-        stage: &astree_sched::Stage,
+        slices: &[crate::parallel::Slice],
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> bool {
         let Some(pool) = self.pool else { return false };
-        let stmts = &block[stage.range()];
-        // Chunk by last-measured statement cost when available (zero-cost
-        // vectors fall back to equal counts); chunks above the cost-fraction
-        // threshold are split further into stealable tasks.
-        let costs: Vec<u64> =
-            stmts.iter().map(|s| self.stmt_cost.get(&s.id).copied().unwrap_or(0)).collect();
-        let chunks = astree_sched::cost_chunk_ranges(
-            stmts.len(),
-            self.config.jobs,
-            Some(&costs),
-            self.config.nested_cost_fraction,
-        );
-        if chunks.len() < 2 {
-            if self.rec_on {
-                self.rec.fallback("too_few_chunks");
-            }
-            return false;
-        }
         let pre = flow.parts[0].clone();
         let mode = self.mode;
         let program = self.program;
@@ -511,7 +411,7 @@ impl<'a> Iter<'a> {
         // (which is safe — nothing of the stage has been committed yet).
         // `AssertUnwindSafe` is sound here because a panicked slice's entire
         // result is discarded and the captured state is read-only.
-        let worker = |ci: usize, r: std::ops::Range<usize>| {
+        let worker = |ci: usize, slice: &crate::parallel::Slice| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if panic_slice == Some(ci) {
                     panic!("injected slice fault (debug_panic_slice)");
@@ -538,16 +438,7 @@ impl<'a> Iter<'a> {
                     w.cover = cover_map.clone();
                 }
                 let mut wf = Flow { parts: vec![pre.clone()], returned: AbsState::bottom() };
-                let mut stmt_nanos = Vec::with_capacity(r.len());
-                for s in &stmts[r] {
-                    let ts = Instant::now();
-                    w.exec_stmt(&mut wf, s, ret_target, false, depth);
-                    stmt_nanos.push((s.id, Self::nanos_since(ts)));
-                    wf.parts.retain(|p| !p.is_bottom());
-                    if wf.parts.is_empty() {
-                        break;
-                    }
-                }
+                w.exec_block(&mut wf, &block[slice.range.clone()], ret_target, false, depth);
                 let post = if wf.parts.len() == 1 { Some(wf.parts.pop().unwrap()) } else { None };
                 SliceOut {
                     post,
@@ -558,14 +449,13 @@ impl<'a> Iter<'a> {
                     stats: w.stats,
                     oct_useful: w.oct_useful,
                     wall: t0.elapsed(),
-                    stmt_nanos,
                     saved_closures: astree_domains::take_saved_closures(),
                     pmap_stats: astree_pmap::take_stats(),
                 }
             }))
             .ok()
         };
-        let results = pool.scatter_seeded(config.debug_force_steal, chunks.clone(), worker);
+        let results = pool.scatter(slices.iter().collect(), worker);
 
         if results.iter().any(|r| r.is_none()) {
             if self.rec_on {
@@ -591,7 +481,7 @@ impl<'a> Iter<'a> {
                 self.rec.slice(&SliceEvent {
                     stage: stage_no,
                     index: ci,
-                    stmts: chunks[ci].len(),
+                    stmts: slices[ci].range.len(),
                     nanos: r.wall.as_nanos() as u64,
                 });
             }
@@ -601,11 +491,7 @@ impl<'a> Iter<'a> {
         let mut saved_closures = 0u64;
         for (ci, out) in results.into_iter().enumerate() {
             let post = out.post.expect("checked above");
-            let r = &chunks[ci];
-            let eff = crate::parallel::slice_effects(
-                &plan.footprints[stage.start + r.start..stage.start + r.end],
-            );
-            merged.overlay_from(&pre, &post, &eff, self.layout, self.packs);
+            merged.overlay_from(&pre, &post, &slices[ci].effects, self.layout, self.packs);
             if mode == Mode::Iterate {
                 for (id, inv) in out.invariants {
                     self.invariants.insert(id, inv);
@@ -619,9 +505,6 @@ impl<'a> Iter<'a> {
             for (pi, n) in out.oct_useful.into_iter().enumerate() {
                 self.oct_useful[pi] += n;
             }
-            for (sid, ns) in out.stmt_nanos {
-                self.stmt_cost.insert(sid, ns);
-            }
             saved_closures += out.saved_closures;
             self.pmap_worker_stats.absorb(&out.pmap_stats);
         }
@@ -629,10 +512,10 @@ impl<'a> Iter<'a> {
             self.rec.domain_op_n("octagon", "closure_saved", saved_closures, 0);
         }
         if let Some(t0) = t_merge {
-            self.rec.merge(stage_no, chunks.len(), Self::nanos_since(t0));
+            self.rec.merge(stage_no, slices.len(), Self::nanos_since(t0));
         }
         self.stats.par_stages += 1;
-        self.stats.par_slices += chunks.len() as u64;
+        self.stats.par_slices += slices.len() as u64;
         flow.parts[0] = merged;
         true
     }
@@ -674,19 +557,12 @@ impl<'a> Iter<'a> {
                 }
                 let parts = std::mem::take(&mut flow.parts);
                 let mut merged: Vec<AbsState> = Vec::new();
-                // Branch blocks sit one slice level deeper; `nested_fat`
-                // (set for this `if` by the staged caller) must be restored
-                // before each branch since a sliced branch clobbers it.
-                let fat = self.nested_fat;
-                self.branch_level += 1;
                 for p in parts {
                     let t_in = self.state_guard(p.clone(), c, true);
                     let f_in = self.state_guard(p, c, false);
                     let mut tf = Flow { parts: vec![t_in], returned: AbsState::bottom() };
-                    self.nested_fat = fat;
                     self.exec_block(&mut tf, then_b, ret_target, partitioning, depth);
                     let mut ff = Flow { parts: vec![f_in], returned: AbsState::bottom() };
-                    self.nested_fat = fat;
                     self.exec_block(&mut ff, else_b, ret_target, partitioning, depth);
                     flow.returned = flow.returned.join(&tf.returned, self.layout, self.packs);
                     flow.returned = flow.returned.join(&ff.returned, self.layout, self.packs);
@@ -701,7 +577,6 @@ impl<'a> Iter<'a> {
                         merged.push(j);
                     }
                 }
-                self.branch_level -= 1;
                 // Cap the number of live partitions.
                 if merged.len() > self.config.max_partitions {
                     let mut j = AbsState::bottom();
@@ -1201,8 +1076,15 @@ impl<'a> Iter<'a> {
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> AbsState {
+        // The one place a block is sliced: the body of a depth-0 loop, i.e.
+        // the synchronous loop's dispatch (worker iterators never slice).
+        let staged = self.par_enabled && depth == 0 && body.len() >= 2 && !state.is_bottom();
         let mut flow = Flow { parts: vec![state], returned: AbsState::bottom() };
-        self.exec_block(&mut flow, body, ret_target, false, depth);
+        if staged {
+            self.exec_block_staged(&mut flow, body, ret_target, depth);
+        } else {
+            self.exec_block(&mut flow, body, ret_target, false, depth);
+        }
         // `return` inside a loop leaves the function, not the loop; the
         // returned state is handled by the caller via `flow.returned`, which
         // we conservatively fold into the enclosing function by re-joining.

@@ -7,11 +7,11 @@
 //!
 //! This module computes, per top-level statement, a conservative *footprint*
 //! — which cells the statement may read from the pre-state, which it may or
-//! must write, which relational packs it consults or replaces — and groups
-//! consecutive statements into parallel stages via [`astree_sched`]. A pair
-//! of statements may share a stage only when running them from the same
-//! pre-state and overlaying their effects in statement order is
-//! observationally identical to running them in sequence.
+//! must write, which relational packs it consults or replaces — groups
+//! consecutive statements into parallel stages, and cuts each parallel stage
+//! into equal slices. A pair of statements may share a stage only when
+//! running them from the same pre-state and overlaying their effects in
+//! statement order is observationally identical to running them in sequence.
 
 use crate::packs::Packs;
 use crate::substitute::substitute_block;
@@ -19,8 +19,8 @@ use astree_ir::{
     Access, Block, CallArg, Expr, FuncId, Lvalue, Program, Stmt, StmtId, StmtKind, Type, VarId,
 };
 use astree_memory::{CellId, CellLayout};
-use astree_sched::Stage;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 /// Call depth beyond which the walker gives up and declares the statement a
 /// barrier (runs alone, in order — always sound).
@@ -98,35 +98,125 @@ pub(crate) fn slice_effects(fps: &[Footprint]) -> SliceEffects {
     out
 }
 
-/// The cached execution plan of one block: per-statement footprints and the
-/// contiguous stages they group into.
+/// A contiguous run of statements executed together.
+///
+/// Contiguity matters for determinism: slices are contiguous chunks of the
+/// original order, so "later slice wins" during the overlay coincides with
+/// "later statement wins" in the sequential run, for any worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stage {
+    /// Index of the first statement of the stage.
+    pub start: usize,
+    /// Number of statements in the stage.
+    pub len: usize,
+    /// Whether the stage runs sliced: two or more pairwise independent
+    /// statements.
+    pub parallel: bool,
+}
+
+impl Stage {
+    /// The statement index range covered by this stage.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// Groups statements into maximal contiguous stages: a barrier runs alone,
+/// and a stage grows while the next statement need not observe any member
+/// so far — tested against the members' accumulated writes, which is the
+/// pairwise [`Footprint::conflicts_with_later`] test at linear cost.
+pub(crate) fn plan_stages(footprints: &[Footprint]) -> Vec<Stage> {
+    let mut stages = Vec::new();
+    let mut start = 0;
+    while start < footprints.len() {
+        let mut members = Footprint::default();
+        let mut end = start;
+        while end < footprints.len()
+            && (end == start || !members.conflicts_with_later(&footprints[end]))
+        {
+            let fp = &footprints[end];
+            members.barrier |= fp.barrier;
+            members.writes.extend(fp.writes.iter().copied());
+            members.packs_write.extend(fp.packs_write.iter().copied());
+            end += 1;
+        }
+        stages.push(Stage { start, len: end - start, parallel: end - start > 1 });
+        start = end;
+    }
+    stages
+}
+
+/// Splits `0..n` into at most `parts` contiguous, near-equal, non-empty
+/// chunks, earlier chunks taking the remainder.
+pub(crate) fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let k = parts.max(1).min(n);
+    let (base, rem) = (n / k, n % k);
+    let mut out = Vec::with_capacity(k);
+    let mut at = 0;
+    for i in 0..k {
+        let len = base + usize::from(i < rem);
+        out.push(at..at + len);
+        at += len;
+    }
+    out
+}
+
+/// Slices handed out per worker for one parallel stage. More slices than
+/// workers lets a worker that finishes early take another from the queue;
+/// at 4 per worker, equal slices measured the same as slices balanced by
+/// measured statement cost (DESIGN.md, ablation ledger).
+const SLICES_PER_JOB: usize = 4;
+
+/// One slice of a parallel stage.
+#[derive(Debug)]
+pub(crate) struct Slice {
+    /// The statements of the slice, as indices into the block.
+    pub range: Range<usize>,
+    /// What the ordered overlay copies back from the slice's post-state.
+    pub effects: SliceEffects,
+}
+
+/// The cached execution plan of one block: its stages and, for the parallel
+/// ones, their slices.
 #[derive(Debug)]
 pub(crate) struct BlockPlan {
     /// Stages in program order.
     pub stages: Vec<Stage>,
-    /// One footprint per statement of the block.
-    pub footprints: Vec<Footprint>,
-    /// `true` when at least one stage can run sliced.
-    pub parallel: bool,
+    /// Per stage, the slices it is cut into (none for a stage run in order).
+    pub slices: Vec<Vec<Slice>>,
 }
 
-/// Computes the plan for a block (pure function of the syntax and packs, so
-/// identical across runs and worker counts).
+/// Computes the plan for a block: a pure function of the syntax, the packs
+/// and `jobs`, so identical across runs.
 pub(crate) fn plan_block(
     program: &Program,
     layout: &CellLayout,
     packs: &Packs,
     block: &Block,
+    jobs: usize,
 ) -> BlockPlan {
     let footprints: Vec<Footprint> =
         block.iter().map(|s| stmt_footprint(program, layout, packs, s)).collect();
-    let stages = astree_sched::plan_stages(
-        block.len(),
-        |i| footprints[i].barrier,
-        |i, j| footprints[i].conflicts_with_later(&footprints[j]),
-    );
-    let parallel = stages.iter().any(|st| st.parallel);
-    BlockPlan { stages, footprints, parallel }
+    let stages = plan_stages(&footprints);
+    let slices = stages
+        .iter()
+        .map(|st| {
+            if !st.parallel {
+                return Vec::new();
+            }
+            chunk_ranges(st.len, SLICES_PER_JOB * jobs)
+                .into_iter()
+                .map(|r| {
+                    let range = st.start + r.start..st.start + r.end;
+                    Slice { effects: slice_effects(&footprints[range.clone()]), range }
+                })
+                .collect()
+        })
+        .collect();
+    BlockPlan { stages, slices }
 }
 
 /// Why a syntactic walk of touched cells has no finite answer.
@@ -288,8 +378,9 @@ pub(crate) fn stmt_footprint(
         layout,
         packs,
         fp: Footprint::default(),
-        written: BTreeSet::new(),
-        oct_rewritten: HashMap::new(),
+        writes: Logged::default(),
+        written: Logged::default(),
+        oct_rewritten: Logged::default(),
     };
     let mut frame = Frame { depth: 0, ret_target: None, may_returned: false };
     w.walk_stmt(s, &mut frame);
@@ -307,20 +398,97 @@ struct Frame {
     may_returned: bool,
 }
 
+/// A set that logs every change of membership, so that what a branch or a
+/// loop body did to it can be taken back at a cost proportional to what the
+/// branch touched. One walker accumulates over everything a statement
+/// inlines: copying its sets at every `if` would cost a statement wrapping
+/// N calls N² set copies.
+struct Logged<T> {
+    set: BTreeSet<T>,
+    /// One entry per effective insert or remove, oldest first.
+    log: Vec<T>,
+}
+
+impl<T> Default for Logged<T> {
+    fn default() -> Self {
+        Logged { set: BTreeSet::new(), log: Vec::new() }
+    }
+}
+
+impl<T: Ord + Copy> Logged<T> {
+    fn contains(&self, t: &T) -> bool {
+        self.set.contains(t)
+    }
+
+    fn insert(&mut self, t: T) {
+        if self.set.insert(t) {
+            self.log.push(t);
+        }
+    }
+
+    fn remove(&mut self, t: &T) {
+        if self.set.remove(t) {
+            self.log.push(*t);
+        }
+    }
+
+    /// The current point of the log.
+    fn mark(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Elements whose membership changed since `mark` (repeats included).
+    fn since(&self, mark: usize) -> &[T] {
+        &self.log[mark..]
+    }
+
+    /// Restores the set as it was at `mark` and returns the elements whose
+    /// membership the undone stretch had changed.
+    fn rollback(&mut self, mark: usize) -> BTreeSet<T> {
+        let mut changed = BTreeSet::new();
+        // Every entry is one flip of membership, and flips commute.
+        for t in self.log.drain(mark..) {
+            if !self.set.remove(&t) {
+                self.set.insert(t);
+            }
+            if !changed.remove(&t) {
+                changed.insert(t);
+            }
+        }
+        changed
+    }
+
+    /// With the set rolled back to where both branches of an `if` started
+    /// and `a`, `b` what each [`Logged::rollback`] returned: keeps what holds
+    /// on both paths, i.e. drops what either branch removed and adds what
+    /// both added.
+    fn meet(&mut self, a: &BTreeSet<T>, b: &BTreeSet<T>) {
+        for t in a.union(b) {
+            if self.set.contains(t) {
+                self.remove(t);
+            } else if a.contains(t) && b.contains(t) {
+                self.insert(*t);
+            }
+        }
+    }
+}
+
 struct Walker<'a> {
     program: &'a Program,
     layout: &'a CellLayout,
     packs: &'a Packs,
     fp: Footprint,
+    /// Cells the statement may write (`Footprint::writes`, with its log).
+    writes: Logged<CellId>,
     /// Cells strongly written on every path so far.
-    written: BTreeSet<CellId>,
-    /// Per octagon pack: members whose row has been rewritten from inputs
-    /// that do not depend on the pack's pre value, on every path so far.
-    /// When *all* members of a written pack end up rewritten, the pack's
+    written: Logged<CellId>,
+    /// `(octagon pack, member)` pairs whose row has been rewritten from
+    /// inputs that do not depend on the pack's pre value, on every path so
+    /// far. When *all* members of a written pack end up rewritten, the pack's
     /// post value is independent of its pre value (row operations forget the
     /// full row and column, and closure only propagates along finite edges —
     /// which, by the rules below, connect rewritten rows only).
-    oct_rewritten: HashMap<usize, BTreeSet<CellId>>,
+    oct_rewritten: Logged<(usize, CellId)>,
 }
 
 impl<'a> Walker<'a> {
@@ -333,7 +501,7 @@ impl<'a> Walker<'a> {
     }
 
     fn write_cell(&mut self, c: CellId, must: bool) {
-        self.fp.writes.insert(c);
+        self.writes.insert(c);
         if must {
             self.written.insert(c);
         } else if !self.written.contains(&c) {
@@ -400,10 +568,7 @@ impl<'a> Walker<'a> {
     /// tightens the pack but adds no pre-state dependency.
     fn pack_consult(&mut self, key: PackKey) {
         let fresh = match key {
-            PackKey::Oct(pi) => {
-                let members = &self.packs.octagons[pi].cells;
-                self.oct_rewritten.get(&pi).is_some_and(|rw| members.iter().all(|c| rw.contains(c)))
-            }
+            PackKey::Oct(pi) => self.oct_fresh(pi),
             _ => false,
         };
         if fresh {
@@ -415,6 +580,11 @@ impl<'a> Walker<'a> {
             self.read_cell(m);
             self.write_cell(m, false);
         }
+    }
+
+    /// Every member of octagon pack `pi` has been rewritten.
+    fn oct_fresh(&self, pi: usize) -> bool {
+        self.packs.octagons[pi].cells.iter().all(|c| self.oct_rewritten.contains(&(pi, *c)))
     }
 
     fn pack_members(&self, key: PackKey) -> Vec<CellId> {
@@ -512,55 +682,42 @@ impl<'a> Walker<'a> {
             StmtKind::Assign(lv, e) => self.assign_effect(lv, e, s.id, frame),
             StmtKind::If(c, a, b) => {
                 self.guard_effect(c);
-                let w0 = self.written.clone();
-                let r0 = self.oct_rewritten.clone();
                 let ret0 = frame.may_returned;
-                let writes_before = self.fp.writes.clone();
+                let (w0, r0) = (self.written.mark(), self.oct_rewritten.mark());
+                let writes0 = self.writes.mark();
 
-                self.walk_stmt_list(a, frame);
-                let wa = std::mem::replace(&mut self.written, w0.clone());
-                let ra = std::mem::replace(&mut self.oct_rewritten, r0);
+                self.walk_block(a, frame);
+                let (wa, ra) = (self.written.rollback(w0), self.oct_rewritten.rollback(r0));
                 let reta = std::mem::replace(&mut frame.may_returned, ret0);
 
-                self.walk_stmt_list(b, frame);
+                self.walk_block(b, frame);
+                let (wb, rb) = (self.written.rollback(w0), self.oct_rewritten.rollback(r0));
                 let retb = frame.may_returned;
 
                 // Only effects common to both branches are "must".
-                self.written = wa.intersection(&self.written).copied().collect();
-                let rb = std::mem::take(&mut self.oct_rewritten);
-                for (pi, sa) in ra {
-                    if let Some(sb) = rb.get(&pi) {
-                        self.oct_rewritten.insert(pi, sa.intersection(sb).copied().collect());
-                    }
-                }
+                self.written.meet(&wa, &wb);
+                self.oct_rewritten.meet(&ra, &rb);
                 frame.may_returned = ret0 || reta || retb;
 
                 // The branch join mixes a branch-written cell with the other
                 // branch's value; unless both branches wrote it, that other
                 // value is the pre value.
-                let mixed: Vec<CellId> =
-                    self.fp.writes.difference(&writes_before).copied().collect();
-                for c in mixed {
-                    if !self.written.contains(&c) {
-                        self.fp.pre_reads.insert(c);
+                for c in self.writes.since(writes0) {
+                    if !self.written.contains(c) {
+                        self.fp.pre_reads.insert(*c);
                     }
                 }
             }
             StmtKind::While(_, c, body) => {
                 self.guard_effect(c);
-                let w0 = self.written.clone();
-                let r0 = self.oct_rewritten.clone();
-                let writes_before = self.fp.writes.clone();
-                self.walk_stmt_list(body, frame);
+                let (w0, r0) = (self.written.mark(), self.oct_rewritten.mark());
+                let writes0 = self.writes.mark();
+                self.walk_block(body, frame);
                 // Zero or more iterations: nothing inside is a must-write,
                 // and every cell written inside mixes with the entry value.
-                self.written = w0;
-                self.oct_rewritten = r0;
-                let mixed: Vec<CellId> =
-                    self.fp.writes.difference(&writes_before).copied().collect();
-                for c in mixed {
-                    self.fp.pre_reads.insert(c);
-                }
+                self.written.rollback(w0);
+                self.oct_rewritten.rollback(r0);
+                self.fp.pre_reads.extend(self.writes.since(writes0));
                 // Solving the loop reduces the state at its head — the full
                 // state for depth-0 loops, only the packs overlapping the
                 // loop's own cells for loops inside callees (the localized
@@ -579,7 +736,8 @@ impl<'a> Walker<'a> {
                     self.fp.barrier = true;
                     return;
                 }
-                let f = self.program.func(*callee);
+                let program: &'a Program = self.program;
+                let f = program.func(*callee);
                 let mut ref_map: HashMap<VarId, Lvalue> = HashMap::new();
                 for (param, arg) in f.params.iter().zip(args) {
                     match arg {
@@ -593,14 +751,16 @@ impl<'a> Walker<'a> {
                         }
                     }
                 }
+                let substituted;
                 let body = if ref_map.is_empty() {
-                    f.body.clone()
+                    &f.body
                 } else {
-                    substitute_block(&f.body, &ref_map)
+                    substituted = substitute_block(&f.body, &ref_map);
+                    &substituted
                 };
                 let mut inner =
                     Frame { depth: frame.depth + 1, ret_target: ret.clone(), may_returned: false };
-                self.walk_stmt_list(&body, &mut inner);
+                self.walk_block(body, &mut inner);
             }
             StmtKind::Return(e) => {
                 if frame.depth == 0 {
@@ -634,11 +794,10 @@ impl<'a> Walker<'a> {
                 if let Some(pids) = self.packs.oct_index.get(&c).cloned() {
                     for pi in pids {
                         self.fp.packs_write.insert(PackKey::Oct(pi));
-                        let rewritten = self.oct_rewritten.entry(pi).or_default();
                         if must {
-                            rewritten.insert(c);
+                            self.oct_rewritten.insert((pi, c));
                         } else {
-                            rewritten.remove(&c);
+                            self.oct_rewritten.remove(&(pi, c));
                             self.fp.packs_dep.insert(PackKey::Oct(pi));
                         }
                     }
@@ -655,12 +814,6 @@ impl<'a> Walker<'a> {
                 }
             }
         }
-    }
-
-    /// Walks a statement list that is *not* a new block boundary for the
-    /// planner (branch/loop/callee bodies share the enclosing footprint).
-    fn walk_stmt_list(&mut self, block: &Block, frame: &mut Frame) {
-        self.walk_block(block, frame);
     }
 
     fn assign_effect(&mut self, lv: &Lvalue, e: &Expr, id: StmtId, frame: &Frame) {
@@ -696,15 +849,12 @@ impl<'a> Walker<'a> {
                     let members = &self.packs.octagons[pi].cells;
                     let fresh = !frame.may_returned
                         && e_cells.iter().all(|ec| {
-                            !members.contains(ec) || {
-                                self.oct_rewritten.get(&pi).is_some_and(|rw| rw.contains(ec))
-                            }
+                            !members.contains(ec) || self.oct_rewritten.contains(&(pi, *ec))
                         });
-                    let rewritten = self.oct_rewritten.entry(pi).or_default();
                     if fresh {
-                        rewritten.insert(c);
+                        self.oct_rewritten.insert((pi, c));
                     } else {
-                        rewritten.remove(&c);
+                        self.oct_rewritten.remove(&(pi, c));
                         self.fp.packs_dep.insert(PackKey::Oct(pi));
                     }
                 }
@@ -762,7 +912,7 @@ impl<'a> Walker<'a> {
         if let Some(pids) = self.packs.oct_index.get(&c).cloned() {
             for pi in pids {
                 self.pack_dep_write(PackKey::Oct(pi));
-                self.oct_rewritten.entry(pi).or_default().remove(&c);
+                self.oct_rewritten.remove(&(pi, c));
             }
         }
         if let Some(pids) = self.packs.dtree_index.get(&c).cloned() {
@@ -790,17 +940,13 @@ impl<'a> Walker<'a> {
             })
             .collect();
         for pi in oct_writes {
-            let members = &self.packs.octagons[pi].cells;
-            let fresh = self
-                .oct_rewritten
-                .get(&pi)
-                .is_some_and(|rw| members.iter().all(|c| rw.contains(c)));
-            if !fresh {
+            if !self.oct_fresh(pi) {
                 self.fp.packs_dep.insert(PackKey::Oct(pi));
             }
         }
         let mut fp = self.fp;
-        fp.must_writes = self.written;
+        fp.writes = self.writes.set;
+        fp.must_writes = self.written.set;
         fp
     }
 }
@@ -832,9 +978,21 @@ mod tests {
         (p, l, packs)
     }
 
-    fn entry_plan(p: &Program, l: &CellLayout, packs: &Packs) -> BlockPlan {
+    /// The entry block's footprints and the stages they group into.
+    struct EntryPlan {
+        footprints: Vec<Footprint>,
+        stages: Vec<Stage>,
+        parallel: bool,
+    }
+
+    fn entry_plan(p: &Program, l: &CellLayout, packs: &Packs) -> EntryPlan {
         let body = &p.func(p.entry).body;
-        plan_block(p, l, packs, body)
+        let footprints: Vec<Footprint> =
+            body.iter().map(|s| stmt_footprint(p, l, packs, s)).collect();
+        let plan = plan_block(p, l, packs, body, 2);
+        assert_eq!(plan.stages, plan_stages(&footprints));
+        let parallel = plan.stages.iter().any(|st| st.parallel);
+        EntryPlan { footprints, stages: plan.stages, parallel }
     }
 
     #[test]
@@ -937,5 +1095,132 @@ mod tests {
         assert!(!packs.octagons.is_empty());
         let plan = entry_plan(&p, &l, &packs);
         assert!(!plan.stages.iter().any(|s| s.parallel), "{:?}", plan.stages);
+    }
+
+    /// A footprint with the given reads and writes and nothing else.
+    fn fp(pre_reads: &[u32], writes: &[u32], barrier: bool) -> Footprint {
+        Footprint {
+            pre_reads: pre_reads.iter().map(|&c| CellId(c)).collect(),
+            writes: writes.iter().map(|&c| CellId(c)).collect(),
+            barrier,
+            ..Footprint::default()
+        }
+    }
+
+    #[test]
+    fn stages_close_at_barriers_and_conflicts() {
+        let stage = |start, len| Stage { start, len, parallel: len > 1 };
+        // Five independent statements, the third a barrier (e.g. `wait`).
+        let fps = [
+            fp(&[], &[0], false),
+            fp(&[], &[1], false),
+            fp(&[], &[], true),
+            fp(&[], &[3], false),
+            fp(&[], &[4], false),
+        ];
+        assert_eq!(plan_stages(&fps), vec![stage(0, 2), stage(2, 1), stage(3, 2)]);
+        // 1 reads what 0 writes; 3 reads what 1 (not its neighbour 2) writes.
+        let fps = [
+            fp(&[], &[0], false),
+            fp(&[0], &[1], false),
+            fp(&[], &[2], false),
+            fp(&[1], &[3], false),
+        ];
+        assert_eq!(plan_stages(&fps), vec![stage(0, 1), stage(1, 2), stage(3, 1)]);
+        // A chain degenerates to one statement per stage.
+        let fps = [fp(&[], &[0], false), fp(&[0], &[1], false), fp(&[1], &[2], false)];
+        assert!(plan_stages(&fps).iter().all(|s| s.len == 1 && !s.parallel));
+    }
+
+    #[test]
+    fn chunks_cover_exactly() {
+        for n in 0..20 {
+            for parts in 1..6 {
+                let chunks = chunk_ranges(n, parts);
+                assert!(chunks.len() <= parts);
+                assert!(chunks.iter().all(|r| !r.is_empty()));
+                // Contiguous, ordered, covering `0..n`.
+                let mut at = 0;
+                for r in &chunks {
+                    assert_eq!(r.start, at);
+                    at = r.end;
+                }
+                assert_eq!(at, n);
+                // Near-equal: sizes differ by at most one.
+                let sizes = chunks.iter().map(|r| r.len());
+                assert!(sizes.clone().max().unwrap_or(0) - sizes.min().unwrap_or(0) <= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn slices_are_fixed_by_the_plan() {
+        // Nine independent assignments at jobs = 2: one stage, cut into
+        // 4 × jobs = 8 equal slices whose effects are their statements'.
+        let decls: String = (0..9).map(|i| format!("int a{i}; ")).collect();
+        let body: String = (0..9).map(|i| format!("a{i} = {i}; ")).collect();
+        let (p, l, packs) = setup(&format!("{decls} void main(void) {{ {body} }}"));
+        let plan = plan_block(&p, &l, &packs, &p.func(p.entry).body, 2);
+        assert_eq!(plan.stages, vec![Stage { start: 0, len: 9, parallel: true }]);
+        let ranges: Vec<_> = plan.slices[0].iter().map(|s| s.range.clone()).collect();
+        assert_eq!(ranges, vec![0..2, 2..3, 3..4, 4..5, 5..6, 6..7, 7..8, 8..9]);
+        assert_eq!(plan.slices[0][0].effects.must_writes.len(), 2);
+        assert!(plan.slices[0][1..].iter().all(|s| s.effects.must_writes.len() == 1));
+    }
+
+    #[test]
+    fn logged_set_rolls_back_and_meets() {
+        let mut s: Logged<u32> = Logged::default();
+        s.insert(1);
+        s.insert(2);
+        let m = s.mark();
+        // Branch a: drops 1, adds 3 and 4 (4 twice over).
+        s.remove(&1);
+        s.insert(3);
+        s.insert(4);
+        s.remove(&4);
+        s.insert(4);
+        let a = s.rollback(m);
+        assert_eq!(s.set, BTreeSet::from([1, 2]));
+        assert_eq!(a, BTreeSet::from([1, 3, 4]));
+        // Branch b: drops 2, adds 4 and 5.
+        s.remove(&2);
+        s.insert(4);
+        s.insert(5);
+        let b = s.rollback(m);
+        s.meet(&a, &b);
+        assert_eq!(s.set, BTreeSet::from([4]));
+        // The enclosing scope sees the net change and can undo it.
+        assert_eq!(s.rollback(0), BTreeSet::from([4]));
+        assert!(s.set.is_empty());
+    }
+
+    #[test]
+    fn wrapped_dispatch_plans_in_near_linear_time() {
+        // One depth-0 `if` around the whole channel dispatch: a single walker
+        // inlines every `stepK`. Copying its sets at every branch made this
+        // quadratic in channels (16× the time for 4× the channels).
+        let plan_time = |channels: usize| {
+            let src = astree_gen::generate(&astree_gen::GenConfig { channels, seed: 7, bug: None })
+                .replacen("    while (1) {\n", "    while (1) {\n        if (initialized) {\n", 1)
+                .replacen("        __astree_wait();", "        }\n        __astree_wait();", 1);
+            let (p, l, packs) = setup(&src);
+            let main_loop = p.func(p.entry).body.iter().find_map(|s| match &s.kind {
+                StmtKind::While(_, _, body) if body.len() == 2 => Some(body),
+                _ => None,
+            });
+            let body = main_loop.expect("the main loop holds the `if` and the wait");
+            (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    let plan = plan_block(&p, &l, &packs, body, 2);
+                    assert_eq!(plan.stages.len(), 2);
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (plan_time(24), plan_time(96));
+        assert!(large < small * 8, "24 channels: {small:?}, 96 channels: {large:?}");
     }
 }

@@ -2,8 +2,8 @@
 //! [`JobOutcome`].
 //!
 //! Both sides of the process boundary share this path — the in-process
-//! runner calls [`execute`] directly, a worker process calls it for each
-//! `job` frame — which is what makes the fleet's determinism contract
+//! runner and a worker process answering a `job` frame both call
+//! [`execute_contained`] — which is what makes the fleet's determinism contract
 //! cheap to keep: a job's outcome depends only on its spec and the base
 //! configuration, never on which process ran it.
 
@@ -12,7 +12,8 @@ use astree_core::{AnalysisConfig, AnalysisSession, InvariantStore};
 use astree_frontend::Frontend;
 use astree_obs::Recorder;
 use astree_oracle::{run_member, OracleConfig};
-use astree_sched::WorkerPool;
+use astree_sched::{panic_message, WorkerPool};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,8 +30,7 @@ pub struct ExecContext<'a> {
 }
 
 /// Runs one job to completion. Returns [`JobStatus::Done`] or
-/// [`JobStatus::Failed`]; panics propagate (the caller decides whether to
-/// `catch_unwind`, because only the caller knows its isolation story).
+/// [`JobStatus::Failed`]; panics propagate (see [`execute_contained`]).
 pub fn execute(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let t0 = Instant::now();
     let mut out =
@@ -38,6 +38,16 @@ pub fn execute(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     out.name = spec.name.clone();
     out.wall = t0.elapsed();
     out
+}
+
+/// [`execute`] with panic containment: a panicking analysis fails its job
+/// only, as [`JobStatus::Panicked`] with the panic message.
+pub fn execute_contained(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
+    catch_unwind(AssertUnwindSafe(|| execute(spec, ctx))).unwrap_or_else(|payload| {
+        let mut out = JobOutcome::empty(spec.name.clone(), JobStatus::Panicked);
+        out.detail = Some(panic_message(payload.as_ref()));
+        out
+    })
 }
 
 fn failed(detail: String) -> JobOutcome {

@@ -4,10 +4,10 @@
 //! construct a [`FleetSession`] and call [`FleetSessionBuilder::run`]. The
 //! builder decides the execution strategy from its distribution knobs:
 //!
-//! - no workers, no endpoints → **in-process**: jobs run on this process's
-//!   threads ([`astree_sched::run_batch`] when parallel or deadlined,
-//!   inline with panic containment otherwise — the daemon's path, which
-//!   can also borrow a resident [`WorkerPool`]);
+//! - no workers, no endpoints → **in-process**: `threads` scoped threads
+//!   (the caller is one of them) pull jobs from a shared cursor, each job
+//!   under panic containment — also the daemon's path, which lends its
+//!   resident [`WorkerPool`];
 //! - `workers(n)` / `connect(..)` → **fleet**: the coordinator scatters
 //!   jobs over local `astree worker` child processes and/or remote socket
 //!   workers, with work stealing and crash isolation.
@@ -17,14 +17,15 @@
 //! scheduling telemetry ([`FleetCounters`]) differs.
 
 use crate::coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTransport, Transport};
-use crate::exec::{execute, ExecContext};
+use crate::exec::{execute_contained, ExecContext};
 use crate::job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 use crate::proto::Endpoint;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{BatchJobEvent, FleetCounters, Recorder};
-use astree_sched::{panic_message, run_batch, BatchConfig, Job, WorkerPool};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use astree_sched::WorkerPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Entry point for fleet analysis; see the module docs.
@@ -150,7 +151,7 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
-    /// Resident slice pool for in-process sequential runs (the daemon's).
+    /// Resident slice pool for in-process runs (the daemon's).
     pub fn pool(mut self, pool: &'p WorkerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -231,78 +232,72 @@ impl<'p> FleetSessionBuilder<'p> {
             jobs: n as u64,
             ..FleetCounters::default()
         };
-        if threads <= 1 && self.timeout.is_none() {
-            // Inline: keeps recorder and pool as plain borrows (the serve
-            // daemon's path — its resident pool and per-connection
-            // recorder are not `'static`).
+        // Result slots indexed by submission order; the queue is a shared
+        // cursor over the job list.
+        let slots: Vec<Mutex<Option<JobOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        let worker = |w: usize| {
             let ctx = ExecContext {
                 config: &self.config,
                 cache: self.cache.clone(),
                 recorder: self.recorder.as_deref(),
                 pool: self.pool,
             };
-            let outcomes = self
-                .jobs
-                .iter()
-                .map(|spec| {
-                    catch_unwind(AssertUnwindSafe(|| execute(spec, &ctx))).unwrap_or_else(
-                        |payload| {
-                            let mut out = JobOutcome::empty(spec.name.clone(), JobStatus::Panicked);
-                            out.detail = Some(panic_message(payload.as_ref()));
-                            out
-                        },
-                    )
-                })
-                .collect();
-            return (outcomes, counters);
-        }
-
-        // Threaded: `run_batch` wants `'static` closures, so shared parts
-        // move in as clones/Arcs. The resident pool cannot cross.
-        let config = self.config.clone();
-        let cache = self.cache.clone();
-        let recorder = self.recorder.clone();
-        let jobs: Vec<Job<JobOutcome>> = self
-            .jobs
-            .iter()
-            .map(|spec| {
-                let spec = spec.clone();
-                let config = config.clone();
-                let cache = cache.clone();
-                let recorder = recorder.clone();
-                Job::new(spec.name.clone(), move || {
-                    let ctx = ExecContext {
-                        config: &config,
-                        cache,
-                        recorder: recorder.as_deref(),
-                        pool: None,
-                    };
-                    execute(&spec, &ctx)
-                })
-            })
-            .collect();
-        let report = run_batch(&BatchConfig { workers: threads, timeout: self.timeout }, jobs);
-        let outcomes = report
-            .results
-            .into_iter()
-            .map(|r| {
-                let mut out = match r.status {
-                    astree_sched::JobStatus::Done(out) => out,
-                    astree_sched::JobStatus::Panicked(msg) => {
-                        let mut out = JobOutcome::empty(r.name, JobStatus::Panicked);
-                        out.detail = Some(msg);
-                        out
-                    }
-                    astree_sched::JobStatus::TimedOut => {
-                        JobOutcome::empty(r.name, JobStatus::TimedOut)
-                    }
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = self.jobs.get(i) else { return };
+                let t0 = Instant::now();
+                let mut out = match self.timeout {
+                    None => execute_contained(spec, &ctx),
+                    Some(limit) => self.run_deadlined(spec, limit),
                 };
-                out.wall = r.wall;
-                out.worker = r.worker;
-                out
-            })
+                out.wall = t0.elapsed();
+                out.worker = w;
+                *slots[i].lock().unwrap() = Some(out);
+            }
+        };
+        thread::scope(|scope| {
+            for w in 1..threads {
+                let worker = &worker;
+                scope.spawn(move || worker(w));
+            }
+            worker(0);
+        });
+        let outcomes = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap().expect("job slot unfilled"))
             .collect();
         (outcomes, counters)
+    }
+
+    /// Runs one job on a dedicated thread and waits at most `limit` for it.
+    /// On expiry the job is [`JobStatus::TimedOut`] and the thread is
+    /// detached: a stuck analysis cannot be killed, but it stops occupying a
+    /// worker and its eventual send fails harmlessly into a dropped
+    /// receiver. The thread may outlive this session, so it owns what it
+    /// uses; the resident pool, a borrow, stays behind.
+    fn run_deadlined(&self, spec: &JobSpec, limit: Duration) -> JobOutcome {
+        let (tx, rx) = mpsc::channel();
+        let (job, config) = (spec.clone(), self.config.clone());
+        let (cache, recorder) = (self.cache.clone(), self.recorder.clone());
+        thread::spawn(move || {
+            let ctx =
+                ExecContext { config: &config, cache, recorder: recorder.as_deref(), pool: None };
+            let _ = tx.send(execute_contained(&job, &ctx));
+        });
+        match rx.recv_timeout(limit) {
+            Ok(out) => out,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                JobOutcome::empty(spec.name.clone(), JobStatus::TimedOut)
+            }
+            // The sender dropped without sending: the job thread died past
+            // what `catch_unwind` contains (a panic while unwinding).
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                let mut out = JobOutcome::empty(spec.name.clone(), JobStatus::Panicked);
+                out.detail = Some("job thread died without an outcome".to_string());
+                out
+            }
+        }
     }
 }
 
@@ -326,10 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn in_process_inline_and_threaded_agree() {
+    fn in_process_runs_agree_at_every_thread_count_and_deadline() {
         let inline = FleetSession::builder().jobs(tiny_jobs()).run();
-        let threaded = FleetSession::builder().jobs(tiny_jobs()).threads(2).run();
-        assert_eq!(inline.stable_report(), threaded.stable_report());
+        for threads in [1, 3] {
+            for timeout in [None, Some(Duration::from_secs(60))] {
+                let run =
+                    FleetSession::builder().jobs(tiny_jobs()).threads(threads).timeout(timeout);
+                assert_eq!(
+                    run.run().stable_report(),
+                    inline.stable_report(),
+                    "threads={threads} timeout={timeout:?}"
+                );
+            }
+        }
         assert_eq!(inline.outcomes.len(), 3);
         assert_eq!(inline.outcomes[0].alarms, Some(0));
         assert_eq!(inline.outcomes[1].alarms, Some(1));
@@ -337,6 +341,36 @@ mod tests {
         assert_eq!(inline.completed(), 2);
         assert_eq!(inline.total_alarms(), 1);
         assert!(!inline.counters.processes);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        /// Panics inside the first analysis that reports a phase time.
+        struct Bomb(std::sync::atomic::AtomicBool);
+        impl Recorder for Bomb {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn phase_time(&self, _phase: &'static str, _nanos: u64) {
+                if !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("bomb in the recorder");
+                }
+            }
+        }
+        for (threads, timeout) in [(1, None), (2, None), (2, Some(Duration::from_secs(60)))] {
+            let jobs = vec![JobSpec::new("a", "int x; void main(void) { x = 1; }"); 3];
+            let report = FleetSession::builder()
+                .jobs(jobs)
+                .threads(threads)
+                .timeout(timeout)
+                .recorder(Arc::new(Bomb(false.into())))
+                .run();
+            let hurt: Vec<_> =
+                report.outcomes.iter().filter(|o| o.status == JobStatus::Panicked).collect();
+            assert_eq!(hurt.len(), 1, "threads={threads} timeout={timeout:?}");
+            assert_eq!(hurt[0].detail.as_deref(), Some("bomb in the recorder"));
+            assert_eq!(report.completed(), 2);
+        }
     }
 
     #[test]

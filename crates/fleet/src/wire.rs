@@ -130,13 +130,10 @@ pub fn config_to_json(c: &AnalysisConfig) -> Json {
         octagon_pack_filter,
         octagon_packs_extra,
         jobs,
-        nested_slicing,
-        nested_cost_fraction,
         debug_no_ptr_shortcuts,
         collect_stmt_invariants,
-        // Fault injections target one local run; they never cross the wire.
+        // Fault injection targets one local run; it never crosses the wire.
         debug_panic_slice: _,
-        debug_force_steal: _,
     } = c;
     let thresholds = Json::Arr(thresholds.ramp().iter().map(|&v| f64_bits(v)).collect());
     let mut per_loop: Vec<(LoopId, u32)> = per_loop_unroll.iter().map(|(k, v)| (*k, *v)).collect();
@@ -183,8 +180,6 @@ pub fn config_to_json(c: &AnalysisConfig) -> Json {
             Json::Arr(octagon_packs_extra.iter().map(|pack| str_arr(pack)).collect()),
         ),
         ("jobs", Json::UInt(*jobs as u64)),
-        ("nested_slicing", Json::Bool(*nested_slicing)),
-        ("nested_cost_fraction", f64_bits(*nested_cost_fraction)),
         ("debug_no_ptr_shortcuts", Json::Bool(*debug_no_ptr_shortcuts)),
         ("collect_stmt_invariants", Json::Bool(*collect_stmt_invariants)),
     ])
@@ -255,8 +250,6 @@ pub fn config_from_json(j: &Json) -> Result<AnalysisConfig, String> {
         _ => Vec::new(),
     };
     c.jobs = (get_u64(j, "jobs")? as usize).max(1);
-    c.nested_slicing = get_bool(j, "nested_slicing")?;
-    c.nested_cost_fraction = get_f64_bits(j, "nested_cost_fraction")?;
     c.debug_no_ptr_shortcuts = get_bool(j, "debug_no_ptr_shortcuts")?;
     c.collect_stmt_invariants = get_bool(j, "collect_stmt_invariants")?;
     Ok(c)
@@ -539,7 +532,6 @@ mod tests {
         c.partitioned_functions.insert("aux".into());
         c.octagon_pack_filter = Some(vec![0, 3]);
         c.octagon_packs_extra = vec![vec!["a".into(), "b".into()]];
-        c.nested_cost_fraction = 0.125;
         c.collect_stmt_invariants = true;
         let j = config_to_json(&c);
         let text = j.to_compact();
@@ -551,7 +543,6 @@ mod tests {
         assert_eq!(back.partitioned_functions, c.partitioned_functions);
         assert_eq!(back.octagon_pack_filter, c.octagon_pack_filter);
         assert_eq!(back.octagon_packs_extra, c.octagon_packs_extra);
-        assert_eq!(back.nested_cost_fraction.to_bits(), c.nested_cost_fraction.to_bits());
         assert!(back.collect_stmt_invariants);
         // Peers compare these across versions: the constant must not move.
         assert_eq!(content_fingerprint("astree-cache/1\n"), 0x94b9_1c21_e4ee_bd60);

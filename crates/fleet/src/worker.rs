@@ -4,8 +4,8 @@
 //! into a base configuration and a shared store, then answers each `job`
 //! frame with a `done` frame until `bye` or EOF. All scheduling lives in
 //! the coordinator; the worker's only policy is panic containment (a
-//! panicking job becomes a [`JobStatus::Panicked`] outcome, the worker
-//! survives).
+//! panicking job becomes a [`JobStatus::Panicked`](crate::job::JobStatus)
+//! outcome, the worker survives).
 //!
 //! When the `init` frame sets `store_sync` (and names no shared
 //! `cache_dir`), the worker keeps a throwaway local invariant store and
@@ -18,18 +18,15 @@
 //! child processes, [`serve_listener`] accepts fleet connections on a Unix
 //! or TCP socket for remote workers, one thread per connection.
 
-use crate::exec::{execute, ExecContext};
-use crate::job::{JobOutcome, JobStatus};
+use crate::exec::{execute_contained, ExecContext};
 use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO, SYNC_BYTES_CAP};
 use crate::wire::{config_from_json, content_fingerprint, outcome_to_json, spec_from_json};
 use astree_core::InvariantStore;
 use astree_obs::Json;
-use astree_sched::panic_message;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -330,12 +327,7 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
                     recorder: None,
                     pool: None,
                 };
-                let outcome = catch_unwind(AssertUnwindSafe(|| execute(&spec, &ctx)))
-                    .unwrap_or_else(|payload| {
-                        let mut out = JobOutcome::empty(spec.name.clone(), JobStatus::Panicked);
-                        out.detail = Some(panic_message(payload.as_ref()));
-                        out
-                    });
+                let outcome = execute_contained(&spec, &ctx);
                 if let Some(sync) = sync.as_mut() {
                     sync.push(seq, writer)?;
                 }
@@ -358,7 +350,7 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobSpec;
+    use crate::job::{JobSpec, JobStatus};
     use crate::wire::{config_to_json, outcome_from_json, spec_to_json};
     use astree_core::AnalysisConfig;
     use std::io::BufReader;

@@ -99,6 +99,11 @@ pub fn alarm(e: &AlarmEvent) -> Json {
     )
 }
 
+/// A block's stage plan was computed.
+pub fn plan(nanos: u64) -> Json {
+    record("plan", vec![("nanos", Json::UInt(nanos))])
+}
+
 /// A parallel slice completed.
 pub fn slice(e: &SliceEvent) -> Json {
     record(
@@ -129,7 +134,7 @@ pub fn fallback(reason: &'static str) -> Json {
     record("fallback", vec![("reason", Json::str(reason))])
 }
 
-/// Work-stealing pool counters for a run.
+/// Worker-pool counters for a run.
 pub fn pool(p: &PoolCounters) -> Json {
     record(
         "pool",

@@ -343,7 +343,7 @@ impl FrameCounters {
     }
 }
 
-/// Work-stealing pool counters for one analysis run.
+/// Worker-pool counters for one analysis run.
 ///
 /// Emitted once per run by the analysis session when a worker pool was
 /// active; the [`Collector`] keeps the last report (the pool's counters
@@ -352,11 +352,12 @@ impl FrameCounters {
 pub struct PoolCounters {
     /// Logical workers (pool threads + the participating caller).
     pub workers: u64,
-    /// Tasks pushed onto the deques over the session.
+    /// Tasks pushed onto the queue over the session.
     pub tasks: u64,
-    /// Tasks taken from a deque other than the claiming worker's own.
+    /// Always 0 since the pool has one shared queue; kept because readers
+    /// of `astree-metrics/1` name the slot.
     pub steals: u64,
-    /// Deepest any single deque ever got.
+    /// Deepest the queue ever got.
     pub max_queue_depth: u64,
     /// Per-worker nanoseconds spent executing tasks (index 0 = caller).
     pub busy_nanos: Vec<u64>,
@@ -508,6 +509,9 @@ pub trait Recorder: Send + Sync {
     /// An alarm was recorded (first report of its (statement, kind) pair).
     fn alarm(&self, _e: &AlarmEvent) {}
 
+    /// A block's stage plan (footprints, stages, slices) was computed.
+    fn plan(&self, _nanos: u64) {}
+
     /// A parallel slice completed.
     fn slice(&self, _e: &SliceEvent) {}
 
@@ -517,7 +521,7 @@ pub trait Recorder: Send + Sync {
     /// A stage fell back to sequential execution.
     fn fallback(&self, _reason: &'static str) {}
 
-    /// Work-stealing pool counters for the run (emitted once per run when
+    /// Worker-pool counters for the run (emitted once per run when
     /// a pool was active).
     fn pool(&self, _p: &PoolCounters) {}
 
@@ -663,11 +667,13 @@ pub struct SchedulerMetrics {
     pub merges: u64,
     /// Total merge wall time.
     pub merge_nanos: u64,
+    /// Total wall time spent planning blocks into stages and slices.
+    pub plan_nanos: u64,
     /// Fallback-to-sequential reasons, with occurrence counts.
     pub fallbacks: BTreeMap<&'static str, u64>,
     /// Batch job outcomes.
     pub batch_jobs: Vec<BatchJobRecord>,
-    /// Work-stealing pool counters (absent when no pool ran).
+    /// Worker-pool counters (absent when no pool ran).
     pub pool: Option<PoolCounters>,
 }
 
@@ -799,6 +805,7 @@ impl Metrics {
             ),
             ("merges", Json::UInt(s.merges)),
             ("merge_nanos", Json::UInt(s.merge_nanos)),
+            ("plan_nanos", Json::UInt(s.plan_nanos)),
             (
                 "fallbacks",
                 Json::Obj(
@@ -1094,6 +1101,13 @@ impl Recorder for Collector {
                 "[{}] alarm {} at line {} ({}): {}",
                 e.func, e.kind, e.line, e.domain, e.context,
             ));
+        }
+    }
+
+    fn plan(&self, nanos: u64) {
+        self.metrics.lock().expect("collector poisoned").scheduler.plan_nanos += nanos;
+        if self.trace_on {
+            self.push_trace(format!("scheduler: planned a block in {nanos} ns"));
         }
     }
 

@@ -92,6 +92,10 @@ impl Recorder for StreamSink {
         self.write(&events::alarm(e));
     }
 
+    fn plan(&self, nanos: u64) {
+        self.write(&events::plan(nanos));
+    }
+
     fn slice(&self, e: &SliceEvent) {
         self.write(&events::slice(e));
     }
@@ -185,6 +189,10 @@ impl Recorder for Fanout {
 
     fn alarm(&self, e: &AlarmEvent) {
         fan!(self, alarm(e));
+    }
+
+    fn plan(&self, nanos: u64) {
+        fan!(self, plan(nanos));
     }
 
     fn slice(&self, e: &SliceEvent) {
@@ -295,13 +303,16 @@ mod tests {
         let sink = Arc::new(StreamSink::create(&path).unwrap());
         let tee = Fanout::new(vec![collector.clone() as Arc<dyn Recorder>, sink.clone()]);
         assert!(tee.enabled());
+        tee.plan(7);
         tee.merge(1, 3, 42);
         tee.fallback("worker_panic");
         sink.flush();
         let m = collector.snapshot();
+        assert_eq!(m.scheduler.plan_nanos, 7);
         assert_eq!(m.scheduler.stages, 1);
         assert_eq!(m.scheduler.fallbacks["worker_panic"], 1);
         let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"plan\""));
         assert!(text.contains("\"merge\""));
         assert!(text.contains("worker_panic"));
         std::fs::remove_file(&path).ok();

@@ -1,25 +1,21 @@
-//! Persistent work-stealing worker pool.
+//! Persistent worker pool with one shared queue.
 //!
 //! The pool is created once per session (sized by `--jobs`) and every
 //! parallel stage is scattered onto it, so slice execution pays queue
-//! pushes instead of thread spawns, and uneven slice costs are
-//! load-balanced by stealing.
+//! pushes instead of thread spawns. A stage's slices are cut at plan time
+//! and handed out in order from one FIFO: whichever worker is free takes
+//! the next one, which is all the load balancing equal slices need.
 //!
-//! Scheduling is the classic work-stealing shape:
-//!
-//! - one deque per worker; tasks are placed round-robin (or by a seeded
-//!   LCG under `debug_force_steal`, to exercise adversarial placements);
-//! - a worker pops its **own** deque from the back (LIFO — cache-warm,
-//!   most recently pushed sub-slice first) and steals from **other**
-//!   deques at the front (FIFO — the oldest, typically fattest task);
-//! - results are written into **indexed slots**, so
-//!   [`WorkerPool::scatter`] returns them in input order no matter which
-//!   worker ran what. Determinism of the downstream merge therefore does
-//!   not depend on worker count or steal interleaving.
+//! Results are written into **indexed slots**, so [`WorkerPool::scatter`]
+//! returns them in input order no matter which worker ran what.
+//! Determinism of the downstream merge therefore does not depend on worker
+//! count or interleaving.
 //!
 //! The caller participates as logical worker 0 while a scatter is in
 //! flight (it runs tasks instead of blocking), which keeps `--jobs N`
-//! meaning "N CPUs busy", not "N extra threads".
+//! meaning "N CPUs busy", not "N extra threads". Several callers may
+//! scatter on one pool at once (the `serve` daemon's resident pool): each
+//! waits for its own tasks and runs whatever is queued meanwhile.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -28,102 +24,63 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-/// Erased unit of work. The `usize` argument is the id of the worker that
-/// executes the task (0 = the scattering caller).
-type Task = Box<dyn FnOnce(usize) + Send + 'static>;
+/// Erased unit of work.
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Lock helper: a poisoned mutex only means some task panicked while
-/// holding it; the protected data (queues, counters) stays coherent
+/// holding it; the protected data (queue, counters) stays coherent
 /// because every critical section is a few plain writes.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-struct Gate {
-    /// Tasks pushed but not yet claimed by any worker. Claims decrement
-    /// this *before* scanning the deques, so `sum(queue lengths)` is
-    /// always `>= queued + in-flight claims` and every claim holder
-    /// eventually finds a task.
-    queued: usize,
+struct Queue {
+    tasks: VecDeque<Task>,
     shutdown: bool,
 }
 
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    gate: Mutex<Gate>,
+    queue: Mutex<Queue>,
     ready: Condvar,
-    steals: AtomicU64,
     tasks: AtomicU64,
     max_queue_depth: AtomicU64,
     busy_nanos: Vec<AtomicU64>,
 }
 
 impl Shared {
-    fn push(&self, qi: usize, task: Task) {
+    fn push(&self, task: Task) {
         let depth = {
-            let mut q = lock(&self.queues[qi]);
-            q.push_back(task);
-            q.len() as u64
+            let mut q = lock(&self.queue);
+            q.tasks.push_back(task);
+            q.tasks.len() as u64
         };
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
         self.tasks.fetch_add(1, Ordering::Relaxed);
-        let mut g = lock(&self.gate);
-        g.queued += 1;
-        drop(g);
         self.ready.notify_one();
     }
 
-    /// Removes one task, preferring the back of `wid`'s own deque (LIFO)
-    /// and falling back to the front of the others (FIFO steal). Only
-    /// called with a claim from [`Gate::queued`] held, so a task is
-    /// guaranteed to surface; the rescan loop covers the window where a
-    /// concurrent claim holder momentarily emptied the deque we scanned.
-    fn take(&self, wid: usize) -> Task {
+    /// Blocking fetch for pool threads; returns `None` on shutdown.
+    fn fetch_blocking(&self) -> Option<Task> {
+        let mut q = lock(&self.queue);
         loop {
-            if let Some(t) = lock(&self.queues[wid]).pop_back() {
-                return t;
+            if let Some(task) = q.tasks.pop_front() {
+                return Some(task);
             }
-            for off in 1..self.queues.len() {
-                let qi = (wid + off) % self.queues.len();
-                if let Some(t) = lock(&self.queues[qi]).pop_front() {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return t;
-                }
-            }
-            thread::yield_now();
-        }
-    }
-
-    /// Blocking claim for pool threads; returns `None` on shutdown.
-    fn fetch_blocking(&self, wid: usize) -> Option<Task> {
-        let mut g = lock(&self.gate);
-        loop {
-            if g.queued > 0 {
-                g.queued -= 1;
-                drop(g);
-                return Some(self.take(wid));
-            }
-            if g.shutdown {
+            if q.shutdown {
                 return None;
             }
-            g = self.ready.wait(g).unwrap_or_else(|e| e.into_inner());
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Non-blocking claim for the scattering caller.
-    fn try_fetch(&self, wid: usize) -> Option<Task> {
-        let mut g = lock(&self.gate);
-        if g.queued == 0 {
-            return None;
-        }
-        g.queued -= 1;
-        drop(g);
-        Some(self.take(wid))
+    /// Non-blocking fetch for the scattering caller.
+    fn try_fetch(&self) -> Option<Task> {
+        lock(&self.queue).tasks.pop_front()
     }
 
     fn run(&self, wid: usize, task: Task) {
         let start = Instant::now();
-        task(wid);
+        task();
         self.busy_nanos[wid].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
@@ -136,9 +93,7 @@ pub struct PoolStats {
     pub workers: usize,
     /// Tasks pushed over the pool's lifetime.
     pub tasks: u64,
-    /// Tasks taken from a deque other than the claiming worker's own.
-    pub steals: u64,
-    /// Deepest any single deque ever got.
+    /// Deepest the queue ever got.
     pub max_queue_depth: u64,
     /// Per-worker nanoseconds spent executing tasks (index 0 = caller).
     pub busy_nanos: Vec<u64>,
@@ -155,7 +110,6 @@ impl PoolStats {
         PoolStats {
             workers: self.workers,
             tasks: self.tasks.saturating_sub(earlier.tasks),
-            steals: self.steals.saturating_sub(earlier.steals),
             max_queue_depth: self.max_queue_depth,
             busy_nanos: self
                 .busy_nanos
@@ -181,10 +135,8 @@ impl WorkerPool {
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(Gate { queued: 0, shutdown: false }),
+            queue: Mutex::new(Queue { tasks: VecDeque::new(), shutdown: false }),
             ready: Condvar::new(),
-            steals: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
             busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -195,7 +147,7 @@ impl WorkerPool {
                 thread::Builder::new()
                     .name(format!("astree-pool-{wid}"))
                     .spawn(move || {
-                        while let Some(task) = shared.fetch_blocking(wid) {
+                        while let Some(task) = shared.fetch_blocking() {
                             shared.run(wid, task);
                         }
                     })
@@ -218,20 +170,6 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.scatter_seeded(None, items, f)
-    }
-
-    /// [`WorkerPool::scatter`] with explicit task placement: `None` places
-    /// task `i` on deque `i % workers` (round-robin); `Some(seed)` places
-    /// by a seeded LCG, which concentrates tasks on arbitrary deques and
-    /// forces adversarial steal orders (the `debug_force_steal` knob).
-    /// Output is bit-identical either way — that is the point of the knob.
-    pub fn scatter_seeded<T, R, F>(&self, seed: Option<u64>, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
         let n = items.len();
         if n <= 1 || self.workers <= 1 {
             return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
@@ -242,9 +180,8 @@ impl WorkerPool {
         let done = Condvar::new();
         {
             let (f, slots, remaining, done) = (&f, &slots, &remaining, &done);
-            let mut lcg = seed.map(Lcg::new);
             for (i, item) in items.into_iter().enumerate() {
-                let task: Box<dyn FnOnce(usize) + Send + '_> = Box::new(move |_wid| {
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     let out = catch_unwind(AssertUnwindSafe(|| f(i, item)));
                     *lock(&slots[i]) = Some(out);
                     let mut rem = lock(remaining);
@@ -259,14 +196,9 @@ impl WorkerPool {
                 // every task decrements `remaining` exactly once after its
                 // last use of the borrows (panics included, via
                 // catch_unwind) — so no task outlives the frame.
-                let task: Task = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce(usize) + Send + '_>, Task>(task)
-                };
-                let qi = match &mut lcg {
-                    Some(l) => l.next_index(self.workers),
-                    None => i % self.workers,
-                };
-                self.shared.push(qi, task);
+                let task: Task =
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
+                self.shared.push(task);
             }
             // Participate as worker 0 until every task (ours or a
             // concurrent scatter's) has drained; then wait for stragglers
@@ -275,7 +207,7 @@ impl WorkerPool {
                 if *lock(remaining) == 0 {
                     break;
                 }
-                if let Some(task) = self.shared.try_fetch(0) {
+                if let Some(task) = self.shared.try_fetch() {
                     self.shared.run(0, task);
                 } else {
                     let rem = lock(remaining);
@@ -308,7 +240,6 @@ impl WorkerPool {
         PoolStats {
             workers: self.workers,
             tasks: self.shared.tasks.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
             max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
             busy_nanos: self.shared.busy_nanos.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
         }
@@ -317,31 +248,11 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        lock(&self.shared.gate).shutdown = true;
+        lock(&self.shared.queue).shutdown = true;
         self.shared.ready.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// Minimal 64-bit LCG (Knuth's MMIX constants) for deterministic
-/// adversarial task placement; the high bits are the usable ones.
-struct Lcg {
-    state: u64,
-}
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg { state: seed ^ 0x9e37_79b9_7f4a_7c15 }
-    }
-
-    fn next_index(&mut self, bound: usize) -> usize {
-        self.state = self
-            .state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        ((self.state >> 33) as usize) % bound.max(1)
     }
 }
 
@@ -351,10 +262,9 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn results_in_input_order_with_stealing() {
+    fn results_in_input_order() {
         let pool = WorkerPool::new(4);
-        // Earlier items sleep longer, so later items finish first and
-        // idle workers must steal to stay busy.
+        // Earlier items sleep longer, so later items finish first.
         let out = pool.scatter((0..16u64).collect(), |i, x| {
             std::thread::sleep(std::time::Duration::from_millis(16 - x));
             i as u64 * 100 + x
@@ -382,32 +292,36 @@ mod tests {
             i + x
         });
         assert_eq!(out, vec![1, 3, 5]);
-        assert_eq!(pool.stats().tasks, 0, "inline path bypasses the deques");
+        assert_eq!(pool.stats().tasks, 0, "inline path bypasses the queue");
     }
 
     #[test]
-    fn seeded_placement_is_deterministic_and_bit_identical() {
-        let pool = WorkerPool::new(4);
-        let base = pool.scatter((0..32u64).collect(), |i, x| (i as u64) ^ (x << 3));
-        for seed in [0u64, 1, 7, 0xdead_beef] {
-            let forced =
-                pool.scatter_seeded(Some(seed), (0..32u64).collect(), |i, x| (i as u64) ^ (x << 3));
-            assert_eq!(forced, base, "seed {seed} changed results");
-        }
-    }
-
-    #[test]
-    fn steals_are_recorded_under_skewed_placement() {
-        let pool = WorkerPool::new(4);
-        // All tasks land on one deque; three workers plus the caller can
-        // only make progress by stealing.
-        let _ = pool.scatter_seeded(Some(42), (0..64u64).collect(), |_, x| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            x
+    fn concurrent_scatters_each_get_their_own_results_in_order() {
+        // The daemon's usage: several sessions scatter on one resident pool
+        // at once, and each caller may run the other's tasks while it waits.
+        let pool = WorkerPool::new(3);
+        thread::scope(|s| {
+            let callers: Vec<_> = [1000u64, 2000]
+                .into_iter()
+                .map(|base| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        for round in 0..20u64 {
+                            let out = pool.scatter((0..9u64).collect(), |i, x| {
+                                thread::sleep(std::time::Duration::from_micros(50 * (9 - x)));
+                                base + round * 10 + i as u64
+                            });
+                            let want: Vec<u64> = (0..9).map(|i| base + round * 10 + i).collect();
+                            assert_eq!(out, want);
+                        }
+                    })
+                })
+                .collect();
+            for c in callers {
+                c.join().expect("caller");
+            }
         });
-        let stats = pool.stats();
-        assert!(stats.steals > 0, "expected steals, got {stats:?}");
-        assert!(stats.max_queue_depth > 1, "expected queueing, got {stats:?}");
+        assert_eq!(pool.stats().tasks, 2 * 20 * 9);
     }
 
     #[test]

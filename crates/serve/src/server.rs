@@ -389,6 +389,10 @@ impl Recorder for FrameRecorder {
         self.event(events::alarm(e));
     }
 
+    fn plan(&self, nanos: u64) {
+        self.event(events::plan(nanos));
+    }
+
     fn slice(&self, e: &SliceEvent) {
         self.event(events::slice(e));
     }

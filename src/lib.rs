@@ -14,8 +14,8 @@
 //! - [`core`] — the iterator, fixpoint engine, packing, alarms (Sect. 5, 7)
 //! - [`slicer`] — backward slicing for alarm inspection (Sect. 3.3)
 //! - [`gen`] — the synthetic periodic synchronous program family (Sect. 4)
-//! - [`sched`] — the parallel & batch scheduler (deterministic slice merge
-//!   à la Monniaux's parallel ASTRÉE, plus bounded-worker fleet batches)
+//! - [`sched`] — the worker pool the slices of a parallel analysis run on
+//!   (one queue, results in input order, à la Monniaux's parallel ASTRÉE)
 //! - [`obs`] — structured analysis telemetry (recorder, metrics schema)
 //! - [`serve`] — the resident analysis service (warm pool, shared invariant
 //!   store, `astree-serve/1` wire protocol)

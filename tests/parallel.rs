@@ -87,78 +87,45 @@ fn parallel_analysis_slices_the_channel_dispatch() {
 }
 
 #[test]
-fn forced_steal_orders_do_not_change_results() {
-    // `debug_force_steal` seeds an adversarial initial task placement in the
-    // work-stealing pool, so workers must steal to make progress. Whatever
-    // the interleaving, the fixed-order overlay merge must keep the result
-    // bit-identical — and at least one seed must actually force steals, or
-    // this test would pass vacuously.
-    use astree::obs::Collector;
-    let src = generate(&GenConfig { channels: 6, seed: 42, bug: None });
-    let p = Frontend::new().compile_str(&src).expect("compiles");
-    let baseline = run_with_jobs(&src, 4);
-    assert!(baseline.stats.parallel_slices > 0, "dispatch must slice for this test to bite");
-
-    let mut stole_somewhere = false;
-    for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
-        let mut cfg = AnalysisConfig::default();
-        cfg.jobs = 4;
-        cfg.debug_force_steal = Some(seed);
-        let c = Collector::new();
-        let par = AnalysisSession::builder(&p).config(cfg).recorder(&c).build().run();
-        assert_equivalent(&format!("steal-seed-{seed}"), &baseline, &par, 4);
-        let pool = c.snapshot().scheduler.pool.expect("pool counters recorded");
-        stole_somewhere |= pool.steals > 0;
-    }
-    assert!(stole_somewhere, "no seed forced a steal — the adversarial placement is inert");
-}
-
-#[test]
-fn nested_slicing_splits_fat_branches() {
-    // A handwritten shape the nested planner targets: the synchronous loop
-    // holds one fat `if` whose branch blocks contain independent per-signal
-    // chains. Top-level slicing sees a single statement; the nested planner
-    // recurses one level and slices the branch block.
+fn only_the_loop_dispatch_is_sliced() {
+    // Eight independent assignments before the loop would make a parallel
+    // stage, and so would the branch block inside it: neither is sliced.
+    // Only the loop body's own two-statement stage is, every time it runs.
     let src = r#"
         double a0; double a1; double a2; double a3;
         double b0; double b1; double b2; double b3;
         int mode;
         void main(void) {
+            a0 = 1.0; a1 = 2.0; a2 = 3.0; a3 = 4.0;
+            b0 = 1.0; b1 = 2.0; b2 = 3.0; b3 = 4.0;
             while (1) {
                 if (mode > 0) {
-                    a0 = a0 * 0.5 + 1.0; a0 = a0 + 0.25; a0 = a0 * 0.9;
-                    a1 = a1 * 0.5 + 2.0; a1 = a1 + 0.25; a1 = a1 * 0.9;
-                    a2 = a2 * 0.5 + 3.0; a2 = a2 + 0.25; a2 = a2 * 0.9;
-                    a3 = a3 * 0.5 + 4.0; a3 = a3 + 0.25; a3 = a3 * 0.9;
-                } else {
-                    b0 = b0 * 0.5 - 1.0; b0 = b0 - 0.25; b0 = b0 * 0.9;
-                    b1 = b1 * 0.5 - 2.0; b1 = b1 - 0.25; b1 = b1 * 0.9;
-                    b2 = b2 * 0.5 - 3.0; b2 = b2 - 0.25; b2 = b2 * 0.9;
-                    b3 = b3 * 0.5 - 4.0; b3 = b3 - 0.25; b3 = b3 * 0.9;
+                    a0 = a0 * 0.5 + 1.0; a1 = a1 * 0.5 + 2.0;
+                    a2 = a2 * 0.5 + 3.0; a3 = a3 * 0.5 + 4.0;
                 }
+                b0 = b0 * 0.5 - 1.0;
                 __astree_wait();
             }
         }
     "#;
-    let p = Frontend::new().compile_str(src).expect("compiles");
-    let run = |nested: bool| {
-        let mut cfg = AnalysisConfig::default();
-        cfg.jobs = 4;
-        cfg.nested_slicing = nested;
-        // Every statement is cheap; only the cost-fraction gate would stop
-        // nested slicing, so open it fully for this structural test.
-        cfg.nested_cost_fraction = 0.0;
-        AnalysisSession::builder(&p).config(cfg).build().run()
-    };
-    let flat = run(false);
-    let nested = run(true);
-    assert_equivalent("nested-slicing", &flat, &nested, 4);
-    assert!(
-        nested.stats.parallel_slices > flat.stats.parallel_slices,
-        "nested slicing should add branch-block slices (nested={} flat={})",
-        nested.stats.parallel_slices,
-        flat.stats.parallel_slices
+    let seq = run_with_jobs(src, 1);
+    let par = run_with_jobs(src, 4);
+    assert_equivalent("loop-dispatch-only", &seq, &par, 4);
+    assert!(par.stats.parallel_stages > 0, "the loop body's `if` and assignment share a stage");
+    assert_eq!(
+        par.stats.parallel_slices,
+        2 * par.stats.parallel_stages,
+        "every sliced stage is the loop body's two statements"
     );
+}
+
+#[test]
+fn slice_counts_are_a_function_of_program_and_jobs() {
+    let src = generate(&GenConfig { channels: 6, seed: 42, bug: None });
+    let (a, b) = (run_with_jobs(&src, 4), run_with_jobs(&src, 4));
+    assert!(a.stats.parallel_slices > 0);
+    assert_eq!(a.stats.parallel_stages, b.stats.parallel_stages);
+    assert_eq!(a.stats.parallel_slices, b.stats.parallel_slices);
 }
 
 #[test]

@@ -53,6 +53,7 @@ fn metrics_cover_fixpoint_domains_and_scheduler() {
     assert!(!m.scheduler.slices.is_empty());
     assert!(m.scheduler.slices.iter().all(|s| s.stmts > 0));
     assert_eq!(m.scheduler.merges, m.scheduler.slices.len() as u64, "one overlay merge per slice");
+    assert!(m.scheduler.plan_nanos > 0, "planning the dispatch is timed");
 }
 
 #[test]
@@ -218,7 +219,9 @@ fn json_document_has_the_documented_shape() {
         assert!(j.get(key).is_some(), "top-level key {key}");
     }
     let sched = j.get("scheduler").unwrap();
-    for key in ["stages", "slices", "merges", "merge_nanos", "fallbacks", "batch_jobs"] {
+    for key in
+        ["stages", "slices", "merges", "merge_nanos", "plan_nanos", "fallbacks", "batch_jobs"]
+    {
         assert!(sched.get(key).is_some(), "scheduler key {key}");
     }
     // `core.frames`: every call of the entry function is accounted for, on
@@ -295,10 +298,9 @@ fn external_pool_sessions_report_per_run_deltas() {
     }
     assert!(tasks_per_run[0] > 0, "the sliced dispatch runs pool tasks");
     assert!(tasks_per_run[1] > 0, "the second run also runs pool tasks");
-    // Exact per-run task counts vary (cost-guided chunking feeds on
-    // measured slice nanos), so the delta contract is checked against the
-    // pool's lifetime totals: the two per-run reports must partition them.
-    // Cumulative reporting would make run 2 alone equal the lifetime total.
+    // Slices are cut when the block is planned, so both runs push the same
+    // tasks; cumulative reporting would make run 2 read twice run 1.
+    assert_eq!(tasks_per_run[0], tasks_per_run[1], "per-run task counts differ");
     assert_eq!(
         tasks_per_run[0] + tasks_per_run[1],
         pool.stats().tasks,
