@@ -1,26 +1,20 @@
 //! The public analysis entry point: [`AnalysisSession`], a builder-style
 //! session coupling a program with a configuration, an optional telemetry
-//! recorder, an optional incremental invariant cache and intra-analysis
-//! parallelism — all orthogonal options behind one `run()`.
+//! recorder, an optional invariant store and intra-analysis parallelism —
+//! all orthogonal options behind one `run()`.
 
 use crate::alarms::Alarm;
-use crate::cache::{
-    config_fingerprint, loops_in_preorder, packs_fingerprint, InvariantStore, Seed, SeedOrigin,
-    StoreKey,
-};
+use crate::cache::{config_fingerprint, packs_fingerprint, InvariantStore, StoreKey};
 use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::{Iter, Mode};
 use crate::packs::Packs;
 use crate::state::AbsState;
-use astree_ir::{
-    channel_tag, func_fingerprints, globals_fingerprint, loop_fingerprints,
-    parametric_fingerprints, program_fingerprint, FuncId, LoopId, Program, StmtId,
-};
+use astree_ir::{globals_fingerprint, program_fingerprint, Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
 use astree_obs::{CacheCounters, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
 use astree_sched::WorkerPool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,17 +55,6 @@ pub struct AnalysisStats {
     pub parallel_slices: u64,
     /// Loops solved by fixpoint iteration in *this* run.
     pub loops_solved: u64,
-    /// Loops whose invariant was reused from a verified whole-function
-    /// cache seed.
-    pub loops_replayed: u64,
-    /// Loops seeded from a per-loop or cross-member candidate that passed
-    /// the post-fixpoint acceptance check (edited functions whose loops did
-    /// not change, or another family member's converged invariants).
-    pub loops_seeded: u64,
-    /// The subset of [`AnalysisStats::loops_seeded`] whose candidate came
-    /// from *another family member* via the portable (channel-parametric)
-    /// seed store.
-    pub seed_hits: u64,
     /// Loops re-solved during the checking pass because the stored
     /// invariant did not cover the arriving context (nested loops are
     /// re-solved per outer iteration in iteration mode, so the stored
@@ -79,23 +62,14 @@ pub struct AnalysisStats {
     pub loops_rechecked: u64,
 }
 
-/// How the incremental cache participated in one analysis run.
+/// How the invariant store participated in one analysis run.
 #[derive(Debug, Clone, Default)]
 pub struct CacheReport {
-    /// `true` when the session had a cache store attached.
+    /// `true` when the session had a store attached.
     pub enabled: bool,
     /// `true` when the whole stored result was replayed verbatim (no
     /// abstract interpretation ran).
     pub full_hit: bool,
-    /// Functions whose stored invariants were installed as seeds.
-    pub seeded_functions: usize,
-    /// Functions the warm store could not seed (edited, or transitively
-    /// calling something edited).
-    pub invalidated_functions: usize,
-    /// Loops solved by full fixpoint iteration, by enclosing function.
-    pub loops_solved_by_function: BTreeMap<String, u64>,
-    /// Loops replayed from verified seeds, by enclosing function.
-    pub loops_replayed_by_function: BTreeMap<String, u64>,
 }
 
 /// The result of an analysis.
@@ -143,7 +117,7 @@ impl<'a> AnalysisSessionBuilder<'a> {
         self
     }
 
-    /// Attaches an incremental invariant cache store.
+    /// Attaches an invariant store.
     pub fn cache(mut self, store: Arc<InvariantStore>) -> Self {
         self.cache = Some(store);
         self
@@ -187,7 +161,7 @@ impl<'a> AnalysisSessionBuilder<'a> {
 }
 
 /// An analysis session: one program plus everything orthogonal to it —
-/// configuration, telemetry, incremental cache, parallelism.
+/// configuration, telemetry, invariant store, parallelism.
 ///
 /// See the [crate root](crate) for an end-to-end example.
 pub struct AnalysisSession<'a> {
@@ -216,9 +190,9 @@ impl<'a> AnalysisSession<'a> {
         &self.config
     }
 
-    /// Runs the analysis: replay a stored whole-program result when the
-    /// cache has an exact match, otherwise run both phases (iteration with
-    /// any verified seeds installed, then checking) and update the store.
+    /// Runs the analysis: replay the stored result when the store has an
+    /// exact match, otherwise run both phases (iteration, then checking)
+    /// exactly as if no store were attached and store the result.
     pub fn run(&self) -> AnalysisResult {
         let t_start = Instant::now();
         let rec = self.recorder;
@@ -228,113 +202,49 @@ impl<'a> AnalysisSession<'a> {
         );
         let packs = Packs::discover(self.program, &layout, &self.config);
 
-        let mut report = CacheReport { enabled: self.cache.is_some(), ..CacheReport::default() };
-        let mut run_counters = CacheCounters::default();
-        let mut seeds: HashMap<LoopId, Seed> = HashMap::new();
-        let mut cache_ctx: Option<(StoreKey, u64, Vec<u64>, CacheCounters)> = None;
-
+        // The store to write the result to, with its key and its counters
+        // before the lookup.
+        let mut miss: Option<(&InvariantStore, StoreKey, CacheCounters)> = None;
         if let Some(store) = &self.cache {
             let key = StoreKey {
                 layout_fp: globals_fingerprint(self.program),
                 packs_fp: packs_fingerprint(&packs),
                 config_fp: config_fingerprint(&self.config),
+                program_fp: program_fingerprint(self.program),
             };
-            let program_fp = program_fingerprint(self.program);
             let store_before = store.counters();
             // A verbatim replay carries no per-statement states, so the
-            // collection flag forces the full pipeline (seeds still apply).
+            // collection flag forces the full pipeline.
             let full_hit = if self.config.collect_stmt_invariants {
                 None
             } else {
-                store.lookup_full(&key, program_fp, &layout, &packs)
+                store.lookup_full(&key, &layout, &packs)
             };
             if let Some(hit) = full_hit {
                 let time_replay = t_start.elapsed();
                 let mut stats = hit.stats;
                 stats.time_replay = time_replay;
-                report.full_hit = true;
-                run_counters.full_hits = 1;
-                run_counters.replay_nanos = time_replay.as_nanos() as u64;
                 let cold = stats.time_iterate + stats.time_check;
-                run_counters.saved_nanos =
-                    cold.as_nanos().saturating_sub(time_replay.as_nanos()) as u64;
-                let io = store.counters().since(&store_before);
-                store.absorb_run(&run_counters);
-                run_counters.bytes_read += io.bytes_read;
-                run_counters.bytes_written += io.bytes_written;
-                run_counters.corrupt_files += io.corrupt_files;
-                run_counters.evictions += io.evictions;
+                let run = CacheCounters {
+                    full_hits: 1,
+                    replay_nanos: time_replay.as_nanos() as u64,
+                    saved_nanos: cold.as_nanos().saturating_sub(time_replay.as_nanos()) as u64,
+                    ..CacheCounters::default()
+                };
                 if rec.enabled() {
                     rec.phase_time("replay", time_replay.as_nanos() as u64);
-                    rec.cache(&run_counters);
                 }
+                report_cache_run(store, rec, run, &store_before);
                 return AnalysisResult {
                     alarms: hit.alarms,
                     stats,
                     main_census: hit.census,
                     main_invariant: hit.invariant,
-                    cache: report,
+                    cache: CacheReport { enabled: true, full_hit: true },
                     stmt_invariants: None,
                 };
             }
-            run_counters.misses = 1;
-            let fps = func_fingerprints(self.program);
-            let param_fps = parametric_fingerprints(self.program);
-            let had_seeds = store.has_seeds(&key);
-            for (fi, func) in self.program.funcs.iter().enumerate() {
-                match store.lookup_seeds(&key, fps[fi], &layout, &packs) {
-                    Some(stored) => {
-                        let loop_ids = loops_in_preorder(func);
-                        for (ordinal, st) in stored {
-                            if let Some(&lid) = loop_ids.get(ordinal as usize) {
-                                seeds.insert(lid, Seed::Full(st, SeedOrigin::Func));
-                            }
-                        }
-                        report.seeded_functions += 1;
-                    }
-                    None => {
-                        if had_seeds {
-                            report.invalidated_functions += 1;
-                        }
-                        // The function (or a callee) changed. Fall back to
-                        // its loops whose local fingerprint still matches,
-                        // then to another family member's portable seeds for
-                        // anything still cold.
-                        let loop_ids = loops_in_preorder(func);
-                        if loop_ids.is_empty() {
-                            continue;
-                        }
-                        let loop_fps = loop_fingerprints(self.program, FuncId(fi as u32), &fps);
-                        for (ordinal, &lid) in loop_ids.iter().enumerate() {
-                            let Some(&lfp) = loop_fps.get(ordinal) else {
-                                continue;
-                            };
-                            if let Some(st) = store.lookup_loop_seed(&key, lfp, &layout, &packs) {
-                                seeds.insert(lid, Seed::Full(st, SeedOrigin::Loop));
-                            }
-                        }
-                        let tag = channel_tag(&func.name);
-                        if let Some(stored) = store.lookup_portable_seeds(
-                            key.config_fp,
-                            param_fps[fi],
-                            tag,
-                            &layout,
-                            &packs,
-                        ) {
-                            for (ordinal, patch) in stored {
-                                if let Some(&lid) = loop_ids.get(ordinal as usize) {
-                                    seeds
-                                        .entry(lid)
-                                        .or_insert_with(|| Seed::Portable(Arc::new(patch)));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            run_counters.seeded_functions = report.seeded_functions as u64;
-            run_counters.invalidated_functions = report.invalidated_functions as u64;
-            cache_ctx = Some((key, program_fp, fps, store_before));
+            miss = Some((store, key, store_before));
         }
 
         // One persistent worker pool for the whole session (both
@@ -363,7 +273,6 @@ impl<'a> AnalysisSession<'a> {
 
         let mut iter = Iter::with_recorder(self.program, &layout, &packs, &self.config, rec);
         iter.pool = pool;
-        iter.seeds = Arc::new(seeds);
 
         let t0 = Instant::now();
         let _final_state = iter.run_mode(Mode::Iterate);
@@ -442,70 +351,18 @@ impl<'a> AnalysisSession<'a> {
             parallel_stages: iter.stats.par_stages,
             parallel_slices: iter.stats.par_slices,
             loops_solved: iter.stats.loops_solved,
-            loops_replayed: iter.stats.loops_replayed,
-            loops_seeded: iter.stats.loops_seeded,
-            seed_hits: iter.stats.seed_hits,
             loops_rechecked: iter.stats.loops_rechecked,
         };
-        report.loops_solved_by_function = std::mem::take(&mut iter.stats.solved_by_func);
-        report.loops_replayed_by_function = std::mem::take(&mut iter.stats.replayed_by_func);
         let alarms = std::mem::take(&mut iter.sink).into_sorted();
 
-        if let (Some(store), Some((key, program_fp, fps, store_before))) = (&self.cache, cache_ctx)
-        {
-            let param_fps = parametric_fingerprints(self.program);
-            let mut seeds_out: Vec<(u64, Vec<(u32, AbsState)>)> =
-                Vec::with_capacity(self.program.funcs.len());
-            let mut loop_seeds_out: Vec<(u64, AbsState)> = Vec::new();
-            let mut portable_out: Vec<(u64, String, Vec<(u32, AbsState)>)> = Vec::new();
-            for (fi, func) in self.program.funcs.iter().enumerate() {
-                let loop_ids = loops_in_preorder(func);
-                let mut loops = Vec::new();
-                for (ordinal, lid) in loop_ids.iter().enumerate() {
-                    if let Some(inv) = iter.invariants.get(lid) {
-                        loops.push((ordinal as u32, inv.clone()));
-                    }
-                }
-                if !loop_ids.is_empty() {
-                    let loop_fps = loop_fingerprints(self.program, FuncId(fi as u32), &fps);
-                    for (ordinal, lid) in loop_ids.iter().enumerate() {
-                        if let (Some(inv), Some(&lfp)) =
-                            (iter.invariants.get(lid), loop_fps.get(ordinal))
-                        {
-                            loop_seeds_out.push((lfp, inv.clone()));
-                        }
-                    }
-                }
-                if !loops.is_empty() {
-                    let tag = channel_tag(&func.name).to_string();
-                    portable_out.push((param_fps[fi], tag, loops.clone()));
-                }
-                seeds_out.push((fps[fi], loops));
-            }
-            store.update(
-                &key,
-                program_fp,
-                &alarms,
-                main_census,
-                main_invariant.as_ref(),
-                &stats,
-                &seeds_out,
-                &loop_seeds_out,
-            );
-            store.update_portable(key.config_fp, &layout, &packs, &portable_out);
-            run_counters.loops_replayed = stats.loops_replayed;
-            run_counters.loops_solved = stats.loops_solved;
-            run_counters.loops_seeded = stats.loops_seeded;
-            run_counters.seed_hits = stats.seed_hits;
-            let io = store.counters().since(&store_before);
-            store.absorb_run(&run_counters);
-            run_counters.bytes_read += io.bytes_read;
-            run_counters.bytes_written += io.bytes_written;
-            run_counters.corrupt_files += io.corrupt_files;
-            run_counters.evictions += io.evictions;
-            if rec.enabled() {
-                rec.cache(&run_counters);
-            }
+        if let Some((store, key, store_before)) = miss {
+            store.update(&key, &alarms, main_census, main_invariant.as_ref(), &stats);
+            let run = CacheCounters {
+                misses: 1,
+                loops_solved: stats.loops_solved,
+                ..CacheCounters::default()
+            };
+            report_cache_run(store, rec, run, &store_before);
         }
 
         let stmt_invariants =
@@ -516,9 +373,28 @@ impl<'a> AnalysisSession<'a> {
             stats,
             main_census,
             main_invariant,
-            cache: report,
+            cache: CacheReport { enabled: self.cache.is_some(), full_hit: false },
             stmt_invariants,
         }
+    }
+}
+
+/// Folds one run's counters into the store's totals and reports them to the
+/// recorder together with the I/O the store did since `before`.
+fn report_cache_run(
+    store: &InvariantStore,
+    rec: &dyn Recorder,
+    mut run: CacheCounters,
+    before: &CacheCounters,
+) {
+    let io = store.counters().since(before);
+    store.absorb_run(&run);
+    run.bytes_read = io.bytes_read;
+    run.bytes_written = io.bytes_written;
+    run.corrupt_files = io.corrupt_files;
+    run.evictions = io.evictions;
+    if rec.enabled() {
+        rec.cache(&run);
     }
 }
 
@@ -682,7 +558,6 @@ mod tests {
         assert!(r.stats.loop_iterations > 0);
         assert!(r.stats.stmts_interpreted > 0);
         assert!(r.stats.loops_solved > 0);
-        assert_eq!(r.stats.loops_replayed, 0, "no cache attached");
         assert!(!r.cache.enabled);
     }
 

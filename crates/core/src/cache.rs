@@ -1,55 +1,34 @@
-//! The incremental invariant cache (ROADMAP: "cache per-function invariants
-//! keyed by a body hash").
+//! The invariant store: a disk-backed memo of whole analysis runs.
 //!
 //! The paper's workflow is iterative: the analyzer is re-run many times over
-//! the same codebase while tuning the parametrization (Sect. 7), so most runs
-//! re-solve fixpoints that did not change. This module makes warm re-runs
-//! nearly free with a content-addressed, disk-backed [`InvariantStore`]
-//! consulted by the analysis session on two levels:
+//! the same codebase while tuning the parametrization (Sect. 7), and many of
+//! those runs repeat one that was already made. An [`InvariantStore`] keeps
+//! one result per file and the analysis session uses it in exactly one way —
+//! **replay or solve**: on an exact match the stored alarms, census, main
+//! invariant and statistics are replayed verbatim (bit-identical to the cold
+//! run by construction, no abstract interpretation runs at all); otherwise
+//! the session solves exactly as if no store were attached and then stores
+//! what it found. A store therefore never changes a result, only how long it
+//! takes to get it.
 //!
-//! - **Whole-program replay.** Entries are keyed by the *exact* program
-//!   fingerprint ([`astree_ir::program_fingerprint`], which covers statement
-//!   ids and source lines) so a matching entry's alarms, census, invariant
-//!   and statistics can be replayed verbatim — the warm result is
-//!   bit-identical to the cold one by construction, and no abstract
-//!   interpretation runs at all.
-//! - **Per-function seeds.** When the program changed, loop invariants of
-//!   functions whose *stable closure* fingerprint
-//!   ([`astree_ir::func_fingerprints`]) still matches are installed as
-//!   candidate invariants. The iterator verifies each candidate with a single
-//!   body pass and accepts it only if it is an inductive post-fixpoint of the
-//!   current loop (`entry ⊔ F(candidate) ⊑ candidate`), which is sound
-//!   regardless of where the candidate came from; otherwise it falls back to
-//!   the normal widening/narrowing iteration.
-//! - **Per-loop seeds.** When even the function changed, invariants of loops
-//!   whose local fingerprint ([`astree_ir::loop_fingerprints`] — body
-//!   statements plus callee closures) still matches are installed the same
-//!   way, so an edited function never pays a fully cold overshoot for its
-//!   unchanged loops (counted in `stats.loops_seeded`).
-//! - **Portable seeds.** A second, member-independent file per configuration
-//!   (`p-<config>.astc`) stores loop invariants keyed by the
-//!   *channel-parametric* closure fingerprint
-//!   ([`astree_ir::parametric_fingerprints`]) with every cell keyed by its
-//!   canonical *name* ([`astree_ir::canon_ident`]) instead of its id. A
-//!   4-channel family member's converged seeds then warm a 46-channel
-//!   member's solves: the decoded [`StatePatch`] maps names back onto the
-//!   target layout and is applied over the loop's entry state (counted in
-//!   `stats.seed_hits`). Acceptance is the same post-fixpoint check.
-//!
-//! Both levels sit behind three guard fingerprints baked into the cache-file
-//! identity: the cell-layout fingerprint (decoded states name cells by id),
+//! A result is identified by four fingerprints, all of them in its file name
+//! ([`StoreKey::file_name`]) and repeated in its header: the *exact* program
+//! fingerprint ([`astree_ir::program_fingerprint`], which covers statement
+//! ids and source lines), and three guards under which the stored invariant
+//! was encoded — the cell-layout fingerprint (a state names cells by id),
 //! the pack-structure fingerprint (octagon matrices and tree shapes are
-//! indexed by pack), and the analysis-relevant configuration fingerprint
+//! indexed by pack) and the analysis-relevant configuration fingerprint
 //! ([`config_fingerprint`] — see `DESIGN.md` for what is deliberately left
-//! out). A mismatch on any of them simply selects a different (usually
-//! empty) cache file, so stale data can never be decoded against the wrong
-//! shapes.
+//! out). The program fingerprint alone determines the other two of a given
+//! build; they stay because they catch a store written by a build whose
+//! layout or pack discovery differs. The directory is the map: a lookup
+//! reads one file, a run writes one, eviction removes whole results.
 //!
-//! The on-disk format (`astree-cache/1`) is a line-oriented text format with
+//! The on-disk format ([`CACHE_FORMAT`]) is a line-oriented text format with
 //! `f64` values stored as IEEE bit patterns, so every value round-trips
 //! exactly. A corrupt or truncated file is detected during parsing and
-//! treated as an empty cache (counted in [`CacheCounters::corrupt_files`]);
-//! the analysis then falls back to a cold run and rewrites the file.
+//! treated as a miss (counted in [`CacheCounters::corrupt_files`]); the
+//! analysis then runs cold and rewrites the file.
 
 use crate::alarms::{Alarm, AlarmKind};
 use crate::analysis::AnalysisStats;
@@ -58,24 +37,19 @@ use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
-use astree_ir::stmt::for_each_stmt;
-use astree_ir::{
-    canon_ident, expand_ident, Fnv, Function, Loc, LoopId, ScalarType, StmtId, StmtKind,
-};
+use astree_ir::{Fnv, Loc, ScalarType, StmtId};
 use astree_memory::{CellId, CellLayout, CellVal};
 use astree_obs::CacheCounters;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// The format identifier on the first line of every cache file.
-/// `/2`: a loop inside a framed call stores its invariant at the size of the
-/// frame, and a stored state decodes to exactly the keys it was encoded with
-/// (`/1` padded every state to the whole layout). Stores written before
-/// that parse as foreign and miss.
-pub const CACHE_FORMAT: &str = "astree-cache/2";
+/// The format identifier on the first line of every store file.
+/// `/3`: one result per file, named by all four fingerprints. Files of
+/// earlier formats carry other names and are never opened.
+pub const CACHE_FORMAT: &str = "astree-cache/3";
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -212,9 +186,10 @@ pub fn packs_fingerprint(packs: &Packs) -> u64 {
     h.finish()
 }
 
-/// The guard fingerprints naming one cache file: states can only be decoded
-/// against the exact cell layout, pack structure and configuration they were
-/// encoded under.
+/// The identity of one stored result: the exact program and the three guard
+/// fingerprints its invariant was encoded under. A state can only be decoded
+/// against the exact cell layout, pack structure and configuration it was
+/// encoded with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     /// [`astree_ir::globals_fingerprint`] of the program's variable table
@@ -224,134 +199,49 @@ pub struct StoreKey {
     pub packs_fp: u64,
     /// [`config_fingerprint`] of the analysis configuration.
     pub config_fp: u64,
+    /// [`astree_ir::program_fingerprint`] of the program.
+    pub program_fp: u64,
 }
 
 impl StoreKey {
     /// The on-disk file name for this key (also its wire name for remote
     /// store sync).
     pub fn file_name(&self) -> String {
-        format!("k-{:016x}-{:016x}-{:016x}.astc", self.layout_fp, self.packs_fp, self.config_fp)
+        format!(
+            "k-{:016x}-{:016x}-{:016x}-{:016x}.astc",
+            self.layout_fp, self.packs_fp, self.config_fp, self.program_fp
+        )
+    }
+
+    /// The key a well-formed store file name (`k-<4 × hex64>.astc`) stands
+    /// for; `None` for any other name.
+    fn from_file_name(name: &str) -> Option<StoreKey> {
+        let body = name.strip_prefix("k-")?.strip_suffix(".astc")?;
+        let mut groups = body.split('-').map(|g| {
+            // Exactly what `file_name` prints: sixteen lowercase hex digits.
+            let printed =
+                g.len() == 16 && g.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+            u64::from_str_radix(g, 16).ok().filter(|_| printed)
+        });
+        let mut fp = || groups.next().flatten();
+        let key =
+            StoreKey { layout_fp: fp()?, packs_fp: fp()?, config_fp: fp()?, program_fp: fp()? };
+        groups.next().is_none().then_some(key)
     }
 }
 
-/// The on-disk name of the member-independent portable-seed file for one
-/// analysis configuration.
-pub fn portable_file_name(config_fp: u64) -> String {
-    format!("p-{config_fp:016x}.astc")
-}
-
-/// `true` when `name` is a well-formed store file name (`k-<3 × hex64>.astc`
-/// or `p-<hex64>.astc`). Remote imports validate names with this before
-/// touching the filesystem, so a peer can never escape the store directory.
+/// `true` when `name` is a well-formed store file name. Remote imports
+/// validate names with this before touching the filesystem, so a peer can
+/// never escape the store directory.
 pub fn valid_store_file_name(name: &str) -> bool {
-    let (body, groups) = if let Some(b) = name.strip_prefix("k-") {
-        (b, 3)
-    } else if let Some(b) = name.strip_prefix("p-") {
-        (b, 1)
-    } else {
-        return false;
-    };
-    let Some(body) = body.strip_suffix(".astc") else {
-        return false;
-    };
-    let parts: Vec<&str> = body.split('-').collect();
-    parts.len() == groups
-        && parts.iter().all(|g| {
-            g.len() == 16 && g.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-        })
-}
-
-/// The loop ids of a function body in pre-order. Seeds are stored under the
-/// loop's *ordinal* in this sequence (loop ids are renumbered by unrelated
-/// edits; the ordinal within an unchanged function is stable).
-pub fn loops_in_preorder(func: &Function) -> Vec<LoopId> {
-    let mut out = Vec::new();
-    for_each_stmt(&func.body, &mut |s| {
-        if let StmtKind::While(id, _, _) = &s.kind {
-            out.push(*id);
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Seeds
-// ---------------------------------------------------------------------------
-
-/// Where a loop's candidate invariant came from. Statistics only — the
-/// acceptance check is identical for every origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedOrigin {
-    /// Same member, whole-function stable-closure fingerprint match.
-    Func,
-    /// Same member, per-loop fingerprint match after the function changed.
-    Loop,
-    /// Another family member, via the channel-parametric portable store.
-    Portable,
-}
-
-/// A candidate loop invariant installed before iteration starts.
-#[derive(Debug, Clone)]
-pub enum Seed {
-    /// A fully decoded same-member state, used as the candidate verbatim.
-    Full(AbsState, SeedOrigin),
-    /// A cross-member patch, applied over the loop's entry state.
-    Portable(Arc<StatePatch>),
-}
-
-/// A name-resolved cross-member seed: the components of a donor member's
-/// loop invariant that mapped onto the current member's layout and packs.
-/// Applied as a patch over the loop's entry state, so unmapped cells (the
-/// target's extra channels, unresolved names, temporaries) keep their entry
-/// values; the post-fixpoint acceptance check decides whether the result is
-/// usable.
-#[derive(Debug)]
-pub struct StatePatch {
-    clock: IntItv,
-    cells: Vec<(CellId, CellVal)>,
-    octs: Vec<(usize, Octagon)>,
-    dtrees: Vec<(usize, DTree)>,
-    ells: Vec<(usize, f64, f64)>,
-}
-
-impl StatePatch {
-    /// `base` with every mapped component it holds replaced by the donor's
-    /// value. Components `base` does not hold — it is the state of a frame,
-    /// the donor's loop ran in a larger one — are dropped: the result has
-    /// `base`'s shape.
-    pub fn apply(&self, base: &AbsState) -> AbsState {
-        if base.is_bottom() {
-            return base.clone();
-        }
-        let mut st = base.clone();
-        let mut env = st.env.clone();
-        for (c, v) in self.cells.iter().filter(|(c, _)| base.env.tracks(*c)) {
-            env.set(*c, *v);
-        }
-        if env.is_bottom() {
-            return base.clone(); // a mapped donor value was unrepresentable
-        }
-        env.clock = self.clock;
-        st.env = env;
-        for (pi, o) in self.octs.iter().filter(|(pi, _)| base.has_oct(*pi)) {
-            st.set_oct(*pi, o.clone());
-        }
-        for (pi, t) in self.dtrees.iter().filter(|(pi, _)| base.has_dtree(*pi)) {
-            st.set_dtree(*pi, t.clone());
-        }
-        for (pi, k, pending) in self.ells.iter().filter(|(pi, _, _)| base.has_ell(*pi)) {
-            st.set_ell(*pi, *k);
-            st.set_pending(*pi, *pending);
-        }
-        st
-    }
+    StoreKey::from_file_name(name).is_some()
 }
 
 // ---------------------------------------------------------------------------
 // Store
 // ---------------------------------------------------------------------------
 
-/// A replayable whole-program entry decoded from the store.
+/// A replayable stored result, decoded.
 #[derive(Debug)]
 pub struct FullHit {
     /// The stored alarms, verbatim.
@@ -365,38 +255,17 @@ pub struct FullHit {
     pub stats: AnalysisStats,
 }
 
-#[derive(Debug, Clone)]
-struct RawEntry {
-    alarms: Vec<Alarm>,
-    census: Option<Census>,
-    stats_line: String,
-    useful: Vec<usize>,
-    invariant: Option<Vec<String>>,
-}
+/// Distinguishes the staging files of this process's writers.
+static STAGED: AtomicU64 = AtomicU64::new(0);
 
-#[derive(Debug, Default, Clone)]
-struct CacheFile {
-    entries: HashMap<u64, RawEntry>,
-    funcs: HashMap<u64, Vec<(u32, Vec<String>)>>,
-    loops: HashMap<u64, Vec<String>>,
-}
-
-/// The member-independent portable-seed image: per parametric closure
-/// fingerprint, the name-keyed loop states of one donor function.
-#[derive(Debug, Default, Clone)]
-struct PortableFile {
-    funcs: HashMap<u64, Vec<(u32, Vec<String>)>>,
-}
-
-/// The disk-backed invariant store. Cheap to share (`Arc`) across batch
-/// jobs: all file state sits behind one mutex, and cumulative I/O counters
-/// are kept for reporting.
+/// The disk-backed invariant store: a directory of results, one per file.
+/// Cheap to share (`Arc`) across batch jobs, threads and processes: the only
+/// state beside the directory is the cumulative I/O counters kept for
+/// reporting.
 #[derive(Debug)]
 pub struct InvariantStore {
     dir: PathBuf,
     max_bytes: Option<u64>,
-    files: Mutex<HashMap<String, CacheFile>>,
-    portables: Mutex<HashMap<String, PortableFile>>,
     counters: Mutex<CacheCounters>,
 }
 
@@ -407,9 +276,9 @@ impl InvariantStore {
     }
 
     /// Opens a store whose on-disk footprint is bounded: after every write,
-    /// cache files are evicted oldest-mtime-first until the directory fits
-    /// in `max_bytes` (the just-written file is never evicted). Evicted
-    /// entries simply become cold misses on the next run.
+    /// results are evicted oldest-mtime-first until the directory fits in
+    /// `max_bytes` (the just-written one is never evicted). An evicted
+    /// result simply becomes a miss on the next run.
     pub fn open_bounded(
         dir: impl Into<PathBuf>,
         max_bytes: u64,
@@ -419,13 +288,7 @@ impl InvariantStore {
 
     fn open_inner(dir: PathBuf, max_bytes: Option<u64>) -> std::io::Result<InvariantStore> {
         std::fs::create_dir_all(&dir)?;
-        Ok(InvariantStore {
-            dir,
-            max_bytes,
-            files: Mutex::new(HashMap::new()),
-            portables: Mutex::new(HashMap::new()),
-            counters: Mutex::new(CacheCounters::default()),
-        })
+        Ok(InvariantStore { dir, max_bytes, counters: Mutex::new(CacheCounters::default()) })
     }
 
     /// The store directory.
@@ -438,196 +301,46 @@ impl InvariantStore {
         *self.counters.lock().expect("store poisoned")
     }
 
-    /// Folds one session's run-level counters (hits, misses, seed usage,
-    /// replay/saved time) into the store totals, so a store shared across a
-    /// batch fleet reports fleet-wide numbers. The I/O counters
-    /// (`bytes_read`, `bytes_written`, `corrupt_files`) are tracked by the
-    /// store itself and must be zero in `c` to avoid double counting.
+    /// Folds one session's run-level counters (hits, misses, replay/saved
+    /// time) into the store totals, so a store shared across a batch fleet
+    /// reports fleet-wide numbers. The I/O counters (`bytes_read`,
+    /// `bytes_written`, `corrupt_files`) are tracked by the store itself and
+    /// must be zero in `c` to avoid double counting.
     pub fn absorb_run(&self, c: &CacheCounters) {
         self.counters.lock().expect("store poisoned").add(c);
     }
 
-    /// `true` when the cache file for `key` holds any per-function seeds
-    /// (used to distinguish *invalidated* functions from a cold store).
-    pub fn has_seeds(&self, key: &StoreKey) -> bool {
-        let mut files = self.files.lock().expect("store poisoned");
-        let file = self.load(&mut files, key);
-        !file.funcs.is_empty()
-    }
-
-    /// Looks up a whole-program entry and decodes it for replay.
+    /// Reads and decodes the result stored for `key`, if there is one. An
+    /// unreadable or corrupt file bumps the corruption counter and reads as
+    /// a miss.
     pub fn lookup_full(
         &self,
         key: &StoreKey,
-        program_fp: u64,
         layout: &CellLayout,
         packs: &Packs,
     ) -> Option<FullHit> {
-        let mut files = self.files.lock().expect("store poisoned");
-        let file = self.load(&mut files, key);
-        let raw = file.entries.get(&program_fp)?.clone();
-        drop(files);
-        let stats = decode_stats(&raw.stats_line, &raw.useful)?;
-        let invariant = match &raw.invariant {
-            None => None,
-            Some(lines) => {
-                Some(decode_state(&mut lines.iter().map(String::as_str), layout, packs)?)
-            }
-        };
-        Some(FullHit { alarms: raw.alarms, census: raw.census, invariant, stats })
-    }
-
-    /// Looks up the stored loop invariants of one function (by stable
-    /// closure fingerprint) and decodes them as `(loop ordinal, state)`
-    /// seed candidates.
-    pub fn lookup_seeds(
-        &self,
-        key: &StoreKey,
-        closure_fp: u64,
-        layout: &CellLayout,
-        packs: &Packs,
-    ) -> Option<Vec<(u32, AbsState)>> {
-        let mut files = self.files.lock().expect("store poisoned");
-        let file = self.load(&mut files, key);
-        let raw = file.funcs.get(&closure_fp)?.clone();
-        drop(files);
-        let mut out = Vec::with_capacity(raw.len());
-        for (ordinal, lines) in &raw {
-            let st = decode_state(&mut lines.iter().map(String::as_str), layout, packs)?;
-            out.push((*ordinal, st));
+        let text = self.read_file(&key.file_name())?;
+        let hit = parse_result(key, &text, Some((layout, packs)));
+        if hit.is_none() {
+            self.counters.lock().expect("store poisoned").corrupt_files += 1;
         }
-        Some(out)
+        hit
     }
 
-    /// Looks up the stored invariant of one loop by its local fingerprint —
-    /// the fallback when the enclosing function's closure fingerprint missed
-    /// but this loop (and its callees) did not change.
-    pub fn lookup_loop_seed(
-        &self,
-        key: &StoreKey,
-        loop_fp: u64,
-        layout: &CellLayout,
-        packs: &Packs,
-    ) -> Option<AbsState> {
-        let mut files = self.files.lock().expect("store poisoned");
-        let file = self.load(&mut files, key);
-        let raw = file.loops.get(&loop_fp)?.clone();
-        drop(files);
-        decode_state(&mut raw.iter().map(String::as_str), layout, packs)
-    }
-
-    /// Looks up the portable (cross-member) seeds of one function by its
-    /// channel-parametric closure fingerprint, resolving stored canonical
-    /// cell names against the *current* member's layout and packs with the
-    /// target's channel `tag`. Returns `(loop ordinal, patch)` candidates;
-    /// `None` when nothing usable mapped.
-    pub fn lookup_portable_seeds(
-        &self,
-        config_fp: u64,
-        parametric_fp: u64,
-        tag: &str,
-        layout: &CellLayout,
-        packs: &Packs,
-    ) -> Option<Vec<(u32, StatePatch)>> {
-        let mut portables = self.portables.lock().expect("store poisoned");
-        let file = self.load_portable(&mut portables, config_fp);
-        let raw = file.funcs.get(&parametric_fp)?.clone();
-        drop(portables);
-        let mut out = Vec::with_capacity(raw.len());
-        for (ordinal, lines) in &raw {
-            if let Some(p) = decode_patch(&mut lines.iter().map(String::as_str), layout, packs, tag)
-            {
-                out.push((*ordinal, p));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
-    }
-
-    /// Records the outcome of a (cold or seeded) run: the whole-program
-    /// entry for `program_fp`, the per-function seed sections and the
-    /// per-loop seed sections, then persists the cache file.
-    #[allow(clippy::too_many_arguments)]
+    /// Stores the outcome of a cold run under `key`.
     pub fn update(
         &self,
         key: &StoreKey,
-        program_fp: u64,
         alarms: &[Alarm],
         census: Option<Census>,
         invariant: Option<&AbsState>,
         stats: &AnalysisStats,
-        seeds: &[(u64, Vec<(u32, AbsState)>)],
-        loop_seeds: &[(u64, AbsState)],
     ) {
-        let entry = RawEntry {
-            alarms: alarms.to_vec(),
-            census,
-            stats_line: encode_stats(stats),
-            useful: stats.useful_octagon_packs.clone(),
-            invariant: invariant.map(|s| {
-                let mut lines = Vec::new();
-                encode_state(&mut lines, s);
-                lines
-            }),
-        };
-        let mut files = self.files.lock().expect("store poisoned");
-        let file = self.load(&mut files, key);
-        file.entries.insert(program_fp, entry);
-        for (closure_fp, loops) in seeds {
-            let mut enc: Vec<(u32, Vec<String>)> = Vec::with_capacity(loops.len());
-            for (ordinal, st) in loops {
-                let mut lines = Vec::new();
-                encode_state(&mut lines, st);
-                enc.push((*ordinal, lines));
-            }
-            enc.sort_by_key(|(o, _)| *o);
-            file.funcs.insert(*closure_fp, enc);
-        }
-        for (loop_fp, st) in loop_seeds {
-            let mut lines = Vec::new();
-            encode_state(&mut lines, st);
-            file.loops.insert(*loop_fp, lines);
-        }
-        let text = serialize_file(key, file);
-        drop(files);
+        let text = serialize_result(key, alarms, census, invariant, stats);
         self.write_file(&key.file_name(), &text);
     }
 
-    /// Records the portable seed sections of a run: per donor root function,
-    /// its parametric closure fingerprint, channel tag and converged loop
-    /// states, encoded by canonical cell name so any family member sharing
-    /// this configuration can decode them.
-    pub fn update_portable(
-        &self,
-        config_fp: u64,
-        layout: &CellLayout,
-        packs: &Packs,
-        seeds: &[(u64, String, Vec<(u32, AbsState)>)],
-    ) {
-        if seeds.is_empty() {
-            return;
-        }
-        let mut portables = self.portables.lock().expect("store poisoned");
-        let file = self.load_portable(&mut portables, config_fp);
-        for (parametric_fp, tag, loops) in seeds {
-            let mut enc: Vec<(u32, Vec<String>)> = Vec::with_capacity(loops.len());
-            for (ordinal, st) in loops {
-                let mut lines = Vec::new();
-                encode_state_named(&mut lines, st, layout, packs, tag);
-                enc.push((*ordinal, lines));
-            }
-            enc.sort_by_key(|(o, _)| *o);
-            file.funcs.insert(*parametric_fp, enc);
-        }
-        let text = serialize_portable_file(config_fp, file);
-        drop(portables);
-        self.write_file(&portable_file_name(config_fp), &text);
-    }
-
-    /// Lists the store's cache files by name (sorted, valid names only) —
+    /// Lists the store's results by file name (sorted, valid names only) —
     /// the inventory a fleet store sync negotiates over.
     pub fn file_names(&self) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(&self.dir)
@@ -641,7 +354,7 @@ impl InvariantStore {
         names
     }
 
-    /// Reads one raw cache file for shipping over the fleet wire. `None`
+    /// Reads one raw store file for shipping over the fleet wire. `None`
     /// for invalid names or files that do not exist.
     pub fn export_file(&self, name: &str) -> Option<String> {
         if !valid_store_file_name(name) {
@@ -650,63 +363,45 @@ impl InvariantStore {
         std::fs::read_to_string(self.dir.join(name)).ok()
     }
 
-    /// Merges one raw cache file received over the fleet wire into the
-    /// store (entries, function seeds and loop seeds are unioned; incoming
-    /// sections win on conflict). Returns `false` when the name or content
-    /// is invalid, or when the merge changed nothing (content dedup).
+    /// Adds one raw store file received over the fleet wire. Returns
+    /// `false` when the name or the content is invalid (the invariant's
+    /// values are checked when it is looked up, against the layout they
+    /// claim), or when the store already holds these bytes under this name.
     pub fn import_file(&self, name: &str, text: &str) -> bool {
-        if !valid_store_file_name(name) {
+        let Some(key) = StoreKey::from_file_name(name) else {
+            return false;
+        };
+        if parse_result(&key, text, None).is_none()
+            || self.read_file(name).is_some_and(|held| held == text)
+        {
             return false;
         }
-        let mut groups = name[2..name.len() - 5].split('-');
-        let mut fp = || u64::from_str_radix(groups.next().unwrap_or(""), 16).unwrap_or(0);
-        if name.starts_with("k-") {
-            let key = StoreKey { layout_fp: fp(), packs_fp: fp(), config_fp: fp() };
-            let Some(incoming) = parse_file(&key, text) else {
-                return false;
-            };
-            let mut files = self.files.lock().expect("store poisoned");
-            let cur = self.load(&mut files, &key);
-            let before = serialize_file(&key, cur);
-            cur.entries.extend(incoming.entries);
-            cur.funcs.extend(incoming.funcs);
-            cur.loops.extend(incoming.loops);
-            let after = serialize_file(&key, cur);
-            drop(files);
-            if after == before {
-                return false;
-            }
-            self.write_file(name, &after);
-            true
-        } else {
-            let config_fp = fp();
-            let Some(incoming) = parse_portable_file(config_fp, text) else {
-                return false;
-            };
-            let mut portables = self.portables.lock().expect("store poisoned");
-            let cur = self.load_portable(&mut portables, config_fp);
-            let before = serialize_portable_file(config_fp, cur);
-            cur.funcs.extend(incoming.funcs);
-            let after = serialize_portable_file(config_fp, cur);
-            drop(portables);
-            if after == before {
-                return false;
-            }
-            self.write_file(name, &after);
-            true
-        }
+        self.write_file(name, text)
     }
 
-    /// Atomically writes one cache file, counts the bytes and enforces the
-    /// store size bound (never evicting the file just written).
-    fn write_file(&self, name: &str, text: &str) {
-        let path = self.dir.join(name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path));
-        if written.is_ok() {
-            self.counters.lock().expect("store poisoned").bytes_written += text.len() as u64;
-            self.enforce_bound(name);
+    /// Reads one store file whole, counting the bytes.
+    fn read_file(&self, name: &str) -> Option<String> {
+        let text = std::fs::read_to_string(self.dir.join(name)).ok()?;
+        self.counters.lock().expect("store poisoned").bytes_read += text.len() as u64;
+        Some(text)
+    }
+
+    /// Atomically publishes one store file — staged under a name no other
+    /// writer, in this process or another, uses, then renamed, so a file
+    /// under its final name is only ever one writer's complete bytes —
+    /// counts the bytes and enforces the store size bound.
+    fn write_file(&self, name: &str, text: &str) -> bool {
+        let staged = STAGED.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!("{name}.{}-{staged}.tmp", std::process::id()));
+        let written =
+            std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, self.dir.join(name)));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+            return false;
         }
+        self.counters.lock().expect("store poisoned").bytes_written += text.len() as u64;
+        self.enforce_bound(name);
+        true
     }
 
     /// Oldest-mtime-first eviction until the directory fits `max_bytes`.
@@ -741,69 +436,8 @@ impl InvariantStore {
             if std::fs::remove_file(self.dir.join(&name)).is_ok() {
                 total -= len;
                 self.counters.lock().expect("store poisoned").evictions += 1;
-                // Drop any cached image so the eviction is visible in-process.
-                self.files.lock().expect("store poisoned").remove(&name);
-                self.portables.lock().expect("store poisoned").remove(&name);
             }
         }
-    }
-
-    /// Loads (once) and returns the in-memory image of the cache file for
-    /// `key`. Unreadable or corrupt files yield an empty image and bump the
-    /// corruption counter, so the caller sees a clean miss.
-    fn load<'m>(
-        &self,
-        files: &'m mut HashMap<String, CacheFile>,
-        key: &StoreKey,
-    ) -> &'m mut CacheFile {
-        let name = key.file_name();
-        if !files.contains_key(&name) {
-            let path = self.dir.join(&name);
-            let file = match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    let mut c = self.counters.lock().expect("store poisoned");
-                    c.bytes_read += text.len() as u64;
-                    match parse_file(key, &text) {
-                        Some(f) => f,
-                        None => {
-                            c.corrupt_files += 1;
-                            CacheFile::default()
-                        }
-                    }
-                }
-                Err(_) => CacheFile::default(),
-            };
-            files.insert(name.clone(), file);
-        }
-        files.get_mut(&name).expect("just inserted")
-    }
-
-    /// [`InvariantStore::load`], for the portable-seed file of `config_fp`.
-    fn load_portable<'m>(
-        &self,
-        portables: &'m mut HashMap<String, PortableFile>,
-        config_fp: u64,
-    ) -> &'m mut PortableFile {
-        let name = portable_file_name(config_fp);
-        if !portables.contains_key(&name) {
-            let path = self.dir.join(&name);
-            let file = match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    let mut c = self.counters.lock().expect("store poisoned");
-                    c.bytes_read += text.len() as u64;
-                    match parse_portable_file(config_fp, &text) {
-                        Some(f) => f,
-                        None => {
-                            c.corrupt_files += 1;
-                            PortableFile::default()
-                        }
-                    }
-                }
-                Err(_) => PortableFile::default(),
-            };
-            portables.insert(name.clone(), file);
-        }
-        portables.get_mut(&name).expect("just inserted")
     }
 }
 
@@ -924,8 +558,9 @@ fn kind_from_code(c: u8) -> Option<AlarmKind> {
     })
 }
 
-fn encode_stats(s: &AnalysisStats) -> String {
-    format!(
+fn encode_stats(out: &mut String, s: &AnalysisStats) {
+    let _ = writeln!(
+        out,
         "stats {} {} {} {} {} {} {} {} {} {} {} {}",
         s.time_iterate.as_nanos(),
         s.time_check.as_nanos(),
@@ -939,10 +574,10 @@ fn encode_stats(s: &AnalysisStats) -> String {
         s.invariant_cells,
         s.parallel_stages,
         s.parallel_slices,
-    )
+    );
 }
 
-fn decode_stats(line: &str, useful: &[usize]) -> Option<AnalysisStats> {
+fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
     let mut t = toks(line);
     if t.tok()? != "stats" {
         return None;
@@ -953,7 +588,7 @@ fn decode_stats(line: &str, useful: &[usize]) -> Option<AnalysisStats> {
         time_replay: Duration::ZERO,
         cells: t.usize()?,
         octagon_packs: t.usize()?,
-        useful_octagon_packs: useful.to_vec(),
+        useful_octagon_packs: useful,
         dtree_packs: t.usize()?,
         ellipse_packs: t.usize()?,
         loop_iterations: t.u64()?,
@@ -963,9 +598,6 @@ fn decode_stats(line: &str, useful: &[usize]) -> Option<AnalysisStats> {
         parallel_stages: t.u64()?,
         parallel_slices: t.u64()?,
         loops_solved: 0,
-        loops_replayed: 0,
-        loops_seeded: 0,
-        seed_hits: 0,
         loops_rechecked: 0,
     })
 }
@@ -1014,12 +646,19 @@ fn encode_dtree(out: &mut String, t: &DTree) {
     }
 }
 
-fn decode_dtree<'a, I: Iterator<Item = &'a str>>(t: &mut Toks<'a, I>) -> Option<DTree> {
+/// Reads one tree with at most `depth` nodes along any path: a tree tests
+/// each boolean of its pack at most once per path, and the token stream
+/// comes from a file, so the recursion is bounded by the pack, not by it.
+fn decode_dtree<'a, I: Iterator<Item = &'a str>>(
+    t: &mut Toks<'a, I>,
+    depth: usize,
+) -> Option<DTree> {
     match t.tok()? {
         "L" => {
             let unreachable = t.bool()?;
             let n = t.usize()?;
-            let mut cells = Vec::with_capacity(n);
+            // `n` comes from the file: grow with the tokens actually there.
+            let mut cells = Vec::new();
             for _ in 0..n {
                 let c = CellId(t.u32()?);
                 cells.push((c, decode_cell_val(t)?));
@@ -1027,9 +666,10 @@ fn decode_dtree<'a, I: Iterator<Item = &'a str>>(t: &mut Toks<'a, I>) -> Option<
             Some(DecisionTree::Leaf(PackEnv { cells, unreachable }))
         }
         "N" => {
+            let depth = depth.checked_sub(1)?;
             let var = CellId(t.u32()?);
-            let f = decode_dtree(t)?;
-            let tt = decode_dtree(t)?;
+            let f = decode_dtree(t, depth)?;
+            let tt = decode_dtree(t, depth)?;
             // Reconstruct the node verbatim (`DecisionTree::node` would merge
             // equal children and alter the stored physical shape).
             Some(DecisionTree::Node { var, f: Box::new(f), t: Box::new(tt) })
@@ -1039,26 +679,25 @@ fn decode_dtree<'a, I: Iterator<Item = &'a str>>(t: &mut Toks<'a, I>) -> Option<
 }
 
 /// Serializes one abstract state as a sequence of lines.
-fn encode_state(out: &mut Vec<String>, st: &AbsState) {
+fn encode_state(out: &mut String, st: &AbsState) {
     if st.is_bottom() {
-        out.push("S 1".to_string());
+        out.push_str("S 1\n");
         return;
     }
-    out.push("S 0".to_string());
-    out.push(format!("k {} {}", st.env.clock.lo, st.env.clock.hi));
+    out.push_str("S 0\n");
+    let _ = writeln!(out, "k {} {}", st.env.clock.lo, st.env.clock.hi);
     let mut cells: Vec<(CellId, CellVal)> = st.env.iter().map(|(c, v)| (*c, *v)).collect();
     cells.sort_by_key(|(c, _)| *c);
-    out.push(format!("e {}", cells.len()));
+    let _ = writeln!(out, "e {}", cells.len());
     for (c, v) in &cells {
-        let mut line = format!("c {}", c.0);
-        encode_cell_val(&mut line, v);
-        out.push(line);
+        let _ = write!(out, "c {}", c.0);
+        encode_cell_val(out, v);
+        out.push('\n');
     }
-    let octs: Vec<(usize, &Octagon)> = st.octs_iter().collect();
-    out.push(format!("o {}", octs.len()));
-    for (pi, o) in octs {
+    let _ = writeln!(out, "o {}", st.octs_iter().count());
+    for (pi, o) in st.octs_iter() {
         let (n, m, closed) = o.to_raw();
-        let mut line = format!("x {} {} {}", pi, n, closed as u8);
+        let _ = write!(out, "x {} {} {}", pi, n, closed as u8);
         // Run-length encode the matrix: widened octagons are mostly +inf.
         let mut i = 0;
         while i < m.len() {
@@ -1067,22 +706,20 @@ fn encode_state(out: &mut Vec<String>, st: &AbsState) {
             while j < m.len() && m[j].to_bits() == bits {
                 j += 1;
             }
-            let _ = write!(line, " {}:{:016x}", j - i, bits);
+            let _ = write!(out, " {}:{:016x}", j - i, bits);
             i = j;
         }
-        out.push(line);
+        out.push('\n');
     }
-    let dtrees: Vec<(usize, &DTree)> = st.dtrees_iter().collect();
-    out.push(format!("d {}", dtrees.len()));
-    for (pi, tree) in dtrees {
-        let mut line = format!("t {pi}");
-        encode_dtree(&mut line, tree);
-        out.push(line);
+    let _ = writeln!(out, "d {}", st.dtrees_iter().count());
+    for (pi, tree) in st.dtrees_iter() {
+        let _ = write!(out, "t {pi}");
+        encode_dtree(out, tree);
+        out.push('\n');
     }
-    let ells: Vec<(usize, f64)> = st.ellipses_iter().collect();
-    out.push(format!("l {}", ells.len()));
-    for (pi, k) in ells {
-        out.push(format!("p {} {:016x} {:016x}", pi, k.to_bits(), st.pending(pi).to_bits()));
+    let _ = writeln!(out, "l {}", st.ellipses_iter().count());
+    for (pi, k) in st.ellipses_iter() {
+        let _ = writeln!(out, "p {} {:016x} {:016x}", pi, k.to_bits(), st.pending(pi).to_bits());
     }
 }
 
@@ -1181,8 +818,8 @@ fn decode_state<'a>(
     let n = decode_count(lines, "d")?;
     let dtrees = decode_section(lines, "t", n, |t| {
         let pi = t.usize()?;
-        packs.dtrees.get(pi)?;
-        Some((pi, decode_dtree(t)?))
+        let depth = packs.dtrees.get(pi)?.bools.len();
+        Some((pi, decode_dtree(t, depth)?))
     })?;
     let n = decode_count(lines, "l")?;
     let ells = decode_section(lines, "p", n, |t| {
@@ -1193,570 +830,160 @@ fn decode_state<'a>(
     Some(AbsState::from_parts(clock, cells, octs, dtrees, ells))
 }
 
-// ---------------------------------------------------------------------------
-// Portable (name-keyed) codec
-// ---------------------------------------------------------------------------
-
-/// Serializes one abstract state with every cell keyed by its canonical
-/// channel-parametric *name* ([`canon_ident`] with the donor's `tag`) rather
-/// than its [`CellId`], so the lines can be decoded against a different
-/// family member's layout. Temporaries (`__tmp*`) are omitted: their
-/// numbering is member-specific, and the acceptance pass recomputes their
-/// values anyway. Relational components carry their pack member names so the
-/// decoder can re-match packs structurally.
-fn encode_state_named(
-    out: &mut Vec<String>,
-    st: &AbsState,
-    layout: &CellLayout,
-    packs: &Packs,
-    tag: &str,
-) {
-    if st.is_bottom() {
-        out.push("S 1".to_string());
-        return;
-    }
-    let names: HashMap<CellId, String> =
-        layout.iter().map(|(id, info)| (id, canon_ident(&info.name, tag))).collect();
-    out.push("S 0".to_string());
-    out.push(format!("k {} {}", st.env.clock.lo, st.env.clock.hi));
-    let mut cells: Vec<(&String, CellVal)> = st
-        .env
-        .iter()
-        .filter_map(|(c, v)| {
-            let name = names.get(c)?;
-            if name.starts_with("__tmp") {
-                None
-            } else {
-                Some((name, *v))
-            }
-        })
-        .collect();
-    cells.sort_by(|a, b| a.0.cmp(b.0));
-    out.push(format!("e {}", cells.len()));
-    for (name, v) in &cells {
-        let mut line = format!("c {}", esc(name));
-        encode_cell_val(&mut line, v);
-        out.push(line);
-    }
-    let octs: Vec<(usize, &Octagon)> = st.octs_iter().collect();
-    out.push(format!("o {}", octs.len()));
-    for (pi, o) in octs {
-        let (n, m, closed) = o.to_raw();
-        let mut line = format!("x {n}");
-        for c in &packs.octagons[pi].cells {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        let _ = write!(line, " {}", closed as u8);
-        let mut i = 0;
-        while i < m.len() {
-            let bits = m[i].to_bits();
-            let mut j = i + 1;
-            while j < m.len() && m[j].to_bits() == bits {
-                j += 1;
-            }
-            let _ = write!(line, " {}:{:016x}", j - i, bits);
-            i = j;
-        }
-        out.push(line);
-    }
-    let dtrees: Vec<(usize, &DTree)> = st.dtrees_iter().collect();
-    out.push(format!("d {}", dtrees.len()));
-    for (pi, tree) in dtrees {
-        let pack = &packs.dtrees[pi];
-        let mut line = format!("t {}", pack.bools.len());
-        for c in &pack.bools {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        let _ = write!(line, " {}", pack.nums.len());
-        for c in &pack.nums {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        encode_dtree_named(&mut line, tree, &names);
-        out.push(line);
-    }
-    let ells: Vec<(usize, f64)> = st.ellipses_iter().collect();
-    out.push(format!("l {}", ells.len()));
-    for (pi, k) in ells {
-        let e = &packs.ellipses[pi];
-        out.push(format!(
-            "p {:016x} {:016x} {} {} {} {:016x} {:016x}",
-            e.a.to_bits(),
-            e.b.to_bits(),
-            esc(&names[&e.x]),
-            esc(&names[&e.y]),
-            esc(&names[&e.tmp]),
-            k.to_bits(),
-            st.pending(pi).to_bits(),
-        ));
-    }
-}
-
-fn encode_dtree_named(out: &mut String, t: &DTree, names: &HashMap<CellId, String>) {
-    match t {
-        DecisionTree::Leaf(env) => {
-            let _ = write!(out, " L {} {}", env.unreachable as u8, env.cells.len());
-            for (c, v) in &env.cells {
-                let _ = write!(out, " {}", esc(&names[c]));
-                encode_cell_val(out, v);
-            }
-        }
-        DecisionTree::Node { var, f, t } => {
-            let _ = write!(out, " N {}", esc(&names[var]));
-            encode_dtree_named(out, f, names);
-            encode_dtree_named(out, t, names);
-        }
-    }
-}
-
-fn decode_dtree_named<'a, I: Iterator<Item = &'a str>>(
-    t: &mut Toks<'a, I>,
-    resolve: &impl Fn(&str) -> Option<CellId>,
-) -> Option<DTree> {
-    match t.tok()? {
-        "L" => {
-            let unreachable = t.bool()?;
-            let n = t.usize()?;
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                let c = resolve(t.tok()?)?;
-                cells.push((c, decode_cell_val(t)?));
-            }
-            Some(DecisionTree::Leaf(PackEnv { cells, unreachable }))
-        }
-        "N" => {
-            let var = resolve(t.tok()?)?;
-            let f = decode_dtree_named(t, resolve)?;
-            let tt = decode_dtree_named(t, resolve)?;
-            Some(DecisionTree::Node { var, f: Box::new(f), t: Box::new(tt) })
-        }
-        _ => None,
-    }
-}
-
-/// Decodes one name-keyed state into a [`StatePatch`] against the current
-/// member's layout and packs, expanding each stored canonical name with the
-/// target's channel `tag`. Unresolvable cells and unmatched packs are
-/// silently dropped (the patch is applied over the entry state, so dropped
-/// components simply keep their entry values); only a structurally broken
-/// record yields `None`.
-fn decode_patch<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    layout: &CellLayout,
-    packs: &Packs,
-    tag: &str,
-) -> Option<StatePatch> {
-    let ids: HashMap<String, CellId> =
-        layout.iter().map(|(id, info)| (info.name.clone(), id)).collect();
-    let resolve =
-        |stored: &str| -> Option<CellId> { ids.get(&expand_ident(&unesc(stored)?, tag)).copied() };
+/// Steps over the lines of one encoded state without decoding them: what an
+/// import can check of a state whose layout and packs it does not have.
+fn skip_state<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Option<()> {
     let mut t = toks(lines.next()?);
     if t.tok()? != "S" {
         return None;
     }
     if t.bool()? {
-        return None; // a bottom donor state is useless as a seed
+        return Some(());
     }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "k" {
+    if !lines.next()?.starts_with("k ") {
         return None;
     }
-    let clock = IntItv { lo: t.i64()?, hi: t.i64()? };
-    let ncells = decode_count(lines, "e")?;
-    let mut cells = Vec::with_capacity(ncells);
-    for _ in 0..ncells {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "c" {
-            return None;
-        }
-        let name = t.tok()?;
-        let v = decode_cell_val(&mut t)?;
-        if let Some(c) = resolve(name) {
-            cells.push((c, v));
+    for section in ["e", "o", "d", "l"] {
+        for _ in 0..decode_count(lines, section)? {
+            lines.next()?;
         }
     }
-    let oct_index: HashMap<&[CellId], usize> =
-        packs.octagons.iter().enumerate().map(|(i, p)| (p.cells.as_slice(), i)).collect();
-    let nocts = decode_count(lines, "o")?;
-    let mut octs = Vec::new();
-    for _ in 0..nocts {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "x" {
-            return None;
-        }
-        let n = t.usize()?;
-        let mut members = Some(Vec::with_capacity(n));
-        for _ in 0..n {
-            let name = t.tok()?;
-            members = match (members, resolve(name)) {
-                (Some(mut m), Some(c)) => {
-                    m.push(c);
-                    Some(m)
-                }
-                _ => None,
-            };
-        }
-        let closed = t.bool()?;
-        let m = decode_oct_matrix(&mut t, n)?;
-        if let Some(pi) = members.and_then(|mm| oct_index.get(mm.as_slice()).copied()) {
-            if let Some(o) = Octagon::from_raw(n, m, closed) {
-                octs.push((pi, o));
-            }
-        }
-    }
-    let dtree_index: HashMap<(&[CellId], &[CellId]), usize> = packs
-        .dtrees
-        .iter()
-        .enumerate()
-        .map(|(i, p)| ((p.bools.as_slice(), p.nums.as_slice()), i))
-        .collect();
-    let ndts = decode_count(lines, "d")?;
-    let mut dtrees = Vec::new();
-    for _ in 0..ndts {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "t" {
-            return None;
-        }
-        let read_group = |t: &mut Toks<'a, _>| -> Option<Option<Vec<CellId>>> {
-            let n = t.usize()?;
-            let mut group = Some(Vec::with_capacity(n));
-            for _ in 0..n {
-                let name = t.tok()?;
-                group = match (group, resolve(name)) {
-                    (Some(mut g), Some(c)) => {
-                        g.push(c);
-                        Some(g)
-                    }
-                    _ => None,
-                };
-            }
-            Some(group)
-        };
-        let bools = read_group(&mut t)?;
-        let nums = read_group(&mut t)?;
-        let tree = decode_dtree_named(&mut t, &resolve);
-        if let (Some(bools), Some(nums), Some(tree)) = (bools, nums, tree) {
-            if let Some(&pi) = dtree_index.get(&(bools.as_slice(), nums.as_slice())) {
-                dtrees.push((pi, tree));
-            }
-        }
-    }
-    let nells = decode_count(lines, "l")?;
-    let mut ells = Vec::new();
-    for _ in 0..nells {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "p" {
-            return None;
-        }
-        let a = t.f64()?;
-        let b = t.f64()?;
-        let x = resolve(t.tok()?);
-        let y = resolve(t.tok()?);
-        let tmp = resolve(t.tok()?);
-        let k = t.f64()?;
-        let pending = t.f64()?;
-        if let (Some(x), Some(y), Some(tmp)) = (x, y, tmp) {
-            if let Some(pi) = packs.ellipses.iter().position(|e| {
-                e.a.to_bits() == a.to_bits()
-                    && e.b.to_bits() == b.to_bits()
-                    && e.x == x
-                    && e.y == y
-                    && e.tmp == tmp
-            }) {
-                ells.push((pi, k, pending));
-            }
-        }
-    }
-    Some(StatePatch { clock, cells, octs, dtrees, ells })
+    Some(())
 }
 
-fn serialize_portable_file(config_fp: u64, file: &PortableFile) -> String {
+// ---------------------------------------------------------------------------
+// One result, one file
+// ---------------------------------------------------------------------------
+
+fn serialize_result(
+    key: &StoreKey,
+    alarms: &[Alarm],
+    census: Option<Census>,
+    invariant: Option<&AbsState>,
+    stats: &AnalysisStats,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{CACHE_FORMAT}");
-    let _ = writeln!(out, "pkey {config_fp:016x}");
-    let mut funcs: Vec<(&u64, &Vec<(u32, Vec<String>)>)> = file.funcs.iter().collect();
-    funcs.sort_by_key(|(fp, _)| **fp);
-    for (fp, loops) in funcs {
-        let _ = writeln!(out, "pfunc {:016x} {}", fp, loops.len());
-        for (ordinal, lines) in loops {
-            let _ = writeln!(out, "seed {ordinal}");
-            for l in lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
+    let _ = writeln!(
+        out,
+        "key {:016x} {:016x} {:016x} {:016x}",
+        key.layout_fp, key.packs_fp, key.config_fp, key.program_fp
+    );
+    let _ = writeln!(out, "alarms {}", alarms.len());
+    for a in alarms {
+        let _ = writeln!(
+            out,
+            "a {} {} {} {}",
+            a.stmt.0,
+            a.loc.line,
+            kind_code(a.kind),
+            esc(&a.context)
+        );
     }
-    out.push_str("end\n");
-    out
-}
-
-fn parse_portable_file(config_fp: u64, text: &str) -> Option<PortableFile> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = 0;
-    if *lines.get(i)? != CACHE_FORMAT {
-        return None;
-    }
-    i += 1;
-    let mut t = toks(lines.get(i)?);
-    if t.tok()? != "pkey" || t.hex64()? != config_fp {
-        return None;
-    }
-    i += 1;
-    let mut file = PortableFile::default();
-    loop {
-        let line = *lines.get(i)?;
-        if line == "end" {
-            return Some(file);
-        }
-        let mut t = toks(line);
-        if t.tok()? != "pfunc" {
-            return None;
-        }
-        let fp = t.hex64()?;
-        let n = t.usize()?;
-        i += 1;
-        let mut loops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut t = toks(lines.get(i)?);
-            if t.tok()? != "seed" {
-                return None;
-            }
-            let ordinal = t.u32()?;
-            i += 1;
-            loops.push((ordinal, take_state_lines(&lines, &mut i)?));
-        }
-        file.funcs.insert(fp, loops);
-    }
-}
-
-fn serialize_file(key: &StoreKey, file: &CacheFile) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{CACHE_FORMAT}");
-    let _ =
-        writeln!(out, "key {:016x} {:016x} {:016x}", key.layout_fp, key.packs_fp, key.config_fp);
-    let mut entries: Vec<(&u64, &RawEntry)> = file.entries.iter().collect();
-    entries.sort_by_key(|(fp, _)| **fp);
-    for (fp, e) in entries {
-        let _ = writeln!(out, "entry {fp:016x}");
-        let _ = writeln!(out, "alarms {}", e.alarms.len());
-        for a in &e.alarms {
+    match census {
+        None => out.push_str("census 0\n"),
+        Some(c) => {
             let _ = writeln!(
                 out,
-                "a {} {} {} {}",
-                a.stmt.0,
-                a.loc.line,
-                kind_code(a.kind),
-                esc(&a.context)
+                "census 1 {} {} {} {} {} {} {}",
+                c.boolean_intervals,
+                c.intervals,
+                c.clock_assertions,
+                c.octagon_additive,
+                c.octagon_subtractive,
+                c.decision_trees,
+                c.ellipsoids,
             );
         }
-        match &e.census {
-            None => {
-                let _ = writeln!(out, "census 0");
-            }
-            Some(c) => {
-                let _ = writeln!(
-                    out,
-                    "census 1 {} {} {} {} {} {} {}",
-                    c.boolean_intervals,
-                    c.intervals,
-                    c.clock_assertions,
-                    c.octagon_additive,
-                    c.octagon_subtractive,
-                    c.decision_trees,
-                    c.ellipsoids,
-                );
-            }
-        }
-        let _ = writeln!(out, "{}", e.stats_line);
-        let _ = write!(out, "useful {}", e.useful.len());
-        for u in &e.useful {
-            let _ = write!(out, " {u}");
-        }
-        out.push('\n');
-        match &e.invariant {
-            None => {
-                let _ = writeln!(out, "inv 0");
-            }
-            Some(lines) => {
-                let _ = writeln!(out, "inv 1");
-                for l in lines {
-                    let _ = writeln!(out, "{l}");
-                }
-            }
-        }
     }
-    let mut funcs: Vec<(&u64, &Vec<(u32, Vec<String>)>)> = file.funcs.iter().collect();
-    funcs.sort_by_key(|(fp, _)| **fp);
-    for (fp, loops) in funcs {
-        let _ = writeln!(out, "func {:016x} {}", fp, loops.len());
-        for (ordinal, lines) in loops {
-            let _ = writeln!(out, "seed {ordinal}");
-            for l in lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
+    encode_stats(&mut out, stats);
+    let _ = write!(out, "useful {}", stats.useful_octagon_packs.len());
+    for u in &stats.useful_octagon_packs {
+        let _ = write!(out, " {u}");
     }
-    let mut loops: Vec<(&u64, &Vec<String>)> = file.loops.iter().collect();
-    loops.sort_by_key(|(fp, _)| **fp);
-    for (fp, lines) in loops {
-        let _ = writeln!(out, "loop {fp:016x}");
-        for l in lines {
-            let _ = writeln!(out, "{l}");
+    out.push('\n');
+    match invariant {
+        None => out.push_str("inv 0\n"),
+        Some(st) => {
+            out.push_str("inv 1\n");
+            encode_state(&mut out, st);
         }
     }
     out.push_str("end\n");
     out
 }
 
-/// Collects the line span of one encoded state starting at `lines[*i]`.
-fn take_state_lines(lines: &[&str], i: &mut usize) -> Option<Vec<String>> {
-    let head = *lines.get(*i)?;
-    let mut t = toks(head);
-    if t.tok()? != "S" {
+/// Parses the file of `key`. With `shapes` the invariant is decoded against
+/// them; without (an import has neither) its lines are only stepped over and
+/// the result carries none. `None` on any malformation, a header that is not
+/// `key`'s, or anything after the result.
+fn parse_result(
+    key: &StoreKey,
+    text: &str,
+    shapes: Option<(&CellLayout, &Packs)>,
+) -> Option<FullHit> {
+    let mut lines = text.lines();
+    if lines.next()? != CACHE_FORMAT {
         return None;
     }
-    let bottom = t.bool()?;
-    let mut out = vec![head.to_string()];
-    *i += 1;
-    if bottom {
-        return Some(out);
-    }
-    // k, e <n> + n cells, o <n> + n lines, d <n> + n lines, l <n> + n lines
-    let k = *lines.get(*i)?;
-    if !k.starts_with("k ") {
-        return None;
-    }
-    out.push(k.to_string());
-    *i += 1;
-    for section in ["e", "o", "d", "l"] {
-        let head = *lines.get(*i)?;
-        let mut t = toks(head);
-        if t.tok()? != section {
-            return None;
-        }
-        let n = t.usize()?;
-        out.push(head.to_string());
-        *i += 1;
-        for _ in 0..n {
-            out.push((*lines.get(*i)?).to_string());
-            *i += 1;
-        }
-    }
-    Some(out)
-}
-
-fn parse_file(key: &StoreKey, text: &str) -> Option<CacheFile> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = 0;
-    if *lines.get(i)? != CACHE_FORMAT {
-        return None;
-    }
-    i += 1;
-    let mut t = toks(lines.get(i)?);
+    let mut t = toks(lines.next()?);
     if t.tok()? != "key"
         || t.hex64()? != key.layout_fp
         || t.hex64()? != key.packs_fp
         || t.hex64()? != key.config_fp
+        || t.hex64()? != key.program_fp
     {
         return None;
     }
-    i += 1;
-    let mut file = CacheFile::default();
-    loop {
-        let line = *lines.get(i)?;
-        if line == "end" {
-            return Some(file);
-        }
-        let mut t = toks(line);
-        match t.tok()? {
-            "entry" => {
-                let fp = t.hex64()?;
-                i += 1;
-                let mut t = toks(lines.get(i)?);
-                if t.tok()? != "alarms" {
-                    return None;
-                }
-                let n = t.usize()?;
-                i += 1;
-                let mut alarms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut t = toks(lines.get(i)?);
-                    if t.tok()? != "a" {
-                        return None;
-                    }
-                    let stmt = StmtId(t.u32()?);
-                    let line = t.u32()?;
-                    let kind = kind_from_code(t.u32()?.try_into().ok()?)?;
-                    let context = unesc(t.tok()?)?;
-                    alarms.push(Alarm { stmt, loc: Loc { line }, kind, context });
-                    i += 1;
-                }
-                let mut t = toks(lines.get(i)?);
-                if t.tok()? != "census" {
-                    return None;
-                }
-                let census = if t.bool()? {
-                    Some(Census {
-                        boolean_intervals: t.usize()?,
-                        intervals: t.usize()?,
-                        clock_assertions: t.usize()?,
-                        octagon_additive: t.usize()?,
-                        octagon_subtractive: t.usize()?,
-                        decision_trees: t.usize()?,
-                        ellipsoids: t.usize()?,
-                    })
-                } else {
-                    None
-                };
-                i += 1;
-                let stats_line = (*lines.get(i)?).to_string();
-                decode_stats(&stats_line, &[])?; // validate eagerly
-                i += 1;
-                let mut t = toks(lines.get(i)?);
-                if t.tok()? != "useful" {
-                    return None;
-                }
-                let n = t.usize()?;
-                let mut useful = Vec::with_capacity(n);
-                for _ in 0..n {
-                    useful.push(t.usize()?);
-                }
-                i += 1;
-                let mut t = toks(lines.get(i)?);
-                if t.tok()? != "inv" {
-                    return None;
-                }
-                let has_inv = t.bool()?;
-                i += 1;
-                let invariant =
-                    if has_inv { Some(take_state_lines(&lines, &mut i)?) } else { None };
-                file.entries.insert(fp, RawEntry { alarms, census, stats_line, useful, invariant });
-            }
-            "func" => {
-                let fp = t.hex64()?;
-                let n = t.usize()?;
-                i += 1;
-                let mut loops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut t = toks(lines.get(i)?);
-                    if t.tok()? != "seed" {
-                        return None;
-                    }
-                    let ordinal = t.u32()?;
-                    i += 1;
-                    loops.push((ordinal, take_state_lines(&lines, &mut i)?));
-                }
-                file.funcs.insert(fp, loops);
-            }
-            "loop" => {
-                let fp = t.hex64()?;
-                i += 1;
-                file.loops.insert(fp, take_state_lines(&lines, &mut i)?);
-            }
-            _ => return None,
-        }
+    let n = decode_count(&mut lines, "alarms")?;
+    let alarms = decode_section(&mut lines, "a", n, |t| {
+        let stmt = StmtId(t.u32()?);
+        let line = t.u32()?;
+        let kind = kind_from_code(t.u32()?.try_into().ok()?)?;
+        Some(Alarm { stmt, loc: Loc { line }, kind, context: unesc(t.tok()?)? })
+    })?;
+    let mut t = toks(lines.next()?);
+    if t.tok()? != "census" {
+        return None;
     }
+    let census = if t.bool()? {
+        Some(Census {
+            boolean_intervals: t.usize()?,
+            intervals: t.usize()?,
+            clock_assertions: t.usize()?,
+            octagon_additive: t.usize()?,
+            octagon_subtractive: t.usize()?,
+            decision_trees: t.usize()?,
+            ellipsoids: t.usize()?,
+        })
+    } else {
+        None
+    };
+    let stats_line = lines.next()?;
+    let mut t = toks(lines.next()?);
+    if t.tok()? != "useful" {
+        return None;
+    }
+    // The count comes from the file: grow with the tokens actually there.
+    let mut useful = Vec::new();
+    for _ in 0..t.usize()? {
+        useful.push(t.usize()?);
+    }
+    let stats = decode_stats(stats_line, useful)?;
+    let mut t = toks(lines.next()?);
+    if t.tok()? != "inv" {
+        return None;
+    }
+    let invariant = match (t.bool()?, shapes) {
+        (false, _) => None,
+        (true, Some((layout, packs))) => Some(decode_state(&mut lines, layout, packs)?),
+        (true, None) => {
+            skip_state(&mut lines)?;
+            None
+        }
+    };
+    let closed = lines.next()? == "end" && lines.next().is_none();
+    closed.then_some(FullHit { alarms, census, invariant, stats })
 }
 
 #[cfg(test)]
@@ -1774,13 +1001,13 @@ mod tests {
 
     fn sample() -> (astree_ir::Program, AnalysisConfig) {
         let src = r#"
-            volatile int in; int x; int b;
+            volatile int in; int x; int y; _Bool b;
             void main(void) {
                 __astree_input_int(in, 0, 100);
                 while (1) {
                     x = in;
-                    b = x > 50;
-                    if (b) { x = 50; }
+                    b = (_Bool)(x == 0);
+                    if (!b) { y = 100 / x; }
                     __astree_wait();
                 }
             }
@@ -1819,19 +1046,36 @@ mod tests {
         assert_ne!(fp, config_fingerprint(&cap));
     }
 
+    fn shapes(program: &astree_ir::Program, config: &AnalysisConfig) -> (CellLayout, Packs) {
+        let layout = CellLayout::new(program, &LayoutConfig::default());
+        let packs = Packs::discover(program, &layout, config);
+        (layout, packs)
+    }
+
+    fn key_of(program: &astree_ir::Program, config: &AnalysisConfig, packs: &Packs) -> StoreKey {
+        StoreKey {
+            layout_fp: astree_ir::globals_fingerprint(program),
+            packs_fp: packs_fingerprint(packs),
+            config_fp: config_fingerprint(config),
+            program_fp: astree_ir::program_fingerprint(program),
+        }
+    }
+
+    fn roundtrip(st: &AbsState, layout: &CellLayout, packs: &Packs) -> AbsState {
+        let mut text = String::new();
+        encode_state(&mut text, st);
+        decode_state(&mut text.lines(), layout, packs).expect("decodes")
+    }
+
     #[test]
     fn state_roundtrips_exactly_through_the_codec() {
         let (program, config) = sample();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
+        let (layout, packs) = shapes(&program, &config);
         let session = crate::analysis::AnalysisSession::builder(&program).config(config).build();
         let result = session.run();
         let inv = result.main_invariant.expect("has a main invariant");
 
-        let mut lines = Vec::new();
-        encode_state(&mut lines, &inv);
-        let decoded =
-            decode_state(&mut lines.iter().map(String::as_str), &layout, &packs).expect("decodes");
+        let decoded = roundtrip(&inv, &layout, &packs);
         assert_eq!(format!("{inv}"), format!("{decoded}"), "state round-trips verbatim");
         assert_eq!(
             Census::of_state(&inv, &layout, &packs),
@@ -1841,14 +1085,12 @@ mod tests {
 
     /// `decode(encode(s))` holds exactly `s`'s cells and packs — for a
     /// whole-program state and for the frame-sized state of a loop inside a
-    /// framed call — and a portable patch never adds a key its base lacks.
+    /// framed call.
     #[test]
     fn decoding_keeps_the_encoded_key_set() {
         let src = astree_gen::generate(&astree_gen::GenConfig { channels: 4, seed: 3, bug: None });
         let program = Frontend::new().compile_str(&src).expect("compiles");
-        let config = AnalysisConfig::default();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
+        let (layout, packs) = shapes(&program, &AnalysisConfig::default());
         let result = crate::analysis::AnalysisSession::builder(&program).build().run();
         let whole = result.main_invariant.expect("has a main invariant");
         let frames = crate::frames::Frames::discover(&program, &layout, &packs);
@@ -1859,36 +1101,23 @@ mod tests {
         assert!(!framed.same_shape(&whole) && framed.env.len() == frames[0].cells.len());
 
         for st in [&whole, &framed] {
-            let mut lines = Vec::new();
-            encode_state(&mut lines, st);
-            let decoded = decode_state(&mut lines.iter().map(String::as_str), &layout, &packs)
-                .expect("decodes");
+            let decoded = roundtrip(st, &layout, &packs);
             assert!(decoded.same_shape(st), "key set changed in the round trip");
             assert_eq!(format!("{st}"), format!("{decoded}"));
             assert!(decoded.leq(st) && st.leq(&decoded), "packs changed in the round trip");
         }
+    }
 
-        // The name-keyed codec: the patch of channel 0's frame lands on
-        // channel 0's frame of the same member, and applied over a base of
-        // another shape it writes only what that base holds.
-        let mut lines = Vec::new();
-        encode_state_named(&mut lines, &framed, &layout, &packs, "0");
-        let patch = decode_patch(&mut lines.iter().map(String::as_str), &layout, &packs, "0")
-            .expect("decodes");
-        let initial = AbsState::initial(&layout, &packs);
-        for base in [initial.project(frames[0]), initial.project(frames[1]), initial.clone()] {
-            let applied = patch.apply(&base);
-            assert!(applied.same_shape(&base), "the patch added or dropped a key");
-        }
-        let applied = patch.apply(&initial.project(frames[0]));
-        assert!(applied.octs_iter().zip(framed.octs_iter()).all(|(a, b)| a.1.same(b.1)));
+    /// Two million `N 0` tokens: a tree no pack can hold, deep enough to
+    /// overflow the stack of a decoder that recurses once per token.
+    fn bottomless_tree() -> String {
+        format!("t 0{}", " N 0".repeat(2_000_000))
     }
 
     #[test]
     fn malformed_states_do_not_decode() {
         let (program, config) = sample();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
+        let (layout, packs) = shapes(&program, &config);
         let decode = |lines: &[&str]| decode_state(&mut lines.iter().copied(), &layout, &packs);
         let head = ["S 0", "k 0 0"];
         let tail = ["o 0", "d 0", "l 0"];
@@ -1906,96 +1135,126 @@ mod tests {
         assert!(
             decode(&[&head[..], &["e 0", "o 0", "d 0", "l 1", "p 9999 0 0"]].concat()).is_none()
         );
+
+        // Trees: as deep as the pack has booleans and no deeper, and a leaf
+        // is as long as its tokens, whatever count it announces.
+        assert_eq!(packs.dtrees[0].bools.len(), 1);
+        let with_tree =
+            |tree: &str| decode(&[&head[..], &["e 0", "o 0", "d 1", tree, "l 0"]].concat());
+        let b = packs.dtrees[0].bools[0].0;
+        assert!(with_tree(&format!("t 0 N {b} L 0 0 L 0 0")).is_some());
+        assert!(with_tree(&format!("t 0 N {b} N {b} L 0 0 L 0 0 L 0 0")).is_none(), "two deep");
+        assert!(with_tree(&bottomless_tree()).is_none());
+        assert!(with_tree("t 0 L 0 1000000000000").is_none(), "a leaf of 10^12 cells");
     }
 
     #[test]
     fn bottom_states_roundtrip() {
         let (program, config) = sample();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
-        let bot = AbsState::bottom();
-        let mut lines = Vec::new();
-        encode_state(&mut lines, &bot);
-        assert_eq!(lines, vec!["S 1".to_string()]);
-        let decoded =
-            decode_state(&mut lines.iter().map(String::as_str), &layout, &packs).expect("decodes");
-        assert!(decoded.is_bottom());
+        let (layout, packs) = shapes(&program, &config);
+        let mut text = String::new();
+        encode_state(&mut text, &AbsState::bottom());
+        assert_eq!(text, "S 1\n");
+        assert!(roundtrip(&AbsState::bottom(), &layout, &packs).is_bottom());
+    }
+
+    /// The sample's result under its real key, serialized.
+    fn stored_sample() -> (StoreKey, String, CellLayout, Packs) {
+        let (program, config) = sample();
+        let (layout, packs) = shapes(&program, &config);
+        let key = key_of(&program, &config, &packs);
+        let r = crate::analysis::AnalysisSession::builder(&program).build().run();
+        let text =
+            serialize_result(&key, &r.alarms, r.main_census, r.main_invariant.as_ref(), &r.stats);
+        (key, text, layout, packs)
     }
 
     #[test]
     fn corrupt_files_fall_back_to_a_clean_miss() {
-        let store = temp_store("corrupt");
-        let key = StoreKey { layout_fp: 1, packs_fp: 2, config_fp: 3 };
-        std::fs::write(store.dir().join(key.file_name()), "astree-cache/1\ngarbage\n")
-            .expect("writes");
-        let (program, config) = sample();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
-        assert!(store.lookup_full(&key, 42, &layout, &packs).is_none());
-        assert_eq!(store.counters().corrupt_files, 1);
-        assert!(store.counters().bytes_read > 0);
+        let (key, good, layout, packs) = stored_sample();
+        let name = key.file_name();
+        let tree = good.lines().find(|l| l.starts_with("t 0 N ")).expect("the sample has a tree");
+        let hostile = [
+            "astree-cache/1\ngarbage\n".to_string(),
+            // A count no file could back: must not be reserved up front.
+            good.replace("\nalarms 0\n", "\nalarms 1000000000000\n"),
+            good.replace("\nuseful 0\n", "\nuseful 1000000000000\n"),
+            good.replace(tree, &bottomless_tree()),
+            // Something after the result.
+            format!("{good}entry\n"),
+        ];
+        for (i, text) in hostile.iter().enumerate() {
+            assert_ne!(text, &good, "hostile input {i} changed nothing");
+            // Found on disk: a miss, counted.
+            let store = temp_store(&format!("corrupt-disk-{i}"));
+            std::fs::write(store.dir().join(&name), text).expect("writes");
+            assert!(store.lookup_full(&key, &layout, &packs).is_none(), "hostile input {i}");
+            assert_eq!(store.counters().corrupt_files, 1);
+            assert_eq!(store.counters().bytes_read, text.len() as u64);
+            // Offered by a peer: refused, or imported and then a miss.
+            let store = temp_store(&format!("corrupt-wire-{i}"));
+            let imported = store.import_file(&name, text);
+            assert_eq!(
+                imported,
+                store.file_names() == std::slice::from_ref(&name),
+                "hostile input {i}"
+            );
+            assert!(store.lookup_full(&key, &layout, &packs).is_none(), "hostile input {i}");
+            assert_eq!(store.counters().corrupt_files, imported as u64);
+            // Either way the next cold run's write repairs it.
+            assert!(store.import_file(&name, &good));
+            assert!(store.lookup_full(&key, &layout, &packs).is_some());
+        }
     }
 
     #[test]
     fn truncated_files_fall_back_to_a_clean_miss() {
+        let (key, full, layout, packs) = stored_sample();
         let store = temp_store("truncated");
-        let (program, config) = sample();
-        let layout = CellLayout::new(&program, &LayoutConfig::default());
-        let packs = Packs::discover(&program, &layout, &config);
-        let key = StoreKey { layout_fp: 7, packs_fp: 8, config_fp: 9 };
-        let result = crate::analysis::AnalysisSession::builder(&program)
-            .config(AnalysisConfig::default())
-            .build()
-            .run();
-        store.update(
-            &key,
-            99,
-            &result.alarms,
-            result.main_census,
-            result.main_invariant.as_ref(),
-            &result.stats,
-            &[],
-            &[],
-        );
         let path = store.dir().join(key.file_name());
-        let full = std::fs::read_to_string(&path).expect("reads");
-        std::fs::write(&path, &full[..full.len() / 2]).expect("writes");
-        // A fresh store re-reads from disk (the writing store has it cached).
-        let fresh = InvariantStore::open(store.dir()).expect("opens");
-        assert!(fresh.lookup_full(&key, 99, &layout, &packs).is_none());
-        assert_eq!(fresh.counters().corrupt_files, 1);
+        for cut in [full.len() / 2, full.len() - "end\n".len()] {
+            std::fs::write(&path, &full[..cut]).expect("writes");
+            let before = store.counters().corrupt_files;
+            assert!(store.lookup_full(&key, &layout, &packs).is_none(), "cut at {cut}");
+            assert_eq!(store.counters().corrupt_files, before + 1);
+        }
+        std::fs::write(&path, &full).expect("writes");
+        assert!(store.lookup_full(&key, &layout, &packs).is_some());
     }
 
+    /// A result is one file under a name made of its four fingerprints;
+    /// names of earlier formats (`k-` with three groups, `p-`) are not store
+    /// files: never listed, exported, imported or opened.
     #[test]
-    fn loops_are_ordered_preorder_within_a_function() {
-        let src = r#"
-            int i; int j;
-            void main(void) {
-                for (i = 0; i < 3; i++) {
-                    for (j = 0; j < 3; j++) { }
-                }
-                for (i = 0; i < 2; i++) { }
-            }
-        "#;
-        let program = Frontend::new().compile_str(src).expect("compiles");
-        let func = program.func(program.entry);
-        let loops = loops_in_preorder(func);
-        assert_eq!(loops.len(), 3);
-        // Structural pre-order: first top-level loop, its nested loop, then
-        // the second top-level loop — regardless of how ids were numbered.
-        let mut top = Vec::new();
-        for s in &func.body {
-            if let astree_ir::StmtKind::While(id, _, body) = &s.kind {
-                top.push((*id, body));
-            }
+    fn one_result_per_file_and_older_files_are_ignored() {
+        let (key, text, layout, packs) = stored_sample();
+        let name = key.file_name();
+        assert_eq!(StoreKey::from_file_name(&name), Some(key));
+        let g = "0123456789abcdef";
+        for bad in [
+            format!("k-{g}-{g}-{g}.astc"),
+            format!("p-{g}.astc"),
+            format!("k-{g}-{g}-{g}-{g}-{g}.astc"),
+            format!("k-{g}-{g}-{g}-{}.astc", g.to_uppercase()),
+            format!("k-{g}-{g}-{g}-+123456789abcdef.astc"),
+            format!("k-{g}-{g}-{g}-{g}.astc.tmp"),
+            format!("../k-{g}-{g}-{g}-{g}.astc"),
+        ] {
+            assert!(!valid_store_file_name(&bad), "{bad}");
         }
-        assert_eq!(top.len(), 2);
-        let mut nested = None;
-        astree_ir::stmt::for_each_stmt(top[0].1, &mut |s| {
-            if let astree_ir::StmtKind::While(id, _, _) = &s.kind {
-                nested.get_or_insert(*id);
-            }
-        });
-        assert_eq!(loops, vec![top[0].0, nested.expect("nested loop"), top[1].0]);
+
+        let store = temp_store("one-file");
+        let old = format!("k-{g}-{g}-{g}.astc");
+        std::fs::write(store.dir().join(&old), "astree-cache/2\nend\n").expect("writes");
+        assert!(store.import_file(&name, &text));
+        assert!(!store.import_file(&name, &text), "the same bytes again change nothing");
+        assert!(!store.import_file(&old, &text) && store.export_file(&old).is_none());
+        assert_eq!(store.file_names(), std::slice::from_ref(&name));
+        assert_eq!(store.export_file(&name).as_deref(), Some(text.as_str()));
+        assert!(store.lookup_full(&key, &layout, &packs).is_some());
+        // A file under another result's name is not that result.
+        let other = StoreKey { program_fp: key.program_fp ^ 1, ..key };
+        assert!(!store.import_file(&other.file_name(), &text));
+        assert_eq!(store.counters().corrupt_files, 0);
     }
 }

@@ -190,13 +190,11 @@ fn close_under_packs(
 mod tests {
     use super::*;
     use crate::alarms::Alarm;
-    use crate::cache::{Seed, SeedOrigin};
     use crate::config::AnalysisConfig;
     use crate::iterator::{Iter, IterStats, Mode};
     use crate::state::AbsState;
     use astree_frontend::Frontend;
     use astree_gen::{generate, generate_with, BugKind, GenConfig, StructKnobs};
-    use astree_ir::LoopId;
     use astree_memory::LayoutConfig;
     use astree_obs::FrameCounters;
     use std::collections::BTreeMap;
@@ -231,10 +229,9 @@ mod tests {
             Frames::discover_with_limit(&self.program, &self.layout, &self.packs, usize::MAX)
         }
 
-        fn run(&self, frames: Frames, differential: bool, seeds: HashMap<LoopId, Seed>) -> Run {
+        fn run(&self, frames: Frames, differential: bool) -> Run {
             let mut it = Iter::new(&self.program, &self.layout, &self.packs, &self.config);
             it.frames = Arc::new(frames);
-            it.seeds = Arc::new(seeds);
             it.differential = differential;
             let after_iterate = it.run_mode(Mode::Iterate);
             let after_check = it.run_mode(Mode::Check);
@@ -261,8 +258,8 @@ mod tests {
     /// Returns the framed run's counters.
     fn differential(src: &str, config: AnalysisConfig) -> FrameCounters {
         let setup = Setup::new(src, config);
-        let framed = setup.run(setup.all_frames(), true, HashMap::new());
-        let whole = setup.run(Frames::default(), false, HashMap::new());
+        let framed = setup.run(setup.all_frames(), true);
+        let whole = setup.run(Frames::default(), false);
         assert_same(&framed.after_iterate, &whole.after_iterate, "state after the iteration pass");
         assert_same(&framed.after_check, &whole.after_check, "state after the checking pass");
         assert_eq!(framed.alarms, whole.alarms);
@@ -416,7 +413,7 @@ mod tests {
             }
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
-        let framed = setup.run(setup.all_frames(), true, HashMap::new());
+        let framed = setup.run(setup.all_frames(), true);
         assert!(framed.stats.frames.calls_framed > 0);
         assert!(framed.after_check.is_bottom());
         assert!(framed.alarms.is_empty(), "{:?}", framed.alarms);
@@ -489,13 +486,13 @@ mod tests {
             }
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
-        let stats = setup.run(setup.all_frames(), true, HashMap::new()).stats.frames;
+        let stats = setup.run(setup.all_frames(), true).stats.frames;
         assert!(stats.calls_framed > 0 && stats.calls_whole_wait > 0, "{stats:?}");
         assert_eq!((stats.calls_whole_depth_cap, stats.calls_whole_not_small), (0, 0));
         // With the size rule in force a frame of more than half the layout
         // is not used.
         let tiny = Frames::discover_with_limit(&setup.program, &setup.layout, &setup.packs, 1);
-        let stats = setup.run(tiny, false, HashMap::new()).stats.frames;
+        let stats = setup.run(tiny, false).stats.frames;
         assert!(
             stats.calls_framed == 0
                 && stats.calls_whole_not_small > 0
@@ -514,7 +511,7 @@ mod tests {
         }
         src.push_str("void main(void) { __astree_input_int(in, 0, 9); f17(in); f3(in); }\n");
         let setup = Setup::new(&src, AnalysisConfig::default());
-        let stats = setup.run(setup.all_frames(), true, HashMap::new()).stats.frames;
+        let stats = setup.run(setup.all_frames(), true).stats.frames;
         assert_eq!((stats.calls_whole_depth_cap, stats.calls_framed), (2, 2), "{stats:?}");
         differential(&src, AnalysisConfig::default());
     }
@@ -548,10 +545,10 @@ mod tests {
     }
 
     /// A loop inside a helper reached from two call statements with
-    /// different frames: each pass solves it per frame, and a cache seed
-    /// taken at one site is not tried at the other.
+    /// different frames: each pass solves it per frame, and the witness
+    /// kept from one site does not cover the other.
     #[test]
-    fn invariants_witnesses_and_seeds_of_another_frame_are_rejected() {
+    fn invariants_and_witnesses_of_another_frame_are_rejected() {
         let src = r#"
             typedef int Buf[4];
             Buf b0; Buf b1; int n0; int n1; int pad0; int pad1;
@@ -570,25 +567,22 @@ mod tests {
         "#;
         let stats = differential(src, AnalysisConfig::default());
         assert!(stats.witnesses_rejected_shape > 0, "{stats:?}");
-        assert_eq!(stats.seeds_rejected_shape, 0);
 
-        let setup = Setup::new(src, AnalysisConfig::default());
-        let unseeded = setup.run(setup.all_frames(), false, HashMap::new());
         // The stored invariant of `fill`'s loop has the last site's shape
-        // (`b1`'s frame). Offered as a seed, it is accepted there and turned
-        // away at the `b0` site, which is solved as if there were no seed.
+        // (`b1`'s frame): it holds none of `b0`'s cells.
+        let setup = Setup::new(src, AnalysisConfig::default());
+        let run = setup.run(setup.all_frames(), false);
+        let mut lid = None;
         let fill = setup.program.funcs.iter().find(|f| f.name == "fill").expect("fill");
-        let lid = crate::cache::loops_in_preorder(fill)[0];
-        let seed = unseeded.invariants[&lid.0].clone();
-        let seeds = HashMap::from([(lid, Seed::Full(seed, SeedOrigin::Loop))]);
-        let seeded = setup.run(setup.all_frames(), false, seeds);
-        assert!(seeded.stats.frames.seeds_rejected_shape > 0, "{:?}", seeded.stats.frames);
-        assert!(seeded.stats.loops_seeded > 0, "the seed still serves its own site");
-        assert_same(&seeded.after_iterate, &unseeded.after_iterate, "seeded iteration pass");
-        assert_same(&seeded.after_check, &unseeded.after_check, "seeded checking pass");
-        assert_eq!(seeded.alarms, unseeded.alarms);
-        for (id, inv) in &unseeded.invariants {
-            assert_same(inv, &seeded.invariants[id], &format!("invariant of loop {id}"));
-        }
+        astree_ir::stmt::for_each_stmt(&fill.body, &mut |s| {
+            if let astree_ir::StmtKind::While(id, _, _) = &s.kind {
+                lid = Some(*id);
+            }
+        });
+        let inv = &run.invariants[&lid.expect("fill has a loop").0];
+        let tracks = |name: &str| {
+            setup.layout.iter().any(|(c, info)| info.name.starts_with(name) && inv.env.tracks(c))
+        };
+        assert!(tracks("b1") && !tracks("b0"), "the invariant is the `b1` site's");
     }
 }

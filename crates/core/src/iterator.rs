@@ -18,7 +18,6 @@
 //! inside user-selected functions until the function's return point.
 
 use crate::alarms::AlarmSink;
-use crate::cache::{Seed, SeedOrigin};
 use crate::config::AnalysisConfig;
 use crate::frames::{FrameChoice, Frames, Whole};
 use crate::packs::Packs;
@@ -34,7 +33,7 @@ use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
 use astree_obs::{
     AlarmEvent, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,14 +61,6 @@ pub struct IterStats {
     pub par_slices: u64,
     /// Loops solved by full widening/narrowing iteration (iteration mode).
     pub loops_solved: u64,
-    /// Loops whose cached invariant was verified by a single body pass.
-    pub loops_replayed: u64,
-    /// Loops seeded from a per-loop or cross-member candidate that passed
-    /// the acceptance check.
-    pub loops_seeded: u64,
-    /// The subset of [`IterStats::loops_seeded`] whose candidate came from
-    /// another family member (portable store).
-    pub seed_hits: u64,
     /// Loops re-solved during the checking pass because the stored
     /// invariant did not cover the arriving context (see
     /// [`Iter::exec_loop`]).
@@ -78,10 +69,6 @@ pub struct IterStats {
     /// what the shape rules turned away; the per-frame sizes are filled in
     /// by the session when it reports.
     pub frames: FrameCounters,
-    /// Per-function breakdown of `loops_solved`.
-    pub solved_by_func: BTreeMap<String, u64>,
-    /// Per-function breakdown of `loops_replayed`.
-    pub replayed_by_func: BTreeMap<String, u64>,
 }
 
 impl IterStats {
@@ -93,17 +80,8 @@ impl IterStats {
         self.par_stages += o.par_stages;
         self.par_slices += o.par_slices;
         self.loops_solved += o.loops_solved;
-        self.loops_replayed += o.loops_replayed;
-        self.loops_seeded += o.loops_seeded;
-        self.seed_hits += o.seed_hits;
         self.loops_rechecked += o.loops_rechecked;
         self.frames.add(&o.frames);
-        for (k, v) in o.solved_by_func {
-            *self.solved_by_func.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in o.replayed_by_func {
-            *self.replayed_by_func.entry(k).or_insert(0) += v;
-        }
     }
 }
 
@@ -118,16 +96,8 @@ pub struct Iter<'a> {
     /// Loop-head invariants, filled in iteration mode, replayed in checking
     /// mode.
     pub invariants: HashMap<LoopId, AbsState>,
-    /// Candidate loop invariants from the incremental cache. A candidate is
-    /// accepted iff one body pass proves it is still a post-fixpoint
-    /// (`entry ⊔ F(seed) ⊑ seed`); otherwise the loop is solved cold.
-    /// Per-loop and cross-member candidates get one rescue attempt: the
-    /// failed pass's iterate `entry ⊔ F(seed)` is itself re-checked with
-    /// the same predicate (one Kleene step absorbs drift in cells the
-    /// candidate could not carry, e.g. member-specific temporaries).
-    pub seeds: Arc<HashMap<LoopId, Seed>>,
-    /// What every depth-0 call statement runs on; shared like `seeds` with
-    /// slice workers and the checking pass's scratch iterators.
+    /// What every depth-0 call statement runs on; shared with slice workers
+    /// and the checking pass's scratch iterators.
     pub(crate) frames: Arc<Frames>,
     /// Per-loop *coverage witness*: the post-unroll entry iterate (`base`)
     /// of the **last** iteration-mode visit, recorded alongside the stored
@@ -169,7 +139,7 @@ pub struct Iter<'a> {
     rec: &'a dyn Recorder,
     /// Cached `rec.enabled()`: hot paths pay one branch, not a virtual call.
     rec_on: bool,
-    /// Function-name stack for event and cache-counter attribution.
+    /// Function-name stack for event attribution.
     func_stack: Vec<&'a str>,
     /// `(loop id, checking iteration)` context stack (maintained when
     /// `rec_on`), for alarm provenance.
@@ -226,7 +196,7 @@ impl<'a> Iter<'a> {
         rec: &'a dyn Recorder,
     ) -> Self {
         let frames = Arc::new(Frames::discover(program, layout, packs));
-        let mut it = Iter::sharing(program, layout, packs, config, Arc::default(), frames);
+        let mut it = Iter::sharing(program, layout, packs, config, frames);
         // Parallel slices run on worker `Iter`s whose per-statement
         // captures would be dropped at merge; collection forces the
         // sequential interpreter (alarms are identical either way).
@@ -237,14 +207,13 @@ impl<'a> Iter<'a> {
     }
 
     /// An iterator for work the main one hands out — a slice of a parallel
-    /// stage, a context re-solve of the checking pass: it shares the cache
-    /// seeds and the frames, never slices, and records no telemetry.
+    /// stage, a context re-solve of the checking pass: it shares the frames,
+    /// never slices, and records no telemetry.
     fn sharing(
         program: &'a Program,
         layout: &'a CellLayout,
         packs: &'a Packs,
         config: &'a AnalysisConfig,
-        seeds: Arc<HashMap<LoopId, Seed>>,
         frames: Arc<Frames>,
     ) -> Self {
         let mut eval = Evaluator::new(program, layout, config.max_clock);
@@ -259,7 +228,6 @@ impl<'a> Iter<'a> {
             mode: Mode::Iterate,
             invariants: HashMap::new(),
             cover: HashMap::new(),
-            seeds,
             frames,
             stmt_invariants: HashMap::new(),
             sink: AlarmSink::new(),
@@ -402,7 +370,6 @@ impl<'a> Iter<'a> {
         let config = self.config;
         let seed_invariants = &self.invariants;
         let cover_map = &self.cover;
-        let cache_seeds = &self.seeds;
         let frames = &self.frames;
         let panic_slice = self.config.debug_panic_slice;
 
@@ -421,17 +388,7 @@ impl<'a> Iter<'a> {
                 // every slice (the session only sets the caller's thread).
                 astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
                 let t0 = Instant::now();
-                // Cache seeds feed both iteration-mode solves and the
-                // checking pass's context re-solves; share them either way
-                // so worker and sequential solves stay identical.
-                let mut w = Iter::sharing(
-                    program,
-                    layout,
-                    packs,
-                    config,
-                    Arc::clone(cache_seeds),
-                    Arc::clone(frames),
-                );
+                let mut w = Iter::sharing(program, layout, packs, config, Arc::clone(frames));
                 w.mode = mode;
                 if mode == Mode::Check {
                     w.invariants = seed_invariants.clone();
@@ -756,7 +713,6 @@ impl<'a> Iter<'a> {
                             self.layout,
                             self.packs,
                             self.config,
-                            Arc::clone(&self.seeds),
                             Arc::clone(&self.frames),
                         );
                         // Pack usefulness is the one thing the scratch solve
@@ -789,10 +745,10 @@ impl<'a> Iter<'a> {
     }
 
     /// Solves the residual loop (the iterations beyond the unrolled prefix)
-    /// above the post-unroll iterate `base` and returns its invariant: a
-    /// verified cache seed when one fits, else delayed widening with
-    /// thresholds (Sect. 7.1.2–7.1.4), narrowing (Sect. 5.5) and the
-    /// loop-done reduction. Storing the result is the caller's business.
+    /// above the post-unroll iterate `base` and returns its invariant:
+    /// delayed widening with thresholds (Sect. 7.1.2–7.1.4), narrowing
+    /// (Sect. 5.5) and the loop-done reduction. Storing the result is the
+    /// caller's business.
     fn solve_residual(
         &mut self,
         base: &AbsState,
@@ -802,61 +758,7 @@ impl<'a> Iter<'a> {
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> AbsState {
-        // Incremental replay: a cached candidate invariant is accepted iff
-        // one body pass proves it is still a post-fixpoint of the residual
-        // loop (`entry ⊔ F(seed) ⊑ seed`, sound by Tarski). A stale
-        // candidate costs one pass and falls back to cold iteration.
-        if let Some(seed) = self.seeds.get(&id).cloned() {
-            let (mut cand, origin) = match seed {
-                Seed::Full(st, o) => (st, o),
-                Seed::Portable(p) => (p.apply(base), SeedOrigin::Portable),
-            };
-            // A whole-function candidate either fits verbatim or not;
-            // per-loop and cross-member candidates get the one-step
-            // rescue (see the `seeds` field).
-            let mut attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
-            // A candidate of another shape belongs to another frame (the
-            // loop sits in a helper reached from several call statements, or
-            // the store predates an edit that moved the frame): not tried.
-            if !cand.is_bottom() && !base.is_bottom() && !cand.same_shape(base) {
-                self.stats.frames.seeds_rejected_shape += 1;
-                attempts = 0;
-            }
-            for attempt in 0..attempts {
-                let body_in = self.state_guard(cand.clone(), cond, true);
-                let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
-                let fval = base.join(&body_out, self.layout, self.packs);
-                // Acceptance also proves `base ⊑ cand`: `base` is a valid
-                // coverage witness for it.
-                if Self::post_fixpoint(&fval, &cand) {
-                    match origin {
-                        SeedOrigin::Func => {
-                            self.stats.loops_replayed += 1;
-                            let f = self.cur_func().to_string();
-                            *self.stats.replayed_by_func.entry(f).or_insert(0) += 1;
-                        }
-                        SeedOrigin::Loop => self.stats.loops_seeded += 1,
-                        SeedOrigin::Portable => {
-                            self.stats.loops_seeded += 1;
-                            self.stats.seed_hits += 1;
-                        }
-                    }
-                    if self.rec_on {
-                        self.rec.loop_done(&LoopDoneEvent {
-                            func: self.cur_func(),
-                            loop_id: id.0,
-                            iterations: (attempt + 1) as u64,
-                            stabilized_at: 1,
-                        });
-                    }
-                    return cand;
-                }
-                cand = fval;
-            }
-        }
         self.stats.loops_solved += 1;
-        let f = self.cur_func().to_string();
-        *self.stats.solved_by_func.entry(f).or_insert(0) += 1;
         let mut inv = base.clone();
         let mut iter = 0u32;
         let mut grace = self.config.stabilization_grace;
@@ -1413,8 +1315,8 @@ impl<'a> Iter<'a> {
     /// (see [`crate::frames`]): the arriving state is projected, the callee
     /// runs on the projection exactly as it would on the whole state —
     /// nested calls, branches, inner loops, alarms — and what changed is
-    /// written back. Loop invariants, coverage witnesses and cache seeds of
-    /// loops inside are therefore frame-sized.
+    /// written back. Loop invariants and coverage witnesses of loops inside
+    /// are therefore frame-sized.
     fn transfer_call(
         &mut self,
         mut state: AbsState,
@@ -1444,14 +1346,8 @@ impl<'a> Iter<'a> {
         self.stats.frames.calls_framed += 1;
         #[cfg(test)]
         let whole = (self.differential && self.mode == Mode::Iterate).then(|| {
-            let mut w = Iter::sharing(
-                self.program,
-                self.layout,
-                self.packs,
-                self.config,
-                Arc::clone(&self.seeds),
-                Arc::default(),
-            );
+            let mut w =
+                Iter::sharing(self.program, self.layout, self.packs, self.config, Arc::default());
             w.inline_call(state.clone(), callee, args, ret, s, depth)
         });
         let t0 = self.rec_on.then(Instant::now);

@@ -427,21 +427,6 @@ impl AbsState {
         self.pending.set(pi as u32, k, f64_same);
     }
 
-    /// `true` when the state holds octagon pack `pi`.
-    pub fn has_oct(&self, pi: usize) -> bool {
-        self.octs.contains_key(&(pi as u32))
-    }
-
-    /// `true` when the state holds decision-tree pack `pi`.
-    pub fn has_dtree(&self, pi: usize) -> bool {
-        self.dtrees.contains_key(&(pi as u32))
-    }
-
-    /// `true` when the state holds filter pack `pi`.
-    pub fn has_ell(&self, pi: usize) -> bool {
-        self.ellipses.contains_key(&(pi as u32))
-    }
-
     /// Iterates over octagons.
     pub fn octs_iter(&self) -> impl Iterator<Item = (usize, &Octagon)> {
         self.octs.iter().map(|(k, v)| (*k as usize, v))
@@ -564,8 +549,8 @@ impl AbsState {
     /// Inclusion `⊑`, between states of the same shape only: a cell or pack
     /// one side alone holds answers `false` (see [`AbsEnv::leq`]), so
     /// [`crate::iterator::Iter`]'s post-fixpoint test rejects a stored
-    /// invariant, coverage witness or cache seed that belongs to another
-    /// frame, and the loop is solved in context.
+    /// invariant or coverage witness that belongs to another frame, and the
+    /// loop is solved in context.
     pub fn leq(&self, other: &AbsState) -> bool {
         if self.is_bottom() {
             return true;

@@ -397,7 +397,7 @@ fn store_files_reply(frame: &Json, cfg: &FleetConfig<'_>, board: &Board) -> Json
     reply(files, complete)
 }
 
-/// Handles a worker's `store_put`: merges each shipped file into the
+/// Handles a worker's `store_put`: adds each shipped file to the
 /// coordinator's store (the store's own import dedup makes replays free)
 /// and, when anything changed, refreshes the fingerprint cache and bumps
 /// the store generation so other workers' pulls see the new content.
@@ -412,15 +412,9 @@ fn store_import(frame: &Json, cfg: &FleetConfig<'_>, board: &Board) {
                 {
                     if store.import_file(name, text) {
                         imported += 1;
-                        // Fingerprint the merged on-disk bytes, not the
-                        // shipped text — the import may have merged.
+                        // An accepted import is on disk byte for byte.
                         let mut fps = board.store_fps.lock().unwrap();
-                        match store.export_file(name) {
-                            Some(merged) => {
-                                fps.insert(name.to_string(), content_fingerprint(&merged))
-                            }
-                            None => fps.remove(name),
-                        };
+                        fps.insert(name.to_string(), content_fingerprint(text));
                     }
                 }
             }

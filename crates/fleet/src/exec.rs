@@ -84,8 +84,6 @@ fn run_analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     out.main_invariant = result.main_invariant.as_ref().map(|s| s.to_string());
     out.main_census = result.main_census.as_ref().map(|c| c.to_string());
     out.cache_full_hit = result.cache.full_hit;
-    out.loops_seeded = result.stats.loops_seeded;
-    out.seed_hits = result.stats.seed_hits;
     out
 }
 

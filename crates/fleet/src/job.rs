@@ -191,13 +191,6 @@ pub struct JobOutcome {
     pub main_census: Option<String>,
     /// The shared invariant store answered this job verbatim.
     pub cache_full_hit: bool,
-    /// Loops installed from per-loop seeds on this job (cache telemetry,
-    /// excluded from the stable report like every warm/cold-dependent
-    /// field).
-    pub loops_seeded: u64,
-    /// Loops installed from cross-member portable seeds on this job
-    /// (excluded from the stable report).
-    pub seed_hits: u64,
     /// Wall-clock time the job occupied a worker.
     pub wall: Duration,
     /// Worker lane that ran the job (informational).
@@ -221,8 +214,6 @@ impl JobOutcome {
             main_invariant: None,
             main_census: None,
             cache_full_hit: false,
-            loops_seeded: 0,
-            seed_hits: 0,
             wall: Duration::ZERO,
             worker: 0,
             resent: 0,
@@ -358,8 +349,6 @@ mod tests {
         b.worker = 3;
         b.resent = 2;
         b.cache_full_hit = true;
-        b.loops_seeded = 4;
-        b.seed_hits = 2;
         let ra = FleetReport {
             outcomes: vec![a],
             wall: Duration::from_secs(1),

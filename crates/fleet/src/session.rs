@@ -175,8 +175,6 @@ impl<'p> FleetSessionBuilder<'p> {
             self.run_distributed()
         };
         counters.store_full_hits = outcomes.iter().filter(|o| o.cache_full_hit).count() as u64;
-        counters.loops_seeded = outcomes.iter().map(|o| o.loops_seeded).sum();
-        counters.seed_hits = outcomes.iter().map(|o| o.seed_hits).sum();
 
         if let Some(rec) = &recorder {
             if rec.enabled() {

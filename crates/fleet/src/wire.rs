@@ -43,8 +43,8 @@ fn f64_bits(v: f64) -> Json {
 
 /// FNV-1a fingerprint of a store file's text, used by both sides of the
 /// `store_get`/`store_put` exchange to skip shipping bytes the peer
-/// already holds (content-level dedup on top of the store's own
-/// merge-level dedup).
+/// already holds (on top of the store's own refusal to import bytes it
+/// already has).
 pub fn content_fingerprint(text: &str) -> u64 {
     let mut h = Fnv::new();
     h.bytes(text.as_bytes());
@@ -481,8 +481,6 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
         ("main_invariant", o.main_invariant.as_deref().map_or(Json::Null, Json::str)),
         ("main_census", o.main_census.as_deref().map_or(Json::Null, Json::str)),
         ("cache_full_hit", Json::Bool(o.cache_full_hit)),
-        ("loops_seeded", Json::UInt(o.loops_seeded)),
-        ("seed_hits", Json::UInt(o.seed_hits)),
         ("wall_nanos", Json::UInt(o.wall.as_nanos() as u64)),
         ("detail", o.detail.as_deref().map_or(Json::Null, Json::str)),
         ("oracle", o.oracle.as_ref().map_or(Json::Null, member_outcome_to_json)),
@@ -503,8 +501,6 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
         main_invariant: opt_str(j, "main_invariant"),
         main_census: opt_str(j, "main_census"),
         cache_full_hit: j.get("cache_full_hit").and_then(Json::as_bool).unwrap_or(false),
-        loops_seeded: j.get("loops_seeded").and_then(Json::as_u64).unwrap_or(0),
-        seed_hits: j.get("seed_hits").and_then(Json::as_u64).unwrap_or(0),
         wall: Duration::from_nanos(get_u64(j, "wall_nanos")?),
         worker: 0,
         resent: 0,
@@ -587,8 +583,6 @@ mod tests {
         out.alarm_lines = vec!["line 3: possible division by zero in `x / d`".into()];
         out.main_invariant = Some("x in [0, 4]\n".into());
         out.cache_full_hit = true;
-        out.loops_seeded = 3;
-        out.seed_hits = 1;
         out.wall = Duration::from_nanos(1234);
         out.oracle = Some(MemberOutcome {
             spec: spec.oracle.as_ref().unwrap().spec.clone(),
@@ -612,8 +606,6 @@ mod tests {
         assert_eq!(back.alarm_lines, out.alarm_lines);
         assert_eq!(back.main_invariant, out.main_invariant);
         assert!(back.cache_full_hit);
-        assert_eq!(back.loops_seeded, 3);
-        assert_eq!(back.seed_hits, 1);
         assert_eq!(back.wall, out.wall);
         let m = back.oracle.unwrap();
         assert_eq!(m.executions, 3);

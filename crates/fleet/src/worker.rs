@@ -98,9 +98,9 @@ struct SyncStore {
     synced: HashMap<String, u64>,
     /// `(len, mtime_nanos)` of each local file at the last exchange: the
     /// cheap change detector deciding which files a push re-reads. A write
-    /// that preserves both length and timestamp slips past it — the entry
-    /// merely fails to propagate this round (store entries are warm-start
-    /// hints, never required for soundness).
+    /// that preserves both length and timestamp slips past it — the result
+    /// merely fails to propagate this round (a stored result saves a
+    /// solve, it is never required for one).
     meta: HashMap<String, (u64, u128)>,
     /// Coordinator store generation as of the last *complete* pull; 0
     /// before the first. When it still matches, the coordinator answers
@@ -147,7 +147,7 @@ impl SyncStore {
     /// Asks the coordinator for store files this worker does not hold yet
     /// and imports the reply, repeating while the coordinator reports the
     /// sync incomplete (each round ships up to [`SYNC_BYTES_CAP`] of new
-    /// content) so a capped exchange cannot cost this job its warm start.
+    /// content) so a capped exchange cannot cost this job its full hit.
     fn pull(
         &mut self,
         seq: u64,
@@ -198,8 +198,8 @@ impl SyncStore {
                 {
                     let name = name.to_string();
                     self.store.import_file(&name, text);
-                    // Refresh from the merged local bytes, not the shipped
-                    // text — an import into existing content merges.
+                    // Refresh from the local bytes, not the shipped text:
+                    // the import may have refused it.
                     self.refresh(&name);
                 }
             }

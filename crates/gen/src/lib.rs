@@ -130,9 +130,8 @@ pub fn generate_with(cfg: &GenConfig, knobs: &StructKnobs) -> String {
 
     // One RNG stream per channel, keyed by (seed, channel index) only.
     // Channel i's draws — and therefore its declarations and step function —
-    // are byte-identical across members of different channel counts, which is
-    // what lets a small member's converged loop invariants seed a large
-    // member's solves (cross-member seed transfer in the invariant cache).
+    // are byte-identical across members of different channel counts: the
+    // members of one seed are one family that differs only in size.
     let draws: Vec<ChanDraws> = (0..n)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(

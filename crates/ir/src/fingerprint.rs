@@ -1,27 +1,19 @@
-//! Content fingerprints of programs and functions.
+//! Content fingerprints of programs.
 //!
-//! The incremental-analysis cache (ROADMAP: "cache per-function invariants
-//! keyed by a body hash") needs two distinct notions of identity:
+//! The invariant store (`astree-core`'s `cache` module) replays a stored
+//! result only on an exact match, so it needs one notion of identity: the
+//! **exact** program fingerprint ([`program_fingerprint`]), which covers
+//! every analysis-visible detail *including* statement ids, loop ids and
+//! source locations. Two programs with equal exact fingerprints produce
+//! byte-identical analysis results (alarms carry statement ids and lines,
+//! so those must match for a stored result to be replayable verbatim).
+//! [`globals_fingerprint`] covers what determines the cell layout.
 //!
-//! - an **exact** program fingerprint ([`program_fingerprint`]) that covers
-//!   every analysis-visible detail *including* statement ids, loop ids and
-//!   source locations. Two programs with equal exact fingerprints produce
-//!   byte-identical analysis results (alarms carry statement ids and lines,
-//!   so those must match for a stored result to be replayable verbatim);
-//! - a **stable** per-function closure fingerprint ([`func_fingerprints`])
-//!   that deliberately *excludes* statement ids, loop ids and locations, and
-//!   names variables by (name, type, storage) rather than by numeric id.
-//!   Editing one function renumbers every statement after it (ids are
-//!   assigned in program pre-order), but the closure fingerprints of
-//!   untouched functions survive, so their solved loop invariants can be
-//!   reused as verified seeds.
-//!
-//! "Closure" because a function's fingerprint folds in the fingerprints of
-//! everything it calls: the analyzer interprets calls by abstract inlining,
-//! so a function's invariants depend on its whole call closure. The call
-//! graph is acyclic by construction (no recursion, paper Sect. 5.4), which
-//! makes the recursion well-founded; a defensive depth bound keeps even an
-//! invalid cyclic program from diverging.
+//! The **stable** per-function closure fingerprints ([`func_fingerprints`],
+//! [`parametric_fingerprints`]) exclude statement ids, loop ids and
+//! locations and name variables by (name, type, storage); they fed the
+//! seeding layers and have no in-tree caller left (see the comments on
+//! them).
 //!
 //! All hashing is 64-bit FNV-1a: deterministic across runs and platforms,
 //! dependency-free, and fast enough to fingerprint the whole program family
@@ -112,6 +104,8 @@ impl Fnv {
 enum IdMode<'a> {
     /// Hash them raw: exact identity, replay-safe.
     Exact,
+    // `Stable` and `Parametric` serve only `func_fingerprints` and
+    // `parametric_fingerprints`, kept for `benchsuite/src/layers.rs`.
     /// Skip them; name variables structurally. Edit-stable.
     Stable,
     /// Like [`IdMode::Stable`], but canonicalize the given channel tag out of
@@ -129,6 +123,7 @@ impl IdMode<'_> {
     }
 }
 
+// Kept only under `parametric_fingerprints` (see there).
 /// The channel tag of a generated function name: its longest trailing run of
 /// ASCII digits (`"step12"` → `"12"`), or `""` when the name has none.
 pub fn channel_tag(name: &str) -> &str {
@@ -136,6 +131,7 @@ pub fn channel_tag(name: &str) -> &str {
     &name[stem.len()..]
 }
 
+// Kept only under `parametric_fingerprints` (see there).
 /// Canonicalizes a generated identifier (or abstract-cell name) against a
 /// channel tag: every maximal run of ASCII digits that equals `tag` and is
 /// preceded by a letter or `_` is replaced by `#`. Array indices stay
@@ -168,12 +164,6 @@ pub fn canon_ident(name: &str, tag: &str) -> String {
         }
     }
     out
-}
-
-/// Inverse of [`canon_ident`] for a concrete target tag: every `#` becomes
-/// `tag`. Identifiers and cell names never contain `#` otherwise.
-pub fn expand_ident(name: &str, tag: &str) -> String {
-    name.replace('#', tag)
 }
 
 fn hash_int_type(h: &mut Fnv, t: IntType) {
@@ -459,12 +449,14 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     h.finish()
 }
 
+// No in-tree caller: kept because `benchsuite/src/layers.rs` times it.
 /// Stable closure fingerprint of every function, indexed by `FuncId`.
 ///
 /// Excludes statement/loop ids and locations; folds in the closure
-/// fingerprints of all callees (memoized — the call graph is acyclic). A
-/// function keeps its fingerprint across edits to *other* functions even
-/// though the frontend renumbers ids program-wide.
+/// fingerprints of all callees (memoized — the call graph is acyclic: no
+/// recursion, paper Sect. 5.4). A function keeps its fingerprint across
+/// edits to *other* functions even though the frontend renumbers ids
+/// program-wide.
 pub fn func_fingerprints(program: &Program) -> Vec<u64> {
     let n = program.funcs.len();
     let mut memo: Vec<Option<u64>> = vec![None; n];
@@ -474,6 +466,7 @@ pub fn func_fingerprints(program: &Program) -> Vec<u64> {
     memo.into_iter().map(|m| m.unwrap_or(0)).collect()
 }
 
+// No in-tree caller: kept because `benchsuite/src/layers.rs` times it.
 /// Channel-count-parametric closure fingerprint of every function, indexed
 /// by `FuncId`.
 ///
@@ -482,10 +475,8 @@ pub fn func_fingerprints(program: &Program) -> Vec<u64> {
 /// canonicalized out of every identifier in its whole call closure. Two
 /// generated functions that differ only in their channel index — `step3` in
 /// a 4-channel member and `step3` in a 46-channel member, or any pair whose
-/// bodies coincide up to the tag — share a parametric fingerprint, which is
-/// what lets converged seeds transfer across family members whose cell
-/// layouts (and thus store keys) differ. Functions without a tag hash
-/// exactly as in stable mode.
+/// bodies coincide up to the tag — share a parametric fingerprint.
+/// Functions without a tag hash exactly as in stable mode.
 pub fn parametric_fingerprints(program: &Program) -> Vec<u64> {
     let n = program.funcs.len();
     let mut out = Vec::with_capacity(n);
@@ -539,56 +530,12 @@ fn closure_fp(
     fp
 }
 
-/// Stable local fingerprint of every loop of `func`, in the same pre-order
-/// as the invariant cache's loop-ordinal numbering.
-///
-/// Each loop is identified by its condition, its body statements, and the
-/// layout of every variable it touches (names, types, storage classes,
-/// input ranges — via stable-mode variable hashing), with callees named by
-/// their closure fingerprints from `stable_fps` ([`func_fingerprints`]).
-/// Statement ids, loop ids and locations are excluded, so a loop keeps its
-/// fingerprint when code *outside* it is edited — even in the same function,
-/// where the whole-function closure fingerprint necessarily misses. That is
-/// the key of the per-loop seed-replay path: a matching loop fingerprint
-/// means the stored post-fixpoint for this loop is worth verifying as a
-/// widening start above the new entry state.
-pub fn loop_fingerprints(program: &Program, func: FuncId, stable_fps: &[u64]) -> Vec<u64> {
-    let f = &program.funcs[func.0 as usize];
-    let lookup = |c: FuncId| stable_fps.get(c.0 as usize).copied().unwrap_or(0);
-    let mut out = Vec::new();
-    collect_loop_fps(program, &f.body, &lookup, &mut out);
-    out
-}
-
-fn collect_loop_fps(
-    program: &Program,
-    block: &Block,
-    callee_fp: &impl Fn(FuncId) -> u64,
-    out: &mut Vec<u64>,
-) {
-    for s in block {
-        match &s.kind {
-            StmtKind::While(_, _, body) => {
-                let mut h = Fnv::new();
-                hash_stmt(&mut h, program, s, IdMode::Stable, callee_fp);
-                out.push(h.finish());
-                collect_loop_fps(program, body, callee_fp, out);
-            }
-            StmtKind::If(_, a, b) => {
-                collect_loop_fps(program, a, callee_fp, out);
-                collect_loop_fps(program, b, callee_fp, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Fingerprint of everything that determines the abstract cell layout: the
 /// full variable table (names, types, storage classes, input ranges) and the
 /// record table, in order.
 ///
-/// Cached invariants are vectors over cell ids; they are only meaningful
-/// against the layout they were computed with, so this hash gates all reuse.
+/// A stored invariant names cells by id; it is only meaningful against the
+/// layout it was computed with, so this hash gates all reuse.
 pub fn globals_fingerprint(program: &Program) -> u64 {
     let mut h = Fnv::new();
     h.usize(program.vars.len());
@@ -737,22 +684,16 @@ mod tests {
         assert_eq!(canon_ident("x1", "12"), "x1", "different run untouched");
         assert_eq!(canon_ident("x120", "12"), "x120", "maximal run only");
         assert_eq!(canon_ident("anything", ""), "anything");
-
-        assert_eq!(expand_ident("hist_x#[3]", "7"), "hist_x7[3]");
-        assert_eq!(expand_ident(&canon_ident("step12::x1", "12"), "12"), "step12::x1");
     }
 
-    fn one_loop_program(var: &str, fname: &str, extra_stmt: bool) -> Program {
+    fn one_loop_program(var: &str, fname: &str) -> Program {
         let mut p = Program::new();
         let x = p.add_var(VarInfo::scalar(var, ScalarType::Int(IntType::INT), VarKind::Global));
-        let mut body = vec![Stmt::new(StmtKind::While(
+        let body = vec![Stmt::new(StmtKind::While(
             LoopId(0),
             Expr::int(1),
             vec![Stmt::new(StmtKind::Assign(Lvalue::var(x), Expr::int(1)))],
         ))];
-        if extra_stmt {
-            body.push(Stmt::new(StmtKind::Assign(Lvalue::var(x), Expr::int(9))));
-        }
         p.add_func(Function {
             name: fname.into(),
             params: vec![],
@@ -766,29 +707,14 @@ mod tests {
     }
 
     #[test]
-    fn loop_fingerprint_survives_edits_outside_the_loop() {
-        let a = one_loop_program("x", "main", false);
-        let b = one_loop_program("x", "main", true);
-        let fa = loop_fingerprints(&a, FuncId(0), &func_fingerprints(&a));
-        let fb = loop_fingerprints(&b, FuncId(0), &func_fingerprints(&b));
-        assert_eq!(fa.len(), 1);
-        assert_eq!(fa, fb, "edit after the loop must keep the loop fingerprint");
-        // But the function's closure fingerprint misses, as it must.
-        assert_ne!(func_fingerprints(&a)[0], func_fingerprints(&b)[0]);
-        // And a loop over a different variable has a different fingerprint.
-        let c = one_loop_program("y", "main", false);
-        assert_ne!(fa, loop_fingerprints(&c, FuncId(0), &func_fingerprints(&c)));
-    }
-
-    #[test]
     fn parametric_fingerprint_matches_across_channel_tags() {
-        let a = one_loop_program("flt3", "step3", false);
-        let b = one_loop_program("flt7", "step7", false);
-        let c = one_loop_program("other3", "step3", false);
+        let a = one_loop_program("flt3", "step3");
+        let b = one_loop_program("flt7", "step7");
+        let c = one_loop_program("other3", "step3");
         assert_eq!(parametric_fingerprints(&a)[0], parametric_fingerprints(&b)[0]);
         assert_ne!(parametric_fingerprints(&a)[0], parametric_fingerprints(&c)[0]);
         // Untagged functions hash exactly as in stable mode.
-        let m = one_loop_program("x", "main", false);
+        let m = one_loop_program("x", "main");
         assert_eq!(parametric_fingerprints(&m)[0], func_fingerprints(&m)[0]);
     }
 

@@ -188,9 +188,6 @@ pub fn cache(c: &CacheCounters) -> Json {
         vec![
             ("full_hits", Json::UInt(c.full_hits)),
             ("misses", Json::UInt(c.misses)),
-            ("seeded_functions", Json::UInt(c.seeded_functions)),
-            ("invalidated_functions", Json::UInt(c.invalidated_functions)),
-            ("loops_replayed", Json::UInt(c.loops_replayed)),
             ("loops_solved", Json::UInt(c.loops_solved)),
             ("corrupt_files", Json::UInt(c.corrupt_files)),
             ("bytes_read", Json::UInt(c.bytes_read)),

@@ -148,28 +148,19 @@ pub struct BatchJobEvent<'a> {
 /// store reports fleet-wide totals.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Whole-program entries replayed verbatim (warm runs).
+    /// Stored results replayed verbatim (warm runs).
     pub full_hits: u64,
-    /// Runs that found no whole-program entry.
+    /// Runs that found no stored result and solved cold.
     pub misses: u64,
-    /// Functions whose stored loop invariants were installed as seeds.
-    pub seeded_functions: u64,
-    /// Functions with no usable stored invariants (stale or never seen).
-    pub invalidated_functions: u64,
-    /// Loop invariants reused after a one-pass soundness check.
-    pub loops_replayed: u64,
-    /// Loop invariants recomputed by fixpoint iteration.
+    /// Loop invariants computed by fixpoint iteration in the missing runs.
     pub loops_solved: u64,
-    /// Loops warm-started from a per-loop or cross-member seed (the
-    /// function's closure fingerprint missed, but a finer-grained stored
-    /// invariant verified as a post-fixpoint).
+    /// Always 0, out of the JSON: kept because `benchsuite/src/layers.rs` reads it.
+    pub loops_replayed: u64,
+    /// Always 0, out of the JSON: kept because `benchsuite/src/layers.rs` reads it.
     pub loops_seeded: u64,
-    /// Loops warm-started specifically from a *cross-member* (portable,
-    /// channel-canonicalized) seed; a subset of `loops_seeded`.
-    pub seed_hits: u64,
-    /// Cache files evicted to keep the store under its size bound.
+    /// Results evicted to keep the store under its size bound.
     pub evictions: u64,
-    /// Cache files rejected as corrupt or truncated (clean cold fallback).
+    /// Store files rejected as corrupt or truncated (clean cold fallback).
     pub corrupt_files: u64,
     /// Bytes read from cache files.
     pub bytes_read: u64,
@@ -186,12 +177,9 @@ impl CacheCounters {
     pub fn add(&mut self, o: &CacheCounters) {
         self.full_hits += o.full_hits;
         self.misses += o.misses;
-        self.seeded_functions += o.seeded_functions;
-        self.invalidated_functions += o.invalidated_functions;
-        self.loops_replayed += o.loops_replayed;
         self.loops_solved += o.loops_solved;
+        self.loops_replayed += o.loops_replayed;
         self.loops_seeded += o.loops_seeded;
-        self.seed_hits += o.seed_hits;
         self.evictions += o.evictions;
         self.corrupt_files += o.corrupt_files;
         self.bytes_read += o.bytes_read;
@@ -206,14 +194,9 @@ impl CacheCounters {
         CacheCounters {
             full_hits: self.full_hits.saturating_sub(earlier.full_hits),
             misses: self.misses.saturating_sub(earlier.misses),
-            seeded_functions: self.seeded_functions.saturating_sub(earlier.seeded_functions),
-            invalidated_functions: self
-                .invalidated_functions
-                .saturating_sub(earlier.invalidated_functions),
-            loops_replayed: self.loops_replayed.saturating_sub(earlier.loops_replayed),
             loops_solved: self.loops_solved.saturating_sub(earlier.loops_solved),
+            loops_replayed: self.loops_replayed.saturating_sub(earlier.loops_replayed),
             loops_seeded: self.loops_seeded.saturating_sub(earlier.loops_seeded),
-            seed_hits: self.seed_hits.saturating_sub(earlier.seed_hits),
             evictions: self.evictions.saturating_sub(earlier.evictions),
             corrupt_files: self.corrupt_files.saturating_sub(earlier.corrupt_files),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
@@ -289,8 +272,6 @@ pub struct FrameCounters {
     pub calls_whole_depth_cap: u64,
     /// … because the frame is too large a share of the cell layout.
     pub calls_whole_not_small: u64,
-    /// Cache seeds not tried because they have another frame's shape.
-    pub seeds_rejected_shape: u64,
     /// Checking-pass loop visits re-solved because the stored coverage
     /// witness has another frame's shape.
     pub witnesses_rejected_shape: u64,
@@ -307,7 +288,6 @@ impl FrameCounters {
         self.calls_whole_wait += o.calls_whole_wait;
         self.calls_whole_depth_cap += o.calls_whole_depth_cap;
         self.calls_whole_not_small += o.calls_whole_not_small;
-        self.seeds_rejected_shape += o.seeds_rejected_shape;
         self.witnesses_rejected_shape += o.witnesses_rejected_shape;
         self.cells_per_frame.extend(&o.cells_per_frame);
         self.packs_per_frame.extend(&o.packs_per_frame);
@@ -337,7 +317,6 @@ impl FrameCounters {
             ("frames", Json::UInt(self.cells_per_frame.len() as u64)),
             ("cells_per_frame", spread(&self.cells_per_frame)),
             ("packs_per_frame", spread(&self.packs_per_frame)),
-            ("seeds_rejected_shape", Json::UInt(self.seeds_rejected_shape)),
             ("witnesses_rejected_shape", Json::UInt(self.witnesses_rejected_shape)),
         ])
     }
@@ -409,10 +388,6 @@ pub struct FleetCounters {
     pub store_gets: u64,
     /// `store_put` uploads accepted from remote workers.
     pub store_puts: u64,
-    /// Cross-member (portable) seed verifications across all jobs.
-    pub seed_hits: u64,
-    /// Per-loop and cross-member warm starts across all jobs.
-    pub loops_seeded: u64,
     /// Per-worker breakdown, indexed by lane.
     pub per_worker: Vec<FleetWorkerCounters>,
 }
@@ -850,12 +825,7 @@ impl Metrics {
         let cache = Json::obj([
             ("full_hits", Json::UInt(c.full_hits)),
             ("misses", Json::UInt(c.misses)),
-            ("seeded_functions", Json::UInt(c.seeded_functions)),
-            ("invalidated_functions", Json::UInt(c.invalidated_functions)),
-            ("loops_replayed", Json::UInt(c.loops_replayed)),
             ("loops_solved", Json::UInt(c.loops_solved)),
-            ("loops_seeded", Json::UInt(c.loops_seeded)),
-            ("seed_hits", Json::UInt(c.seed_hits)),
             ("evictions", Json::UInt(c.evictions)),
             ("corrupt_files", Json::UInt(c.corrupt_files)),
             ("bytes_read", Json::UInt(c.bytes_read)),
@@ -897,8 +867,6 @@ impl Metrics {
                 ("store_full_hits", Json::UInt(f.store_full_hits)),
                 ("store_gets", Json::UInt(f.store_gets)),
                 ("store_puts", Json::UInt(f.store_puts)),
-                ("seed_hits", Json::UInt(f.seed_hits)),
-                ("loops_seeded", Json::UInt(f.loops_seeded)),
                 (
                     "per_worker",
                     Json::Arr(
@@ -1170,17 +1138,8 @@ impl Recorder for Collector {
         }
         if self.trace_on {
             self.push_trace(format!(
-                "cache: full_hits={} misses={} seeded={} replayed={} solved={} loop_seeded={} \
-                 seed_hits={} evictions={} corrupt={}",
-                c.full_hits,
-                c.misses,
-                c.seeded_functions,
-                c.loops_replayed,
-                c.loops_solved,
-                c.loops_seeded,
-                c.seed_hits,
-                c.evictions,
-                c.corrupt_files,
+                "cache: full_hits={} misses={} solved={} evictions={} corrupt={}",
+                c.full_hits, c.misses, c.loops_solved, c.evictions, c.corrupt_files,
             ));
         }
     }
@@ -1210,13 +1169,12 @@ impl Recorder for Collector {
         if self.trace_on {
             self.push_trace(format!(
                 "frames: framed={} whole={}/{}/{} (wait/depth_cap/not_small) frames={} \
-                 seeds_rejected={} witnesses_rejected={}",
+                 witnesses_rejected={}",
                 c.calls_framed,
                 c.calls_whole_wait,
                 c.calls_whole_depth_cap,
                 c.calls_whole_not_small,
                 c.cells_per_frame.len(),
-                c.seeds_rejected_shape,
                 c.witnesses_rejected_shape,
             ));
         }
@@ -1242,7 +1200,7 @@ impl Recorder for Collector {
         if self.trace_on {
             self.push_trace(format!(
                 "fleet: workers={} jobs={} steals={} resent={} crashes={} store_hits={} \
-                 store_gets={} store_puts={} seed_hits={}",
+                 store_gets={} store_puts={}",
                 c.workers,
                 c.jobs,
                 c.steals,
@@ -1251,7 +1209,6 @@ impl Recorder for Collector {
                 c.store_full_hits,
                 c.store_gets,
                 c.store_puts,
-                c.seed_hits,
             ));
         }
     }

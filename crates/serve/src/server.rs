@@ -310,9 +310,6 @@ fn cache_counters_json(c: &CacheCounters) -> Json {
     Json::obj([
         ("full_hits", Json::UInt(c.full_hits)),
         ("misses", Json::UInt(c.misses)),
-        ("seeded_functions", Json::UInt(c.seeded_functions)),
-        ("invalidated_functions", Json::UInt(c.invalidated_functions)),
-        ("loops_replayed", Json::UInt(c.loops_replayed)),
         ("loops_solved", Json::UInt(c.loops_solved)),
         ("corrupt_files", Json::UInt(c.corrupt_files)),
     ])
@@ -541,7 +538,6 @@ fn result_fields(result: &AnalysisResult) -> Vec<(&'static str, Json)> {
                 ("parallel_stages", Json::UInt(s.parallel_stages)),
                 ("parallel_slices", Json::UInt(s.parallel_slices)),
                 ("loops_solved", Json::UInt(s.loops_solved)),
-                ("loops_replayed", Json::UInt(s.loops_replayed)),
                 ("time_iterate_ns", Json::UInt(s.time_iterate.as_nanos() as u64)),
                 ("time_check_ns", Json::UInt(s.time_check.as_nanos() as u64)),
                 ("time_replay_ns", Json::UInt(s.time_replay.as_nanos() as u64)),
@@ -552,8 +548,6 @@ fn result_fields(result: &AnalysisResult) -> Vec<(&'static str, Json)> {
             Json::obj([
                 ("enabled", Json::Bool(result.cache.enabled)),
                 ("full_hit", Json::Bool(result.cache.full_hit)),
-                ("seeded_functions", Json::UInt(result.cache.seeded_functions as u64)),
-                ("invalidated_functions", Json::UInt(result.cache.invalidated_functions as u64)),
             ]),
         ),
     ]

@@ -237,12 +237,7 @@ fn print_cache_summary(c: &CacheReport) {
     if c.full_hit {
         println!("cache: full hit, replayed the stored invariants and alarms");
     } else {
-        let replayed: u64 = c.loops_replayed_by_function.values().sum();
-        let solved: u64 = c.loops_solved_by_function.values().sum();
-        println!(
-            "cache: {} function(s) seeded, {} invalidated; {} loop(s) replayed, {} solved",
-            c.seeded_functions, c.invalidated_functions, replayed, solved
-        );
+        println!("cache: miss, solved and stored");
     }
 }
 
@@ -386,8 +381,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     if let Some(store) = &store {
         let c = store.counters();
         println!(
-            "cache: {} full hit(s), {} miss(es), {} seeded, {} invalidated, {} corrupt file(s)",
-            c.full_hits, c.misses, c.seeded_functions, c.invalidated_functions, c.corrupt_files
+            "cache: {} full hit(s), {} miss(es), {} corrupt file(s)",
+            c.full_hits, c.misses, c.corrupt_files
         );
     }
     if let Some(path) = &report_path {
@@ -426,9 +421,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
             );
             if c.store_gets + c.store_puts > 0 {
                 println!(
-                    "  wire sync: {} file(s) shipped to workers, {} imported back, \
-                     {} loop seed(s), {} cross-member hit(s)",
-                    c.store_gets, c.store_puts, c.loops_seeded, c.seed_hits
+                    "  wire sync: {} file(s) shipped to workers, {} imported back",
+                    c.store_gets, c.store_puts
                 );
             }
         }
@@ -519,7 +513,7 @@ fn batch_report_json(report: &fleet::FleetReport) -> String {
     out.push_str(&format!(
         "  \"fleet\": {{\"processes\": {}, \"steals\": {}, \"resent\": {}, \"crashes\": {}, \
          \"timeouts\": {}, \"respawns\": {}, \"store_full_hits\": {}, \"store_gets\": {}, \
-         \"store_puts\": {}, \"loops_seeded\": {}, \"seed_hits\": {}}},\n",
+         \"store_puts\": {}}},\n",
         c.processes,
         c.steals,
         c.resent,
@@ -528,9 +522,7 @@ fn batch_report_json(report: &fleet::FleetReport) -> String {
         c.respawns,
         c.store_full_hits,
         c.store_gets,
-        c.store_puts,
-        c.loops_seeded,
-        c.seed_hits
+        c.store_puts
     ));
     let per_worker: Vec<String> = c
         .per_worker

@@ -1,15 +1,15 @@
-//! End-to-end tests of the incremental invariant cache: warm replays are
-//! bit-identical and fast, invalidation is function-granular, configuration
-//! changes miss the whole store, and damaged files degrade to a clean cold
-//! run.
+//! End-to-end tests of the invariant store: an exact match replays
+//! bit-identically and fast, anything else is solved as if no store were
+//! attached, every result is one file, and damaged files degrade to a clean
+//! cold run.
 
 use astree::core::{AnalysisConfig, AnalysisResult, AnalysisSession, InvariantStore};
 use astree::frontend::Frontend;
 use astree::gen::{generate, GenConfig};
 use astree::ir::Program;
 use astree::obs::Collector;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("astree-cache-e2e-{}-{tag}", std::process::id()));
@@ -21,6 +21,30 @@ fn run_cached(program: &Program, store: &Arc<InvariantStore>) -> (AnalysisResult
     let t0 = Instant::now();
     let r = AnalysisSession::builder(program).cache(Arc::clone(store)).build().run();
     (r, t0.elapsed().as_secs_f64())
+}
+
+/// One run through a fresh handle on `dir`, and what that handle did.
+fn run_on(program: &Program, dir: &std::path::Path) -> (AnalysisResult, Arc<InvariantStore>) {
+    let store = Arc::new(InvariantStore::open(dir).expect("opens"));
+    let (r, _) = run_cached(program, &store);
+    (r, store)
+}
+
+/// What a run reports, rendered: alarms, census, main invariant.
+fn answer(r: &AnalysisResult) -> (Vec<String>, Option<String>, Option<String>) {
+    (
+        r.alarms.iter().map(|a| a.to_string()).collect(),
+        r.main_census.as_ref().map(|c| c.to_string()),
+        r.main_invariant.as_ref().map(|s| s.to_string()),
+    )
+}
+
+fn member(channels: usize) -> String {
+    generate(&GenConfig { channels, seed: 9, bug: None })
+}
+
+fn compile(src: &str) -> Program {
+    Frontend::new().compile_str(src).expect("compiles")
 }
 
 /// The headline guarantee: re-analyzing an unchanged program (≥50
@@ -83,53 +107,8 @@ fn two_workers(step: &str) -> Program {
     Frontend::new().compile_str(&src).expect("compiles")
 }
 
-/// Editing one function's body re-solves only that function (and its
-/// transitive callers); the untouched function replays from its seed.
-#[test]
-fn editing_one_function_invalidates_only_that_function() {
-    let dir = temp_dir("invalidation");
-    let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
-    let before = two_workers("2");
-    let (cold, _) = run_cached(&before, &store);
-    assert!(!cold.cache.full_hit);
-
-    // Rewrite an expression in g's body (same value, different shape): g and
-    // main (which inlines g) must re-solve, f must be seeded and replay
-    // without iteration.
-    let after = two_workers("1 + 1");
-    let store = Arc::new(InvariantStore::open(&dir).expect("reopens"));
-    let (warm, _) = run_cached(&after, &store);
-    assert!(!warm.cache.full_hit, "edited program must not replay verbatim");
-    assert_eq!(warm.cache.seeded_functions, 1, "{:?}", warm.cache);
-    assert_eq!(warm.cache.invalidated_functions, 2, "{:?}", warm.cache);
-    assert!(
-        warm.cache.loops_replayed_by_function.contains_key("f"),
-        "f must replay its loop from the seed: {:?}",
-        warm.cache
-    );
-    // f may still fall back to iteration while the enclosing reactive loop's
-    // widening transiently overshoots the stored fixpoint, but the seed must
-    // absorb most of its passes; g (edited) never replays.
-    let f_solved = warm.cache.loops_solved_by_function.get("f").copied().unwrap_or(0);
-    let f_solved_cold = cold.cache.loops_solved_by_function.get("f").copied().unwrap_or(0);
-    assert!(
-        f_solved < f_solved_cold,
-        "seeding f must reduce its re-solves ({f_solved} vs cold {f_solved_cold}): {:?}",
-        warm.cache
-    );
-    assert!(!warm.cache.loops_replayed_by_function.contains_key("g"), "{:?}", warm.cache);
-    assert!(warm.cache.loops_solved_by_function.contains_key("g"), "{:?}", warm.cache);
-    assert!(warm.cache.loops_solved_by_function.contains_key("main"), "{:?}", warm.cache);
-
-    // Soundness cross-check: the seeded run must agree with a cold run of
-    // the edited program.
-    let cold_edited = AnalysisSession::builder(&after).build().run();
-    assert_eq!(warm.alarms, cold_edited.alarms);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Changing an analysis-relevant parameter changes the store key: nothing is
-/// seeded, nothing is reported invalidated — it is a clean full miss.
+/// Changing an analysis-relevant parameter changes the store key: a clean
+/// miss.
 #[test]
 fn changing_widening_or_packing_parameters_misses_the_whole_store() {
     let dir = temp_dir("config-miss");
@@ -146,8 +125,6 @@ fn changing_widening_or_packing_parameters_misses_the_whole_store() {
         let r =
             AnalysisSession::builder(&program).config(cfg).cache(Arc::clone(&store)).build().run();
         assert!(!r.cache.full_hit);
-        assert_eq!(r.cache.seeded_functions, 0, "{:?}", r.cache);
-        assert_eq!(r.cache.invalidated_functions, 0, "{:?}", r.cache);
         assert_eq!(store.counters().misses, 1);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -170,7 +147,6 @@ fn corrupt_cache_files_fall_back_to_a_clean_cold_run() {
     let store = Arc::new(InvariantStore::open(&dir).expect("reopens"));
     let (warm, _) = run_cached(&program, &store);
     assert!(!warm.cache.full_hit);
-    assert_eq!(warm.cache.seeded_functions, 0, "{:?}", warm.cache);
     assert_eq!(warm.alarms, cold.alarms);
     assert!(store.counters().corrupt_files >= 1, "{:?}", store.counters());
 
@@ -201,96 +177,130 @@ fn tailed(tail: &str) -> Program {
     Frontend::new().compile_str(&src).expect("compiles")
 }
 
-/// Editing a function *outside* its loop invalidates the function-level seed
-/// but not the loop-level one: the loop's stored invariant is re-verified and
-/// installed without iterating, and the analyzer's output (alarms, census)
-/// matches a cold run of the edited program bit for bit.
+/// Replay or solve: a store that holds no exact match — the same program
+/// before an edit inside one function, before an edit outside its loop, or a
+/// smaller member of the same family — changes nothing the run reports,
+/// down to the number of loops it solves.
 #[test]
-fn per_loop_seeds_survive_edits_outside_the_loop() {
-    let dir = temp_dir("loop-seed");
-    let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
-    let before = tailed("2");
-    run_cached(&before, &store);
+fn a_store_never_changes_the_answer() {
+    let cases = [
+        ("edit-in-function", two_workers("2"), two_workers("1 + 1")),
+        ("edit-outside-loop", tailed("2"), tailed("3")),
+        ("other-member", compile(&member(4)), compile(&member(8))),
+    ];
+    for (tag, before, after) in cases {
+        let dir = temp_dir(&format!("same-answer-{tag}"));
+        run_on(&before, &dir);
+        let (warm, store) = run_on(&after, &dir);
+        assert!(!warm.cache.full_hit, "{tag}: not the stored program");
+        assert_eq!(store.counters().bytes_read, 0, "{tag}: nothing stored answers this run");
+        let uncached = AnalysisSession::builder(&after).build().run();
+        assert_eq!(answer(&warm), answer(&uncached), "{tag}");
+        assert_eq!(warm.stats.loops_solved, uncached.stats.loops_solved, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
 
-    // The edit changes f's closure fingerprint (so the whole-function seed
-    // misses) but leaves the loop body and every value flowing into the loop
-    // head untouched (the edited temporary is squashed to 1 before f
-    // returns), so the loop fingerprint still matches.
-    let after = tailed("3");
-    let store = Arc::new(InvariantStore::open(&dir).expect("reopens"));
-    let (warm, _) = run_cached(&after, &store);
-    assert!(!warm.cache.full_hit);
-    assert_eq!(warm.cache.seeded_functions, 1, "only g keeps its seed: {:?}", warm.cache);
-    assert!(warm.stats.loops_seeded > 0, "f's loop must be seeded: {:?}", warm.stats);
-    let f_solved = warm.cache.loops_solved_by_function.get("f").copied().unwrap_or(0);
+/// The clamp of channel 0's rate limiter, `n` units tighter.
+fn edited(source: &str, n: u32) -> Program {
+    let old = "rate0 = clampf(rate0, -100.0, 100.0);";
+    assert!(source.contains(old), "generator no longer emits `{old}`");
+    let bound = 100 - n;
+    compile(&source.replacen(old, &format!("rate0 = clampf(rate0, -{bound}.0, {bound}.0);"), 1))
+}
 
-    let cold_edited = AnalysisSession::builder(&after).build().run();
-    let f_solved_cold = cold_edited.stats.loops_solved; // whole-program, upper bound
-    assert!(f_solved < f_solved_cold, "seeding must save solves: {f_solved} vs {f_solved_cold}");
-    assert_eq!(warm.alarms, cold_edited.alarms, "seeded run must match cold bit for bit");
-    assert_eq!(warm.main_census, cold_edited.main_census);
-    // The internal invariant may differ from the cold trajectory — seeding
-    // converges the reactive loop in fewer widening steps, which here lands
-    // the mission clock on a *tighter* threshold than the cold overshoot.
-    // Soundness is what the acceptance check guarantees; the alarm and
-    // census equality above pin the observable output.
+/// Every result is one file: an edit reads nothing, writes one result and
+/// leaves every earlier one in place.
+#[test]
+fn an_edit_costs_one_result() {
+    let dir = temp_dir("one-result");
+    let source = member(4);
+    let mut written = Vec::new();
+    for n in 1..=6 {
+        let (r, store) = run_on(&edited(&source, n), &dir);
+        assert!(!r.cache.full_hit);
+        let c = store.counters();
+        assert_eq!(c.bytes_read, 0, "edit {n} read the store");
+        written.push(c.bytes_written as f64);
+    }
+    let (first, sixth) = (written[0], written[5]);
+    assert!((sixth - first).abs() <= 0.1 * first, "bytes written per edit: {written:?}");
+    assert_eq!(std::fs::read_dir(&dir).expect("lists").count(), 6);
+    for n in 1..=6 {
+        let (r, store) = run_on(&edited(&source, n), &dir);
+        assert!(r.cache.full_hit, "edit {n} is still stored");
+        assert_eq!(store.counters().bytes_written, 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Converged seeds from a small family member warm the per-function solves of
-/// a larger member of the same family: the channel-count-parametric
-/// fingerprint matches across members, the channel tag is re-expanded on the
-/// way in, and the transplanted invariants are accepted by the same
-/// post-fixpoint check as native seeds.
-#[test]
-fn cross_member_seeds_transfer_between_channel_counts() {
-    let dir = temp_dir("portable");
-    let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
-    let donor_src = generate(&GenConfig { channels: 4, seed: 9, bug: None });
-    let donor = Frontend::new().compile_str(&donor_src).expect("compiles");
-    run_cached(&donor, &store);
-
-    let target_src = generate(&GenConfig { channels: 8, seed: 9, bug: None });
-    let target = Frontend::new().compile_str(&target_src).expect("compiles");
-    let store = Arc::new(InvariantStore::open(&dir).expect("reopens"));
-    let (warm, _) = run_cached(&target, &store);
-    assert!(!warm.cache.full_hit, "different member must not replay verbatim");
-    assert!(
-        warm.stats.seed_hits > 0,
-        "4-channel seeds must warm the 8-channel member: {:?}",
-        warm.stats
-    );
-
-    // Soundness cross-check: transplanted seeds only ever tighten the work,
-    // never the answer.
-    let cold = AnalysisSession::builder(&target).build().run();
-    assert_eq!(warm.alarms, cold.alarms);
-    assert_eq!(warm.main_census, cold.main_census);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A store bounded far below the working set evicts old entries instead of
-/// growing, and a rerun through the evicted store degrades to (at worst) a
-/// cold miss — never a wrong answer.
+/// A store bounded at about two and a half results evicts the oldest ones
+/// instead of growing: the newest result replays, the oldest misses, and no
+/// answer differs from the uncached one.
 #[test]
 fn tiny_cache_bound_evicts_and_still_yields_correct_results() {
     let dir = temp_dir("bounded");
-    let program = two_workers("2");
-    let baseline = AnalysisSession::builder(&program).build().run();
+    let versions: Vec<Program> = ["1", "2", "3", "4", "5"].map(two_workers).into();
+    let (_, probe) = run_on(&versions[0], &dir);
+    let bound = probe.counters().bytes_written * 5 / 2;
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let store = Arc::new(InvariantStore::open_bounded(&dir, 1024).expect("opens"));
-    let (first, _) = run_cached(&program, &store);
-    assert_eq!(first.alarms, baseline.alarms);
-    assert!(store.counters().evictions >= 1, "1 KiB bound must evict: {:?}", store.counters());
+    let open = || Arc::new(InvariantStore::open_bounded(&dir, bound).expect("opens"));
+    let mut evictions = 0;
+    for program in &versions {
+        let store = open();
+        let (r, _) = run_cached(program, &store);
+        assert!(!r.cache.full_hit);
+        assert_eq!(answer(&r), answer(&AnalysisSession::builder(program).build().run()));
+        evictions += store.counters().evictions;
+        // Eviction orders by mtime: keep the five writes apart on any clock.
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(evictions >= 1, "five results under a bound of 2.5 must evict");
+    assert!(std::fs::read_dir(&dir).expect("lists").count() <= 2);
 
-    let store = Arc::new(InvariantStore::open_bounded(&dir, 1024).expect("reopens"));
-    let (again, _) = run_cached(&program, &store);
-    assert!(!again.cache.full_hit, "the evicted entry must miss");
-    assert_eq!(again.alarms, baseline.alarms);
-    assert_eq!(again.main_census, baseline.main_census);
-    let again_inv = again.main_invariant.as_ref().map(|s| s.to_string());
-    let base_inv = baseline.main_invariant.as_ref().map(|s| s.to_string());
-    assert_eq!(again_inv, base_inv);
+    let (newest, _) = run_cached(&versions[4], &open());
+    assert!(newest.cache.full_hit, "the newest result is never evicted");
+    let (oldest, _) = run_cached(&versions[0], &open());
+    assert!(!oldest.cache.full_hit, "the oldest result was evicted");
+    for (r, program) in [(newest, &versions[4]), (oldest, &versions[0])] {
+        assert_eq!(answer(&r), answer(&AnalysisSession::builder(program).build().run()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight sessions over two store handles on one directory finish the same
+/// four results at once: every published file is one writer's complete
+/// bytes, and no staging file is left behind.
+#[test]
+fn concurrent_writers_publish_whole_results() {
+    let dir = temp_dir("writers");
+    let versions: Vec<Program> = ["1", "2", "3", "4"].map(two_workers).into();
+    let handles = [0, 1].map(|_| Arc::new(InvariantStore::open(&dir).expect("opens")));
+    let start = Barrier::new(8);
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let (store, versions, start) = (&handles[t % 2], &versions, &start);
+            s.spawn(move || {
+                start.wait();
+                for k in 0..4 {
+                    run_cached(&versions[(t + k) % 4], store);
+                }
+            });
+        }
+    });
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, handles[0].file_names(), "four results and nothing else");
+    assert_eq!(names.len(), 4);
+    for program in &versions {
+        let (r, store) = run_on(program, &dir);
+        assert!(r.cache.full_hit && store.counters().corrupt_files == 0);
+        assert_eq!(answer(&r), answer(&AnalysisSession::builder(program).build().run()));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -184,6 +184,44 @@ fn wire_synced_store_warms_workers_without_a_shared_filesystem() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Four members of one family on one fresh store: which member finds whose
+/// results there depends on the schedule, the report does not — it is the
+/// report of the run without a store, byte for byte.
+#[test]
+fn a_shared_store_never_changes_the_report() {
+    let dir = temp_dir("shared-store-report");
+    let files: Vec<String> = [4usize, 8, 12, 16]
+        .iter()
+        .map(|&channels| {
+            let path = dir.join(format!("fam{channels}.c"));
+            let source =
+                astree::gen::generate(&astree::gen::GenConfig { channels, seed: 12345, bug: None });
+            std::fs::write(&path, source).expect("member written");
+            path.to_str().unwrap().to_string()
+        })
+        .collect();
+    let report_of = |tag: &str, extra: &[&str]| {
+        let report = dir.join(format!("report-{tag}.txt"));
+        let mut args: Vec<&str> = files.iter().map(String::as_str).collect();
+        args.extend(extra);
+        args.extend(["--report", report.to_str().unwrap()]);
+        let (stdout, ok) = run_batch(&args);
+        assert!(ok, "clean run ({tag})\n{stdout}");
+        std::fs::read_to_string(&report).expect("report written")
+    };
+    let plain = report_of("plain", &[]);
+    assert!(plain.starts_with("fleet-report/1\n") && plain.contains("fam16"), "{plain}");
+    for (tag, how) in
+        [("jobs1", ["--jobs", "1"]), ("jobs4", ["--jobs", "4"]), ("w2", ["--workers", "2"])]
+    {
+        let cache = dir.join(format!("store-{tag}"));
+        let cached = report_of(tag, &[how[0], how[1], "--cache", cache.to_str().unwrap()]);
+        assert_eq!(plain, cached, "report with a fresh shared store at {how:?}");
+        assert_eq!(std::fs::read_dir(&cache).expect("store written").count(), 4);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn remote_workers_over_a_unix_socket_agree_with_in_process() {
     // A long-lived `astree worker --socket` process serves coordinators

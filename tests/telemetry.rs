@@ -233,7 +233,6 @@ fn json_document_has_the_documented_shape() {
         "frames",
         "cells_per_frame",
         "packs_per_frame",
-        "seeds_rejected_shape",
         "witnesses_rejected_shape",
     ] {
         assert!(frames.get(key).is_some(), "core.frames key {key}");
