@@ -1,52 +1,59 @@
-//! The fleet coordinator: scatters jobs over worker lanes, steals work
-//! between them, and survives worker crashes.
+//! The fleet coordinator: hands jobs to worker lanes from one queue and
+//! survives worker crashes.
 //!
 //! Each lane drives one [`Transport`] — a local child process or a remote
-//! socket — through the `astree-fleet/1` conversation:
+//! socket — through the `astree-fleet/2` conversation:
 //!
 //! ```text
-//! coordinator → worker   init        {proto, config, cache_dir, store_sync, crash_on}
-//! worker → coordinator   ready       {pid}
-//! coordinator → worker   job         {seq, spec}          (repeated)
-//! worker → coordinator   store_get   {seq, have}          (syncing workers, before the solve)
-//! coordinator → worker   store_files {seq, files}
-//! worker → coordinator   store_put   {seq, files}         (after the solve, when changed)
-//! worker → coordinator   done        {seq, outcome}       (one per job)
+//! coordinator → worker   init   {proto, config, cache_dir, store_sync}
+//! worker → coordinator   ready  {pid}
+//! coordinator → worker   job    {seq, spec, crash, files}   (repeated)
+//! worker → coordinator   done   {seq, outcome, files}       (one per job)
 //! coordinator → worker   bye
 //! ```
 //!
-//! Scheduling is deterministic in *outcome*, not in placement: jobs are
-//! scattered to the least-loaded lane (an EWMA of per-lane service time
-//! weights queue depth; with no history it degenerates to round-robin), an
-//! idle lane steals from the back of the richest queue, and results land
-//! in a slot table indexed by submission order, so the report is
-//! byte-identical at any worker count even though which lane ran which job
-//! is timing-dependent.
+//! With `store_sync`, the store exchange rides those frames: a `job`
+//! carries the coordinator's store files the lane's current worker does not
+//! hold yet, a `done` the results the worker stored during the job. A
+//! store file's name is its result, so the coordinator keeps, per lane,
+//! only the set of names it has exchanged with the current worker.
+//!
+//! Scheduling is deterministic in *outcome*, not in placement: an idle
+//! lane pulls the next job from one pending FIFO, and results land in a
+//! slot table indexed by submission order, so the report is byte-identical
+//! at any worker count even though which lane ran which job is
+//! timing-dependent.
 //!
 //! Isolation policy: a worker that misses its deadline is killed and its
 //! job reported [`JobStatus::TimedOut`]; a worker that dies mid-job has the
-//! job re-scattered to another live lane (front of queue, so it runs next)
-//! while the lane respawns its worker, until the per-job retry budget is
-//! exhausted and the job is reported [`JobStatus::Crashed`].
+//! job put back at the front of the queue (so it runs next) while the lane
+//! respawns its worker, until the per-job retry budget is exhausted and the
+//! job is reported [`JobStatus::Crashed`]. When the last lane dies, every
+//! pending job is reported crashed.
 
 use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO, SYNC_BYTES_CAP};
-use crate::wire::{config_to_json, content_fingerprint, outcome_from_json, spec_to_json};
+use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
+use crate::wire::{
+    config_to_json, files_to_json, frame_files, outcome_from_json, pack_files, spec_to_json,
+};
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{FleetCounters, FleetWorkerCounters, Json};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a freshly started worker gets to answer `init` with `ready`.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a worker told `bye` gets to exit on its own before it is
+/// killed.
+const EXIT_GRACE: Duration = Duration::from_secs(2);
 
 /// One worker connection the coordinator can start, feed frames, and kill.
 ///
@@ -61,6 +68,11 @@ pub trait Transport: Send {
     fn send(&mut self, frame: &Json) -> io::Result<()>;
     /// Forcibly terminates the connection (and the child, if local).
     fn kill(&mut self);
+    /// Ends the conversation after `bye`, letting the worker exit on its
+    /// own (and remove what it keeps on disk) when it can.
+    fn close(&mut self) {
+        self.kill();
+    }
     /// Human-readable identity for error messages.
     fn describe(&self) -> String;
 }
@@ -108,6 +120,20 @@ impl Transport for ProcessTransport {
 
     fn kill(&mut self) {
         if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// Closes the child's input and waits up to [`EXIT_GRACE`] for it to
+    /// exit; kills it only if it does not.
+    fn close(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            drop(child.stdin.take());
+            let deadline = Instant::now() + EXIT_GRACE;
+            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -194,57 +220,36 @@ pub struct FleetConfig<'a> {
     /// workers can reach it through the filesystem.
     pub cache_dir: Option<PathBuf>,
     /// The coordinator's own open invariant store, when workers should
-    /// sync against it over the wire instead of a shared filesystem
-    /// (`store_get`/`store_put` frames). Mutually exclusive with
+    /// sync against it over the wire instead of a shared filesystem (the
+    /// `files` of `job` and `done` frames). Mutually exclusive with
     /// `cache_dir` in practice: a worker that can see the directory skips
     /// the wire exchange.
     pub store: Option<Arc<InvariantStore>>,
     /// Per-job deadline; a worker that misses it is killed.
     pub timeout: Option<Duration>,
-    /// How many times a crashed job is re-scattered before giving up.
+    /// How many times a crashed job is put back in the queue before giving
+    /// up.
     pub retry_budget: u32,
-    /// Fault injection for tests: the first worker of lane 0 aborts when it
-    /// receives the job with this name. Respawns never inherit it.
+    /// Fault injection for tests: the first delivery of the job with this
+    /// name carries the `crash` flag, and the worker receiving it aborts.
     #[doc(hidden)]
     pub crash_on: Option<String>,
 }
 
 struct Shared {
-    queues: Vec<VecDeque<usize>>,
-    live: Vec<bool>,
+    /// Jobs waiting for a lane, in the order they will run.
+    pending: VecDeque<usize>,
+    /// Lanes still in service.
+    live: usize,
     outcomes: Vec<Option<JobOutcome>>,
     retries: Vec<u32>,
     completed: usize,
-    total: usize,
     counters: FleetCounters,
-    /// Exponentially-weighted moving average of each lane's job service
-    /// time in nanoseconds (α = 0.3); zero until the lane completes its
-    /// first job.
-    ewma: Vec<u64>,
-}
-
-/// The lane a fresh job should land on: the least-loaded live lane, where
-/// load is queued depth weighted by the lane's EWMA service time. Before
-/// any job completes every EWMA is zero and this degenerates to shortest
-/// queue (round-robin at fill time).
-fn scatter_lane(s: &Shared, exclude: Option<usize>) -> Option<usize> {
-    (0..s.queues.len())
-        .filter(|&l| s.live[l] && Some(l) != exclude)
-        .min_by_key(|&l| (s.queues[l].len() as u64 + 1) * s.ewma[l].max(1))
 }
 
 struct Board {
     state: Mutex<Shared>,
     cv: Condvar,
-    /// Monotonic generation of the coordinator store's contents, bumped on
-    /// every wire import that changed a file (starts at 1 so a worker's
-    /// initial `gen: 0` never matches). A `store_get` carrying the current
-    /// generation is answered empty without touching the disk.
-    store_gen: AtomicU64,
-    /// Cached content fingerprints of the coordinator store's files,
-    /// refreshed per file on import, so repeated pulls only re-read files
-    /// they actually ship.
-    store_fps: Mutex<HashMap<String, u64>>,
 }
 
 /// Runs `jobs` across the given worker lanes and returns their outcomes in
@@ -259,14 +264,6 @@ pub fn run_fleet(
 ) -> (Vec<JobOutcome>, FleetCounters) {
     let lanes = transports.len();
     assert!(lanes > 0, "run_fleet needs at least one transport");
-    // Initial scatter: least-loaded lane. With no timing history yet this
-    // is exactly round-robin; the EWMA weighting matters when a job is
-    // re-scattered mid-run (see `scatter_lane`).
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-    for i in 0..jobs.len() {
-        let lane = (0..lanes).min_by_key(|&l| queues[l].len()).unwrap();
-        queues[lane].push_back(i);
-    }
     let counters = FleetCounters {
         workers: lanes as u64,
         processes: true,
@@ -276,18 +273,14 @@ pub fn run_fleet(
     };
     let board = Board {
         state: Mutex::new(Shared {
-            queues,
-            live: vec![true; lanes],
+            pending: (0..jobs.len()).collect(),
+            live: lanes,
             outcomes: (0..jobs.len()).map(|_| None).collect(),
             retries: vec![0; jobs.len()],
             completed: 0,
-            total: jobs.len(),
             counters,
-            ewma: vec![0; lanes],
         }),
         cv: Condvar::new(),
-        store_gen: AtomicU64::new(1),
-        store_fps: Mutex::new(HashMap::new()),
     };
 
     std::thread::scope(|scope| {
@@ -297,23 +290,14 @@ pub fn run_fleet(
         }
     });
 
+    // A lane settles or re-queues its job before it exits, and the last
+    // lane to die settles the queue, so no slot is left empty.
     let shared = board.state.into_inner().unwrap();
-    let outcomes = shared
-        .outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| {
-            o.unwrap_or_else(|| {
-                let mut out = JobOutcome::empty(jobs[i].name.clone(), JobStatus::Crashed);
-                out.detail = Some("job lost: all lanes exited".into());
-                out
-            })
-        })
-        .collect();
+    let outcomes = shared.outcomes.into_iter().map(|o| o.expect("every job settled")).collect();
     (outcomes, shared.counters)
 }
 
-fn init_frame(cfg: &FleetConfig<'_>, crash_on: Option<&str>) -> Json {
+fn init_frame(cfg: &FleetConfig<'_>) -> Json {
     Json::obj([
         ("proto", Json::str(FLEET_PROTO)),
         ("frame", Json::str("init")),
@@ -323,105 +307,39 @@ fn init_frame(cfg: &FleetConfig<'_>, crash_on: Option<&str>) -> Json {
             cfg.cache_dir.as_ref().map_or(Json::Null, |p| Json::str(p.display().to_string())),
         ),
         ("store_sync", Json::Bool(cfg.store.is_some())),
-        ("crash_on", crash_on.map_or(Json::Null, Json::str)),
     ])
 }
 
-/// Answers a worker's `store_get`: every coordinator store file whose
-/// content fingerprint differs from what the worker reports holding,
-/// bounded by [`SYNC_BYTES_CAP`] per reply (`complete: false` tells the
-/// worker to pull again for the remainder). A worker already at the
-/// current store generation gets an empty reply without any disk reads.
-fn store_files_reply(frame: &Json, cfg: &FleetConfig<'_>, board: &Board) -> Json {
-    let seq = frame.get("seq").and_then(Json::as_u64).unwrap_or(0);
-    // Read the generation before walking the directory: a concurrent
-    // import makes the worker record a stale generation and simply pull
-    // again next job.
-    let gen_now = board.store_gen.load(Ordering::SeqCst);
-    let reply = |files: Vec<Json>, complete: bool| {
-        Json::obj([
-            ("frame", Json::str("store_files")),
-            ("seq", Json::UInt(seq)),
-            ("gen", Json::UInt(gen_now)),
-            ("complete", Json::Bool(complete)),
-            ("files", Json::Arr(files)),
-        ])
-    };
-    if frame.get("gen").and_then(Json::as_u64) == Some(gen_now) {
-        return reply(Vec::new(), true);
-    }
-    let mut have: HashMap<&str, u64> = HashMap::new();
-    if let Some(Json::Arr(items)) = frame.get("have") {
-        for item in items {
-            if let Json::Arr(kv) = item {
-                if let (Some(name), Some(fp)) =
-                    (kv.first().and_then(Json::as_str), kv.get(1).and_then(Json::as_u64))
-                {
-                    have.insert(name, fp);
-                }
-            }
-        }
-    }
-    let mut files = Vec::new();
-    let mut bytes = 0usize;
-    let mut complete = true;
-    if let Some(store) = &cfg.store {
-        let mut fps = board.store_fps.lock().unwrap();
-        for name in store.file_names() {
-            let mut text = None;
-            let fp = match fps.get(&name).copied() {
-                Some(fp) => fp,
-                None => {
-                    let Some(t) = store.export_file(&name) else { continue };
-                    let fp = content_fingerprint(&t);
-                    fps.insert(name.clone(), fp);
-                    text = Some(t);
-                    fp
-                }
-            };
-            if have.get(name.as_str()) == Some(&fp) {
-                continue;
-            }
-            let Some(text) = text.or_else(|| store.export_file(&name)) else { continue };
-            if bytes + text.len() > SYNC_BYTES_CAP {
-                complete = false;
-                continue;
-            }
-            bytes += text.len();
-            files.push(Json::Arr(vec![Json::str(&name), Json::str(text)]));
-        }
-    }
+/// The `files` of a `job` frame: the coordinator's store files whose names
+/// `held` (what the lane's worker holds) lacks, bounded by the frame cap;
+/// the shipped names join `held`.
+fn files_for_job(cfg: &FleetConfig<'_>, held: &mut HashSet<String>, board: &Board) -> Json {
+    let Some(store) = &cfg.store else { return Json::Arr(Vec::new()) };
+    let missing = store.file_names().into_iter().filter(|n| !held.contains(n)).collect();
+    let files = pack_files(store, missing);
     if !files.is_empty() {
         board.state.lock().unwrap().counters.store_gets += files.len() as u64;
     }
-    reply(files, complete)
+    held.extend(files.iter().map(|(name, _)| name.clone()));
+    files_to_json(files)
 }
 
-/// Handles a worker's `store_put`: adds each shipped file to the
-/// coordinator's store (the store's own import dedup makes replays free)
-/// and, when anything changed, refreshes the fingerprint cache and bumps
-/// the store generation so other workers' pulls see the new content.
-fn store_import(frame: &Json, cfg: &FleetConfig<'_>, board: &Board) {
+/// Adds the results a worker stored during its job (the `files` of its
+/// `done` frame) to the coordinator's store; the store refuses bytes it
+/// already holds, so only changes count as `store_puts`.
+fn import_done_files(
+    frame: &Json,
+    cfg: &FleetConfig<'_>,
+    held: &mut HashSet<String>,
+    board: &Board,
+) {
     let Some(store) = &cfg.store else { return };
-    let mut imported = 0u64;
-    if let Some(Json::Arr(items)) = frame.get("files") {
-        for item in items {
-            if let Json::Arr(kv) = item {
-                if let (Some(name), Some(text)) =
-                    (kv.first().and_then(Json::as_str), kv.get(1).and_then(Json::as_str))
-                {
-                    if store.import_file(name, text) {
-                        imported += 1;
-                        // An accepted import is on disk byte for byte.
-                        let mut fps = board.store_fps.lock().unwrap();
-                        fps.insert(name.to_string(), content_fingerprint(text));
-                    }
-                }
-            }
-        }
+    let mut imported = 0;
+    for (name, text) in frame_files(frame) {
+        imported += store.import_file(name, text) as u64;
+        held.insert(name.to_string());
     }
     if imported > 0 {
-        board.store_gen.fetch_add(1, Ordering::SeqCst);
         board.state.lock().unwrap().counters.store_puts += imported;
     }
 }
@@ -431,7 +349,6 @@ fn store_import(frame: &Json, cfg: &FleetConfig<'_>, board: &Board) {
 fn spawn_worker(
     transport: &mut dyn Transport,
     cfg: &FleetConfig<'_>,
-    crash_on: Option<&str>,
 ) -> Result<Receiver<Json>, String> {
     let reader = transport.start().map_err(|e| format!("{}: {e}", transport.describe()))?;
     let (tx, rx): (Sender<Json>, Receiver<Json>) = mpsc::channel();
@@ -444,9 +361,7 @@ fn spawn_worker(
         }
         // EOF or malformed frame: dropping `tx` disconnects the lane.
     });
-    transport
-        .send(&init_frame(cfg, crash_on))
-        .map_err(|e| format!("{}: init: {e}", transport.describe()))?;
+    transport.send(&init_frame(cfg)).map_err(|e| format!("{}: init: {e}", transport.describe()))?;
     let deadline = cfg.timeout.unwrap_or(HANDSHAKE_TIMEOUT).max(HANDSHAKE_TIMEOUT);
     match rx.recv_timeout(deadline) {
         Ok(frame) if frame.get("frame").and_then(Json::as_str) == Some("ready") => Ok(rx),
@@ -457,65 +372,69 @@ fn spawn_worker(
     }
 }
 
-/// Claims the next job for `idx`: own queue first, then the richest other
-/// queue (a steal), otherwise blocks until work appears or the fleet is
-/// done. `None` means done.
-fn claim_job(idx: usize, board: &Board) -> Option<usize> {
+/// Pops the next pending job, blocking until one appears or the fleet is
+/// done (`None`). The flag says whether this is the job's first delivery.
+fn claim_job(board: &Board) -> Option<(usize, bool)> {
     let mut s = board.state.lock().unwrap();
     loop {
-        if s.completed == s.total {
+        if s.completed == s.outcomes.len() {
             return None;
         }
-        if let Some(i) = s.queues[idx].pop_front() {
-            return Some(i);
-        }
-        let victim = (0..s.queues.len())
-            .filter(|&l| l != idx && !s.queues[l].is_empty())
-            .max_by_key(|&l| s.queues[l].len());
-        if let Some(v) = victim {
-            let i = s.queues[v].pop_back().unwrap();
-            s.counters.steals += 1;
-            s.counters.per_worker[idx].steals += 1;
-            return Some(i);
+        if let Some(i) = s.pending.pop_front() {
+            return Some((i, s.retries[i] == 0));
         }
         s = board.cv.wait(s).unwrap();
     }
 }
 
-/// Records a terminal outcome for `job_idx` and wakes every lane.
-fn complete(idx: usize, job_idx: usize, mut outcome: JobOutcome, busy: Duration, board: &Board) {
-    let mut s = board.state.lock().unwrap();
+/// Records the terminal outcome of `job_idx`, last run on lane `idx`.
+fn settle(s: &mut Shared, idx: usize, job_idx: usize, mut outcome: JobOutcome) {
     outcome.worker = idx;
     outcome.resent = s.retries[job_idx];
-    s.counters.per_worker[idx].jobs += 1;
-    s.counters.per_worker[idx].busy_nanos += busy.as_nanos() as u64;
-    let busy_nanos = busy.as_nanos() as u64;
-    s.ewma[idx] =
-        if s.ewma[idx] == 0 { busy_nanos } else { (3 * busy_nanos + 7 * s.ewma[idx]) / 10 };
-    s.counters.per_worker[idx].ewma_nanos = s.ewma[idx];
     s.outcomes[job_idx] = Some(outcome);
     s.completed += 1;
+}
+
+fn crashed(job: &JobSpec, detail: String) -> JobOutcome {
+    let mut out = JobOutcome::empty(job.name.clone(), JobStatus::Crashed);
+    out.detail = Some(detail);
+    out
+}
+
+/// Records a job lane `idx` ran to an outcome and wakes every lane.
+fn complete(idx: usize, job_idx: usize, outcome: JobOutcome, busy: Duration, board: &Board) {
+    let mut s = board.state.lock().unwrap();
+    s.counters.per_worker[idx].jobs += 1;
+    s.counters.per_worker[idx].busy_nanos += busy.as_nanos() as u64;
+    settle(&mut s, idx, job_idx, outcome);
     board.cv.notify_all();
 }
 
-/// Takes this lane out of service, rehoming its queued jobs — to another
-/// live lane if one exists, otherwise each is reported crashed.
+/// The worker running `job_idx` died: put the job back at the front of the
+/// queue, or report it crashed once its retry budget is spent.
+fn requeue(idx: usize, job_idx: usize, jobs: &[JobSpec], board: &Board, budget: u32, why: &str) {
+    let mut s = board.state.lock().unwrap();
+    s.counters.crashes += 1;
+    if s.retries[job_idx] < budget {
+        s.retries[job_idx] += 1;
+        s.counters.resent += 1;
+        s.pending.push_front(job_idx);
+    } else {
+        let detail = format!("{why}; retry budget of {budget} exhausted");
+        settle(&mut s, idx, job_idx, crashed(&jobs[job_idx], detail));
+    }
+    board.cv.notify_all();
+}
+
+/// Takes lane `idx` out of service. The last lane to go reports every
+/// pending job crashed.
 fn lane_dead(idx: usize, jobs: &[JobSpec], board: &Board, reason: &str) {
     let mut s = board.state.lock().unwrap();
-    s.live[idx] = false;
-    let orphans: Vec<usize> = s.queues[idx].drain(..).collect();
-    let target = scatter_lane(&s, None);
-    for i in orphans {
-        match target {
-            Some(t) => s.queues[t].push_back(i),
-            None => {
-                let mut out = JobOutcome::empty(jobs[i].name.clone(), JobStatus::Crashed);
-                out.detail = Some(format!("no live workers left ({reason})"));
-                out.worker = idx;
-                out.resent = s.retries[i];
-                s.outcomes[i] = Some(out);
-                s.completed += 1;
-            }
+    s.live -= 1;
+    if s.live == 0 {
+        while let Some(i) = s.pending.pop_front() {
+            let detail = format!("no live workers left ({reason})");
+            settle(&mut s, idx, i, crashed(&jobs[i], detail));
         }
     }
     board.cv.notify_all();
@@ -528,168 +447,75 @@ fn lane(
     board: &Board,
     cfg: &FleetConfig<'_>,
 ) {
-    // Only the very first incarnation of lane 0 carries the crash knob, so
-    // the respawned worker can finish the re-scattered job.
-    let crash_on = if idx == 0 { cfg.crash_on.as_deref() } else { None };
-    let mut rx = match spawn_worker(transport.as_mut(), cfg, crash_on) {
+    let mut rx = match spawn_worker(transport.as_mut(), cfg) {
         Ok(rx) => rx,
-        Err(reason) => {
-            lane_dead(idx, jobs, board, &reason);
-            return;
-        }
+        Err(reason) => return lane_dead(idx, jobs, board, &reason),
     };
+    // Store files the current worker holds, by name.
+    let mut held = HashSet::new();
 
-    while let Some(job_idx) = claim_job(idx, board) {
+    while let Some((job_idx, first)) = claim_job(board) {
         let t0 = Instant::now();
+        let crash = first && cfg.crash_on.as_deref() == Some(jobs[job_idx].name.as_str());
         let frame = Json::obj([
             ("frame", Json::str("job")),
             ("seq", Json::UInt(job_idx as u64)),
             ("spec", spec_to_json(&jobs[job_idx])),
+            ("crash", Json::Bool(crash)),
+            ("files", files_for_job(cfg, &mut held, board)),
         ]);
-        // Wait for the job's `done`, servicing store-sync frames as they
-        // arrive (a syncing worker sends `store_get` before solving and
-        // `store_put` after, both inside the job's deadline).
         let reply = match transport.send(&frame) {
-            Ok(()) => {
-                let deadline = cfg.timeout.map(|t| Instant::now() + t);
-                loop {
-                    let next = match deadline {
-                        Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
-                        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                    };
-                    match next {
-                        Ok(f) => match f.get("frame").and_then(Json::as_str) {
-                            Some("store_get") => {
-                                if transport.send(&store_files_reply(&f, cfg, board)).is_err() {
-                                    break Err(RecvTimeoutError::Disconnected);
-                                }
-                            }
-                            Some("store_put") => store_import(&f, cfg, board),
-                            _ => break Ok(f),
-                        },
-                        Err(e) => break Err(e),
-                    }
-                }
-            }
+            Ok(()) => match cfg.timeout {
+                Some(t) => rx.recv_timeout(t),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            },
             Err(_) => Err(RecvTimeoutError::Disconnected),
         };
         match reply {
-            Ok(frame) => {
-                let ok = frame.get("frame").and_then(Json::as_str) == Some("done")
-                    && frame.get("seq").and_then(Json::as_u64) == Some(job_idx as u64);
-                let outcome = if ok {
-                    frame
-                        .get("outcome")
-                        .ok_or_else(|| "done frame without outcome".to_string())
-                        .and_then(outcome_from_json)
-                } else {
-                    Err(format!("unexpected frame {}", frame.to_compact()))
-                };
-                match outcome {
-                    Ok(out) => complete(idx, job_idx, out, t0.elapsed(), board),
-                    Err(reason) => {
-                        // A worker speaking garbage is as good as dead.
-                        if !crash_recover(
-                            idx,
-                            job_idx,
-                            jobs,
-                            transport.as_mut(),
-                            board,
-                            cfg,
-                            &mut rx,
-                            &reason,
-                        ) {
-                            return;
-                        }
-                    }
+            Ok(frame) => match done_outcome(&frame, job_idx) {
+                Ok(out) => {
+                    import_done_files(&frame, cfg, &mut held, board);
+                    complete(idx, job_idx, out, t0.elapsed(), board);
+                    continue;
                 }
-            }
+                // A worker speaking garbage is as good as dead.
+                Err(why) => requeue(idx, job_idx, jobs, board, cfg.retry_budget, &why),
+            },
             Err(RecvTimeoutError::Timeout) => {
-                transport.kill();
                 let mut out = JobOutcome::empty(jobs[job_idx].name.clone(), JobStatus::TimedOut);
                 out.detail = Some(format!("no response within {:?}", cfg.timeout.unwrap()));
-                {
-                    let mut s = board.state.lock().unwrap();
-                    s.counters.timeouts += 1;
-                }
+                board.state.lock().unwrap().counters.timeouts += 1;
                 complete(idx, job_idx, out, t0.elapsed(), board);
-                match spawn_worker(transport.as_mut(), cfg, None) {
-                    Ok(next) => {
-                        rx = next;
-                        board.state.lock().unwrap().counters.respawns += 1;
-                    }
-                    Err(reason) => {
-                        lane_dead(idx, jobs, board, &reason);
-                        return;
-                    }
-                }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                let reason = format!("{} disconnected", transport.describe());
-                if !crash_recover(
-                    idx,
-                    job_idx,
-                    jobs,
-                    transport.as_mut(),
-                    board,
-                    cfg,
-                    &mut rx,
-                    &reason,
-                ) {
-                    return;
-                }
+                let why = format!("{} disconnected", transport.describe());
+                requeue(idx, job_idx, jobs, board, cfg.retry_budget, &why);
             }
+        }
+        // The worker is dead, wedged or babbling: replace it (`start` kills
+        // the old one). The new one holds no store files.
+        match spawn_worker(transport.as_mut(), cfg) {
+            Ok(next) => {
+                rx = next;
+                held.clear();
+                board.state.lock().unwrap().counters.respawns += 1;
+            }
+            Err(reason) => return lane_dead(idx, jobs, board, &reason),
         }
     }
     let _ = transport.send(&Json::obj([("frame", Json::str("bye"))]));
-    transport.kill();
+    transport.close();
 }
 
-/// Crash path: charge the job's retry budget, re-scatter or fail it, and
-/// respawn this lane's worker. Returns `false` if the lane could not be
-/// revived (the caller must exit).
-#[allow(clippy::too_many_arguments)]
-fn crash_recover(
-    idx: usize,
-    job_idx: usize,
-    jobs: &[JobSpec],
-    transport: &mut dyn Transport,
-    board: &Board,
-    cfg: &FleetConfig<'_>,
-    rx: &mut Receiver<Json>,
-    reason: &str,
-) -> bool {
-    transport.kill();
+/// The outcome a `done` frame for job `seq` reports.
+fn done_outcome(frame: &Json, seq: usize) -> Result<JobOutcome, String> {
+    if frame.get("frame").and_then(Json::as_str) != Some("done")
+        || frame.get("seq").and_then(Json::as_u64) != Some(seq as u64)
     {
-        let mut s = board.state.lock().unwrap();
-        s.counters.crashes += 1;
-        s.retries[job_idx] += 1;
-        if s.retries[job_idx] > cfg.retry_budget {
-            let mut out = JobOutcome::empty(jobs[job_idx].name.clone(), JobStatus::Crashed);
-            out.detail = Some(format!("{reason}; retry budget of {} exhausted", cfg.retry_budget));
-            out.worker = idx;
-            out.resent = s.retries[job_idx] - 1;
-            s.outcomes[job_idx] = Some(out);
-            s.completed += 1;
-        } else {
-            // Front of the least-loaded other lane's queue so the orphan
-            // runs next where it waits the shortest (EWMA-weighted); fall
-            // back to our own queue (we are about to respawn).
-            s.counters.resent += 1;
-            let target = scatter_lane(&s, Some(idx)).unwrap_or(idx);
-            s.queues[target].push_front(job_idx);
-        }
-        board.cv.notify_all();
+        return Err(format!("unexpected frame {}", frame.to_compact()));
     }
-    match spawn_worker(transport, cfg, None) {
-        Ok(next) => {
-            *rx = next;
-            board.state.lock().unwrap().counters.respawns += 1;
-            true
-        }
-        Err(spawn_reason) => {
-            lane_dead(idx, jobs, board, &spawn_reason);
-            false
-        }
-    }
+    frame
+        .get("outcome")
+        .ok_or_else(|| "done frame without outcome".to_string())
+        .and_then(outcome_from_json)
 }

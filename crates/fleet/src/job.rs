@@ -234,8 +234,8 @@ pub struct FleetReport {
     pub workers: usize,
     /// Sum of per-job wall times (the sequential cost).
     pub total_job_time: Duration,
-    /// Coordinator counters (steals, re-sends, crashes, store hits, per
-    /// worker busy time).
+    /// Coordinator counters (re-sends, crashes, store hits, per worker
+    /// busy time).
     pub counters: FleetCounters,
 }
 

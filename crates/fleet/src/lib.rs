@@ -1,5 +1,5 @@
-//! Distributed fleet sharding: a process-level coordinator with work
-//! stealing and a shared warm store, behind one unified Fleet API.
+//! Distributed fleet sharding: a process-level coordinator with one job
+//! queue and a shared warm store, behind one unified Fleet API.
 //!
 //! The analyzer's fan-out surfaces — `astree batch`, the serve daemon's
 //! batch request, and `astree fuzz` — all describe their work as
@@ -32,8 +32,9 @@
 //! - [`proto`]: length-delimited JSON framing and [`Endpoint`]s (also
 //!   reused by the serve daemon's `astree-serve/1`);
 //! - [`wire`]: bit-exact codecs for configs, specs, and outcomes;
-//! - [`coordinator`]: lanes, stealing, crash re-scatter ([`Transport`],
-//!   [`ProcessTransport`], [`SocketTransport`]);
+//! - [`coordinator`]: lanes pulling from one queue, crash re-queue and
+//!   the store exchange ([`Transport`], [`ProcessTransport`],
+//!   [`SocketTransport`]);
 //! - [`worker`]: the `astree worker` serve loop;
 //! - [`session`]: the [`FleetSession`] builder tying it together;
 //! - [`corpus`]: fleet construction for generated members and oracle

@@ -1,6 +1,6 @@
 //! Length-delimited JSON framing and endpoints, shared by every astree
 //! wire protocol (`astree-serve/1` between clients and the daemon,
-//! `astree-fleet/1` between the coordinator and its workers).
+//! `astree-fleet/2` between the coordinator and its workers).
 //!
 //! A frame is one JSON value, length-delimited so neither side ever needs a
 //! streaming JSON parser:
@@ -24,18 +24,18 @@ use std::path::PathBuf;
 
 /// The protocol identifier carried by every coordinator→worker `init`
 /// frame.
-pub const FLEET_PROTO: &str = "astree-fleet/1";
+pub const FLEET_PROTO: &str = "astree-fleet/2";
 
 /// Frames larger than this are rejected as malformed (64 MiB — far above
 /// any real request, small enough to bound a hostile allocation).
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Upper bound on store-file bytes in flight per `store_files`/`store_put`
+/// Upper bound on store-file bytes in the `files` of one `job` or `done`
 /// frame. Files that would overflow the bound stay behind and ride a later
-/// exchange; the sync degrades to extra cold solves, never to an oversized
+/// job; the sync degrades to extra cold solves, never to an oversized
 /// frame. Sized so JSON string escaping (worst case ~2x) cannot push a
 /// frame past [`MAX_FRAME`], while single large-member entries (a few MiB
-/// each) still ship in one exchange.
+/// each) still ship in one frame.
 pub const SYNC_BYTES_CAP: usize = 24 << 20;
 
 /// Where a server listens or a client connects.

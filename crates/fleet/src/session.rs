@@ -8,9 +8,9 @@
 //!   (the caller is one of them) pull jobs from a shared cursor, each job
 //!   under panic containment — also the daemon's path, which lends its
 //!   resident [`WorkerPool`];
-//! - `workers(n)` / `connect(..)` → **fleet**: the coordinator scatters
-//!   jobs over local `astree worker` child processes and/or remote socket
-//!   workers, with work stealing and crash isolation.
+//! - `workers(n)` / `connect(..)` → **fleet**: the coordinator hands
+//!   jobs from one queue to local `astree worker` child processes and/or
+//!   remote socket workers, with crash isolation.
 //!
 //! Outcomes are identical either way — same [`JobOutcome`] per job, in
 //! submission order, byte-identical at any worker count. Only the
@@ -120,8 +120,8 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
-    /// How many times a crashed job is re-scattered before it is reported
-    /// [`JobStatus::Crashed`] (default 2).
+    /// How many times a crashed job is put back in the queue before it is
+    /// reported [`JobStatus::Crashed`] (default 2).
     pub fn retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
         self
@@ -135,10 +135,11 @@ impl<'p> FleetSessionBuilder<'p> {
     }
 
     /// Syncs the store to fleet workers over the wire instead of a shared
-    /// filesystem: workers never see the cache directory; they pull the
-    /// coordinator's store files before each solve (`store_get`) and push
-    /// what they changed back (`store_put`). No-op without a cache or for
-    /// in-process runs (which share the store in memory anyway).
+    /// filesystem: workers never see the cache directory; each `job` frame
+    /// carries the coordinator's store files the worker does not hold yet,
+    /// and each `done` frame the results the job stored. No-op without a
+    /// cache or for in-process runs (which share the store in memory
+    /// anyway).
     pub fn cache_wire(mut self, on: bool) -> Self {
         self.cache_wire = on;
         self
@@ -157,8 +158,8 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
-    /// Fault injection for tests: the first worker of lane 0 aborts upon
-    /// receiving the job with this name.
+    /// Fault injection for tests: the worker that receives the first
+    /// delivery of the job with this name aborts.
     #[doc(hidden)]
     pub fn crash_on(mut self, name: Option<String>) -> Self {
         self.crash_on = name;

@@ -1,4 +1,4 @@
-//! JSON codecs for the `astree-fleet/1` worker protocol.
+//! JSON codecs for the `astree-fleet/2` worker protocol.
 //!
 //! Determinism across processes is the point of the fleet, so the codecs
 //! are exact: every `f64` travels as its IEEE-754 bit pattern (a `u64`),
@@ -7,10 +7,11 @@
 //! coordinator's configuration bit-for-bit.
 
 use crate::job::{ConfigOverrides, JobOutcome, JobSpec, JobStatus, OracleJob};
-use astree_core::{AlarmKind, AnalysisConfig};
+use crate::proto::SYNC_BYTES_CAP;
+use astree_core::{AlarmKind, AnalysisConfig, InvariantStore};
 use astree_domains::Thresholds;
 use astree_gen::{BugKind, StructKnobs};
-use astree_ir::{Fnv, LoopId};
+use astree_ir::LoopId;
 use astree_obs::Json;
 use astree_oracle::{Divergence, DivergenceKind, MemberOutcome, MemberSpec};
 use std::collections::BTreeMap;
@@ -39,16 +40,6 @@ fn intern_alarm_slug(s: &str) -> Result<&'static str, String> {
 
 fn f64_bits(v: f64) -> Json {
     Json::UInt(v.to_bits())
-}
-
-/// FNV-1a fingerprint of a store file's text, used by both sides of the
-/// `store_get`/`store_put` exchange to skip shipping bytes the peer
-/// already holds (on top of the store's own refusal to import bytes it
-/// already has).
-pub fn content_fingerprint(text: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(text.as_bytes());
-    h.finish()
 }
 
 fn get_f64_bits(obj: &Json, key: &str) -> Result<f64, String> {
@@ -512,6 +503,45 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Store files (`--cache-wire`)
+// ---------------------------------------------------------------------------
+
+/// Reads the store files `names` for a frame's `files`, up to
+/// [`SYNC_BYTES_CAP`] bytes in all; a file that would overflow the bound
+/// is left out (and rides a later job).
+pub fn pack_files(store: &InvariantStore, names: Vec<String>) -> Vec<(String, String)> {
+    let mut bytes = 0;
+    names
+        .into_iter()
+        .filter_map(|name| {
+            let text = store.export_file(&name)?;
+            if bytes + text.len() > SYNC_BYTES_CAP {
+                return None;
+            }
+            bytes += text.len();
+            Some((name, text))
+        })
+        .collect()
+}
+
+/// Encodes store files as a frame's `files`: `[name, text]` pairs.
+pub fn files_to_json(files: Vec<(String, String)>) -> Json {
+    Json::Arr(files.into_iter().map(|(n, t)| Json::Arr(vec![Json::str(n), Json::str(t)])).collect())
+}
+
+/// The `[name, text]` store files a `job` or `done` frame carries.
+pub fn frame_files(frame: &Json) -> impl Iterator<Item = (&str, &str)> {
+    let items = match frame.get("files") {
+        Some(Json::Arr(items)) => items.as_slice(),
+        _ => &[],
+    };
+    items.iter().filter_map(|item| match item {
+        Json::Arr(kv) => Some((kv.first()?.as_str()?, kv.get(1)?.as_str()?)),
+        _ => None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,8 +570,6 @@ mod tests {
         assert_eq!(back.octagon_pack_filter, c.octagon_pack_filter);
         assert_eq!(back.octagon_packs_extra, c.octagon_packs_extra);
         assert!(back.collect_stmt_invariants);
-        // Peers compare these across versions: the constant must not move.
-        assert_eq!(content_fingerprint("astree-cache/1\n"), 0x94b9_1c21_e4ee_bd60);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The worker side of the `astree-fleet/1` protocol.
+//! The worker side of the `astree-fleet/2` protocol.
 //!
 //! A worker is a dumb executor: it decodes the coordinator's `init` frame
 //! into a base configuration and a shared store, then answers each `job`
@@ -8,22 +8,23 @@
 //! outcome, the worker survives).
 //!
 //! When the `init` frame sets `store_sync` (and names no shared
-//! `cache_dir`), the worker keeps a throwaway local invariant store and
-//! brackets every job with a wire exchange: `store_get` pulls the
-//! coordinator's warm store files before the solve, `store_put` ships the
-//! files the job changed back afterwards. Workers on machines with no
-//! shared filesystem get the same warm-start behavior as local ones.
+//! `cache_dir`), the worker keeps a throwaway local invariant store: it
+//! adds the store files a `job` frame carries before solving, and its
+//! `done` frame carries the results the job stored. Workers on machines
+//! with no shared filesystem get the same warm-start behavior as local
+//! ones.
 //!
 //! Two entry points: [`serve_stdio`] speaks over stdin/stdout for local
 //! child processes, [`serve_listener`] accepts fleet connections on a Unix
 //! or TCP socket for remote workers, one thread per connection.
 
 use crate::exec::{execute_contained, ExecContext};
-use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO, SYNC_BYTES_CAP};
-use crate::wire::{config_from_json, content_fingerprint, outcome_to_json, spec_from_json};
+use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
+use crate::wire::{
+    config_from_json, files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json,
+};
 use astree_core::InvariantStore;
 use astree_obs::Json;
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -81,31 +82,11 @@ fn bad_proto(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// A worker-local invariant store backing the `store_get`/`store_put` wire
-/// sync: a throwaway temp directory (no shared filesystem required) plus
-/// the content fingerprints of everything already exchanged with the
-/// coordinator, so each direction ships only files whose bytes changed.
-///
-/// Sync state is maintained incrementally — a pull refreshes only the
-/// files it imported, a push re-reads only files whose `(len, mtime)`
-/// stamp moved since the last exchange — so a warm no-change job costs a
-/// handful of `stat` calls, not a full store read.
+/// A worker-local invariant store for the wire sync, in a throwaway temp
+/// directory that is removed when the conversation ends.
 struct SyncStore {
     store: Arc<InvariantStore>,
     dir: PathBuf,
-    /// Content fingerprint of each local file as of the last exchange;
-    /// doubles as the `have` inventory sent with `store_get`.
-    synced: HashMap<String, u64>,
-    /// `(len, mtime_nanos)` of each local file at the last exchange: the
-    /// cheap change detector deciding which files a push re-reads. A write
-    /// that preserves both length and timestamp slips past it — the result
-    /// merely fails to propagate this round (a stored result saves a
-    /// solve, it is never required for one).
-    meta: HashMap<String, (u64, u128)>,
-    /// Coordinator store generation as of the last *complete* pull; 0
-    /// before the first. When it still matches, the coordinator answers
-    /// `store_get` without touching its disk.
-    gen: u64,
 }
 
 impl SyncStore {
@@ -117,149 +98,24 @@ impl SyncStore {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let store = Arc::new(InvariantStore::open(&dir)?);
-        Ok(SyncStore { store, dir, synced: HashMap::new(), meta: HashMap::new(), gen: 0 })
+        Ok(SyncStore { store, dir })
     }
 
-    /// `(len, mtime_nanos)` of a local store file, if it exists.
-    fn stat(&self, name: &str) -> Option<(u64, u128)> {
-        let md = std::fs::metadata(self.dir.join(name)).ok()?;
-        let mtime = md.modified().ok()?.duration_since(std::time::UNIX_EPOCH).ok()?.as_nanos();
-        Some((md.len(), mtime))
+    /// Adds the store files a `job` frame carries; returns the (sorted)
+    /// names held before the solve.
+    fn receive(&self, job: &Json) -> Vec<String> {
+        for (name, text) in frame_files(job) {
+            self.store.import_file(name, text);
+        }
+        self.store.file_names()
     }
 
-    /// Re-reads `name` and refreshes its sync state (or drops it when the
-    /// file is gone).
-    fn refresh(&mut self, name: &str) {
-        match self.store.export_file(name) {
-            Some(text) => {
-                self.synced.insert(name.to_string(), content_fingerprint(&text));
-                if let Some(m) = self.stat(name) {
-                    self.meta.insert(name.to_string(), m);
-                }
-            }
-            None => {
-                self.synced.remove(name);
-                self.meta.remove(name);
-            }
-        }
-    }
-
-    /// Asks the coordinator for store files this worker does not hold yet
-    /// and imports the reply, repeating while the coordinator reports the
-    /// sync incomplete (each round ships up to [`SYNC_BYTES_CAP`] of new
-    /// content) so a capped exchange cannot cost this job its full hit.
-    fn pull(
-        &mut self,
-        seq: u64,
-        reader: &mut dyn BufRead,
-        writer: &mut dyn Write,
-    ) -> io::Result<()> {
-        for _ in 0..8 {
-            if self.pull_once(seq, reader, writer)? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// One `store_get`/`store_files` exchange; returns whether the
-    /// coordinator reported the sync complete.
-    fn pull_once(
-        &mut self,
-        seq: u64,
-        reader: &mut dyn BufRead,
-        writer: &mut dyn Write,
-    ) -> io::Result<bool> {
-        let have = Json::Arr(
-            self.synced
-                .iter()
-                .map(|(n, fp)| Json::Arr(vec![Json::str(n), Json::UInt(*fp)]))
-                .collect(),
-        );
-        write_frame(
-            writer,
-            &Json::obj([
-                ("frame", Json::str("store_get")),
-                ("seq", Json::UInt(seq)),
-                ("gen", Json::UInt(self.gen)),
-                ("have", have),
-            ]),
-        )?;
-        let reply = read_frame(reader)?
-            .ok_or_else(|| bad_proto("coordinator went away mid store sync".into()))?;
-        if reply.get("frame").and_then(Json::as_str) != Some("store_files") {
-            return Err(bad_proto(format!("expected store_files, got {}", reply.to_compact())));
-        }
-        if let Some(Json::Arr(files)) = reply.get("files") {
-            for item in files {
-                let Json::Arr(kv) = item else { continue };
-                if let (Some(name), Some(text)) =
-                    (kv.first().and_then(Json::as_str), kv.get(1).and_then(Json::as_str))
-                {
-                    let name = name.to_string();
-                    self.store.import_file(&name, text);
-                    // Refresh from the local bytes, not the shipped text:
-                    // the import may have refused it.
-                    self.refresh(&name);
-                }
-            }
-        }
-        let complete = reply.get("complete").and_then(Json::as_bool).unwrap_or(true);
-        if complete {
-            self.gen = reply.get("gen").and_then(Json::as_u64).unwrap_or(0);
-        }
-        Ok(complete)
-    }
-
-    /// Ships files the job changed back to the coordinator, bounded by
-    /// [`SYNC_BYTES_CAP`] per frame (files left behind ride a later job's
-    /// push).
-    fn push(&mut self, seq: u64, writer: &mut dyn Write) -> io::Result<()> {
-        let names = self.store.file_names();
-        // Drop sync state for files the store no longer holds, so the
-        // `have` inventory never claims something this worker cannot serve.
-        let live: std::collections::HashSet<&str> = names.iter().map(String::as_str).collect();
-        self.synced.retain(|n, _| live.contains(n.as_str()));
-        self.meta.retain(|n, _| live.contains(n.as_str()));
-
-        let mut files = Vec::new();
-        let mut bytes = 0usize;
-        for name in &names {
-            let cur = self.stat(name);
-            if cur.is_some() && cur == self.meta.get(name.as_str()).copied() {
-                continue; // stamp unchanged: the job did not touch this file
-            }
-            let Some(text) = self.store.export_file(name) else { continue };
-            let fp = content_fingerprint(&text);
-            if self.synced.get(name.as_str()) == Some(&fp) {
-                // Metadata churn without a content change: remember the
-                // new stamp so the next push skips the re-read.
-                if let Some(m) = cur {
-                    self.meta.insert(name.clone(), m);
-                }
-                continue;
-            }
-            if bytes + text.len() > SYNC_BYTES_CAP {
-                continue;
-            }
-            bytes += text.len();
-            self.synced.insert(name.clone(), fp);
-            if let Some(m) = cur {
-                self.meta.insert(name.clone(), m);
-            }
-            files.push(Json::Arr(vec![Json::str(name), Json::str(text)]));
-        }
-        if files.is_empty() {
-            return Ok(());
-        }
-        write_frame(
-            writer,
-            &Json::obj([
-                ("frame", Json::str("store_put")),
-                ("seq", Json::UInt(seq)),
-                ("files", Json::Arr(files)),
-            ]),
-        )
+    /// The `files` of a `done` frame: what the job stored, i.e. the names
+    /// that were not held `before` it.
+    fn stored_since(&self, before: &[String]) -> Json {
+        let mut new = self.store.file_names();
+        new.retain(|n| before.binary_search(n).is_err());
+        files_to_json(pack_files(&self.store, new))
     }
 }
 
@@ -295,7 +151,6 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
         }
         None => None,
     };
-    let crash_on = init.get("crash_on").and_then(Json::as_str).map(str::to_string);
 
     write_frame(
         writer,
@@ -313,14 +168,12 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
                     .get("spec")
                     .ok_or_else(|| bad_proto("job frame without spec".into()))
                     .and_then(|s| spec_from_json(s).map_err(bad_proto))?;
-                if crash_on.as_deref() == Some(spec.name.as_str()) {
+                if frame.get("crash").and_then(Json::as_bool) == Some(true) {
                     // Fault injection: die exactly like a segfaulting worker
                     // would — no unwinding, no reply, no cleanup.
                     std::process::abort();
                 }
-                if let Some(sync) = sync.as_mut() {
-                    sync.pull(seq, reader, writer)?;
-                }
+                let held = sync.as_ref().map(|s| (s, s.receive(&frame)));
                 let ctx = ExecContext {
                     config: &config,
                     cache: cache.clone(),
@@ -328,15 +181,15 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
                     pool: None,
                 };
                 let outcome = execute_contained(&spec, &ctx);
-                if let Some(sync) = sync.as_mut() {
-                    sync.push(seq, writer)?;
-                }
+                let files =
+                    held.map_or(Json::Arr(Vec::new()), |(s, before)| s.stored_since(&before));
                 write_frame(
                     writer,
                     &Json::obj([
                         ("frame", Json::str("done")),
                         ("seq", Json::UInt(seq)),
                         ("outcome", outcome_to_json(&outcome)),
+                        ("files", files),
                     ]),
                 )?;
             }
@@ -367,7 +220,6 @@ mod tests {
                 ("frame", Json::str("init")),
                 ("config", config_to_json(&config)),
                 ("cache_dir", Json::Null),
-                ("crash_on", Json::Null),
             ]),
         )
         .unwrap();

@@ -171,7 +171,6 @@ pub fn fleet(c: &FleetCounters) -> Json {
             ("workers", Json::UInt(c.workers)),
             ("processes", Json::Bool(c.processes)),
             ("jobs", Json::UInt(c.jobs)),
-            ("steals", Json::UInt(c.steals)),
             ("resent", Json::UInt(c.resent)),
             ("crashes", Json::UInt(c.crashes)),
             ("timeouts", Json::UInt(c.timeouts)),

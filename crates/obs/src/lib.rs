@@ -347,14 +347,8 @@ pub struct PoolCounters {
 pub struct FleetWorkerCounters {
     /// Jobs this worker completed.
     pub jobs: u64,
-    /// Jobs this worker took from another worker's queue.
-    pub steals: u64,
     /// Wall time the worker spent executing jobs.
     pub busy_nanos: u64,
-    /// Exponentially-weighted moving average of this lane's job service
-    /// time, in nanoseconds (0 until the lane completes its first job).
-    /// Drives the latency-aware scatter.
-    pub ewma_nanos: u64,
 }
 
 /// Process-fleet coordinator counters for one fleet run.
@@ -366,14 +360,14 @@ pub struct FleetCounters {
     /// Worker lanes (processes, or in-process threads when `processes` is
     /// `false`).
     pub workers: u64,
-    /// `true` when jobs were scattered to worker *processes*; `false` for
-    /// the in-process executor.
+    /// `true` when jobs ran on worker *processes*; `false` for the
+    /// in-process executor.
     pub processes: bool,
     /// Jobs submitted.
     pub jobs: u64,
-    /// Jobs taken from a queue other than the executing worker's own.
+    /// Always 0 (one queue); kept because `benchsuite` reads `fleet.steals`.
     pub steals: u64,
-    /// Jobs re-scattered after their worker died mid-job.
+    /// Jobs put back in the queue after their worker died mid-job.
     pub resent: u64,
     /// Worker processes that died mid-job (crash or lost connection).
     pub crashes: u64,
@@ -383,10 +377,10 @@ pub struct FleetCounters {
     pub respawns: u64,
     /// Jobs answered verbatim by the shared invariant store.
     pub store_full_hits: u64,
-    /// `store_get` requests served to remote workers syncing cache files
-    /// over the wire.
+    /// Store files shipped to workers in `job` frames (`--cache-wire`).
     pub store_gets: u64,
-    /// `store_put` uploads accepted from remote workers.
+    /// Store files from workers' `done` frames the coordinator's store
+    /// accepted.
     pub store_puts: u64,
     /// Per-worker breakdown, indexed by lane.
     pub per_worker: Vec<FleetWorkerCounters>,
@@ -859,7 +853,6 @@ impl Metrics {
                 ("workers", Json::UInt(f.workers)),
                 ("processes", Json::Bool(f.processes)),
                 ("jobs", Json::UInt(f.jobs)),
-                ("steals", Json::UInt(f.steals)),
                 ("resent", Json::UInt(f.resent)),
                 ("crashes", Json::UInt(f.crashes)),
                 ("timeouts", Json::UInt(f.timeouts)),
@@ -875,9 +868,7 @@ impl Metrics {
                             .map(|w| {
                                 Json::obj([
                                     ("jobs", Json::UInt(w.jobs)),
-                                    ("steals", Json::UInt(w.steals)),
                                     ("busy_nanos", Json::UInt(w.busy_nanos)),
-                                    ("ewma_nanos", Json::UInt(w.ewma_nanos)),
                                 ])
                             })
                             .collect(),
@@ -1199,11 +1190,10 @@ impl Recorder for Collector {
         }
         if self.trace_on {
             self.push_trace(format!(
-                "fleet: workers={} jobs={} steals={} resent={} crashes={} store_hits={} \
+                "fleet: workers={} jobs={} resent={} crashes={} store_hits={} \
                  store_gets={} store_puts={}",
                 c.workers,
                 c.jobs,
-                c.steals,
                 c.resent,
                 c.crashes,
                 c.store_full_hits,
@@ -1356,13 +1346,7 @@ mod tests {
             workers: 2,
             processes: true,
             jobs: 3,
-            steals: 1,
-            per_worker: vec![FleetWorkerCounters {
-                jobs: 2,
-                steals: 1,
-                busy_nanos: 9,
-                ewma_nanos: 5,
-            }],
+            per_worker: vec![FleetWorkerCounters { jobs: 2, busy_nanos: 9 }],
             ..FleetCounters::default()
         });
         let j = c.to_json();

@@ -2,7 +2,7 @@
 //!
 //! The framing itself (length-delimited JSON frames, [`Endpoint`],
 //! [`Conn`]) lives in [`astree_fleet::proto`] — it is shared with the
-//! coordinator↔worker `astree-fleet/1` protocol — and is re-exported here
+//! coordinator↔worker `astree-fleet/2` protocol — and is re-exported here
 //! so serve's callers keep one import path. This module only adds the
 //! serve protocol identifier.
 

@@ -19,6 +19,7 @@ use astree::fleet::{self, FleetSession, JobSpec};
 use astree::frontend::Frontend;
 use astree::gen::{generate, BugKind, GenConfig};
 use astree::ir::{Interp, InterpConfig, SeededInputs};
+use astree::obs::Json;
 use astree::options::{RunOptions, RUN_OPTIONS_HELP};
 use astree::oracle::{campaign_to_json, DivergenceKind, OracleConfig};
 use astree::serve::client::AnalyzeRequest;
@@ -378,18 +379,17 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     if record {
         run.finish(&collector)?;
     }
-    if let Some(store) = &store {
-        let c = store.counters();
-        println!(
-            "cache: {} full hit(s), {} miss(es), {} corrupt file(s)",
-            c.full_hits, c.misses, c.corrupt_files
-        );
+    if store.is_some() {
+        // From the outcomes, not the store's counters: a worker process's
+        // lookups never reach this process's store.
+        let hits = report.outcomes.iter().filter(|o| o.cache_full_hit).count();
+        println!("cache: {hits} full hit(s), {} miss(es)", report.completed() - hits);
     }
     if let Some(path) = &report_path {
         std::fs::write(path, report.stable_report()).map_err(|e| format!("{path}: {e}"))?;
     }
     if json {
-        print!("{}", batch_report_json(&report));
+        println!("{}", batch_json(&report));
     } else {
         let kind = if report.counters.processes { "worker process(es)" } else { "worker(s)" };
         println!("batch: {n} jobs on {} {kind}", report.workers);
@@ -415,9 +415,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         let c = &report.counters;
         if c.processes {
             println!(
-                "fleet: {} steal(s), {} resent, {} crash(es), {} timeout(s), {} respawn(s), \
-                 {} store hit(s)",
-                c.steals, c.resent, c.crashes, c.timeouts, c.respawns, c.store_full_hits
+                "fleet: {} resent, {} crash(es), {} timeout(s), {} respawn(s), {} store hit(s)",
+                c.resent, c.crashes, c.timeouts, c.respawns, c.store_full_hits
             );
             if c.store_gets + c.store_puts > 0 {
                 println!(
@@ -428,9 +427,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         }
         for (w, pw) in c.per_worker.iter().enumerate() {
             println!(
-                "  worker {w}: {} job(s), {} steal(s), busy {:.2?}",
+                "  worker {w}: {} job(s), busy {:.2?}",
                 pw.jobs,
-                pw.steals,
                 Duration::from_nanos(pw.busy_nanos)
             );
         }
@@ -452,7 +450,7 @@ fn cmd_worker(args: &[String]) -> Result<ExitCode, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: astree worker [--stdio | --socket PATH | --listen HOST:PORT]\n\
-                     runs a fleet worker speaking astree-fleet/1: --stdio (default)\n\
+                     runs a fleet worker speaking astree-fleet/2: --stdio (default)\n\
                      serves one coordinator over stdin/stdout (how `astree batch\n\
                      --workers N` spawns local workers); --socket/--listen accept\n\
                      coordinator connections for `astree batch --connect`."
@@ -473,73 +471,47 @@ fn cmd_worker(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn batch_report_json(report: &fleet::FleetReport) -> String {
-    let mut out = String::from("{\n  \"jobs\": [\n");
-    for (i, o) in report.outcomes.iter().enumerate() {
-        let alarms = o.alarms.map_or("null".to_string(), |a| a.to_string());
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"status\": \"{}\", \"alarms\": {}, \"wall_s\": {:.6}, \"worker\": {}, \"resent\": {}}}{}\n",
-            json_escape(&o.name),
-            o.status.slug(),
-            alarms,
-            o.wall.as_secs_f64(),
-            o.worker,
-            o.resent,
-            if i + 1 < report.outcomes.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"workers\": {},\n", report.workers));
-    out.push_str(&format!("  \"wall_s\": {:.6},\n", report.wall.as_secs_f64()));
-    out.push_str(&format!(
-        "  \"sequential_cost_s\": {:.6},\n",
-        report.total_job_time.as_secs_f64()
-    ));
-    out.push_str(&format!("  \"speedup\": {:.4},\n", report.speedup()));
+/// The `batch --json` document.
+fn batch_json(report: &fleet::FleetReport) -> Json {
+    let secs = |d: Duration| Json::Float(d.as_secs_f64());
+    let jobs = report.outcomes.iter().map(|o| {
+        Json::obj([
+            ("name", Json::str(&o.name)),
+            ("status", Json::str(o.status.slug())),
+            ("alarms", o.alarms.map_or(Json::Null, |a| Json::UInt(a as u64))),
+            ("wall_s", secs(o.wall)),
+            ("worker", Json::UInt(o.worker as u64)),
+            ("resent", Json::UInt(o.resent as u64)),
+        ])
+    });
     let c = &report.counters;
-    out.push_str(&format!(
-        "  \"fleet\": {{\"processes\": {}, \"steals\": {}, \"resent\": {}, \"crashes\": {}, \
-         \"timeouts\": {}, \"respawns\": {}, \"store_full_hits\": {}, \"store_gets\": {}, \
-         \"store_puts\": {}}},\n",
-        c.processes,
-        c.steals,
-        c.resent,
-        c.crashes,
-        c.timeouts,
-        c.respawns,
-        c.store_full_hits,
-        c.store_gets,
-        c.store_puts
-    ));
-    let per_worker: Vec<String> = c
-        .per_worker
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"jobs\": {}, \"steals\": {}, \"busy_s\": {:.6}, \"ewma_nanos\": {}}}",
-                w.jobs,
-                w.steals,
-                Duration::from_nanos(w.busy_nanos).as_secs_f64(),
-                w.ewma_nanos
-            )
-        })
-        .collect();
-    out.push_str(&format!("  \"per_worker\": [{}]\n", per_worker.join(", ")));
-    out.push_str("}\n");
-    out
+    let per_worker = c.per_worker.iter().map(|w| {
+        Json::obj([
+            ("jobs", Json::UInt(w.jobs)),
+            ("busy_s", secs(Duration::from_nanos(w.busy_nanos))),
+        ])
+    });
+    Json::obj([
+        ("jobs", Json::Arr(jobs.collect())),
+        ("workers", Json::UInt(report.workers as u64)),
+        ("wall_s", secs(report.wall)),
+        ("sequential_cost_s", secs(report.total_job_time)),
+        ("speedup", Json::Float(report.speedup())),
+        (
+            "fleet",
+            Json::obj([
+                ("processes", Json::Bool(c.processes)),
+                ("resent", Json::UInt(c.resent)),
+                ("crashes", Json::UInt(c.crashes)),
+                ("timeouts", Json::UInt(c.timeouts)),
+                ("respawns", Json::UInt(c.respawns)),
+                ("store_full_hits", Json::UInt(c.store_full_hits)),
+                ("store_gets", Json::UInt(c.store_gets)),
+                ("store_puts", Json::UInt(c.store_puts)),
+            ]),
+        ),
+        ("per_worker", Json::Arr(per_worker.collect())),
+    ])
 }
 
 /// Parses the shared `--socket PATH` / `--listen`/`--connect ADDR` endpoint
@@ -961,7 +933,7 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     let base_json = match &baseline {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(astree::obs::Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
+            Some(Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => None,
     };

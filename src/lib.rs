@@ -23,7 +23,7 @@
 //!   concrete executions against claimed invariants, `astree-campaign/1`)
 //! - [`fleet`] — distributed fleet sharding: the process-level coordinator
 //!   with work stealing and a shared warm store, behind the unified
-//!   `FleetSession` API (`astree-fleet/1` wire protocol)
+//!   `FleetSession` API (`astree-fleet/2` wire protocol)
 //! - [`options`] — the shared CLI run options (`--jobs`, `--metrics`,
 //!   `--trace`, `--cache`)
 

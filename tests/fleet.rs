@@ -1,15 +1,17 @@
 //! End-to-end tests of the distributed fleet: the `astree batch` CLI
-//! driving real `astree worker` child processes over the `astree-fleet/1`
+//! driving real `astree worker` child processes over the `astree-fleet/2`
 //! wire protocol.
 //!
 //! These are the acceptance tests of the fleet determinism contract:
 //! outcomes are reported in submission order and are byte-identical for
-//! every worker count, crashes are isolated and re-scattered, and the
+//! every worker count, crashes are isolated and re-queued, and the
 //! shared invariant store warms all workers.
 
 use astree::obs::Json;
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn astree() -> Command {
     Command::new(env!("CARGO_BIN_EXE_astree"))
@@ -22,16 +24,48 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `astree batch` with the given extra args; returns (stdout, success).
-fn run_batch(extra: &[&str]) -> (String, bool) {
-    let out = astree().arg("batch").args(extra).output().expect("spawn astree batch");
+/// Runs `astree batch` with the given extra args, and `TMPDIR` set to
+/// `tmpdir` if given; returns (stdout, exit code). A run that outlives a
+/// generous deadline is killed and fails the test.
+fn batch(extra: &[&str], tmpdir: Option<&Path>) -> (String, i32) {
+    let mut cmd = astree();
+    cmd.arg("batch").args(extra).stdout(Stdio::piped()).stderr(Stdio::piped());
+    if let Some(dir) = tmpdir {
+        cmd.env("TMPDIR", dir);
+    }
+    let child = cmd.spawn().expect("spawn astree batch");
+    let pid = child.id().to_string();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(child.wait_with_output()));
+    let Ok(out) = rx.recv_timeout(Duration::from_secs(300)) else {
+        let _ = Command::new("kill").args(["-9", &pid]).status();
+        panic!("batch {extra:?} hung");
+    };
+    let out = out.expect("wait for astree batch");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(
-        out.status.code().is_some(),
-        "batch was killed by a signal\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    (stdout, out.status.success())
+    let Some(code) = out.status.code() else {
+        panic!("batch was killed by a signal\nstdout:\n{stdout}\nstderr:\n{stderr}")
+    };
+    (stdout, code)
+}
+
+/// Runs `astree batch` with the given extra args; returns (stdout, success).
+fn run_batch(extra: &[&str]) -> (String, bool) {
+    let (stdout, code) = batch(extra, None);
+    (stdout, code == 0)
+}
+
+/// The JSON document of a `batch --json` run (after any `cache:` line).
+fn json_of(stdout: &str) -> Json {
+    let start = stdout.find('{').expect("json in output");
+    Json::parse(&stdout[start..]).expect("batch --json output parses")
+}
+
+/// The text report's line for job `name`.
+fn job_line<'a>(stdout: &'a str, name: &str) -> &'a str {
+    let prefix = format!("  {name} ");
+    stdout.lines().find(|l| l.starts_with(&prefix)).unwrap_or_else(|| panic!("{name}: {stdout}"))
 }
 
 #[test]
@@ -49,9 +83,22 @@ fn fleet_outcomes_are_identical_for_every_worker_count() {
             &workers.to_string(),
             "--report",
             report.to_str().unwrap(),
+            "--json",
         ]);
         assert!(ok, "clean fleet run with {workers} worker(s)\n{stdout}");
         reports.push(std::fs::read_to_string(&report).expect("report written"));
+        // Every job ran once, on some lane; one lane runs them all.
+        let Some(Json::Arr(lanes)) = json_of(&stdout).get("per_worker").cloned() else {
+            panic!("per_worker missing\n{stdout}")
+        };
+        let jobs: Vec<u64> =
+            lanes.iter().map(|l| l.get("jobs").unwrap().as_u64().unwrap()).collect();
+        if workers > 0 {
+            assert_eq!(jobs.iter().sum::<u64>(), 6, "workers={workers}\n{stdout}");
+        }
+        if workers == 1 {
+            assert_eq!(jobs, [6], "{stdout}");
+        }
     }
     let base = &reports[0];
     assert!(base.starts_with("fleet-report/1\n"), "report header: {base}");
@@ -69,9 +116,9 @@ fn fleet_outcomes_are_identical_for_every_worker_count() {
 
 #[test]
 fn crashed_workers_jobs_are_rescattered() {
-    // `--crash-on` makes the first worker process abort when it receives
-    // the named job; the coordinator must respawn and re-scatter so the
-    // job still completes, counted in `fleet.resent`.
+    // `--crash-on` makes the worker that receives the named job first
+    // abort; the coordinator must respawn and re-queue so the job still
+    // completes, counted in `fleet.resent`.
     let (stdout, ok) = run_batch(&[
         "--gen",
         "4",
@@ -105,6 +152,45 @@ fn crashed_workers_jobs_are_rescattered() {
 }
 
 #[test]
+fn a_crash_past_the_retry_budget_fails_that_job_alone() {
+    let (stdout, code) = batch(
+        &[
+            "--gen",
+            "4",
+            "--channels",
+            "1,2",
+            "--workers",
+            "2",
+            "--crash-on",
+            "gen-c1-s1",
+            "--retry-budget",
+            "0",
+        ],
+        None,
+    );
+    assert_eq!(code, 1, "a crashed job fails the batch\n{stdout}");
+    let crashed = job_line(&stdout, "gen-c1-s1");
+    assert!(crashed.contains(" crashed "), "{stdout}");
+    assert!(crashed.ends_with("retry budget of 0 exhausted"), "{stdout}");
+    for name in ["gen-c2-s2", "gen-c1-s3", "gen-c2-s4"] {
+        assert!(job_line(&stdout, name).contains(" done "), "{name}: {stdout}");
+    }
+}
+
+#[test]
+fn a_fleet_with_no_live_workers_reports_every_job_crashed() {
+    let (stdout, code) = batch(
+        &["--gen", "4", "--channels", "1,2", "--workers", "2", "--worker-cmd", "/nonexistent"],
+        None,
+    );
+    assert_eq!(code, 1, "{stdout}");
+    for name in ["gen-c1-s1", "gen-c2-s2", "gen-c1-s3", "gen-c2-s4"] {
+        let line = job_line(&stdout, name);
+        assert!(line.contains(" crashed ") && line.contains("no live workers left"), "{stdout}");
+    }
+}
+
+#[test]
 fn shared_store_warms_across_worker_processes() {
     // Pass 1 fills the shared invariant store from two worker processes;
     // pass 2 must replay every member from the store, including members
@@ -127,6 +213,9 @@ fn shared_store_warms_across_worker_processes() {
     };
     assert_eq!(hits(&stdout1), 0, "cold pass has no store hits\n{stdout1}");
     assert_eq!(hits(&stdout2), 4, "warm pass replays every job from the store\n{stdout2}");
+    // The summary counts the workers' lookups, as at `--jobs N`.
+    assert!(stdout1.starts_with("cache: 0 full hit(s), 4 miss(es)\n"), "{stdout1}");
+    assert!(stdout2.starts_with("cache: 4 full hit(s), 0 miss(es)\n"), "{stdout2}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -181,6 +270,34 @@ fn wire_synced_store_warms_workers_without_a_shared_filesystem() {
     let cold = std::fs::read_to_string(&report1).expect("cold report");
     let warm = std::fs::read_to_string(&report2).expect("warm report");
     assert_eq!(cold, warm, "warm wire-synced report matches cold");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A wire-synced worker keeps its store in a temp directory; told `bye`,
+/// it exits on its own and removes it.
+#[test]
+fn wire_synced_workers_leave_no_temp_store() {
+    let dir = temp_dir("wire-tmpdir");
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("create TMPDIR");
+    let cache = dir.join("store");
+    let cache = cache.to_str().unwrap();
+    let args =
+        ["--gen", "6", "--channels", "2,3,4", "--workers", "2", "--cache", cache, "--cache-wire"];
+    for (pass, line) in [
+        ("cold", "cache: 0 full hit(s), 6 miss(es)\n"),
+        ("warm", "cache: 6 full hit(s), 0 miss(es)\n"),
+    ] {
+        let (stdout, code) = batch(&args, Some(&tmp));
+        assert_eq!(code, 0, "{pass} pass\n{stdout}");
+        assert!(stdout.starts_with(line), "{pass} pass\n{stdout}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("read TMPDIR")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("astree-fleet-sync-"))
+        .collect();
+    assert!(left.is_empty(), "workers left temp stores behind: {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
