@@ -36,6 +36,7 @@ use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
 use crate::wire::{
     config_to_json, files_to_json, frame_files, outcome_from_json, pack_files, spec_to_json,
 };
+use crate::worker::remove_sync_dirs;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{FleetCounters, FleetWorkerCounters, Json};
 use std::collections::{HashSet, VecDeque};
@@ -90,6 +91,24 @@ impl ProcessTransport {
         assert!(!cmd.is_empty(), "worker command must not be empty");
         ProcessTransport { cmd, child: None }
     }
+
+    /// Closes the child's input, gives it `grace` to exit, then kills it. A
+    /// worker that did not exit cleanly (crashed or killed) could not
+    /// remove its wire-sync temp stores, so they are removed here; the
+    /// child is the worker process itself, so its pid is the one the
+    /// worker's `ready` frame and store names carry.
+    fn stop(&mut self, grace: Duration) {
+        let Some(mut child) = self.child.take() else { return };
+        drop(child.stdin.take());
+        let deadline = Instant::now() + grace;
+        while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = child.kill();
+        if !child.wait().is_ok_and(|status| status.success()) {
+            remove_sync_dirs(child.id());
+        }
+    }
 }
 
 impl Transport for ProcessTransport {
@@ -119,24 +138,13 @@ impl Transport for ProcessTransport {
     }
 
     fn kill(&mut self) {
-        if let Some(mut child) = self.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        self.stop(Duration::ZERO);
     }
 
     /// Closes the child's input and waits up to [`EXIT_GRACE`] for it to
     /// exit; kills it only if it does not.
     fn close(&mut self) {
-        if let Some(mut child) = self.child.take() {
-            drop(child.stdin.take());
-            let deadline = Instant::now() + EXIT_GRACE;
-            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        self.stop(EXIT_GRACE);
     }
 
     fn describe(&self) -> String {

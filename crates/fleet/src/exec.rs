@@ -34,7 +34,7 @@ pub struct ExecContext<'a> {
 pub fn execute(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let t0 = Instant::now();
     let mut out =
-        if spec.oracle.is_some() { run_oracle_job(spec, ctx) } else { run_analysis_job(spec, ctx) };
+        if spec.oracle.is_some() { oracle_job(spec, ctx) } else { analysis_job(spec, ctx) };
     out.name = spec.name.clone();
     out.wall = t0.elapsed();
     out
@@ -56,7 +56,7 @@ fn failed(detail: String) -> JobOutcome {
     out
 }
 
-fn run_analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
+fn analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let program = match Frontend::new().compile_str(&spec.source) {
         Ok(p) => p,
         Err(e) => return failed(format!("compile error: {e}")),
@@ -87,7 +87,7 @@ fn run_analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     out
 }
 
-fn run_oracle_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
+fn oracle_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let oracle = spec.oracle.as_ref().expect("oracle job without oracle payload");
     let cfg = OracleConfig {
         members: 1,

@@ -1,6 +1,6 @@
 //! The one job shape every fan-out surface shares.
 //!
-//! `astree batch`, the serve daemon's batch requests and the fuzz
+//! `astree batch`, the serve daemon's `run` requests and the fuzz
 //! campaign used to carry three private job structs; they all now submit
 //! [`JobSpec`]s and get [`JobOutcome`]s back, so the wire protocol, the
 //! campaign reports and the CLI cannot drift on spelling or shape.
@@ -40,8 +40,9 @@ impl JobSpec {
 }
 
 /// Per-job overrides of the fleet-level base [`AnalysisConfig`]. Every
-/// field is optional; `None` keeps the base value. This is the same
-/// subset the serve protocol's `config` object exposes.
+/// field is optional; `None` keeps the base value. A daemon `run` request
+/// carries them in each spec's `overrides`, spelled as the wire spells
+/// them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigOverrides {
     /// Overrides `max_clock`.
@@ -65,11 +66,6 @@ pub struct ConfigOverrides {
 }
 
 impl ConfigOverrides {
-    /// `true` when no override is set.
-    pub fn is_empty(&self) -> bool {
-        *self == ConfigOverrides::default()
-    }
-
     /// The base configuration with these overrides applied.
     pub fn apply(&self, base: &AnalysisConfig) -> AnalysisConfig {
         let mut cfg = base.clone();
@@ -331,13 +327,11 @@ mod tests {
             partition: vec!["main".into()],
             ..ConfigOverrides::default()
         };
-        assert!(!ov.is_empty());
         let cfg = ov.apply(&base);
         assert_eq!(cfg.max_clock, 99);
         assert!(!cfg.enable_octagons);
         assert!(cfg.partitioned_functions.contains("main"));
         assert_eq!(cfg.loop_unroll, base.loop_unroll);
-        assert!(ConfigOverrides::default().is_empty());
     }
 
     #[test]

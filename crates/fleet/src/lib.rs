@@ -1,8 +1,9 @@
 //! Distributed fleet sharding: a process-level coordinator with one job
-//! queue and a shared warm store, behind one unified Fleet API.
+//! queue and a shared warm store, behind one unified Fleet API — and the
+//! resident daemon that serves the same jobs over a socket.
 //!
 //! The analyzer's fan-out surfaces — `astree batch`, the serve daemon's
-//! batch request, and `astree fuzz` — all describe their work as
+//! `run` request, and `astree fuzz` — all describe their work as
 //! [`JobSpec`]s and run them through a [`FleetSession`]:
 //!
 //! ```
@@ -28,9 +29,10 @@
 //!
 //! - [`job`]: the vocabulary ([`JobSpec`], [`JobOutcome`], [`JobStatus`],
 //!   [`FleetReport`]);
-//! - [`exec`]: runs one job (shared by in-process and worker paths);
-//! - [`proto`]: length-delimited JSON framing and [`Endpoint`]s (also
-//!   reused by the serve daemon's `astree-serve/1`);
+//! - [`exec`]: runs one job (shared by the in-process, worker and daemon
+//!   paths);
+//! - [`proto`]: length-delimited JSON framing, [`Endpoint`]s and the one
+//!   `Listener` (the daemon's and the socket worker's);
 //! - [`wire`]: bit-exact codecs for configs, specs, and outcomes;
 //! - [`coordinator`]: lanes pulling from one queue, crash re-queue and
 //!   the store exchange ([`Transport`], [`ProcessTransport`],
@@ -38,13 +40,15 @@
 //! - [`worker`]: the `astree worker` serve loop;
 //! - [`session`]: the [`FleetSession`] builder tying it together;
 //! - [`corpus`]: fleet construction for generated members and oracle
-//!   campaigns.
+//!   campaigns;
+//! - [`serve`]: the resident daemon (`astree-serve/2`) and its client.
 
 pub mod coordinator;
 pub mod corpus;
 pub mod exec;
 pub mod job;
 pub mod proto;
+pub mod serve;
 pub mod session;
 pub mod wire;
 pub mod worker;

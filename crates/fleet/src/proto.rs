@@ -1,6 +1,7 @@
-//! Length-delimited JSON framing and endpoints, shared by every astree
-//! wire protocol (`astree-serve/1` between clients and the daemon,
-//! `astree-fleet/2` between the coordinator and its workers).
+//! Length-delimited JSON framing, endpoints and the one `Listener`,
+//! shared by every astree wire protocol (`astree-serve/2` between clients
+//! and the daemon, `astree-fleet/2` between the coordinator and its
+//! workers).
 //!
 //! A frame is one JSON value, length-delimited so neither side ever needs a
 //! streaming JSON parser:
@@ -18,8 +19,8 @@
 
 use astree_obs::Json;
 use std::io::{self, BufRead, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 
 /// The protocol identifier carried by every coordinator→worker `init`
@@ -88,12 +89,12 @@ pub struct Conn {
 }
 
 impl Conn {
-    pub fn from_unix(s: UnixStream) -> io::Result<Conn> {
+    fn from_unix(s: UnixStream) -> io::Result<Conn> {
         let r = s.try_clone()?;
         Ok(Conn { reader: Box::new(r), writer: Box::new(s) })
     }
 
-    pub fn from_tcp(s: TcpStream) -> io::Result<Conn> {
+    fn from_tcp(s: TcpStream) -> io::Result<Conn> {
         s.set_nodelay(true).ok();
         let r = s.try_clone()?;
         Ok(Conn { reader: Box::new(r), writer: Box::new(s) })
@@ -104,6 +105,75 @@ impl Conn {
         match endpoint {
             Endpoint::Unix(path) => Conn::from_unix(UnixStream::connect(path)?),
             Endpoint::Tcp(addr) => Conn::from_tcp(TcpStream::connect(addr.as_str())?),
+        }
+    }
+}
+
+/// A bound server socket, Unix or TCP: the daemon's and
+/// `astree worker --socket/--listen`'s. Binding a Unix path refuses one a
+/// live server answers on (`AddrInUse`) and replaces a stale one a dead
+/// server left behind; dropping the listener removes its socket file.
+pub(crate) struct Listener {
+    socket: Socket,
+    endpoint: Endpoint,
+}
+
+enum Socket {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Binds `endpoint`. For TCP port 0 the resolved address is available
+    /// from [`Listener::endpoint`].
+    pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
+        let (socket, endpoint) = match endpoint {
+            Endpoint::Unix(path) => {
+                // Connecting tells a live server from a stale socket file.
+                if path.exists() {
+                    if UnixStream::connect(path).is_ok() {
+                        let live = format!("a server is already listening on {}", path.display());
+                        return Err(io::Error::new(io::ErrorKind::AddrInUse, live));
+                    }
+                    std::fs::remove_file(path)?;
+                }
+                (Socket::Unix(UnixListener::bind(path)?), endpoint.clone())
+            }
+            Endpoint::Tcp(addr) => {
+                let l = TcpListener::bind(addr.as_str())?;
+                let actual = Endpoint::Tcp(l.local_addr()?.to_string());
+                (Socket::Tcp(l), actual)
+            }
+        };
+        Ok(Listener { socket, endpoint })
+    }
+
+    /// Where clients connect (TCP port resolved).
+    pub(crate) fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// Makes [`Listener::accept`] return `WouldBlock` instead of waiting.
+    pub(crate) fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match &self.socket {
+            Socket::Unix(l) => l.set_nonblocking(on),
+            Socket::Tcp(l) => l.set_nonblocking(on),
+        }
+    }
+
+    /// Accepts the next connection.
+    pub(crate) fn accept(&self) -> io::Result<Conn> {
+        match &self.socket {
+            Socket::Unix(l) => Conn::from_unix(l.accept()?.0),
+            Socket::Tcp(l) => Conn::from_tcp(l.accept()?.0),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Endpoint::Unix(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -188,6 +258,21 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
         let mut r = BufReader::new(&b"2\n{}X"[..]);
         assert!(read_frame(&mut r).is_err(), "missing newline terminator");
+    }
+
+    #[test]
+    fn a_unix_listener_refuses_a_live_socket_and_replaces_a_stale_one() {
+        let path = std::env::temp_dir().join(format!("astree-proto-{}.sock", std::process::id()));
+        let endpoint = Endpoint::Unix(path.clone());
+        let live = Listener::bind(&endpoint).unwrap();
+        let refused = Listener::bind(&endpoint).err().expect("a live socket is refused");
+        assert_eq!(refused.kind(), io::ErrorKind::AddrInUse);
+        drop(live);
+        assert!(!path.exists(), "dropping the listener removes its socket file");
+        drop(UnixListener::bind(&path).unwrap()); // leaves a stale file
+        assert!(path.exists());
+        drop(Listener::bind(&endpoint).expect("a stale socket file is replaced"));
+        assert!(!path.exists());
     }
 
     #[test]

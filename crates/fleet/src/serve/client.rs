@@ -1,13 +1,14 @@
-//! A thin blocking client for the `astree-serve/1` protocol.
+//! A thin blocking client for the `astree-serve/2` protocol.
 //!
 //! One [`Client`] owns one connection and issues requests sequentially
 //! (the protocol allows pipelining, but every caller here wants the answer
 //! before the next question). Event frames arriving before the final
-//! `result` are handed to a callback as they come, so a CLI can print
-//! telemetry live.
+//! `result` are collected as they come, so a CLI can print telemetry.
 
-use crate::proto::{read_frame, write_frame, Conn, Endpoint, PROTO};
-use astree_fleet::JobSpec;
+use super::PROTO;
+use crate::job::{JobOutcome, JobSpec, JobStatus};
+use crate::proto::{read_frame, write_frame, Conn, Endpoint};
+use crate::wire::{outcome_from_json, spec_to_json};
 use astree_obs::Json;
 use std::io::{BufReader, Read, Write};
 
@@ -19,7 +20,8 @@ pub enum ClientError {
     /// The daemon answered, but not with a frame this client understands.
     Protocol(String),
     /// The daemon answered with an `error` frame (`overloaded`,
-    /// `bad_request`, `panicked`, `internal`).
+    /// `bad_request`), or [`Client::analyze`]'s job did not end `done`
+    /// (`code` is its status slug, `message` its detail).
     Server { code: String, message: String },
 }
 
@@ -28,7 +30,7 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "transport: {e}"),
             ClientError::Protocol(m) => write!(f, "protocol: {m}"),
-            ClientError::Server { code, message } => write!(f, "{code}: {message}"),
+            ClientError::Server { code, message } => write!(f, "daemon answered {code}: {message}"),
         }
     }
 }
@@ -45,15 +47,16 @@ impl From<std::io::Error> for ClientError {
 pub struct AnalyzeRequest {
     /// C source text of the program.
     pub source: String,
-    /// Optional `config` object (see `DESIGN.md` for the keys).
-    pub config: Option<Json>,
+    /// The job's `overrides` object, as the wire spells it (`loop_unroll`,
+    /// `octagons`, …; see `DESIGN.md`). The daemon decodes it strictly.
+    pub overrides: Option<Json>,
     /// Event mode: `"none"`, `"coarse"` (default) or `"all"`.
     pub events: Option<&'static str>,
     /// Debug: hold the admission slot for this long before analyzing.
     pub hold_ms: Option<u64>,
 }
 
-/// The parsed `result` frame of an analyze request.
+/// The outcome of an analyze request that ran to completion.
 #[derive(Debug)]
 pub struct RequestOutcome {
     /// Alarms, rendered exactly as the one-shot CLI renders them.
@@ -66,8 +69,6 @@ pub struct RequestOutcome {
     pub cache_full_hit: bool,
     /// Event frames received before the result.
     pub events: Vec<Json>,
-    /// The whole `result` frame, for fields not parsed above.
-    pub raw: Json,
 }
 
 /// A blocking protocol client over one connection.
@@ -121,68 +122,59 @@ impl Client {
         }
     }
 
-    /// Analyzes one program on the daemon.
-    pub fn analyze(&mut self, req: &AnalyzeRequest) -> Result<RequestOutcome, ClientError> {
-        let mut fields =
-            vec![("req", Json::str("analyze")), ("source", Json::str(req.source.clone()))];
-        if let Some(config) = &req.config {
-            fields.push(("config", config.clone()));
-        }
-        if let Some(mode) = req.events {
-            fields.push(("events", Json::str(mode)));
-        }
-        if let Some(ms) = req.hold_ms {
-            fields.push(("hold_ms", Json::UInt(ms)));
-        }
+    /// Sends one `run` request of encoded specs; returns the outcomes, in
+    /// submission order, and the events streamed before them.
+    fn run(
+        &mut self,
+        specs: Vec<Json>,
+        events: Option<&'static str>,
+        hold_ms: Option<u64>,
+    ) -> Result<(Vec<JobOutcome>, Vec<Json>), ClientError> {
+        let mut fields = vec![("req", Json::str("run")), ("jobs", Json::Arr(specs))];
+        fields.extend(events.map(|mode| ("events", Json::str(mode))));
+        fields.extend(hold_ms.map(|ms| ("hold_ms", Json::UInt(ms))));
         let id = self.request(fields)?;
         let mut events = Vec::new();
         let frame = self.final_frame(id, &mut events)?;
-        if frame.get("frame").and_then(Json::as_str) != Some("result") {
+        let (Some("result"), Some(Json::Arr(items))) =
+            (frame.get("frame").and_then(Json::as_str), frame.get("outcomes"))
+        else {
             return Err(ClientError::Protocol(format!("unexpected frame {}", frame.to_compact())));
-        }
-        let strings = |key: &str| -> Vec<String> {
-            match frame.get(key) {
-                Some(Json::Arr(items)) => {
-                    items.iter().filter_map(|v| v.as_str().map(str::to_string)).collect()
-                }
-                _ => Vec::new(),
-            }
         };
-        let opt_string = |key: &str| frame.get(key).and_then(Json::as_str).map(str::to_string);
+        let outcomes = items.iter().map(outcome_from_json).collect::<Result<_, _>>();
+        Ok((outcomes.map_err(ClientError::Protocol)?, events))
+    }
+
+    /// Analyzes one program on the daemon: a one-job `run`. A job that does
+    /// not end `done` (a compile error, a panic) is a
+    /// [`ClientError::Server`] carrying its status and detail.
+    pub fn analyze(&mut self, req: &AnalyzeRequest) -> Result<RequestOutcome, ClientError> {
+        let mut spec = spec_to_json(&JobSpec::new("analyze", req.source.as_str()));
+        if let (Some(overrides), Json::Obj(fields)) = (&req.overrides, &mut spec) {
+            fields.retain(|(key, _)| key != "overrides");
+            fields.push(("overrides".into(), overrides.clone()));
+        }
+        let (outcomes, events) = self.run(vec![spec], req.events, req.hold_ms)?;
+        let Ok([out]) = <[JobOutcome; 1]>::try_from(outcomes) else {
+            return Err(ClientError::Protocol("expected one outcome".into()));
+        };
+        if out.status != JobStatus::Done {
+            let (code, message) = (out.status.slug().to_string(), out.detail.unwrap_or_default());
+            return Err(ClientError::Server { code, message });
+        }
         Ok(RequestOutcome {
-            alarms: strings("alarms"),
-            main_invariant: opt_string("main_invariant"),
-            main_census: opt_string("main_census"),
-            cache_full_hit: frame
-                .get("cache")
-                .and_then(|c| c.get("full_hit"))
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            alarms: out.alarm_lines,
+            main_invariant: out.main_invariant,
+            main_census: out.main_census,
+            cache_full_hit: out.cache_full_hit,
             events,
-            raw: frame,
         })
     }
 
-    /// Analyzes a fleet of jobs in one request; returns the raw `result`
-    /// frame (its `batch` array holds per-job outcomes keyed by the fleet
-    /// status slugs). Only each job's name and source travel — overrides
-    /// ride in the request-level `config`, oracle jobs are not served.
-    pub fn batch(&mut self, jobs: &[JobSpec]) -> Result<Json, ClientError> {
-        let items = jobs
-            .iter()
-            .map(|job| {
-                Json::obj([
-                    ("name", Json::str(job.name.clone())),
-                    ("source", Json::str(job.source.clone())),
-                ])
-            })
-            .collect();
-        let id = self.request(vec![
-            ("req", Json::str("batch")),
-            ("jobs", Json::Arr(items)),
-            ("events", Json::str("none")),
-        ])?;
-        self.final_frame(id, &mut Vec::new())
+    /// Runs a fleet of jobs in one request, without event streaming, and
+    /// returns their outcomes in submission order.
+    pub fn batch(&mut self, jobs: &[JobSpec]) -> Result<Vec<JobOutcome>, ClientError> {
+        Ok(self.run(jobs.iter().map(spec_to_json).collect(), Some("none"), None)?.0)
     }
 
     /// Fetches the daemon's `status` frame.

@@ -1,6 +1,6 @@
 //! The unified Fleet API: one builder for every fan-out surface.
 //!
-//! `astree batch`, the serve daemon's batch request, and `astree fuzz` all
+//! `astree batch`, the serve daemon's `run` request, and `astree fuzz` all
 //! construct a [`FleetSession`] and call [`FleetSessionBuilder::run`]. The
 //! builder decides the execution strategy from its distribution knobs:
 //!

@@ -267,22 +267,51 @@ fn overrides_to_json(o: &ConfigOverrides) -> Json {
     ])
 }
 
+/// Decodes a spec's `overrides` (absent or `null`: none). Strict, because a
+/// daemon client writes it by hand: an unknown key or a value of the wrong
+/// type is an error naming the key, never a silently ignored override.
 fn overrides_from_json(j: &Json) -> Result<ConfigOverrides, String> {
-    let opt_bool = |key: &str| j.get(key).and_then(Json::as_bool);
+    match j {
+        Json::Null => return Ok(ConfigOverrides::default()),
+        Json::Obj(fields) => {
+            let known = overrides_to_json(&ConfigOverrides::default());
+            if let Some((key, _)) = fields.iter().find(|(key, _)| known.get(key).is_none()) {
+                return Err(format!("unknown override `{key}`"));
+            }
+        }
+        _ => return Err("overrides: not an object".into()),
+    }
+    /// The value at `key` when `get` accepts it; `None` when absent or null.
+    fn field<T>(
+        j: &Json,
+        key: &str,
+        ty: &str,
+        get: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match j.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => get(v).map(Some).ok_or_else(|| format!("override `{key}` must be {ty}")),
+        }
+    }
+    let flag = |key: &str| field(j, key, "a boolean", Json::as_bool);
+    let int = |v: &Json| match v {
+        Json::Int(n) => Some(*n),
+        v => v.as_u64().and_then(|n| i64::try_from(n).ok()),
+    };
+    let names = |v: &Json| match v {
+        Json::Arr(items) => items.iter().map(|n| n.as_str().map(str::to_string)).collect(),
+        _ => None,
+    };
     Ok(ConfigOverrides {
-        max_clock: match j.get("max_clock") {
-            Some(Json::Int(v)) => Some(*v),
-            Some(Json::UInt(v)) => Some(*v as i64),
-            _ => None,
-        },
-        loop_unroll: j.get("loop_unroll").and_then(Json::as_u64).map(|v| v as u32),
-        jobs: j.get("jobs").and_then(Json::as_u64).map(|v| v as usize),
-        octagons: opt_bool("octagons"),
-        dtrees: opt_bool("dtrees"),
-        ellipsoids: opt_bool("ellipsoids"),
-        clocked: opt_bool("clocked"),
-        linearize: opt_bool("linearize"),
-        partition: get_str_arr(j, "partition").unwrap_or_default(),
+        max_clock: field(j, "max_clock", "an integer", int)?,
+        loop_unroll: field(j, "loop_unroll", "a u32", |v| v.as_u64()?.try_into().ok())?,
+        jobs: field(j, "jobs", "a count", |v| v.as_u64().map(|n| n as usize))?,
+        octagons: flag("octagons")?,
+        dtrees: flag("dtrees")?,
+        ellipsoids: flag("ellipsoids")?,
+        clocked: flag("clocked")?,
+        linearize: flag("linearize")?,
+        partition: field(j, "partition", "an array of names", names)?.unwrap_or_default(),
     })
 }
 
@@ -640,5 +669,20 @@ mod tests {
         assert_eq!(m.alarms.get("div_by_zero"), Some(&2));
         assert_eq!(m.divergences.len(), 1);
         assert_eq!(m.divergences[0].kind, DivergenceKind::MissedError { kind: "int_overflow" });
+    }
+
+    #[test]
+    fn overrides_decode_strictly_and_name_the_offending_key() {
+        let spec = |overrides: Json| {
+            let named = [("name", Json::str("j")), ("source", Json::str(""))];
+            spec_from_json(&Json::obj(named.into_iter().chain([("overrides", overrides)])))
+        };
+        let err = spec(Json::obj([("unroll", Json::UInt(2))])).unwrap_err();
+        assert!(err.contains("`unroll`"), "{err}");
+        let err = spec(Json::obj([("octagons", Json::UInt(1))])).unwrap_err();
+        assert!(err.contains("`octagons`"), "{err}");
+        let ok = spec(Json::obj([("loop_unroll", Json::UInt(2)), ("jobs", Json::Null)])).unwrap();
+        assert_eq!(ok.overrides, ConfigOverrides { loop_unroll: Some(2), ..Default::default() });
+        assert_eq!(spec(Json::Null).unwrap().overrides, ConfigOverrides::default());
     }
 }

@@ -19,15 +19,13 @@
 //! or TCP socket for remote workers, one thread per connection.
 
 use crate::exec::{execute_contained, ExecContext};
-use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
+use crate::proto::{read_frame, write_frame, Endpoint, Listener, FLEET_PROTO};
 use crate::wire::{
     config_from_json, files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json,
 };
 use astree_core::InvariantStore;
 use astree_obs::Json;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,44 +40,43 @@ pub fn serve_stdio() -> io::Result<()> {
     serve_conn(&mut reader, &mut writer)
 }
 
-/// Binds `endpoint` and serves fleet conversations forever, one thread per
-/// connection. A stale Unix socket file from a dead worker is replaced.
+/// Binds `endpoint` (see `proto::Listener::bind`: a live worker's socket is
+/// refused, a stale one replaced) and serves fleet conversations forever,
+/// one thread per connection.
 pub fn serve_listener(endpoint: &Endpoint) -> io::Result<()> {
-    match endpoint {
-        Endpoint::Unix(path) => {
-            if path.exists() && UnixListener::bind(path).is_err() {
-                std::fs::remove_file(path)?;
-            }
-            let listener = UnixListener::bind(path)?;
-            eprintln!("astree worker listening on {endpoint}");
-            for conn in listener.incoming() {
-                let conn = conn?;
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(conn.try_clone().expect("clone unix socket"));
-                    let mut writer = conn;
-                    let _ = serve_conn(&mut reader, &mut writer);
-                });
-            }
-        }
-        Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr.as_str())?;
-            eprintln!("astree worker listening on tcp:{}", listener.local_addr()?);
-            for conn in listener.incoming() {
-                let conn = conn?;
-                conn.set_nodelay(true).ok();
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(conn.try_clone().expect("clone tcp socket"));
-                    let mut writer = conn;
-                    let _ = serve_conn(&mut reader, &mut writer);
-                });
-            }
-        }
+    let listener = Listener::bind(endpoint)?;
+    eprintln!("astree worker listening on {}", listener.endpoint());
+    loop {
+        let conn = listener.accept()?;
+        std::thread::spawn(move || {
+            let mut writer = conn.writer;
+            let _ = serve_conn(&mut BufReader::new(conn.reader), &mut writer);
+        });
     }
-    Ok(())
 }
 
 fn bad_proto(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The name prefix of worker process `pid`'s wire-sync temp stores,
+/// `astree-fleet-sync-<pid>-`, followed by a per-conversation number. The
+/// worker names its stores with it; the coordinator removes a killed local
+/// worker's with [`remove_sync_dirs`].
+fn sync_dir_prefix(pid: u32) -> String {
+    format!("astree-fleet-sync-{pid}-")
+}
+
+/// Removes the wire-sync temp stores of worker process `pid` from the temp
+/// directory: a worker killed mid-conversation cannot remove its own.
+pub(crate) fn remove_sync_dirs(pid: u32) {
+    let prefix = sync_dir_prefix(pid);
+    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else { return };
+    for entry in entries.flatten() {
+        if entry.file_name().to_str().is_some_and(|name| name.starts_with(&prefix)) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
 }
 
 /// A worker-local invariant store for the wire sync, in a throwaway temp
@@ -92,11 +89,9 @@ struct SyncStore {
 impl SyncStore {
     fn create() -> io::Result<SyncStore> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "astree-fleet-sync-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("{}{seq}", sync_dir_prefix(std::process::id())));
         let store = Arc::new(InvariantStore::open(&dir)?);
         Ok(SyncStore { store, dir })
     }

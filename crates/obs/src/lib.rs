@@ -205,6 +205,22 @@ impl CacheCounters {
             saved_nanos: self.saved_nanos.saturating_sub(earlier.saved_nanos),
         }
     }
+
+    /// The one JSON rendering: the metrics document's `cache` section, the
+    /// `cache` event and the daemon's `status.cache`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("full_hits", Json::UInt(self.full_hits)),
+            ("misses", Json::UInt(self.misses)),
+            ("loops_solved", Json::UInt(self.loops_solved)),
+            ("evictions", Json::UInt(self.evictions)),
+            ("corrupt_files", Json::UInt(self.corrupt_files)),
+            ("bytes_read", Json::UInt(self.bytes_read)),
+            ("bytes_written", Json::UInt(self.bytes_written)),
+            ("replay_nanos", Json::UInt(self.replay_nanos)),
+            ("saved_nanos", Json::UInt(self.saved_nanos)),
+        ])
+    }
 }
 
 /// Persistent-map sharing counters for one analysis run.
@@ -342,6 +358,19 @@ pub struct PoolCounters {
     pub busy_nanos: Vec<u64>,
 }
 
+impl PoolCounters {
+    /// The one JSON rendering: `scheduler.pool` and the `pool` event.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("workers", Json::UInt(self.workers)),
+            ("tasks", Json::UInt(self.tasks)),
+            ("steals", Json::UInt(self.steals)),
+            ("max_queue_depth", Json::UInt(self.max_queue_depth)),
+            ("busy_nanos", Json::Arr(self.busy_nanos.iter().map(|&n| Json::UInt(n)).collect())),
+        ])
+    }
+}
+
 /// Per-worker counters of one fleet run (one entry per coordinator lane).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FleetWorkerCounters {
@@ -386,6 +415,29 @@ pub struct FleetCounters {
     pub per_worker: Vec<FleetWorkerCounters>,
 }
 
+impl FleetCounters {
+    /// The one JSON rendering: the metrics document's `fleet` section, the
+    /// `fleet` event and `astree batch --json`'s `fleet`.
+    pub fn to_json(&self) -> Json {
+        let per_worker = self.per_worker.iter().map(|w| {
+            Json::obj([("jobs", Json::UInt(w.jobs)), ("busy_nanos", Json::UInt(w.busy_nanos))])
+        });
+        Json::obj([
+            ("workers", Json::UInt(self.workers)),
+            ("processes", Json::Bool(self.processes)),
+            ("jobs", Json::UInt(self.jobs)),
+            ("resent", Json::UInt(self.resent)),
+            ("crashes", Json::UInt(self.crashes)),
+            ("timeouts", Json::UInt(self.timeouts)),
+            ("respawns", Json::UInt(self.respawns)),
+            ("store_full_hits", Json::UInt(self.store_full_hits)),
+            ("store_gets", Json::UInt(self.store_gets)),
+            ("store_puts", Json::UInt(self.store_puts)),
+            ("per_worker", Json::Arr(per_worker.collect())),
+        ])
+    }
+}
+
 /// Daemon-lifetime counters for the resident `astree serve` service.
 ///
 /// Unlike the per-run counters above these describe the *service*, not an
@@ -399,9 +451,10 @@ pub struct ServeCounters {
     pub completed: u64,
     /// Requests rejected with `overloaded` by the admission gate.
     pub rejected_overloaded: u64,
-    /// Requests that failed with `bad_request` (malformed frame or program).
+    /// Requests that failed with `bad_request` (malformed frame or request;
+    /// a program that does not compile is a `failed` outcome instead).
     pub bad_requests: u64,
-    /// Requests whose analysis panicked (isolated; daemon kept serving).
+    /// Jobs whose analysis panicked (isolated; daemon kept serving).
     pub panicked: u64,
     /// Event frames streamed to clients.
     pub events_streamed: u64,
@@ -410,17 +463,6 @@ pub struct ServeCounters {
 }
 
 impl ServeCounters {
-    /// Field-wise sum.
-    pub fn add(&mut self, o: &ServeCounters) {
-        self.requests += o.requests;
-        self.completed += o.completed;
-        self.rejected_overloaded += o.rejected_overloaded;
-        self.bad_requests += o.bad_requests;
-        self.panicked += o.panicked;
-        self.events_streamed += o.events_streamed;
-        self.max_inflight_seen = self.max_inflight_seen.max(o.max_inflight_seen);
-    }
-
     /// Renders the counters as a JSON object (used in `status` responses).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -799,33 +841,7 @@ impl Metrics {
                         .collect(),
                 ),
             ),
-            (
-                "pool",
-                s.pool.as_ref().map_or(Json::Null, |p| {
-                    Json::obj([
-                        ("workers", Json::UInt(p.workers)),
-                        ("tasks", Json::UInt(p.tasks)),
-                        ("steals", Json::UInt(p.steals)),
-                        ("max_queue_depth", Json::UInt(p.max_queue_depth)),
-                        (
-                            "busy_nanos",
-                            Json::Arr(p.busy_nanos.iter().map(|&n| Json::UInt(n)).collect()),
-                        ),
-                    ])
-                }),
-            ),
-        ]);
-        let c = &self.cache;
-        let cache = Json::obj([
-            ("full_hits", Json::UInt(c.full_hits)),
-            ("misses", Json::UInt(c.misses)),
-            ("loops_solved", Json::UInt(c.loops_solved)),
-            ("evictions", Json::UInt(c.evictions)),
-            ("corrupt_files", Json::UInt(c.corrupt_files)),
-            ("bytes_read", Json::UInt(c.bytes_read)),
-            ("bytes_written", Json::UInt(c.bytes_written)),
-            ("replay_nanos", Json::UInt(c.replay_nanos)),
-            ("saved_nanos", Json::UInt(c.saved_nanos)),
+            ("pool", s.pool.as_ref().map_or(Json::Null, PoolCounters::to_json)),
         ]);
         let p = &self.pmap;
         let pmap = Json::obj([
@@ -848,34 +864,7 @@ impl Metrics {
                     .collect(),
             ),
         )]);
-        let fleet = self.fleet.as_ref().map_or(Json::Null, |f| {
-            Json::obj([
-                ("workers", Json::UInt(f.workers)),
-                ("processes", Json::Bool(f.processes)),
-                ("jobs", Json::UInt(f.jobs)),
-                ("resent", Json::UInt(f.resent)),
-                ("crashes", Json::UInt(f.crashes)),
-                ("timeouts", Json::UInt(f.timeouts)),
-                ("respawns", Json::UInt(f.respawns)),
-                ("store_full_hits", Json::UInt(f.store_full_hits)),
-                ("store_gets", Json::UInt(f.store_gets)),
-                ("store_puts", Json::UInt(f.store_puts)),
-                (
-                    "per_worker",
-                    Json::Arr(
-                        f.per_worker
-                            .iter()
-                            .map(|w| {
-                                Json::obj([
-                                    ("jobs", Json::UInt(w.jobs)),
-                                    ("busy_nanos", Json::UInt(w.busy_nanos)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        });
+        let fleet = self.fleet.as_ref().map_or(Json::Null, FleetCounters::to_json);
         Json::obj([
             ("schema", Json::str(SCHEMA)),
             ("functions", functions),
@@ -883,7 +872,7 @@ impl Metrics {
             ("phases", phases),
             ("alarms", alarms),
             ("scheduler", scheduler),
-            ("cache", cache),
+            ("cache", self.cache.to_json()),
             ("pmap", pmap),
             ("core", Json::obj([("frames", self.frames.to_json())])),
             ("packs", packs),

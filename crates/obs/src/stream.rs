@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use crate::json::Json;
 use crate::{
     events, AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, FrameCounters, LoopDoneEvent,
-    LoopIterEvent, PoolCounters, Recorder, SliceEvent,
+    LoopIterEvent, PmapCounters, PoolCounters, Recorder, SliceEvent,
 };
 
 /// The schema identifier on the first line of every event stream.
@@ -223,8 +223,16 @@ impl Recorder for Fanout {
         fan!(self, fleet(c));
     }
 
+    fn pmap(&self, c: &PmapCounters) {
+        fan!(self, pmap(c));
+    }
+
     fn frames(&self, c: &FrameCounters) {
         fan!(self, frames(c));
+    }
+
+    fn pack_sizes(&self, sizes: &[usize]) {
+        fan!(self, pack_sizes(sizes));
     }
 
     fn trace(&self, line: &str) {

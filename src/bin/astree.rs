@@ -23,8 +23,9 @@ use astree::obs::Json;
 use astree::options::{RunOptions, RUN_OPTIONS_HELP};
 use astree::oracle::{campaign_to_json, DivergenceKind, OracleConfig};
 use astree::serve::client::AnalyzeRequest;
-use astree::serve::{Client, ClientError, Endpoint, ServeOptions, Server};
+use astree::serve::{Client, Endpoint, ServeOptions, Server};
 use astree::slicer::Slicer;
+use std::fmt::Display;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -211,26 +212,35 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             result.stats.parallel_stages, result.stats.parallel_slices, jobs,
         );
     }
-    if show_census {
-        if let Some(c) = &result.main_census {
-            println!("\nmain loop invariant census:\n{c}");
-        }
+    let census = result.main_census.as_ref().filter(|_| show_census);
+    let invariant = result.main_invariant.as_ref().filter(|_| dump_invariant);
+    let alarmed = print_verdict(census, invariant, &result.alarms);
+    Ok(if alarmed { ExitCode::from(1) } else { ExitCode::SUCCESS })
+}
+
+/// Prints the census and invariant (when given) and the alarms — the
+/// verdict part of a report, shared by `analyze` and `client` so the two
+/// match byte for byte. Returns whether any alarm fired.
+fn print_verdict(
+    census: Option<&impl Display>,
+    invariant: Option<&impl Display>,
+    alarms: &[impl Display],
+) -> bool {
+    if let Some(c) = census {
+        println!("\nmain loop invariant census:\n{c}");
     }
-    if dump_invariant {
-        if let Some(inv) = &result.main_invariant {
-            println!("\nmain loop invariant:\n{inv}");
-        }
+    if let Some(inv) = invariant {
+        println!("\nmain loop invariant:\n{inv}");
     }
-    if result.alarms.is_empty() {
+    if alarms.is_empty() {
         println!("\nno alarms: the program is proven free of run-time errors");
-        Ok(ExitCode::SUCCESS)
     } else {
-        println!("\n{} alarm(s):", result.alarms.len());
-        for a in &result.alarms {
+        println!("\n{} alarm(s):", alarms.len());
+        for a in alarms {
             println!("  {a}");
         }
-        Ok(ExitCode::from(1))
     }
+    !alarms.is_empty()
 }
 
 /// One-line cache participation summary for `astree analyze --cache`.
@@ -497,19 +507,7 @@ fn batch_json(report: &fleet::FleetReport) -> Json {
         ("wall_s", secs(report.wall)),
         ("sequential_cost_s", secs(report.total_job_time)),
         ("speedup", Json::Float(report.speedup())),
-        (
-            "fleet",
-            Json::obj([
-                ("processes", Json::Bool(c.processes)),
-                ("resent", Json::UInt(c.resent)),
-                ("crashes", Json::UInt(c.crashes)),
-                ("timeouts", Json::UInt(c.timeouts)),
-                ("respawns", Json::UInt(c.respawns)),
-                ("store_full_hits", Json::UInt(c.store_full_hits)),
-                ("store_gets", Json::UInt(c.store_gets)),
-                ("store_puts", Json::UInt(c.store_puts)),
-            ]),
-        ),
+        ("fleet", c.to_json()),
         ("per_worker", Json::Arr(per_worker.collect())),
     ])
 }
@@ -651,37 +649,15 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             events: events_mode.or(if show_events { Some("coarse") } else { Some("none") }),
             ..AnalyzeRequest::default()
         };
-        let outcome = match client.analyze(&req) {
-            Ok(o) => o,
-            Err(ClientError::Server { code, message }) => {
-                return Err(format!("{f}: daemon answered {code}: {message}"))
-            }
-            Err(e) => return Err(format!("{f}: {e}")),
-        };
+        let outcome = client.analyze(&req).map_err(|e| format!("{f}: {e}"))?;
         if show_events {
             for ev in &outcome.events {
                 eprintln!("{}", ev.to_compact());
             }
         }
-        if show_census {
-            if let Some(c) = &outcome.main_census {
-                println!("\nmain loop invariant census:\n{c}");
-            }
-        }
-        if dump_invariant {
-            if let Some(inv) = &outcome.main_invariant {
-                println!("\nmain loop invariant:\n{inv}");
-            }
-        }
-        if outcome.alarms.is_empty() {
-            println!("\nno alarms: the program is proven free of run-time errors");
-        } else {
-            alarmed = true;
-            println!("\n{} alarm(s):", outcome.alarms.len());
-            for a in &outcome.alarms {
-                println!("  {a}");
-            }
-        }
+        let census = outcome.main_census.as_ref().filter(|_| show_census);
+        let invariant = outcome.main_invariant.as_ref().filter(|_| dump_invariant);
+        alarmed |= print_verdict(census, invariant, &outcome.alarms);
     }
     if status {
         let frame = client.status().map_err(|e| format!("status: {e}"))?;

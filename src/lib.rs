@@ -17,13 +17,14 @@
 //! - [`sched`] — the worker pool the slices of a parallel analysis run on
 //!   (one queue, results in input order, à la Monniaux's parallel ASTRÉE)
 //! - [`obs`] — structured analysis telemetry (recorder, metrics schema)
-//! - [`serve`] — the resident analysis service (warm pool, shared invariant
-//!   store, `astree-serve/1` wire protocol)
 //! - [`oracle`] — the differential soundness oracle (corpus fuzzing of
 //!   concrete executions against claimed invariants, `astree-campaign/1`)
 //! - [`fleet`] — distributed fleet sharding: the process-level coordinator
-//!   with work stealing and a shared warm store, behind the unified
+//!   with one job queue and a shared warm store, behind the unified
 //!   `FleetSession` API (`astree-fleet/2` wire protocol)
+//! - [`serve`] — the resident analysis service, a module of [`fleet`]: a
+//!   daemon running fleet jobs on a warm pool and a shared invariant store
+//!   (`astree-serve/2` wire protocol)
 //! - [`options`] — the shared CLI run options (`--jobs`, `--metrics`,
 //!   `--trace`, `--cache`)
 
@@ -32,6 +33,7 @@ pub mod options;
 pub use astree_core as core;
 pub use astree_domains as domains;
 pub use astree_fleet as fleet;
+pub use astree_fleet::serve;
 pub use astree_float as float;
 pub use astree_frontend as frontend;
 pub use astree_gen as gen;
@@ -41,5 +43,4 @@ pub use astree_obs as obs;
 pub use astree_oracle as oracle;
 pub use astree_pmap as pmap;
 pub use astree_sched as sched;
-pub use astree_serve as serve;
 pub use astree_slicer as slicer;

@@ -8,6 +8,7 @@
 //! shared invariant store warms all workers.
 
 use astree::obs::Json;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::mpsc;
@@ -274,7 +275,8 @@ fn wire_synced_store_warms_workers_without_a_shared_filesystem() {
 }
 
 /// A wire-synced worker keeps its store in a temp directory; told `bye`,
-/// it exits on its own and removes it.
+/// it exits on its own and removes it. One that crashes cannot: the
+/// coordinator removes the store of the local worker it reaped.
 #[test]
 fn wire_synced_workers_leave_no_temp_store() {
     let dir = temp_dir("wire-tmpdir");
@@ -284,11 +286,13 @@ fn wire_synced_workers_leave_no_temp_store() {
     let cache = cache.to_str().unwrap();
     let args =
         ["--gen", "6", "--channels", "2,3,4", "--workers", "2", "--cache", cache, "--cache-wire"];
-    for (pass, line) in [
-        ("cold", "cache: 0 full hit(s), 6 miss(es)\n"),
-        ("warm", "cache: 6 full hit(s), 0 miss(es)\n"),
+    let crash: Vec<&str> = args.iter().copied().chain(["--crash-on", "gen-c2-s1"]).collect();
+    for (pass, args, line) in [
+        ("cold", &args[..], "cache: 0 full hit(s), 6 miss(es)\n"),
+        ("warm", &args[..], "cache: 6 full hit(s), 0 miss(es)\n"),
+        ("crash", &crash[..], "cache: 6 full hit(s), 0 miss(es)\n"),
     ] {
-        let (stdout, code) = batch(&args, Some(&tmp));
+        let (stdout, code) = batch(args, Some(&tmp));
         assert_eq!(code, 0, "{pass} pass\n{stdout}");
         assert!(stdout.starts_with(line), "{pass} pass\n{stdout}");
     }
@@ -379,5 +383,65 @@ fn remote_workers_over_a_unix_socket_agree_with_in_process() {
 
     worker.kill().ok();
     worker.wait().ok();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A second `astree worker --socket` on a live worker's socket exits with
+/// an error instead of taking the socket over; the first keeps serving.
+#[test]
+fn a_second_worker_refuses_a_live_socket() {
+    /// Kills a worker even when an assertion fails.
+    struct Reaped(std::process::Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+    let dir = temp_dir("live-socket");
+    let sock = dir.join("worker.sock");
+    let _first = Reaped(
+        astree().arg("worker").arg("--socket").arg(&sock).spawn().expect("spawn socket worker"),
+    );
+    for _ in 0..200 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(sock.exists(), "first worker bound its socket");
+
+    let mut second = Reaped(
+        astree()
+            .arg("worker")
+            .arg("--socket")
+            .arg(&sock)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn a second worker"),
+    );
+    let mut waited = 0;
+    let status = loop {
+        if let Some(status) = second.0.try_wait().expect("poll the second worker") {
+            break status;
+        }
+        assert!(waited < 400, "the second worker took the live socket over");
+        std::thread::sleep(Duration::from_millis(25));
+        waited += 1;
+    };
+    let mut stderr = String::new();
+    second.0.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
+    assert!(!status.success(), "second worker must fail: {stderr}");
+    assert!(stderr.contains("already listening"), "{stderr}");
+
+    let (stdout, ok) = run_batch(&[
+        "--gen",
+        "2",
+        "--channels",
+        "1",
+        "--connect",
+        &format!("unix:{}", sock.display()),
+    ]);
+    assert!(ok, "the first worker still serves\n{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,11 @@
-//! End-to-end coverage of the resident analysis service (`astree-serve`):
+//! End-to-end coverage of the resident analysis service (`astree serve`):
 //! concurrent clients must get results bit-identical to one-shot sessions,
 //! the shared invariant store must warm across requests, the admission gate
 //! must reject cleanly past `max_inflight`, and a failing request must
 //! never take the daemon down.
 
 use astree::core::{AnalysisConfig, AnalysisSession};
-use astree::fleet::JobSpec;
+use astree::fleet::{JobSpec, JobStatus};
 use astree::frontend::Frontend;
 use astree::gen::{generate, GenConfig};
 use astree::obs::Json;
@@ -188,20 +188,23 @@ fn failing_requests_leave_the_daemon_serving() {
     let handle = server.spawn();
 
     let mut client = Client::connect(&endpoint).expect("connect");
-    // A program that does not compile answers bad_request...
+    // A program that does not compile is a `failed` job...
     let err = client
         .analyze(&AnalyzeRequest { source: "int x; @!#".into(), ..Default::default() })
         .expect_err("garbage must not analyze");
     match err {
-        ClientError::Server { code, .. } => assert_eq!(code, "bad_request"),
-        other => panic!("expected bad_request, got {other:?}"),
+        ClientError::Server { code, message } => {
+            assert_eq!(code, "failed");
+            assert!(message.contains("compile error"), "{message}");
+        }
+        other => panic!("expected a failed job, got {other:?}"),
     }
-    // ...an unknown config key answers bad_request...
+    // ...an unknown override key answers bad_request...
     let mut bad_cfg = AnalyzeRequest {
         source: generate(&GenConfig { channels: 1, seed: 1, bug: None }),
         ..Default::default()
     };
-    bad_cfg.config = Some(Json::obj([("no_such_knob", Json::Bool(true))]));
+    bad_cfg.overrides = Some(Json::obj([("no_such_knob", Json::Bool(true))]));
     match client.analyze(&bad_cfg).expect_err("unknown config key must be rejected") {
         ClientError::Server { code, message } => {
             assert_eq!(code, "bad_request");
@@ -210,12 +213,12 @@ fn failing_requests_leave_the_daemon_serving() {
         other => panic!("expected bad_request, got {other:?}"),
     }
     // ...and the same connection still analyzes fine afterwards.
-    bad_cfg.config = None;
+    bad_cfg.overrides = None;
     let outcome = client.analyze(&bad_cfg).expect("valid analyze after failures");
     assert!(outcome.alarms.is_empty());
     client.shutdown().expect("shutdown");
     let counters = handle.counters();
-    assert_eq!(counters.bad_requests, 2);
+    assert_eq!(counters.bad_requests, 1, "only the unknown key is a bad request");
     handle.join().expect("clean daemon exit");
 }
 
@@ -259,15 +262,13 @@ fn batch_requests_return_per_job_outcomes() {
         JobSpec::new("clean-2", generate(&GenConfig { channels: 2, seed: 7, bug: None })),
     ];
     let mut client = Client::connect(&endpoint).expect("connect");
-    let frame = client.batch(&jobs).expect("batch");
-    let Some(Json::Arr(outcomes)) = frame.get("batch") else {
-        panic!("missing batch array in {frame}");
-    };
+    let outcomes = client.batch(&jobs).expect("batch");
+    let status = |i: usize| outcomes[i].status;
     assert_eq!(outcomes.len(), 3);
-    let status = |i: usize| outcomes[i].get("status").and_then(Json::as_str).unwrap();
-    assert_eq!(status(0), "done");
-    assert_eq!(status(1), "failed", "a poisoned job fails alone");
-    assert_eq!(status(2), "done", "jobs after the failure still run");
+    assert_eq!(status(0), JobStatus::Done);
+    assert_eq!(status(1), JobStatus::Failed, "a poisoned job fails alone");
+    assert_eq!(status(2), JobStatus::Done, "jobs after the failure still run");
+    assert_eq!(outcomes[2].name, "clean-2");
     client.shutdown().expect("shutdown");
     handle.join().expect("clean daemon exit");
 }

@@ -113,6 +113,47 @@ fn event_stream_parses_back_and_matches_the_collector() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `Fanout` of one collector must record what the collector alone does,
+/// every hook included: the document matches modulo wall times and
+/// `pmap.nodes_recycled` (the slab's free lists outlive a run, so the
+/// second run in a process recycles what the first freed).
+#[test]
+fn a_fanout_of_one_collector_records_what_the_collector_does() {
+    use astree::obs::{Fanout, Recorder};
+
+    let src = generate(&GenConfig { channels: 4, seed: 3, bug: None });
+    let p = Frontend::new().compile_str(&src).expect("compiles");
+    let alone = Collector::new();
+    AnalysisSession::builder(&p).recorder(&alone).build().run();
+    let collector = Arc::new(Collector::new());
+    let fanout = Fanout::new(vec![Arc::clone(&collector) as Arc<dyn Recorder>]);
+    AnalysisSession::builder(&p).recorder(&fanout).build().run();
+
+    /// `j` with the wall times (`*nanos*` fields, `phases`) and
+    /// `nodes_recycled` nulled.
+    fn untimed(j: Json) -> Json {
+        match j {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| {
+                        let varies = k.contains("nanos") || k == "phases" || k == "nodes_recycled";
+                        let v = if varies { Json::Null } else { untimed(v) };
+                        (k, v)
+                    })
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(untimed).collect()),
+            other => other,
+        }
+    }
+    let (teed, direct) = (untimed(collector.to_json()), untimed(alone.to_json()));
+    assert!(
+        matches!(teed.get("pmap").and_then(|p| p.get("nodes_allocated")), Some(Json::UInt(n)) if *n > 0)
+    );
+    assert_eq!(teed, direct);
+}
+
 #[test]
 fn alarm_provenance_names_statement_domain_and_loop() {
     let src = generate(&GenConfig { channels: 2, seed: 1, bug: Some(BugKind::DivByZero) });
