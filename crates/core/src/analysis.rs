@@ -12,7 +12,7 @@ use crate::packs::Packs;
 use crate::state::AbsState;
 use astree_ir::{globals_fingerprint, program_fingerprint, Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
-use astree_obs::{CacheCounters, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
+use astree_obs::{CacheCounters, Event, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
 use astree_sched::WorkerPool;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -232,7 +232,10 @@ impl<'a> AnalysisSession<'a> {
                     ..CacheCounters::default()
                 };
                 if rec.enabled() {
-                    rec.phase_time("replay", time_replay.as_nanos() as u64);
+                    rec.record(&Event::Phase {
+                        phase: "replay",
+                        nanos: time_replay.as_nanos() as u64,
+                    });
                 }
                 report_cache_run(store, rec, run, &store_before);
                 return AnalysisResult {
@@ -287,12 +290,15 @@ impl<'a> AnalysisSession<'a> {
         pmap_stats.absorb(&iter.pmap_worker_stats);
         astree_pmap::set_ptr_shortcuts(prev_shortcuts);
         if rec.enabled() {
-            rec.phase_time("iterate", time_iterate.as_nanos() as u64);
-            rec.phase_time("check", time_check.as_nanos() as u64);
-            if saved_closures > 0 {
-                rec.domain_op_n("octagon", "closure_saved", saved_closures, 0);
-            }
-            rec.pmap(&PmapCounters {
+            rec.record(&Event::Phase { phase: "iterate", nanos: time_iterate.as_nanos() as u64 });
+            rec.record(&Event::Phase { phase: "check", nanos: time_check.as_nanos() as u64 });
+            rec.record(&Event::DomainOps {
+                domain: "octagon",
+                op: "closure_saved",
+                count: saved_closures,
+                nanos: 0,
+            });
+            rec.record(&Event::Pmap(&PmapCounters {
                 nodes_allocated: pmap_stats.nodes_allocated,
                 merge_calls: pmap_stats.merge_calls,
                 root_shortcut_hits: pmap_stats.root_shortcut_hits,
@@ -301,20 +307,20 @@ impl<'a> AnalysisSession<'a> {
                 nodes_recycled: pmap_stats.nodes_recycled,
                 slab_bytes_allocated: pmap_stats.slab_bytes_allocated,
                 slab_bytes_freed: pmap_stats.slab_bytes_freed,
-            });
-            rec.frames(&FrameCounters {
+            }));
+            rec.record(&Event::Frames(&FrameCounters {
                 cells_per_frame: iter.frames.framed().map(|f| f.cells.len() as u64).collect(),
                 packs_per_frame: iter.frames.framed().map(|f| f.packs() as u64).collect(),
                 ..iter.stats.frames.clone()
-            });
+            }));
             let oct_sizes: Vec<usize> = packs.octagons.iter().map(|p| p.cells.len()).collect();
-            rec.pack_sizes(&oct_sizes);
+            rec.record(&Event::PackSizes(&oct_sizes));
             if let Some(pool) = pool {
                 let s = match &pool_before {
                     Some(before) => pool.stats().since(before),
                     None => pool.stats(),
                 };
-                rec.pool(&PoolCounters {
+                rec.record(&Event::Pool(&PoolCounters {
                     workers: s.workers as u64,
                     tasks: s.tasks,
                     // One shared queue: nothing to steal. The slot stays
@@ -322,7 +328,7 @@ impl<'a> AnalysisSession<'a> {
                     steals: 0,
                     max_queue_depth: s.max_queue_depth,
                     busy_nanos: s.busy_nanos,
-                });
+                }));
             }
         }
 
@@ -394,7 +400,7 @@ fn report_cache_run(
     run.corrupt_files = io.corrupt_files;
     run.evictions = io.evictions;
     if rec.enabled() {
-        rec.cache(&run);
+        rec.record(&Event::Cache(&run));
     }
 }
 

@@ -276,9 +276,11 @@ impl InvariantStore {
     }
 
     /// Opens a store whose on-disk footprint is bounded: after every write,
-    /// results are evicted oldest-mtime-first until the directory fits in
-    /// `max_bytes` (the just-written one is never evicted). An evicted
-    /// result simply becomes a miss on the next run.
+    /// results and writers' staging files are evicted oldest-mtime-first
+    /// until the directory fits in `max_bytes` (the just-written result is
+    /// never evicted). An evicted result simply becomes a miss on the next
+    /// run; a writer whose staging file is evicted fails its rename and
+    /// stores nothing.
     pub fn open_bounded(
         dir: impl Into<PathBuf>,
         max_bytes: u64,
@@ -404,7 +406,9 @@ impl InvariantStore {
         true
     }
 
-    /// Oldest-mtime-first eviction until the directory fits `max_bytes`.
+    /// Oldest-mtime-first eviction of results and staging files
+    /// (`NAME.<pid>-<n>.tmp`, left behind by a writer killed before its
+    /// rename) until the directory fits `max_bytes`.
     fn enforce_bound(&self, keep: &str) {
         let Some(max) = self.max_bytes else {
             return;
@@ -415,7 +419,11 @@ impl InvariantStore {
         let mut entries: Vec<(std::time::SystemTime, u64, String)> = Vec::new();
         for e in rd.flatten() {
             let name = e.file_name().to_string_lossy().into_owned();
-            if !name.ends_with(".astc") {
+            let staging = name
+                .strip_suffix(".tmp")
+                .and_then(|n| n.rsplit_once('.'))
+                .is_some_and(|(result, _)| valid_store_file_name(result));
+            if !name.ends_with(".astc") && !staging {
                 continue;
             }
             let Ok(md) = e.metadata() else {
@@ -1220,6 +1228,30 @@ mod tests {
         }
         std::fs::write(&path, &full).expect("writes");
         assert!(store.lookup_full(&key, &layout, &packs).is_some());
+    }
+
+    /// A bounded store counts a dead writer's staging file toward its
+    /// bound and evicts it like a result.
+    #[test]
+    fn a_bounded_store_evicts_stale_staging_files() {
+        let (key, text, _, _) = stored_sample();
+        let dir = temp_store("stale-staging").dir().to_path_buf();
+        let store = InvariantStore::open_bounded(&dir, text.len() as u64 + 100).expect("opens");
+        let stale = dir.join(format!("{}.1-0.tmp", key.file_name()));
+        let file = std::fs::File::create(&stale).expect("plants");
+        std::io::Write::write_all(&mut &file, &[b'x'; 1000]).expect("writes");
+        file.set_modified(std::time::SystemTime::UNIX_EPOCH).expect("ages");
+        drop(file);
+        assert!(store.import_file(&key.file_name(), &text));
+        assert!(!stale.exists(), "the staging file is evicted");
+        assert_eq!(store.counters().evictions, 1);
+        assert_eq!(store.file_names(), [key.file_name()]);
+
+        // Unbounded, nothing is ever deleted.
+        std::fs::write(&stale, [b'x'; 1000]).expect("plants");
+        std::fs::remove_file(dir.join(key.file_name())).expect("removes");
+        assert!(InvariantStore::open(&dir).expect("opens").import_file(&key.file_name(), &text));
+        assert!(stale.exists());
     }
 
     /// A result is one file under a name made of its four fingerprints;

@@ -31,7 +31,7 @@ use astree_ir::{
 };
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
 use astree_obs::{
-    AlarmEvent, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
+    AlarmEvent, Event, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -259,6 +259,15 @@ impl<'a> Iter<'a> {
         t0.elapsed().as_nanos() as u64
     }
 
+    /// Records one application of `domain.op` that took `extra_ns` plus the
+    /// time since `t0`; nothing when `t0` is `None` (telemetry off).
+    fn op_timed(&self, t0: Option<Instant>, domain: &'static str, op: &'static str, extra_ns: u64) {
+        if let Some(t0) = t0 {
+            let nanos = extra_ns + Self::nanos_since(t0);
+            self.rec.record(&Event::DomainOp { domain, op, nanos });
+        }
+    }
+
     /// Runs one full pass from the entry point in the given mode and returns
     /// the final state.
     pub fn run_mode(&mut self, mode: Mode) -> AbsState {
@@ -331,7 +340,7 @@ impl<'a> Iter<'a> {
                     self.config.jobs,
                 ));
                 if let Some(t0) = t0 {
-                    self.rec.plan(Self::nanos_since(t0));
+                    self.rec.record(&Event::Plan { nanos: Self::nanos_since(t0) });
                 }
                 self.plans.insert(block[0].id, Arc::clone(&p));
                 p
@@ -416,7 +425,7 @@ impl<'a> Iter<'a> {
 
         if results.iter().any(|r| r.is_none()) {
             if self.rec_on {
-                self.rec.fallback("worker_panic");
+                self.rec.record(&Event::Fallback { reason: "worker_panic" });
             }
             return false;
         }
@@ -427,7 +436,7 @@ impl<'a> Iter<'a> {
         // return state falls outside the overlay model: replay sequentially.
         if results.iter().any(|r| r.post.is_none() || !r.returned.is_bottom()) {
             if self.rec_on {
-                self.rec.fallback("slice_shape");
+                self.rec.record(&Event::Fallback { reason: "slice_shape" });
             }
             return false;
         }
@@ -435,12 +444,12 @@ impl<'a> Iter<'a> {
         let stage_no = self.stats.par_stages + 1;
         if self.rec_on {
             for (ci, r) in results.iter().enumerate() {
-                self.rec.slice(&SliceEvent {
+                self.rec.record(&Event::Slice(SliceEvent {
                     stage: stage_no,
                     index: ci,
                     stmts: slices[ci].range.len(),
                     nanos: r.wall.as_nanos() as u64,
-                });
+                }));
             }
         }
         let t_merge = self.rec_on.then(Instant::now);
@@ -465,11 +474,15 @@ impl<'a> Iter<'a> {
             saved_closures += out.saved_closures;
             self.pmap_worker_stats.absorb(&out.pmap_stats);
         }
-        if self.rec_on && saved_closures > 0 {
-            self.rec.domain_op_n("octagon", "closure_saved", saved_closures, 0);
-        }
         if let Some(t0) = t_merge {
-            self.rec.merge(stage_no, slices.len(), Self::nanos_since(t0));
+            let nanos = Self::nanos_since(t0);
+            self.rec.record(&Event::DomainOps {
+                domain: "octagon",
+                op: "closure_saved",
+                count: saved_closures,
+                nanos: 0,
+            });
+            self.rec.record(&Event::Merge { stage: stage_no, slices: slices.len(), nanos });
         }
         self.stats.par_stages += 1;
         self.stats.par_slices += slices.len() as u64;
@@ -488,7 +501,8 @@ impl<'a> Iter<'a> {
         self.stats.stmts_interpreted += flow.parts.len() as u64;
         self.stats.peak_partitions = self.stats.peak_partitions.max(flow.parts.len());
         if self.rec_on && flow.parts.len() > 1 {
-            self.rec.partitions(self.cur_func(), flow.parts.len() as u64);
+            let live = flow.parts.len() as u64;
+            self.rec.record(&Event::Partitions { func: self.cur_func(), live });
         }
         if self.config.collect_stmt_invariants && self.mode == Mode::Check {
             for p in &flow.parts {
@@ -657,7 +671,11 @@ impl<'a> Iter<'a> {
         // Semantic loop unrolling (Sect. 7.1.1).
         let unroll = self.config.unroll_for(id);
         if self.rec_on && !check && unroll > 0 {
-            self.rec.unroll(self.cur_func(), id.0, unroll);
+            self.rec.record(&Event::Unroll {
+                func: self.cur_func(),
+                loop_id: id.0,
+                factor: unroll,
+            });
         }
         for k in 0..unroll {
             if track {
@@ -800,9 +818,9 @@ impl<'a> Iter<'a> {
             }
             if let (Some(before), Some(t0)) = (before, t0) {
                 let op = if phase == Phase::Union { "join" } else { "widen" };
-                self.rec.domain_op("state", op, Self::nanos_since(t0));
+                self.op_timed(Some(t0), "state", op, 0);
                 let (threshold_hits, infinity_escapes) = self.widen_deltas(&before, &inv.env);
-                self.rec.loop_iter(&LoopIterEvent {
+                self.rec.record(&Event::LoopIter(LoopIterEvent {
                     func: self.cur_func(),
                     loop_id: id.0,
                     iteration: iter as u64,
@@ -810,7 +828,7 @@ impl<'a> Iter<'a> {
                     unstable_cells: unstable as u64,
                     threshold_hits,
                     infinity_escapes,
-                });
+                }));
             }
         }
         // Narrowing iterations (Sect. 5.5).
@@ -825,9 +843,9 @@ impl<'a> Iter<'a> {
             }
             let t0 = self.rec_on.then(Instant::now);
             inv = inv.narrow(&fval);
-            if let Some(t0) = t0 {
-                self.rec.domain_op("state", "narrow", Self::nanos_since(t0));
-                self.rec.loop_iter(&LoopIterEvent {
+            if t0.is_some() {
+                self.op_timed(t0, "state", "narrow", 0);
+                self.rec.record(&Event::LoopIter(LoopIterEvent {
                     func: self.cur_func(),
                     loop_id: id.0,
                     iteration: stabilized_at + k as u64 + 1,
@@ -835,19 +853,19 @@ impl<'a> Iter<'a> {
                     unstable_cells: 0,
                     threshold_hits: 0,
                     infinity_escapes: 0,
-                });
+                }));
             }
         }
         let t0 = self.rec_on.then(Instant::now);
         self.reduce_loop_done(&mut inv, &base.env, cond, body, depth);
-        if let Some(t0) = t0 {
-            self.rec.domain_op("octagon", "closure", Self::nanos_since(t0));
-            self.rec.loop_done(&LoopDoneEvent {
+        if t0.is_some() {
+            self.op_timed(t0, "octagon", "closure", 0);
+            self.rec.record(&Event::LoopDone(LoopDoneEvent {
                 func: self.cur_func(),
                 loop_id: id.0,
                 iterations: stabilized_at + self.config.narrowing_iterations as u64,
                 stabilized_at,
-            });
+            }));
         }
         inv
     }
@@ -1035,9 +1053,7 @@ impl<'a> Iter<'a> {
             let t0 = self.rec_on.then(Instant::now);
             let d = self.ellipse_delta(&state, pi);
             state.set_pending(pi, d);
-            if let Some(t0) = t0 {
-                self.rec.domain_op("ellipsoid", "delta", Self::nanos_since(t0));
-            }
+            self.op_timed(t0, "ellipsoid", "delta", 0);
         }
         // The state is written in place from here on, so everything the
         // relational transfers need of the pre-state is read first: the
@@ -1069,21 +1085,15 @@ impl<'a> Iter<'a> {
         };
         let t0 = self.rec_on.then(Instant::now);
         self.oct_assign(&mut state, cell, shape);
-        if let Some(t0) = t0 {
-            self.rec.domain_op("octagon", "assign", shape_ns + Self::nanos_since(t0));
-        }
+        self.op_timed(t0, "octagon", "assign", shape_ns);
         let t0 = self.rec_on.then(Instant::now);
         for (pi, tree) in dtrees {
             state.set_dtree(pi, tree);
         }
-        if let Some(t0) = t0 {
-            self.rec.domain_op("dtree", "assign", dtree_ns + Self::nanos_since(t0));
-        }
+        self.op_timed(t0, "dtree", "assign", dtree_ns);
         let t0 = self.rec_on.then(Instant::now);
         self.ellipse_assign(&mut state, cell, s);
-        if let Some(t0) = t0 {
-            self.rec.domain_op("ellipsoid", "commit", Self::nanos_since(t0));
-        }
+        self.op_timed(t0, "ellipsoid", "commit", 0);
         state
     }
 
@@ -1352,18 +1362,14 @@ impl<'a> Iter<'a> {
         });
         let t0 = self.rec_on.then(Instant::now);
         let pre = state.project(frame);
-        if let Some(t0) = t0 {
-            self.rec.domain_op("state", "project", Self::nanos_since(t0));
-        }
+        self.op_timed(t0, "state", "project", 0);
         let post = self.inline_call(pre.clone(), callee, args, ret, s, depth);
         // A key the callee added is a write the frame did not foresee:
         // `absorb` carries it over (sound), debug builds stop.
         debug_assert!(post.is_bottom() || post.same_shape(&pre), "callee left its frame");
         let t0 = self.rec_on.then(Instant::now);
         state.absorb(&pre, &post, self.layout, self.packs);
-        if let Some(t0) = t0 {
-            self.rec.domain_op("state", "absorb", Self::nanos_since(t0));
-        }
+        self.op_timed(t0, "state", "absorb", 0);
         #[cfg(test)]
         if let Some(whole) = whole {
             let name = &self.program.func(callee).name;
@@ -1488,14 +1494,10 @@ impl<'a> Iter<'a> {
                 let t_guard = self.rec_on.then(Instant::now);
                 self.oct_guard(&mut state, cond);
                 self.dtree_guard(&mut state, cond, true);
-                if let Some(t0) = t_guard {
-                    self.rec.domain_op("octagon", "guard", Self::nanos_since(t0));
-                }
+                self.op_timed(t_guard, "octagon", "guard", 0);
                 let t_red = self.rec_on.then(Instant::now);
                 state.reduce_local(self.layout, self.packs, &cells, Some(&mut self.oct_useful));
-                if let Some(t0) = t_red {
-                    self.rec.domain_op("octagon", "closure", Self::nanos_since(t0));
-                }
+                self.op_timed(t_red, "octagon", "closure", 0);
                 state
             }
         }
@@ -1697,7 +1699,7 @@ impl<'a> Iter<'a> {
             None => (None, None),
         };
         for kind in fresh {
-            self.rec.alarm(&AlarmEvent {
+            self.rec.record(&Event::Alarm(AlarmEvent {
                 func: self.cur_func(),
                 stmt: s.id.0,
                 line: s.loc.line,
@@ -1706,7 +1708,7 @@ impl<'a> Iter<'a> {
                 context: ctx,
                 loop_id,
                 iteration,
-            });
+            }));
         }
     }
 }

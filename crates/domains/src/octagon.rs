@@ -38,7 +38,7 @@ thread_local! {
     /// Clone-then-close operations avoided by the `*_ref` fast paths on
     /// already-closed operands. Thread-local so parallel slice workers
     /// count without synchronization; drained per-slice by the iterator
-    /// and reported through `domain_op_n("octagon", "closure_saved", …)`.
+    /// and reported as a batched `Event::DomainOps` (`octagon.closure_saved`).
     static SAVED_CLOSURES: Cell<u64> = const { Cell::new(0) };
 }
 

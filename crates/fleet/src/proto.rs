@@ -18,7 +18,7 @@
 //! see `DESIGN.md` for the full schemas.
 
 use astree_obs::Json;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -193,20 +193,27 @@ pub fn write_frame(w: &mut dyn Write, value: &Json) -> io::Result<()> {
 
 /// Reads one frame. Returns `Ok(None)` on clean end-of-stream (the peer
 /// closed before a length line started) and an error on anything malformed.
+/// What a frame claims costs nothing until its bytes arrive: the length
+/// line is read through a bound (20 digits hold any `usize`) and the
+/// payload buffer grows as the payload does.
 pub fn read_frame(r: &mut dyn BufRead) -> io::Result<Option<Json>> {
-    let mut len_line = String::new();
-    if r.read_line(&mut len_line)? == 0 {
+    let mut len_line = Vec::new();
+    (&mut *r).take(21).read_until(b'\n', &mut len_line)?;
+    if len_line.is_empty() {
         return Ok(None);
     }
-    let len: usize = len_line
-        .trim()
-        .parse()
-        .map_err(|_| bad_data(format!("bad frame length line {len_line:?}")))?;
+    let len: usize = std::str::from_utf8(&len_line)
+        .ok()
+        .and_then(|l| l.strip_suffix('\n')?.parse().ok())
+        .ok_or_else(|| bad_data(format!("bad frame length line {len_line:?}")))?;
     if len > MAX_FRAME {
         return Err(bad_data(format!("frame of {len} bytes exceeds the {MAX_FRAME} byte cap")));
     }
-    let mut payload = vec![0u8; len + 1]; // + trailing newline
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    (&mut *r).take(len as u64 + 1).read_to_end(&mut payload)?; // + trailing newline
+    if payload.len() <= len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload cut short"));
+    }
     if payload.pop() != Some(b'\n') {
         return Err(bad_data("frame payload not newline-terminated".into()));
     }
@@ -258,6 +265,20 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
         let mut r = BufReader::new(&b"2\n{}X"[..]);
         assert!(read_frame(&mut r).is_err(), "missing newline terminator");
+    }
+
+    #[test]
+    fn an_endless_length_line_is_a_typed_error() {
+        let err = read_frame(&mut BufReader::new(io::repeat(b'7'))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_claimed_length_reserves_nothing_the_peer_did_not_send() {
+        let mut bytes = format!("{MAX_FRAME}\n").into_bytes();
+        bytes.extend_from_slice(b"{}\n");
+        let err = read_frame(&mut BufReader::new(&bytes[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

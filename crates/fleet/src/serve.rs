@@ -22,10 +22,7 @@ use crate::proto::{read_frame, write_frame, Conn, Listener};
 use crate::session::FleetSession;
 use crate::wire::{outcome_to_json, spec_from_json};
 use astree_core::{AnalysisConfig, InvariantStore};
-use astree_obs::{
-    events, AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, Json, LoopDoneEvent,
-    LoopIterEvent, PoolCounters, Recorder, ServeCounters, SliceEvent,
-};
+use astree_obs::{Event, Json, Recorder, ServeCounters};
 use astree_sched::WorkerPool;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
@@ -260,18 +257,17 @@ fn status_frame(daemon: &Arc<Daemon>, id: u64) -> Json {
 #[derive(Clone, Copy, PartialEq)]
 enum EventMode {
     None,
-    /// Per-loop and per-phase records, alarms, scheduler, cache, job and
-    /// fleet reports — everything except the high-volume per-iteration
-    /// stream.
+    /// Every streamed record but the high-volume per-iteration ones
+    /// (`loop_iter` and batched `domain_op`).
     Coarse,
-    /// Adds `loop_iter` and batched `domain_op` records.
+    /// Every record a `--metrics-stream` file holds.
     All,
 }
 
 /// Streams `astree-events/1` records back to the requesting client, each
-/// wrapped in an `event` frame tagged with the request id. Reuses the same
-/// record builders as the on-disk JSONL sink, so a captured stream is
-/// schema-identical to `--metrics-stream` output.
+/// wrapped in an `event` frame tagged with the request id: the records of
+/// [`Event::to_record`], so a captured stream is schema-identical to
+/// `--metrics-stream` output.
 struct FrameRecorder {
     writer: SharedWriter,
     id: u64,
@@ -279,8 +275,18 @@ struct FrameRecorder {
     streamed: AtomicU64,
 }
 
-impl FrameRecorder {
-    fn event(&self, record: Json) {
+impl Recorder for FrameRecorder {
+    fn enabled(&self) -> bool {
+        self.mode != EventMode::None
+    }
+
+    fn record(&self, event: &Event) {
+        let wanted = match self.mode {
+            EventMode::None => false,
+            EventMode::Coarse => !matches!(event, Event::LoopIter(_) | Event::DomainOps { .. }),
+            EventMode::All => true,
+        };
+        let Some(record) = wanted.then(|| event.to_record()).flatten() else { return };
         let frame = Json::obj([
             ("frame", Json::str("event")),
             ("id", Json::UInt(self.id)),
@@ -288,76 +294,6 @@ impl FrameRecorder {
         ]);
         self.streamed.fetch_add(1, Ordering::Relaxed);
         send(&self.writer, &frame);
-    }
-}
-
-impl Recorder for FrameRecorder {
-    fn enabled(&self) -> bool {
-        self.mode != EventMode::None
-    }
-
-    fn loop_iter(&self, e: &LoopIterEvent) {
-        if self.mode == EventMode::All {
-            self.event(events::loop_iter(e));
-        }
-    }
-
-    fn loop_done(&self, e: &LoopDoneEvent) {
-        self.event(events::loop_done(e));
-    }
-
-    fn unroll(&self, func: &str, loop_id: u32, factor: u32) {
-        self.event(events::unroll(func, loop_id, factor));
-    }
-
-    fn partitions(&self, func: &str, live: u64) {
-        self.event(events::partitions(func, live));
-    }
-
-    fn domain_op_n(&self, domain: &'static str, op: &'static str, count: u64, nanos: u64) {
-        if self.mode == EventMode::All && count > 0 {
-            self.event(events::domain_op_n(domain, op, count, nanos));
-        }
-    }
-
-    fn phase_time(&self, phase: &'static str, nanos: u64) {
-        self.event(events::phase_time(phase, nanos));
-    }
-
-    fn alarm(&self, e: &AlarmEvent) {
-        self.event(events::alarm(e));
-    }
-
-    fn plan(&self, nanos: u64) {
-        self.event(events::plan(nanos));
-    }
-
-    fn slice(&self, e: &SliceEvent) {
-        self.event(events::slice(e));
-    }
-
-    fn merge(&self, stage: u64, slices: usize, nanos: u64) {
-        self.event(events::merge(stage, slices, nanos));
-    }
-
-    fn fallback(&self, reason: &'static str) {
-        self.event(events::fallback(reason));
-    }
-
-    fn pool(&self, p: &PoolCounters) {
-        self.event(events::pool(p));
-    }
-
-    fn batch_job(&self, e: &BatchJobEvent) {
-        self.event(events::batch_job(e));
-    }
-
-    fn cache(&self, c: &CacheCounters) {
-        self.event(events::cache(c));
-    }
-
-    fn fleet(&self, c: &FleetCounters) {
-        self.event(events::fleet(c));
     }
 }
 

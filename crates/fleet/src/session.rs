@@ -21,7 +21,7 @@ use crate::exec::{execute_contained, ExecContext};
 use crate::job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 use crate::proto::Endpoint;
 use astree_core::{AnalysisConfig, InvariantStore};
-use astree_obs::{BatchJobEvent, FleetCounters, Recorder};
+use astree_obs::{BatchJobEvent, Event, FleetCounters, Recorder};
 use astree_sched::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -180,16 +180,16 @@ impl<'p> FleetSessionBuilder<'p> {
         if let Some(rec) = &recorder {
             if rec.enabled() {
                 for out in &outcomes {
-                    rec.batch_job(&BatchJobEvent {
+                    rec.record(&Event::BatchJob(BatchJobEvent {
                         name: &out.name,
                         status: out.status.slug(),
                         reason: out.detail.as_deref(),
                         wall_nanos: out.wall.as_nanos() as u64,
                         worker: out.worker,
                         alarms: out.alarms.map(|n| n as u64),
-                    });
+                    }));
                 }
-                rec.fleet(&counters);
+                rec.record(&Event::Fleet(&counters));
             }
         }
 
@@ -350,8 +350,8 @@ mod tests {
             fn enabled(&self) -> bool {
                 true
             }
-            fn phase_time(&self, _phase: &'static str, _nanos: u64) {
-                if !self.0.swap(true, Ordering::SeqCst) {
+            fn record(&self, event: &Event) {
+                if matches!(event, Event::Phase { .. }) && !self.0.swap(true, Ordering::SeqCst) {
                     panic!("bomb in the recorder");
                 }
             }

@@ -7,13 +7,16 @@
 //! *where* iterations are spent, *which* strategy fired, and *why* the
 //! scheduler fell back, then read it all from one JSON document.
 //!
-//! Two implementations of [`Recorder`] exist:
+//! Every event is one [`Event`]; a [`Recorder`] has two methods,
+//! [`Recorder::enabled`] and [`Recorder::record`]. The implementations:
 //!
-//! - [`NullRecorder`]: every hook is an empty default method and
-//!   [`Recorder::enabled`] is `false`, so instrumented call sites guard with
-//!   one cached boolean and the hot path stays untouched;
+//! - [`NullRecorder`]: disabled, so instrumented call sites guard with one
+//!   cached boolean, build no event and the hot path stays untouched;
 //! - [`Collector`]: aggregates events into a [`Metrics`] document behind a
-//!   mutex and optionally keeps a human-readable per-iteration trace.
+//!   mutex;
+//! - [`StreamSink`]: writes each event's `astree-events/1` record as it
+//!   happens (`--metrics-stream`, `--trace`);
+//! - [`Fanout`]: tees events to several recorders.
 //!
 //! The JSON schema (`astree-metrics/1`) is documented field by field in the
 //! repository's `DESIGN.md`.
@@ -22,6 +25,7 @@ pub mod events;
 pub mod json;
 pub mod stream;
 
+pub use events::Event;
 pub use json::Json;
 pub use stream::{Fanout, StreamSink, EVENT_SCHEMA};
 
@@ -111,6 +115,22 @@ pub struct AlarmEvent<'a> {
     pub iteration: Option<u64>,
 }
 
+impl AlarmEvent<'_> {
+    /// The one JSON rendering: an `alarms[]` entry and the `alarm` record.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("func", Json::str(self.func)),
+            ("stmt", Json::UInt(self.stmt as u64)),
+            ("line", Json::UInt(self.line as u64)),
+            ("kind", Json::str(self.kind)),
+            ("domain", Json::str(self.domain)),
+            ("context", Json::str(self.context)),
+            ("loop", self.loop_id.map_or(Json::Null, |l| Json::UInt(l as u64))),
+            ("iteration", self.iteration.map_or(Json::Null, Json::UInt)),
+        ])
+    }
+}
+
 /// One parallel slice of a sliced stage.
 #[derive(Debug, Clone)]
 pub struct SliceEvent {
@@ -122,6 +142,19 @@ pub struct SliceEvent {
     pub stmts: usize,
     /// Wall time of the slice.
     pub nanos: u64,
+}
+
+impl SliceEvent {
+    /// The one JSON rendering: a `scheduler.slices[]` entry and the `slice`
+    /// record.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("stage", Json::UInt(self.stage)),
+            ("index", Json::UInt(self.index as u64)),
+            ("stmts", Json::UInt(self.stmts as u64)),
+            ("nanos", Json::UInt(self.nanos)),
+        ])
+    }
 }
 
 /// One finished batch job.
@@ -139,6 +172,21 @@ pub struct BatchJobEvent<'a> {
     pub worker: usize,
     /// Alarm count, when the job completed.
     pub alarms: Option<u64>,
+}
+
+impl BatchJobEvent<'_> {
+    /// The one JSON rendering: a `scheduler.batch_jobs[]` entry and the
+    /// `batch_job` record.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", Json::str(self.name)),
+            ("status", Json::str(self.status)),
+            ("reason", self.reason.map_or(Json::Null, Json::str)),
+            ("wall_nanos", Json::UInt(self.wall_nanos)),
+            ("worker", Json::UInt(self.worker as u64)),
+            ("alarms", self.alarms.map_or(Json::Null, Json::UInt)),
+        ])
+    }
 }
 
 /// Invariant-cache counters for one analysis run.
@@ -268,6 +316,22 @@ impl PmapCounters {
     pub fn bytes_live(&self) -> u64 {
         self.slab_bytes_allocated.saturating_sub(self.slab_bytes_freed)
     }
+
+    /// The one JSON rendering: the metrics document's `pmap` section and the
+    /// `pmap` event.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("nodes_allocated", Json::UInt(self.nodes_allocated)),
+            ("merge_calls", Json::UInt(self.merge_calls)),
+            ("root_shortcut_hits", Json::UInt(self.root_shortcut_hits)),
+            ("interior_shortcut_hits", Json::UInt(self.interior_shortcut_hits)),
+            ("identity_preserved", Json::UInt(self.identity_preserved)),
+            ("nodes_recycled", Json::UInt(self.nodes_recycled)),
+            ("slab_bytes_allocated", Json::UInt(self.slab_bytes_allocated)),
+            ("slab_bytes_freed", Json::UInt(self.slab_bytes_freed)),
+            ("bytes_live", Json::UInt(self.bytes_live())),
+        ])
+    }
 }
 
 /// Frame usage of one analysis run: how the entry function's call
@@ -309,7 +373,9 @@ impl FrameCounters {
         self.packs_per_frame.extend(&o.packs_per_frame);
     }
 
-    fn to_json(&self) -> Json {
+    /// The one JSON rendering: the metrics document's `core.frames` and the
+    /// `frames` event.
+    pub fn to_json(&self) -> Json {
         let spread = |sizes: &[u64]| {
             let mut v = sizes.to_vec();
             v.sort_unstable();
@@ -442,7 +508,7 @@ impl FleetCounters {
 ///
 /// Unlike the per-run counters above these describe the *service*, not an
 /// analysis: they are cumulative from daemon start and are reported through
-/// `status` responses rather than the [`Recorder`] hooks.
+/// `status` responses rather than as [`Event`]s.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Requests received (admitted or rejected).
@@ -479,96 +545,27 @@ impl ServeCounters {
 
 /// The telemetry sink threaded through the analysis pipeline.
 ///
-/// Every hook has an empty default body, so implementations opt into the
-/// events they care about and the no-op recorder costs one virtual call at
-/// most — and instrumented sites are expected to cache [`Recorder::enabled`]
-/// and skip event construction entirely when it is `false`.
+/// Instrumented sites cache [`Recorder::enabled`] and build no [`Event`]
+/// when it is `false`, so an unrecorded run pays one branch per site.
 pub trait Recorder: Send + Sync {
     /// `true` when events should be recorded at all.
-    fn enabled(&self) -> bool {
-        false
-    }
+    fn enabled(&self) -> bool;
 
-    /// `true` when per-iteration human-readable tracing is on.
-    fn tracing(&self) -> bool {
-        false
-    }
-
-    /// One fixpoint iteration on a loop.
-    fn loop_iter(&self, _e: &LoopIterEvent) {}
-
-    /// A loop's fixpoint computation finished.
-    fn loop_done(&self, _e: &LoopDoneEvent) {}
-
-    /// Semantic unrolling applied to a loop.
-    fn unroll(&self, _func: &str, _loop_id: u32, _factor: u32) {}
-
-    /// Trace-partition fan-out observed in a function.
-    fn partitions(&self, _func: &str, _live: u64) {}
-
-    /// One timed domain operation.
-    fn domain_op(&self, _domain: &'static str, _op: &'static str, _nanos: u64) {}
-
-    /// A batched domain-operation report: `count` applications of `op`
-    /// totalling `nanos`, accumulated off the hot path (e.g. per-thread
-    /// saved-closure counters drained once per slice).
-    fn domain_op_n(&self, _domain: &'static str, _op: &'static str, _count: u64, _nanos: u64) {}
-
-    /// Wall time of a whole analysis phase (`iterate` / `check`).
-    fn phase_time(&self, _phase: &'static str, _nanos: u64) {}
-
-    /// An alarm was recorded (first report of its (statement, kind) pair).
-    fn alarm(&self, _e: &AlarmEvent) {}
-
-    /// A block's stage plan (footprints, stages, slices) was computed.
-    fn plan(&self, _nanos: u64) {}
-
-    /// A parallel slice completed.
-    fn slice(&self, _e: &SliceEvent) {}
-
-    /// A sliced stage's ordered overlay merge completed.
-    fn merge(&self, _stage: u64, _slices: usize, _nanos: u64) {}
-
-    /// A stage fell back to sequential execution.
-    fn fallback(&self, _reason: &'static str) {}
-
-    /// Worker-pool counters for the run (emitted once per run when
-    /// a pool was active).
-    fn pool(&self, _p: &PoolCounters) {}
-
-    /// A batch job finished.
-    fn batch_job(&self, _e: &BatchJobEvent) {}
-
-    /// Fleet coordinator counters for one fleet run (emitted once per run
-    /// by the fleet session).
-    fn fleet(&self, _c: &FleetCounters) {}
-
-    /// Invariant-cache counters for one analysis run (emitted once per run
-    /// when a cache store is attached to the session).
-    fn cache(&self, _c: &CacheCounters) {}
-
-    /// Persistent-map sharing counters for one analysis run (emitted once
-    /// per run by the analysis session).
-    fn pmap(&self, _c: &PmapCounters) {}
-
-    /// Frame usage of one analysis run (emitted once per run by the analysis
-    /// session).
-    fn frames(&self, _c: &FrameCounters) {}
-
-    /// Octagon pack sizes (variable count per discovered pack), emitted
-    /// once per run right after pack discovery. Feeds the pack-size
-    /// histogram that backs the small-pack kernel dispatch policy.
-    fn pack_sizes(&self, _sizes: &[usize]) {}
-
-    /// Free-form trace line (only meaningful when [`Recorder::tracing`]).
-    fn trace(&self, _line: &str) {}
+    /// Records one event.
+    fn record(&self, event: &Event);
 }
 
 /// The no-op recorder: the default everywhere, adds no observable cost.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
-impl Recorder for NullRecorder {}
+impl Recorder for NullRecorder {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&self, _event: &Event) {}
+}
 
 /// A shared no-op instance for call sites needing a `&'static dyn Recorder`.
 pub static NULL: NullRecorder = NullRecorder;
@@ -637,17 +634,20 @@ pub struct AlarmRecord {
     pub iteration: Option<u64>,
 }
 
-/// One recorded slice (owned mirror of [`SliceEvent`]).
-#[derive(Debug, Clone)]
-pub struct SliceRecord {
-    /// Stage sequence number.
-    pub stage: u64,
-    /// Slice index within the stage.
-    pub index: usize,
-    /// Statements in the slice.
-    pub stmts: usize,
-    /// Wall time.
-    pub nanos: u64,
+impl AlarmRecord {
+    /// The event this record keeps.
+    fn as_event(&self) -> AlarmEvent<'_> {
+        AlarmEvent {
+            func: &self.func,
+            stmt: self.stmt,
+            line: self.line,
+            kind: &self.kind,
+            domain: self.domain,
+            context: &self.context,
+            loop_id: self.loop_id,
+            iteration: self.iteration,
+        }
+    }
 }
 
 /// One recorded batch job (owned mirror of [`BatchJobEvent`]).
@@ -667,13 +667,27 @@ pub struct BatchJobRecord {
     pub alarms: Option<u64>,
 }
 
+impl BatchJobRecord {
+    /// The event this record keeps.
+    fn as_event(&self) -> BatchJobEvent<'_> {
+        BatchJobEvent {
+            name: &self.name,
+            status: &self.status,
+            reason: self.reason.as_deref(),
+            wall_nanos: self.wall_nanos,
+            worker: self.worker,
+            alarms: self.alarms,
+        }
+    }
+}
+
 /// Scheduler-side counters (parallel slicing + batch execution).
 #[derive(Debug, Default, Clone)]
 pub struct SchedulerMetrics {
     /// Sliced stages executed.
     pub stages: u64,
     /// Per-slice timings.
-    pub slices: Vec<SliceRecord>,
+    pub slices: Vec<SliceEvent>,
     /// Ordered overlay merges performed.
     pub merges: u64,
     /// Total merge wall time.
@@ -778,42 +792,11 @@ impl Metrics {
         );
         let phases =
             Json::Obj(self.phases.iter().map(|(p, n)| (p.to_string(), Json::UInt(*n))).collect());
-        let alarms = Json::Arr(
-            self.alarms
-                .iter()
-                .map(|a| {
-                    Json::obj([
-                        ("func", Json::str(&a.func)),
-                        ("stmt", Json::UInt(a.stmt as u64)),
-                        ("line", Json::UInt(a.line as u64)),
-                        ("kind", Json::str(&a.kind)),
-                        ("domain", Json::str(a.domain)),
-                        ("context", Json::str(&a.context)),
-                        ("loop", a.loop_id.map_or(Json::Null, |l| Json::UInt(l as u64))),
-                        ("iteration", a.iteration.map_or(Json::Null, Json::UInt)),
-                    ])
-                })
-                .collect(),
-        );
+        let alarms = Json::Arr(self.alarms.iter().map(|a| a.as_event().to_json()).collect());
         let s = &self.scheduler;
         let scheduler = Json::obj([
             ("stages", Json::UInt(s.stages)),
-            (
-                "slices",
-                Json::Arr(
-                    s.slices
-                        .iter()
-                        .map(|sl| {
-                            Json::obj([
-                                ("stage", Json::UInt(sl.stage)),
-                                ("index", Json::UInt(sl.index as u64)),
-                                ("stmts", Json::UInt(sl.stmts as u64)),
-                                ("nanos", Json::UInt(sl.nanos)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("slices", Json::Arr(s.slices.iter().map(SliceEvent::to_json).collect())),
             ("merges", Json::UInt(s.merges)),
             ("merge_nanos", Json::UInt(s.merge_nanos)),
             ("plan_nanos", Json::UInt(s.plan_nanos)),
@@ -825,46 +808,10 @@ impl Metrics {
             ),
             (
                 "batch_jobs",
-                Json::Arr(
-                    s.batch_jobs
-                        .iter()
-                        .map(|j| {
-                            Json::obj([
-                                ("name", Json::str(&j.name)),
-                                ("status", Json::str(&j.status)),
-                                ("reason", j.reason.as_deref().map_or(Json::Null, Json::str)),
-                                ("wall_nanos", Json::UInt(j.wall_nanos)),
-                                ("worker", Json::UInt(j.worker as u64)),
-                                ("alarms", j.alarms.map_or(Json::Null, Json::UInt)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(s.batch_jobs.iter().map(|j| j.as_event().to_json()).collect()),
             ),
             ("pool", s.pool.as_ref().map_or(Json::Null, PoolCounters::to_json)),
         ]);
-        let p = &self.pmap;
-        let pmap = Json::obj([
-            ("nodes_allocated", Json::UInt(p.nodes_allocated)),
-            ("merge_calls", Json::UInt(p.merge_calls)),
-            ("root_shortcut_hits", Json::UInt(p.root_shortcut_hits)),
-            ("interior_shortcut_hits", Json::UInt(p.interior_shortcut_hits)),
-            ("identity_preserved", Json::UInt(p.identity_preserved)),
-            ("nodes_recycled", Json::UInt(p.nodes_recycled)),
-            ("slab_bytes_allocated", Json::UInt(p.slab_bytes_allocated)),
-            ("slab_bytes_freed", Json::UInt(p.slab_bytes_freed)),
-            ("bytes_live", Json::UInt(p.bytes_live())),
-        ]);
-        let packs = Json::obj([(
-            "octagon_size_histogram",
-            Json::Obj(
-                self.pack_size_histogram
-                    .iter()
-                    .map(|(size, count)| (size.to_string(), Json::UInt(*count)))
-                    .collect(),
-            ),
-        )]);
-        let fleet = self.fleet.as_ref().map_or(Json::Null, FleetCounters::to_json);
         Json::obj([
             ("schema", Json::str(SCHEMA)),
             ("functions", functions),
@@ -873,11 +820,21 @@ impl Metrics {
             ("alarms", alarms),
             ("scheduler", scheduler),
             ("cache", self.cache.to_json()),
-            ("pmap", pmap),
+            ("pmap", self.pmap.to_json()),
             ("core", Json::obj([("frames", self.frames.to_json())])),
-            ("packs", packs),
-            ("fleet", fleet),
+            ("packs", events::packs_json(&self.pack_size_histogram)),
+            ("fleet", self.fleet.as_ref().map_or(Json::Null, FleetCounters::to_json)),
         ])
+    }
+
+    fn loop_metrics(&mut self, func: &str, loop_id: u32) -> &mut LoopMetrics {
+        self.functions.entry(func.to_string()).or_default().loops.entry(loop_id).or_default()
+    }
+
+    fn add_op(&mut self, domain: &'static str, op: &'static str, count: u64, nanos: u64) {
+        let m = self.domains.entry(domain).or_default().entry(op).or_default();
+        m.count += count;
+        m.nanos += nanos;
     }
 }
 
@@ -886,7 +843,7 @@ impl Metrics {
 // ---------------------------------------------------------------------------
 
 /// The collecting recorder: aggregates every event into a [`Metrics`]
-/// document and, when tracing, keeps the human-readable iteration log.
+/// document.
 ///
 /// The single mutex is deliberate: telemetry runs are diagnostic runs, and
 /// the per-event cost (one short critical section) is negligible next to the
@@ -894,19 +851,12 @@ impl Metrics {
 #[derive(Debug, Default)]
 pub struct Collector {
     metrics: Mutex<Metrics>,
-    trace_on: bool,
-    trace_lines: Mutex<Vec<String>>,
 }
 
 impl Collector {
-    /// A collector without tracing.
+    /// An empty collector.
     pub fn new() -> Collector {
         Collector::default()
-    }
-
-    /// A collector that also records the per-iteration trace log.
-    pub fn with_trace() -> Collector {
-        Collector { trace_on: true, ..Collector::default() }
     }
 
     /// A copy of the aggregated metrics so far.
@@ -914,18 +864,9 @@ impl Collector {
         self.metrics.lock().expect("collector poisoned").clone()
     }
 
-    /// Drains the trace log.
-    pub fn take_trace(&self) -> Vec<String> {
-        std::mem::take(&mut *self.trace_lines.lock().expect("collector poisoned"))
-    }
-
     /// Renders the aggregated metrics as the `astree-metrics/1` document.
     pub fn to_json(&self) -> Json {
         self.snapshot().to_json()
-    }
-
-    fn push_trace(&self, line: String) {
-        self.trace_lines.lock().expect("collector poisoned").push(line);
     }
 }
 
@@ -934,106 +875,33 @@ impl Recorder for Collector {
         true
     }
 
-    fn tracing(&self) -> bool {
-        self.trace_on
-    }
-
-    fn loop_iter(&self, e: &LoopIterEvent) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            let l = m
-                .functions
-                .entry(e.func.to_string())
-                .or_default()
-                .loops
-                .entry(e.loop_id)
-                .or_default();
-            l.iterations += 1;
-            match e.phase {
-                Phase::Union => l.union_iterations += 1,
-                Phase::Widen | Phase::WidenTop => l.widenings += 1,
-                Phase::Narrow => l.narrowings += 1,
+    fn record(&self, event: &Event) {
+        let mut m = self.metrics.lock().expect("collector poisoned");
+        match event {
+            Event::LoopIter(e) => {
+                let l = m.loop_metrics(e.func, e.loop_id);
+                l.iterations += 1;
+                match e.phase {
+                    Phase::Union => l.union_iterations += 1,
+                    Phase::Widen | Phase::WidenTop => l.widenings += 1,
+                    Phase::Narrow => l.narrowings += 1,
+                }
+                l.threshold_hits += e.threshold_hits;
+                l.infinity_escapes += e.infinity_escapes;
             }
-            l.threshold_hits += e.threshold_hits;
-            l.infinity_escapes += e.infinity_escapes;
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "[{}] loop {} iter {:>3} {:<9} unstable={} hits={} escapes={}",
-                e.func,
-                e.loop_id,
-                e.iteration,
-                e.phase.as_str(),
-                e.unstable_cells,
-                e.threshold_hits,
-                e.infinity_escapes,
-            ));
-        }
-    }
-
-    fn loop_done(&self, e: &LoopDoneEvent) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            let l = m
-                .functions
-                .entry(e.func.to_string())
-                .or_default()
-                .loops
-                .entry(e.loop_id)
-                .or_default();
-            l.stabilized_at = e.stabilized_at;
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "[{}] loop {} stable after {} iteration(s) ({} total)",
-                e.func, e.loop_id, e.stabilized_at, e.iterations,
-            ));
-        }
-    }
-
-    fn unroll(&self, func: &str, loop_id: u32, factor: u32) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        m.functions
-            .entry(func.to_string())
-            .or_default()
-            .loops
-            .entry(loop_id)
-            .or_default()
-            .unroll_factor = factor;
-    }
-
-    fn partitions(&self, func: &str, live: u64) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        let f = m.functions.entry(func.to_string()).or_default();
-        f.peak_partitions = f.peak_partitions.max(live);
-    }
-
-    fn domain_op(&self, domain: &'static str, op: &'static str, nanos: u64) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        let e = m.domains.entry(domain).or_default().entry(op).or_default();
-        e.count += 1;
-        e.nanos += nanos;
-    }
-
-    fn domain_op_n(&self, domain: &'static str, op: &'static str, count: u64, nanos: u64) {
-        if count == 0 {
-            return;
-        }
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        let e = m.domains.entry(domain).or_default().entry(op).or_default();
-        e.count += count;
-        e.nanos += nanos;
-    }
-
-    fn phase_time(&self, phase: &'static str, nanos: u64) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        *m.phases.entry(phase).or_insert(0) += nanos;
-    }
-
-    fn alarm(&self, e: &AlarmEvent) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            m.alarms.push(AlarmRecord {
+            Event::LoopDone(e) => m.loop_metrics(e.func, e.loop_id).stabilized_at = e.stabilized_at,
+            Event::Unroll { func, loop_id, factor } => {
+                m.loop_metrics(func, *loop_id).unroll_factor = *factor
+            }
+            Event::Partitions { func, live } => {
+                let f = m.functions.entry(func.to_string()).or_default();
+                f.peak_partitions = f.peak_partitions.max(*live);
+            }
+            Event::DomainOp { domain, op, nanos } => m.add_op(domain, op, 1, *nanos),
+            Event::DomainOps { count: 0, .. } => {}
+            Event::DomainOps { domain, op, count, nanos } => m.add_op(domain, op, *count, *nanos),
+            Event::Phase { phase, nanos } => *m.phases.entry(*phase).or_insert(0) += nanos,
+            Event::Alarm(e) => m.alarms.push(AlarmRecord {
                 func: e.func.to_string(),
                 stmt: e.stmt,
                 line: e.line,
@@ -1042,159 +910,29 @@ impl Recorder for Collector {
                 context: e.context.to_string(),
                 loop_id: e.loop_id,
                 iteration: e.iteration,
-            });
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "[{}] alarm {} at line {} ({}): {}",
-                e.func, e.kind, e.line, e.domain, e.context,
-            ));
-        }
-    }
-
-    fn plan(&self, nanos: u64) {
-        self.metrics.lock().expect("collector poisoned").scheduler.plan_nanos += nanos;
-        if self.trace_on {
-            self.push_trace(format!("scheduler: planned a block in {nanos} ns"));
-        }
-    }
-
-    fn slice(&self, e: &SliceEvent) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        m.scheduler.slices.push(SliceRecord {
-            stage: e.stage,
-            index: e.index,
-            stmts: e.stmts,
-            nanos: e.nanos,
-        });
-    }
-
-    fn merge(&self, _stage: u64, slices: usize, nanos: u64) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        m.scheduler.stages += 1;
-        m.scheduler.merges += slices as u64;
-        m.scheduler.merge_nanos += nanos;
-    }
-
-    fn fallback(&self, reason: &'static str) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            *m.scheduler.fallbacks.entry(reason).or_insert(0) += 1;
-        }
-        if self.trace_on {
-            self.push_trace(format!("scheduler: sequential fallback ({reason})"));
-        }
-    }
-
-    fn pool(&self, p: &PoolCounters) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            m.scheduler.pool = Some(p.clone());
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "pool: workers={} tasks={} steals={} max_depth={}",
-                p.workers, p.tasks, p.steals, p.max_queue_depth,
-            ));
-        }
-    }
-
-    fn batch_job(&self, e: &BatchJobEvent) {
-        let mut m = self.metrics.lock().expect("collector poisoned");
-        m.scheduler.batch_jobs.push(BatchJobRecord {
-            name: e.name.to_string(),
-            status: e.status.to_string(),
-            reason: e.reason.map(|s| s.to_string()),
-            wall_nanos: e.wall_nanos,
-            worker: e.worker,
-            alarms: e.alarms,
-        });
-    }
-
-    fn cache(&self, c: &CacheCounters) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            m.cache.add(c);
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "cache: full_hits={} misses={} solved={} evictions={} corrupt={}",
-                c.full_hits, c.misses, c.loops_solved, c.evictions, c.corrupt_files,
-            ));
-        }
-    }
-
-    fn pmap(&self, c: &PmapCounters) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            m.pmap.add(c);
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "pmap: allocated={} recycled={} merges={} root_hits={} interior_hits={} \
-                 identity={} bytes_live={}",
-                c.nodes_allocated,
-                c.nodes_recycled,
-                c.merge_calls,
-                c.root_shortcut_hits,
-                c.interior_shortcut_hits,
-                c.identity_preserved,
-                c.bytes_live(),
-            ));
-        }
-    }
-
-    fn frames(&self, c: &FrameCounters) {
-        self.metrics.lock().expect("collector poisoned").frames.add(c);
-        if self.trace_on {
-            self.push_trace(format!(
-                "frames: framed={} whole={}/{}/{} (wait/depth_cap/not_small) frames={} \
-                 witnesses_rejected={}",
-                c.calls_framed,
-                c.calls_whole_wait,
-                c.calls_whole_depth_cap,
-                c.calls_whole_not_small,
-                c.cells_per_frame.len(),
-                c.witnesses_rejected_shape,
-            ));
-        }
-    }
-
-    fn pack_sizes(&self, sizes: &[usize]) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            for &s in sizes {
-                *m.pack_size_histogram.entry(s).or_insert(0) += 1;
+            }),
+            Event::Plan { nanos } => m.scheduler.plan_nanos += nanos,
+            Event::Slice(e) => m.scheduler.slices.push(e.clone()),
+            Event::Merge { stage: _, slices, nanos } => {
+                m.scheduler.stages += 1;
+                m.scheduler.merges += *slices as u64;
+                m.scheduler.merge_nanos += nanos;
             }
-        }
-        if self.trace_on {
-            self.push_trace(format!("packs: octagon_sizes={sizes:?}"));
-        }
-    }
-
-    fn fleet(&self, c: &FleetCounters) {
-        {
-            let mut m = self.metrics.lock().expect("collector poisoned");
-            m.fleet = Some(c.clone());
-        }
-        if self.trace_on {
-            self.push_trace(format!(
-                "fleet: workers={} jobs={} resent={} crashes={} store_hits={} \
-                 store_gets={} store_puts={}",
-                c.workers,
-                c.jobs,
-                c.resent,
-                c.crashes,
-                c.store_full_hits,
-                c.store_gets,
-                c.store_puts,
-            ));
-        }
-    }
-
-    fn trace(&self, line: &str) {
-        if self.trace_on {
-            self.push_trace(line.to_string());
+            Event::Fallback { reason } => *m.scheduler.fallbacks.entry(*reason).or_insert(0) += 1,
+            Event::Pool(c) => m.scheduler.pool = Some((*c).clone()),
+            Event::BatchJob(e) => m.scheduler.batch_jobs.push(BatchJobRecord {
+                name: e.name.to_string(),
+                status: e.status.to_string(),
+                reason: e.reason.map(str::to_string),
+                wall_nanos: e.wall_nanos,
+                worker: e.worker,
+                alarms: e.alarms,
+            }),
+            Event::Fleet(c) => m.fleet = Some((*c).clone()),
+            Event::Cache(c) => m.cache.add(c),
+            Event::Pmap(c) => m.pmap.add(c),
+            Event::Frames(c) => m.frames.add(c),
+            Event::PackSizes(sizes) => events::count_pack_sizes(&mut m.pack_size_histogram, sizes),
         }
     }
 }
@@ -1203,21 +941,23 @@ impl Recorder for Collector {
 mod tests {
     use super::*;
 
+    fn loop_iter(loop_id: u32, iteration: u64, phase: Phase) -> Event<'static> {
+        Event::LoopIter(LoopIterEvent {
+            func: "main",
+            loop_id,
+            iteration,
+            phase,
+            unstable_cells: 2,
+            threshold_hits: u64::from(phase == Phase::Widen),
+            infinity_escapes: 0,
+        })
+    }
+
     #[test]
     fn null_recorder_is_disabled() {
         assert!(!NullRecorder.enabled());
-        assert!(!NULL.tracing());
-        // All hooks are no-ops and must not panic.
-        NULL.loop_iter(&LoopIterEvent {
-            func: "main",
-            loop_id: 0,
-            iteration: 1,
-            phase: Phase::Union,
-            unstable_cells: 0,
-            threshold_hits: 0,
-            infinity_escapes: 0,
-        });
-        NULL.fallback("worker_panic");
+        NULL.record(&loop_iter(0, 1, Phase::Union));
+        NULL.record(&Event::Fallback { reason: "worker_panic" });
     }
 
     #[test]
@@ -1226,18 +966,15 @@ mod tests {
         for (i, phase) in
             [Phase::Union, Phase::Union, Phase::Widen, Phase::Narrow].into_iter().enumerate()
         {
-            c.loop_iter(&LoopIterEvent {
-                func: "main",
-                loop_id: 3,
-                iteration: i as u64 + 1,
-                phase,
-                unstable_cells: 2,
-                threshold_hits: u64::from(phase == Phase::Widen),
-                infinity_escapes: 0,
-            });
+            c.record(&loop_iter(3, i as u64 + 1, phase));
         }
-        c.loop_done(&LoopDoneEvent { func: "main", loop_id: 3, iterations: 4, stabilized_at: 3 });
-        c.unroll("main", 3, 2);
+        c.record(&Event::LoopDone(LoopDoneEvent {
+            func: "main",
+            loop_id: 3,
+            iterations: 4,
+            stabilized_at: 3,
+        }));
+        c.record(&Event::Unroll { func: "main", loop_id: 3, factor: 2 });
         let m = c.snapshot();
         let l = &m.functions["main"].loops[&3];
         assert_eq!(l.iterations, 4);
@@ -1252,50 +989,33 @@ mod tests {
     #[test]
     fn collector_aggregates_domain_and_scheduler_events() {
         let c = Collector::new();
-        c.domain_op("octagon", "closure", 10);
-        c.domain_op("octagon", "closure", 5);
-        c.domain_op("state", "widen", 7);
-        c.slice(&SliceEvent { stage: 1, index: 0, stmts: 8, nanos: 100 });
-        c.merge(1, 2, 50);
-        c.fallback("worker_panic");
-        c.fallback("worker_panic");
-        c.phase_time("iterate", 1000);
+        c.record(&Event::DomainOp { domain: "octagon", op: "closure", nanos: 10 });
+        c.record(&Event::DomainOp { domain: "octagon", op: "closure", nanos: 5 });
+        c.record(&Event::DomainOps { domain: "octagon", op: "closure", count: 3, nanos: 0 });
+        c.record(&Event::DomainOps { domain: "octagon", op: "closure_saved", count: 0, nanos: 0 });
+        c.record(&Event::DomainOp { domain: "state", op: "widen", nanos: 7 });
+        c.record(&Event::Slice(SliceEvent { stage: 1, index: 0, stmts: 8, nanos: 100 }));
+        c.record(&Event::Merge { stage: 1, slices: 2, nanos: 50 });
+        c.record(&Event::Fallback { reason: "worker_panic" });
+        c.record(&Event::Fallback { reason: "worker_panic" });
+        c.record(&Event::Phase { phase: "iterate", nanos: 1000 });
         let m = c.snapshot();
-        assert_eq!(m.domains["octagon"]["closure"].count, 2);
+        assert_eq!(m.domains["octagon"]["closure"].count, 5);
         assert_eq!(m.domains["octagon"]["closure"].nanos, 15);
+        assert!(!m.domains["octagon"].contains_key("closure_saved"), "an empty batch adds nothing");
         assert_eq!(m.domains["state"]["widen"].count, 1);
         assert_eq!(m.scheduler.slices.len(), 1);
         assert_eq!(m.scheduler.stages, 1);
+        assert_eq!(m.scheduler.merges, 2);
         assert_eq!(m.scheduler.fallbacks["worker_panic"], 2);
         assert_eq!(m.phases["iterate"], 1000);
     }
 
     #[test]
-    fn trace_lines_are_kept_only_when_tracing() {
-        let quiet = Collector::new();
-        quiet.trace("hidden");
-        assert!(quiet.take_trace().is_empty());
-        let loud = Collector::with_trace();
-        loud.trace("shown");
-        loud.fallback("slice_shape");
-        let lines = loud.take_trace();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].contains("slice_shape"));
-    }
-
-    #[test]
     fn json_document_matches_schema() {
         let c = Collector::new();
-        c.loop_iter(&LoopIterEvent {
-            func: "main",
-            loop_id: 0,
-            iteration: 1,
-            phase: Phase::Widen,
-            unstable_cells: 1,
-            threshold_hits: 1,
-            infinity_escapes: 0,
-        });
-        c.alarm(&AlarmEvent {
+        c.record(&loop_iter(0, 1, Phase::Widen));
+        c.record(&Event::Alarm(AlarmEvent {
             func: "main",
             stmt: 7,
             line: 12,
@@ -1304,40 +1024,44 @@ mod tests {
             context: "x / y",
             loop_id: Some(0),
             iteration: Some(1),
-        });
-        c.batch_job(&BatchJobEvent {
+        }));
+        c.record(&Event::BatchJob(BatchJobEvent {
             name: "gen-1",
             status: "done",
             reason: None,
             wall_nanos: 5,
             worker: 0,
             alarms: Some(1),
-        });
-        c.cache(&CacheCounters { full_hits: 1, saved_nanos: 500, ..CacheCounters::default() });
-        c.pmap(&PmapCounters {
+        }));
+        c.record(&Event::Cache(&CacheCounters {
+            full_hits: 1,
+            saved_nanos: 500,
+            ..CacheCounters::default()
+        }));
+        c.record(&Event::Pmap(&PmapCounters {
             nodes_allocated: 10,
             identity_preserved: 3,
             nodes_recycled: 4,
             slab_bytes_allocated: 640,
             slab_bytes_freed: 128,
             ..Default::default()
-        });
-        c.frames(&FrameCounters {
+        }));
+        c.record(&Event::Frames(&FrameCounters {
             calls_framed: 7,
             calls_whole_not_small: 1,
             witnesses_rejected_shape: 2,
             cells_per_frame: vec![51, 49, 60],
             packs_per_frame: vec![15, 15, 16],
             ..FrameCounters::default()
-        });
-        c.pack_sizes(&[2, 2, 3, 2]);
-        c.fleet(&FleetCounters {
+        }));
+        c.record(&Event::PackSizes(&[2, 2, 3, 2]));
+        c.record(&Event::Fleet(&FleetCounters {
             workers: 2,
             processes: true,
             jobs: 3,
             per_worker: vec![FleetWorkerCounters { jobs: 2, busy_nanos: 9 }],
             ..FleetCounters::default()
-        });
+        }));
         let j = c.to_json();
         assert_eq!(j.get("schema"), Some(&Json::str(SCHEMA)));
         for key in [

@@ -19,7 +19,7 @@ use astree::fleet::{self, FleetSession, JobSpec};
 use astree::frontend::Frontend;
 use astree::gen::{generate, BugKind, GenConfig};
 use astree::ir::{Interp, InterpConfig, SeededInputs};
-use astree::obs::Json;
+use astree::obs::{Collector, Json};
 use astree::options::{RunOptions, RUN_OPTIONS_HELP};
 use astree::oracle::{campaign_to_json, DivergenceKind, OracleConfig};
 use astree::serve::client::AnalyzeRequest;
@@ -164,18 +164,15 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let jobs = config.jobs;
     let store = run.open_store()?;
     let result = if run.record() {
-        let collector = Arc::new(run.collector());
-        let stream = run.open_stream()?;
-        let rec = run.recorder(&collector, &stream);
+        let collector = Arc::new(Collector::new());
+        let streams = run.open_streams()?;
+        let rec = run.recorder(&collector, &streams);
         let mut builder = AnalysisSession::builder(&program).config(config).recorder(rec.as_ref());
         if let Some(s) = &store {
             builder = builder.cache(Arc::clone(s));
         }
         let result = builder.build().run();
-        if let Some(sink) = &stream {
-            sink.flush();
-        }
-        run.finish(&collector)?;
+        run.finish(&collector, &streams)?;
         result
     } else {
         let mut builder = AnalysisSession::builder(&program).config(config);
@@ -359,8 +356,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     let n = jobs.len();
     let store = run.open_store()?;
     let record = run.record();
-    let collector = Arc::new(run.collector());
-    let stream = run.open_stream()?;
+    let collector = Arc::new(Collector::new());
+    let streams = run.open_streams()?;
     let mut builder = FleetSession::builder()
         .jobs(jobs)
         .config(config)
@@ -380,14 +377,11 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         builder = builder.cache(Arc::clone(store));
     }
     if record {
-        builder = builder.recorder(run.recorder(&collector, &stream));
+        builder = builder.recorder(run.recorder(&collector, &streams));
     }
     let report = builder.run();
-    if let Some(sink) = &stream {
-        sink.flush();
-    }
     if record {
-        run.finish(&collector)?;
+        run.finish(&collector, &streams)?;
     }
     if store.is_some() {
         // From the outcomes, not the store's counters: a worker process's

@@ -2,8 +2,9 @@
 //!
 //! `astree analyze` and `astree batch` accept the same cross-cutting flags
 //! (`--jobs`, `--metrics`, `--trace`, `--cache`); [`RunOptions`] parses them
-//! once and owns the derived machinery — the telemetry [`Collector`] and the
-//! on-disk [`InvariantStore`] — so both commands stay in sync.
+//! once and owns the derived machinery — the telemetry [`Collector`] and
+//! event streams and the on-disk [`InvariantStore`] — so both commands stay
+//! in sync.
 
 use astree_core::InvariantStore;
 use astree_obs::{Collector, Fanout, Recorder, StreamSink};
@@ -14,7 +15,7 @@ pub const RUN_OPTIONS_HELP: &str =
     "--jobs N runs N workers (see the command's help for which pool)\n\
      --metrics FILE writes the astree-metrics/1 JSON document\n\
      --metrics-stream FILE appends astree-events/1 JSONL records as they happen\n\
-     --trace prints the per-iteration fixpoint log to stderr\n\
+     --trace streams the same astree-events/1 records to stderr\n\
      --cache DIR reuses invariants across runs from the given directory\n\
      --cache-max-mb N bounds the cache directory, evicting oldest entries";
 
@@ -29,7 +30,8 @@ pub struct RunOptions {
     /// `--metrics-stream FILE`: append astree-events/1 JSONL records there
     /// as the analysis runs (line-buffered, crash-readable).
     pub metrics_stream: Option<String>,
-    /// `--trace`: stream the fixpoint log to stderr.
+    /// `--trace`: stream the astree-events/1 records to stderr as they
+    /// happen.
     pub trace: bool,
     /// `--cache DIR`: persist and reuse invariants across runs.
     pub cache_dir: Option<String>,
@@ -77,42 +79,35 @@ impl RunOptions {
         self.metrics_path.is_some() || self.metrics_stream.is_some() || self.trace
     }
 
-    /// Builds the collector matching the options.
-    pub fn collector(&self) -> Collector {
+    /// Opens the event streams the options ask for: the `--metrics-stream`
+    /// file and, for `--trace`, stderr.
+    pub fn open_streams(&self) -> Result<Vec<Arc<StreamSink>>, String> {
+        let mut streams = Vec::new();
+        if let Some(path) = &self.metrics_stream {
+            let sink =
+                StreamSink::create(path).map_err(|e| format!("--metrics-stream {path}: {e}"))?;
+            streams.push(Arc::new(sink));
+        }
         if self.trace {
-            Collector::with_trace()
-        } else {
-            Collector::new()
+            let sink = StreamSink::new(std::io::stderr()).map_err(|e| format!("--trace: {e}"))?;
+            streams.push(Arc::new(sink));
         }
-    }
-
-    /// Opens the JSONL event stream when `--metrics-stream` was given.
-    pub fn open_stream(&self) -> Result<Option<Arc<StreamSink>>, String> {
-        match &self.metrics_stream {
-            Some(path) => {
-                let sink = StreamSink::create(path)
-                    .map_err(|e| format!("--metrics-stream {path}: {e}"))?;
-                Ok(Some(Arc::new(sink)))
-            }
-            None => Ok(None),
-        }
+        Ok(streams)
     }
 
     /// Assembles the recorder stack for a run: the collector alone, or a
-    /// [`Fanout`] teeing into the JSONL stream when one is open.
+    /// [`Fanout`] teeing into the event streams when any is open.
     pub fn recorder(
         &self,
         collector: &Arc<Collector>,
-        stream: &Option<Arc<StreamSink>>,
+        streams: &[Arc<StreamSink>],
     ) -> Arc<dyn Recorder> {
-        match stream {
-            Some(sink) => {
-                let sinks: Vec<Arc<dyn Recorder>> =
-                    vec![Arc::clone(collector) as _, Arc::clone(sink) as _];
-                Arc::new(Fanout::new(sinks))
-            }
-            None => Arc::clone(collector) as _,
+        if streams.is_empty() {
+            return Arc::clone(collector) as _;
         }
+        let mut sinks: Vec<Arc<dyn Recorder>> = vec![Arc::clone(collector) as _];
+        sinks.extend(streams.iter().map(|s| Arc::clone(s) as _));
+        Arc::new(Fanout::new(sinks))
     }
 
     /// Opens the invariant store when `--cache` was given, bounded when
@@ -136,11 +131,11 @@ impl RunOptions {
         }
     }
 
-    /// Flushes the collector: prints the trace (if any) to stderr and writes
-    /// the metrics document (if requested).
-    pub fn finish(&self, collector: &Collector) -> Result<(), String> {
-        for line in collector.take_trace() {
-            eprintln!("{line}");
+    /// Flushes the event streams and writes the metrics document (if
+    /// requested).
+    pub fn finish(&self, collector: &Collector, streams: &[Arc<StreamSink>]) -> Result<(), String> {
+        for s in streams {
+            s.flush();
         }
         if let Some(path) = &self.metrics_path {
             std::fs::write(path, collector.to_json().to_string())
