@@ -151,19 +151,19 @@ fn close_under_packs(
     let mut work: Vec<CellId> = cells.iter().copied().collect();
     while let Some(c) = work.pop() {
         let mut members: BTreeSet<CellId> = BTreeSet::new();
-        for &pi in packs.oct_index.get(&c).into_iter().flatten() {
+        for pi in packs.oct_index.get(c) {
             if octs.insert(pi as u32) {
                 members.extend(&packs.octagons[pi].cells);
             }
         }
-        for &pi in packs.dtree_index.get(&c).into_iter().flatten() {
+        for pi in packs.dtree_index.get(c) {
             if dtrees.insert(pi as u32) {
                 let p = &packs.dtrees[pi];
                 members.extend(p.bools.iter().chain(&p.nums));
             }
         }
-        let by_state = packs.ellipse_index.get(&c).into_iter().flatten();
-        for &pi in by_state.chain(ell_by_tmp.get(&c).into_iter().flatten()) {
+        let by_tmp = ell_by_tmp.get(&c).into_iter().flatten().copied();
+        for pi in packs.ellipse_index.get(c).chain(by_tmp) {
             if ells.insert(pi as u32) {
                 let p = &packs.ellipses[pi];
                 members.extend([p.x, p.y]);

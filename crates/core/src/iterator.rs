@@ -1049,7 +1049,7 @@ impl<'a> Iter<'a> {
             return state;
         }
         // Ellipsoid pending computation at the filter group's first stmt.
-        if let Some(&pi) = self.packs.ellipse_starts.get(&s.id) {
+        if let Some(pi) = self.packs.ellipse_starts.get(s.id) {
             let t0 = self.rec_on.then(Instant::now);
             let d = self.ellipse_delta(&state, pi);
             state.set_pending(pi, d);
@@ -1062,7 +1062,7 @@ impl<'a> Iter<'a> {
         let cell = (target.strong && target.cells.len() == 1).then(|| target.cells[0]);
         let t0 = self.rec_on.then(Instant::now);
         let shape = cell
-            .filter(|c| self.packs.oct_index.contains_key(c))
+            .filter(|c| self.packs.oct_index.holds(*c))
             .and_then(|_| self.affine_shape(&state.env, e));
         let shape_ns = t0.map_or(0, Self::nanos_since);
         let t0 = self.rec_on.then(Instant::now);
@@ -1078,7 +1078,7 @@ impl<'a> Iter<'a> {
         }
         // Relational updates.
         let Some(cell) = cell else {
-            for c in &target.cells {
+            for c in target.cells.iter() {
                 state.forget_cell(*c, self.layout, self.packs);
             }
             return state;
@@ -1129,8 +1129,7 @@ impl<'a> Iter<'a> {
         cell: CellId,
         shape: Option<(CellId, bool, f64, f64)>,
     ) {
-        let Some(pids) = self.packs.oct_index.get(&cell) else { return };
-        for &pi in pids {
+        for pi in self.packs.oct_index.get(cell) {
             let slot = self.packs.oct_slot(pi, cell).expect("cell in pack");
             let mut oct = out.oct(pi, self.packs).into_owned();
             // The exact affine shapes x := ±y + [lo, hi] when y is in the
@@ -1226,7 +1225,6 @@ impl<'a> Iter<'a> {
     /// of every pack holding `cell`, computed from the pre-state `pre` alone
     /// (the caller writes them once the environment is updated).
     fn dtree_assign(&self, pre: &AbsState, cell: CellId, e: &Expr) -> Vec<(usize, DTree)> {
-        let Some(pids) = self.packs.dtree_index.get(&cell) else { return Vec::new() };
         let eval = &self.eval;
         let layout = self.layout;
         let env = &pre.env;
@@ -1244,8 +1242,10 @@ impl<'a> Iter<'a> {
             Some(ctx)
         };
         let dead = |leaf: &PackEnv| PackEnv { cells: leaf.cells.clone(), unreachable: true };
-        pids.iter()
-            .map(|&pi| {
+        self.packs
+            .dtree_index
+            .get(cell)
+            .map(|pi| {
                 let tree = pre.dtree(pi, layout, self.packs);
                 let new = if self.packs.dtrees[pi].bools.contains(&cell) {
                     // b := e — split each context on the truth of e.
@@ -1297,12 +1297,10 @@ impl<'a> Iter<'a> {
         // Default forgetting already happened via oct/dtree paths; ellipses
         // forget through `forget_cell` only on weak updates, so clear any
         // pack whose x/y was strongly overwritten, then commit pendings.
-        if let Some(pids) = self.packs.ellipse_index.get(&cell) {
-            for &pi in pids {
-                out.set_ell(pi, f64::INFINITY);
-            }
+        for pi in self.packs.ellipse_index.get(cell) {
+            out.set_ell(pi, f64::INFINITY);
         }
-        if let Some(&pi) = self.packs.ellipse_commits.get(&s.id) {
+        if let Some(pi) = self.packs.ellipse_commits.get(s.id) {
             let committed = out.pending(pi);
             out.set_ell(pi, committed);
             out.set_pending(pi, f64::INFINITY);
@@ -1433,16 +1431,15 @@ impl<'a> Iter<'a> {
         }
         out.env = self.eval.read_volatile(out.env, var);
         let cell = self.layout.scalar_cell(var);
-        out.forget_cell(cell, self.layout, self.packs);
-        // The octagon can keep the fresh interval.
-        if let Some(pids) = self.packs.oct_index.get(&cell) {
-            for &pi in pids.iter() {
-                if let Some(slot) = self.packs.oct_slot(pi, cell) {
-                    let v = float_view(out.env.read(cell, self.layout));
-                    let mut oct = out.oct(pi, self.packs).into_owned();
-                    oct.assign_interval(slot, v);
-                    out.set_oct(pi, oct);
-                }
+        out.forget_cell_trees_and_filters(cell, self.layout, self.packs);
+        // The octagon forgets the cell and keeps the fresh interval
+        // (`assign_interval` forgets on its own).
+        for pi in self.packs.oct_index.get(cell) {
+            if let Some(slot) = self.packs.oct_slot(pi, cell) {
+                let v = float_view(out.env.read(cell, self.layout));
+                let mut oct = out.oct(pi, self.packs).into_owned();
+                oct.assign_interval(slot, v);
+                out.set_oct(pi, oct);
             }
         }
         out
@@ -1483,7 +1480,7 @@ impl<'a> Iter<'a> {
                 let mut cells = Vec::new();
                 cond.for_each_lvalue(&mut |lv| {
                     let r = self.eval.resolve(&state.env, lv);
-                    cells.extend(r.cells);
+                    cells.extend_from_slice(&r.cells);
                 });
                 state.env = self.eval.guard(state.env, cond, true);
                 if state.is_bottom() {
@@ -1557,13 +1554,12 @@ impl<'a> Iter<'a> {
 
     /// Pack and slot pairs shared by two cells.
     fn pack_pairs(&self, x: CellId, y: CellId) -> Vec<(usize, (usize, usize))> {
-        let (Some(pxs), Some(pys)) = (self.packs.oct_index.get(&x), self.packs.oct_index.get(&y))
-        else {
-            return Vec::new();
-        };
-        pxs.iter()
-            .filter(|pi| pys.contains(pi))
-            .map(|&pi| {
+        let pys = self.packs.oct_index.get(y);
+        self.packs
+            .oct_index
+            .get(x)
+            .filter(|pi| pys.clone().any(|p| p == *pi))
+            .map(|pi| {
                 let sx = self.packs.oct_slot(pi, x).expect("in pack");
                 let sy = self.packs.oct_slot(pi, y).expect("in pack");
                 (pi, (sx, sy))
@@ -1597,8 +1593,7 @@ impl<'a> Iter<'a> {
         hi: f64,
         margin: f64,
     ) {
-        let Some(pids) = self.packs.oct_index.get(&x) else { return };
-        for &pi in pids {
+        for pi in self.packs.oct_index.get(x) {
             let slot = self.packs.oct_slot(pi, x).expect("in pack");
             let mut oct = state.oct(pi, self.packs).into_owned();
             match op {
@@ -1652,12 +1647,10 @@ impl<'a> Iter<'a> {
             },
             _ => return,
         };
-        if let Some(pids) = self.packs.dtree_index.get(&cell) {
-            for &pi in pids {
-                if self.packs.dtrees[pi].bools.contains(&cell) {
-                    let g = state.dtree(pi, self.layout, self.packs).guard(cell, value);
-                    state.set_dtree(pi, g);
-                }
+        for pi in self.packs.dtree_index.get(cell) {
+            if self.packs.dtrees[pi].bools.contains(&cell) {
+                let g = state.dtree(pi, self.layout, self.packs).guard(cell, value);
+                state.set_dtree(pi, g);
             }
         }
     }

@@ -59,6 +59,69 @@ pub struct DtreePack {
     pub nums: Vec<CellId>,
 }
 
+/// Cell → pack indices, one flat table indexed by cell: the packs of cell
+/// `c` are `ids[start[c]..start[c + 1]]`, in the order they were added.
+#[derive(Debug, Clone, Default)]
+pub struct CellIndex {
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl CellIndex {
+    /// The table of `(cell, pack)` pairs over `num_cells` cells.
+    fn new(num_cells: usize, pairs: impl Iterator<Item = (CellId, usize)> + Clone) -> CellIndex {
+        let mut start = vec![0u32; num_cells + 1];
+        for (c, _) in pairs.clone() {
+            start[c.0 as usize + 1] += 1;
+        }
+        for i in 0..num_cells {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0u32; start[num_cells] as usize];
+        for (c, pi) in pairs {
+            let at = &mut next[c.0 as usize];
+            ids[*at as usize] = pi as u32;
+            *at += 1;
+        }
+        CellIndex { start, ids }
+    }
+
+    /// The packs holding `c`, in pack order.
+    pub fn get(&self, c: CellId) -> impl Iterator<Item = usize> + Clone + '_ {
+        let c = c.0 as usize;
+        let range = match self.start.get(c..c + 2) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        };
+        self.ids[range].iter().map(|&pi| pi as usize)
+    }
+
+    /// `true` when some pack holds `c`.
+    pub fn holds(&self, c: CellId) -> bool {
+        self.get(c).next().is_some()
+    }
+}
+
+/// Statement → ellipse-pack index, one table indexed by statement id.
+#[derive(Debug, Clone, Default)]
+pub struct StmtIndex(Vec<Option<u32>>);
+
+impl StmtIndex {
+    fn insert(&mut self, s: StmtId, pi: usize) {
+        let s = s.0 as usize;
+        if self.0.len() <= s {
+            self.0.resize(s + 1, None);
+        }
+        self.0[s] = Some(pi as u32);
+    }
+
+    /// The pack of statement `s`, if any.
+    pub fn get(&self, s: StmtId) -> Option<usize> {
+        self.0.get(s.0 as usize).copied().flatten().map(|pi| pi as usize)
+    }
+}
+
 /// All packs discovered for a program, with reverse indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Packs {
@@ -69,15 +132,15 @@ pub struct Packs {
     /// Decision-tree packs.
     pub dtrees: Vec<DtreePack>,
     /// Cell → octagon-pack indices.
-    pub oct_index: HashMap<CellId, Vec<usize>>,
+    pub oct_index: CellIndex,
     /// Cell → decision-tree-pack indices.
-    pub dtree_index: HashMap<CellId, Vec<usize>>,
+    pub dtree_index: CellIndex,
     /// Commit statement → ellipse-pack index.
-    pub ellipse_commits: HashMap<StmtId, usize>,
+    pub ellipse_commits: StmtIndex,
     /// Start statement → ellipse-pack index.
-    pub ellipse_starts: HashMap<StmtId, usize>,
+    pub ellipse_starts: StmtIndex,
     /// Cell → ellipse-pack indices (cells appearing as `x` or `y`).
-    pub ellipse_index: HashMap<CellId, Vec<usize>>,
+    pub ellipse_index: CellIndex,
 }
 
 impl Packs {
@@ -123,21 +186,20 @@ impl Packs {
         if config.enable_dtrees {
             packs.dtrees = discover_dtrees(program, layout, config);
         }
-        for (i, p) in packs.octagons.iter().enumerate() {
-            for c in &p.cells {
-                packs.oct_index.entry(*c).or_default().push(i);
-            }
-        }
-        for (i, p) in packs.dtrees.iter().enumerate() {
-            for c in p.bools.iter().chain(&p.nums) {
-                packs.dtree_index.entry(*c).or_default().push(i);
-            }
-        }
+        let n = layout.num_cells();
+        let octs = packs.octagons.iter().enumerate();
+        packs.oct_index =
+            CellIndex::new(n, octs.flat_map(|(i, p)| p.cells.iter().map(move |c| (*c, i))));
+        let dtrees = packs.dtrees.iter().enumerate();
+        packs.dtree_index = CellIndex::new(
+            n,
+            dtrees.flat_map(|(i, p)| p.bools.iter().chain(&p.nums).map(move |c| (*c, i))),
+        );
+        let ells = packs.ellipses.iter().enumerate();
+        packs.ellipse_index = CellIndex::new(n, ells.flat_map(|(i, e)| [(e.x, i), (e.y, i)]));
         for (i, e) in packs.ellipses.iter().enumerate() {
             packs.ellipse_commits.insert(e.commit_stmt, i);
             packs.ellipse_starts.insert(e.start_stmt, i);
-            packs.ellipse_index.entry(e.x).or_default().push(i);
-            packs.ellipse_index.entry(e.y).or_default().push(i);
         }
         packs
     }

@@ -605,15 +605,9 @@ impl<'a> Walker<'a> {
     fn packs_of(&self, cells: &BTreeSet<CellId>) -> BTreeSet<PackKey> {
         let mut out = BTreeSet::new();
         for c in cells {
-            if let Some(pids) = self.packs.oct_index.get(c) {
-                out.extend(pids.iter().map(|&pi| PackKey::Oct(pi)));
-            }
-            if let Some(pids) = self.packs.dtree_index.get(c) {
-                out.extend(pids.iter().map(|&pi| PackKey::Dtree(pi)));
-            }
-            if let Some(pids) = self.packs.ellipse_index.get(c) {
-                out.extend(pids.iter().map(|&pi| PackKey::Ell(pi)));
-            }
+            out.extend(self.packs.oct_index.get(*c).map(PackKey::Oct));
+            out.extend(self.packs.dtree_index.get(*c).map(PackKey::Dtree));
+            out.extend(self.packs.ellipse_index.get(*c).map(PackKey::Ell));
         }
         out
     }
@@ -791,24 +785,19 @@ impl<'a> Walker<'a> {
                 // The interpreter forgets the cell's relations, then re-seeds
                 // the octagon rows with the fresh input range (which does not
                 // depend on any pre value).
-                if let Some(pids) = self.packs.oct_index.get(&c).cloned() {
-                    for pi in pids {
-                        self.fp.packs_write.insert(PackKey::Oct(pi));
-                        if must {
-                            self.oct_rewritten.insert((pi, c));
-                        } else {
-                            self.oct_rewritten.remove(&(pi, c));
-                            self.fp.packs_dep.insert(PackKey::Oct(pi));
-                        }
+                let packs = self.packs;
+                for pi in packs.oct_index.get(c) {
+                    self.fp.packs_write.insert(PackKey::Oct(pi));
+                    if must {
+                        self.oct_rewritten.insert((pi, c));
+                    } else {
+                        self.oct_rewritten.remove(&(pi, c));
+                        self.fp.packs_dep.insert(PackKey::Oct(pi));
                     }
                 }
                 let mut other: BTreeSet<PackKey> = BTreeSet::new();
-                if let Some(pids) = self.packs.dtree_index.get(&c) {
-                    other.extend(pids.iter().map(|&pi| PackKey::Dtree(pi)));
-                }
-                if let Some(pids) = self.packs.ellipse_index.get(&c) {
-                    other.extend(pids.iter().map(|&pi| PackKey::Ell(pi)));
-                }
+                other.extend(packs.dtree_index.get(c).map(PackKey::Dtree));
+                other.extend(packs.ellipse_index.get(c).map(PackKey::Ell));
                 for key in other {
                     self.pack_dep_write(key);
                 }
@@ -822,7 +811,7 @@ impl<'a> Walker<'a> {
 
         // Ellipsoid pending computation at the filter group's first stmt:
         // reads the pack's bound, X, Y and the input term.
-        if let Some(&pi) = self.packs.ellipse_starts.get(&id) {
+        if let Some(pi) = self.packs.ellipse_starts.get(id) {
             let (x, y, t) = {
                 let p = &self.packs.ellipses[pi];
                 (p.x, p.y, p.t.clone())
@@ -843,42 +832,37 @@ impl<'a> Walker<'a> {
             // pre value iff every pack member feeding it (the affine source,
             // or the target itself for `x := x + k`) was itself rewritten in
             // this walk; otherwise closure can propagate pre rows into it.
-            if let Some(pids) = self.packs.oct_index.get(&c).cloned() {
-                for pi in pids {
-                    self.fp.packs_write.insert(PackKey::Oct(pi));
-                    let members = &self.packs.octagons[pi].cells;
-                    let fresh = !frame.may_returned
-                        && e_cells.iter().all(|ec| {
-                            !members.contains(ec) || self.oct_rewritten.contains(&(pi, *ec))
-                        });
-                    if fresh {
-                        self.oct_rewritten.insert((pi, c));
-                    } else {
-                        self.oct_rewritten.remove(&(pi, c));
-                        self.fp.packs_dep.insert(PackKey::Oct(pi));
-                    }
+            let packs = self.packs;
+            for pi in packs.oct_index.get(c) {
+                self.fp.packs_write.insert(PackKey::Oct(pi));
+                let members = &packs.octagons[pi].cells;
+                let fresh = !frame.may_returned
+                    && e_cells
+                        .iter()
+                        .all(|ec| !members.contains(ec) || self.oct_rewritten.contains(&(pi, *ec)));
+                if fresh {
+                    self.oct_rewritten.insert((pi, c));
+                } else {
+                    self.oct_rewritten.remove(&(pi, c));
+                    self.fp.packs_dep.insert(PackKey::Oct(pi));
                 }
             }
             // Decision trees map over the pre tree and consult the member
             // cells' environment values.
-            if let Some(pids) = self.packs.dtree_index.get(&c).cloned() {
-                for pi in pids {
-                    self.pack_dep_write(PackKey::Dtree(pi));
-                    for m in self.pack_members(PackKey::Dtree(pi)) {
-                        self.read_cell(m);
-                    }
+            for pi in packs.dtree_index.get(c) {
+                self.pack_dep_write(PackKey::Dtree(pi));
+                for m in self.pack_members(PackKey::Dtree(pi)) {
+                    self.read_cell(m);
                 }
             }
             // A strong overwrite of a filter's X or Y clears its bound but
             // keeps the pending δ: still pre-dependent.
-            if let Some(pids) = self.packs.ellipse_index.get(&c).cloned() {
-                for pi in pids {
-                    self.pack_dep_write(PackKey::Ell(pi));
-                }
+            for pi in packs.ellipse_index.get(c) {
+                self.pack_dep_write(PackKey::Ell(pi));
             }
             // Ellipsoid commit: reads the pending δ, writes the bound and
             // tightens X/Y in the environment.
-            if let Some(&pi) = self.packs.ellipse_commits.get(&id) {
+            if let Some(pi) = packs.ellipse_commits.get(id) {
                 let (x, y) = {
                     let p = &self.packs.ellipses[pi];
                     (p.x, p.y)
@@ -909,21 +893,16 @@ impl<'a> Walker<'a> {
     /// Pack effects of a weak update of `c` (the interpreter's
     /// `forget_cell`, or a join-mixed strong assignment).
     fn weak_forget_packs(&mut self, c: CellId) {
-        if let Some(pids) = self.packs.oct_index.get(&c).cloned() {
-            for pi in pids {
-                self.pack_dep_write(PackKey::Oct(pi));
-                self.oct_rewritten.remove(&(pi, c));
-            }
+        let packs = self.packs;
+        for pi in packs.oct_index.get(c) {
+            self.pack_dep_write(PackKey::Oct(pi));
+            self.oct_rewritten.remove(&(pi, c));
         }
-        if let Some(pids) = self.packs.dtree_index.get(&c).cloned() {
-            for pi in pids {
-                self.pack_dep_write(PackKey::Dtree(pi));
-            }
+        for pi in packs.dtree_index.get(c) {
+            self.pack_dep_write(PackKey::Dtree(pi));
         }
-        if let Some(pids) = self.packs.ellipse_index.get(&c).cloned() {
-            for pi in pids {
-                self.pack_dep_write(PackKey::Ell(pi));
-            }
+        for pi in packs.ellipse_index.get(c) {
+            self.pack_dep_write(PackKey::Ell(pi));
         }
     }
 

@@ -9,13 +9,12 @@
 //! octagons" (Sect. 7.2.1).
 
 use crate::frames::Frame;
-use crate::packs::Packs;
+use crate::packs::{CellIndex, Packs};
 use astree_domains::dtree::Lattice;
 use astree_domains::{Clocked, DecisionTree, Ellipsoid, FloatItv, IntItv, Octagon, Thresholds};
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
 use astree_pmap::{MergeOutcome, PMap};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The numeric sub-environment stored at decision-tree leaves: the values of
@@ -593,23 +592,15 @@ impl AbsState {
         cells: &[CellId],
         oct_counts: Option<&mut [usize]>,
     ) -> usize {
-        let mut octs = BTreeSet::new();
-        let mut dts = BTreeSet::new();
-        let mut ells = BTreeSet::new();
-        for c in cells {
-            if let Some(pids) = packs.oct_index.get(c) {
-                octs.extend(pids.iter().copied());
-            }
-            if let Some(pids) = packs.dtree_index.get(c) {
-                dts.extend(pids.iter().copied());
-            }
-            if let Some(pids) = packs.ellipse_index.get(c) {
-                ells.extend(pids.iter().copied());
-            }
-        }
-        let octs: Vec<usize> = octs.into_iter().collect();
-        let dts: Vec<usize> = dts.into_iter().collect();
-        let ells: Vec<usize> = ells.into_iter().collect();
+        // The packs indexed by `cells`, ascending and without repeats.
+        let ids = |index: &CellIndex| {
+            let mut ids: Vec<usize> = cells.iter().flat_map(|c| index.get(*c)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let (octs, dts, ells) =
+            (ids(&packs.oct_index), ids(&packs.dtree_index), ids(&packs.ellipse_index));
         self.reduce_packs(layout, packs, &octs, &dts, &ells, oct_counts)
     }
 
@@ -780,38 +771,41 @@ impl AbsState {
     /// Drops relational information about a cell (after a weak or imprecise
     /// update).
     pub fn forget_cell(&mut self, cell: CellId, layout: &CellLayout, packs: &Packs) {
-        if let Some(pids) = packs.oct_index.get(&cell) {
-            for &pi in pids {
-                if let Some(slot) = packs.oct_slot(pi, cell) {
-                    let mut o = self.oct(pi, packs).into_owned();
-                    o.forget(slot);
-                    self.set_oct(pi, o);
-                }
+        for pi in packs.oct_index.get(cell) {
+            if let Some(slot) = packs.oct_slot(pi, cell) {
+                let mut o = self.oct(pi, packs).into_owned();
+                o.forget(slot);
+                self.set_oct(pi, o);
             }
         }
-        if let Some(pids) = packs.dtree_index.get(&cell) {
-            for &pi in pids {
-                let pack = &packs.dtrees[pi];
-                let tree = self.dtree(pi, layout, packs);
-                let new = if pack.bools.contains(&cell) {
-                    tree.forget(cell)
-                } else {
-                    tree.map(&|leaf: &PackEnv| match leaf.get(cell) {
-                        Some(CellVal::Int(_)) => leaf.set(cell, CellVal::Int(Clocked::TOP)),
-                        Some(CellVal::Float(_)) => leaf.set(
-                            cell,
-                            CellVal::Float(FloatItv::new(f64::NEG_INFINITY, f64::INFINITY)),
-                        ),
-                        None => leaf.clone(),
-                    })
-                };
-                self.set_dtree(pi, new);
-            }
+        self.forget_cell_trees_and_filters(cell, layout, packs);
+    }
+
+    /// [`AbsState::forget_cell`] for everything but the octagons: the
+    /// decision trees and filters that hold `cell`.
+    pub(crate) fn forget_cell_trees_and_filters(
+        &mut self,
+        cell: CellId,
+        layout: &CellLayout,
+        packs: &Packs,
+    ) {
+        for pi in packs.dtree_index.get(cell) {
+            let pack = &packs.dtrees[pi];
+            let tree = self.dtree(pi, layout, packs);
+            let new = if pack.bools.contains(&cell) {
+                tree.forget(cell)
+            } else {
+                tree.map(&|leaf: &PackEnv| match leaf.get(cell) {
+                    Some(CellVal::Int(_)) => leaf.set(cell, CellVal::Int(Clocked::TOP)),
+                    Some(CellVal::Float(_)) => leaf
+                        .set(cell, CellVal::Float(FloatItv::new(f64::NEG_INFINITY, f64::INFINITY))),
+                    None => leaf.clone(),
+                })
+            };
+            self.set_dtree(pi, new);
         }
-        if let Some(pids) = packs.ellipse_index.get(&cell) {
-            for &pi in pids {
-                self.set_ell(pi, f64::INFINITY);
-            }
+        for pi in packs.ellipse_index.get(cell) {
+            self.set_ell(pi, f64::INFINITY);
         }
     }
 }

@@ -148,7 +148,7 @@ impl<'a> Evaluator<'a> {
             return (bottom_of(ty), flags);
         }
         let mut acc: Option<CellVal> = None;
-        for c in &r.cells {
+        for c in r.cells.iter() {
             let v = env.read(*c, self.layout);
             acc = Some(match acc {
                 None => v,
@@ -356,7 +356,7 @@ impl<'a> Evaluator<'a> {
         if target.strong {
             env.set(target.cells[0], cell_val);
         } else {
-            for c in &target.cells {
+            for c in target.cells.iter() {
                 env.set_weak(*c, cell_val, self.layout);
             }
         }

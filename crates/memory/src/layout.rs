@@ -40,12 +40,44 @@ impl Default for LayoutConfig {
     }
 }
 
+/// The cells an l-value resolves to, ascending: one inline (no heap), or
+/// any other number in a `Vec`. `One` is the only form of a single cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cells {
+    /// Exactly one cell.
+    One(CellId),
+    /// Zero or at least two cells.
+    Many(Vec<CellId>),
+}
+
+impl Cells {
+    fn from_vec(mut cells: Vec<CellId>) -> Cells {
+        cells.sort();
+        cells.dedup();
+        match cells[..] {
+            [c] => Cells::One(c),
+            _ => Cells::Many(cells),
+        }
+    }
+}
+
+impl std::ops::Deref for Cells {
+    type Target = [CellId];
+
+    fn deref(&self) -> &[CellId] {
+        match self {
+            Cells::One(c) => std::slice::from_ref(c),
+            Cells::Many(v) => v,
+        }
+    }
+}
+
 /// The result of resolving an l-value to cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Resolved {
     /// Candidate cells (one when precise; several when the index is
     /// imprecise; all elements of a shrunk array map to its single cell).
-    pub cells: Vec<CellId>,
+    pub cells: Cells,
     /// `true` when a write to this l-value may be performed as a strong
     /// update (single expanded cell, definitely targeted).
     pub strong: bool,
@@ -170,65 +202,120 @@ impl CellLayout {
     /// `idx_eval` returns the interval of an index expression in the current
     /// abstract environment.
     pub fn resolve(&self, lv: &Lvalue, mut idx_eval: impl FnMut(&Expr) -> IntItv) -> Resolved {
-        let mut nodes: Vec<&CellNode> = vec![&self.roots[lv.base.0 as usize]];
-        let mut strong = true;
-        let mut may_oob = false;
-        for acc in &lv.path {
+        let mut walk = Walk { strong: true, may_oob: false };
+        // Fast path: while the path stays on one node (fields, singleton
+        // in-range indices, shrunk arrays) no node list is built.
+        let mut node = &self.roots[lv.base.0 as usize];
+        for (k, acc) in lv.path.iter().enumerate() {
+            let next = match acc {
+                Access::Field(f) => field_step(node, *f),
+                Access::Index(e) => walk.index_step(node, idx_eval(e)),
+            };
+            match next {
+                [one] => node = one,
+                next => return walk.general(next.iter().collect(), &lv.path[k + 1..], idx_eval),
+            }
+        }
+        let cells = match node {
+            CellNode::Scalar(id) | CellNode::Shrunk(id, _) => Cells::One(*id),
+            aggregate => cells_under(vec![aggregate]),
+        };
+        walk.resolved(cells)
+    }
+
+    /// [`CellLayout::resolve`] by the general walk alone — the reference
+    /// the fast path is tested against.
+    #[cfg(test)]
+    fn resolve_general(&self, lv: &Lvalue, idx_eval: impl FnMut(&Expr) -> IntItv) -> Resolved {
+        let walk = Walk { strong: true, may_oob: false };
+        walk.general(vec![&self.roots[lv.base.0 as usize]], &lv.path, idx_eval)
+    }
+}
+
+/// The flags of an l-value walk, updated access by access.
+struct Walk {
+    strong: bool,
+    may_oob: bool,
+}
+
+impl Walk {
+    /// The nodes an index leads to from `n`.
+    fn index_step<'a>(&mut self, n: &'a CellNode, idx: IntItv) -> &'a [CellNode] {
+        match n {
+            CellNode::Array(children) => {
+                let len = children.len() as i64;
+                if idx.lo < 0 || idx.hi >= len {
+                    self.may_oob = true;
+                }
+                let lo = idx.lo.clamp(0, len - 1);
+                let hi = idx.hi.clamp(0, len - 1);
+                if idx.is_bottom() {
+                    return &[];
+                }
+                if lo != hi {
+                    self.strong = false;
+                }
+                &children[lo as usize..=hi as usize]
+            }
+            CellNode::Shrunk(_, len) => {
+                if idx.lo < 0 || idx.hi >= *len as i64 {
+                    self.may_oob = true;
+                }
+                // All elements share the cell: writes weak.
+                self.strong = false;
+                std::slice::from_ref(n)
+            }
+            other => std::slice::from_ref(other),
+        }
+    }
+
+    /// Walks `path` from the node set `nodes`, evaluating each index once
+    /// for the whole set.
+    fn general(
+        mut self,
+        mut nodes: Vec<&CellNode>,
+        path: &[Access],
+        mut idx_eval: impl FnMut(&Expr) -> IntItv,
+    ) -> Resolved {
+        for acc in path {
             let mut next: Vec<&CellNode> = Vec::new();
             match acc {
                 Access::Field(f) => {
                     for n in nodes {
-                        if let CellNode::Record(children) = n {
-                            next.push(&children[*f as usize]);
-                        }
+                        next.extend(field_step(n, *f));
                     }
                 }
                 Access::Index(e) => {
                     let idx = idx_eval(e);
                     for n in nodes {
-                        match n {
-                            CellNode::Array(children) => {
-                                let len = children.len() as i64;
-                                if idx.lo < 0 || idx.hi >= len {
-                                    may_oob = true;
-                                }
-                                let lo = idx.lo.clamp(0, len - 1);
-                                let hi = idx.hi.clamp(0, len - 1);
-                                if idx.is_bottom() {
-                                    continue;
-                                }
-                                if lo != hi {
-                                    strong = false;
-                                }
-                                for c in &children[lo as usize..=hi as usize] {
-                                    next.push(c);
-                                }
-                            }
-                            CellNode::Shrunk(_, len) => {
-                                if idx.lo < 0 || idx.hi >= *len as i64 {
-                                    may_oob = true;
-                                }
-                                // All elements share the cell: writes weak.
-                                strong = false;
-                                next.push(n);
-                            }
-                            other => next.push(other),
-                        }
+                        next.extend(self.index_step(n, idx));
                     }
                 }
             }
             nodes = next;
         }
-        let mut cells = Vec::new();
-        for n in nodes {
-            collect_node_heads(n, &mut cells);
-        }
-        cells.sort();
-        cells.dedup();
-        if cells.len() != 1 {
-            strong = false;
-        }
-        Resolved { cells, strong, may_oob }
+        self.resolved(cells_under(nodes))
+    }
+
+    fn resolved(self, cells: Cells) -> Resolved {
+        let strong = self.strong && cells.len() == 1;
+        Resolved { cells, strong, may_oob: self.may_oob }
+    }
+}
+
+/// Every cell under `nodes` (aggregates expand).
+fn cells_under(nodes: Vec<&CellNode>) -> Cells {
+    let mut cells = Vec::new();
+    for n in nodes {
+        collect(n, &mut cells);
+    }
+    Cells::from_vec(cells)
+}
+
+fn field_step(n: &CellNode, f: u32) -> &[CellNode] {
+    match n {
+        CellNode::Record(children) => std::slice::from_ref(&children[f as usize]),
+        _ => &[],
     }
 }
 
@@ -241,11 +328,6 @@ fn collect(node: &CellNode, out: &mut Vec<CellId>) {
             }
         }
     }
-}
-
-/// For resolution results the node should be scalar-like; aggregates expand.
-fn collect_node_heads(node: &CellNode, out: &mut Vec<CellId>) {
-    collect(node, out);
 }
 
 #[cfg(test)]
@@ -364,6 +446,56 @@ mod tests {
         assert_eq!(r.cells.len(), 1);
         assert_eq!(l.info(r.cells[0]).name, "v0[1].b");
         assert!(r.strong);
+    }
+
+    #[test]
+    fn fast_resolve_matches_the_general_walk() {
+        let int = || Type::int(IntType::INT);
+        let rec = || Type::Record(astree_ir::RecordId(0));
+        let p = program_with(vec![
+            int(),                                                        // v0
+            rec(),                                                        // v1
+            Type::Array(Box::new(int()), 4),                              // v2
+            Type::Array(Box::new(rec()), 2),                              // v3
+            Type::Array(Box::new(int()), 1000),                           // v4: shrunk
+            Type::Array(Box::new(Type::Array(Box::new(int()), 4)), 3),    // v5
+            Type::Array(Box::new(Type::Array(Box::new(int()), 1000)), 2), // v6
+        ]);
+        let l = CellLayout::new(&p, &LayoutConfig { shrink_threshold: 10 });
+        let idx = || Access::Index(Box::new(Expr::int(0)));
+        let lv = |v: u32, path: Vec<Access>| Lvalue { base: VarId(v), path };
+        let one = IntItv::singleton;
+        let cases: Vec<(&str, Lvalue, Vec<IntItv>)> = vec![
+            ("scalar", lv(0, vec![]), vec![]),
+            ("record field", lv(1, vec![Access::Field(1)]), vec![]),
+            ("aggregate record", lv(1, vec![]), vec![]),
+            ("aggregate array", lv(2, vec![]), vec![]),
+            ("in-range index", lv(2, vec![idx()]), vec![one(2)]),
+            ("out-of-range singleton", lv(2, vec![idx()]), vec![one(9)]),
+            ("out-of-range range", lv(2, vec![idx()]), vec![IntItv::new(2, 7)]),
+            ("negative index", lv(2, vec![idx()]), vec![IntItv::new(-3, -1)]),
+            ("bottom index", lv(2, vec![idx()]), vec![IntItv::BOTTOM]),
+            ("imprecise index", lv(2, vec![idx()]), vec![IntItv::new(1, 2)]),
+            ("shrunk array", lv(4, vec![idx()]), vec![one(5)]),
+            ("shrunk out of range", lv(4, vec![idx()]), vec![IntItv::new(0, 1000)]),
+            ("element field", lv(3, vec![idx(), Access::Field(1)]), vec![one(1)]),
+            ("element aggregate", lv(3, vec![idx()]), vec![one(0)]),
+            ("imprecise then field", lv(3, vec![idx(), Access::Field(0)]), vec![IntItv::new(0, 1)]),
+            ("bottom then field", lv(3, vec![idx(), Access::Field(0)]), vec![IntItv::BOTTOM]),
+            ("2-d precise", lv(5, vec![idx(), idx()]), vec![one(2), one(3)]),
+            ("2-d imprecise rows", lv(5, vec![idx(), idx()]), vec![IntItv::new(0, 2), one(1)]),
+            ("2-d bottom row", lv(5, vec![idx(), idx()]), vec![IntItv::BOTTOM, one(1)]),
+            ("2-d shrunk rows", lv(6, vec![idx(), idx()]), vec![IntItv::new(0, 1), one(7)]),
+        ];
+        for (name, lv, itvs) in cases {
+            // Both walks must consume the same index evaluations, in order.
+            let mut fast_q = itvs.iter();
+            let fast = l.resolve(&lv, |_| *fast_q.next().expect("an index per access"));
+            let mut general_q = itvs.iter();
+            let general = l.resolve_general(&lv, |_| *general_q.next().expect("one per access"));
+            assert_eq!(fast, general, "{name}");
+            assert!(fast_q.next().is_none() && general_q.next().is_none(), "{name}");
+        }
     }
 
     #[test]

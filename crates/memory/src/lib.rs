@@ -21,4 +21,4 @@ pub mod layout;
 
 pub use env::{AbsEnv, CellVal};
 pub use eval::{AbsVal, Evaluator};
-pub use layout::{CellId, CellInfo, CellLayout, LayoutConfig, Resolved};
+pub use layout::{CellId, CellInfo, CellLayout, Cells, LayoutConfig, Resolved};
