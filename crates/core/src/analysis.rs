@@ -4,7 +4,7 @@
 //! all orthogonal options behind one `run()`.
 
 use crate::alarms::Alarm;
-use crate::cache::{config_fingerprint, packs_fingerprint, InvariantStore, StoreKey};
+use crate::cache::{packs_fingerprint, InvariantStore, StoreKey};
 use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::{Iter, Mode};
@@ -209,7 +209,7 @@ impl<'a> AnalysisSession<'a> {
             let key = StoreKey {
                 layout_fp: globals_fingerprint(self.program),
                 packs_fp: packs_fingerprint(&packs),
-                config_fp: config_fingerprint(&self.config),
+                config_fp: self.config.fingerprint(),
                 program_fp: program_fingerprint(self.program),
             };
             let store_before = store.counters();

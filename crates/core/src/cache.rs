@@ -18,10 +18,10 @@
 //! was encoded — the cell-layout fingerprint (a state names cells by id),
 //! the pack-structure fingerprint (octagon matrices and tree shapes are
 //! indexed by pack) and the analysis-relevant configuration fingerprint
-//! ([`config_fingerprint`] — see `DESIGN.md` for what is deliberately left
-//! out). The program fingerprint alone determines the other two of a given
-//! build; they stay because they catch a store written by a build whose
-//! layout or pack discovery differs. The directory is the map: a lookup
+//! ([`crate::AnalysisConfig::fingerprint`] — see `DESIGN.md` for what is
+//! deliberately left out). The program fingerprint alone determines the
+//! other two of a given build; they stay because they catch a store written
+//! by a build whose layout or pack discovery differs. The directory is the map: a lookup
 //! reads one file, a run writes one, eviction removes whole results.
 //!
 //! The on-disk format ([`CACHE_FORMAT`]) is a line-oriented text format with
@@ -33,7 +33,6 @@
 use crate::alarms::{Alarm, AlarmKind};
 use crate::analysis::AnalysisStats;
 use crate::census::Census;
-use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
@@ -54,98 +53,6 @@ pub const CACHE_FORMAT: &str = "astree-cache/3";
 // ---------------------------------------------------------------------------
 // Fingerprints
 // ---------------------------------------------------------------------------
-
-/// Fingerprint of the analysis-relevant slice of the configuration:
-/// everything that can change a fixpoint. The destructuring is exhaustive,
-/// so a new field does not compile until it is hashed or ignored here.
-pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
-    let AnalysisConfig {
-        thresholds,
-        widening_delay,
-        stabilization_grace,
-        max_iterations,
-        narrowing_iterations,
-        loop_unroll,
-        per_loop_unroll,
-        max_clock,
-        float_perturbation,
-        shrink_threshold,
-        enable_octagons,
-        enable_ellipsoids,
-        enable_dtrees,
-        enable_clocked,
-        enable_linearization,
-        partitioned_functions,
-        max_partitions,
-        octagon_pack_cap,
-        dtree_pack_bool_cap,
-        octagon_pack_filter,
-        octagon_packs_extra,
-        // Slicing at any worker count is bit-identical to the sequential
-        // analysis (`tests/parallel`).
-        jobs: _,
-        // Replayed stages are bit-identical too.
-        debug_panic_slice: _,
-        // Disables pure fast paths; results are bit-identical by contract.
-        debug_no_ptr_shortcuts: _,
-        // Only adds per-statement captures; alarms and invariants unchanged.
-        collect_stmt_invariants: _,
-    } = config;
-    let mut h = Fnv::new();
-    h.str("astree-config");
-    let ramp = thresholds.ramp();
-    h.usize(ramp.len());
-    for &v in ramp {
-        h.f64(v);
-    }
-    h.u32(*widening_delay);
-    h.u32(*stabilization_grace);
-    h.u32(*max_iterations);
-    h.u32(*narrowing_iterations);
-    h.u32(*loop_unroll);
-    let mut unrolls: Vec<(u32, u32)> = per_loop_unroll.iter().map(|(id, f)| (id.0, *f)).collect();
-    unrolls.sort_unstable();
-    h.usize(unrolls.len());
-    for (id, f) in unrolls {
-        h.u32(id);
-        h.u32(f);
-    }
-    h.i64(*max_clock);
-    h.f64(*float_perturbation);
-    h.usize(*shrink_threshold);
-    h.byte(*enable_octagons as u8);
-    h.byte(*enable_ellipsoids as u8);
-    h.byte(*enable_dtrees as u8);
-    h.byte(*enable_clocked as u8);
-    h.byte(*enable_linearization as u8);
-    let mut parts: Vec<&str> = partitioned_functions.iter().map(|s| s.as_str()).collect();
-    parts.sort_unstable();
-    h.usize(parts.len());
-    for p in parts {
-        h.str(p);
-    }
-    h.usize(*max_partitions);
-    h.usize(*octagon_pack_cap);
-    h.usize(*dtree_pack_bool_cap);
-    match octagon_pack_filter {
-        None => h.byte(0),
-        Some(keep) => {
-            h.byte(1);
-            h.usize(keep.len());
-            for &i in keep {
-                h.usize(i);
-            }
-        }
-    }
-    h.usize(octagon_packs_extra.len());
-    for pack in octagon_packs_extra {
-        h.usize(pack.len());
-        for name in pack {
-            h.str(name);
-        }
-    }
-    h.finish()
-}
 
 /// Fingerprint of the discovered pack *structure*: the member cells of each
 /// octagon and decision-tree pack and the `(a, b, x, y, tmp)` shape of each
@@ -197,7 +104,7 @@ pub struct StoreKey {
     pub layout_fp: u64,
     /// [`packs_fingerprint`] of the discovered packs.
     pub packs_fp: u64,
-    /// [`config_fingerprint`] of the analysis configuration.
+    /// [`crate::AnalysisConfig::fingerprint`] of the analysis configuration.
     pub config_fp: u64,
     /// [`astree_ir::program_fingerprint`] of the program.
     pub program_fp: u64,
@@ -997,6 +904,7 @@ fn parse_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AnalysisConfig;
     use astree_frontend::Frontend;
     use astree_memory::LayoutConfig;
 
@@ -1023,37 +931,6 @@ mod tests {
         (Frontend::new().compile_str(src).expect("compiles"), AnalysisConfig::default())
     }
 
-    #[test]
-    fn config_fingerprint_tracks_analysis_relevant_fields() {
-        let base = AnalysisConfig::default();
-        let fp = config_fingerprint(&base);
-        assert_eq!(fp, config_fingerprint(&AnalysisConfig::default()), "deterministic");
-
-        let mut jobs = AnalysisConfig::default();
-        jobs.jobs = 8;
-        assert_eq!(fp, config_fingerprint(&jobs), "jobs is excluded (results identical)");
-
-        let mut no_shortcuts = AnalysisConfig::default();
-        no_shortcuts.debug_no_ptr_shortcuts = true;
-        assert_eq!(
-            fp,
-            config_fingerprint(&no_shortcuts),
-            "debug_no_ptr_shortcuts is excluded (results identical)"
-        );
-
-        let mut widen = AnalysisConfig::default();
-        widen.widening_delay += 1;
-        assert_ne!(fp, config_fingerprint(&widen));
-
-        let mut thr = AnalysisConfig::default();
-        thr.thresholds = astree_domains::Thresholds::geometric(10.0, 3.0, 5);
-        assert_ne!(fp, config_fingerprint(&thr));
-
-        let mut cap = AnalysisConfig::default();
-        cap.octagon_pack_cap = 4;
-        assert_ne!(fp, config_fingerprint(&cap));
-    }
-
     fn shapes(program: &astree_ir::Program, config: &AnalysisConfig) -> (CellLayout, Packs) {
         let layout = CellLayout::new(program, &LayoutConfig::default());
         let packs = Packs::discover(program, &layout, config);
@@ -1064,7 +941,7 @@ mod tests {
         StoreKey {
             layout_fp: astree_ir::globals_fingerprint(program),
             packs_fp: packs_fingerprint(packs),
-            config_fp: config_fingerprint(config),
+            config_fp: config.fingerprint(),
             program_fp: astree_ir::program_fingerprint(program),
         }
     }

@@ -67,8 +67,8 @@ pub use alarms::{Alarm, AlarmKind};
 pub use analysis::{
     AnalysisResult, AnalysisSession, AnalysisSessionBuilder, AnalysisStats, CacheReport,
 };
-pub use cache::{config_fingerprint, packs_fingerprint, InvariantStore, StoreKey};
+pub use cache::{packs_fingerprint, InvariantStore, StoreKey};
 pub use census::{under_constrained_vars, Census, CensusEntry};
-pub use config::AnalysisConfig;
+pub use config::{AnalysisConfig, Flag, Takes};
 pub use packs::{DtreePack, EllipsePack, OctPack, Packs};
 pub use state::AbsState;

@@ -33,9 +33,8 @@
 
 use crate::job::{JobOutcome, JobSpec, JobStatus};
 use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
-use crate::wire::{
-    config_to_json, files_to_json, frame_files, outcome_from_json, pack_files, spec_to_json,
-};
+use crate::session::FleetOptions;
+use crate::wire::{files_to_json, frame_files, outcome_from_json, pack_files, spec_to_json};
 use crate::worker::remove_sync_dirs;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{FleetCounters, FleetWorkerCounters, Json};
@@ -233,15 +232,8 @@ pub struct FleetConfig<'a> {
     /// `cache_dir` in practice: a worker that can see the directory skips
     /// the wire exchange.
     pub store: Option<Arc<InvariantStore>>,
-    /// Per-job deadline; a worker that misses it is killed.
-    pub timeout: Option<Duration>,
-    /// How many times a crashed job is put back in the queue before giving
-    /// up.
-    pub retry_budget: u32,
-    /// Fault injection for tests: the first delivery of the job with this
-    /// name carries the `crash` flag, and the worker receiving it aborts.
-    #[doc(hidden)]
-    pub crash_on: Option<String>,
+    /// Deadline, retry budget (default 2) and fault injection.
+    pub fleet: &'a FleetOptions,
 }
 
 struct Shared {
@@ -309,7 +301,7 @@ fn init_frame(cfg: &FleetConfig<'_>) -> Json {
     Json::obj([
         ("proto", Json::str(FLEET_PROTO)),
         ("frame", Json::str("init")),
-        ("config", config_to_json(cfg.config)),
+        ("config", cfg.config.to_json()),
         (
             "cache_dir",
             cfg.cache_dir.as_ref().map_or(Json::Null, |p| Json::str(p.display().to_string())),
@@ -370,7 +362,7 @@ fn spawn_worker(
         // EOF or malformed frame: dropping `tx` disconnects the lane.
     });
     transport.send(&init_frame(cfg)).map_err(|e| format!("{}: init: {e}", transport.describe()))?;
-    let deadline = cfg.timeout.unwrap_or(HANDSHAKE_TIMEOUT).max(HANDSHAKE_TIMEOUT);
+    let deadline = cfg.fleet.timeout.unwrap_or(HANDSHAKE_TIMEOUT).max(HANDSHAKE_TIMEOUT);
     match rx.recv_timeout(deadline) {
         Ok(frame) if frame.get("frame").and_then(Json::as_str) == Some("ready") => Ok(rx),
         Ok(frame) => {
@@ -461,10 +453,11 @@ fn lane(
     };
     // Store files the current worker holds, by name.
     let mut held = HashSet::new();
+    let budget = cfg.fleet.retry_budget.unwrap_or(2);
 
     while let Some((job_idx, first)) = claim_job(board) {
         let t0 = Instant::now();
-        let crash = first && cfg.crash_on.as_deref() == Some(jobs[job_idx].name.as_str());
+        let crash = first && cfg.fleet.crash_on.as_deref() == Some(jobs[job_idx].name.as_str());
         let frame = Json::obj([
             ("frame", Json::str("job")),
             ("seq", Json::UInt(job_idx as u64)),
@@ -473,7 +466,7 @@ fn lane(
             ("files", files_for_job(cfg, &mut held, board)),
         ]);
         let reply = match transport.send(&frame) {
-            Ok(()) => match cfg.timeout {
+            Ok(()) => match cfg.fleet.timeout {
                 Some(t) => rx.recv_timeout(t),
                 None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             },
@@ -487,17 +480,17 @@ fn lane(
                     continue;
                 }
                 // A worker speaking garbage is as good as dead.
-                Err(why) => requeue(idx, job_idx, jobs, board, cfg.retry_budget, &why),
+                Err(why) => requeue(idx, job_idx, jobs, board, budget, &why),
             },
             Err(RecvTimeoutError::Timeout) => {
                 let mut out = JobOutcome::empty(jobs[job_idx].name.clone(), JobStatus::TimedOut);
-                out.detail = Some(format!("no response within {:?}", cfg.timeout.unwrap()));
+                out.detail = Some(format!("no response within {:?}", cfg.fleet.timeout.unwrap()));
                 board.state.lock().unwrap().counters.timeouts += 1;
                 complete(idx, job_idx, out, t0.elapsed(), board);
             }
             Err(RecvTimeoutError::Disconnected) => {
                 let why = format!("{} disconnected", transport.describe());
-                requeue(idx, job_idx, jobs, board, cfg.retry_budget, &why);
+                requeue(idx, job_idx, jobs, board, budget, &why);
             }
         }
         // The worker is dead, wedged or babbling: replace it (`start` kills

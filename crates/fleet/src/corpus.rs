@@ -9,20 +9,6 @@ use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
 use astree_gen::{generate, GenConfig};
 use astree_oracle::{build_corpus, Campaign, OracleConfig};
 
-/// Parses a `--channels` argument: a single count or a comma list
-/// (`"4"`, `"1,4"`). A list is cycled across the generated members, which
-/// also gives the fleet a mix of job costs worth stealing over.
-pub fn parse_channels(s: &str) -> Result<Vec<usize>, String> {
-    let channels: Vec<usize> = s
-        .split(',')
-        .map(|part| part.trim().parse().map_err(|e| format!("--channels: {e}")))
-        .collect::<Result<_, String>>()?;
-    if channels.is_empty() || channels.contains(&0) {
-        return Err("--channels: counts must be positive".into());
-    }
-    Ok(channels)
-}
-
 /// Builds analysis jobs for generated family members: one per seed, with
 /// the channel counts cycled. Names are `gen-c<channels>-s<seed>`.
 pub fn generated_jobs(channels: &[usize], seeds: &[u64]) -> Vec<JobSpec> {
@@ -89,11 +75,7 @@ mod tests {
     use astree_oracle::run_campaign;
 
     #[test]
-    fn channel_lists_parse_and_cycle() {
-        assert_eq!(parse_channels("4").unwrap(), vec![4]);
-        assert_eq!(parse_channels("1, 4").unwrap(), vec![1, 4]);
-        assert!(parse_channels("0").is_err());
-        assert!(parse_channels("x").is_err());
+    fn channel_lists_cycle() {
         let jobs = generated_jobs(&[1, 4], &[1, 2, 3]);
         assert_eq!(jobs[0].name, "gen-c1-s1");
         assert_eq!(jobs[1].name, "gen-c4-s2");

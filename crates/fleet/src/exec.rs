@@ -7,7 +7,7 @@
 //! cheap to keep: a job's outcome depends only on its spec and the base
 //! configuration, never on which process ran it.
 
-use crate::job::{JobOutcome, JobSpec, JobStatus};
+use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
 use astree_core::{AnalysisConfig, AnalysisSession, InvariantStore};
 use astree_frontend::Frontend;
 use astree_obs::Recorder;
@@ -33,8 +33,11 @@ pub struct ExecContext<'a> {
 /// [`JobStatus::Failed`]; panics propagate (see [`execute_contained`]).
 pub fn execute(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let t0 = Instant::now();
-    let mut out =
-        if spec.oracle.is_some() { oracle_job(spec, ctx) } else { analysis_job(spec, ctx) };
+    let mut out = match (spec.config(ctx.config), &spec.oracle) {
+        (Err(e), _) => failed(format!("overrides: {e}")),
+        (Ok(config), Some(oracle)) => oracle_job(oracle, config),
+        (Ok(config), None) => analysis_job(spec, config, ctx),
+    };
     out.name = spec.name.clone();
     out.wall = t0.elapsed();
     out
@@ -56,7 +59,7 @@ fn failed(detail: String) -> JobOutcome {
     out
 }
 
-fn analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
+fn analysis_job(spec: &JobSpec, config: AnalysisConfig, ctx: &ExecContext<'_>) -> JobOutcome {
     let program = match Frontend::new().compile_str(&spec.source) {
         Ok(p) => p,
         Err(e) => return failed(format!("compile error: {e}")),
@@ -65,7 +68,6 @@ fn analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     if !errs.is_empty() {
         return failed(format!("invalid program: {}", errs.join("; ")));
     }
-    let config = spec.overrides.apply(ctx.config);
     let mut builder = AnalysisSession::builder(&program).config(config);
     if let Some(rec) = ctx.recorder {
         builder = builder.recorder(rec);
@@ -87,15 +89,14 @@ fn analysis_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     out
 }
 
-fn oracle_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
-    let oracle = spec.oracle.as_ref().expect("oracle job without oracle payload");
+fn oracle_job(oracle: &OracleJob, analysis: AnalysisConfig) -> JobOutcome {
     let cfg = OracleConfig {
         members: 1,
         seeds: oracle.seeds,
         ticks: oracle.ticks,
         max_steps: oracle.max_steps,
         shrink: oracle.shrink,
-        analysis: spec.overrides.apply(ctx.config),
+        analysis,
         debug_tighten_cell: oracle.debug_tighten_cell.clone(),
         ..OracleConfig::default()
     };
@@ -113,7 +114,6 @@ fn oracle_job(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::OracleJob;
     use astree_oracle::MemberSpec;
 
     fn base_ctx(config: &AnalysisConfig) -> ExecContext<'_> {

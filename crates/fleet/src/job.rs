@@ -6,7 +6,7 @@
 //! campaign reports and the CLI cannot drift on spelling or shape.
 
 use astree_core::AnalysisConfig;
-use astree_obs::FleetCounters;
+use astree_obs::{FleetCounters, Json};
 use astree_oracle::{MemberOutcome, MemberSpec};
 use std::time::Duration;
 
@@ -19,9 +19,10 @@ pub struct JobSpec {
     pub name: String,
     /// C source text (derived from the member spec for oracle jobs).
     pub source: String,
-    /// Per-job configuration overrides, applied on top of the fleet's base
-    /// configuration.
-    pub overrides: ConfigOverrides,
+    /// Per-job overrides of the fleet's base configuration: a partial
+    /// [`AnalysisConfig::to_json`] object, in the configuration's own keys,
+    /// applied with [`AnalysisConfig::patch`]. `{}` keeps the base.
+    pub overrides: Json,
     /// When set, the job runs the differential soundness oracle on this
     /// member instead of a plain analysis.
     pub oracle: Option<OracleJob>,
@@ -33,70 +34,17 @@ impl JobSpec {
         JobSpec {
             name: name.into(),
             source: source.into(),
-            overrides: ConfigOverrides::default(),
+            overrides: Json::Obj(Vec::new()),
             oracle: None,
         }
     }
-}
 
-/// Per-job overrides of the fleet-level base [`AnalysisConfig`]. Every
-/// field is optional; `None` keeps the base value. A daemon `run` request
-/// carries them in each spec's `overrides`, spelled as the wire spells
-/// them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ConfigOverrides {
-    /// Overrides `max_clock`.
-    pub max_clock: Option<i64>,
-    /// Overrides `loop_unroll`.
-    pub loop_unroll: Option<u32>,
-    /// Overrides `jobs` (intra-analysis worker threads).
-    pub jobs: Option<usize>,
-    /// Overrides `enable_octagons`.
-    pub octagons: Option<bool>,
-    /// Overrides `enable_dtrees`.
-    pub dtrees: Option<bool>,
-    /// Overrides `enable_ellipsoids`.
-    pub ellipsoids: Option<bool>,
-    /// Overrides `enable_clocked`.
-    pub clocked: Option<bool>,
-    /// Overrides `enable_linearization`.
-    pub linearize: Option<bool>,
-    /// Functions *added* to `partitioned_functions`.
-    pub partition: Vec<String>,
-}
-
-impl ConfigOverrides {
-    /// The base configuration with these overrides applied.
-    pub fn apply(&self, base: &AnalysisConfig) -> AnalysisConfig {
-        let mut cfg = base.clone();
-        if let Some(v) = self.max_clock {
-            cfg.max_clock = v;
-        }
-        if let Some(v) = self.loop_unroll {
-            cfg.loop_unroll = v;
-        }
-        if let Some(v) = self.jobs {
-            cfg.jobs = v.max(1);
-        }
-        if let Some(v) = self.octagons {
-            cfg.enable_octagons = v;
-        }
-        if let Some(v) = self.dtrees {
-            cfg.enable_dtrees = v;
-        }
-        if let Some(v) = self.ellipsoids {
-            cfg.enable_ellipsoids = v;
-        }
-        if let Some(v) = self.clocked {
-            cfg.enable_clocked = v;
-        }
-        if let Some(v) = self.linearize {
-            cfg.enable_linearization = v;
-        }
-        for f in &self.partition {
-            cfg.partitioned_functions.insert(f.clone());
-        }
-        cfg
+    /// The configuration this job runs under: `base` with the overrides
+    /// patched on.
+    pub fn config(&self, base: &AnalysisConfig) -> Result<AnalysisConfig, String> {
+        let mut config = base.clone();
+        config.patch(&self.overrides)?;
+        Ok(config)
     }
 }
 
@@ -316,22 +264,6 @@ mod tests {
         }
         assert_eq!(JobStatus::from_slug("nope"), None);
         assert_eq!(JobStatus::TimedOut.to_string(), "timed-out");
-    }
-
-    #[test]
-    fn overrides_apply_on_top_of_base() {
-        let base = AnalysisConfig::default();
-        let ov = ConfigOverrides {
-            max_clock: Some(99),
-            octagons: Some(false),
-            partition: vec!["main".into()],
-            ..ConfigOverrides::default()
-        };
-        let cfg = ov.apply(&base);
-        assert_eq!(cfg.max_clock, 99);
-        assert!(!cfg.enable_octagons);
-        assert!(cfg.partitioned_functions.contains("main"));
-        assert_eq!(cfg.loop_unroll, base.loop_unroll);
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //!   paths);
 //! - [`proto`]: length-delimited JSON framing, [`Endpoint`]s and the one
 //!   `Listener` (the daemon's and the socket worker's);
-//! - [`wire`]: bit-exact codecs for configs, specs, and outcomes;
+//! - [`wire`]: codecs for specs and outcomes (a configuration encodes
+//!   itself: `AnalysisConfig::to_json`/`patch`);
 //! - [`coordinator`]: lanes pulling from one queue, crash re-queue and
 //!   the store exchange ([`Transport`], [`ProcessTransport`],
 //!   [`SocketTransport`]);
@@ -54,9 +55,9 @@ pub mod wire;
 pub mod worker;
 
 pub use coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTransport, Transport};
-pub use corpus::{campaign_from_outcomes, campaign_jobs, generated_jobs, parse_channels};
+pub use corpus::{campaign_from_outcomes, campaign_jobs, generated_jobs};
 pub use exec::{execute, ExecContext};
-pub use job::{ConfigOverrides, FleetReport, JobOutcome, JobSpec, JobStatus, OracleJob};
+pub use job::{FleetReport, JobOutcome, JobSpec, JobStatus, OracleJob};
 pub use proto::{read_frame, write_frame, Conn, Endpoint, FLEET_PROTO, MAX_FRAME};
-pub use session::{FleetSession, FleetSessionBuilder};
+pub use session::{FleetOptions, FleetSession, FleetSessionBuilder};
 pub use worker::{serve_listener, serve_stdio};

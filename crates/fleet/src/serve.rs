@@ -297,8 +297,8 @@ impl Recorder for FrameRecorder {
     }
 }
 
-/// Decodes a `run` request's jobs and event mode. Each spec's `jobs`
-/// override is clamped to the daemon's pool width.
+/// Decodes a `run` request's jobs and event mode. A job runs on the
+/// daemon's pool, so its analysis workers are clamped to the pool's width.
 fn parse_run(daemon: &Daemon, req: &Json) -> Result<(Vec<JobSpec>, EventMode), String> {
     let Some(Json::Arr(items)) = req.get("jobs") else {
         return Err("run needs a `jobs` array".into());
@@ -307,7 +307,9 @@ fn parse_run(daemon: &Daemon, req: &Json) -> Result<(Vec<JobSpec>, EventMode), S
         .iter()
         .map(|item| {
             let mut spec = spec_from_json(item)?;
-            spec.overrides.jobs = spec.overrides.jobs.map(|j| j.clamp(1, daemon.config.jobs));
+            let mut config = spec.config(&daemon.config)?;
+            config.jobs = config.jobs.min(daemon.config.jobs);
+            spec.overrides = config.to_json();
             Ok(spec)
         })
         .collect::<Result<_, String>>()?;

@@ -47,8 +47,8 @@ impl From<std::io::Error> for ClientError {
 pub struct AnalyzeRequest {
     /// C source text of the program.
     pub source: String,
-    /// The job's `overrides` object, as the wire spells it (`loop_unroll`,
-    /// `octagons`, …; see `DESIGN.md`). The daemon decodes it strictly.
+    /// The job's `overrides`: a partial `AnalysisConfig::to_json` object
+    /// (`loop_unroll`, `enable_octagons`, …). The daemon decodes it strictly.
     pub overrides: Option<Json>,
     /// Event mode: `"none"`, `"coarse"` (default) or `"all"`.
     pub events: Option<&'static str>,
@@ -149,12 +149,9 @@ impl Client {
     /// not end `done` (a compile error, a panic) is a
     /// [`ClientError::Server`] carrying its status and detail.
     pub fn analyze(&mut self, req: &AnalyzeRequest) -> Result<RequestOutcome, ClientError> {
-        let mut spec = spec_to_json(&JobSpec::new("analyze", req.source.as_str()));
-        if let (Some(overrides), Json::Obj(fields)) = (&req.overrides, &mut spec) {
-            fields.retain(|(key, _)| key != "overrides");
-            fields.push(("overrides".into(), overrides.clone()));
-        }
-        let (outcomes, events) = self.run(vec![spec], req.events, req.hold_ms)?;
+        let mut job = JobSpec::new("analyze", req.source.as_str());
+        job.overrides = req.overrides.clone().unwrap_or(job.overrides);
+        let (outcomes, events) = self.run(vec![spec_to_json(&job)], req.events, req.hold_ms)?;
         let Ok([out]) = <[JobOutcome; 1]>::try_from(outcomes) else {
             return Err(ClientError::Protocol("expected one outcome".into()));
         };

@@ -38,18 +38,27 @@ impl FleetSession {
             jobs: Vec::new(),
             config: AnalysisConfig::default(),
             threads: 1,
-            workers: 0,
-            worker_cmd: None,
-            connect: Vec::new(),
-            timeout: None,
-            retry_budget: 2,
+            fleet: FleetOptions::default(),
             cache: None,
-            cache_wire: false,
             recorder: None,
             pool: None,
-            crash_on: None,
         }
     }
+}
+
+/// Where a fleet's jobs run: the distribution knobs of a
+/// [`FleetSessionBuilder`], set one at a time by its methods (which say what
+/// each does) or all at once by [`FleetSessionBuilder::fleet`], as `astree
+/// batch` and `astree fuzz` do from their fleet flags.
+#[derive(Debug, Default, Clone)]
+pub struct FleetOptions {
+    pub workers: usize,
+    pub worker_cmd: Option<Vec<String>>,
+    pub connect: Vec<Endpoint>,
+    pub timeout: Option<Duration>,
+    pub retry_budget: Option<u32>,
+    pub cache_wire: bool,
+    pub crash_on: Option<String>,
 }
 
 /// Builder for a fleet run; mirrors `AnalysisSession::builder`.
@@ -57,16 +66,10 @@ pub struct FleetSessionBuilder<'p> {
     jobs: Vec<JobSpec>,
     config: AnalysisConfig,
     threads: usize,
-    workers: usize,
-    worker_cmd: Option<Vec<String>>,
-    connect: Vec<Endpoint>,
-    timeout: Option<Duration>,
-    retry_budget: u32,
+    fleet: FleetOptions,
     cache: Option<Arc<InvariantStore>>,
-    cache_wire: bool,
     recorder: Option<Arc<dyn Recorder>>,
     pool: Option<&'p WorkerPool>,
-    crash_on: Option<String>,
 }
 
 impl<'p> FleetSessionBuilder<'p> {
@@ -95,35 +98,41 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
+    /// All the distribution knobs below at once.
+    pub fn fleet(mut self, fleet: FleetOptions) -> Self {
+        self.fleet = fleet;
+        self
+    }
+
     /// Number of local worker *processes* to spawn (default 0: in-process).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.fleet.workers = workers;
         self
     }
 
     /// Argv for local workers (default: this executable,
     /// `worker --stdio`).
     pub fn worker_cmd(mut self, cmd: Vec<String>) -> Self {
-        self.worker_cmd = Some(cmd);
+        self.fleet.worker_cmd = Some(cmd);
         self
     }
 
     /// Adds a remote worker endpoint (repeatable).
     pub fn connect(mut self, endpoint: Endpoint) -> Self {
-        self.connect.push(endpoint);
+        self.fleet.connect.push(endpoint);
         self
     }
 
     /// Per-job deadline. In the fleet, a worker missing it is killed.
     pub fn timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
+        self.fleet.timeout = timeout;
         self
     }
 
     /// How many times a crashed job is put back in the queue before it is
     /// reported [`JobStatus::Crashed`] (default 2).
     pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
+        self.fleet.retry_budget = Some(budget);
         self
     }
 
@@ -141,7 +150,7 @@ impl<'p> FleetSessionBuilder<'p> {
     /// cache or for in-process runs (which share the store in memory
     /// anyway).
     pub fn cache_wire(mut self, on: bool) -> Self {
-        self.cache_wire = on;
+        self.fleet.cache_wire = on;
         self
     }
 
@@ -162,7 +171,7 @@ impl<'p> FleetSessionBuilder<'p> {
     /// delivery of the job with this name aborts.
     #[doc(hidden)]
     pub fn crash_on(mut self, name: Option<String>) -> Self {
-        self.crash_on = name;
+        self.fleet.crash_on = name;
         self
     }
 
@@ -170,7 +179,7 @@ impl<'p> FleetSessionBuilder<'p> {
     pub fn run(self) -> FleetReport {
         let t0 = Instant::now();
         let recorder = self.recorder.clone();
-        let (outcomes, mut counters) = if self.workers == 0 && self.connect.is_empty() {
+        let (outcomes, mut counters) = if self.fleet.workers == 0 && self.fleet.connect.is_empty() {
             self.run_in_process()
         } else {
             self.run_distributed()
@@ -199,25 +208,24 @@ impl<'p> FleetSessionBuilder<'p> {
     }
 
     fn run_distributed(self) -> (Vec<JobOutcome>, FleetCounters) {
-        let cmd = self.worker_cmd.clone().unwrap_or_else(default_worker_cmd);
+        let fleet = &self.fleet;
+        let cmd = fleet.worker_cmd.clone().unwrap_or_else(default_worker_cmd);
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        for _ in 0..self.workers {
+        for _ in 0..fleet.workers {
             transports.push(Box::new(ProcessTransport::new(cmd.clone())));
         }
-        for endpoint in &self.connect {
+        for endpoint in &fleet.connect {
             transports.push(Box::new(SocketTransport::new(endpoint.clone())));
         }
         let cfg = FleetConfig {
             config: &self.config,
-            cache_dir: if self.cache_wire {
+            cache_dir: if fleet.cache_wire {
                 None
             } else {
                 self.cache.as_ref().map(|s| s.dir().to_path_buf())
             },
-            store: if self.cache_wire { self.cache.clone() } else { None },
-            timeout: self.timeout,
-            retry_budget: self.retry_budget,
-            crash_on: self.crash_on.clone(),
+            store: if fleet.cache_wire { self.cache.clone() } else { None },
+            fleet,
         };
         run_fleet(&self.jobs, transports, &cfg)
     }
@@ -246,7 +254,7 @@ impl<'p> FleetSessionBuilder<'p> {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = self.jobs.get(i) else { return };
                 let t0 = Instant::now();
-                let mut out = match self.timeout {
+                let mut out = match self.fleet.timeout {
                     None => execute_contained(spec, &ctx),
                     Some(limit) => self.run_deadlined(spec, limit),
                 };
@@ -309,7 +317,7 @@ fn default_worker_cmd() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::ConfigOverrides;
+    use astree_obs::Json;
 
     fn tiny_jobs() -> Vec<JobSpec> {
         vec![
@@ -375,7 +383,7 @@ mod tests {
     #[test]
     fn overrides_flow_through_the_session() {
         let mut job = JobSpec::new("div", "int x; int d; void main(void) { d = 0; x = 1 / d; }");
-        job.overrides = ConfigOverrides { octagons: Some(false), ..ConfigOverrides::default() };
+        job.overrides = Json::obj([("enable_octagons", Json::Bool(false))]);
         let report = FleetSession::builder().job(job).run();
         assert_eq!(report.outcomes[0].status, JobStatus::Done);
         assert_eq!(report.outcomes[0].alarms, Some(1));

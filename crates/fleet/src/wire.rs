@@ -1,17 +1,15 @@
 //! JSON codecs for the `astree-fleet/2` worker protocol.
 //!
 //! Determinism across processes is the point of the fleet, so the codecs
-//! are exact: every `f64` travels as its IEEE-754 bit pattern (a `u64`),
-//! never as a decimal rendering, and unordered collections are sorted
-//! before encoding. A worker decoding a config must reconstruct the
-//! coordinator's configuration bit-for-bit.
+//! are exact. The configuration encodes itself: the `init` frame carries
+//! `AnalysisConfig::to_json` (floats as IEEE-754 bit patterns, sets sorted)
+//! and the worker rebuilds it bit for bit with `AnalysisConfig::patch`; a
+//! spec's `overrides` is a partial object of the same keys.
 
-use crate::job::{ConfigOverrides, JobOutcome, JobSpec, JobStatus, OracleJob};
+use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
 use crate::proto::SYNC_BYTES_CAP;
 use astree_core::{AlarmKind, AnalysisConfig, InvariantStore};
-use astree_domains::Thresholds;
 use astree_gen::{BugKind, StructKnobs};
-use astree_ir::LoopId;
 use astree_obs::Json;
 use astree_oracle::{Divergence, DivergenceKind, MemberOutcome, MemberSpec};
 use std::collections::BTreeMap;
@@ -38,27 +36,8 @@ fn intern_alarm_slug(s: &str) -> Result<&'static str, String> {
         .ok_or_else(|| format!("unknown alarm kind slug {s:?}"))
 }
 
-fn f64_bits(v: f64) -> Json {
-    Json::UInt(v.to_bits())
-}
-
-fn get_f64_bits(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .map(f64::from_bits)
-        .ok_or_else(|| format!("missing f64 field {key}"))
-}
-
 fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
     obj.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field {key}"))
-}
-
-fn get_i64(obj: &Json, key: &str) -> Result<i64, String> {
-    match obj.get(key) {
-        Some(Json::Int(v)) => Ok(*v),
-        Some(Json::UInt(v)) => Ok(*v as i64),
-        _ => Err(format!("missing integer field {key}")),
-    }
 }
 
 fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
@@ -76,10 +55,6 @@ fn opt_str(obj: &Json, key: &str) -> Option<String> {
     obj.get(key).and_then(Json::as_str).map(str::to_string)
 }
 
-fn str_arr(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(Json::str).collect())
-}
-
 fn get_str_arr(obj: &Json, key: &str) -> Result<Vec<String>, String> {
     match obj.get(key) {
         Some(Json::Arr(items)) => items
@@ -91,229 +66,8 @@ fn get_str_arr(obj: &Json, key: &str) -> Result<Vec<String>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// AnalysisConfig
-// ---------------------------------------------------------------------------
-
-/// Encodes the full analysis configuration for the `init` frame. The
-/// destructuring is exhaustive, so a new field does not compile until it is
-/// encoded or ignored here.
-pub fn config_to_json(c: &AnalysisConfig) -> Json {
-    let AnalysisConfig {
-        thresholds,
-        widening_delay,
-        stabilization_grace,
-        max_iterations,
-        narrowing_iterations,
-        loop_unroll,
-        per_loop_unroll,
-        max_clock,
-        float_perturbation,
-        shrink_threshold,
-        enable_octagons,
-        enable_ellipsoids,
-        enable_dtrees,
-        enable_clocked,
-        enable_linearization,
-        partitioned_functions,
-        max_partitions,
-        octagon_pack_cap,
-        dtree_pack_bool_cap,
-        octagon_pack_filter,
-        octagon_packs_extra,
-        jobs,
-        debug_no_ptr_shortcuts,
-        collect_stmt_invariants,
-        // Fault injection targets one local run; it never crosses the wire.
-        debug_panic_slice: _,
-    } = c;
-    let thresholds = Json::Arr(thresholds.ramp().iter().map(|&v| f64_bits(v)).collect());
-    let mut per_loop: Vec<(LoopId, u32)> = per_loop_unroll.iter().map(|(k, v)| (*k, *v)).collect();
-    per_loop.sort();
-    let mut partitioned: Vec<&String> = partitioned_functions.iter().collect();
-    partitioned.sort();
-    Json::obj([
-        ("thresholds", thresholds),
-        ("widening_delay", Json::UInt(*widening_delay as u64)),
-        ("stabilization_grace", Json::UInt(*stabilization_grace as u64)),
-        ("max_iterations", Json::UInt(*max_iterations as u64)),
-        ("narrowing_iterations", Json::UInt(*narrowing_iterations as u64)),
-        ("loop_unroll", Json::UInt(*loop_unroll as u64)),
-        (
-            "per_loop_unroll",
-            Json::Arr(
-                per_loop
-                    .iter()
-                    .map(|(id, n)| Json::Arr(vec![Json::UInt(id.0 as u64), Json::UInt(*n as u64)]))
-                    .collect(),
-            ),
-        ),
-        ("max_clock", Json::Int(*max_clock)),
-        ("float_perturbation", f64_bits(*float_perturbation)),
-        ("shrink_threshold", Json::UInt(*shrink_threshold as u64)),
-        ("enable_octagons", Json::Bool(*enable_octagons)),
-        ("enable_ellipsoids", Json::Bool(*enable_ellipsoids)),
-        ("enable_dtrees", Json::Bool(*enable_dtrees)),
-        ("enable_clocked", Json::Bool(*enable_clocked)),
-        ("enable_linearization", Json::Bool(*enable_linearization)),
-        ("partitioned_functions", Json::Arr(partitioned.iter().map(|s| Json::str(*s)).collect())),
-        ("max_partitions", Json::UInt(*max_partitions as u64)),
-        ("octagon_pack_cap", Json::UInt(*octagon_pack_cap as u64)),
-        ("dtree_pack_bool_cap", Json::UInt(*dtree_pack_bool_cap as u64)),
-        (
-            "octagon_pack_filter",
-            match octagon_pack_filter {
-                Some(idxs) => Json::Arr(idxs.iter().map(|&i| Json::UInt(i as u64)).collect()),
-                None => Json::Null,
-            },
-        ),
-        (
-            "octagon_packs_extra",
-            Json::Arr(octagon_packs_extra.iter().map(|pack| str_arr(pack)).collect()),
-        ),
-        ("jobs", Json::UInt(*jobs as u64)),
-        ("debug_no_ptr_shortcuts", Json::Bool(*debug_no_ptr_shortcuts)),
-        ("collect_stmt_invariants", Json::Bool(*collect_stmt_invariants)),
-    ])
-}
-
-/// Decodes an `init` frame configuration; the exact inverse of
-/// [`config_to_json`] (the `debug_*` fault knobs that never cross the wire
-/// decode to their defaults).
-pub fn config_from_json(j: &Json) -> Result<AnalysisConfig, String> {
-    let mut c = AnalysisConfig::default();
-    let ramp = match j.get("thresholds") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| v.as_u64().map(f64::from_bits).ok_or("thresholds: not a bit pattern"))
-            .collect::<Result<Vec<f64>, _>>()?,
-        _ => return Err("missing thresholds".into()),
-    };
-    c.thresholds = Thresholds::from_values(ramp);
-    c.widening_delay = get_u64(j, "widening_delay")? as u32;
-    c.stabilization_grace = get_u64(j, "stabilization_grace")? as u32;
-    c.max_iterations = get_u64(j, "max_iterations")? as u32;
-    c.narrowing_iterations = get_u64(j, "narrowing_iterations")? as u32;
-    c.loop_unroll = get_u64(j, "loop_unroll")? as u32;
-    c.per_loop_unroll.clear();
-    if let Some(Json::Arr(pairs)) = j.get("per_loop_unroll") {
-        for p in pairs {
-            let Json::Arr(kv) = p else { return Err("per_loop_unroll: not a pair".into()) };
-            let (Some(id), Some(n)) =
-                (kv.first().and_then(Json::as_u64), kv.get(1).and_then(Json::as_u64))
-            else {
-                return Err("per_loop_unroll: bad pair".into());
-            };
-            c.per_loop_unroll.insert(LoopId(id as u32), n as u32);
-        }
-    }
-    c.max_clock = get_i64(j, "max_clock")?;
-    c.float_perturbation = get_f64_bits(j, "float_perturbation")?;
-    c.shrink_threshold = get_u64(j, "shrink_threshold")? as usize;
-    c.enable_octagons = get_bool(j, "enable_octagons")?;
-    c.enable_ellipsoids = get_bool(j, "enable_ellipsoids")?;
-    c.enable_dtrees = get_bool(j, "enable_dtrees")?;
-    c.enable_clocked = get_bool(j, "enable_clocked")?;
-    c.enable_linearization = get_bool(j, "enable_linearization")?;
-    c.partitioned_functions = get_str_arr(j, "partitioned_functions")?.into_iter().collect();
-    c.max_partitions = get_u64(j, "max_partitions")? as usize;
-    c.octagon_pack_cap = get_u64(j, "octagon_pack_cap")? as usize;
-    c.dtree_pack_bool_cap = get_u64(j, "dtree_pack_bool_cap")? as usize;
-    c.octagon_pack_filter = match j.get("octagon_pack_filter") {
-        Some(Json::Arr(items)) => Some(
-            items
-                .iter()
-                .map(|v| v.as_u64().map(|i| i as usize).ok_or("octagon_pack_filter: not an index"))
-                .collect::<Result<Vec<usize>, _>>()?,
-        ),
-        _ => None,
-    };
-    c.octagon_packs_extra = match j.get("octagon_packs_extra") {
-        Some(Json::Arr(packs)) => packs
-            .iter()
-            .map(|p| match p {
-                Json::Arr(names) => names
-                    .iter()
-                    .map(|n| n.as_str().map(str::to_string).ok_or("pack name: not a string"))
-                    .collect::<Result<Vec<String>, _>>(),
-                _ => Err("octagon_packs_extra: not an array"),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => Vec::new(),
-    };
-    c.jobs = (get_u64(j, "jobs")? as usize).max(1);
-    c.debug_no_ptr_shortcuts = get_bool(j, "debug_no_ptr_shortcuts")?;
-    c.collect_stmt_invariants = get_bool(j, "collect_stmt_invariants")?;
-    Ok(c)
-}
-
-// ---------------------------------------------------------------------------
 // JobSpec
 // ---------------------------------------------------------------------------
-
-fn overrides_to_json(o: &ConfigOverrides) -> Json {
-    fn opt_bool(v: Option<bool>) -> Json {
-        v.map_or(Json::Null, Json::Bool)
-    }
-    Json::obj([
-        ("max_clock", o.max_clock.map_or(Json::Null, Json::Int)),
-        ("loop_unroll", o.loop_unroll.map_or(Json::Null, |v| Json::UInt(v as u64))),
-        ("jobs", o.jobs.map_or(Json::Null, |v| Json::UInt(v as u64))),
-        ("octagons", opt_bool(o.octagons)),
-        ("dtrees", opt_bool(o.dtrees)),
-        ("ellipsoids", opt_bool(o.ellipsoids)),
-        ("clocked", opt_bool(o.clocked)),
-        ("linearize", opt_bool(o.linearize)),
-        ("partition", str_arr(&o.partition)),
-    ])
-}
-
-/// Decodes a spec's `overrides` (absent or `null`: none). Strict, because a
-/// daemon client writes it by hand: an unknown key or a value of the wrong
-/// type is an error naming the key, never a silently ignored override.
-fn overrides_from_json(j: &Json) -> Result<ConfigOverrides, String> {
-    match j {
-        Json::Null => return Ok(ConfigOverrides::default()),
-        Json::Obj(fields) => {
-            let known = overrides_to_json(&ConfigOverrides::default());
-            if let Some((key, _)) = fields.iter().find(|(key, _)| known.get(key).is_none()) {
-                return Err(format!("unknown override `{key}`"));
-            }
-        }
-        _ => return Err("overrides: not an object".into()),
-    }
-    /// The value at `key` when `get` accepts it; `None` when absent or null.
-    fn field<T>(
-        j: &Json,
-        key: &str,
-        ty: &str,
-        get: impl Fn(&Json) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        match j.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => get(v).map(Some).ok_or_else(|| format!("override `{key}` must be {ty}")),
-        }
-    }
-    let flag = |key: &str| field(j, key, "a boolean", Json::as_bool);
-    let int = |v: &Json| match v {
-        Json::Int(n) => Some(*n),
-        v => v.as_u64().and_then(|n| i64::try_from(n).ok()),
-    };
-    let names = |v: &Json| match v {
-        Json::Arr(items) => items.iter().map(|n| n.as_str().map(str::to_string)).collect(),
-        _ => None,
-    };
-    Ok(ConfigOverrides {
-        max_clock: field(j, "max_clock", "an integer", int)?,
-        loop_unroll: field(j, "loop_unroll", "a u32", |v| v.as_u64()?.try_into().ok())?,
-        jobs: field(j, "jobs", "a count", |v| v.as_u64().map(|n| n as usize))?,
-        octagons: flag("octagons")?,
-        dtrees: flag("dtrees")?,
-        ellipsoids: flag("ellipsoids")?,
-        clocked: flag("clocked")?,
-        linearize: flag("linearize")?,
-        partition: field(j, "partition", "an array of names", names)?.unwrap_or_default(),
-    })
-}
 
 fn bug_to_json(b: Option<BugKind>) -> Json {
     match b {
@@ -376,13 +130,22 @@ pub fn spec_to_json(s: &JobSpec) -> Json {
     Json::obj([
         ("name", Json::str(&s.name)),
         ("source", Json::str(&s.source)),
-        ("overrides", overrides_to_json(&s.overrides)),
+        ("overrides", s.overrides.clone()),
         ("oracle", oracle),
     ])
 }
 
-/// Decodes a job spec from a `job` frame.
+/// Decodes a job spec from a `job` frame. Its `overrides` (absent or
+/// `null`: none) must patch a configuration: an unknown key or a value of
+/// the wrong type is an error naming the key, never an ignored override.
 pub fn spec_from_json(j: &Json) -> Result<JobSpec, String> {
+    let overrides = match j.get("overrides") {
+        None | Some(Json::Null) => Json::Obj(Vec::new()),
+        Some(o) => {
+            AnalysisConfig::default().patch(o).map_err(|e| format!("overrides: {e}"))?;
+            o.clone()
+        }
+    };
     let oracle = match j.get("oracle") {
         Some(o @ Json::Obj(_)) => Some(OracleJob {
             spec: member_spec_from_json(o.get("spec").ok_or("oracle: missing spec")?)?,
@@ -394,12 +157,7 @@ pub fn spec_from_json(j: &Json) -> Result<JobSpec, String> {
         }),
         _ => None,
     };
-    Ok(JobSpec {
-        name: get_str(j, "name")?,
-        source: get_str(j, "source")?,
-        overrides: overrides_from_json(j.get("overrides").unwrap_or(&Json::Null))?,
-        oracle,
-    })
+    Ok(JobSpec { name: get_str(j, "name")?, source: get_str(j, "source")?, overrides, oracle })
 }
 
 // ---------------------------------------------------------------------------
@@ -497,7 +255,7 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
         ("name", Json::str(&o.name)),
         ("status", Json::str(o.status.slug())),
         ("alarms", o.alarms.map_or(Json::Null, |n| Json::UInt(n as u64))),
-        ("alarm_lines", str_arr(&o.alarm_lines)),
+        ("alarm_lines", Json::Arr(o.alarm_lines.iter().map(Json::str).collect())),
         ("main_invariant", o.main_invariant.as_deref().map_or(Json::Null, Json::str)),
         ("main_census", o.main_census.as_deref().map_or(Json::Null, Json::str)),
         ("cache_full_hit", Json::Bool(o.cache_full_hit)),
@@ -576,42 +334,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_round_trips_bit_exactly() {
-        let mut c = AnalysisConfig::default();
-        c.thresholds = Thresholds::from_values(vec![1.5, 1e20, 0.1]);
-        c.per_loop_unroll.insert(LoopId(3), 4);
-        c.per_loop_unroll.insert(LoopId(1), 2);
-        c.max_clock = -7;
-        c.float_perturbation = 1e-9;
-        c.partitioned_functions.insert("main".into());
-        c.partitioned_functions.insert("aux".into());
-        c.octagon_pack_filter = Some(vec![0, 3]);
-        c.octagon_packs_extra = vec![vec!["a".into(), "b".into()]];
-        c.collect_stmt_invariants = true;
-        let j = config_to_json(&c);
-        let text = j.to_compact();
-        let back = config_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.thresholds.ramp(), c.thresholds.ramp());
-        assert_eq!(back.per_loop_unroll, c.per_loop_unroll);
-        assert_eq!(back.max_clock, c.max_clock);
-        assert_eq!(back.float_perturbation.to_bits(), c.float_perturbation.to_bits());
-        assert_eq!(back.partitioned_functions, c.partitioned_functions);
-        assert_eq!(back.octagon_pack_filter, c.octagon_pack_filter);
-        assert_eq!(back.octagon_packs_extra, c.octagon_packs_extra);
-        assert!(back.collect_stmt_invariants);
-    }
-
-    #[test]
     fn spec_and_outcome_round_trip() {
         let spec = JobSpec {
             name: "m1".into(),
             source: "int x;\n".into(),
-            overrides: ConfigOverrides {
-                max_clock: Some(50),
-                octagons: Some(false),
-                partition: vec!["main".into()],
-                ..ConfigOverrides::default()
-            },
+            overrides: Json::obj([
+                ("max_clock", Json::Int(50)),
+                ("enable_octagons", Json::Bool(false)),
+                ("partitioned_functions", Json::Arr(vec![Json::str("main")])),
+            ]),
             oracle: Some(OracleJob {
                 spec: MemberSpec {
                     channels: 2,
@@ -630,7 +361,7 @@ mod tests {
         let back = spec_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.name, spec.name);
         assert_eq!(back.source, spec.source);
-        assert_eq!(back.overrides, spec.overrides);
+        assert_eq!(back.overrides.to_compact(), spec.overrides.to_compact());
         let o = back.oracle.unwrap();
         assert_eq!(o.spec, spec.oracle.as_ref().unwrap().spec);
         assert_eq!(o.debug_tighten_cell.as_deref(), Some("count0"));
@@ -677,12 +408,16 @@ mod tests {
             let named = [("name", Json::str("j")), ("source", Json::str(""))];
             spec_from_json(&Json::obj(named.into_iter().chain([("overrides", overrides)])))
         };
-        let err = spec(Json::obj([("unroll", Json::UInt(2))])).unwrap_err();
-        assert!(err.contains("`unroll`"), "{err}");
-        let err = spec(Json::obj([("octagons", Json::UInt(1))])).unwrap_err();
-        assert!(err.contains("`octagons`"), "{err}");
-        let ok = spec(Json::obj([("loop_unroll", Json::UInt(2)), ("jobs", Json::Null)])).unwrap();
-        assert_eq!(ok.overrides, ConfigOverrides { loop_unroll: Some(2), ..Default::default() });
-        assert_eq!(spec(Json::Null).unwrap().overrides, ConfigOverrides::default());
+        // The old spellings are unknown keys now; a bad value names its key.
+        for (key, bad) in [("octagons", Json::Bool(false)), ("enable_octagons", Json::UInt(1))]
+            .into_iter()
+            .chain([("loop_unroll", Json::str("x")), ("jobs", Json::UInt(0))])
+        {
+            let err = spec(Json::obj([(key, bad)])).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{err}");
+        }
+        let ok = spec(Json::obj([("loop_unroll", Json::UInt(2))])).unwrap();
+        assert_eq!(ok.config(&AnalysisConfig::default()).unwrap().loop_unroll, 2);
+        assert_eq!(spec(Json::Null).unwrap().overrides, Json::Obj(Vec::new()));
     }
 }

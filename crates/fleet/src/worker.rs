@@ -20,10 +20,8 @@
 
 use crate::exec::{execute_contained, ExecContext};
 use crate::proto::{read_frame, write_frame, Endpoint, Listener, FLEET_PROTO};
-use crate::wire::{
-    config_from_json, files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json,
-};
-use astree_core::InvariantStore;
+use crate::wire::{files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json};
+use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::Json;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -128,10 +126,9 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
     if init.get("proto").and_then(Json::as_str) != Some(FLEET_PROTO) {
         return Err(bad_proto(format!("expected proto {FLEET_PROTO:?} in init frame")));
     }
-    let config = init
-        .get("config")
-        .ok_or_else(|| bad_proto("init frame without config".into()))
-        .and_then(|c| config_from_json(c).map_err(bad_proto))?;
+    let mut config = AnalysisConfig::default();
+    let sent = init.get("config").ok_or_else(|| bad_proto("init frame without config".into()))?;
+    config.patch(sent).map_err(bad_proto)?;
     // A shared cache directory wins over wire sync: when the coordinator
     // names one, this worker can already see the coordinator's store
     // through the filesystem and the wire exchange would be redundant.
@@ -199,8 +196,7 @@ pub fn serve_conn(reader: &mut dyn BufRead, writer: &mut dyn Write) -> io::Resul
 mod tests {
     use super::*;
     use crate::job::{JobSpec, JobStatus};
-    use crate::wire::{config_to_json, outcome_from_json, spec_to_json};
-    use astree_core::AnalysisConfig;
+    use crate::wire::{outcome_from_json, spec_to_json};
     use std::io::BufReader;
 
     #[test]
@@ -213,7 +209,7 @@ mod tests {
             &Json::obj([
                 ("proto", Json::str(FLEET_PROTO)),
                 ("frame", Json::str("init")),
-                ("config", config_to_json(&config)),
+                ("config", config.to_json()),
                 ("cache_dir", Json::Null),
             ]),
         )

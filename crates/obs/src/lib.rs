@@ -15,7 +15,7 @@
 //! - [`Collector`]: aggregates events into a [`Metrics`] document behind a
 //!   mutex;
 //! - [`StreamSink`]: writes each event's `astree-events/1` record as it
-//!   happens (`--metrics-stream`, `--trace`);
+//!   happens (`--metrics-stream`);
 //! - [`Fanout`]: tees events to several recorders.
 //!
 //! The JSON schema (`astree-metrics/1`) is documented field by field in the

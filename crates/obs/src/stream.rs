@@ -5,7 +5,7 @@
 //! `batch` fleet run wants telemetry on disk *while it runs* and without
 //! unbounded memory. [`StreamSink`] writes each event's `astree-events/1`
 //! record ([`Event::to_record`]) as one JSON line as it arrives — to a file
-//! (`--metrics-stream`) or to stderr (`--trace`); [`Fanout`] tees events to
+//! or to stderr (`--metrics-stream /dev/stderr`); [`Fanout`] tees events to
 //! several recorders so a run can stream *and* keep the aggregate document.
 
 use std::fs::File;

@@ -25,8 +25,7 @@
 //! - [`serve`] — the resident analysis service, a module of [`fleet`]: a
 //!   daemon running fleet jobs on a warm pool and a shared invariant store
 //!   (`astree-serve/2` wire protocol)
-//! - [`options`] — the shared CLI run options (`--jobs`, `--metrics`,
-//!   `--trace`, `--cache`)
+//! - [`options`] — the CLI's flag tables, parse loop and `--help`
 
 pub mod options;
 
