@@ -9,11 +9,11 @@ use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::{Iter, Mode};
 use crate::packs::Packs;
+use crate::pool::WorkerPool;
 use crate::state::AbsState;
 use astree_ir::{globals_fingerprint, program_fingerprint, Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
 use astree_obs::{CacheCounters, Event, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
-use astree_sched::WorkerPool;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

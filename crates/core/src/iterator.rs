@@ -132,7 +132,7 @@ pub struct Iter<'a> {
     par_enabled: bool,
     /// The session's worker pool slices run on; `None` (sessions with
     /// `jobs == 1`, worker iterators) never slices.
-    pub(crate) pool: Option<&'a astree_sched::WorkerPool>,
+    pub(crate) pool: Option<&'a crate::pool::WorkerPool>,
     /// Cached stage plans, keyed by the first statement of the block.
     plans: HashMap<StmtId, Arc<crate::parallel::BlockPlan>>,
     /// Telemetry sink (the no-op recorder by default).

@@ -60,6 +60,7 @@ pub(crate) mod frames;
 pub mod iterator;
 pub mod packs;
 pub(crate) mod parallel;
+pub mod pool;
 pub mod state;
 pub mod substitute;
 

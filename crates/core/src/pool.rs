@@ -1,4 +1,7 @@
-//! Persistent worker pool with one shared queue.
+//! Persistent worker pool with one shared queue: the domain-agnostic half
+//! of Monniaux's partition-and-join scheme, on `std::thread` only. Which
+//! statements conflict, how a stage is cut into slices and how abstract
+//! states merge stays in `core::parallel`.
 //!
 //! The pool is created once per session (sized by `--jobs`) and every
 //! parallel stage is scattered onto it, so slice execution pays queue
@@ -253,6 +256,17 @@ impl Drop for WorkerPool {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+/// The human-readable message of a caught panic payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
     }
 }
 

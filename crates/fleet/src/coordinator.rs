@@ -1,22 +1,17 @@
 //! The fleet coordinator: hands jobs to worker lanes from one queue and
 //! survives worker crashes.
 //!
-//! Each lane drives one [`Transport`] — a local child process or a remote
-//! socket — through the `astree-fleet/2` conversation:
-//!
-//! ```text
-//! coordinator → worker   init   {proto, config, cache_dir, store_sync}
-//! worker → coordinator   ready  {pid}
-//! coordinator → worker   job    {seq, spec, crash, files}   (repeated)
-//! worker → coordinator   done   {seq, outcome, files}       (one per job)
-//! coordinator → worker   bye
-//! ```
-//!
-//! With `store_sync`, the store exchange rides those frames: a `job`
-//! carries the coordinator's store files the lane's current worker does not
-//! hold yet, a `done` the results the worker stored during the job. A
-//! store file's name is its result, so the coordinator keeps, per lane,
-//! only the set of names it has exchanged with the current worker.
+//! A worker is an `astree serve` process, and each lane drives one
+//! [`Transport`] — a local `serve --stdio` child or a remote socket —
+//! through the `astree-serve/2` conversation any client has: one `status`
+//! round trip that checks `proto`, then a one-job `run` per job, answered
+//! by its `result`; at the end the coordinator closes its side. A job's
+//! spec carries its whole configuration, so what a worker was started with
+//! never shows through. With `--cache-wire` a `run` carries the
+//! coordinator's store files the lane's worker does not hold yet, and a
+//! `result` the files the job stored; a store file's name is its result,
+//! so a lane tracks names only. `DESIGN.md` ("Coordinators as peers")
+//! lists the frames.
 //!
 //! Scheduling is deterministic in *outcome*, not in placement: an idle
 //! lane pulls the next job from one pending FIFO, and results land in a
@@ -25,34 +20,34 @@
 //! timing-dependent.
 //!
 //! Isolation policy: a worker that misses its deadline is killed and its
-//! job reported [`JobStatus::TimedOut`]; a worker that dies mid-job has the
-//! job put back at the front of the queue (so it runs next) while the lane
-//! respawns its worker, until the per-job retry budget is exhausted and the
-//! job is reported [`JobStatus::Crashed`]. When the last lane dies, every
-//! pending job is reported crashed.
+//! job reported [`JobStatus::TimedOut`]; a worker that dies mid-job, or
+//! answers anything but the job's `result`, has the job put back at the
+//! front of the queue (so it runs next) while the lane respawns its worker,
+//! until the per-job retry budget is exhausted and the job is reported
+//! [`JobStatus::Crashed`]. When the last lane dies, every pending job is
+//! reported crashed.
 
 use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::proto::{read_frame, write_frame, Endpoint, FLEET_PROTO};
+use crate::proto::{read_frame, write_frame, Conn, Endpoint};
+use crate::serve::{remove_sync_dirs, PROTO};
 use crate::session::FleetOptions;
-use crate::wire::{files_to_json, frame_files, outcome_from_json, pack_files, spec_to_json};
-use crate::worker::remove_sync_dirs;
-use astree_core::{AnalysisConfig, InvariantStore};
+use crate::wire::{files_to_json, frame_files, pack_files, result_outcomes, spec_to_json};
+use astree_core::InvariantStore;
 use astree_obs::{FleetCounters, FleetWorkerCounters, Json};
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::io::{self, BufReader, Read};
+use std::net::Shutdown;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a freshly started worker gets to answer `init` with `ready`.
+/// How long a freshly started worker gets to answer the `status`
+/// handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How long a worker told `bye` gets to exit on its own before it is
-/// killed.
+/// How long a local worker whose input was closed gets to exit on its own
+/// before it is killed.
 const EXIT_GRACE: Duration = Duration::from_secs(2);
 
 /// One worker connection the coordinator can start, feed frames, and kill.
@@ -68,8 +63,8 @@ pub trait Transport: Send {
     fn send(&mut self, frame: &Json) -> io::Result<()>;
     /// Forcibly terminates the connection (and the child, if local).
     fn kill(&mut self);
-    /// Ends the conversation after `bye`, letting the worker exit on its
-    /// own (and remove what it keeps on disk) when it can.
+    /// Ends the conversation, letting the worker exit on its own (and
+    /// remove what it keeps on disk) when it can.
     fn close(&mut self) {
         self.kill();
     }
@@ -77,14 +72,14 @@ pub trait Transport: Send {
     fn describe(&self) -> String;
 }
 
-/// A local `astree worker --stdio` child process.
+/// A local `astree serve --stdio` child process.
 pub struct ProcessTransport {
     cmd: Vec<String>,
     child: Option<Child>,
 }
 
 impl ProcessTransport {
-    /// `cmd` is the argv to spawn; the fleet protocol runs over its
+    /// `cmd` is the argv to spawn; the protocol runs over its
     /// stdin/stdout, stderr is inherited for debuggability.
     pub fn new(cmd: Vec<String>) -> ProcessTransport {
         assert!(!cmd.is_empty(), "worker command must not be empty");
@@ -93,9 +88,8 @@ impl ProcessTransport {
 
     /// Closes the child's input, gives it `grace` to exit, then kills it. A
     /// worker that did not exit cleanly (crashed or killed) could not
-    /// remove its wire-sync temp stores, so they are removed here; the
-    /// child is the worker process itself, so its pid is the one the
-    /// worker's `ready` frame and store names carry.
+    /// remove its temp stores, so they are removed here; the child is the
+    /// serving process itself, so its pid is the one the store names carry.
     fn stop(&mut self, grace: Duration) {
         let Some(mut child) = self.child.take() else { return };
         drop(child.stdin.take());
@@ -157,60 +151,41 @@ impl Drop for ProcessTransport {
     }
 }
 
-enum RawStream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-/// A remote worker reached over a Unix or TCP socket (an
-/// `astree worker --socket PATH` / `--listen ADDR` listener).
+/// A remote worker reached over a Unix or TCP socket: an
+/// `astree serve --socket PATH` / `--listen ADDR` process.
 pub struct SocketTransport {
     endpoint: Endpoint,
-    stream: Option<(RawStream, Box<dyn Write + Send>)>,
+    conn: Option<Conn>,
 }
 
 impl SocketTransport {
     pub fn new(endpoint: Endpoint) -> SocketTransport {
-        SocketTransport { endpoint, stream: None }
+        SocketTransport { endpoint, conn: None }
     }
 }
 
 impl Transport for SocketTransport {
     fn start(&mut self) -> io::Result<Box<dyn Read + Send>> {
         self.kill();
-        match &self.endpoint {
-            Endpoint::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                let reader = s.try_clone()?;
-                let writer = s.try_clone()?;
-                self.stream = Some((RawStream::Unix(s), Box::new(writer)));
-                Ok(Box::new(reader))
-            }
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr.as_str())?;
-                s.set_nodelay(true).ok();
-                let reader = s.try_clone()?;
-                let writer = s.try_clone()?;
-                self.stream = Some((RawStream::Tcp(s), Box::new(writer)));
-                Ok(Box::new(reader))
-            }
-        }
+        let conn = Conn::connect(&self.endpoint)?;
+        let reader = Box::new(conn.try_clone()?);
+        self.conn = Some(conn);
+        Ok(reader)
     }
 
     fn send(&mut self, frame: &Json) -> io::Result<()> {
-        let (_, writer) = self
-            .stream
+        let conn = self
+            .conn
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))?;
-        write_frame(writer.as_mut(), frame)
+        write_frame(conn, frame)
     }
 
+    /// Shuts the connection down both ways: the serving process sees
+    /// end-of-stream, and so does the lane's reader thread.
     fn kill(&mut self) {
-        if let Some((raw, _)) = self.stream.take() {
-            match raw {
-                RawStream::Unix(s) => drop(s.shutdown(Shutdown::Both)),
-                RawStream::Tcp(s) => drop(s.shutdown(Shutdown::Both)),
-            }
+        if let Some(conn) = self.conn.take() {
+            conn.shutdown(Shutdown::Both);
         }
     }
 
@@ -219,18 +194,11 @@ impl Transport for SocketTransport {
     }
 }
 
-/// Coordinator-side knobs, separate from the per-job analysis config.
+/// Coordinator-side knobs, separate from the jobs' configurations.
 pub struct FleetConfig<'a> {
-    /// Base analysis configuration shipped to every worker's `init` frame.
-    pub config: &'a AnalysisConfig,
-    /// Directory of the shared invariant store, if the fleet has one and
-    /// workers can reach it through the filesystem.
-    pub cache_dir: Option<PathBuf>,
-    /// The coordinator's own open invariant store, when workers should
-    /// sync against it over the wire instead of a shared filesystem (the
-    /// `files` of `job` and `done` frames). Mutually exclusive with
-    /// `cache_dir` in practice: a worker that can see the directory skips
-    /// the wire exchange.
+    /// The coordinator's own open invariant store, when workers sync
+    /// against it over the wire (`--cache-wire`: the `files` of `run` and
+    /// `result` frames) instead of opening the store directory themselves.
     pub store: Option<Arc<InvariantStore>>,
     /// Deadline, retry budget (default 2) and fault injection.
     pub fleet: &'a FleetOptions,
@@ -253,7 +221,9 @@ struct Board {
 }
 
 /// Runs `jobs` across the given worker lanes and returns their outcomes in
-/// submission order plus the fleet counters.
+/// submission order plus the fleet counters. A job runs under its
+/// `overrides` patched on the worker's own base, so a job that must not
+/// depend on the worker carries its whole configuration there.
 ///
 /// Every job gets an outcome — [`JobStatus::Crashed`] with a detail message
 /// in the worst case — so the caller never has to handle holes.
@@ -297,24 +267,10 @@ pub fn run_fleet(
     (outcomes, shared.counters)
 }
 
-fn init_frame(cfg: &FleetConfig<'_>) -> Json {
-    Json::obj([
-        ("proto", Json::str(FLEET_PROTO)),
-        ("frame", Json::str("init")),
-        ("config", cfg.config.to_json()),
-        (
-            "cache_dir",
-            cfg.cache_dir.as_ref().map_or(Json::Null, |p| Json::str(p.display().to_string())),
-        ),
-        ("store_sync", Json::Bool(cfg.store.is_some())),
-    ])
-}
-
-/// The `files` of a `job` frame: the coordinator's store files whose names
+/// The `files` of a `run` frame: the coordinator's store files whose names
 /// `held` (what the lane's worker holds) lacks, bounded by the frame cap;
 /// the shipped names join `held`.
-fn files_for_job(cfg: &FleetConfig<'_>, held: &mut HashSet<String>, board: &Board) -> Json {
-    let Some(store) = &cfg.store else { return Json::Arr(Vec::new()) };
+fn files_for_run(store: &InvariantStore, held: &mut HashSet<String>, board: &Board) -> Json {
     let missing = store.file_names().into_iter().filter(|n| !held.contains(n)).collect();
     let files = pack_files(store, missing);
     if !files.is_empty() {
@@ -325,15 +281,9 @@ fn files_for_job(cfg: &FleetConfig<'_>, held: &mut HashSet<String>, board: &Boar
 }
 
 /// Adds the results a worker stored during its job (the `files` of its
-/// `done` frame) to the coordinator's store; the store refuses bytes it
+/// `result` frame) to the coordinator's store; the store refuses bytes it
 /// already holds, so only changes count as `store_puts`.
-fn import_done_files(
-    frame: &Json,
-    cfg: &FleetConfig<'_>,
-    held: &mut HashSet<String>,
-    board: &Board,
-) {
-    let Some(store) = &cfg.store else { return };
+fn import_files(frame: &Json, store: &InvariantStore, held: &mut HashSet<String>, board: &Board) {
     let mut imported = 0;
     for (name, text) in frame_files(frame) {
         imported += store.import_file(name, text) as u64;
@@ -345,12 +295,14 @@ fn import_done_files(
 }
 
 /// Starts the transport, spawns a dedicated reader thread, performs the
-/// init/ready handshake, and returns the frame receiver.
+/// `status` handshake, and returns the frame receiver. A peer that does not
+/// answer with an `astree-serve/2` status is refused.
 fn spawn_worker(
     transport: &mut dyn Transport,
     cfg: &FleetConfig<'_>,
 ) -> Result<Receiver<Json>, String> {
-    let reader = transport.start().map_err(|e| format!("{}: {e}", transport.describe()))?;
+    let who = transport.describe();
+    let reader = transport.start().map_err(|e| format!("{who}: {e}"))?;
     let (tx, rx): (Sender<Json>, Receiver<Json>) = mpsc::channel();
     std::thread::spawn(move || {
         let mut r = BufReader::new(reader);
@@ -361,14 +313,14 @@ fn spawn_worker(
         }
         // EOF or malformed frame: dropping `tx` disconnects the lane.
     });
-    transport.send(&init_frame(cfg)).map_err(|e| format!("{}: init: {e}", transport.describe()))?;
+    let status = [("proto", Json::str(PROTO)), ("id", Json::UInt(0)), ("req", Json::str("status"))];
+    transport.send(&Json::obj(status)).map_err(|e| format!("{who}: status: {e}"))?;
     let deadline = cfg.fleet.timeout.unwrap_or(HANDSHAKE_TIMEOUT).max(HANDSHAKE_TIMEOUT);
     match rx.recv_timeout(deadline) {
-        Ok(frame) if frame.get("frame").and_then(Json::as_str) == Some("ready") => Ok(rx),
-        Ok(frame) => {
-            Err(format!("{}: expected ready, got {}", transport.describe(), frame.to_compact()))
-        }
-        Err(_) => Err(format!("{}: no ready within {deadline:?}", transport.describe())),
+        Ok(frame) if frame.get("proto").and_then(Json::as_str) == Some(PROTO) => Ok(rx),
+        Ok(frame) => Err(format!("{who}: expected a {PROTO} status, got {}", frame.to_compact())),
+        Err(RecvTimeoutError::Disconnected) => Err(format!("{who}: hung up before its status")),
+        Err(RecvTimeoutError::Timeout) => Err(format!("{who}: no status within {deadline:?}")),
     }
 }
 
@@ -457,15 +409,20 @@ fn lane(
 
     while let Some((job_idx, first)) = claim_job(board) {
         let t0 = Instant::now();
-        let crash = first && cfg.fleet.crash_on.as_deref() == Some(jobs[job_idx].name.as_str());
-        let frame = Json::obj([
-            ("frame", Json::str("job")),
-            ("seq", Json::UInt(job_idx as u64)),
-            ("spec", spec_to_json(&jobs[job_idx])),
-            ("crash", Json::Bool(crash)),
-            ("files", files_for_job(cfg, &mut held, board)),
-        ]);
-        let reply = match transport.send(&frame) {
+        let mut run = vec![
+            ("proto", Json::str(PROTO)),
+            ("id", Json::UInt(job_idx as u64)),
+            ("req", Json::str("run")),
+            ("jobs", Json::Arr(vec![spec_to_json(&jobs[job_idx])])),
+            ("events", Json::str("none")),
+        ];
+        if let Some(store) = &cfg.store {
+            run.push(("files", files_for_run(store, &mut held, board)));
+        }
+        if first && cfg.fleet.crash_on.as_deref() == Some(jobs[job_idx].name.as_str()) {
+            run.push(("crash", Json::Bool(true)));
+        }
+        let reply = match transport.send(&Json::obj(run)) {
             Ok(()) => match cfg.fleet.timeout {
                 Some(t) => rx.recv_timeout(t),
                 None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
@@ -473,13 +430,15 @@ fn lane(
             Err(_) => Err(RecvTimeoutError::Disconnected),
         };
         match reply {
-            Ok(frame) => match done_outcome(&frame, job_idx) {
+            Ok(frame) => match job_outcome(&frame, job_idx) {
                 Ok(out) => {
-                    import_done_files(&frame, cfg, &mut held, board);
+                    if let Some(store) = &cfg.store {
+                        import_files(&frame, store, &mut held, board);
+                    }
                     complete(idx, job_idx, out, t0.elapsed(), board);
                     continue;
                 }
-                // A worker speaking garbage is as good as dead.
+                // A worker answering anything else is as good as dead.
                 Err(why) => requeue(idx, job_idx, jobs, board, budget, &why),
             },
             Err(RecvTimeoutError::Timeout) => {
@@ -504,19 +463,15 @@ fn lane(
             Err(reason) => return lane_dead(idx, jobs, board, &reason),
         }
     }
-    let _ = transport.send(&Json::obj([("frame", Json::str("bye"))]));
     transport.close();
 }
 
-/// The outcome a `done` frame for job `seq` reports.
-fn done_outcome(frame: &Json, seq: usize) -> Result<JobOutcome, String> {
-    if frame.get("frame").and_then(Json::as_str) != Some("done")
-        || frame.get("seq").and_then(Json::as_u64) != Some(seq as u64)
-    {
-        return Err(format!("unexpected frame {}", frame.to_compact()));
+/// The one outcome of the `result` frame that answers job `id`'s `run`.
+fn job_outcome(frame: &Json, id: usize) -> Result<JobOutcome, String> {
+    let unexpected = || format!("unexpected frame {}", frame.to_compact());
+    if frame.get("id").and_then(Json::as_u64) != Some(id as u64) {
+        return Err(unexpected());
     }
-    frame
-        .get("outcome")
-        .ok_or_else(|| "done frame without outcome".to_string())
-        .and_then(outcome_from_json)
+    let [out] = <[JobOutcome; 1]>::try_from(result_outcomes(frame)?).map_err(|_| unexpected())?;
+    Ok(out)
 }

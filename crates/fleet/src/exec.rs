@@ -2,17 +2,17 @@
 //! [`JobOutcome`].
 //!
 //! Both sides of the process boundary share this path — the in-process
-//! runner and a worker process answering a `job` frame both call
+//! runner and a serving process answering a `run` request both call
 //! [`execute_contained`] — which is what makes the fleet's determinism contract
 //! cheap to keep: a job's outcome depends only on its spec and the base
 //! configuration, never on which process ran it.
 
 use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
+use astree_core::pool::{panic_message, WorkerPool};
 use astree_core::{AnalysisConfig, AnalysisSession, InvariantStore};
 use astree_frontend::Frontend;
 use astree_obs::Recorder;
 use astree_oracle::{run_member, OracleConfig};
-use astree_sched::{panic_message, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;

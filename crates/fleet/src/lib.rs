@@ -1,6 +1,7 @@
 //! Distributed fleet sharding: a process-level coordinator with one job
 //! queue and a shared warm store, behind one unified Fleet API — and the
-//! resident daemon that serves the same jobs over a socket.
+//! one resident process, which serves the same jobs to clients and
+//! coordinators alike.
 //!
 //! The analyzer's fan-out surfaces — `astree batch`, the serve daemon's
 //! `run` request, and `astree fuzz` — all describe their work as
@@ -29,20 +30,19 @@
 //!
 //! - [`job`]: the vocabulary ([`JobSpec`], [`JobOutcome`], [`JobStatus`],
 //!   [`FleetReport`]);
-//! - [`exec`]: runs one job (shared by the in-process, worker and daemon
-//!   paths);
-//! - [`proto`]: length-delimited JSON framing, [`Endpoint`]s and the one
-//!   `Listener` (the daemon's and the socket worker's);
+//! - [`exec`]: runs one job (shared by the in-process and serving paths);
+//! - [`proto`]: length-delimited JSON framing, [`Endpoint`]s, the one
+//!   connection type [`Conn`] and the one `Listener`;
 //! - [`wire`]: codecs for specs and outcomes (a configuration encodes
 //!   itself: `AnalysisConfig::to_json`/`patch`);
 //! - [`coordinator`]: lanes pulling from one queue, crash re-queue and
 //!   the store exchange ([`Transport`], [`ProcessTransport`],
 //!   [`SocketTransport`]);
-//! - [`worker`]: the `astree worker` serve loop;
 //! - [`session`]: the [`FleetSession`] builder tying it together;
 //! - [`corpus`]: fleet construction for generated members and oracle
 //!   campaigns;
-//! - [`serve`]: the resident daemon (`astree-serve/2`) and its client.
+//! - [`serve`]: the resident process (`astree-serve/2`): one connection
+//!   loop for sockets and stdio, and its client.
 
 pub mod coordinator;
 pub mod corpus;
@@ -52,12 +52,10 @@ pub mod proto;
 pub mod serve;
 pub mod session;
 pub mod wire;
-pub mod worker;
 
 pub use coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTransport, Transport};
 pub use corpus::{campaign_from_outcomes, campaign_jobs, generated_jobs};
 pub use exec::{execute, ExecContext};
 pub use job::{FleetReport, JobOutcome, JobSpec, JobStatus, OracleJob};
-pub use proto::{read_frame, write_frame, Conn, Endpoint, FLEET_PROTO, MAX_FRAME};
+pub use proto::{read_frame, write_frame, Conn, Endpoint, MAX_FRAME};
 pub use session::{FleetOptions, FleetSession, FleetSessionBuilder};
-pub use worker::{serve_listener, serve_stdio};

@@ -1,7 +1,6 @@
-//! Length-delimited JSON framing, endpoints and the one `Listener`,
-//! shared by every astree wire protocol (`astree-serve/2` between clients
-//! and the daemon, `astree-fleet/2` between the coordinator and its
-//! workers).
+//! Length-delimited JSON framing, endpoints, the one connection type and
+//! the one `Listener` of the `astree-serve/2` protocol, which clients and
+//! fleet coordinators alike speak to a serving process.
 //!
 //! A frame is one JSON value, length-delimited so neither side ever needs a
 //! streaming JSON parser:
@@ -19,19 +18,15 @@
 
 use astree_obs::Json;
 use std::io::{self, BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-
-/// The protocol identifier carried by every coordinator→worker `init`
-/// frame.
-pub const FLEET_PROTO: &str = "astree-fleet/2";
 
 /// Frames larger than this are rejected as malformed (64 MiB — far above
 /// any real request, small enough to bound a hostile allocation).
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Upper bound on store-file bytes in the `files` of one `job` or `done`
+/// Upper bound on store-file bytes in the `files` of one `run` or `result`
 /// frame. Files that would overflow the bound stay behind and ride a later
 /// job; the sync degrades to extra cold solves, never to an oversized
 /// frame. Sized so JSON string escaping (worst case ~2x) cannot push a
@@ -80,39 +75,73 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// A bidirectional connection split into independently-owned halves, so a
-/// handler can block reading the next request while telemetry frames are
-/// written from the analysis it is running.
-pub struct Conn {
-    pub reader: Box<dyn io::Read + Send>,
-    pub writer: Box<dyn Write + Send>,
+/// One connection, over a Unix or TCP socket. [`Conn::try_clone`] hands a
+/// second handle to a thread of its own, so a handler can block reading the
+/// next request while telemetry frames are written from the analysis it
+/// runs.
+pub enum Conn {
+    Unix(UnixStream),
+    Tcp(TcpStream),
 }
 
 impl Conn {
-    fn from_unix(s: UnixStream) -> io::Result<Conn> {
-        let r = s.try_clone()?;
-        Ok(Conn { reader: Box::new(r), writer: Box::new(s) })
-    }
-
-    fn from_tcp(s: TcpStream) -> io::Result<Conn> {
+    fn tcp(s: TcpStream) -> Conn {
         s.set_nodelay(true).ok();
-        let r = s.try_clone()?;
-        Ok(Conn { reader: Box::new(r), writer: Box::new(s) })
+        Conn::Tcp(s)
     }
 
     /// Connects to an endpoint.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Conn> {
         match endpoint {
-            Endpoint::Unix(path) => Conn::from_unix(UnixStream::connect(path)?),
-            Endpoint::Tcp(addr) => Conn::from_tcp(TcpStream::connect(addr.as_str())?),
+            Endpoint::Unix(path) => Ok(Conn::Unix(UnixStream::connect(path)?)),
+            Endpoint::Tcp(addr) => Ok(Conn::tcp(TcpStream::connect(addr.as_str())?)),
+        }
+    }
+
+    /// A second handle on the same connection.
+    pub fn try_clone(&self) -> io::Result<Conn> {
+        Ok(match self {
+            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
+            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
+        })
+    }
+
+    /// Shuts down `how` of the connection: a thread blocked reading it sees
+    /// end-of-stream (`Read`), the peer sees it (`Write`).
+    pub fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Conn::Unix(s) => s.shutdown(how),
+            Conn::Tcp(s) => s.shutdown(how),
+        };
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.read(buf),
+            Conn::Tcp(s) => s.read(buf),
         }
     }
 }
 
-/// A bound server socket, Unix or TCP: the daemon's and
-/// `astree worker --socket/--listen`'s. Binding a Unix path refuses one a
-/// live server answers on (`AddrInUse`) and replaces a stale one a dead
-/// server left behind; dropping the listener removes its socket file.
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.write(buf),
+            Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(()) // a socket has no buffer of its own
+    }
+}
+
+/// A bound server socket, Unix or TCP: `astree serve --socket/--listen`'s.
+/// Binding a Unix path refuses one a live server answers on (`AddrInUse`)
+/// and replaces a stale one a dead server left behind; dropping the
+/// listener removes its socket file.
 pub(crate) struct Listener {
     socket: Socket,
     endpoint: Endpoint,
@@ -124,8 +153,9 @@ enum Socket {
 }
 
 impl Listener {
-    /// Binds `endpoint`. For TCP port 0 the resolved address is available
-    /// from [`Listener::endpoint`].
+    /// Binds `endpoint`, nonblocking: [`Listener::accept`] returns
+    /// `WouldBlock` instead of waiting. For TCP port 0 the resolved address
+    /// is available from [`Listener::endpoint`].
     pub(crate) fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
         let (socket, endpoint) = match endpoint {
             Endpoint::Unix(path) => {
@@ -137,10 +167,13 @@ impl Listener {
                     }
                     std::fs::remove_file(path)?;
                 }
-                (Socket::Unix(UnixListener::bind(path)?), endpoint.clone())
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                (Socket::Unix(l), endpoint.clone())
             }
             Endpoint::Tcp(addr) => {
                 let l = TcpListener::bind(addr.as_str())?;
+                l.set_nonblocking(true)?;
                 let actual = Endpoint::Tcp(l.local_addr()?.to_string());
                 (Socket::Tcp(l), actual)
             }
@@ -153,19 +186,11 @@ impl Listener {
         &self.endpoint
     }
 
-    /// Makes [`Listener::accept`] return `WouldBlock` instead of waiting.
-    pub(crate) fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match &self.socket {
-            Socket::Unix(l) => l.set_nonblocking(on),
-            Socket::Tcp(l) => l.set_nonblocking(on),
-        }
-    }
-
     /// Accepts the next connection.
     pub(crate) fn accept(&self) -> io::Result<Conn> {
         match &self.socket {
-            Socket::Unix(l) => Conn::from_unix(l.accept()?.0),
-            Socket::Tcp(l) => Conn::from_tcp(l.accept()?.0),
+            Socket::Unix(l) => Ok(Conn::Unix(l.accept()?.0)),
+            Socket::Tcp(l) => Ok(Conn::tcp(l.accept()?.0)),
         }
     }
 }
@@ -233,8 +258,8 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let v = Json::obj([
-            ("proto", Json::str(FLEET_PROTO)),
-            ("req", Json::str("analyze")),
+            ("proto", Json::str(crate::serve::PROTO)),
+            ("req", Json::str("status")),
             ("id", Json::UInt(7)),
             ("source", Json::str("int main() { return 0; }\n")),
         ]);

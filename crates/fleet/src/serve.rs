@@ -1,16 +1,17 @@
-//! The resident analysis service (`astree serve`, `astree client`): one
-//! process keeps a warm [`WorkerPool`] and a shared [`InvariantStore`], so
-//! an edit-and-reanalyze loop pays the start-up costs once.
+//! The one resident process (`astree serve`): it keeps a warm
+//! [`WorkerPool`] and a shared [`InvariantStore`], so an edit-and-reanalyze
+//! loop pays the start-up costs once, and it is the fleet's worker.
 //!
-//! The daemon speaks the fleet's vocabulary: a `run` request carries
-//! `wire::spec_to_json` job specs and is answered with their
-//! `wire::outcome_to_json` outcomes, computed by one [`FleetSession`] on the
-//! resident pool and store — `astree batch`'s execution path, panic
-//! containment and override decoding. Each connection gets a handler
-//! thread; past `max_inflight` running requests the daemon answers
-//! `overloaded` at once. Telemetry streams back as `astree-events/1`
-//! records in `event` frames. The protocol, `astree-serve/2`, is specified
-//! in `DESIGN.md`; [`client::Client`] is its blocking client.
+//! A `run` request carries `wire::spec_to_json` job specs and is answered
+//! with their `wire::outcome_to_json` outcomes, computed by one
+//! [`FleetSession`] on the resident pool and store — `astree batch`'s
+//! execution path. One connection loop serves every peer, each on a thread
+//! of its own: clients ([`client::Client`], `astree client`) and fleet
+//! coordinators, which reach a local child on stdin/stdout ([`serve_stdio`])
+//! and a remote one on its socket. Past `max_inflight` running requests the
+//! process answers `overloaded` at once. Telemetry streams back as
+//! `astree-events/1` records in `event` frames. The protocol,
+//! `astree-serve/2`, is specified in `DESIGN.md`.
 
 pub mod client;
 
@@ -20,11 +21,12 @@ pub use client::{Client, ClientError, RequestOutcome};
 use crate::job::{JobSpec, JobStatus};
 use crate::proto::{read_frame, write_frame, Conn, Listener};
 use crate::session::FleetSession;
-use crate::wire::{outcome_to_json, spec_from_json};
+use crate::wire::{files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json};
+use astree_core::pool::WorkerPool;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{Event, Json, Recorder, ServeCounters};
-use astree_sched::WorkerPool;
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::net::Shutdown;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,7 +35,7 @@ use std::time::{Duration, Instant};
 /// The protocol identifier carried by every request and `status` frame.
 pub const PROTO: &str = "astree-serve/2";
 
-/// Daemon configuration, filled in by the `astree serve` CLI.
+/// Serving-process configuration, filled in by the `astree serve` CLI.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Workers in the shared analysis pool (1 = sequential, no threads).
@@ -64,6 +66,21 @@ struct Daemon {
 }
 
 impl Daemon {
+    fn new(opts: &ServeOptions) -> io::Result<Daemon> {
+        let jobs = opts.jobs.max(1);
+        let store = opts.cache_dir.as_ref().map(InvariantStore::open).transpose()?.map(Arc::new);
+        Ok(Daemon {
+            pool: (jobs > 1).then(|| WorkerPool::new(jobs)),
+            config: AnalysisConfig { jobs, ..AnalysisConfig::default() },
+            store,
+            max_inflight: opts.max_inflight.max(1),
+            inflight: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            counters: Mutex::new(ServeCounters::default()),
+            started: Instant::now(),
+        })
+    }
+
     /// Tries to take an admission slot; `None` means overloaded.
     fn admit(self: &Arc<Daemon>) -> Option<AdmitGuard> {
         let take = |n: usize| (n < self.max_inflight).then_some(n + 1);
@@ -88,6 +105,13 @@ impl Drop for AdmitGuard {
     }
 }
 
+/// Serves one connection on stdin/stdout, until end-of-stream or
+/// `shutdown`: `astree serve --stdio`, a coordinator's local worker.
+pub fn serve_stdio(opts: &ServeOptions) -> io::Result<()> {
+    handle_connection(Arc::new(Daemon::new(opts)?), io::stdin(), Box::new(io::stdout()));
+    Ok(())
+}
+
 /// A bound, not-yet-serving daemon.
 pub struct Server {
     daemon: Arc<Daemon>,
@@ -99,25 +123,9 @@ impl Server {
     /// (`proto::Listener::bind`: a live daemon's Unix socket is refused, a stale
     /// one replaced). For `Endpoint::Tcp` with port 0 the resolved address
     /// is available from [`Server::endpoint`].
-    pub fn bind(endpoint: Endpoint, opts: ServeOptions) -> std::io::Result<Server> {
-        let jobs = opts.jobs.max(1);
-        let store = match &opts.cache_dir {
-            Some(dir) => Some(Arc::new(InvariantStore::open(dir.clone())?)),
-            None => None,
-        };
-        let listener = Listener::bind(&endpoint)?;
-        listener.set_nonblocking(true)?;
-        let daemon = Arc::new(Daemon {
-            pool: (jobs > 1).then(|| WorkerPool::new(jobs)),
-            config: AnalysisConfig { jobs, ..AnalysisConfig::default() },
-            store,
-            max_inflight: opts.max_inflight.max(1),
-            inflight: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            counters: Mutex::new(ServeCounters::default()),
-            started: Instant::now(),
-        });
-        Ok(Server { daemon, listener })
+    pub fn bind(endpoint: Endpoint, opts: ServeOptions) -> io::Result<Server> {
+        let daemon = Arc::new(Daemon::new(&opts)?);
+        Ok(Server { daemon, listener: Listener::bind(&endpoint)? })
     }
 
     /// The endpoint clients should connect to (TCP port resolved).
@@ -125,26 +133,37 @@ impl Server {
         self.listener.endpoint()
     }
 
-    /// Serves until a `shutdown` request arrives, then joins every
-    /// connection handler and removes the Unix socket file.
-    pub fn serve(self) -> std::io::Result<()> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.daemon.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+    /// Serves until a `shutdown` request arrives. Then it drops the
+    /// listener, so no new peer connects, ends every connection's reads, so
+    /// a handler waiting on an idle peer returns, and joins the handlers: a
+    /// `run` in flight still sends its `result`.
+    pub fn serve(self) -> io::Result<()> {
+        let Server { daemon, listener } = self;
+        let mut handlers: Vec<(std::thread::JoinHandle<()>, Conn)> = Vec::new();
+        while !daemon.stop.load(Ordering::SeqCst) {
+            match listener.accept() {
                 Ok(conn) => {
-                    let daemon = Arc::clone(&self.daemon);
-                    handlers.push(std::thread::spawn(move || handle_connection(daemon, conn)));
+                    let (Ok(reader), Ok(peer)) = (conn.try_clone(), conn.try_clone()) else {
+                        continue;
+                    };
+                    let daemon = Arc::clone(&daemon);
+                    let handler = move || handle_connection(daemon, reader, Box::new(conn));
+                    handlers.push((std::thread::spawn(handler), peer));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(2))
                 }
                 Err(e) => return Err(e),
             }
             // Reap finished handlers so a long-lived daemon does not
             // accumulate join handles.
-            handlers.retain(|h| !h.is_finished());
+            handlers.retain(|(h, _)| !h.is_finished());
         }
-        for h in handlers {
+        drop(listener);
+        for (_, peer) in &handlers {
+            peer.shutdown(Shutdown::Read);
+        }
+        for (h, _) in handlers {
             let _ = h.join();
         }
         Ok(())
@@ -164,7 +183,7 @@ impl Server {
 pub struct ServerHandle {
     endpoint: Endpoint,
     daemon: Arc<Daemon>,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
+    thread: std::thread::JoinHandle<io::Result<()>>,
 }
 
 impl ServerHandle {
@@ -179,8 +198,8 @@ impl ServerHandle {
 
     /// Waits for the daemon to shut down (send it a `shutdown` request
     /// first, e.g. via [`Client::shutdown`]).
-    pub fn join(self) -> std::io::Result<()> {
-        self.thread.join().map_err(|_| std::io::Error::other("serve thread panicked"))?
+    pub fn join(self) -> io::Result<()> {
+        self.thread.join().map_err(|_| io::Error::other("serve thread panicked"))?
     }
 }
 
@@ -201,9 +220,51 @@ fn error_frame(id: u64, code: &str, message: &str) -> Json {
     ])
 }
 
-fn handle_connection(daemon: Arc<Daemon>, conn: Conn) {
-    let mut reader = BufReader::new(conn.reader);
-    let writer: SharedWriter = Arc::new(Mutex::new(conn.writer));
+/// The name prefix of process `pid`'s temp stores,
+/// `astree-fleet-sync-<pid>-`, followed by a per-connection number. The
+/// process names its stores with it; a coordinator removes a killed local
+/// worker's with [`remove_sync_dirs`].
+fn sync_dir_prefix(pid: u32) -> String {
+    format!("astree-fleet-sync-{pid}-")
+}
+
+/// Removes the temp stores of process `pid` from the temp directory: a
+/// process killed mid-connection cannot remove its own.
+pub(crate) fn remove_sync_dirs(pid: u32) {
+    let prefix = sync_dir_prefix(pid);
+    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else { return };
+    for entry in entries.flatten() {
+        if entry.file_name().to_str().is_some_and(|name| name.starts_with(&prefix)) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+/// A connection's own invariant store, for the store exchange with a
+/// process started without `--cache`: a temp directory, removed when the
+/// connection ends.
+struct TempStore(Arc<InvariantStore>);
+
+impl TempStore {
+    fn create() -> io::Result<TempStore> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = format!("{}{seq}", sync_dir_prefix(std::process::id()));
+        Ok(TempStore(Arc::new(InvariantStore::open(std::env::temp_dir().join(dir))?)))
+    }
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.0.dir());
+    }
+}
+
+/// The one connection loop, for sockets and stdio alike.
+fn handle_connection(daemon: Arc<Daemon>, reader: impl Read, writer: Box<dyn Write + Send>) {
+    let mut reader = BufReader::new(reader);
+    let writer: SharedWriter = Arc::new(Mutex::new(writer));
+    let mut temp: Option<TempStore> = None;
     loop {
         let req = match read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
@@ -224,7 +285,7 @@ fn handle_connection(daemon: Arc<Daemon>, conn: Conn) {
                 daemon.stop.store(true, Ordering::SeqCst);
                 return;
             }
-            Some("run") => handle_run(&daemon, &writer, id, &req),
+            Some("run") => handle_run(&daemon, &writer, id, &req, &mut temp),
             other => {
                 daemon.count(|c| c.bad_requests += 1);
                 let msg = match other {
@@ -325,7 +386,18 @@ fn parse_run(daemon: &Daemon, req: &Json) -> Result<(Vec<JobSpec>, EventMode), S
 
 /// Runs a `run` request as one [`FleetSession`] on the daemon's pool and
 /// store, streaming events through the connection.
-fn handle_run(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u64, req: &Json) {
+fn handle_run(
+    daemon: &Arc<Daemon>,
+    writer: &SharedWriter,
+    id: u64,
+    req: &Json,
+    temp: &mut Option<TempStore>,
+) {
+    if req.get("crash").and_then(Json::as_bool) == Some(true) {
+        // Fault injection (`--crash-on`): die as a segfaulting process
+        // would — no unwinding, no reply, no cleanup.
+        std::process::abort();
+    }
     let Some(guard) = daemon.admit() else {
         daemon.count(|c| c.rejected_overloaded += 1);
         let msg = format!("{} requests already in flight", daemon.max_inflight);
@@ -345,6 +417,27 @@ fn handle_run(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u64, req: &Json) 
             return;
         }
     };
+    // The store exchange: the `files` join the store the jobs run on — the
+    // process's own, or the connection's temp store, created on first use —
+    // and the `result` carries the files the jobs stored.
+    let mut exchange = None;
+    if req.get("files").is_some() {
+        let store = match (&daemon.store, temp.as_ref()) {
+            (Some(store), _) => Arc::clone(store),
+            (None, Some(made)) => Arc::clone(&made.0),
+            (None, None) => match TempStore::create() {
+                Ok(made) => Arc::clone(&temp.insert(made).0),
+                Err(e) => {
+                    send(writer, &error_frame(id, "internal", &format!("temp store: {e}")));
+                    return;
+                }
+            },
+        };
+        for (name, text) in frame_files(req) {
+            store.import_file(name, text);
+        }
+        exchange = Some((store.file_names(), store));
+    }
     let recorder = Arc::new(FrameRecorder {
         writer: Arc::clone(writer),
         id,
@@ -358,7 +451,7 @@ fn handle_run(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u64, req: &Json) 
     if let Some(pool) = &daemon.pool {
         session = session.pool(pool);
     }
-    if let Some(store) = &daemon.store {
+    if let Some(store) = exchange.as_ref().map(|(_, store)| store).or(daemon.store.as_ref()) {
         session = session.cache(Arc::clone(store));
     }
     let report = session.run();
@@ -371,13 +464,87 @@ fn handle_run(daemon: &Arc<Daemon>, writer: &SharedWriter, id: u64, req: &Json) 
         c.panicked += panicked;
     });
     drop(guard);
-    send(
-        writer,
-        &Json::obj([
-            ("frame", Json::str("result")),
-            ("id", Json::UInt(id)),
-            ("outcomes", Json::Arr(report.outcomes.iter().map(outcome_to_json).collect())),
-            ("events_streamed", Json::UInt(streamed)),
-        ]),
-    );
+    let mut result = vec![
+        ("frame", Json::str("result")),
+        ("id", Json::UInt(id)),
+        ("outcomes", Json::Arr(report.outcomes.iter().map(outcome_to_json).collect())),
+        ("events_streamed", Json::UInt(streamed)),
+    ];
+    if let Some((held, store)) = exchange {
+        let mut stored = store.file_names();
+        stored.retain(|name| held.binary_search(name).is_err());
+        result.push(("files", files_to_json(pack_files(&store, stored))));
+    }
+    send(writer, &Json::obj(result));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{result_outcomes, spec_to_json};
+    use std::os::unix::net::UnixStream;
+
+    /// Serves one connection of a process started without `--cache` on one
+    /// end of a socket pair; returns the other end and the handler.
+    fn serve_pair() -> (UnixStream, std::thread::JoinHandle<()>) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let daemon = Arc::new(Daemon::new(&ServeOptions::default()).unwrap());
+        let writer = Box::new(theirs.try_clone().unwrap());
+        (ours, std::thread::spawn(move || handle_connection(daemon, theirs, writer)))
+    }
+
+    /// Sends one frame and reads the one frame that answers it.
+    fn ask(peer: &UnixStream, fields: Vec<(&str, Json)>) -> Json {
+        write_frame(&mut &*peer, &Json::obj(fields)).unwrap();
+        read_frame(&mut BufReader::new(peer)).unwrap().expect("an answer")
+    }
+
+    /// A `run` of one small job carrying `files`: its one outcome, and the
+    /// `files` of its `result`.
+    fn run_with_files(peer: &UnixStream, files: Json) -> (crate::job::JobOutcome, Json) {
+        let spec = spec_to_json(&JobSpec::new("ok", "int main() { int x = 1; return x; }\n"));
+        let run = [("req", Json::str("run")), ("jobs", Json::Arr(vec![spec])), ("files", files)];
+        let result = ask(peer, run.into_iter().chain([("events", Json::str("none"))]).collect());
+        let outcome = result_outcomes(&result).unwrap().pop().unwrap();
+        (outcome, result.get("files").cloned().unwrap())
+    }
+
+    fn temp_stores() -> usize {
+        let prefix = sync_dir_prefix(std::process::id());
+        let names = std::fs::read_dir(std::env::temp_dir()).unwrap().flatten();
+        names.filter(|e| e.file_name().to_string_lossy().starts_with(&prefix)).count()
+    }
+
+    #[test]
+    fn conversation_over_in_memory_pipes() {
+        let (peer, handler) = serve_pair();
+        let status = ask(&peer, vec![("proto", Json::str(PROTO)), ("req", Json::str("status"))]);
+        assert_eq!(status.get("proto").and_then(Json::as_str), Some(PROTO), "{status}");
+        // A cold job on the connection's fresh temp store: the `result`
+        // carries back the one file it stored.
+        let (outcome, files) = run_with_files(&peer, Json::Arr(Vec::new()));
+        assert_eq!((outcome.status, outcome.alarms), (JobStatus::Done, Some(0)));
+        assert!(matches!(&files, Json::Arr(stored) if stored.len() == 1), "{files}");
+        assert_eq!(temp_stores(), 1);
+        peer.shutdown(Shutdown::Write).unwrap(); // EOF ends the connection
+        handler.join().unwrap();
+        assert_eq!(temp_stores(), 0, "the temp store goes with its connection");
+
+        // A new connection starts empty; the file it is sent is a full hit.
+        let (peer, handler) = serve_pair();
+        let (outcome, stored) = run_with_files(&peer, files);
+        assert!(outcome.cache_full_hit, "the shipped file was imported");
+        assert_eq!(stored, Json::Arr(Vec::new()), "a full hit stores nothing");
+        drop(peer);
+        handler.join().unwrap();
+    }
+
+    #[test]
+    fn wrong_proto_is_rejected() {
+        let (peer, handler) = serve_pair();
+        let answer = ask(&peer, vec![("proto", Json::str("bogus/9"))]);
+        assert_eq!(answer.get("code").and_then(Json::as_str), Some("bad_request"), "{answer}");
+        drop(peer);
+        handler.join().unwrap();
+    }
 }

@@ -8,9 +8,9 @@
 use super::PROTO;
 use crate::job::{JobOutcome, JobSpec, JobStatus};
 use crate::proto::{read_frame, write_frame, Conn, Endpoint};
-use crate::wire::{outcome_from_json, spec_to_json};
+use crate::wire::{result_outcomes, spec_to_json};
 use astree_obs::Json;
-use std::io::{BufReader, Read, Write};
+use std::io::BufReader;
 
 /// What went wrong with a request.
 #[derive(Debug)]
@@ -73,8 +73,8 @@ pub struct RequestOutcome {
 
 /// A blocking protocol client over one connection.
 pub struct Client {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    reader: BufReader<Conn>,
+    writer: Conn,
     next_id: u64,
 }
 
@@ -82,7 +82,7 @@ impl Client {
     /// Connects to a serving daemon.
     pub fn connect(endpoint: &Endpoint) -> std::io::Result<Client> {
         let conn = Conn::connect(endpoint)?;
-        Ok(Client { reader: BufReader::new(conn.reader), writer: conn.writer, next_id: 1 })
+        Ok(Client { reader: BufReader::new(conn.try_clone()?), writer: conn, next_id: 1 })
     }
 
     fn request(&mut self, mut fields: Vec<(&'static str, Json)>) -> Result<u64, ClientError> {
@@ -136,13 +136,7 @@ impl Client {
         let id = self.request(fields)?;
         let mut events = Vec::new();
         let frame = self.final_frame(id, &mut events)?;
-        let (Some("result"), Some(Json::Arr(items))) =
-            (frame.get("frame").and_then(Json::as_str), frame.get("outcomes"))
-        else {
-            return Err(ClientError::Protocol(format!("unexpected frame {}", frame.to_compact())));
-        };
-        let outcomes = items.iter().map(outcome_from_json).collect::<Result<_, _>>();
-        Ok((outcomes.map_err(ClientError::Protocol)?, events))
+        Ok((result_outcomes(&frame).map_err(ClientError::Protocol)?, events))
     }
 
     /// Analyzes one program on the daemon: a one-job `run`. A job that does

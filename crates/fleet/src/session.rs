@@ -9,20 +9,20 @@
 //!   under panic containment — also the daemon's path, which lends its
 //!   resident [`WorkerPool`];
 //! - `workers(n)` / `connect(..)` → **fleet**: the coordinator hands
-//!   jobs from one queue to local `astree worker` child processes and/or
-//!   remote socket workers, with crash isolation.
+//!   jobs from one queue to local `astree serve --stdio` child processes
+//!   and/or `astree serve` processes on sockets, with crash isolation.
 //!
 //! Outcomes are identical either way — same [`JobOutcome`] per job, in
 //! submission order, byte-identical at any worker count. Only the
 //! scheduling telemetry ([`FleetCounters`]) differs.
 
 use crate::coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTransport, Transport};
-use crate::exec::{execute_contained, ExecContext};
+use crate::exec::{execute, execute_contained, ExecContext};
 use crate::job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 use crate::proto::Endpoint;
+use astree_core::pool::WorkerPool;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{BatchJobEvent, Event, FleetCounters, Recorder};
-use astree_sched::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -48,16 +48,21 @@ impl FleetSession {
 
 /// Where a fleet's jobs run: the distribution knobs of a
 /// [`FleetSessionBuilder`], set one at a time by its methods (which say what
-/// each does) or all at once by [`FleetSessionBuilder::fleet`], as `astree
-/// batch` and `astree fuzz` do from their fleet flags.
+/// each does; a field without a method says it here) or all at once by
+/// [`FleetSessionBuilder::fleet`], as `astree batch` and `astree fuzz` do
+/// from their fleet flags.
 #[derive(Debug, Default, Clone)]
 pub struct FleetOptions {
     pub workers: usize,
     pub worker_cmd: Option<Vec<String>>,
     pub connect: Vec<Endpoint>,
     pub timeout: Option<Duration>,
+    /// How many times a crashed job is put back in the queue before it is
+    /// reported [`JobStatus::Crashed`] (default 2).
     pub retry_budget: Option<u32>,
     pub cache_wire: bool,
+    /// Fault injection for tests: the worker that receives the first
+    /// delivery of the job with this name aborts.
     pub crash_on: Option<String>,
 }
 
@@ -111,7 +116,7 @@ impl<'p> FleetSessionBuilder<'p> {
     }
 
     /// Argv for local workers (default: this executable,
-    /// `worker --stdio`).
+    /// `serve --stdio`); `--jobs N` and `--cache DIR` follow it as needed.
     pub fn worker_cmd(mut self, cmd: Vec<String>) -> Self {
         self.fleet.worker_cmd = Some(cmd);
         self
@@ -129,26 +134,20 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
-    /// How many times a crashed job is put back in the queue before it is
-    /// reported [`JobStatus::Crashed`] (default 2).
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.fleet.retry_budget = Some(budget);
-        self
-    }
-
-    /// Shared invariant store. In the fleet, workers open the same
-    /// directory, so one worker's converged invariants warm every other.
+    /// Shared invariant store. In the fleet, local workers open the same
+    /// directory, so one worker's converged invariants warm every other; a
+    /// connected one uses its own `--cache`.
     pub fn cache(mut self, store: Arc<InvariantStore>) -> Self {
         self.cache = Some(store);
         self
     }
 
     /// Syncs the store to fleet workers over the wire instead of a shared
-    /// filesystem: workers never see the cache directory; each `job` frame
-    /// carries the coordinator's store files the worker does not hold yet,
-    /// and each `done` frame the results the job stored. No-op without a
-    /// cache or for in-process runs (which share the store in memory
-    /// anyway).
+    /// filesystem: workers never see the cache directory; each `run`
+    /// request carries the coordinator's store files the worker does not
+    /// hold yet, and each `result` the results the job stored. No-op
+    /// without a cache or for in-process runs (which share the store in
+    /// memory anyway).
     pub fn cache_wire(mut self, on: bool) -> Self {
         self.fleet.cache_wire = on;
         self
@@ -164,14 +163,6 @@ impl<'p> FleetSessionBuilder<'p> {
     /// Resident slice pool for in-process runs (the daemon's).
     pub fn pool(mut self, pool: &'p WorkerPool) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Fault injection for tests: the worker that receives the first
-    /// delivery of the job with this name aborts.
-    #[doc(hidden)]
-    pub fn crash_on(mut self, name: Option<String>) -> Self {
-        self.fleet.crash_on = name;
         self
     }
 
@@ -209,7 +200,15 @@ impl<'p> FleetSessionBuilder<'p> {
 
     fn run_distributed(self) -> (Vec<JobOutcome>, FleetCounters) {
         let fleet = &self.fleet;
-        let cmd = fleet.worker_cmd.clone().unwrap_or_else(default_worker_cmd);
+        // A local worker runs on the base configuration's `jobs` and, unless
+        // the store rides the wire, opens the shared store itself.
+        let mut cmd = fleet.worker_cmd.clone().unwrap_or_else(default_worker_cmd);
+        if self.config.jobs > 1 {
+            cmd.extend(["--jobs".to_string(), self.config.jobs.to_string()]);
+        }
+        if let Some(store) = self.cache.as_ref().filter(|_| !fleet.cache_wire) {
+            cmd.extend(["--cache".to_string(), store.dir().display().to_string()]);
+        }
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
         for _ in 0..fleet.workers {
             transports.push(Box::new(ProcessTransport::new(cmd.clone())));
@@ -217,17 +216,27 @@ impl<'p> FleetSessionBuilder<'p> {
         for endpoint in &fleet.connect {
             transports.push(Box::new(SocketTransport::new(endpoint.clone())));
         }
-        let cfg = FleetConfig {
-            config: &self.config,
-            cache_dir: if fleet.cache_wire {
-                None
-            } else {
-                self.cache.as_ref().map(|s| s.dir().to_path_buf())
-            },
-            store: if fleet.cache_wire { self.cache.clone() } else { None },
-            fleet,
-        };
-        run_fleet(&self.jobs, transports, &cfg)
+        // Each job ships its whole configuration, so what a worker was
+        // started with never shows through. A job whose overrides do not
+        // patch ends here, `failed` exactly as in-process.
+        let ctx = ExecContext { config: &self.config, cache: None, recorder: None, pool: None };
+        let (mut resolved, mut failed) = (Vec::new(), Vec::new());
+        for (i, spec) in self.jobs.iter().enumerate() {
+            match spec.config(&self.config) {
+                Ok(config) => {
+                    resolved.push(JobSpec { overrides: config.to_json(), ..spec.clone() })
+                }
+                Err(_) => failed.push((i, execute(spec, &ctx))),
+            }
+        }
+        let store = if fleet.cache_wire { self.cache.clone() } else { None };
+        let (mut outcomes, mut counters) =
+            run_fleet(&resolved, transports, &FleetConfig { store, fleet });
+        for (i, out) in failed {
+            outcomes.insert(i, out);
+        }
+        counters.jobs = outcomes.len() as u64;
+        (outcomes, counters)
     }
 
     fn run_in_process(self) -> (Vec<JobOutcome>, FleetCounters) {
@@ -308,10 +317,10 @@ impl<'p> FleetSessionBuilder<'p> {
     }
 }
 
-/// The default local worker: this very executable in `worker --stdio` mode.
+/// The default local worker: this very executable, `serve --stdio`.
 fn default_worker_cmd() -> Vec<String> {
     let exe = std::env::current_exe().expect("cannot locate current executable for worker spawn");
-    vec![exe.display().to_string(), "worker".into(), "--stdio".into()]
+    vec![exe.display().to_string(), "serve".into(), "--stdio".into()]
 }
 
 #[cfg(test)]

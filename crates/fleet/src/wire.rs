@@ -1,10 +1,10 @@
-//! JSON codecs for the `astree-fleet/2` worker protocol.
+//! JSON codecs for the `astree-serve/2` `run` and `result` frames.
 //!
 //! Determinism across processes is the point of the fleet, so the codecs
-//! are exact. The configuration encodes itself: the `init` frame carries
-//! `AnalysisConfig::to_json` (floats as IEEE-754 bit patterns, sets sorted)
-//! and the worker rebuilds it bit for bit with `AnalysisConfig::patch`; a
-//! spec's `overrides` is a partial object of the same keys.
+//! are exact. The configuration encodes itself: a spec's `overrides` is an
+//! `AnalysisConfig::to_json` object, partial or whole (floats as IEEE-754
+//! bit patterns, sets sorted), and the serving process patches it on bit
+//! for bit with `AnalysisConfig::patch`.
 
 use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
 use crate::proto::SYNC_BYTES_CAP;
@@ -114,7 +114,7 @@ pub fn member_spec_from_json(j: &Json) -> Result<MemberSpec, String> {
     })
 }
 
-/// Encodes a job spec for the `job` frame.
+/// Encodes a job spec for a `run` request.
 pub fn spec_to_json(s: &JobSpec) -> Json {
     let oracle = match &s.oracle {
         Some(o) => Json::obj([
@@ -135,7 +135,7 @@ pub fn spec_to_json(s: &JobSpec) -> Json {
     ])
 }
 
-/// Decodes a job spec from a `job` frame. Its `overrides` (absent or
+/// Decodes a job spec from a `run` request. Its `overrides` (absent or
 /// `null`: none) must patch a configuration: an unknown key or a value of
 /// the wrong type is an error naming the key, never an ignored override.
 pub fn spec_from_json(j: &Json) -> Result<JobSpec, String> {
@@ -249,7 +249,7 @@ fn member_outcome_from_json(j: &Json) -> Result<MemberOutcome, String> {
     })
 }
 
-/// Encodes a job outcome for the `done` frame.
+/// Encodes a job outcome for a `result` frame.
 pub fn outcome_to_json(o: &JobOutcome) -> Json {
     Json::obj([
         ("name", Json::str(&o.name)),
@@ -265,7 +265,7 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
     ])
 }
 
-/// Decodes a job outcome from a `done` frame. The scheduling fields the
+/// Decodes a job outcome from a `result` frame. The scheduling fields the
 /// worker cannot know (`worker`, `resent`) decode to zero; the coordinator
 /// fills them in.
 pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
@@ -288,6 +288,16 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
             _ => None,
         },
     })
+}
+
+/// The outcomes a `result` frame carries, in submission order.
+pub fn result_outcomes(frame: &Json) -> Result<Vec<JobOutcome>, String> {
+    let (Some("result"), Some(Json::Arr(items))) =
+        (frame.get("frame").and_then(Json::as_str), frame.get("outcomes"))
+    else {
+        return Err(format!("unexpected frame {}", frame.to_compact()));
+    };
+    items.iter().map(outcome_from_json).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +327,7 @@ pub fn files_to_json(files: Vec<(String, String)>) -> Json {
     Json::Arr(files.into_iter().map(|(n, t)| Json::Arr(vec![Json::str(n), Json::str(t)])).collect())
 }
 
-/// The `[name, text]` store files a `job` or `done` frame carries.
+/// The `[name, text]` store files a `run` or `result` frame carries.
 pub fn frame_files(frame: &Json) -> impl Iterator<Item = (&str, &str)> {
     let items = match frame.get("files") {
         Some(Json::Arr(items)) => items.as_slice(),

@@ -3,8 +3,7 @@
 //! ```text
 //! astree analyze <file.c>... [options]   statically prove absence of RTEs
 //! astree batch [files...] [options]      analyze a fleet of programs
-//! astree serve [options]                 resident analysis daemon (warm pool)
-//! astree worker [options]                fleet worker process (spawned/remote)
+//! astree serve [options]                 resident process: daemon and fleet worker
 //! astree client [files...] [options]     send requests to a serving daemon
 //! astree run <file.c> [options]          execute with the reference interpreter
 //! astree slice <file.c> [options]        backward slices from alarm points
@@ -24,15 +23,14 @@ use astree::obs::Json;
 use astree::options::{self, parse_args, RunOptions};
 use astree::oracle::{campaign_to_json, DivergenceKind};
 use astree::serve::client::AnalyzeRequest;
-use astree::serve::{Client, Endpoint, Server};
+use astree::serve::{self, Client, Endpoint, Server};
 use astree::slicer::Slicer;
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str =
-    "usage: astree <analyze|batch|serve|worker|client|run|slice|generate|fuzz> [options]";
+const USAGE: &str = "usage: astree <analyze|batch|serve|client|run|slice|generate|fuzz> [options]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,8 +42,8 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "analyze" => cmd_analyze(rest),
         "batch" => cmd_batch(rest),
-        "serve" => cmd_serve(rest),
-        "worker" => cmd_worker(rest),
+        // `worker` is the old name `benchsuite/` still spawns.
+        "serve" | "worker" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "run" => cmd_run(rest),
         "slice" => cmd_slice(rest),
@@ -265,17 +263,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     Ok(if clean { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
-fn cmd_worker(args: &[String]) -> Result<ExitCode, String> {
-    let Some(((stdio, endpoint), _)) = parse_args(options::worker, args)? else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    match endpoint.filter(|_| !stdio) {
-        None => fleet::serve_stdio().map_err(|e| format!("worker: {e}"))?,
-        Some(endpoint) => fleet::serve_listener(&endpoint).map_err(|e| format!("worker: {e}"))?,
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// The `batch --json` document.
 fn batch_json(report: &fleet::FleetReport) -> Json {
     let secs = |d: Duration| Json::Float(d.as_secs_f64());
@@ -308,9 +295,14 @@ fn batch_json(report: &fleet::FleetReport) -> Json {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let Some(((daemon, endpoint), _)) = parse_args(options::serve, args)? else {
+    let Some((((daemon, stdio), endpoint), _)) = parse_args(options::serve, args)? else {
         return Ok(ExitCode::SUCCESS);
     };
+    if stdio {
+        // Frames only: stdout is the connection.
+        serve::serve_stdio(&daemon).map_err(|e| format!("serve: {e}"))?;
+        return Ok(ExitCode::SUCCESS);
+    }
     let (jobs, max_inflight) = (daemon.jobs, daemon.max_inflight);
     let endpoint = endpoint.unwrap_or_else(Endpoint::default_socket);
     let server = Server::bind(endpoint, daemon).map_err(|e| format!("bind: {e}"))?;

@@ -11,20 +11,20 @@
 //! - [`domains`] — intervals, clocked, octagons, ellipsoids, decision trees,
 //!   linearization (Sect. 6.2–6.3)
 //! - [`memory`] — the memory abstract domain (Sect. 6.1)
-//! - [`core`] — the iterator, fixpoint engine, packing, alarms (Sect. 5, 7)
+//! - [`core`] — the iterator, fixpoint engine, packing, alarms (Sect. 5, 7),
+//!   and the worker pool the slices of a parallel analysis run on (one
+//!   queue, results in input order, à la Monniaux's parallel ASTRÉE)
 //! - [`slicer`] — backward slicing for alarm inspection (Sect. 3.3)
 //! - [`gen`] — the synthetic periodic synchronous program family (Sect. 4)
-//! - [`sched`] — the worker pool the slices of a parallel analysis run on
-//!   (one queue, results in input order, à la Monniaux's parallel ASTRÉE)
 //! - [`obs`] — structured analysis telemetry (recorder, metrics schema)
 //! - [`oracle`] — the differential soundness oracle (corpus fuzzing of
 //!   concrete executions against claimed invariants, `astree-campaign/1`)
 //! - [`fleet`] — distributed fleet sharding: the process-level coordinator
 //!   with one job queue and a shared warm store, behind the unified
-//!   `FleetSession` API (`astree-fleet/2` wire protocol)
-//! - [`serve`] — the resident analysis service, a module of [`fleet`]: a
-//!   daemon running fleet jobs on a warm pool and a shared invariant store
-//!   (`astree-serve/2` wire protocol)
+//!   `FleetSession` API
+//! - [`serve`] — the one resident process, a module of [`fleet`]: it runs
+//!   fleet jobs on a warm pool and a shared invariant store for clients and
+//!   coordinators alike (`astree-serve/2` wire protocol)
 //! - [`options`] — the CLI's flag tables, parse loop and `--help`
 
 pub mod options;
@@ -41,5 +41,4 @@ pub use astree_memory as memory;
 pub use astree_obs as obs;
 pub use astree_oracle as oracle;
 pub use astree_pmap as pmap;
-pub use astree_sched as sched;
 pub use astree_slicer as slicer;

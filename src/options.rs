@@ -5,7 +5,7 @@
 //! [`Command`] is a usage line, what the command does, and the tables it
 //! accepts, each bound to the value its setters write. The groups several
 //! commands share are [`RUN`] (`analyze`, `batch`, `fuzz`), [`FLEET`]
-//! (`batch`, `fuzz`), [`ENDPOINT`] (`serve`, `client`, `worker`) and the
+//! (`batch`, `fuzz`), [`ENDPOINT`] (`serve`, `client`) and the
 //! configuration's own [`ANALYSIS`] (`analyze`); every other table belongs
 //! to one command. A command's arguments are a tuple of the values its
 //! tables set (`AnalyzeArgs`, …), and a function of the same name binds them.
@@ -279,7 +279,7 @@ pub const FLEET: &[Flag<FleetOptions>] = &[
     Flag::value("--crash-on", "NAME", "debug: aborts on job NAME", |o, v| some(&mut o.crash_on, v)),
 ];
 
-/// The endpoint group: where the daemon or a socket worker is reached.
+/// The endpoint group: where `astree serve` listens and is reached.
 /// `--listen` and `--connect` are one TCP flag, named for the side using it.
 pub const ENDPOINT: &[Flag<Option<Endpoint>>] = &[
     Flag::value("--socket", "PATH", "a Unix socket", |e, v| put(e, Some(Endpoint::Unix(v.into())))),
@@ -374,21 +374,28 @@ pub fn fuzz((corpus, output, fleet, run): &mut FuzzArgs) -> Command<'_> {
         .table("run", RUN, run)
 }
 
-pub const SERVE: &[Flag<ServeOptions>] = &[
-    Flag::value("--jobs", "N", "pool workers (default 1)", |o, v| put(&mut o.jobs, count(v)?)),
+/// `astree serve`'s own flags, and whether it serves stdin/stdout.
+pub const SERVE: &[Flag<(ServeOptions, bool)>] = &[
+    Flag::value("--jobs", "N", "pool workers (default 1)", |o, v| put(&mut o.0.jobs, count(v)?)),
     Flag::value("--max-inflight", "N", "rejects requests past N (default 8)", |o, v| {
-        put(&mut o.max_inflight, count(v)?)
+        put(&mut o.0.max_inflight, count(v)?)
     }),
-    Flag::value("--cache", "DIR", "the store all requests share", |o, v| some(&mut o.cache_dir, v)),
+    Flag::value("--cache", "DIR", "the store all requests share", |o, v| {
+        some(&mut o.0.cache_dir, v)
+    }),
+    Flag::switch("--stdio", "serves one peer on stdin/stdout", |o, _| put(&mut o.1, true)),
 ];
 
 /// `astree serve`'s arguments.
-pub type ServeArgs = (ServeOptions, Option<Endpoint>);
+pub type ServeArgs = ((ServeOptions, bool), Option<Endpoint>);
 
 pub fn serve((daemon, endpoint): &mut ServeArgs) -> Command<'_> {
-    Command::new("serve", "runs the resident daemon (default: a Unix socket in the temp directory)")
-        .table("daemon", SERVE, daemon)
-        .table("endpoint", ENDPOINT, endpoint)
+    Command::new(
+        "serve",
+        "runs the resident process (default: a Unix socket in the temp directory)",
+    )
+    .table("daemon", SERVE, daemon)
+    .table("endpoint", ENDPOINT, endpoint)
 }
 
 /// `astree client`'s own flags.
@@ -417,18 +424,6 @@ pub fn client((requests, report, endpoint): &mut ClientArgs) -> Command<'_> {
     Command::new("client [<file.c>...]", "analyzes each file on `astree serve`; exit 1: alarms")
         .table("requests", CLIENT, requests)
         .table("report", REPORT, report)
-        .table("endpoint", ENDPOINT, endpoint)
-}
-
-pub const WORKER: &[Flag<bool>] =
-    &[Flag::switch("--stdio", "serves stdin/stdout (default)", |s, _| put(s, true))];
-
-/// `astree worker`'s arguments.
-pub type WorkerArgs = (bool, Option<Endpoint>);
-
-pub fn worker((stdio, endpoint): &mut WorkerArgs) -> Command<'_> {
-    Command::new("worker", "runs a fleet worker speaking astree-fleet/2")
-        .table("worker", WORKER, stdio)
         .table("endpoint", ENDPOINT, endpoint)
 }
 

@@ -23,7 +23,6 @@ fn commands() -> Vec<(&'static str, Vec<Row>, Parse)> {
         ("fuzz", rows(options::fuzz), |a| parse_args(options::fuzz, a).map(drop)),
         ("serve", rows(options::serve), |a| parse_args(options::serve, a).map(drop)),
         ("client", rows(options::client), |a| parse_args(options::client, a).map(drop)),
-        ("worker", rows(options::worker), |a| parse_args(options::worker, a).map(drop)),
         ("run", rows(options::run), |a| parse_args(options::run, a).map(drop)),
         ("slice", rows(options::slice), |a| parse_args(options::slice, a).map(drop)),
         ("generate", rows(options::generate), |a| parse_args(options::generate, a).map(drop)),
@@ -39,7 +38,7 @@ fn sample(metavar: &str) -> &'static str {
         "FN" | "NAME" => "main",
         "V1,V2,..." => "a,b",
         "N1,N2,..." | "S1,S2,..." => "1,2",
-        "CMD" => "astree worker --stdio",
+        "CMD" => "astree serve --stdio",
         "ADDR" => "unix:/tmp/w.sock",
         "HOST:PORT" => "127.0.0.1:7878",
         "SECS" => "2.5",

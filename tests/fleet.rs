@@ -1,12 +1,13 @@
 //! End-to-end tests of the distributed fleet: the `astree batch` CLI
-//! driving real `astree worker` child processes over the `astree-fleet/2`
-//! wire protocol.
+//! driving real `astree serve` processes, local children on stdin/stdout
+//! or daemons on a socket, over the `astree-serve/2` wire protocol.
 //!
 //! These are the acceptance tests of the fleet determinism contract:
 //! outcomes are reported in submission order and are byte-identical for
 //! every worker count, crashes are isolated and re-queued, and the
 //! shared invariant store warms all workers.
 
+use astree::fleet::{FleetSession, JobSpec, JobStatus};
 use astree::obs::Json;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -223,8 +224,8 @@ fn shared_store_warms_across_worker_processes() {
 #[test]
 fn wire_synced_store_warms_workers_without_a_shared_filesystem() {
     // `--cache-wire` keeps the invariant store private to the coordinator:
-    // workers pull entries over `store_get`/`store_files` frames before a
-    // cold solve and push converged entries back with `store_put`. Pass 2
+    // its store files ride each `run` request out to the workers, and the
+    // results a job stored ride its `result` back. Pass 2
     // must replay every member from the wire-synced store even though no
     // worker ever sees the cache directory.
     let dir = temp_dir("wire-store");
@@ -274,8 +275,8 @@ fn wire_synced_store_warms_workers_without_a_shared_filesystem() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A wire-synced worker keeps its store in a temp directory; told `bye`,
-/// it exits on its own and removes it. One that crashes cannot: the
+/// A wire-synced worker keeps its store in a temp directory; at the end of
+/// its input it exits on its own and removes it. One that crashes cannot: the
 /// coordinator removes the store of the local worker it reaped.
 #[test]
 fn wire_synced_workers_leave_no_temp_store() {
@@ -343,23 +344,51 @@ fn a_shared_store_never_changes_the_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Starts `astree serve --socket` in `dir`, killed on drop, once its socket
+/// is bound.
+struct Daemon {
+    child: std::process::Child,
+    sock: PathBuf,
+}
+
+impl Daemon {
+    fn start(dir: &Path) -> Daemon {
+        let sock = dir.join("serve.sock");
+        let child = astree()
+            .args(["serve", "--socket"])
+            .arg(&sock)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn astree serve");
+        for _ in 0..200 {
+            if sock.exists() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        assert!(sock.exists(), "the daemon bound its socket");
+        Daemon { child, sock }
+    }
+
+    fn connect_arg(&self) -> String {
+        format!("unix:{}", self.sock.display())
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+    }
+}
+
+/// One `astree serve --socket` process serves a coordinator and a client:
+/// the `--connect` fleet's stable report is the in-process one, and the
+/// client's verdict is `astree analyze`'s.
 #[test]
 fn remote_workers_over_a_unix_socket_agree_with_in_process() {
-    // A long-lived `astree worker --socket` process serves coordinators
-    // over a Unix socket: `--connect` fleets must produce the same stable
-    // report as the in-process run.
     let dir = temp_dir("socket");
-    let sock = dir.join("worker.sock");
-    let mut worker =
-        astree().arg("worker").arg("--socket").arg(&sock).spawn().expect("spawn socket worker");
-    // Wait for the socket to appear.
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    assert!(sock.exists(), "worker bound its socket");
+    let daemon = Daemon::start(&dir);
 
     let local = dir.join("report-local.txt");
     let remote = dir.join("report-remote.txt");
@@ -372,7 +401,7 @@ fn remote_workers_over_a_unix_socket_agree_with_in_process() {
         "--channels",
         "1,2",
         "--connect",
-        &format!("unix:{}", sock.display()),
+        &daemon.connect_arg(),
         "--report",
         remote.to_str().unwrap(),
     ]);
@@ -381,67 +410,88 @@ fn remote_workers_over_a_unix_socket_agree_with_in_process() {
     let remote = std::fs::read_to_string(&remote).expect("remote report");
     assert_eq!(local, remote, "socket fleet matches the in-process fleet");
 
-    worker.kill().ok();
-    worker.wait().ok();
+    let member = dir.join("member.c");
+    let generate = ["generate", "--channels", "2", "--seed", "5", "-o"];
+    assert!(astree().args(generate).arg(&member).status().unwrap().success());
+    let report = ["--census", "--dump-invariant"];
+    let analyze = astree().arg("analyze").arg(&member).args(report).output().unwrap();
+    let oneshot: String = String::from_utf8(analyze.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !["analyzed", "time:", "cache:", "parallel:"].iter().any(|p| l.starts_with(p)))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let client = astree()
+        .args(["client", "--socket"])
+        .arg(&daemon.sock)
+        .arg(&member)
+        .args(report)
+        .output()
+        .unwrap();
+    assert_eq!(client.status.code(), analyze.status.code());
+    assert_eq!(String::from_utf8(client.stdout).unwrap(), oneshot, "client matches analyze");
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A second `astree worker --socket` on a live worker's socket exits with
+/// A second `astree serve --socket` on a live daemon's socket exits with
 /// an error instead of taking the socket over; the first keeps serving.
 #[test]
 fn a_second_worker_refuses_a_live_socket() {
-    /// Kills a worker even when an assertion fails.
-    struct Reaped(std::process::Child);
-    impl Drop for Reaped {
-        fn drop(&mut self) {
-            self.0.kill().ok();
-            self.0.wait().ok();
-        }
-    }
     let dir = temp_dir("live-socket");
-    let sock = dir.join("worker.sock");
-    let _first = Reaped(
-        astree().arg("worker").arg("--socket").arg(&sock).spawn().expect("spawn socket worker"),
-    );
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(sock.exists(), "first worker bound its socket");
-
-    let mut second = Reaped(
-        astree()
-            .arg("worker")
-            .arg("--socket")
-            .arg(&sock)
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn a second worker"),
-    );
+    let first = Daemon::start(&dir);
+    let mut second = astree()
+        .args(["serve", "--socket"])
+        .arg(&first.sock)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn a second daemon");
     let mut waited = 0;
     let status = loop {
-        if let Some(status) = second.0.try_wait().expect("poll the second worker") {
+        if let Some(status) = second.try_wait().expect("poll the second daemon") {
             break status;
         }
-        assert!(waited < 400, "the second worker took the live socket over");
+        if waited == 400 {
+            second.kill().ok();
+            panic!("the second daemon took the live socket over");
+        }
         std::thread::sleep(Duration::from_millis(25));
         waited += 1;
     };
     let mut stderr = String::new();
-    second.0.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
-    assert!(!status.success(), "second worker must fail: {stderr}");
+    second.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
+    assert!(!status.success(), "second daemon must fail: {stderr}");
     assert!(stderr.contains("already listening"), "{stderr}");
 
-    let (stdout, ok) = run_batch(&[
-        "--gen",
-        "2",
-        "--channels",
-        "1",
-        "--connect",
-        &format!("unix:{}", sock.display()),
-    ]);
-    assert!(ok, "the first worker still serves\n{stdout}");
+    let (stdout, ok) =
+        run_batch(&["--gen", "2", "--channels", "1", "--connect", &first.connect_arg()]);
+    assert!(ok, "the first daemon still serves\n{stdout}");
+    drop(first);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose overrides do not patch ends the same on a worker process as
+/// in-process: `failed`, naming the key — not a worker that exits and a job
+/// retried until it is `crashed`.
+#[test]
+fn a_bad_override_fails_alike_at_every_worker_count() {
+    let mut bad = JobSpec::new("bad", "int x; void main(void) { x = 1; }");
+    bad.overrides = Json::obj([("enable_octagons", Json::UInt(1))]);
+    let ok = JobSpec::new("ok", "int x; void main(void) { x = 2; }");
+    let run = |workers| {
+        FleetSession::builder()
+            .jobs(vec![bad.clone(), ok.clone()])
+            .workers(workers)
+            .worker_cmd(vec![env!("CARGO_BIN_EXE_astree").into(), "serve".into(), "--stdio".into()])
+            .run()
+    };
+    let (inline, forked) = (run(0), run(1));
+    let failed = &inline.outcomes[0];
+    assert_eq!(failed.status, JobStatus::Failed);
+    assert!(
+        failed.detail.as_deref().is_some_and(|d| d.contains("`enable_octagons`")),
+        "{failed:?}"
+    );
+    assert_eq!(inline.stable_report(), forked.stable_report());
+    assert_eq!(forked.counters.crashes, 0, "no worker died");
 }

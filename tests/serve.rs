@@ -272,3 +272,20 @@ fn batch_requests_return_per_job_outcomes() {
     client.shutdown().expect("shutdown");
     handle.join().expect("clean daemon exit");
 }
+
+/// `shutdown` stops the daemon while another peer sits idle on its
+/// connection: no new peer gets in, and the daemon does not wait for the
+/// idle one to hang up.
+#[test]
+fn shutdown_does_not_wait_for_an_idle_peer() {
+    let endpoint = temp_socket("idle");
+    let handle = Server::bind(endpoint.clone(), ServeOptions::default()).expect("bind").spawn();
+    let idle = Client::connect(&endpoint).expect("connect the idle peer");
+    Client::connect(&endpoint).expect("connect").shutdown().expect("shutdown");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()));
+    let joined = rx.recv_timeout(std::time::Duration::from_secs(5));
+    joined.expect("the daemon exits within 5 s").expect("clean daemon exit");
+    assert!(Client::connect(&endpoint).is_err(), "a later connect fails");
+    drop(idle);
+}

@@ -317,7 +317,7 @@ fn external_pool_sessions_report_per_run_deltas() {
     // A resident service hands every session the same long-lived pool; the
     // per-run pool counters must then be deltas over the run, not the
     // pool's cumulative lifetime totals.
-    use astree::sched::WorkerPool;
+    use astree::core::pool::WorkerPool;
     let src = generate(&GenConfig { channels: 6, seed: 42, bug: None });
     let p = Frontend::new().compile_str(&src).expect("compiles");
     let pool = WorkerPool::new(4);
