@@ -7,7 +7,7 @@ use crate::alarms::Alarm;
 use crate::cache::{packs_fingerprint, InvariantStore, StoreKey};
 use crate::census::Census;
 use crate::config::AnalysisConfig;
-use crate::iterator::{Iter, Mode};
+use crate::iterator::Iter;
 use crate::packs::Packs;
 use crate::pool::WorkerPool;
 use crate::state::AbsState;
@@ -46,8 +46,8 @@ pub struct AnalysisStats {
     pub stmts_interpreted: u64,
     /// Peak trace partitions.
     pub peak_partitions: usize,
-    /// A proxy for analyzer memory: peak live abstract-environment entries
-    /// touched (cells × loop invariants kept).
+    /// A proxy for analyzer memory: the cells of the main-loop invariant,
+    /// the one invariant the analysis keeps.
     pub invariant_cells: usize,
     /// Statement stages executed by parallel slicing (0 when `jobs` is 1).
     pub parallel_stages: u64,
@@ -55,10 +55,10 @@ pub struct AnalysisStats {
     pub parallel_slices: u64,
     /// Loops solved by fixpoint iteration in *this* run.
     pub loops_solved: u64,
-    /// Loops re-solved during the checking pass because the stored
-    /// invariant did not cover the arriving context (nested loops are
-    /// re-solved per outer iteration in iteration mode, so the stored
-    /// invariant describes only the *last* visit's context).
+    /// Loops the checking pass solved in context: every visit to a loop
+    /// other than the main one (the checking pass is handed the main loop's
+    /// invariant only), and the main loop's when its witness does not cover
+    /// the arriving iterate.
     pub loops_rechecked: u64,
 }
 
@@ -278,11 +278,11 @@ impl<'a> AnalysisSession<'a> {
         iter.pool = pool;
 
         let t0 = Instant::now();
-        let _final_state = iter.run_mode(Mode::Iterate);
+        let (_, pair) = iter.iterate();
         let time_iterate = t0.elapsed();
 
         let t1 = Instant::now();
-        let _ = iter.run_mode(Mode::Check);
+        let _ = iter.check(pair.as_ref());
         let time_check = t1.elapsed();
 
         let saved_closures = astree_domains::take_saved_closures();
@@ -332,14 +332,12 @@ impl<'a> AnalysisSession<'a> {
             }
         }
 
-        // The main loop: the first loop of the entry function.
-        let main_loop = first_loop_id(self.program);
-        let main_invariant = main_loop.and_then(|id| iter.invariants.get(&id).cloned());
+        let main_invariant = pair.map(|p| p.invariant);
         let main_census = main_invariant.as_ref().map(|s| Census::of_state(s, &layout, &packs));
 
         let useful: Vec<usize> =
             iter.oct_useful.iter().enumerate().filter(|(_, n)| **n > 0).map(|(i, _)| i).collect();
-        let invariant_cells: usize = iter.invariants.values().map(|s| s.env.len()).sum::<usize>();
+        let invariant_cells = main_invariant.as_ref().map_or(0, |s| s.env.len());
 
         let stats = AnalysisStats {
             time_iterate,
@@ -402,39 +400,6 @@ fn report_cache_run(
     if rec.enabled() {
         rec.record(&Event::Cache(&run));
     }
-}
-
-/// The id of the entry function's main loop: the first top-level
-/// constant-true (reactive) loop, else the first top-level loop.
-fn first_loop_id(program: &Program) -> Option<astree_ir::LoopId> {
-    let entry = program.func(program.entry);
-    for s in &entry.body {
-        if let astree_ir::StmtKind::While(id, c, _) = &s.kind {
-            if matches!(c, astree_ir::Expr::Int(v, _) if *v != 0) {
-                return Some(*id);
-            }
-        }
-    }
-    for s in &entry.body {
-        if let astree_ir::StmtKind::While(id, _, _) = &s.kind {
-            return Some(*id);
-        }
-    }
-    // Fall back to the first loop anywhere.
-    let mut found = None;
-    for f in &program.funcs {
-        astree_ir::stmt::for_each_stmt(&f.body, &mut |s| {
-            if found.is_none() {
-                if let astree_ir::StmtKind::While(id, _, _) = &s.kind {
-                    found = Some(*id);
-                }
-            }
-        });
-        if found.is_some() {
-            break;
-        }
-    }
-    found
 }
 
 #[cfg(test)]

@@ -993,6 +993,38 @@ mod tests {
         }
     }
 
+    /// The seam a re-proof builds on: the checking pass needs nothing but
+    /// the main loop's pair. Round-tripped through the store codec and handed
+    /// to a fresh iterator, it gives the cold run's alarms and census, and
+    /// the main loop is taken from the pair, not solved again.
+    #[test]
+    fn a_checking_pass_from_the_decoded_main_pair_reproduces_the_cold_run() {
+        use crate::iterator::{Iter, MainPair};
+        let gen = astree_gen::GenConfig {
+            channels: 4,
+            seed: 3,
+            bug: Some(astree_gen::BugKind::DivByZero),
+        };
+        let program = Frontend::new().compile_str(&astree_gen::generate(&gen)).expect("compiles");
+        let config = AnalysisConfig::default();
+        let (layout, packs) = shapes(&program, &config);
+        let cold = crate::analysis::AnalysisSession::builder(&program).build().run();
+        assert!(!cold.alarms.is_empty(), "the planted division by zero alarms");
+
+        let (_, pair) = Iter::new(&program, &layout, &packs, &config).iterate();
+        let pair = pair.expect("a main loop");
+        let decoded = MainPair {
+            witness: roundtrip(&pair.witness, &layout, &packs),
+            invariant: roundtrip(&pair.invariant, &layout, &packs),
+        };
+        let mut fresh = Iter::new(&program, &layout, &packs, &config);
+        fresh.check(Some(&decoded));
+        assert_eq!(std::mem::take(&mut fresh.sink).into_sorted(), cold.alarms);
+        assert_eq!(cold.main_census, Some(Census::of_state(&decoded.invariant, &layout, &packs)));
+        assert_eq!(fresh.stats.loops_rechecked, cold.stats.loops_rechecked);
+        assert_eq!(fresh.stats.loop_iterations, 0, "the checking pass counts no widening");
+    }
+
     /// Two million `N 0` tokens: a tree no pack can hold, deep enough to
     /// overflow the stack of a decoder that recurses once per token.
     fn bottomless_tree() -> String {

@@ -19,14 +19,6 @@ use astree_ir::{Program, StmtId, StmtKind};
 use astree_memory::{CellId, CellLayout};
 use std::collections::{BTreeSet, HashMap};
 
-/// A frame may hold at most `1 / FRAME_MAX_SHARE_DEN` of the layout's cells.
-/// Above that the projection and the write-back cost more than the smaller
-/// state saves. Measured on the generated family (iterate + check, median of
-/// 21, framed ÷ unframed; `DESIGN.md` has the table): a one-channel member,
-/// whose single frame is 85% of its cells, 1.10; two channels (51%) 0.98;
-/// three (35%) 0.92; thirty 0.85.
-const FRAME_MAX_SHARE_DEN: usize = 2;
-
 /// The part of the state one call statement can touch: cells and pack
 /// indices, each ascending.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -51,8 +43,6 @@ pub(crate) enum Whole {
     Wait,
     /// The callee's call tree is deeper than the syntactic walk follows.
     DepthCap,
-    /// The frame is too large a share of the layout to pay for itself.
-    NotSmall,
 }
 
 /// What a depth-0 call statement runs on.
@@ -74,21 +64,6 @@ pub(crate) struct Frames {
 
 impl Frames {
     pub fn discover(program: &Program, layout: &CellLayout, packs: &Packs) -> Frames {
-        Frames::discover_with_limit(
-            program,
-            layout,
-            packs,
-            layout.num_cells() / FRAME_MAX_SHARE_DEN,
-        )
-    }
-
-    /// [`Frames::discover`] with an explicit size limit (cells per frame).
-    pub fn discover_with_limit(
-        program: &Program,
-        layout: &CellLayout,
-        packs: &Packs,
-        max_cells: usize,
-    ) -> Frames {
         // A filter pack is found through its state cells (`ellipse_index`)
         // and through the temporary its first statement writes: the `δ`
         // update fires on that statement's id even when `X` and `Y` are
@@ -103,14 +78,13 @@ impl Frames {
             let choice = match call_touched_cells(program, layout, ret.as_ref(), *callee, args) {
                 Err(Unbounded::Wait) => FrameChoice::Whole(Whole::Wait),
                 Err(Unbounded::DepthCap) => FrameChoice::Whole(Whole::DepthCap),
-                Ok(touched) => {
-                    let frame = close_under_packs(program, layout, packs, &ell_by_tmp, touched);
-                    if frame.cells.len() > max_cells {
-                        FrameChoice::Whole(Whole::NotSmall)
-                    } else {
-                        FrameChoice::Framed(frame)
-                    }
-                }
+                Ok(touched) => FrameChoice::Framed(close_under_packs(
+                    program,
+                    layout,
+                    packs,
+                    &ell_by_tmp,
+                    touched,
+                )),
             };
             by_stmt.insert(s.id, choice);
         });
@@ -191,20 +165,19 @@ mod tests {
     use super::*;
     use crate::alarms::Alarm;
     use crate::config::AnalysisConfig;
-    use crate::iterator::{Iter, IterStats, Mode};
+    use crate::iterator::{Iter, IterStats, MainPair};
     use crate::state::AbsState;
     use astree_frontend::Frontend;
     use astree_gen::{generate, generate_with, BugKind, GenConfig, StructKnobs};
     use astree_memory::LayoutConfig;
     use astree_obs::FrameCounters;
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     /// Everything one run of both passes yields.
     struct Run {
         after_iterate: AbsState,
         after_check: AbsState,
-        invariants: BTreeMap<u32, AbsState>,
+        pair: Option<MainPair>,
         alarms: Vec<Alarm>,
         stats: IterStats,
     }
@@ -224,21 +197,20 @@ mod tests {
             Setup { program, layout, packs, config }
         }
 
-        /// Every call with a bounded footprint framed, whatever its size.
-        fn all_frames(&self) -> Frames {
-            Frames::discover_with_limit(&self.program, &self.layout, &self.packs, usize::MAX)
+        fn frames(&self) -> Frames {
+            Frames::discover(&self.program, &self.layout, &self.packs)
         }
 
         fn run(&self, frames: Frames, differential: bool) -> Run {
             let mut it = Iter::new(&self.program, &self.layout, &self.packs, &self.config);
             it.frames = Arc::new(frames);
             it.differential = differential;
-            let after_iterate = it.run_mode(Mode::Iterate);
-            let after_check = it.run_mode(Mode::Check);
+            let (after_iterate, pair) = it.iterate();
+            let after_check = it.check(pair.as_ref());
             Run {
                 after_iterate,
                 after_check,
-                invariants: it.invariants.iter().map(|(id, st)| (id.0, st.clone())).collect(),
+                pair,
                 alarms: std::mem::take(&mut it.sink).into_sorted(),
                 stats: it.stats.clone(),
             }
@@ -252,29 +224,30 @@ mod tests {
         assert!(a.leq(b) && b.leq(a), "{what}: packs differ");
     }
 
-    /// The differential: `src` with every bounded call framed — each framed
+    /// The differential: `src` with its frames — each framed
     /// call of the iteration pass is also run on the caller's state and
     /// compared after write-back — against `src` with no frame at all.
     /// Returns the framed run's counters.
     fn differential(src: &str, config: AnalysisConfig) -> FrameCounters {
         let setup = Setup::new(src, config);
-        let framed = setup.run(setup.all_frames(), true);
+        let framed = setup.run(setup.frames(), true);
         let whole = setup.run(Frames::default(), false);
         assert_same(&framed.after_iterate, &whole.after_iterate, "state after the iteration pass");
         assert_same(&framed.after_check, &whole.after_check, "state after the checking pass");
         assert_eq!(framed.alarms, whole.alarms);
         assert_eq!(framed.stats.loop_iterations, whole.stats.loop_iterations);
         assert_eq!(framed.stats.stmts_interpreted, whole.stats.stmts_interpreted);
-        assert_eq!(
-            framed.invariants.keys().collect::<Vec<_>>(),
-            whole.invariants.keys().collect::<Vec<_>>()
-        );
-        for (id, inv) in &framed.invariants {
-            // A loop inside a frame keeps a frame-sized invariant: the
+        let (framed_pair, whole_pair) = (framed.pair.as_ref(), whole.pair.as_ref());
+        assert_eq!(framed_pair.is_some(), whole_pair.is_some());
+        for (f, w) in framed_pair.into_iter().zip(whole_pair) {
+            // A report loop inside a frame keeps a frame-sized pair: the
             // unframed one restricted to those keys.
-            let full = &whole.invariants[id];
-            assert_eq!(inv.is_bottom(), full.is_bottom(), "loop {id}");
-            assert_same(inv, &full.restrict_to(inv), &format!("invariant of loop {id}"));
+            for (what, a, b) in
+                [("witness", &f.witness, &w.witness), ("invariant", &f.invariant, &w.invariant)]
+            {
+                assert_eq!(a.is_bottom(), b.is_bottom(), "{what}");
+                assert_same(a, &b.restrict_to(a), what);
+            }
         }
         assert_eq!(whole.stats.frames, FrameCounters::default());
         framed.stats.frames
@@ -287,7 +260,7 @@ mod tests {
     #[test]
     fn framed_family_members_match_the_unframed_analysis() {
         let stats = differential(&member(8, 42, None), AnalysisConfig::default());
-        assert!(stats.calls_framed > 0 && stats.calls_whole_not_small == 0, "{stats:?}");
+        assert!(stats.calls_framed > 0, "{stats:?}");
         for bug in [BugKind::DivByZero, BugKind::OutOfBounds, BugKind::IntOverflow] {
             let stats = differential(&member(3, 11, Some(bug)), AnalysisConfig::default());
             assert!(stats.calls_framed > 0, "{bug:?}: {stats:?}");
@@ -301,7 +274,7 @@ mod tests {
     #[test]
     fn framed_46_channel_member_matches_the_unframed_analysis() {
         let stats = differential(&member(46, 1, None), AnalysisConfig::default());
-        assert!(stats.calls_framed > 0 && stats.calls_whole_not_small == 0, "{stats:?}");
+        assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
     /// By-reference struct and array arguments, two call sites per helper
@@ -350,9 +323,6 @@ mod tests {
     fn by_ref_aggregates_and_dynamic_indices() {
         let stats = differential(BY_REF, AnalysisConfig::default());
         assert!(stats.calls_framed > 0, "{stats:?}");
-        // `shift`'s loop is checked from two frames against one stored
-        // witness: the other site's is rejected for its shape.
-        assert!(stats.witnesses_rejected_shape > 0, "{stats:?}");
     }
 
     /// Early returns inside branches, a guard that makes the callee's whole
@@ -413,7 +383,7 @@ mod tests {
             }
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
-        let framed = setup.run(setup.all_frames(), true);
+        let framed = setup.run(setup.frames(), true);
         assert!(framed.stats.frames.calls_framed > 0);
         assert!(framed.after_check.is_bottom());
         assert!(framed.alarms.is_empty(), "{:?}", framed.alarms);
@@ -474,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_and_large_callees_run_on_the_callers_state() {
+    fn unbounded_callees_run_on_the_callers_state() {
         let src = r#"
             int ticks; int x; int pad0; int pad1; int pad2; int pad3; volatile int in;
             void tick(void) { ticks = ticks + 1; __astree_wait(); }
@@ -486,18 +456,9 @@ mod tests {
             }
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
-        let stats = setup.run(setup.all_frames(), true).stats.frames;
+        let stats = setup.run(setup.frames(), true).stats.frames;
         assert!(stats.calls_framed > 0 && stats.calls_whole_wait > 0, "{stats:?}");
-        assert_eq!((stats.calls_whole_depth_cap, stats.calls_whole_not_small), (0, 0));
-        // With the size rule in force a frame of more than half the layout
-        // is not used.
-        let tiny = Frames::discover_with_limit(&setup.program, &setup.layout, &setup.packs, 1);
-        let stats = setup.run(tiny, false).stats.frames;
-        assert!(
-            stats.calls_framed == 0
-                && stats.calls_whole_not_small > 0
-                && stats.calls_whole_wait > 0
-        );
+        assert_eq!(stats.calls_whole_depth_cap, 0);
         differential(src, AnalysisConfig::default());
     }
 
@@ -511,7 +472,7 @@ mod tests {
         }
         src.push_str("void main(void) { __astree_input_int(in, 0, 9); f17(in); f3(in); }\n");
         let setup = Setup::new(&src, AnalysisConfig::default());
-        let stats = setup.run(setup.all_frames(), true).stats.frames;
+        let stats = setup.run(setup.frames(), true).stats.frames;
         assert_eq!((stats.calls_whole_depth_cap, stats.calls_framed), (2, 2), "{stats:?}");
         differential(&src, AnalysisConfig::default());
     }
@@ -519,7 +480,7 @@ mod tests {
     #[test]
     fn a_frame_is_closed_under_pack_membership() {
         let setup = Setup::new(&member(4, 3, None), AnalysisConfig::default());
-        let frames = setup.all_frames();
+        let frames = setup.frames();
         assert_eq!(frames.framed().count(), 4, "one frame per stepK");
         for f in frames.framed() {
             assert!(
@@ -545,10 +506,9 @@ mod tests {
     }
 
     /// A loop inside a helper reached from two call statements with
-    /// different frames: each pass solves it per frame, and the witness
-    /// kept from one site does not cover the other.
+    /// different frames: each pass solves it on each frame.
     #[test]
-    fn invariants_and_witnesses_of_another_frame_are_rejected() {
+    fn a_helper_loop_is_solved_on_each_frame() {
         let src = r#"
             typedef int Buf[4];
             Buf b0; Buf b1; int n0; int n1; int pad0; int pad1;
@@ -566,20 +526,14 @@ mod tests {
             }
         "#;
         let stats = differential(src, AnalysisConfig::default());
-        assert!(stats.witnesses_rejected_shape > 0, "{stats:?}");
+        assert!(stats.calls_framed > 0, "{stats:?}");
 
-        // The stored invariant of `fill`'s loop has the last site's shape
-        // (`b1`'s frame): it holds none of `b0`'s cells.
+        // `main` has no loop, so the census reports on `fill`'s: its pair is
+        // the last visit's and has that site's shape (`b1`'s frame), holding
+        // none of `b0`'s cells.
         let setup = Setup::new(src, AnalysisConfig::default());
-        let run = setup.run(setup.all_frames(), false);
-        let mut lid = None;
-        let fill = setup.program.funcs.iter().find(|f| f.name == "fill").expect("fill");
-        astree_ir::stmt::for_each_stmt(&fill.body, &mut |s| {
-            if let astree_ir::StmtKind::While(id, _, _) = &s.kind {
-                lid = Some(*id);
-            }
-        });
-        let inv = &run.invariants[&lid.expect("fill has a loop").0];
+        let run = setup.run(setup.frames(), false);
+        let inv = &run.pair.expect("fill has a loop").invariant;
         let tracks = |name: &str| {
             setup.layout.iter().any(|(c, info)| info.name.starts_with(name) && inv.env.tracks(c))
         };

@@ -1,16 +1,18 @@
 //! The iterator: abstract execution by induction on the abstract syntax
 //! (paper Sect. 5.3–5.5 and 7.1).
 //!
-//! Two modes share the same transfer functions and the same loop routine
+//! Two passes share the same transfer functions and the same loop routine
 //! (`Iter::exec_loop`):
 //!
-//! - **iteration mode** computes loop invariants by unrolled first
-//!   iterations (Sect. 7.1.1), plain unions for the first iterations
-//!   (delayed widening, Sect. 7.1.3), widening with thresholds
+//! - **the iteration pass** ([`Iter::iterate`]) computes loop invariants by
+//!   unrolled first iterations (Sect. 7.1.1), plain unions for the first
+//!   iterations (delayed widening, Sect. 7.1.3), widening with thresholds
 //!   (Sect. 7.1.2), optional float-bound perturbation (Sect. 7.1.4), and
-//!   narrowing; no warnings are emitted;
-//! - **checking mode** replays the program from the stored invariants and
-//!   issues one alarm per operator application that may err.
+//!   narrowing; no warnings are emitted, and the main loop's invariant is
+//!   the one result it keeps ([`MainPair`]);
+//! - **the checking pass** ([`Iter::check`]) replays the program from that
+//!   one invariant, solves every other loop where it meets it, and issues
+//!   one alarm per operator application that may err.
 //!
 //! Calls are analyzed by abstract inlining (context-sensitive polyvariant
 //! analysis, Sect. 5.4); by-reference parameters are substituted by the
@@ -39,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// Analysis mode (paper Sect. 5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+enum Mode {
     /// Generate invariants; no warnings.
     Iterate,
     /// Replay from invariants; collect alarms.
@@ -61,13 +63,12 @@ pub struct IterStats {
     pub par_slices: u64,
     /// Loops solved by full widening/narrowing iteration (iteration mode).
     pub loops_solved: u64,
-    /// Loops re-solved during the checking pass because the stored
-    /// invariant did not cover the arriving context (see
-    /// [`Iter::exec_loop`]).
+    /// Loops the checking pass solved in context: every visit to a loop
+    /// other than the main one, and the main loop's when its witness does
+    /// not cover the arriving iterate (see [`Iter::exec_loop`]).
     pub loops_rechecked: u64,
-    /// How the depth-0 call statements ran (see [`crate::frames`]) and
-    /// what the shape rules turned away; the per-frame sizes are filled in
-    /// by the session when it reports.
+    /// How the depth-0 call statements ran (see [`crate::frames`]); the
+    /// per-frame sizes are filled in by the session when it reports.
     pub frames: FrameCounters,
 }
 
@@ -85,6 +86,21 @@ impl IterStats {
     }
 }
 
+/// What the iteration pass hands the checking pass: the main loop's
+/// invariant and its *coverage witness*, the post-unroll iterate it was
+/// solved above. The invariant is a post-fixpoint of the body transfer
+/// above the witness, so it soundly describes every context at or below
+/// it. The invariant itself cannot serve as the witness: the loop-done
+/// reduction preserves concretizations but can tighten the invariant below
+/// the iterate in the abstract order.
+#[derive(Debug, Clone)]
+pub struct MainPair {
+    /// The post-unroll iterate of the iteration pass's visit.
+    pub witness: AbsState,
+    /// The loop-head invariant.
+    pub invariant: AbsState,
+}
+
 /// The iterator.
 pub struct Iter<'a> {
     program: &'a Program,
@@ -93,25 +109,18 @@ pub struct Iter<'a> {
     config: &'a AnalysisConfig,
     eval: Evaluator<'a>,
     mode: Mode,
-    /// Loop-head invariants, filled in iteration mode, replayed in checking
-    /// mode.
-    pub invariants: HashMap<LoopId, AbsState>,
+    /// The main loop (see [`main_loop`]): the one loop the checking pass
+    /// may take the pair for. `None` in the iterators the main one hands
+    /// work to — no slice or in-context solve contains the main loop.
+    main: Option<LoopId>,
+    /// The loop whose pair the iteration pass keeps (see [`report_loop`]).
+    report: Option<LoopId>,
+    /// The report loop's pair: written at each iteration-pass visit, handed
+    /// in for the checking pass.
+    pair: Option<MainPair>,
     /// What every depth-0 call statement runs on; shared with slice workers
     /// and the checking pass's scratch iterators.
     pub(crate) frames: Arc<Frames>,
-    /// Per-loop *coverage witness*: the post-unroll entry iterate (`base`)
-    /// of the **last** iteration-mode visit, recorded alongside the stored
-    /// invariant. The checking pass replays a loop against the stored
-    /// invariant only when its own post-unroll iterate is below this
-    /// witness — the stored invariant is a post-fixpoint of the body
-    /// transfer above it, so it soundly describes exactly those contexts.
-    /// Any other context (nested loops re-solved per outer iteration,
-    /// shared bodies reached from several call statements) is re-solved in
-    /// context by [`Iter::exec_loop`]. The invariant itself cannot serve as
-    /// the witness: the loop-done reduction preserves concretizations but
-    /// can tighten the invariant below `base` in the abstract order, which
-    /// would flag every single-visit loop as uncovered.
-    pub cover: HashMap<LoopId, AbsState>,
     /// Joined abstract state observed at each statement during the Check
     /// pass, filled only when `config.collect_stmt_invariants` is set. For a
     /// `while` statement this additionally accumulates every loop-head
@@ -163,8 +172,6 @@ struct SliceOut {
     /// partitions — shapes the overlay model cannot express).
     post: Option<AbsState>,
     returned: AbsState,
-    invariants: HashMap<LoopId, AbsState>,
-    cover: HashMap<LoopId, AbsState>,
     sink: AlarmSink,
     stats: IterStats,
     oct_useful: Vec<usize>,
@@ -197,6 +204,8 @@ impl<'a> Iter<'a> {
     ) -> Self {
         let frames = Arc::new(Frames::discover(program, layout, packs));
         let mut it = Iter::sharing(program, layout, packs, config, frames);
+        it.main = main_loop(program);
+        it.report = report_loop(program);
         // Parallel slices run on worker `Iter`s whose per-statement
         // captures would be dropped at merge; collection forces the
         // sequential interpreter (alarms are identical either way).
@@ -226,8 +235,9 @@ impl<'a> Iter<'a> {
             config,
             eval,
             mode: Mode::Iterate,
-            invariants: HashMap::new(),
-            cover: HashMap::new(),
+            main: None,
+            report: None,
+            pair: None,
             frames,
             stmt_invariants: HashMap::new(),
             sink: AlarmSink::new(),
@@ -268,9 +278,27 @@ impl<'a> Iter<'a> {
         }
     }
 
-    /// Runs one full pass from the entry point in the given mode and returns
-    /// the final state.
-    pub fn run_mode(&mut self, mode: Mode) -> AbsState {
+    /// The iteration pass: runs the program from the entry point, solving
+    /// every loop. Returns the final state and the report loop's pair
+    /// (`None` when no loop is reached).
+    pub fn iterate(&mut self) -> (AbsState, Option<MainPair>) {
+        self.pair = None;
+        let exit = self.run(Mode::Iterate);
+        (exit, self.pair.take())
+    }
+
+    /// The checking pass: runs the program from the entry point, collecting
+    /// alarms. It takes `pair`'s invariant for the main loop when the
+    /// witness covers the arriving iterate and solves every other loop where
+    /// it meets it. Returns the final state.
+    pub fn check(&mut self, pair: Option<&MainPair>) -> AbsState {
+        self.pair = pair.cloned();
+        let exit = self.run(Mode::Check);
+        self.pair = None;
+        exit
+    }
+
+    fn run(&mut self, mode: Mode) -> AbsState {
         self.mode = mode;
         let state = AbsState::initial(self.layout, self.packs);
         self.exec_function(state, self.program.entry, None, 0)
@@ -377,8 +405,6 @@ impl<'a> Iter<'a> {
         let layout = self.layout;
         let packs = self.packs;
         let config = self.config;
-        let seed_invariants = &self.invariants;
-        let cover_map = &self.cover;
         let frames = &self.frames;
         let panic_slice = self.config.debug_panic_slice;
 
@@ -399,18 +425,12 @@ impl<'a> Iter<'a> {
                 let t0 = Instant::now();
                 let mut w = Iter::sharing(program, layout, packs, config, Arc::clone(frames));
                 w.mode = mode;
-                if mode == Mode::Check {
-                    w.invariants = seed_invariants.clone();
-                    w.cover = cover_map.clone();
-                }
                 let mut wf = Flow { parts: vec![pre.clone()], returned: AbsState::bottom() };
                 w.exec_block(&mut wf, &block[slice.range.clone()], ret_target, false, depth);
                 let post = if wf.parts.len() == 1 { Some(wf.parts.pop().unwrap()) } else { None };
                 SliceOut {
                     post,
                     returned: wf.returned,
-                    invariants: w.invariants,
-                    cover: w.cover,
                     sink: w.sink,
                     stats: w.stats,
                     oct_useful: w.oct_useful,
@@ -458,14 +478,6 @@ impl<'a> Iter<'a> {
         for (ci, out) in results.into_iter().enumerate() {
             let post = out.post.expect("checked above");
             merged.overlay_from(&pre, &post, &slices[ci].effects, self.layout, self.packs);
-            if mode == Mode::Iterate {
-                for (id, inv) in out.invariants {
-                    self.invariants.insert(id, inv);
-                }
-                for (id, c) in out.cover {
-                    self.cover.insert(id, c);
-                }
-            }
             self.sink.absorb(out.sink);
             self.stats.merge_worker(out.stats);
             for (pi, n) in out.oct_useful.into_iter().enumerate() {
@@ -633,25 +645,15 @@ impl<'a> Iter<'a> {
     /// `inv` comes from:
     ///
     /// - **Iterate** solves the residual loop from the post-unroll iterate
-    ///   ([`Iter::solve_residual`]) and stores the invariant together with
-    ///   that iterate as its coverage witness (see [`Iter::cover`]).
-    /// - **Check** takes the stored invariant when the witness covers the
-    ///   arriving iterate. Otherwise the context is one iteration mode
-    ///   overwrote — invariants are stored per loop, so a loop visited
-    ///   under several contexts (nested loops re-solved per outer
-    ///   iteration, shared bodies reached from several call statements)
-    ///   keeps only the *last* visit's, and checking another context
-    ///   against it could miss real errors (the differential soundness
-    ///   oracle caught a concrete first-tick store escaping the claimed
-    ///   exit state of an inner history-shift loop). Such a context gets
-    ///   the same solve iteration mode ran for it, on a scratch iterator:
-    ///   no alarms, no telemetry, and nothing but the returned invariant
-    ///   kept, so the checking pass never perturbs stored results or the
-    ///   widening counters (parallel check slices start from the stage's
-    ///   entry state, whose off-footprint cells can spuriously fail the
-    ///   coverage test; counting those solves would break the bit-identical
-    ///   parallel-vs-sequential contract). Either way one alarm-collecting
-    ///   body pass from `inv` follows (Sect. 5.4).
+    ///   ([`Iter::solve_residual`]); at the report loop it keeps the
+    ///   invariant and that iterate as the [`MainPair`].
+    /// - **Check** takes the pair's invariant at the main loop when the
+    ///   witness covers the arriving iterate. Every other loop — and the
+    ///   main loop when the witness does not cover — is solved in context,
+    ///   by the same solve the iteration pass ran, on a scratch iterator: no
+    ///   alarms, no telemetry, no widening counters and nothing but the
+    ///   returned invariant kept. Either way one alarm-collecting body pass
+    ///   from `inv` follows (Sect. 5.4).
     #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &mut self,
@@ -691,11 +693,11 @@ impl<'a> Iter<'a> {
                 if track {
                     self.loop_stack.pop();
                 }
-                if !check {
+                if !check && Some(id) == self.report {
                     // Residual unreachable in this context: a checking-mode
                     // context that *does* reach the residual is uncovered.
-                    self.invariants.insert(id, AbsState::bottom());
-                    self.cover.insert(id, AbsState::bottom());
+                    let bottom = AbsState::bottom();
+                    self.pair = Some(MainPair { witness: bottom.clone(), invariant: bottom });
                 }
                 return exits;
             }
@@ -711,21 +713,19 @@ impl<'a> Iter<'a> {
         let inv = match self.mode {
             Mode::Iterate => {
                 let inv = self.solve_residual(&cur, id, cond, body, ret_target, depth);
-                self.invariants.insert(id, inv.clone());
-                self.cover.insert(id, cur);
+                if Some(id) == self.report {
+                    self.pair = Some(MainPair { witness: cur, invariant: inv.clone() });
+                }
                 inv
             }
             Mode::Check => {
-                let inv = match (self.cover.get(&id), self.invariants.get(&id)) {
-                    // The stored invariant is a post-fixpoint of the body
-                    // transfer above the recorded coverage witness, so it
-                    // soundly describes the residual iterations of any
-                    // context at or below it.
-                    (Some(c), Some(stored)) if Self::post_fixpoint(&cur, c) => stored.clone(),
-                    (witness, _) => {
-                        if witness.is_some_and(|c| !c.is_bottom() && !c.same_shape(&cur)) {
-                            self.stats.frames.witnesses_rejected_shape += 1;
-                        }
+                let covered = self
+                    .pair
+                    .as_ref()
+                    .filter(|p| Some(id) == self.main && Self::post_fixpoint(&cur, &p.witness));
+                let inv = match covered {
+                    Some(p) => p.invariant.clone(),
+                    None => {
                         let mut w = Iter::sharing(
                             self.program,
                             self.layout,
@@ -1323,7 +1323,7 @@ impl<'a> Iter<'a> {
     /// (see [`crate::frames`]): the arriving state is projected, the callee
     /// runs on the projection exactly as it would on the whole state —
     /// nested calls, branches, inner loops, alarms — and what changed is
-    /// written back. Loop invariants and coverage witnesses of loops inside
+    /// written back. The invariants of loops inside, solved in either pass,
     /// are therefore frame-sized.
     fn transfer_call(
         &mut self,
@@ -1344,7 +1344,6 @@ impl<'a> Iter<'a> {
                 let n = match why {
                     Whole::Wait => &mut self.stats.frames.calls_whole_wait,
                     Whole::DepthCap => &mut self.stats.frames.calls_whole_depth_cap,
-                    Whole::NotSmall => &mut self.stats.frames.calls_whole_not_small,
                 };
                 *n += 1;
                 return self.inline_call(state, callee, args, ret, s, depth);
@@ -1704,6 +1703,37 @@ impl<'a> Iter<'a> {
             }));
         }
     }
+}
+
+/// The main loop: the entry function's first top-level constant-true
+/// (reactive) loop, else its first top-level loop — the one loop each pass
+/// visits exactly once.
+fn main_loop(program: &Program) -> Option<LoopId> {
+    let top = || {
+        program.func(program.entry).body.iter().filter_map(|s| match &s.kind {
+            StmtKind::While(id, c, _) => Some((*id, c)),
+            _ => None,
+        })
+    };
+    let reactive = top().find(|(_, c)| matches!(c, Expr::Int(v, _) if *v != 0));
+    reactive.or_else(|| top().next()).map(|(id, _)| id)
+}
+
+/// The loop the census reports on: the main loop, else the first loop
+/// anywhere. Such a loop may sit in a callee reached more than once; its
+/// pair is then its last visit's, which the checking pass never takes.
+fn report_loop(program: &Program) -> Option<LoopId> {
+    main_loop(program).or_else(|| {
+        let mut found = None;
+        for f in &program.funcs {
+            astree_ir::stmt::for_each_stmt(&f.body, &mut |s| {
+                if let (None, StmtKind::While(id, _, _)) = (found, &s.kind) {
+                    found = Some(*id);
+                }
+            });
+        }
+        found
+    })
 }
 
 /// Cells listed in a leaf (helper for rebuilding a `PackEnv`).

@@ -546,10 +546,9 @@ impl AbsState {
     }
 
     /// Inclusion `⊑`, between states of the same shape only: a cell or pack
-    /// one side alone holds answers `false` (see [`AbsEnv::leq`]), so
-    /// [`crate::iterator::Iter`]'s post-fixpoint test rejects a stored
-    /// invariant or coverage witness that belongs to another frame, and the
-    /// loop is solved in context.
+    /// one side alone holds answers `false` (see [`AbsEnv::leq`]), so a
+    /// post-fixpoint test that ever met a state of another frame would fail
+    /// and the loop would be solved in context.
     pub fn leq(&self, other: &AbsState) -> bool {
         if self.is_bottom() {
             return true;

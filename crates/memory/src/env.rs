@@ -382,9 +382,8 @@ impl AbsEnv {
     /// Both sides must track the same cells: a cell tracked on one side only
     /// answers `false`. An untracked cell reads as ⊤, so a left-only cell
     /// would be included semantically — but environments of different shape
-    /// belong to different frames, and an invariant, coverage witness or
-    /// cache seed of another frame must be rejected, not compared on the
-    /// cells the two happen to share.
+    /// belong to different frames, and a state of another frame must be
+    /// rejected, not compared on the cells the two happen to share.
     pub fn leq(&self, other: &AbsEnv) -> bool {
         if self.bottom {
             return true;

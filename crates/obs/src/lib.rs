@@ -335,8 +335,7 @@ impl PmapCounters {
 }
 
 /// Frame usage of one analysis run: how the entry function's call
-/// statements ran, how large their frames are, and what the shape rules
-/// turned away.
+/// statements ran and how large their frames are.
 ///
 /// Emitted once per run by the analysis session. The [`Collector`] sums the
 /// counts and pools the per-frame sizes across runs; the document reports
@@ -350,11 +349,6 @@ pub struct FrameCounters {
     pub calls_whole_wait: u64,
     /// … because the callee's call tree exceeds the syntactic walk's depth.
     pub calls_whole_depth_cap: u64,
-    /// … because the frame is too large a share of the cell layout.
-    pub calls_whole_not_small: u64,
-    /// Checking-pass loop visits re-solved because the stored coverage
-    /// witness has another frame's shape.
-    pub witnesses_rejected_shape: u64,
     /// Cells per frame, one entry per framed call statement.
     pub cells_per_frame: Vec<u64>,
     /// Relational packs (all kinds) per frame, same order.
@@ -367,8 +361,6 @@ impl FrameCounters {
         self.calls_framed += o.calls_framed;
         self.calls_whole_wait += o.calls_whole_wait;
         self.calls_whole_depth_cap += o.calls_whole_depth_cap;
-        self.calls_whole_not_small += o.calls_whole_not_small;
-        self.witnesses_rejected_shape += o.witnesses_rejected_shape;
         self.cells_per_frame.extend(&o.cells_per_frame);
         self.packs_per_frame.extend(&o.packs_per_frame);
     }
@@ -393,13 +385,11 @@ impl FrameCounters {
                 Json::obj([
                     ("wait", Json::UInt(self.calls_whole_wait)),
                     ("depth_cap", Json::UInt(self.calls_whole_depth_cap)),
-                    ("not_small", Json::UInt(self.calls_whole_not_small)),
                 ]),
             ),
             ("frames", Json::UInt(self.cells_per_frame.len() as u64)),
             ("cells_per_frame", spread(&self.cells_per_frame)),
             ("packs_per_frame", spread(&self.packs_per_frame)),
-            ("witnesses_rejected_shape", Json::UInt(self.witnesses_rejected_shape)),
         ])
     }
 }
@@ -1048,8 +1038,7 @@ mod tests {
         }));
         c.record(&Event::Frames(&FrameCounters {
             calls_framed: 7,
-            calls_whole_not_small: 1,
-            witnesses_rejected_shape: 2,
+            calls_whole_depth_cap: 1,
             cells_per_frame: vec![51, 49, 60],
             packs_per_frame: vec![15, 15, 16],
             ..FrameCounters::default()
@@ -1081,7 +1070,7 @@ mod tests {
         let frames = j.get("core").and_then(|c| c.get("frames")).expect("core.frames");
         assert_eq!(frames.get("calls_framed"), Some(&Json::UInt(7)));
         assert_eq!(
-            frames.get("calls_whole").and_then(|w| w.get("not_small")),
+            frames.get("calls_whole").and_then(|w| w.get("depth_cap")),
             Some(&Json::UInt(1))
         );
         let cells = frames.get("cells_per_frame").expect("cells_per_frame");
@@ -1089,7 +1078,6 @@ mod tests {
             (cells.get("min"), cells.get("median"), cells.get("max")),
             (Some(&Json::UInt(49)), Some(&Json::UInt(51)), Some(&Json::UInt(60)))
         );
-        assert_eq!(frames.get("witnesses_rejected_shape"), Some(&Json::UInt(2)));
         let rendered = j.to_string();
         assert!(rendered.contains("\"div_by_zero\""));
         assert!(rendered.contains("\"batch_jobs\""));

@@ -118,7 +118,7 @@ fn reports_are_identical_across_jobs_and_sharing_modes() {
     assert_eq!(frames.get("frames"), Some(&Json::UInt(12)));
     assert!(matches!(frames.get("calls_framed"), Some(Json::UInt(n)) if *n > 0));
     let whole = frames.get("calls_whole").expect("calls_whole");
-    for why in ["wait", "depth_cap", "not_small"] {
+    for why in ["wait", "depth_cap"] {
         assert_eq!(whole.get(why), Some(&Json::UInt(0)), "{why}");
     }
     let state_ops = doc.get("domains").and_then(|d| d.get("state")).expect("domains.state");

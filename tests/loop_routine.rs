@@ -1,10 +1,9 @@
 //! The single loop routine (`Iter::exec_loop`) under both passes: for every
 //! unrolling factor and every loop shape, the checking pass must reproduce
-//! the iteration pass's loop exit state, must leave the stored invariants
-//! and coverage witnesses untouched, and must report the same alarms
-//! sequentially and sliced.
+//! the iteration pass's loop exit state, must leave the main loop's pair
+//! untouched, and must report the same alarms sequentially and sliced.
 
-use astree::core::iterator::{Iter, Mode};
+use astree::core::iterator::Iter;
 use astree::core::{AbsState, Alarm, AlarmKind, AnalysisConfig, AnalysisSession, Packs};
 use astree::frontend::Frontend;
 use astree::ir::Program;
@@ -28,9 +27,9 @@ const SCENARIOS: [(&str, &str); 4] = [
     ),
     (
         // The inner loop runs under `a == 0` on the first outer iteration
-        // and under `a == 100` afterwards: the stored witness (last visit)
-        // does not cover the first context once the outer loop is unrolled.
-        // `first` carries the first context's inner exit into the outer loop.
+        // and under `a == 100` afterwards: the checking pass solves it in
+        // each context. `first` carries the first context's inner exit into
+        // the outer loop.
         "inner-under-two-outer-contexts",
         "int i; int j; int a; int b; int first;
          void main(void) {
@@ -44,9 +43,9 @@ const SCENARIOS: [(&str, &str); 4] = [
          }",
     ),
     (
-        // One callee loop, two call statements: only the second call's
-        // invariant is stored, and it hides the first call's division by
-        // zero (`v + w` reaches 0 only when `v == 0`).
+        // One callee loop, two call statements: the second call's invariant
+        // hides the first call's division by zero (`v + w` reaches 0 only
+        // when `v == 0`), so each call's loop is solved in its own context.
         "callee-loop-from-two-call-sites",
         "volatile int in; int w; int k; int buf;
          void fill(int v) { k = 0; while (k < 4) { buf = 100 / (v + w); k = k + 1; } }
@@ -74,25 +73,19 @@ fn both_passes(name: &str, p: &Program, unroll: u32) -> (Vec<Alarm>, u64) {
     let packs = Packs::discover(p, &layout, &cfg);
     let mut it = Iter::new(p, &layout, &packs, &cfg);
 
-    let exit_iterate = it.run_mode(Mode::Iterate);
-    let (invariants, cover) = (it.invariants.clone(), it.cover.clone());
-    let exit_check = it.run_mode(Mode::Check);
+    let (exit_iterate, pair) = it.iterate();
+    let kept = pair.clone();
+    let exit_check = it.check(pair.as_ref());
 
     assert!(
         same(&exit_iterate, &exit_check),
         "{name} unroll={unroll}: exit state differs\niterate: {exit_iterate}\ncheck: {exit_check}"
     );
-    for (what, before, after) in
-        [("invariants", &invariants, &it.invariants), ("cover", &cover, &it.cover)]
-    {
-        assert_eq!(before.len(), after.len(), "{name} unroll={unroll}: {what} keys changed");
-        for (id, st) in before {
-            assert!(
-                after.get(id).is_some_and(|now| now.ptr_eq(st)),
-                "{name} unroll={unroll}: {what}[{id:?}] changed during the checking pass"
-            );
-        }
-    }
+    let (pair, kept) = (pair.expect("a loop is reached"), kept.expect("a loop is reached"));
+    assert!(
+        pair.witness.ptr_eq(&kept.witness) && pair.invariant.ptr_eq(&kept.invariant),
+        "{name} unroll={unroll}: the pair changed during the checking pass"
+    );
     (std::mem::take(&mut it.sink).into_sorted(), it.stats.loops_rechecked)
 }
 
@@ -110,8 +103,10 @@ fn check_pass_reproduces_iterate_pass_for_every_unroll_and_shape() {
                 assert_eq!(alarms, r.alarms, "{name} unroll={unroll} jobs={jobs}: alarms differ");
                 assert_eq!(rechecked, r.stats.loops_rechecked, "{name} unroll={unroll}");
             }
-            if name.contains("two") && unroll > 0 {
-                assert!(rechecked >= 1, "{name} unroll={unroll}: no uncovered context arose");
+            if name.contains("two") {
+                assert!(rechecked >= 1, "{name} unroll={unroll}: no loop solved in context");
+            } else {
+                assert_eq!(rechecked, 0, "{name} unroll={unroll}: the main loop was re-solved");
             }
             if name == "callee-loop-from-two-call-sites" {
                 assert!(

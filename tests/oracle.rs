@@ -131,8 +131,9 @@ fn golden_report_shape() {
 /// on `ch1-seed3-bugDivByZero` the concrete `bug_num = 0` escaped the
 /// claimed `[100, 100]` right after the inner history-shift loop.
 ///
-/// The fix keeps a coverage witness per loop and re-solves uncovered
-/// contexts in the checking pass (`stats.loops_rechecked`).
+/// The checking pass now keeps no per-loop invariant: it takes the main
+/// loop's alone and solves every other loop in the context it arrives in
+/// (`stats.loops_rechecked`).
 #[test]
 fn nested_loop_context_recheck_regression() {
     let spec = MemberSpec {
@@ -157,8 +158,8 @@ fn nested_loop_context_recheck_regression() {
     );
     assert!(outcome.alarms.contains_key("div_by_zero"), "{:?}", outcome.alarms);
 
-    // The fix is observable: the member's analysis re-solves at least one
-    // loop whose stored invariant does not cover the arriving context.
+    // The fix is observable: the member's checking pass solves its inner
+    // loops in context.
     let src = spec.source();
     let p = Frontend::new().compile_str(&src).unwrap();
     let mut analysis = AnalysisConfig::default();
@@ -166,7 +167,7 @@ fn nested_loop_context_recheck_regression() {
     let result = AnalysisSession::builder(&p).config(analysis).build().run();
     assert!(
         result.stats.loops_rechecked >= 1,
-        "expected uncovered-context rechecks, got {}",
+        "expected in-context solves, got {}",
         result.stats.loops_rechecked
     );
 }

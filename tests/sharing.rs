@@ -137,7 +137,7 @@ fn assignments_to_an_owned_state_write_in_place() {
     // assignments to N distinct cells must cost O(cells + depth) tree nodes
     // (here: none beyond building the initial state), not the N × depth of
     // one root-to-leaf path copy per assignment.
-    use astree::core::iterator::{Iter, Mode};
+    use astree::core::iterator::Iter;
     use astree::core::{AbsState, Packs};
     use astree::memory::{CellLayout, LayoutConfig};
     const N: usize = 512;
@@ -151,7 +151,7 @@ fn assignments_to_an_owned_state_write_in_place() {
     let initial = AbsState::initial(&layout, &packs);
     let build = astree::pmap::take_stats().nodes_allocated;
     assert!(build as usize >= N, "the initial state holds one node per cell");
-    let end = Iter::new(&p, &layout, &packs, &cfg).run_mode(Mode::Iterate);
+    let (end, _) = Iter::new(&p, &layout, &packs, &cfg).iterate();
     let run = astree::pmap::take_stats().nodes_allocated;
     assert_eq!(end.env.count_diff(&initial.env), N, "every assignment took effect");
     let writes = run.saturating_sub(build) as usize;

@@ -267,18 +267,11 @@ fn json_document_has_the_documented_shape() {
     // `core.frames`: every call of the entry function is accounted for, on
     // its frame or on the caller's state with the reason.
     let frames = j.get("core").and_then(|c| c.get("frames")).expect("core.frames");
-    for key in [
-        "calls_framed",
-        "calls_whole",
-        "frames",
-        "cells_per_frame",
-        "packs_per_frame",
-        "witnesses_rejected_shape",
-    ] {
+    for key in ["calls_framed", "calls_whole", "frames", "cells_per_frame", "packs_per_frame"] {
         assert!(frames.get(key).is_some(), "core.frames key {key}");
     }
     let whole = frames.get("calls_whole").unwrap();
-    for key in ["wait", "depth_cap", "not_small"] {
+    for key in ["wait", "depth_cap"] {
         assert!(whole.get(key).is_some(), "core.frames.calls_whole key {key}");
     }
     let count = |j: Option<&Json>| match j {
@@ -286,7 +279,7 @@ fn json_document_has_the_documented_shape() {
         other => panic!("not a count: {other:?}"),
     };
     let calls = count(frames.get("calls_framed"))
-        + ["wait", "depth_cap", "not_small"].iter().map(|k| count(whole.get(k))).sum::<u64>();
+        + ["wait", "depth_cap"].iter().map(|k| count(whole.get(k))).sum::<u64>();
     assert!(calls > 0, "a 2-channel member calls its two stepK every iteration");
     let rendered = j.to_string();
     assert_eq!(rendered.matches('{').count(), rendered.matches('}').count());
