@@ -60,6 +60,30 @@ pub struct AnalysisStats {
     /// invariant only), and the main loop's when its witness does not cover
     /// the arriving iterate.
     pub loops_rechecked: u64,
+    /// Threshold-free widenings the iteration pass applied past
+    /// `max_iterations` (0 unless a loop ran out of its budget).
+    pub widen_top: u64,
+    /// The loops that ran out of their iteration budget, as (function,
+    /// loop id), in order.
+    pub budget_loops: Vec<(String, u32)>,
+}
+
+impl AnalysisStats {
+    /// The report line naming the loops that ran out of their iteration
+    /// budget (`max_iterations`, the run's), or `None` when none did.
+    pub fn budget_line(&self, max_iterations: u32) -> Option<String> {
+        if self.widen_top == 0 {
+            return None;
+        }
+        let loops: Vec<String> =
+            self.budget_loops.iter().map(|(f, id)| format!("{f} loop {id}")).collect();
+        Some(format!(
+            "budget: max_iterations ({max_iterations}) ran out, {} widening(s) without \
+             thresholds in {}",
+            self.widen_top,
+            loops.join(", ")
+        ))
+    }
 }
 
 /// How the invariant store participated in one analysis run.
@@ -356,6 +380,8 @@ impl<'a> AnalysisSession<'a> {
             parallel_slices: iter.stats.par_slices,
             loops_solved: iter.stats.loops_solved,
             loops_rechecked: iter.stats.loops_rechecked,
+            widen_top: iter.stats.widen_top,
+            budget_loops: std::mem::take(&mut iter.stats.budget_loops).into_iter().collect(),
         };
         let alarms = std::mem::take(&mut iter.sink).into_sorted();
 

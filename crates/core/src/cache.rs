@@ -47,8 +47,10 @@ use std::time::Duration;
 
 /// The format identifier on the first line of every store file.
 /// `/3`: one result per file, named by all four fingerprints. Files of
-/// earlier formats carry other names and are never opened.
-pub const CACHE_FORMAT: &str = "astree-cache/3";
+/// earlier formats carry other names and are never opened. `/4`: the
+/// `stats` line ends with the loops that ran out of their iteration budget
+/// (a `/3` file of the same name reads as corrupt: a miss, then rewritten).
+pub const CACHE_FORMAT: &str = "astree-cache/4";
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -474,7 +476,7 @@ fn kind_from_code(c: u8) -> Option<AlarmKind> {
 }
 
 fn encode_stats(out: &mut String, s: &AnalysisStats) {
-    let _ = writeln!(
+    let _ = write!(
         out,
         "stats {} {} {} {} {} {} {} {} {} {} {} {}",
         s.time_iterate.as_nanos(),
@@ -490,6 +492,13 @@ fn encode_stats(out: &mut String, s: &AnalysisStats) {
         s.parallel_stages,
         s.parallel_slices,
     );
+    // The loops that ran out of their budget close the line, so a replay
+    // reports them like the cold run.
+    let _ = write!(out, " {} {}", s.widen_top, s.budget_loops.len());
+    for (func, id) in &s.budget_loops {
+        let _ = write!(out, " {func} {id}");
+    }
+    out.push('\n');
 }
 
 fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
@@ -514,6 +523,15 @@ fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
         parallel_slices: t.u64()?,
         loops_solved: 0,
         loops_rechecked: 0,
+        widen_top: t.u64()?,
+        budget_loops: {
+            // The count comes from the file: grow with the tokens there.
+            let mut loops = Vec::new();
+            for _ in 0..t.usize()? {
+                loops.push((t.tok()?.to_string(), t.u32()?));
+            }
+            loops
+        },
     })
 }
 

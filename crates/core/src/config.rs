@@ -29,9 +29,12 @@ pub struct AnalysisConfig {
     /// Extra union iterations granted each time an unstable variable
     /// becomes stable (the fairness-capped part of Sect. 7.1.3).
     pub stabilization_grace: u32,
-    /// Hard cap on widening iterations per loop.
+    /// Hard cap on widening iterations per loop; past it a loop widens
+    /// without thresholds, and `analyze` names it on a `budget:` line.
     pub max_iterations: u32,
-    /// Number of narrowing (decreasing) iterations after stabilization.
+    /// Narrowing (decreasing) iterations after stabilization: at most N
+    /// passes, each run only while a bound can narrow — the invariant holds
+    /// an infinite bound and the previous pass refined one.
     pub narrowing_iterations: u32,
     /// Default semantic loop-unrolling factor (Sect. 7.1.1).
     pub loop_unroll: u32,

@@ -180,6 +180,8 @@ mod tests {
         pair: Option<MainPair>,
         alarms: Vec<Alarm>,
         stats: IterStats,
+        /// Skipped narrowing passes the differential ran (none moved).
+        narrowings_checked: u64,
     }
 
     struct Setup {
@@ -213,6 +215,7 @@ mod tests {
                 pair,
                 alarms: std::mem::take(&mut it.sink).into_sorted(),
                 stats: it.stats.clone(),
+                narrowings_checked: it.narrowings_checked,
             }
         }
     }
@@ -226,9 +229,15 @@ mod tests {
 
     /// The differential: `src` with its frames — each framed
     /// call of the iteration pass is also run on the caller's state and
-    /// compared after write-back — against `src` with no frame at all.
-    /// Returns the framed run's counters.
+    /// compared after write-back, and each skipped narrowing pass is run
+    /// anyway — against `src` with no frame at all. Returns the framed run's
+    /// frame counters.
     fn differential(src: &str, config: AnalysisConfig) -> FrameCounters {
+        differential_run(src, config).stats.frames
+    }
+
+    /// [`differential`], returning the whole framed run.
+    fn differential_run(src: &str, config: AnalysisConfig) -> Run {
         let setup = Setup::new(src, config);
         let framed = setup.run(setup.frames(), true);
         let whole = setup.run(Frames::default(), false);
@@ -250,7 +259,7 @@ mod tests {
             }
         }
         assert_eq!(whole.stats.frames, FrameCounters::default());
-        framed.stats.frames
+        framed
     }
 
     fn member(channels: usize, seed: u64, bug: Option<BugKind>) -> String {
@@ -259,16 +268,56 @@ mod tests {
 
     #[test]
     fn framed_family_members_match_the_unframed_analysis() {
-        let stats = differential(&member(8, 42, None), AnalysisConfig::default());
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        let run = differential_run(&member(8, 42, None), AnalysisConfig::default());
+        assert!(run.stats.frames.calls_framed > 0, "{:?}", run.stats.frames);
+        assert!(run.narrowings_checked > 0, "no narrowing pass was skipped");
         for bug in [BugKind::DivByZero, BugKind::OutOfBounds, BugKind::IntOverflow] {
-            let stats = differential(&member(3, 11, Some(bug)), AnalysisConfig::default());
-            assert!(stats.calls_framed > 0, "{bug:?}: {stats:?}");
+            let run = differential_run(&member(3, 11, Some(bug)), AnalysisConfig::default());
+            assert!(run.stats.frames.calls_framed > 0, "{bug:?}: {:?}", run.stats.frames);
+            assert!(run.narrowings_checked > 0, "{bug:?}: no narrowing pass was skipped");
         }
         // Cross-channel coupling: a frame reaches into the neighbour channel.
         let coupled = StructKnobs { cross_couple: true, ..StructKnobs::default() };
         let src = generate_with(&GenConfig { channels: 5, seed: 9, bug: None }, &coupled);
         assert!(differential(&src, AnalysisConfig::default()).calls_framed > 0);
+    }
+
+    /// Loops whose narrowing does refine bounds, so the differential sees
+    /// the passes a solve runs and the ones it skips: a reset counter whose
+    /// `x ± clock` parts alone escape past the ramp (its value and the clock
+    /// stay on a rung), and a float whose copy reads the previous iterate,
+    /// so the second pass refines what the first could not.
+    #[test]
+    fn narrowing_passes_that_refine_are_run() {
+        let clocked = r#"
+            int k;
+            void main(void) {
+                while (1) {
+                    if (k < 5) { k = k + 1; } else { k = 0; }
+                    __astree_wait();
+                }
+            }
+        "#;
+        let chained = r#"
+            double x; double y;
+            void main(void) {
+                while (1) {
+                    y = x;
+                    if (x < 5000.0) { x = x + 1.0; } else { x = 0.0; }
+                    __astree_wait();
+                }
+            }
+        "#;
+        let mut config = AnalysisConfig::default();
+        config.thresholds = astree_domains::Thresholds::geometric(1.0, 10.0, 3);
+        config.max_clock = 998;
+        config.narrowing_iterations = 3;
+        for src in [clocked, chained] {
+            let run = differential_run(src, config.clone());
+            assert!(run.narrowings_checked > 0, "no narrowing pass was skipped");
+            let inv = &run.pair.as_ref().expect("a main loop").invariant;
+            assert!(!inv.narrowable(), "narrowing left an infinite bound: {inv}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
 use astree_obs::{
     AlarmEvent, Event, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,6 +63,11 @@ pub struct IterStats {
     pub par_slices: u64,
     /// Loops solved by full widening/narrowing iteration (iteration mode).
     pub loops_solved: u64,
+    /// Threshold-free widenings past `max_iterations` ([`Phase::WidenTop`]):
+    /// the iteration budget ran out and the solve forced a fixpoint.
+    pub widen_top: u64,
+    /// The loops those widenings were applied to, as (function, loop id).
+    pub budget_loops: BTreeSet<(String, u32)>,
     /// Loops the checking pass solved in context: every visit to a loop
     /// other than the main one, and the main loop's when its witness does
     /// not cover the arriving iterate (see [`Iter::exec_loop`]).
@@ -81,6 +86,8 @@ impl IterStats {
         self.par_stages += o.par_stages;
         self.par_slices += o.par_slices;
         self.loops_solved += o.loops_solved;
+        self.widen_top += o.widen_top;
+        self.budget_loops.extend(o.budget_loops);
         self.loops_rechecked += o.loops_rechecked;
         self.frames.add(&o.frames);
     }
@@ -153,10 +160,15 @@ pub struct Iter<'a> {
     /// `(loop id, checking iteration)` context stack (maintained when
     /// `rec_on`), for alarm provenance.
     loop_stack: Vec<(u32, u64)>,
-    /// Differential mode of the frame tests: every framed call of the
-    /// iteration pass is also run on the caller's state and compared.
+    /// Differential mode of the tests: every framed call of the iteration
+    /// pass is also run on the caller's state and compared, and every
+    /// narrowing pass a loop solve skips is run anyway and must not move the
+    /// invariant (see `Iter::assert_narrowing_settled`).
     #[cfg(test)]
     pub(crate) differential: bool,
+    /// Skipped narrowing passes the differential ran.
+    #[cfg(test)]
+    pub(crate) narrowings_checked: u64,
 }
 
 /// The set of partitions flowing through a block, plus the accumulated
@@ -253,6 +265,8 @@ impl<'a> Iter<'a> {
             loop_stack: Vec::new(),
             #[cfg(test)]
             differential: false,
+            #[cfg(test)]
+            narrowings_checked: 0,
         }
     }
 
@@ -736,8 +750,16 @@ impl<'a> Iter<'a> {
                         // Pack usefulness is the one thing the scratch solve
                         // contributes besides its invariant.
                         w.oct_useful = std::mem::take(&mut self.oct_useful);
+                        #[cfg(test)]
+                        {
+                            w.differential = self.differential;
+                        }
                         let inv = w.solve_residual(&cur, id, cond, body, ret_target, depth);
                         self.oct_useful = w.oct_useful;
+                        #[cfg(test)]
+                        {
+                            self.narrowings_checked += w.narrowings_checked;
+                        }
                         self.stats.loops_rechecked += 1;
                         inv
                     }
@@ -783,6 +805,9 @@ impl<'a> Iter<'a> {
         let mut prev_unstable = usize::MAX;
         let no_thresholds = Thresholds::none();
         let stabilized_at;
+        // `F(inv)` of the stabilizing iteration, computed from the very
+        // invariant narrowing starts from (unless perturbation moved it).
+        let mut stable_fval;
         loop {
             iter += 1;
             self.stats.loop_iterations += 1;
@@ -792,6 +817,7 @@ impl<'a> Iter<'a> {
             let fval = base.join(&body_out, self.layout, self.packs);
             if Self::post_fixpoint(&fval, &inv) {
                 stabilized_at = iter as u64;
+                stable_fval = (self.config.float_perturbation <= 0.0).then_some(fval);
                 break;
             }
             let unstable = inv.env.count_diff(&fval.env);
@@ -814,6 +840,8 @@ impl<'a> Iter<'a> {
             } else {
                 // Hard cap: finish with threshold-free widening.
                 phase = Phase::WidenTop;
+                self.stats.widen_top += 1;
+                self.stats.budget_loops.insert((self.cur_func().to_string(), id.0));
                 inv = inv.widen(&fval, self.layout, self.packs, &no_thresholds);
             }
             if let (Some(before), Some(t0)) = (before, t0) {
@@ -831,30 +859,55 @@ impl<'a> Iter<'a> {
                 }));
             }
         }
-        // Narrowing iterations (Sect. 5.5).
-        for k in 0..self.config.narrowing_iterations {
-            let body_in = self.state_guard(inv.clone(), cond, true);
-            let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
-            let fval = base.join(&body_out, self.layout, self.packs);
-            // Widening-overshoot correction: a physically unchanged iterate
-            // cannot narrow anything (`x Δ x = x`), so skip the walk.
-            if astree_pmap::ptr_shortcuts_enabled() && fval.ptr_eq(&inv) {
-                continue;
-            }
+        // Narrowing iterations (Sect. 5.5): at most `narrowing_iterations`
+        // passes, each run only while the invariant holds a bound narrowing
+        // could refine and the previous pass refined one. `narrow` rewrites
+        // nothing else and `F` is deterministic, so every pass after that
+        // would reproduce `inv` bit for bit. The first pass narrows with the
+        // stabilizing iteration's `F(inv)` rather than recompute it. Both
+        // tests are on values, never on `ptr_eq`: the work done must not
+        // depend on sharing.
+        let mut narrowings = 0;
+        while narrowings < self.config.narrowing_iterations && inv.narrowable() {
+            narrowings += 1;
+            let fval = match stable_fval.take() {
+                Some(fval) => {
+                    #[cfg(test)]
+                    if self.differential {
+                        let again = self.scratch_fval(&inv, base, cond, body, ret_target, depth);
+                        assert!(again.same(&fval), "the stabilizing F(inv) is not F(inv)");
+                    }
+                    fval
+                }
+                None => {
+                    let body_in = self.state_guard(inv.clone(), cond, true);
+                    let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
+                    base.join(&body_out, self.layout, self.packs)
+                }
+            };
             let t0 = self.rec_on.then(Instant::now);
-            inv = inv.narrow(&fval);
+            let next = inv.narrow(&fval);
+            let settled = next.same(&inv);
+            inv = next;
             if t0.is_some() {
                 self.op_timed(t0, "state", "narrow", 0);
                 self.rec.record(&Event::LoopIter(LoopIterEvent {
                     func: self.cur_func(),
                     loop_id: id.0,
-                    iteration: stabilized_at + k as u64 + 1,
+                    iteration: stabilized_at + narrowings as u64,
                     phase: Phase::Narrow,
                     unstable_cells: 0,
                     threshold_hits: 0,
                     infinity_escapes: 0,
                 }));
             }
+            if settled {
+                break;
+            }
+        }
+        #[cfg(test)]
+        if self.differential {
+            self.assert_narrowing_settled(&inv, narrowings, base, cond, body, ret_target, depth);
         }
         let t0 = self.rec_on.then(Instant::now);
         self.reduce_loop_done(&mut inv, &base.env, cond, body, depth);
@@ -863,11 +916,56 @@ impl<'a> Iter<'a> {
             self.rec.record(&Event::LoopDone(LoopDoneEvent {
                 func: self.cur_func(),
                 loop_id: id.0,
-                iterations: stabilized_at + self.config.narrowing_iterations as u64,
+                iterations: stabilized_at + narrowings as u64,
                 stabilized_at,
             }));
         }
         inv
+    }
+
+    /// `base ⊔ F(inv)`, computed on a scratch iterator so no counter moves
+    /// (the differential of the narrowing cuts).
+    #[cfg(test)]
+    fn scratch_fval(
+        &self,
+        inv: &AbsState,
+        base: &AbsState,
+        cond: &Expr,
+        body: &Block,
+        ret_target: Option<&Lvalue>,
+        depth: u32,
+    ) -> AbsState {
+        let mut w = Iter::sharing(
+            self.program,
+            self.layout,
+            self.packs,
+            self.config,
+            Arc::clone(&self.frames),
+        );
+        let body_in = w.state_guard(inv.clone(), cond, true);
+        let body_out = w.exec_loop_body(body_in, body, ret_target, depth);
+        base.join(&body_out, self.layout, self.packs)
+    }
+
+    /// The differential of the narrowing cuts: runs every narrowing pass the
+    /// solve skipped, and asserts none would have moved the invariant.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn assert_narrowing_settled(
+        &mut self,
+        inv: &AbsState,
+        narrowings: u32,
+        base: &AbsState,
+        cond: &Expr,
+        body: &Block,
+        ret_target: Option<&Lvalue>,
+        depth: u32,
+    ) {
+        for _ in narrowings..self.config.narrowing_iterations {
+            let next = inv.narrow(&self.scratch_fval(inv, base, cond, body, ret_target, depth));
+            assert!(next.same(inv), "a skipped narrowing pass moved the invariant");
+            self.narrowings_checked += 1;
+        }
     }
 
     /// The reduction closing a loop solve. Depth-0 loops (the synchronous

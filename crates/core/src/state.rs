@@ -533,6 +533,29 @@ impl AbsState {
         }
     }
 
+    /// Bitwise equality of every component ([`AbsEnv::same`], and the packs'
+    /// own `same`); physically shared subtrees are equal unwalked, so the
+    /// answer never depends on sharing.
+    pub fn same(&self, other: &AbsState) -> bool {
+        fn same_map<V>(a: &PMap<u32, V>, b: &PMap<u32, V>, same: fn(&V, &V) -> bool) -> bool {
+            a.all2(b, |_, _| false, |_, _| false, |_, x, y| same(x, y))
+        }
+        self.env.same(&other.env)
+            && same_map(&self.octs, &other.octs, Octagon::same)
+            && same_map(&self.dtrees, &other.dtrees, dtree_same)
+            && same_map(&self.ellipses, &other.ellipses, f64_same)
+            && same_map(&self.pending, &other.pending, f64_same)
+    }
+
+    /// `true` when [`AbsState::narrow`] could move this state: it is ⊥
+    /// (narrowing answers the canonical ⊥), its environment holds an
+    /// infinite bound ([`AbsEnv::narrowable`]), or an ellipse coefficient is
+    /// infinite. Narrowing keeps every other component, so once this is
+    /// `false` a narrowing pass reproduces the state bit for bit.
+    pub fn narrowable(&self) -> bool {
+        self.is_bottom() || self.env.narrowable() || self.ellipses.values().any(|k| k.is_infinite())
+    }
+
     /// `true` when every component of the two states is the same physical
     /// tree — constant time, `true` implies semantic equality. The iterator
     /// uses this (when pointer shortcuts are enabled) to recognize a

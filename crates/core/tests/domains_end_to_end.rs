@@ -186,12 +186,20 @@ fn thresholds_bound_affine_updates() {
     // (the "many false alarms for overflow" of Sect. 7.1.2).
     let mut no_thresholds = AnalysisConfig::default();
     no_thresholds.thresholds = astree_domains::Thresholds::none();
-    let without = analyze_with(src, no_thresholds);
+    let p = Frontend::new().compile_str(src).expect("compiles");
+    let collector = astree_obs::Collector::new();
+    let without =
+        AnalysisSession::builder(&p).config(no_thresholds).recorder(&collector).build().run();
     assert!(
         without.alarms.iter().any(|a| a.kind == AlarmKind::InvalidCast),
         "plain widening leaves a loose bound and the cast alarms: {:?}",
         without.alarms
     );
+    // The overshoot escapes to ±∞, so the solve still narrows.
+    let m = collector.snapshot();
+    let narrowings: u64 =
+        m.functions.values().flat_map(|f| f.loops.values()).map(|l| l.narrowings).sum();
+    assert!(narrowings > 0, "the overshooting loop must narrow");
 }
 
 /// Paper Sect. 6.2.1: the clocked domain bounds event counters by the

@@ -188,16 +188,8 @@ fn relax_through_pair(
         let ik = g(m, i, k);
         let ik1 = g(m, i, k1);
         // Best way to reach node k (directly, or via k+1) and node k+1.
-        let mut bk = ik;
-        let via = round::add_up(ik1, mk1k);
-        if via < bk {
-            bk = via;
-        }
-        let mut bk1 = ik1;
-        let via = round::add_up(ik, mkk1);
-        if via < bk1 {
-            bk1 = via;
-        }
+        let bk = min_up(ik, ik1, mk1k);
+        let bk1 = min_up(ik1, ik, mkk1);
         if bk == INF && bk1 == INF {
             continue;
         }
@@ -219,6 +211,25 @@ fn relax_through_pair(
     }
 }
 
+/// `bound` relaxed by the upward-rounded `a + b`: `add_up(a, b)` when it
+/// is `<` `bound`, else `bound`.
+///
+/// The exact rounding is paid only when the round-to-nearest sum is below
+/// `bound`. `add_up(a, b)` is the smallest double `≥ a + b`, so it is never
+/// below the nearest sum, and a sum the filter rejects could not have been
+/// written; NaN and `+∞` compare false either way, and a nearest `−∞` (whose
+/// exact rounding may be `−f64::MAX`) takes the exact path.
+#[inline(always)]
+fn min_up(bound: f64, a: f64, b: f64) -> f64 {
+    if a + b < bound {
+        let v = round::add_up(a, b);
+        if v < bound {
+            return v;
+        }
+    }
+    bound
+}
+
 /// `row[j] ← min(row[j], bk + rowk[j], bk1 + rowk1[j])`, in that order of
 /// comparison, each slot written once. An operand that is `+∞` is skipped:
 /// `add_up` would yield `+∞` or NaN, and neither is `<` the stored bound.
@@ -227,16 +238,7 @@ fn relax_cols(row: &mut [f64], bk: f64, bk1: f64, rowk: &[f64], rowk1: &[f64]) {
     match (bk != INF, bk1 != INF) {
         (true, true) => {
             for ((s, a), b) in row.iter_mut().zip(rowk).zip(rowk1) {
-                let mut best = *s;
-                let v = round::add_up(bk, *a);
-                if v < best {
-                    best = v;
-                }
-                let v = round::add_up(bk1, *b);
-                if v < best {
-                    best = v;
-                }
-                *s = best;
+                *s = min_up(min_up(*s, bk, *a), bk1, *b);
             }
         }
         (true, false) => relax_one(row, bk, rowk),
@@ -248,10 +250,7 @@ fn relax_cols(row: &mut [f64], bk: f64, bk1: f64, rowk: &[f64], rowk1: &[f64]) {
 #[inline(always)]
 fn relax_one(row: &mut [f64], b: f64, through: &[f64]) {
     for (s, t) in row.iter_mut().zip(through) {
-        let v = round::add_up(b, *t);
-        if v < *s {
-            *s = v;
-        }
+        *s = min_up(*s, b, *t);
     }
 }
 
@@ -292,9 +291,14 @@ fn strengthen_body(m: &mut [f64], dim: usize) {
             }
             let base = ((i + 1) * (i + 1)) / 2;
             for j in 0..=(i | 1) {
-                let v = round::add_up(ui, udiag[j]) / 2.0;
-                if v < m[base + j] {
-                    m[base + j] = v;
+                // Halving is monotone, so the nearest-sum filter of
+                // [`min_up`] holds for the halved bound too.
+                let s = &mut m[base + j];
+                if (ui + udiag[j]) / 2.0 < *s {
+                    let v = round::add_up(ui, udiag[j]) / 2.0;
+                    if v < *s {
+                        *s = v;
+                    }
                 }
             }
         }
@@ -1474,9 +1478,12 @@ mod tests {
 
     /// Bounds that exercise every branch of the kernel: `+∞` often and `−∞`
     /// (so `+∞ + −∞` pairs produce NaN), both zeros often (so a relaxation
-    /// can tie a stored bound of the other sign), the overflow edge, and
-    /// mostly non-negative integers and fractions, so that many matrices
-    /// have no negative cycle and keep their ties to the end of the closure.
+    /// can tie a stored bound of the other sign), both overflow edges (near
+    /// `−f64::MAX` a nearest sum is `−∞` while the exact upward sum is
+    /// finite, the one case the round-to-nearest filter sends to the exact
+    /// path), and mostly non-negative integers and fractions, so that many
+    /// matrices have no negative cycle and keep their ties to the end of
+    /// the closure.
     fn bound() -> impl Strategy<Value = f64> {
         prop_oneof![
             Just(INF),
@@ -1487,6 +1494,8 @@ mod tests {
             Just(0.0),
             Just(-0.0),
             Just(f64::MAX),
+            Just(f64::MIN),
+            Just(round::next_up(f64::MIN)),
             (0i64..8).prop_map(|v| v as f64),
             0.0..4.0f64,
             (-3i64..0).prop_map(|v| v as f64),
@@ -1519,6 +1528,32 @@ mod tests {
                     close_reference(&mut reference, n, mask);
                     prop_assert_eq!(bits(kernel.hm()), bits(&reference), "n {} mask {:?}", n, mask);
                 }
+            }
+        }
+
+        /// Strengthening with the round-to-nearest filter is bitwise the
+        /// unfiltered pass, which rounds every candidate up exactly.
+        #[test]
+        fn strengthen_filter_is_bitwise_exact(
+            bounds in prop::collection::vec(bound(), hm_len(8)),
+        ) {
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for n in 1..=8 {
+                let dim = 2 * n;
+                let mut kernel = bounds[..hm_len(n)].to_vec();
+                let mut reference = kernel.clone();
+                strengthen_body(&mut kernel, dim);
+                let udiag: Vec<f64> = (0..dim).map(|j| reference[hm_idx(j ^ 1, j)]).collect();
+                for i in 0..dim {
+                    let ui = reference[hm_idx(i, i ^ 1)];
+                    for j in 0..=(i | 1) {
+                        let v = round::add_up(ui, udiag[j]) / 2.0;
+                        if v < reference[hm_idx(i, j)] {
+                            reference[hm_idx(i, j)] = v;
+                        }
+                    }
+                }
+                prop_assert_eq!(bits(&kernel), bits(&reference), "n {}", n);
             }
         }
     }

@@ -21,6 +21,23 @@ fn finite() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// Every non-NaN double, weighted toward the edges: both zeros, both
+/// infinities, subnormals, and `±f64::MAX` with their neighbours.
+fn any_non_nan() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>().prop_filter("not NaN", |x| !x.is_nan()),
+        -1e3..1e3f64,
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (1u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+        (0u64..4).prop_map(|k| f64::from_bits(f64::MAX.to_bits() - k)),
+        (0u64..4).prop_map(|k| -f64::from_bits(f64::MAX.to_bits() - k)),
+    ]
+}
+
 /// Checks `lo <= nearest <= hi` and that the bracket is at most one ulp on
 /// each side, which (with soundness) pins the directed values exactly.
 fn check_bracket(lo: f64, nearest: f64, hi: f64) {
@@ -46,6 +63,20 @@ proptest! {
     #[test]
     fn add_brackets(a in finite(), b in finite()) {
         check_bracket(add_down(a, b), a + b, add_up(a, b));
+    }
+
+    /// The law the closure kernels' round-to-nearest filter rests on: the
+    /// upward sum is never below the nearest sum, nor the downward one above
+    /// it, and where the nearest sum is NaN so are both directed sums.
+    #[test]
+    fn directed_sums_bracket_the_nearest_sum(a in any_non_nan(), b in any_non_nan()) {
+        let nearest = a + b;
+        if nearest.is_nan() {
+            prop_assert!(add_up(a, b).is_nan() && add_down(a, b).is_nan());
+        } else {
+            prop_assert!(add_up(a, b) >= nearest, "add_up({a}, {b}) < {nearest}");
+            prop_assert!(add_down(a, b) <= nearest, "add_down({a}, {b}) > {nearest}");
+        }
     }
 
     #[test]

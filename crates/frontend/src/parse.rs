@@ -55,11 +55,19 @@ pub fn parse(tokens: &[Token]) -> Result<AstProgram, ParseError> {
 /// Returns a [`ParseError`] describing the conflict.
 pub fn link(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
     let mut out = AstProgram::default();
+    // Name → position in `out`: one probe per declaration, not a scan of
+    // everything merged so far (a paper-scale program has ~22 k globals).
+    let mut structs: HashMap<String, usize> = HashMap::new();
+    let mut globals: HashMap<String, usize> = HashMap::new();
+    let mut funcs: HashMap<String, usize> = HashMap::new();
     for unit in units {
         for (tag, fields) in unit.structs {
-            match out.structs.iter().find(|(t, _)| *t == tag) {
-                None => out.structs.push((tag, fields)),
-                Some((_, existing)) if *existing == fields => {}
+            match structs.get(&tag) {
+                None => {
+                    structs.insert(tag.clone(), out.structs.len());
+                    out.structs.push((tag, fields));
+                }
+                Some(&i) if out.structs[i].1 == fields => {}
                 Some(_) => {
                     return Err(ParseError {
                         line: 0,
@@ -69,55 +77,57 @@ pub fn link(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
             }
         }
         for g in unit.globals {
-            match out.globals.iter_mut().find(|o| o.name == g.name) {
-                None => out.globals.push(g),
-                Some(existing) => {
-                    if existing.ty != g.ty {
-                        return Err(ParseError {
-                            line: g.line,
-                            msg: format!("conflicting types for global {}", g.name),
-                        });
-                    }
-                    match (&existing.init, &g.init) {
-                        (Some(_), Some(_)) => {
-                            return Err(ParseError {
-                                line: g.line,
-                                msg: format!("multiple initializations of {}", g.name),
-                            })
-                        }
-                        (None, Some(_)) => {
-                            existing.init = g.init;
-                            existing.is_extern = existing.is_extern && g.is_extern;
-                        }
-                        _ => {}
-                    }
+            let Some(&i) = globals.get(&g.name) else {
+                globals.insert(g.name.clone(), out.globals.len());
+                out.globals.push(g);
+                continue;
+            };
+            let existing = &mut out.globals[i];
+            if existing.ty != g.ty {
+                return Err(ParseError {
+                    line: g.line,
+                    msg: format!("conflicting types for global {}", g.name),
+                });
+            }
+            match (&existing.init, &g.init) {
+                (Some(_), Some(_)) => {
+                    return Err(ParseError {
+                        line: g.line,
+                        msg: format!("multiple initializations of {}", g.name),
+                    })
                 }
+                (None, Some(_)) => {
+                    existing.init = g.init;
+                    existing.is_extern = existing.is_extern && g.is_extern;
+                }
+                _ => {}
             }
         }
         for f in unit.funcs {
-            match out.funcs.iter_mut().find(|o| o.name == f.name) {
-                None => out.funcs.push(f),
-                Some(existing) => {
-                    if existing.params.len() != f.params.len() || existing.ret != f.ret {
-                        return Err(ParseError {
-                            line: f.line,
-                            msg: format!("conflicting declarations of function {}", f.name),
-                        });
-                    }
-                    match (&existing.body, f.body) {
-                        (Some(_), Some(_)) => {
-                            return Err(ParseError {
-                                line: f.line,
-                                msg: format!("multiple definitions of function {}", f.name),
-                            })
-                        }
-                        (None, Some(b)) => {
-                            existing.params = f.params;
-                            existing.body = Some(b);
-                        }
-                        _ => {}
-                    }
+            let Some(&i) = funcs.get(&f.name) else {
+                funcs.insert(f.name.clone(), out.funcs.len());
+                out.funcs.push(f);
+                continue;
+            };
+            let existing = &mut out.funcs[i];
+            if existing.params.len() != f.params.len() || existing.ret != f.ret {
+                return Err(ParseError {
+                    line: f.line,
+                    msg: format!("conflicting declarations of function {}", f.name),
+                });
+            }
+            match (&existing.body, f.body) {
+                (Some(_), Some(_)) => {
+                    return Err(ParseError {
+                        line: f.line,
+                        msg: format!("multiple definitions of function {}", f.name),
+                    })
                 }
+                (None, Some(b)) => {
+                    existing.params = f.params;
+                    existing.body = Some(b);
+                }
+                _ => {}
             }
         }
     }
@@ -1156,6 +1166,98 @@ mod tests {
         let a = parse_src("int f(void) { return 1; }");
         let b = parse_src("int f(void) { return 2; }");
         assert!(link(vec![a, b]).is_err());
+    }
+
+    /// The linker the indexed one replaced, kept as its reference: each
+    /// declaration is looked up by a linear scan of everything merged so far.
+    fn link_reference(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
+        let err = |line, msg: String| Err(ParseError { line, msg });
+        let mut out = AstProgram::default();
+        for unit in units {
+            for (tag, fields) in unit.structs {
+                match out.structs.iter().find(|(t, _)| *t == tag) {
+                    None => out.structs.push((tag, fields)),
+                    Some((_, existing)) if *existing == fields => {}
+                    Some(_) => return err(0, format!("conflicting definitions of struct {tag}")),
+                }
+            }
+            for g in unit.globals {
+                let Some(existing) = out.globals.iter_mut().find(|o| o.name == g.name) else {
+                    out.globals.push(g);
+                    continue;
+                };
+                if existing.ty != g.ty {
+                    return err(g.line, format!("conflicting types for global {}", g.name));
+                }
+                match (&existing.init, &g.init) {
+                    (Some(_), Some(_)) => {
+                        return err(g.line, format!("multiple initializations of {}", g.name))
+                    }
+                    (None, Some(_)) => {
+                        existing.init = g.init;
+                        existing.is_extern = existing.is_extern && g.is_extern;
+                    }
+                    _ => {}
+                }
+            }
+            for f in unit.funcs {
+                let Some(existing) = out.funcs.iter_mut().find(|o| o.name == f.name) else {
+                    out.funcs.push(f);
+                    continue;
+                };
+                if existing.params.len() != f.params.len() || existing.ret != f.ret {
+                    return err(f.line, format!("conflicting declarations of function {}", f.name));
+                }
+                match (&existing.body, f.body) {
+                    (Some(_), Some(_)) => {
+                        return err(f.line, format!("multiple definitions of function {}", f.name))
+                    }
+                    (None, Some(b)) => {
+                        existing.params = f.params;
+                        existing.body = Some(b);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn indexed_link_is_the_reference() {
+        let units = [
+            "struct P { int x; }; extern int a; int b; extern float c; int get(int n); \
+             void tick(void); void main(void) { a = get(b); tick(); }",
+            "struct P { int x; }; struct Q { float y; }; int a = 3; extern int b; \
+             void tick(void) { b = b + 1; } int get(int m);",
+            "extern int a; float c = 1.5; int b = 2; extern int d; \
+             int get(int k) { return k; } void tick(void);",
+        ]
+        .map(parse_src);
+        let linked = link(units.to_vec()).unwrap();
+        assert_eq!(linked, link_reference(units.to_vec()).unwrap());
+        let names = |v: &[GlobalDecl]| v.iter().map(|g| g.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&linked.globals), ["a", "b", "c", "d"]);
+        assert!(linked.globals.iter().take(3).all(|g| g.init.is_some() && !g.is_extern));
+        assert_eq!(
+            linked.funcs.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
+            ["get", "tick", "main"]
+        );
+        assert!(linked.funcs.iter().all(|f| f.body.is_some()));
+        assert_eq!(linked.funcs[0].params[0].0, "k", "the definition's parameters win");
+
+        for bad in [
+            "struct P { float x; };",
+            "float b;",
+            "int a = 4;",
+            "void tick(int n);",
+            "void tick(void) { }",
+        ] {
+            let mut with_bad = units.to_vec();
+            with_bad.push(parse_src(bad));
+            let got = link(with_bad.clone()).unwrap_err();
+            assert_eq!(got, link_reference(with_bad).unwrap_err(), "{bad}");
+        }
     }
 
     #[test]

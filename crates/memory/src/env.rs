@@ -376,6 +376,27 @@ impl AbsEnv {
         }
     }
 
+    /// Bitwise equality: same reachability, clock and cell values
+    /// ([`CellVal::same`]); physically shared subtrees are equal unwalked.
+    pub fn same(&self, other: &AbsEnv) -> bool {
+        self.bottom == other.bottom
+            && self.clock == other.clock
+            && self.cells.all2(&other.cells, |_, _| false, |_, _| false, |_, a, b| a.same(b))
+    }
+
+    /// `true` when [`AbsEnv::narrow`] could refine this environment: it holds
+    /// an infinite bound — of a cell's interval, of a clocked cell's
+    /// `x ± clock` parts, or of the clock. Narrowing rewrites nothing else.
+    pub fn narrowable(&self) -> bool {
+        let int = |i: IntItv| i.lo == i64::MIN || i.hi == i64::MAX;
+        !self.bottom
+            && (int(self.clock)
+                || self.cells.values().any(|v| match v {
+                    CellVal::Int(c) => int(c.val) || int(c.minus) || int(c.plus),
+                    CellVal::Float(f) => f.lo == f64::NEG_INFINITY || f.hi == f64::INFINITY,
+                }))
+    }
+
     /// Inclusion test `⊑` (with the physical-equality shortcut at every
     /// level of the cell-tree walk).
     ///

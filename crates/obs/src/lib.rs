@@ -573,6 +573,9 @@ pub struct LoopMetrics {
     pub union_iterations: u64,
     /// Widening applications (including threshold-free ones).
     pub widenings: u64,
+    /// Threshold-free widenings past the iteration budget
+    /// ([`Phase::WidenTop`]), also counted in `widenings`.
+    pub widen_top: u64,
     /// Narrowing applications.
     pub narrowings: u64,
     /// Bounds caught by a finite widening threshold.
@@ -737,6 +740,7 @@ impl Metrics {
                                         ("iterations", Json::UInt(l.iterations)),
                                         ("union_iterations", Json::UInt(l.union_iterations)),
                                         ("widenings", Json::UInt(l.widenings)),
+                                        ("widen_top", Json::UInt(l.widen_top)),
                                         ("narrowings", Json::UInt(l.narrowings)),
                                         ("threshold_hits", Json::UInt(l.threshold_hits)),
                                         ("infinity_escapes", Json::UInt(l.infinity_escapes)),
@@ -873,7 +877,11 @@ impl Recorder for Collector {
                 l.iterations += 1;
                 match e.phase {
                     Phase::Union => l.union_iterations += 1,
-                    Phase::Widen | Phase::WidenTop => l.widenings += 1,
+                    Phase::Widen => l.widenings += 1,
+                    Phase::WidenTop => {
+                        l.widenings += 1;
+                        l.widen_top += 1;
+                    }
                     Phase::Narrow => l.narrowings += 1,
                 }
                 l.threshold_hits += e.threshold_hits;
@@ -953,26 +961,28 @@ mod tests {
     #[test]
     fn collector_aggregates_loop_counters() {
         let c = Collector::new();
-        for (i, phase) in
-            [Phase::Union, Phase::Union, Phase::Widen, Phase::Narrow].into_iter().enumerate()
+        for (i, phase) in [Phase::Union, Phase::Union, Phase::Widen, Phase::WidenTop, Phase::Narrow]
+            .into_iter()
+            .enumerate()
         {
             c.record(&loop_iter(3, i as u64 + 1, phase));
         }
         c.record(&Event::LoopDone(LoopDoneEvent {
             func: "main",
             loop_id: 3,
-            iterations: 4,
-            stabilized_at: 3,
+            iterations: 5,
+            stabilized_at: 4,
         }));
         c.record(&Event::Unroll { func: "main", loop_id: 3, factor: 2 });
         let m = c.snapshot();
         let l = &m.functions["main"].loops[&3];
-        assert_eq!(l.iterations, 4);
+        assert_eq!(l.iterations, 5);
         assert_eq!(l.union_iterations, 2);
-        assert_eq!(l.widenings, 1);
+        assert_eq!(l.widenings, 2);
+        assert_eq!(l.widen_top, 1);
         assert_eq!(l.narrowings, 1);
         assert_eq!(l.threshold_hits, 1);
-        assert_eq!(l.stabilized_at, 3);
+        assert_eq!(l.stabilized_at, 4);
         assert_eq!(l.unroll_factor, 2);
     }
 

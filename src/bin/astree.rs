@@ -85,7 +85,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("invalid program: {}", errs.join("; ")));
     }
     config.jobs = run.jobs.unwrap_or(config.jobs);
-    let jobs = config.jobs;
+    let (jobs, max_iterations) = (config.jobs, config.max_iterations);
     let store = run.open_store()?;
     let telemetry = run.telemetry()?;
     let mut builder = AnalysisSession::builder(&program).config(config);
@@ -128,6 +128,9 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             "parallel: {} sliced stages, {} slices across {} workers",
             result.stats.parallel_stages, result.stats.parallel_slices, jobs,
         );
+    }
+    if let Some(line) = result.stats.budget_line(max_iterations) {
+        println!("{line}");
     }
     let census = result.main_census.filter(|_| census);
     let alarmed =

@@ -56,6 +56,52 @@ fn metrics_cover_fixpoint_domains_and_scheduler() {
     assert!(m.scheduler.plan_nanos > 0, "planning the dispatch is timed");
 }
 
+/// A loop that runs out of `max_iterations` widens without thresholds: the
+/// run counts those widenings, the metrics count them per loop, and the
+/// report line names the same loops at any worker count and on a replay.
+#[test]
+fn budget_exhaustion_is_counted_and_named() {
+    let src = generate(&GenConfig { channels: 3, seed: 11, bug: None });
+    let (plain, m) = collect(&src, AnalysisConfig::default());
+    assert_eq!(plain.stats.widen_top, 0);
+    assert!(plain.stats.budget_loops.is_empty() && plain.stats.budget_line(200).is_none());
+    assert!(m.functions.values().flat_map(|f| f.loops.values()).all(|l| l.widen_top == 0));
+
+    let mut cfg = AnalysisConfig::default();
+    cfg.max_iterations = 2;
+    let (tight, m) = collect(&src, cfg.clone());
+    assert!(tight.stats.widen_top > 0);
+    let per_loop: Vec<(String, u32, u64)> = m
+        .functions
+        .iter()
+        .flat_map(|(f, fm)| fm.loops.iter().map(move |(id, l)| (f.clone(), *id, l.widen_top)))
+        .filter(|l| l.2 > 0)
+        .collect();
+    assert_eq!(per_loop.iter().map(|l| l.2).sum::<u64>(), tight.stats.widen_top);
+    let named: Vec<(String, u32)> = per_loop.into_iter().map(|(f, id, _)| (f, id)).collect();
+    assert_eq!(named, tight.stats.budget_loops);
+    let line = tight.stats.budget_line(2).expect("a budget line");
+    assert!(line.starts_with("budget: max_iterations (2) ran out"), "{line}");
+    for (f, id) in &tight.stats.budget_loops {
+        assert!(line.contains(&format!("{f} loop {id}")), "{line}");
+    }
+
+    cfg.jobs = 4;
+    let (sliced, _) = collect(&src, cfg.clone());
+    assert_eq!(sliced.stats.budget_line(2), Some(line.clone()), "jobs 4");
+
+    let dir = std::env::temp_dir().join(format!("astree-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let program = Frontend::new().compile_str(&src).expect("compiles");
+    for full_hit in [false, true] {
+        let store = Arc::new(astree::core::InvariantStore::open(&dir).expect("opens"));
+        let r = AnalysisSession::builder(&program).config(cfg.clone()).cache(store).build().run();
+        assert_eq!(r.cache.full_hit, full_hit);
+        assert_eq!(r.stats.budget_line(2), Some(line.clone()), "full hit {full_hit}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn event_stream_parses_back_and_matches_the_collector() {
     use astree::obs::{Fanout, Recorder, StreamSink, EVENT_SCHEMA};
