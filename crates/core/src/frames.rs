@@ -180,8 +180,6 @@ mod tests {
         pair: Option<MainPair>,
         alarms: Vec<Alarm>,
         stats: IterStats,
-        /// Skipped narrowing passes the differential ran (none moved).
-        narrowings_checked: u64,
     }
 
     struct Setup {
@@ -215,7 +213,6 @@ mod tests {
                 pair,
                 alarms: std::mem::take(&mut it.sink).into_sorted(),
                 stats: it.stats.clone(),
-                narrowings_checked: it.narrowings_checked,
             }
         }
     }
@@ -229,15 +226,10 @@ mod tests {
 
     /// The differential: `src` with its frames — each framed
     /// call of the iteration pass is also run on the caller's state and
-    /// compared after write-back, and each skipped narrowing pass is run
-    /// anyway — against `src` with no frame at all. Returns the framed run's
-    /// frame counters.
-    fn differential(src: &str, config: AnalysisConfig) -> FrameCounters {
-        differential_run(src, config).stats.frames
-    }
-
-    /// [`differential`], returning the whole framed run.
-    fn differential_run(src: &str, config: AnalysisConfig) -> Run {
+    /// compared after write-back, and each loop it solves is solved again
+    /// with every narrowing cut off — against `src` with no frame at all.
+    /// Returns the framed run.
+    fn differential(src: &str, config: AnalysisConfig) -> Run {
         let setup = Setup::new(src, config);
         let framed = setup.run(setup.frames(), true);
         let whole = setup.run(Frames::default(), false);
@@ -268,22 +260,23 @@ mod tests {
 
     #[test]
     fn framed_family_members_match_the_unframed_analysis() {
-        let run = differential_run(&member(8, 42, None), AnalysisConfig::default());
+        let run = differential(&member(8, 42, None), AnalysisConfig::default());
         assert!(run.stats.frames.calls_framed > 0, "{:?}", run.stats.frames);
-        assert!(run.narrowings_checked > 0, "no narrowing pass was skipped");
+        assert!(run.stats.narrowings_cut > 0, "no narrowing pass was cut");
         for bug in [BugKind::DivByZero, BugKind::OutOfBounds, BugKind::IntOverflow] {
-            let run = differential_run(&member(3, 11, Some(bug)), AnalysisConfig::default());
+            let run = differential(&member(3, 11, Some(bug)), AnalysisConfig::default());
             assert!(run.stats.frames.calls_framed > 0, "{bug:?}: {:?}", run.stats.frames);
-            assert!(run.narrowings_checked > 0, "{bug:?}: no narrowing pass was skipped");
+            assert!(run.stats.narrowings_cut > 0, "{bug:?}: no narrowing pass was cut");
         }
         // Cross-channel coupling: a frame reaches into the neighbour channel.
         let coupled = StructKnobs { cross_couple: true, ..StructKnobs::default() };
         let src = generate_with(&GenConfig { channels: 5, seed: 9, bug: None }, &coupled);
-        assert!(differential(&src, AnalysisConfig::default()).calls_framed > 0);
+        assert!(differential(&src, AnalysisConfig::default()).stats.frames.calls_framed > 0);
     }
 
-    /// Loops whose narrowing does refine bounds, so the differential sees
-    /// the passes a solve runs and the ones it skips: a reset counter whose
+    /// Loops whose narrowing does refine bounds, so the reference solve of
+    /// the differential tells the passes a solve must run from the ones it
+    /// may skip: a reset counter whose
     /// `x ± clock` parts alone escape past the ramp (its value and the clock
     /// stay on a rung), and a float whose copy reads the previous iterate,
     /// so the second pass refines what the first could not.
@@ -313,8 +306,8 @@ mod tests {
         config.max_clock = 998;
         config.narrowing_iterations = 3;
         for src in [clocked, chained] {
-            let run = differential_run(src, config.clone());
-            assert!(run.narrowings_checked > 0, "no narrowing pass was skipped");
+            let run = differential(src, config.clone());
+            assert!(run.stats.narrowings_cut > 0, "no narrowing pass was cut");
             let inv = &run.pair.as_ref().expect("a main loop").invariant;
             assert!(!inv.narrowable(), "narrowing left an infinite bound: {inv}");
         }
@@ -322,7 +315,7 @@ mod tests {
 
     #[test]
     fn framed_46_channel_member_matches_the_unframed_analysis() {
-        let stats = differential(&member(46, 1, None), AnalysisConfig::default());
+        let stats = differential(&member(46, 1, None), AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
@@ -370,7 +363,7 @@ mod tests {
 
     #[test]
     fn by_ref_aggregates_and_dynamic_indices() {
-        let stats = differential(BY_REF, AnalysisConfig::default());
+        let stats = differential(BY_REF, AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
@@ -414,7 +407,7 @@ mod tests {
 
     #[test]
     fn returns_in_branches_bottom_guards_shared_packs_and_entry_block_calls() {
-        let stats = differential(CONTROL, AnalysisConfig::default());
+        let stats = differential(CONTROL, AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
@@ -460,7 +453,7 @@ mod tests {
         "#;
         let mut config = AnalysisConfig::default();
         config.partitioned_functions.insert("sel".to_string());
-        let stats = differential(src, config);
+        let stats = differential(src, config).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
@@ -488,7 +481,7 @@ mod tests {
                 }
             }
         "#;
-        let stats = differential(src, AnalysisConfig::default());
+        let stats = differential(src, AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
     }
 
@@ -574,7 +567,7 @@ mod tests {
                 n1 = b1[0];
             }
         "#;
-        let stats = differential(src, AnalysisConfig::default());
+        let stats = differential(src, AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
 
         // `main` has no loop, so the census reports on `fill`'s: its pair is

@@ -2,14 +2,12 @@
 //! (paper Sect. 5.3–5.5 and 7.1).
 //!
 //! Two passes share the same transfer functions and the same loop routine
-//! (`Iter::exec_loop`):
+//! (`Iter::exec_loop`: unrolled first iterations, Sect. 7.1.1, then the
+//! residual loop solved by [`crate::solve`]):
 //!
-//! - **the iteration pass** ([`Iter::iterate`]) computes loop invariants by
-//!   unrolled first iterations (Sect. 7.1.1), plain unions for the first
-//!   iterations (delayed widening, Sect. 7.1.3), widening with thresholds
-//!   (Sect. 7.1.2), optional float-bound perturbation (Sect. 7.1.4), and
-//!   narrowing; no warnings are emitted, and the main loop's invariant is
-//!   the one result it keeps ([`MainPair`]);
+//! - **the iteration pass** ([`Iter::iterate`]) computes loop invariants;
+//!   no warnings are emitted, and the main loop's invariant is the one
+//!   result it keeps ([`MainPair`]);
 //! - **the checking pass** ([`Iter::check`]) replays the program from that
 //!   one invariant, solves every other loop where it meets it, and issues
 //!   one alarm per operator application that may err.
@@ -23,25 +21,24 @@ use crate::alarms::AlarmSink;
 use crate::config::AnalysisConfig;
 use crate::frames::{FrameChoice, Frames, Whole};
 use crate::packs::Packs;
+use crate::solve::{solve, LoopRec, Pass, Solved};
 use crate::state::{float_view, meet_cell_with_float, AbsState, DTree, PackEnv};
 use crate::substitute::substitute_block;
 use astree_domains::dtree::Lattice;
-use astree_domains::{Ellipsoid, ErrFlags, FloatItv, Thresholds};
+use astree_domains::{Ellipsoid, ErrFlags, FloatItv};
 use astree_ir::{
-    Binop, Block, CallArg, Expr, FuncId, LoopId, Lvalue, Program, ScalarType, Stmt, StmtId,
-    StmtKind, Unop, VarId,
+    Binop, Block, CallArg, Expr, FuncId, Function, LoopId, Lvalue, Program, ScalarType, Stmt,
+    StmtId, StmtKind, Unop, VarId,
 };
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
-use astree_obs::{
-    AlarmEvent, Event, FrameCounters, LoopDoneEvent, LoopIterEvent, Phase, Recorder, SliceEvent,
-};
+use astree_obs::{AlarmEvent, Event, FrameCounters, Recorder};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Analysis mode (paper Sect. 5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
+pub(crate) enum Mode {
     /// Generate invariants; no warnings.
     Iterate,
     /// Replay from invariants; collect alarms.
@@ -63,11 +60,15 @@ pub struct IterStats {
     pub par_slices: u64,
     /// Loops solved by full widening/narrowing iteration (iteration mode).
     pub loops_solved: u64,
-    /// Threshold-free widenings past `max_iterations` ([`Phase::WidenTop`]):
+    /// Threshold-free widenings past `max_iterations` ([`astree_obs::Phase::WidenTop`]):
     /// the iteration budget ran out and the solve forced a fixpoint.
     pub widen_top: u64,
     /// The loops those widenings were applied to, as (function, loop id).
     pub budget_loops: BTreeSet<(String, u32)>,
+    /// Narrowings the cuts skipped that the differential's reference solve
+    /// ran (none of them moved an invariant).
+    #[cfg(test)]
+    pub(crate) narrowings_cut: u64,
     /// Loops the checking pass solved in context: every visit to a loop
     /// other than the main one, and the main loop's when its witness does
     /// not cover the arriving iterate (see [`Iter::exec_loop`]).
@@ -75,22 +76,6 @@ pub struct IterStats {
     /// How the depth-0 call statements ran (see [`crate::frames`]); the
     /// per-frame sizes are filled in by the session when it reports.
     pub frames: FrameCounters,
-}
-
-impl IterStats {
-    /// Folds a worker iterator's counters into this one.
-    fn merge_worker(&mut self, o: IterStats) {
-        self.loop_iterations += o.loop_iterations;
-        self.stmts_interpreted += o.stmts_interpreted;
-        self.peak_partitions = self.peak_partitions.max(o.peak_partitions);
-        self.par_stages += o.par_stages;
-        self.par_slices += o.par_slices;
-        self.loops_solved += o.loops_solved;
-        self.widen_top += o.widen_top;
-        self.budget_loops.extend(o.budget_loops);
-        self.loops_rechecked += o.loops_rechecked;
-        self.frames.add(&o.frames);
-    }
 }
 
 /// What the iteration pass hands the checking pass: the main loop's
@@ -110,12 +95,12 @@ pub struct MainPair {
 
 /// The iterator.
 pub struct Iter<'a> {
-    program: &'a Program,
-    layout: &'a CellLayout,
-    packs: &'a Packs,
-    config: &'a AnalysisConfig,
+    pub(crate) program: &'a Program,
+    pub(crate) layout: &'a CellLayout,
+    pub(crate) packs: &'a Packs,
+    pub(crate) config: &'a AnalysisConfig,
     eval: Evaluator<'a>,
-    mode: Mode,
+    pub(crate) mode: Mode,
     /// The main loop (see [`main_loop`]): the one loop the checking pass
     /// may take the pair for. `None` in the iterators the main one hands
     /// work to — no slice or in-context solve contains the main loop.
@@ -150,48 +135,41 @@ pub struct Iter<'a> {
     /// `jobs == 1`, worker iterators) never slices.
     pub(crate) pool: Option<&'a crate::pool::WorkerPool>,
     /// Cached stage plans, keyed by the first statement of the block.
-    plans: HashMap<StmtId, Arc<crate::parallel::BlockPlan>>,
+    pub(crate) plans: HashMap<StmtId, Arc<crate::parallel::BlockPlan>>,
     /// Telemetry sink (the no-op recorder by default).
-    rec: &'a dyn Recorder,
+    pub(crate) rec: &'a dyn Recorder,
     /// Cached `rec.enabled()`: hot paths pay one branch, not a virtual call.
-    rec_on: bool,
+    pub(crate) rec_on: bool,
     /// Function-name stack for event attribution.
     func_stack: Vec<&'a str>,
     /// `(loop id, checking iteration)` context stack (maintained when
     /// `rec_on`), for alarm provenance.
     loop_stack: Vec<(u32, u64)>,
-    /// Differential mode of the tests: every framed call of the iteration
-    /// pass is also run on the caller's state and compared, and every
-    /// narrowing pass a loop solve skips is run anyway and must not move the
-    /// invariant (see `Iter::assert_narrowing_settled`).
+    /// Differential mode of the tests: every framed call of an iteration
+    /// pass (the checking pass's in-context solves included) is also run on
+    /// the caller's state and compared, and every loop it solves is solved
+    /// again by [`crate::solve::reference`] on a scratch iterator, which
+    /// must find the same invariant.
     #[cfg(test)]
     pub(crate) differential: bool,
-    /// Skipped narrowing passes the differential ran.
-    #[cfg(test)]
-    pub(crate) narrowings_checked: u64,
 }
 
 /// The set of partitions flowing through a block, plus the accumulated
 /// return state of the enclosing function.
-struct Flow {
-    parts: Vec<AbsState>,
-    returned: AbsState,
+pub(crate) struct Flow {
+    pub(crate) parts: Vec<AbsState>,
+    pub(crate) returned: AbsState,
 }
 
-/// Everything one slice of a parallel stage sends back to the merger.
-struct SliceOut {
-    /// The slice's post-state (`None` when it went to bottom or split into
-    /// partitions — shapes the overlay model cannot express).
-    post: Option<AbsState>,
-    returned: AbsState,
-    sink: AlarmSink,
-    stats: IterStats,
-    oct_useful: Vec<usize>,
-    wall: Duration,
-    /// Octagon closures the ref fast paths skipped on this slice's thread.
-    saved_closures: u64,
-    /// Persistent-map counters drained from this slice's thread.
-    pmap_stats: astree_pmap::PmapStats,
+impl Flow {
+    pub(crate) fn new(state: AbsState) -> Flow {
+        Flow { parts: vec![state], returned: AbsState::bottom() }
+    }
+
+    /// Joins a state that left the function through a `return`.
+    fn returns(&mut self, r: AbsState, layout: &CellLayout, packs: &Packs) {
+        self.returned = self.returned.join(&r, layout, packs);
+    }
 }
 
 impl<'a> Iter<'a> {
@@ -215,7 +193,7 @@ impl<'a> Iter<'a> {
         rec: &'a dyn Recorder,
     ) -> Self {
         let frames = Arc::new(Frames::discover(program, layout, packs));
-        let mut it = Iter::sharing(program, layout, packs, config, frames);
+        let mut it = Iter::with_frames(program, layout, packs, config, frames);
         it.main = main_loop(program);
         it.report = report_loop(program);
         // Parallel slices run on worker `Iter`s whose per-statement
@@ -227,10 +205,15 @@ impl<'a> Iter<'a> {
         it
     }
 
-    /// An iterator for work the main one hands out — a slice of a parallel
-    /// stage, a context re-solve of the checking pass: it shares the frames,
-    /// never slices, and records no telemetry.
-    fn sharing(
+    /// An iterator for work this one hands out — a slice of a parallel
+    /// stage, an in-context solve of the checking pass: iteration mode, the
+    /// same frames, no slicing, no telemetry, counters of its own.
+    pub(crate) fn scratch(&self) -> Iter<'a> {
+        let frames = Arc::clone(&self.frames);
+        Iter::with_frames(self.program, self.layout, self.packs, self.config, frames)
+    }
+
+    fn with_frames(
         program: &'a Program,
         layout: &'a CellLayout,
         packs: &'a Packs,
@@ -265,8 +248,6 @@ impl<'a> Iter<'a> {
             loop_stack: Vec::new(),
             #[cfg(test)]
             differential: false,
-            #[cfg(test)]
-            narrowings_checked: 0,
         }
     }
 
@@ -278,16 +259,11 @@ impl<'a> Iter<'a> {
         }
     }
 
-    /// Nanoseconds elapsed since `t0` (telemetry helper).
-    fn nanos_since(t0: Instant) -> u64 {
-        t0.elapsed().as_nanos() as u64
-    }
-
     /// Records one application of `domain.op` that took `extra_ns` plus the
     /// time since `t0`; nothing when `t0` is `None` (telemetry off).
     fn op_timed(&self, t0: Option<Instant>, domain: &'static str, op: &'static str, extra_ns: u64) {
         if let Some(t0) = t0 {
-            let nanos = extra_ns + Self::nanos_since(t0);
+            let nanos = extra_ns + t0.elapsed().as_nanos() as u64;
             self.rec.record(&Event::DomainOp { domain, op, nanos });
         }
     }
@@ -315,34 +291,34 @@ impl<'a> Iter<'a> {
     fn run(&mut self, mode: Mode) -> AbsState {
         self.mode = mode;
         let state = AbsState::initial(self.layout, self.packs);
-        self.exec_function(state, self.program.entry, None, 0)
+        let program: &'a Program = self.program;
+        let entry = program.func(program.entry);
+        self.exec_function(state, entry, &entry.body, None, 0)
     }
 
     // ----- functions -------------------------------------------------------
 
+    /// Runs `body`, the body of `f` (by-reference parameters substituted),
+    /// on `state`: the join of the states that return and that fall off the
+    /// end. Trace partitions (Sect. 7.1.5) live until here.
     fn exec_function(
         &mut self,
         state: AbsState,
-        func: FuncId,
+        f: &'a Function,
+        body: &Block,
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> AbsState {
-        assert!(depth < 128, "call depth exceeded (recursion should be rejected)");
-        let program: &'a Program = self.program;
-        let f = program.func(func);
         let partitioning = self.config.partitioned_functions.contains(&f.name);
         self.func_stack.push(f.name.as_str());
-        let mut flow = Flow { parts: vec![state], returned: AbsState::bottom() };
-        self.exec_block(&mut flow, &f.body, ret_target, partitioning, depth);
-        let mut out = flow.returned;
-        for p in flow.parts {
-            out = out.join(&p, self.layout, self.packs);
-        }
+        let mut flow = Flow::new(state);
+        self.exec_block(&mut flow, body, ret_target, partitioning, depth);
         self.func_stack.pop();
-        out
+        let (layout, packs) = (self.layout, self.packs);
+        flow.parts.iter().fold(flow.returned, |out, p| out.join(p, layout, packs))
     }
 
-    fn exec_block(
+    pub(crate) fn exec_block(
         &mut self,
         flow: &mut Flow,
         block: &[Stmt],
@@ -357,163 +333,6 @@ impl<'a> Iter<'a> {
                 return;
             }
         }
-    }
-
-    /// Executes the body of a depth-0 loop — the synchronous loop's dispatch
-    /// — stage by stage, slicing parallel stages across the worker pool.
-    /// Statement order inside each stage's merge is fixed, so the result is
-    /// bit-identical to the sequential interpreter for every worker count.
-    fn exec_block_staged(
-        &mut self,
-        flow: &mut Flow,
-        block: &Block,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) {
-        let plan = match self.plans.get(&block[0].id) {
-            Some(p) => Arc::clone(p),
-            None => {
-                let t0 = self.rec_on.then(Instant::now);
-                let p = Arc::new(crate::parallel::plan_block(
-                    self.program,
-                    self.layout,
-                    self.packs,
-                    block,
-                    self.config.jobs,
-                ));
-                if let Some(t0) = t0 {
-                    self.rec.record(&Event::Plan { nanos: Self::nanos_since(t0) });
-                }
-                self.plans.insert(block[0].id, Arc::clone(&p));
-                p
-            }
-        };
-        for (stage, slices) in plan.stages.iter().zip(&plan.slices) {
-            let run_par = stage.parallel && flow.parts.len() == 1 && !flow.parts[0].is_bottom();
-            if !run_par || !self.exec_stage_parallel(flow, block, slices, ret_target, depth) {
-                self.exec_block(flow, &block[stage.range()], ret_target, false, depth);
-                if flow.parts.is_empty() {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs one parallel stage: each of its slices (cut when the block was
-    /// planned) is analyzed from the shared pre-state by a fresh worker
-    /// iterator, and the slice deltas are overlaid in slice order. Returns
-    /// `false` (leaving the flow untouched) when the stage must be replayed
-    /// sequentially instead.
-    fn exec_stage_parallel(
-        &mut self,
-        flow: &mut Flow,
-        block: &Block,
-        slices: &[crate::parallel::Slice],
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) -> bool {
-        let Some(pool) = self.pool else { return false };
-        let pre = flow.parts[0].clone();
-        let mode = self.mode;
-        let program = self.program;
-        let layout = self.layout;
-        let packs = self.packs;
-        let config = self.config;
-        let frames = &self.frames;
-        let panic_slice = self.config.debug_panic_slice;
-
-        // Each worker runs under `catch_unwind`: a panicking slice must not
-        // take down the analysis, it only forces the sequential replay below
-        // (which is safe — nothing of the stage has been committed yet).
-        // `AssertUnwindSafe` is sound here because a panicked slice's entire
-        // result is discarded and the captured state is read-only.
-        let worker = |ci: usize, slice: &crate::parallel::Slice| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if panic_slice == Some(ci) {
-                    panic!("injected slice fault (debug_panic_slice)");
-                }
-                // Pool threads keep their own copy of the thread-local
-                // sharing flag: align it with the session's configuration on
-                // every slice (the session only sets the caller's thread).
-                astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
-                let t0 = Instant::now();
-                let mut w = Iter::sharing(program, layout, packs, config, Arc::clone(frames));
-                w.mode = mode;
-                let mut wf = Flow { parts: vec![pre.clone()], returned: AbsState::bottom() };
-                w.exec_block(&mut wf, &block[slice.range.clone()], ret_target, false, depth);
-                let post = if wf.parts.len() == 1 { Some(wf.parts.pop().unwrap()) } else { None };
-                SliceOut {
-                    post,
-                    returned: wf.returned,
-                    sink: w.sink,
-                    stats: w.stats,
-                    oct_useful: w.oct_useful,
-                    wall: t0.elapsed(),
-                    saved_closures: astree_domains::take_saved_closures(),
-                    pmap_stats: astree_pmap::take_stats(),
-                }
-            }))
-            .ok()
-        };
-        let results = pool.scatter(slices.iter().collect(), worker);
-
-        if results.iter().any(|r| r.is_none()) {
-            if self.rec_on {
-                self.rec.record(&Event::Fallback { reason: "worker_panic" });
-            }
-            return false;
-        }
-        let results: Vec<SliceOut> =
-            results.into_iter().map(|r| r.expect("checked above")).collect();
-
-        // Any slice that went to bottom, split into partitions, or produced a
-        // return state falls outside the overlay model: replay sequentially.
-        if results.iter().any(|r| r.post.is_none() || !r.returned.is_bottom()) {
-            if self.rec_on {
-                self.rec.record(&Event::Fallback { reason: "slice_shape" });
-            }
-            return false;
-        }
-
-        let stage_no = self.stats.par_stages + 1;
-        if self.rec_on {
-            for (ci, r) in results.iter().enumerate() {
-                self.rec.record(&Event::Slice(SliceEvent {
-                    stage: stage_no,
-                    index: ci,
-                    stmts: slices[ci].range.len(),
-                    nanos: r.wall.as_nanos() as u64,
-                }));
-            }
-        }
-        let t_merge = self.rec_on.then(Instant::now);
-        let mut merged = pre.clone();
-        let mut saved_closures = 0u64;
-        for (ci, out) in results.into_iter().enumerate() {
-            let post = out.post.expect("checked above");
-            merged.overlay_from(&pre, &post, &slices[ci].effects, self.layout, self.packs);
-            self.sink.absorb(out.sink);
-            self.stats.merge_worker(out.stats);
-            for (pi, n) in out.oct_useful.into_iter().enumerate() {
-                self.oct_useful[pi] += n;
-            }
-            saved_closures += out.saved_closures;
-            self.pmap_worker_stats.absorb(&out.pmap_stats);
-        }
-        if let Some(t0) = t_merge {
-            let nanos = Self::nanos_since(t0);
-            self.rec.record(&Event::DomainOps {
-                domain: "octagon",
-                op: "closure_saved",
-                count: saved_closures,
-                nanos: 0,
-            });
-            self.rec.record(&Event::Merge { stage: stage_no, slices: slices.len(), nanos });
-        }
-        self.stats.par_stages += 1;
-        self.stats.par_slices += slices.len() as u64;
-        flow.parts[0] = merged;
-        true
     }
 
     fn exec_stmt(
@@ -548,7 +367,7 @@ impl<'a> Iter<'a> {
                     // alarm sink deduplicates per statement and kind).
                     let parts = std::mem::take(&mut flow.parts);
                     for p in &parts {
-                        self.check_expr(Some(p), c, s);
+                        self.check_expr(p, c, s);
                     }
                     flow.parts = parts;
                 }
@@ -557,41 +376,28 @@ impl<'a> Iter<'a> {
                 for p in parts {
                     let t_in = self.state_guard(p.clone(), c, true);
                     let f_in = self.state_guard(p, c, false);
-                    let mut tf = Flow { parts: vec![t_in], returned: AbsState::bottom() };
+                    let mut tf = Flow::new(t_in);
                     self.exec_block(&mut tf, then_b, ret_target, partitioning, depth);
-                    let mut ff = Flow { parts: vec![f_in], returned: AbsState::bottom() };
+                    let mut ff = Flow::new(f_in);
                     self.exec_block(&mut ff, else_b, ret_target, partitioning, depth);
-                    flow.returned = flow.returned.join(&tf.returned, self.layout, self.packs);
-                    flow.returned = flow.returned.join(&ff.returned, self.layout, self.packs);
+                    flow.returns(tf.returned, self.layout, self.packs);
+                    flow.returns(ff.returned, self.layout, self.packs);
                     if partitioning {
                         merged.extend(tf.parts);
                         merged.extend(ff.parts);
                     } else {
-                        let mut j = AbsState::bottom();
-                        for q in tf.parts.into_iter().chain(ff.parts) {
-                            j = j.join(&q, self.layout, self.packs);
-                        }
-                        merged.push(j);
+                        tf.parts.extend(ff.parts);
+                        merged.push(AbsState::join_all(tf.parts, self.layout, self.packs));
                     }
                 }
                 // Cap the number of live partitions.
                 if merged.len() > self.config.max_partitions {
-                    let mut j = AbsState::bottom();
-                    for q in merged {
-                        j = j.join(&q, self.layout, self.packs);
-                    }
-                    merged = vec![j];
+                    merged = vec![AbsState::join_all(merged, self.layout, self.packs)];
                 }
                 flow.parts = merged;
             }
             StmtKind::While(id, c, body) => {
-                // Loops merge partitions (partitioning applies to acyclic
-                // code; the invariant is one abstract element).
-                let mut entry = AbsState::bottom();
-                for p in std::mem::take(&mut flow.parts) {
-                    entry = entry.join(&p, self.layout, self.packs);
-                }
-                flow.parts = vec![self.exec_loop(entry, *id, c, body, s, ret_target, depth)];
+                self.exec_loop(flow, *id, c, body, s, ret_target, depth);
             }
             StmtKind::Call(ret, callee, args) => {
                 let parts = std::mem::take(&mut flow.parts);
@@ -607,7 +413,7 @@ impl<'a> Iter<'a> {
                         (Some(e), Some(target)) => self.transfer_assign(p, target, e, s),
                         (Some(e), None) => {
                             if self.mode == Mode::Check {
-                                self.check_expr(Some(&p), e, s);
+                                self.check_expr(&p, e, s);
                             }
                             p
                         }
@@ -642,48 +448,39 @@ impl<'a> Iter<'a> {
 
     // ----- loops (Sect. 5.5, 7.1) ------------------------------------------
 
-    /// Post-fixpoint test with a `ptr_eq` fast path: once merges preserve
-    /// identity, a stabilized iterate is *physically* equal to its
-    /// predecessor and the structural `leq` walk can be skipped outright.
-    /// The fast path is an implication (`ptr_eq ⇒ leq`), never a semantic
-    /// change; `debug_no_ptr_shortcuts` (via the thread-local pmap flag)
-    /// forces the walk for the CI differential.
-    fn post_fixpoint(fval: &AbsState, inv: &AbsState) -> bool {
-        (astree_pmap::ptr_shortcuts_enabled() && fval.ptr_eq(inv)) || fval.leq(inv)
-    }
-
     /// The one loop routine, shared by both passes (Sect. 5.3–5.4). The
-    /// unrolled prefix (Sect. 7.1.1), the exit accumulation and the
-    /// `exits ⊔ guard(inv, ¬c)` epilogue are the same in both modes; the
-    /// only mode-dependent step is where the residual loop's invariant
-    /// `inv` comes from:
+    /// arriving partitions merge; the unrolled prefix (Sect. 7.1.1), the
+    /// exit accumulation and the `exits ⊔ guard(inv, ¬c)` epilogue are the
+    /// same in both modes. Where `inv` comes from is not:
     ///
-    /// - **Iterate** solves the residual loop from the post-unroll iterate
-    ///   ([`Iter::solve_residual`]); at the report loop it keeps the
-    ///   invariant and that iterate as the [`MainPair`].
+    /// - **Iterate** solves the residual loop ([`Iter::solve_loop`]) and, at
+    ///   the report loop, keeps `inv` and the post-unroll iterate as the
+    ///   [`MainPair`].
     /// - **Check** takes the pair's invariant at the main loop when the
-    ///   witness covers the arriving iterate. Every other loop — and the
-    ///   main loop when the witness does not cover — is solved in context,
-    ///   by the same solve the iteration pass ran, on a scratch iterator: no
-    ///   alarms, no telemetry, no widening counters and nothing but the
-    ///   returned invariant kept. Either way one alarm-collecting body pass
-    ///   from `inv` follows (Sect. 5.4).
+    ///   witness covers the arriving iterate, else solves the loop in context
+    ///   on a scratch iterator, keeping only the invariant; one
+    ///   alarm-collecting body pass from `inv` follows (Sect. 5.4).
+    ///
+    /// A `return` in the body leaves the function, not the loop: what the
+    /// unrolled passes, the solve's stabilizing pass (Iterate) or the alarm
+    /// pass (Check) returned joins the flow's returns, not the next iterate.
     #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &mut self,
-        entry: AbsState,
+        flow: &mut Flow,
         id: LoopId,
         cond: &Expr,
         body: &Block,
         s: &Stmt,
         ret_target: Option<&Lvalue>,
         depth: u32,
-    ) -> AbsState {
+    ) {
+        let (layout, packs) = (self.layout, self.packs);
+        let mut cur = AbsState::join_all(std::mem::take(&mut flow.parts), layout, packs);
         let check = self.mode == Mode::Check;
         // Alarm provenance: the loop iteration the checking pass is in.
         let track = check && self.rec_on;
         let mut exits = AbsState::bottom();
-        let mut cur = entry;
         // Semantic loop unrolling (Sect. 7.1.1).
         let unroll = self.config.unroll_for(id);
         if self.rec_on && !check && unroll > 0 {
@@ -698,10 +495,10 @@ impl<'a> Iter<'a> {
                 self.loop_stack.push((id.0, k as u64 + 1));
             }
             if check {
-                self.check_expr(Some(&cur), cond, s);
+                self.check_expr(&cur, cond, s);
             }
             let exit = self.state_guard(cur.clone(), cond, false);
-            exits = exits.join(&exit, self.layout, self.packs);
+            exits = exits.join(&exit, layout, packs);
             let body_in = self.state_guard(cur, cond, true);
             if body_in.is_bottom() {
                 if track {
@@ -713,9 +510,12 @@ impl<'a> Iter<'a> {
                     let bottom = AbsState::bottom();
                     self.pair = Some(MainPair { witness: bottom.clone(), invariant: bottom });
                 }
-                return exits;
+                flow.parts = vec![exits];
+                return;
             }
-            cur = self.exec_loop_body(body_in, body, ret_target, depth);
+            let pass = self.exec_loop_body(body_in, body, ret_target, depth);
+            flow.returns(pass.returned, layout, packs);
+            cur = pass.next;
             // Each back edge of an unrolled pass arrives at the loop head
             // with `cur`; record it so the soundness oracle can check the
             // concrete per-arrival observations of early iterations.
@@ -724,72 +524,58 @@ impl<'a> Iter<'a> {
                 self.loop_stack.pop();
             }
         }
-        let inv = match self.mode {
-            Mode::Iterate => {
-                let inv = self.solve_residual(&cur, id, cond, body, ret_target, depth);
-                if Some(id) == self.report {
-                    self.pair = Some(MainPair { witness: cur, invariant: inv.clone() });
-                }
-                inv
+        let inv = if !check {
+            let solved = self.solve_loop(&cur, id, cond, body, ret_target, depth);
+            flow.returns(solved.returned, layout, packs);
+            if Some(id) == self.report {
+                self.pair = Some(MainPair { witness: cur, invariant: solved.inv.clone() });
             }
-            Mode::Check => {
-                let covered = self
-                    .pair
-                    .as_ref()
-                    .filter(|p| Some(id) == self.main && Self::post_fixpoint(&cur, &p.witness));
-                let inv = match covered {
-                    Some(p) => p.invariant.clone(),
-                    None => {
-                        let mut w = Iter::sharing(
-                            self.program,
-                            self.layout,
-                            self.packs,
-                            self.config,
-                            Arc::clone(&self.frames),
-                        );
-                        // Pack usefulness is the one thing the scratch solve
-                        // contributes besides its invariant.
-                        w.oct_useful = std::mem::take(&mut self.oct_useful);
-                        #[cfg(test)]
-                        {
-                            w.differential = self.differential;
-                        }
-                        let inv = w.solve_residual(&cur, id, cond, body, ret_target, depth);
-                        self.oct_useful = w.oct_useful;
-                        #[cfg(test)]
-                        {
-                            self.narrowings_checked += w.narrowings_checked;
-                        }
-                        self.stats.loops_rechecked += 1;
-                        inv
+            solved.inv
+        } else {
+            let covered =
+                self.pair.as_ref().filter(|p| Some(id) == self.main && cur.leq(&p.witness));
+            let inv = match covered {
+                Some(p) => p.invariant.clone(),
+                None => {
+                    let mut w = self.scratch();
+                    // Pack usefulness is the one thing the scratch solve
+                    // contributes besides its invariant.
+                    w.oct_useful = std::mem::take(&mut self.oct_useful);
+                    #[cfg(test)]
+                    {
+                        w.differential = self.differential;
                     }
-                };
-                // All residual loop-head arrivals (beyond the unrolled
-                // prefix) are covered by the loop invariant.
-                self.note_stmt_state(s.id, &inv);
-                if track {
-                    self.loop_stack.push((id.0, unroll as u64 + 1));
+                    let inv = w.solve_loop(&cur, id, cond, body, ret_target, depth).inv;
+                    self.oct_useful = w.oct_useful;
+                    #[cfg(test)]
+                    {
+                        self.stats.narrowings_cut += w.stats.narrowings_cut;
+                    }
+                    self.stats.loops_rechecked += 1;
+                    inv
                 }
-                self.check_expr(Some(&inv), cond, s);
-                let body_in = self.state_guard(inv.clone(), cond, true);
-                if !body_in.is_bottom() {
-                    let _ = self.exec_loop_body(body_in, body, ret_target, depth);
-                }
-                if track {
-                    self.loop_stack.pop();
-                }
-                inv
+            };
+            // All residual loop-head arrivals (beyond the unrolled
+            // prefix) are covered by the loop invariant.
+            self.note_stmt_state(s.id, &inv);
+            if track {
+                self.loop_stack.push((id.0, unroll as u64 + 1));
             }
+            self.check_expr(&inv, cond, s);
+            let pass = self.body_pass(&inv, cond, body, ret_target, depth);
+            flow.returns(pass.returned, layout, packs);
+            if track {
+                self.loop_stack.pop();
+            }
+            inv
         };
-        exits.join(&self.state_guard(inv, cond, false), self.layout, self.packs)
+        flow.parts = vec![exits.join(&self.state_guard(inv, cond, false), layout, packs)];
     }
 
-    /// Solves the residual loop (the iterations beyond the unrolled prefix)
-    /// above the post-unroll iterate `base` and returns its invariant:
-    /// delayed widening with thresholds (Sect. 7.1.2–7.1.4), narrowing
-    /// (Sect. 5.5) and the loop-done reduction. Storing the result is the
-    /// caller's business.
-    fn solve_residual(
+    /// Solves the residual loop above `base` with `F` this iterator's body
+    /// pass ([`crate::solve`]), counts the solve, and applies the loop-done
+    /// reduction to the invariant.
+    fn solve_loop(
         &mut self,
         base: &AbsState,
         id: LoopId,
@@ -797,273 +583,45 @@ impl<'a> Iter<'a> {
         body: &Block,
         ret_target: Option<&Lvalue>,
         depth: u32,
-    ) -> AbsState {
-        self.stats.loops_solved += 1;
-        let mut inv = base.clone();
-        let mut iter = 0u32;
-        let mut grace = self.config.stabilization_grace;
-        let mut prev_unstable = usize::MAX;
-        let no_thresholds = Thresholds::none();
-        let stabilized_at;
-        // `F(inv)` of the stabilizing iteration, computed from the very
-        // invariant narrowing starts from (unless perturbation moved it).
-        let mut stable_fval;
-        loop {
-            iter += 1;
-            self.stats.loop_iterations += 1;
-            let body_in = self.state_guard(inv.clone(), cond, true);
-            let mut body_out = self.exec_loop_body(body_in, body, ret_target, depth);
-            self.perturb(&mut body_out);
-            let fval = base.join(&body_out, self.layout, self.packs);
-            if Self::post_fixpoint(&fval, &inv) {
-                stabilized_at = iter as u64;
-                stable_fval = (self.config.float_perturbation <= 0.0).then_some(fval);
-                break;
-            }
-            let unstable = inv.env.count_diff(&fval.env);
-            let stabilizing = unstable < prev_unstable && grace > 0;
-            prev_unstable = unstable;
-            // Snapshot the invariant's env (cheap: persistent map) so the
-            // telemetry event can classify which bounds moved and how.
-            let before = self.rec_on.then(|| inv.env.clone());
-            let t0 = self.rec_on.then(Instant::now);
-            let phase;
-            if iter <= self.config.widening_delay || stabilizing {
-                if stabilizing && iter > self.config.widening_delay {
-                    grace -= 1;
-                }
-                phase = Phase::Union;
-                inv = inv.join(&fval, self.layout, self.packs);
-            } else if iter <= self.config.max_iterations {
-                phase = Phase::Widen;
-                inv = inv.widen(&fval, self.layout, self.packs, &self.config.thresholds);
-            } else {
-                // Hard cap: finish with threshold-free widening.
-                phase = Phase::WidenTop;
-                self.stats.widen_top += 1;
-                self.stats.budget_loops.insert((self.cur_func().to_string(), id.0));
-                inv = inv.widen(&fval, self.layout, self.packs, &no_thresholds);
-            }
-            if let (Some(before), Some(t0)) = (before, t0) {
-                let op = if phase == Phase::Union { "join" } else { "widen" };
-                self.op_timed(Some(t0), "state", op, 0);
-                let (threshold_hits, infinity_escapes) = self.widen_deltas(&before, &inv.env);
-                self.rec.record(&Event::LoopIter(LoopIterEvent {
-                    func: self.cur_func(),
-                    loop_id: id.0,
-                    iteration: iter as u64,
-                    phase,
-                    unstable_cells: unstable as u64,
-                    threshold_hits,
-                    infinity_escapes,
-                }));
-            }
-        }
-        // Narrowing iterations (Sect. 5.5): at most `narrowing_iterations`
-        // passes, each run only while the invariant holds a bound narrowing
-        // could refine and the previous pass refined one. `narrow` rewrites
-        // nothing else and `F` is deterministic, so every pass after that
-        // would reproduce `inv` bit for bit. The first pass narrows with the
-        // stabilizing iteration's `F(inv)` rather than recompute it. Both
-        // tests are on values, never on `ptr_eq`: the work done must not
-        // depend on sharing.
-        let mut narrowings = 0;
-        while narrowings < self.config.narrowing_iterations && inv.narrowable() {
-            narrowings += 1;
-            let fval = match stable_fval.take() {
-                Some(fval) => {
-                    #[cfg(test)]
-                    if self.differential {
-                        let again = self.scratch_fval(&inv, base, cond, body, ret_target, depth);
-                        assert!(again.same(&fval), "the stabilizing F(inv) is not F(inv)");
-                    }
-                    fval
-                }
-                None => {
-                    let body_in = self.state_guard(inv.clone(), cond, true);
-                    let body_out = self.exec_loop_body(body_in, body, ret_target, depth);
-                    base.join(&body_out, self.layout, self.packs)
-                }
-            };
-            let t0 = self.rec_on.then(Instant::now);
-            let next = inv.narrow(&fval);
-            let settled = next.same(&inv);
-            inv = next;
-            if t0.is_some() {
-                self.op_timed(t0, "state", "narrow", 0);
-                self.rec.record(&Event::LoopIter(LoopIterEvent {
-                    func: self.cur_func(),
-                    loop_id: id.0,
-                    iteration: stabilized_at + narrowings as u64,
-                    phase: Phase::Narrow,
-                    unstable_cells: 0,
-                    threshold_hits: 0,
-                    infinity_escapes: 0,
-                }));
-            }
-            if settled {
-                break;
-            }
-        }
+    ) -> Solved {
+        let (layout, packs, config) = (self.layout, self.packs, self.config);
+        let func = self.cur_func();
+        let rec = self.rec_on.then_some(LoopRec { rec: self.rec, func, loop_id: id.0 });
+        let mut solved = solve(base, layout, packs, config, rec, |inv| {
+            self.body_pass(inv, cond, body, ret_target, depth)
+        });
         #[cfg(test)]
         if self.differential {
-            self.assert_narrowing_settled(&inv, narrowings, base, cond, body, ret_target, depth);
+            let mut w = self.scratch();
+            let reference = crate::solve::reference(base, layout, packs, config, |inv| {
+                w.body_pass(inv, cond, body, ret_target, depth)
+            });
+            assert!(reference.inv.same(&solved.inv), "a narrowing cut moved {func} loop {}", id.0);
+            self.stats.narrowings_cut += reference.stats.narrowings - solved.stats.narrowings;
         }
+        self.stats.loops_solved += 1;
+        self.stats.loop_iterations += solved.stats.stabilized_at;
+        if solved.stats.widen_top > 0 {
+            self.stats.widen_top += solved.stats.widen_top;
+            self.stats.budget_loops.insert((func.to_string(), id.0));
+        }
+        // The loop-done reduction, over the planner's scope plus the cells
+        // the solve moved (enumerated by `diff2` in proportion to the diff,
+        // alike with sharing on and off).
         let t0 = self.rec_on.then(Instant::now);
-        self.reduce_loop_done(&mut inv, &base.env, cond, body, depth);
-        if t0.is_some() {
-            self.op_timed(t0, "octagon", "closure", 0);
-            self.rec.record(&Event::LoopDone(LoopDoneEvent {
-                func: self.cur_func(),
-                loop_id: id.0,
-                iterations: stabilized_at + narrowings as u64,
-                stabilized_at,
-            }));
-        }
-        inv
-    }
-
-    /// `base ⊔ F(inv)`, computed on a scratch iterator so no counter moves
-    /// (the differential of the narrowing cuts).
-    #[cfg(test)]
-    fn scratch_fval(
-        &self,
-        inv: &AbsState,
-        base: &AbsState,
-        cond: &Expr,
-        body: &Block,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) -> AbsState {
-        let mut w = Iter::sharing(
-            self.program,
-            self.layout,
-            self.packs,
-            self.config,
-            Arc::clone(&self.frames),
-        );
-        let body_in = w.state_guard(inv.clone(), cond, true);
-        let body_out = w.exec_loop_body(body_in, body, ret_target, depth);
-        base.join(&body_out, self.layout, self.packs)
-    }
-
-    /// The differential of the narrowing cuts: runs every narrowing pass the
-    /// solve skipped, and asserts none would have moved the invariant.
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    fn assert_narrowing_settled(
-        &mut self,
-        inv: &AbsState,
-        narrowings: u32,
-        base: &AbsState,
-        cond: &Expr,
-        body: &Block,
-        ret_target: Option<&Lvalue>,
-        depth: u32,
-    ) {
-        for _ in narrowings..self.config.narrowing_iterations {
-            let next = inv.narrow(&self.scratch_fval(inv, base, cond, body, ret_target, depth));
-            assert!(next.same(inv), "a skipped narrowing pass moved the invariant");
-            self.narrowings_checked += 1;
-        }
-    }
-
-    /// The reduction closing a loop solve. Depth-0 loops (the synchronous
-    /// loop, entry-block initialization loops) reduce the full state; loops
-    /// inside callees reduce only the packs overlapping the loop's own cells
-    /// (the localized loop-done reduction — cost proportional to the loop,
-    /// and the statement footprint stays local, which is what lets the
-    /// planner slice the top-level dispatch). Falls back to the full
-    /// reduction when the loop's cell set is unbounded (call-depth cap,
-    /// clock tick inside the body).
-    fn reduce_loop_done(
-        &mut self,
-        inv: &mut AbsState,
-        entry_env: &astree_memory::AbsEnv,
-        cond: &Expr,
-        body: &Block,
-        depth: u32,
-    ) {
-        let cells = if depth == 0 {
-            None
-        } else {
-            crate::parallel::loop_touched_cells(self.program, self.layout, cond, body)
-        };
-        match cells {
+        let useful = Some(&mut self.oct_useful[..]);
+        match crate::parallel::loop_done_scope(self.program, layout, depth, cond, body) {
             Some(cells) => {
                 let mut cells: Vec<CellId> = cells.into_iter().collect();
-                // Add the cells the solve actually moved, enumerated by
-                // `diff2` at cost proportional to the diff (not the
-                // environment): this catches effects the syntactic walk
-                // cannot attribute while keeping the reduction scope a
-                // superset of the purely syntactic one. The diff is computed
-                // the same way with sharing on and off, so both modes reduce
-                // the same packs.
-                entry_env.changed_cells(&inv.env, &mut cells);
+                base.env.changed_cells(&solved.inv.env, &mut cells);
                 cells.sort_unstable();
                 cells.dedup();
-                inv.reduce_local(self.layout, self.packs, &cells, Some(&mut self.oct_useful));
+                solved.inv.reduce_local(layout, packs, &cells, useful)
             }
-            None => {
-                inv.reduce_counting(self.layout, self.packs, Some(&mut self.oct_useful));
-            }
-        }
-    }
-
-    /// Diffs the invariant environment across one join/widen step: a bound
-    /// that moved to a finite value is a threshold hit, one that escaped to
-    /// the type's extreme is an infinity escape. Driven by the changed-cell
-    /// set (`diff2` skips shared subtrees wholesale), not a full env walk —
-    /// bounds can only move at cells whose value changed.
-    fn widen_deltas(
-        &self,
-        before: &astree_memory::AbsEnv,
-        after: &astree_memory::AbsEnv,
-    ) -> (u64, u64) {
-        let mut hits = 0u64;
-        let mut escapes = 0u64;
-        let mut changed = Vec::new();
-        before.changed_cells(after, &mut changed);
-        for id in changed {
-            let old = before.read(id, self.layout);
-            let new = after.read(id, self.layout);
-            match (old, &new) {
-                (CellVal::Int(o), CellVal::Int(n)) => {
-                    if n.val.lo < o.val.lo {
-                        if n.val.lo == i64::MIN {
-                            escapes += 1
-                        } else {
-                            hits += 1
-                        }
-                    }
-                    if n.val.hi > o.val.hi {
-                        if n.val.hi == i64::MAX {
-                            escapes += 1
-                        } else {
-                            hits += 1
-                        }
-                    }
-                }
-                (CellVal::Float(o), CellVal::Float(n)) => {
-                    if n.lo < o.lo {
-                        if n.lo == f64::NEG_INFINITY {
-                            escapes += 1
-                        } else {
-                            hits += 1
-                        }
-                    }
-                    if n.hi > o.hi {
-                        if n.hi == f64::INFINITY {
-                            escapes += 1
-                        } else {
-                            hits += 1
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        (hits, escapes)
+            None => solved.inv.reduce_counting(layout, packs, useful),
+        };
+        self.op_timed(t0, "octagon", "closure", 0);
+        solved
     }
 
     /// Joins `st` into the per-statement invariant record for `id` (Check
@@ -1087,51 +645,43 @@ impl<'a> Iter<'a> {
         }
     }
 
+    /// The body pass `F(inv)`: `guard(inv, c); body`. The checking pass
+    /// does not enter a body its guard closes; an iteration pass runs it on
+    /// ⊥ (and counts the statement, as `--metrics` always has).
+    fn body_pass(
+        &mut self,
+        inv: &AbsState,
+        cond: &Expr,
+        body: &Block,
+        ret_target: Option<&Lvalue>,
+        depth: u32,
+    ) -> Pass {
+        let body_in = self.state_guard(inv.clone(), cond, true);
+        if self.mode == Mode::Check && body_in.is_bottom() {
+            return Pass { next: body_in, returned: AbsState::bottom() };
+        }
+        self.exec_loop_body(body_in, body, ret_target, depth)
+    }
+
+    /// One body pass from `state` (already guarded by the loop condition).
     fn exec_loop_body(
         &mut self,
         state: AbsState,
         body: &Block,
         ret_target: Option<&Lvalue>,
         depth: u32,
-    ) -> AbsState {
+    ) -> Pass {
         // The one place a block is sliced: the body of a depth-0 loop, i.e.
         // the synchronous loop's dispatch (worker iterators never slice).
         let staged = self.par_enabled && depth == 0 && body.len() >= 2 && !state.is_bottom();
-        let mut flow = Flow { parts: vec![state], returned: AbsState::bottom() };
+        let mut flow = Flow::new(state);
         if staged {
             self.exec_block_staged(&mut flow, body, ret_target, depth);
         } else {
             self.exec_block(&mut flow, body, ret_target, false, depth);
         }
-        // `return` inside a loop leaves the function, not the loop; the
-        // returned state is handled by the caller via `flow.returned`, which
-        // we conservatively fold into the enclosing function by re-joining.
-        // (The family's reactive main loops do not return.)
-        let mut out = AbsState::bottom();
-        for p in flow.parts {
-            out = out.join(&p, self.layout, self.packs);
-        }
-        if !flow.returned.is_bottom() {
-            out = out.join(&flow.returned, self.layout, self.packs);
-        }
-        out
-    }
-
-    /// Floating iteration perturbation (Sect. 7.1.4): inflate float bounds
-    /// by a relative ε so near-stable iterates are recognized as stable.
-    fn perturb(&self, state: &mut AbsState) {
-        let eps = self.config.float_perturbation;
-        if eps <= 0.0 || state.is_bottom() {
-            return;
-        }
-        state.env.set_each(|v| match v {
-            CellVal::Float(f) if !f.is_bottom() => {
-                let lo = f.lo - eps * f.lo.abs();
-                let hi = f.hi + eps * f.hi.abs();
-                Some(CellVal::Float(FloatItv::new(lo, hi)))
-            }
-            _ => None,
-        });
+        let next = AbsState::join_all(flow.parts, self.layout, self.packs);
+        Pass { next, returned: flow.returned }
     }
 
     // ----- transfers ---------------------------------------------------------
@@ -1162,10 +712,10 @@ impl<'a> Iter<'a> {
         let shape = cell
             .filter(|c| self.packs.oct_index.holds(*c))
             .and_then(|_| self.affine_shape(&state.env, e));
-        let shape_ns = t0.map_or(0, Self::nanos_since);
+        let shape_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let t0 = self.rec_on.then(Instant::now);
         let dtrees = cell.map_or_else(Vec::new, |c| self.dtree_assign(&state, c, e));
-        let dtree_ns = t0.map_or(0, Self::nanos_since);
+        let dtree_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (env, flags) = self.eval.assign(state.env, &target, e);
         state.env = env;
         if self.mode == Mode::Check && !flags.is_empty() {
@@ -1451,8 +1001,8 @@ impl<'a> Iter<'a> {
         self.stats.frames.calls_framed += 1;
         #[cfg(test)]
         let whole = (self.differential && self.mode == Mode::Iterate).then(|| {
-            let mut w =
-                Iter::sharing(self.program, self.layout, self.packs, self.config, Arc::default());
+            let mut w = self.scratch();
+            w.frames = Arc::default();
             w.inline_call(state.clone(), callee, args, ret, s, depth)
         });
         let t0 = self.rec_on.then(Instant::now);
@@ -1485,7 +1035,8 @@ impl<'a> Iter<'a> {
         s: &Stmt,
         depth: u32,
     ) -> AbsState {
-        let f = self.program.func(callee);
+        let program: &'a Program = self.program;
+        let f = program.func(callee);
         let mut cur = state;
         let mut ref_map: HashMap<VarId, Lvalue> = HashMap::new();
         for (param, arg) in f.params.iter().zip(args) {
@@ -1510,16 +1061,7 @@ impl<'a> Iter<'a> {
             substituted = substitute_block(&f.body, &ref_map);
             &substituted
         };
-        let partitioning = self.config.partitioned_functions.contains(&f.name);
-        self.func_stack.push(f.name.as_str());
-        let mut flow = Flow { parts: vec![cur], returned: AbsState::bottom() };
-        self.exec_block(&mut flow, body, ret, partitioning, depth + 1);
-        self.func_stack.pop();
-        let mut out = flow.returned;
-        for p in flow.parts {
-            out = out.join(&p, self.layout, self.packs);
-        }
-        out
+        self.exec_function(cur, f, body, ret, depth + 1)
     }
 
     fn transfer_read_volatile(&mut self, mut out: AbsState, var: VarId) -> AbsState {
@@ -1755,8 +1297,7 @@ impl<'a> Iter<'a> {
     // ----- checking ----------------------------------------------------------
 
     /// Evaluates an expression purely for its error flags (checking mode).
-    fn check_expr(&mut self, state: Option<&AbsState>, e: &Expr, s: &Stmt) {
-        let Some(state) = state else { return };
+    fn check_expr(&mut self, state: &AbsState, e: &Expr, s: &Stmt) {
         if state.is_bottom() {
             return;
         }

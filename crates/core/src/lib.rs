@@ -61,6 +61,8 @@ pub mod iterator;
 pub mod packs;
 pub(crate) mod parallel;
 pub mod pool;
+pub mod solve;
+pub(crate) mod stage;
 pub mod state;
 pub mod substitute;
 

@@ -228,17 +228,25 @@ pub(crate) enum Unbounded {
     DepthCap,
 }
 
-/// All cells a loop may read or write (guard, body, callees — with by-ref
-/// substitution, exactly like the interpreter's abstract inlining), the
-/// scope of the localized loop-done reduction. `None` when the walk hits
-/// the call-depth cap or a clock tick (whose effect is global): the caller
-/// must fall back to the full-state reduction.
-pub(crate) fn loop_touched_cells(
+/// The static scope of the loop-done reduction closing the solve of a loop
+/// at call depth `depth`, for the iterator and the planner alike: `None`,
+/// the whole state, at depth 0 (the synchronous loop, entry-block
+/// initialization loops) and when the walk hits the call-depth cap or a
+/// clock tick (whose effect is global); else every cell the loop may read
+/// or write (guard, body, callees — with by-ref substitution, exactly like
+/// the interpreter's abstract inlining). The localized reduction costs in
+/// proportion to the loop and keeps a statement footprint local, which is
+/// what lets the planner slice the top-level dispatch.
+pub(crate) fn loop_done_scope(
     program: &Program,
     layout: &CellLayout,
+    depth: u32,
     cond: &Expr,
     body: &Block,
 ) -> Option<BTreeSet<CellId>> {
+    if depth == 0 {
+        return None;
+    }
     let mut out = BTreeSet::new();
     touch_expr(program, layout, cond, &mut out);
     touch_block(program, layout, body, 0, &mut out).ok()?;
@@ -247,7 +255,7 @@ pub(crate) fn loop_touched_cells(
 
 /// All cells one call statement may read or write: its return target, its
 /// arguments, the callee's parameters and everything the callee's body (and
-/// its callees) touches. The same walk as [`loop_touched_cells`], which is
+/// its callees) touches. The same walk as [`loop_done_scope`], which is
 /// what makes a frame built from it a superset of every loop footprint
 /// inside the callee.
 pub(crate) fn call_touched_cells(
@@ -712,17 +720,10 @@ impl<'a> Walker<'a> {
                 self.written.rollback(w0);
                 self.oct_rewritten.rollback(r0);
                 self.fp.pre_reads.extend(self.writes.since(writes0));
-                // Solving the loop reduces the state at its head — the full
-                // state for depth-0 loops, only the packs overlapping the
-                // loop's own cells for loops inside callees (the localized
-                // loop-done reduction). Mirrors `Iter::reduce_loop_done`.
-                if frame.depth == 0 {
-                    self.global_reduce_effect();
-                } else {
-                    match loop_touched_cells(self.program, self.layout, c, body) {
-                        Some(cells) => self.local_reduce_effect(&cells),
-                        None => self.global_reduce_effect(),
-                    }
+                // Solving the loop reduces the state at its head.
+                match loop_done_scope(self.program, self.layout, frame.depth, c, body) {
+                    Some(cells) => self.local_reduce_effect(&cells),
+                    None => self.global_reduce_effect(),
                 }
             }
             StmtKind::Call(ret, callee, args) => {

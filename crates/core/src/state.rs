@@ -441,6 +441,11 @@ impl AbsState {
         self.ellipses.iter().map(|(k, v)| (*k as usize, *v))
     }
 
+    /// The join of `states`, left to right (⊥ for none).
+    pub fn join_all(states: Vec<AbsState>, layout: &CellLayout, packs: &Packs) -> AbsState {
+        states.into_iter().fold(AbsState::bottom(), |j, s| j.join(&s, layout, packs))
+    }
+
     /// Abstract union `⊔`, with the pre-join ellipsoid reduction of
     /// Sect. 6.2.3 ("before computing the union … we reduce each constraint
     /// rᵢ = +∞ such that r₃₋ᵢ ≠ +∞"). Physically shared packs are skipped.
@@ -557,9 +562,9 @@ impl AbsState {
     }
 
     /// `true` when every component of the two states is the same physical
-    /// tree — constant time, `true` implies semantic equality. The iterator
-    /// uses this (when pointer shortcuts are enabled) to recognize a
-    /// stabilized loop iterate without any structural walk.
+    /// tree — constant time, `true` implies semantic equality. Tests use it
+    /// to tell a state handed on from a copy; [`AbsState::leq`] already
+    /// takes the same shortcut on each map's root.
     pub fn ptr_eq(&self, other: &AbsState) -> bool {
         self.env.ptr_eq(&other.env)
             && self.octs.ptr_eq(&other.octs)

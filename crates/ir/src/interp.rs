@@ -99,6 +99,21 @@ pub enum ExecError {
     StepBudget,
 }
 
+impl ExecError {
+    /// The statement that erred (`None` for an exhausted step budget).
+    pub fn stmt(&self) -> Option<StmtId> {
+        match *self {
+            ExecError::DivByZero(s)
+            | ExecError::OutOfBounds(s)
+            | ExecError::ShiftRange(s)
+            | ExecError::NanProduced(s)
+            | ExecError::InvalidCast(s)
+            | ExecError::AssumeViolated(s) => Some(s),
+            ExecError::StepBudget => None,
+        }
+    }
+}
+
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

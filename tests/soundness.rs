@@ -157,3 +157,44 @@ fn coarser_configurations_only_add_alarms() {
         );
     }
 }
+
+/// Hand-written shapes the generator never writes: a `return` inside a
+/// loop, inside a nested loop, and with a value. The return leaves the
+/// function; folded into the loop's next iterate instead, it would be
+/// overwritten by the code after the loop and the division would go
+/// unreported. The same sources drive the CI smoke step that checks
+/// `astree run` against `analyze`.
+const RETURN_IN_LOOP: [(&str, &str); 3] = [
+    ("return_in_loop", include_str!("shapes/return_in_loop.c")),
+    ("return_value_in_loop", include_str!("shapes/return_value_in_loop.c")),
+    ("return_in_nested_loop", include_str!("shapes/return_in_nested_loop.c")),
+];
+
+#[test]
+fn a_return_inside_a_loop_reaches_its_function() {
+    for (name, src) in RETURN_IN_LOOP {
+        let p = Frontend::new().compile_str(src).expect("compiles");
+        let errors: Vec<ExecError> = (1..=20)
+            .filter_map(|seed| {
+                let mut inputs = SeededInputs::new(seed);
+                let config = InterpConfig { max_steps: 1_000_000, max_ticks: 10 };
+                let err = Interp::new(&p, config, &mut inputs).run().err();
+                err
+            })
+            .collect();
+        assert!(!errors.is_empty(), "{name}: no seed in 1..=20 errs");
+        for (unroll, jobs) in [(0, 1), (0, 4), (3, 1), (3, 4)] {
+            let mut config = AnalysisConfig::default();
+            config.loop_unroll = unroll;
+            config.jobs = jobs;
+            let alarms = AnalysisSession::builder(&p).config(config).build().run().alarms;
+            for e in &errors {
+                let ExecError::DivByZero(s) = e else { panic!("{name}: {e}") };
+                assert!(
+                    alarms.iter().any(|a| a.stmt == *s && a.kind == AlarmKind::DivByZero),
+                    "{name}, unroll {unroll}, jobs {jobs}: {e} unreported: {alarms:?}"
+                );
+            }
+        }
+    }
+}
