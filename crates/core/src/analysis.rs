@@ -9,11 +9,10 @@ use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::Iter;
 use crate::packs::Packs;
-use crate::pool::WorkerPool;
 use crate::state::AbsState;
 use astree_ir::{globals_fingerprint, program_fingerprint, Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
-use astree_obs::{CacheCounters, Event, FrameCounters, PmapCounters, PoolCounters, Recorder, NULL};
+use astree_obs::{CacheCounters, Event, FrameCounters, Recorder, NULL};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,7 +124,6 @@ pub struct AnalysisSessionBuilder<'a> {
     recorder: &'a dyn Recorder,
     cache: Option<Arc<InvariantStore>>,
     jobs: Option<usize>,
-    pool: Option<&'a WorkerPool>,
 }
 
 impl<'a> AnalysisSessionBuilder<'a> {
@@ -154,32 +152,17 @@ impl<'a> AnalysisSessionBuilder<'a> {
         self
     }
 
-    /// Hands the session an external, already-warm [`WorkerPool`] instead
-    /// of letting it construct (and tear down) its own. The session clamps
-    /// its effective `jobs` to the pool's worker count, and per-run pool
-    /// counters are reported as deltas over the pool's cumulative totals,
-    /// so a long-lived pool (the `serve` daemon's) can be shared by many
-    /// sessions — concurrently: [`WorkerPool::scatter`] takes `&self`.
-    pub fn pool(mut self, pool: &'a WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Finalizes the session.
     pub fn build(self) -> AnalysisSession<'a> {
         let mut config = self.config;
         if let Some(jobs) = self.jobs {
             config.jobs = jobs;
         }
-        if let Some(pool) = self.pool {
-            config.jobs = config.jobs.min(pool.workers()).max(1);
-        }
         AnalysisSession {
             program: self.program,
             config,
             recorder: self.recorder,
             cache: self.cache,
-            pool: self.pool,
         }
     }
 }
@@ -193,7 +176,6 @@ pub struct AnalysisSession<'a> {
     config: AnalysisConfig,
     recorder: &'a dyn Recorder,
     cache: Option<Arc<InvariantStore>>,
-    pool: Option<&'a WorkerPool>,
 }
 
 impl<'a> AnalysisSession<'a> {
@@ -205,7 +187,6 @@ impl<'a> AnalysisSession<'a> {
             recorder: &NULL,
             cache: None,
             jobs: None,
-            pool: None,
         }
     }
 
@@ -274,19 +255,6 @@ impl<'a> AnalysisSession<'a> {
             miss = Some((store, key, store_before));
         }
 
-        // One persistent worker pool for the whole session (both
-        // phases): stages pay queue pushes, not thread spawns. An external
-        // pool (the daemon's warm one) is reused as-is; otherwise one is
-        // created only when `jobs > 1` *and* only after the cache-hit early
-        // return — a `--jobs 1` session or a replay spawns no threads.
-        let own_pool = match self.pool {
-            Some(_) => None,
-            None => (self.config.jobs > 1).then(|| WorkerPool::new(self.config.jobs)),
-        };
-        let pool: Option<&WorkerPool> = self.pool.or(own_pool.as_ref());
-        // Pool counters are cumulative over the pool's lifetime; snapshot
-        // them so a shared pool reports per-run deltas.
-        let pool_before = pool.map(|p| p.stats());
         // Reset the thread-local fast-path counters so a previous analysis
         // on this thread (with telemetry off) cannot leak into this run.
         let _ = astree_domains::take_saved_closures();
@@ -299,7 +267,6 @@ impl<'a> AnalysisSession<'a> {
         let prev_shortcuts = astree_pmap::set_ptr_shortcuts(!self.config.debug_no_ptr_shortcuts);
 
         let mut iter = Iter::with_recorder(self.program, &layout, &packs, &self.config, rec);
-        iter.pool = pool;
 
         let t0 = Instant::now();
         let (_, pair) = iter.iterate();
@@ -310,8 +277,8 @@ impl<'a> AnalysisSession<'a> {
         let time_check = t1.elapsed();
 
         let saved_closures = astree_domains::take_saved_closures();
-        let mut pmap_stats = astree_pmap::take_stats();
-        pmap_stats.absorb(&iter.pmap_worker_stats);
+        let mut pmap = astree_pmap::take_stats();
+        pmap.add(&iter.pmap_worker_stats);
         astree_pmap::set_ptr_shortcuts(prev_shortcuts);
         if rec.enabled() {
             rec.record(&Event::Phase { phase: "iterate", nanos: time_iterate.as_nanos() as u64 });
@@ -322,16 +289,7 @@ impl<'a> AnalysisSession<'a> {
                 count: saved_closures,
                 nanos: 0,
             });
-            rec.record(&Event::Pmap(&PmapCounters {
-                nodes_allocated: pmap_stats.nodes_allocated,
-                merge_calls: pmap_stats.merge_calls,
-                root_shortcut_hits: pmap_stats.root_shortcut_hits,
-                interior_shortcut_hits: pmap_stats.interior_shortcut_hits,
-                identity_preserved: pmap_stats.identity_preserved,
-                nodes_recycled: pmap_stats.nodes_recycled,
-                slab_bytes_allocated: pmap_stats.slab_bytes_allocated,
-                slab_bytes_freed: pmap_stats.slab_bytes_freed,
-            }));
+            rec.record(&Event::Pmap(&pmap));
             rec.record(&Event::Frames(&FrameCounters {
                 cells_per_frame: iter.frames.framed().map(|f| f.cells.len() as u64).collect(),
                 packs_per_frame: iter.frames.framed().map(|f| f.packs() as u64).collect(),
@@ -339,20 +297,9 @@ impl<'a> AnalysisSession<'a> {
             }));
             let oct_sizes: Vec<usize> = packs.octagons.iter().map(|p| p.cells.len()).collect();
             rec.record(&Event::PackSizes(&oct_sizes));
-            if let Some(pool) = pool {
-                let s = match &pool_before {
-                    Some(before) => pool.stats().since(before),
-                    None => pool.stats(),
-                };
-                rec.record(&Event::Pool(&PoolCounters {
-                    workers: s.workers as u64,
-                    tasks: s.tasks,
-                    // One shared queue: nothing to steal. The slot stays
-                    // for readers of `astree-metrics/1`.
-                    steals: 0,
-                    max_queue_depth: s.max_queue_depth,
-                    busy_nanos: s.busy_nanos,
-                }));
+            // A `--jobs 1` session spawns no threads and has no counters.
+            if self.config.jobs > 1 {
+                rec.record(&Event::Pool(&iter.pool_counters));
             }
         }
 

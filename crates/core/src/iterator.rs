@@ -31,7 +31,7 @@ use astree_ir::{
     StmtId, StmtKind, Unop, VarId,
 };
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
-use astree_obs::{AlarmEvent, Event, FrameCounters, Recorder};
+use astree_obs::{AlarmEvent, Event, FrameCounters, PmapCounters, PoolCounters, Recorder};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -127,13 +127,13 @@ pub struct Iter<'a> {
     pub stats: IterStats,
     /// Persistent-map counters drained from worker slices (the main thread's
     /// own counters stay in its thread-local and are drained by the session).
-    pub(crate) pmap_worker_stats: astree_pmap::PmapStats,
+    pub(crate) pmap_worker_stats: PmapCounters,
     /// Whether the synchronous loop's dispatch may be sliced across workers
     /// (Monniaux's partition-and-join scheme); disabled inside workers.
     par_enabled: bool,
-    /// The session's worker pool slices run on; `None` (sessions with
-    /// `jobs == 1`, worker iterators) never slices.
-    pub(crate) pool: Option<&'a crate::pool::WorkerPool>,
+    /// What the parallel stages scattered, reported as `scheduler.pool`:
+    /// sized by `jobs` when the iterator may slice.
+    pub(crate) pool_counters: PoolCounters,
     /// Cached stage plans, keyed by the first statement of the block.
     pub(crate) plans: HashMap<StmtId, Arc<crate::parallel::BlockPlan>>,
     /// Telemetry sink (the no-op recorder by default).
@@ -200,6 +200,8 @@ impl<'a> Iter<'a> {
         // captures would be dropped at merge; collection forces the
         // sequential interpreter (alarms are identical either way).
         it.par_enabled = config.jobs > 1 && !config.collect_stmt_invariants;
+        it.pool_counters.workers = config.jobs as u64;
+        it.pool_counters.busy_nanos = vec![0; config.jobs];
         it.rec = rec;
         it.rec_on = rec.enabled();
         it
@@ -238,9 +240,9 @@ impl<'a> Iter<'a> {
             sink: AlarmSink::new(),
             oct_useful: vec![0; packs.octagons.len()],
             stats: IterStats::default(),
-            pmap_worker_stats: astree_pmap::PmapStats::default(),
+            pmap_worker_stats: PmapCounters::default(),
             par_enabled: false,
-            pool: None,
+            pool_counters: PoolCounters::default(),
             plans: HashMap::new(),
             rec: &astree_obs::NULL,
             rec_on: false,

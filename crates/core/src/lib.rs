@@ -60,7 +60,7 @@ pub(crate) mod frames;
 pub mod iterator;
 pub mod packs;
 pub(crate) mod parallel;
-pub mod pool;
+mod scatter;
 pub mod solve;
 pub(crate) mod stage;
 pub mod state;
@@ -74,4 +74,5 @@ pub use cache::{packs_fingerprint, InvariantStore, StoreKey};
 pub use census::{under_constrained_vars, Census, CensusEntry};
 pub use config::{AnalysisConfig, Flag, Takes};
 pub use packs::{DtreePack, EllipsePack, OctPack, Packs};
+pub use scatter::{panic_message, scatter};
 pub use state::AbsState;

@@ -1,15 +1,16 @@
 //! The staged executor (Monniaux's partition-and-join): the body of a
 //! depth-0 loop, the synchronous loop's dispatch, runs stage by stage as
-//! [`crate::parallel::plan_block`] cut it, each parallel stage's slices on
-//! the worker pool, their deltas overlaid in slice order — bit-identical to
-//! the sequential interpreter for every worker count.
+//! [`crate::parallel::plan_block`] cut it, each parallel stage's slices
+//! scattered on `jobs` threads, their deltas overlaid in slice order —
+//! bit-identical to the sequential interpreter for every worker count.
 
 use crate::alarms::AlarmSink;
 use crate::iterator::{Flow, Iter, IterStats};
 use crate::parallel::{plan_block, Slice};
+use crate::scatter::scatter;
 use crate::state::AbsState;
 use astree_ir::{Block, Lvalue};
-use astree_obs::{Event, SliceEvent};
+use astree_obs::{Event, PmapCounters, SliceEvent};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,11 +23,13 @@ struct SliceOut {
     sink: AlarmSink,
     stats: IterStats,
     oct_useful: Vec<usize>,
+    /// The worker that ran the slice (0 = the caller).
+    worker: usize,
     wall: Duration,
     /// Octagon closures the ref fast paths skipped on this slice's thread.
     saved_closures: u64,
     /// Persistent-map counters drained from this slice's thread.
-    pmap_stats: astree_pmap::PmapStats,
+    pmap_stats: PmapCounters,
 }
 
 impl IterStats {
@@ -97,7 +100,6 @@ impl<'a> Iter<'a> {
         ret_target: Option<&Lvalue>,
         depth: u32,
     ) -> bool {
-        let Some(pool) = self.pool else { return false };
         let pre = flow.parts[0].clone();
         let this: &Iter<'a> = self;
         let config = self.config;
@@ -107,14 +109,14 @@ impl<'a> Iter<'a> {
         // (which is safe — nothing of the stage has been committed yet).
         // `AssertUnwindSafe` is sound here because a panicked slice's entire
         // result is discarded and the captured state is read-only.
-        let worker = |ci: usize, slice: &Slice| {
+        let worker = |wid: usize, ci: usize, slice: &Slice| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if config.debug_panic_slice == Some(ci) {
                     panic!("injected slice fault (debug_panic_slice)");
                 }
-                // Pool threads keep their own copy of the thread-local
-                // sharing flag: align it with the session's configuration on
-                // every slice (the session only sets the caller's thread).
+                // Worker threads start with the default thread-local sharing
+                // flag: align it with the session's configuration on every
+                // slice (the session only sets the caller's thread).
                 astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
                 let t0 = Instant::now();
                 let mut w = this.scratch();
@@ -128,6 +130,7 @@ impl<'a> Iter<'a> {
                     sink: w.sink,
                     stats: w.stats,
                     oct_useful: w.oct_useful,
+                    worker: wid,
                     wall: t0.elapsed(),
                     saved_closures: astree_domains::take_saved_closures(),
                     pmap_stats: astree_pmap::take_stats(),
@@ -135,7 +138,13 @@ impl<'a> Iter<'a> {
             }))
             .ok()
         };
-        let results = pool.scatter(slices.iter().collect(), worker);
+        let results = scatter(config.jobs, slices, worker);
+        let counters = &mut self.pool_counters;
+        counters.tasks += slices.len() as u64;
+        counters.max_queue_depth = counters.max_queue_depth.max(slices.len() as u64);
+        for r in results.iter().flatten() {
+            counters.busy_nanos[r.worker] += r.wall.as_nanos() as u64;
+        }
 
         if results.iter().any(|r| r.is_none()) {
             if self.rec_on {
@@ -178,7 +187,7 @@ impl<'a> Iter<'a> {
                 self.oct_useful[pi] += n;
             }
             saved_closures += out.saved_closures;
-            self.pmap_worker_stats.absorb(&out.pmap_stats);
+            self.pmap_worker_stats.add(&out.pmap_stats);
         }
         if let Some(t0) = t_merge {
             let nanos = t0.elapsed().as_nanos() as u64;

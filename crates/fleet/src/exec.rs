@@ -8,8 +8,7 @@
 //! configuration, never on which process ran it.
 
 use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
-use astree_core::pool::{panic_message, WorkerPool};
-use astree_core::{AnalysisConfig, AnalysisSession, InvariantStore};
+use astree_core::{panic_message, AnalysisConfig, AnalysisSession, InvariantStore};
 use astree_frontend::Frontend;
 use astree_obs::Recorder;
 use astree_oracle::{run_member, OracleConfig};
@@ -25,8 +24,6 @@ pub struct ExecContext<'a> {
     pub cache: Option<Arc<InvariantStore>>,
     /// Telemetry recorder for the analysis itself, if any.
     pub recorder: Option<&'a dyn Recorder>,
-    /// In-process slice pool to run the analysis on, if any.
-    pub pool: Option<&'a WorkerPool>,
 }
 
 /// Runs one job to completion. Returns [`JobStatus::Done`] or
@@ -75,9 +72,6 @@ fn analysis_job(spec: &JobSpec, config: AnalysisConfig, ctx: &ExecContext<'_>) -
     if let Some(store) = &ctx.cache {
         builder = builder.cache(Arc::clone(store));
     }
-    if let Some(pool) = ctx.pool {
-        builder = builder.pool(pool);
-    }
     let result = builder.build().run();
 
     let mut out = JobOutcome::empty("", JobStatus::Done);
@@ -117,7 +111,7 @@ mod tests {
     use astree_oracle::MemberSpec;
 
     fn base_ctx(config: &AnalysisConfig) -> ExecContext<'_> {
-        ExecContext { config, cache: None, recorder: None, pool: None }
+        ExecContext { config, cache: None, recorder: None }
     }
 
     #[test]

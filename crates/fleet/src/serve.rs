@@ -1,10 +1,10 @@
-//! The one resident process (`astree serve`): it keeps a warm
-//! [`WorkerPool`] and a shared [`InvariantStore`], so an edit-and-reanalyze
-//! loop pays the start-up costs once, and it is the fleet's worker.
+//! The one resident process (`astree serve`): it keeps a shared
+//! [`InvariantStore`] warm, so an edit-and-reanalyze loop pays the start-up
+//! costs once, and it is the fleet's worker.
 //!
 //! A `run` request carries `wire::spec_to_json` job specs and is answered
 //! with their `wire::outcome_to_json` outcomes, computed by one
-//! [`FleetSession`] on the resident pool and store — `astree batch`'s
+//! [`FleetSession`] on the resident store — `astree batch`'s
 //! execution path. One connection loop serves every peer, each on a thread
 //! of its own: clients ([`client::Client`], `astree client`) and fleet
 //! coordinators, which reach a local child on stdin/stdout ([`serve_stdio`])
@@ -22,7 +22,6 @@ use crate::job::{JobSpec, JobStatus};
 use crate::proto::{read_frame, write_frame, Conn, Listener};
 use crate::session::FleetSession;
 use crate::wire::{files_to_json, frame_files, outcome_to_json, pack_files, spec_from_json};
-use astree_core::pool::WorkerPool;
 use astree_core::{AnalysisConfig, InvariantStore};
 use astree_obs::{Event, Json, Recorder, ServeCounters};
 use std::io::{self, BufReader, Read, Write};
@@ -38,7 +37,7 @@ pub const PROTO: &str = "astree-serve/2";
 /// Serving-process configuration, filled in by the `astree serve` CLI.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Workers in the shared analysis pool (1 = sequential, no threads).
+    /// Threads each analysis runs on (1 = sequential, no threads).
     pub jobs: usize,
     /// Concurrent requests admitted before `overloaded` rejections.
     pub max_inflight: usize,
@@ -54,8 +53,7 @@ impl Default for ServeOptions {
 
 /// Everything the connection handlers share.
 struct Daemon {
-    pool: Option<WorkerPool>,
-    /// The base configuration of every job: defaults on `jobs` workers.
+    /// The base configuration of every job: defaults on `jobs` threads.
     config: AnalysisConfig,
     store: Option<Arc<InvariantStore>>,
     max_inflight: usize,
@@ -70,7 +68,6 @@ impl Daemon {
         let jobs = opts.jobs.max(1);
         let store = opts.cache_dir.as_ref().map(InvariantStore::open).transpose()?.map(Arc::new);
         Ok(Daemon {
-            pool: (jobs > 1).then(|| WorkerPool::new(jobs)),
             config: AnalysisConfig { jobs, ..AnalysisConfig::default() },
             store,
             max_inflight: opts.max_inflight.max(1),
@@ -119,7 +116,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Opens the store, builds the pool and binds the endpoint
+    /// Opens the store and binds the endpoint
     /// (`proto::Listener::bind`: a live daemon's Unix socket is refused, a stale
     /// one replaced). For `Endpoint::Tcp` with port 0 the resolved address
     /// is available from [`Server::endpoint`].
@@ -358,8 +355,8 @@ impl Recorder for FrameRecorder {
     }
 }
 
-/// Decodes a `run` request's jobs and event mode. A job runs on the
-/// daemon's pool, so its analysis workers are clamped to the pool's width.
+/// Decodes a `run` request's jobs and event mode. A job's analysis runs on
+/// at most the daemon's `jobs` threads.
 fn parse_run(daemon: &Daemon, req: &Json) -> Result<(Vec<JobSpec>, EventMode), String> {
     let Some(Json::Arr(items)) = req.get("jobs") else {
         return Err("run needs a `jobs` array".into());
@@ -384,8 +381,8 @@ fn parse_run(daemon: &Daemon, req: &Json) -> Result<(Vec<JobSpec>, EventMode), S
     Ok((jobs, mode))
 }
 
-/// Runs a `run` request as one [`FleetSession`] on the daemon's pool and
-/// store, streaming events through the connection.
+/// Runs a `run` request as one [`FleetSession`] on the daemon's store,
+/// streaming events through the connection.
 fn handle_run(
     daemon: &Arc<Daemon>,
     writer: &SharedWriter,
@@ -448,9 +445,6 @@ fn handle_run(
         .jobs(jobs)
         .config(daemon.config.clone())
         .recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    if let Some(pool) = &daemon.pool {
-        session = session.pool(pool);
-    }
     if let Some(store) = exchange.as_ref().map(|(_, store)| store).or(daemon.store.as_ref()) {
         session = session.cache(Arc::clone(store));
     }

@@ -4,10 +4,9 @@
 //! construct a [`FleetSession`] and call [`FleetSessionBuilder::run`]. The
 //! builder decides the execution strategy from its distribution knobs:
 //!
-//! - no workers, no endpoints → **in-process**: `threads` scoped threads
-//!   (the caller is one of them) pull jobs from a shared cursor, each job
-//!   under panic containment — also the daemon's path, which lends its
-//!   resident [`WorkerPool`];
+//! - no workers, no endpoints → **in-process**: the jobs are scattered
+//!   ([`astree_core::scatter`]) on `threads` threads, the caller one of
+//!   them, each job under panic containment — also the daemon's path;
 //! - `workers(n)` / `connect(..)` → **fleet**: the coordinator hands
 //!   jobs from one queue to local `astree serve --stdio` child processes
 //!   and/or `astree serve` processes on sockets, with crash isolation.
@@ -20,11 +19,9 @@ use crate::coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTranspo
 use crate::exec::{execute, execute_contained, ExecContext};
 use crate::job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 use crate::proto::Endpoint;
-use astree_core::pool::WorkerPool;
-use astree_core::{AnalysisConfig, InvariantStore};
+use astree_core::{scatter, AnalysisConfig, InvariantStore};
 use astree_obs::{BatchJobEvent, Event, FleetCounters, Recorder};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -33,7 +30,7 @@ pub struct FleetSession;
 
 impl FleetSession {
     /// Starts building a fleet run.
-    pub fn builder<'p>() -> FleetSessionBuilder<'p> {
+    pub fn builder() -> FleetSessionBuilder {
         FleetSessionBuilder {
             jobs: Vec::new(),
             config: AnalysisConfig::default(),
@@ -41,7 +38,6 @@ impl FleetSession {
             fleet: FleetOptions::default(),
             cache: None,
             recorder: None,
-            pool: None,
         }
     }
 }
@@ -67,17 +63,16 @@ pub struct FleetOptions {
 }
 
 /// Builder for a fleet run; mirrors `AnalysisSession::builder`.
-pub struct FleetSessionBuilder<'p> {
+pub struct FleetSessionBuilder {
     jobs: Vec<JobSpec>,
     config: AnalysisConfig,
     threads: usize,
     fleet: FleetOptions,
     cache: Option<Arc<InvariantStore>>,
     recorder: Option<Arc<dyn Recorder>>,
-    pool: Option<&'p WorkerPool>,
 }
 
-impl<'p> FleetSessionBuilder<'p> {
+impl FleetSessionBuilder {
     /// Sets the job list (replacing any previous one).
     pub fn jobs(mut self, jobs: Vec<JobSpec>) -> Self {
         self.jobs = jobs;
@@ -160,12 +155,6 @@ impl<'p> FleetSessionBuilder<'p> {
         self
     }
 
-    /// Resident slice pool for in-process runs (the daemon's).
-    pub fn pool(mut self, pool: &'p WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Runs the fleet and reports outcomes in submission order.
     pub fn run(self) -> FleetReport {
         let t0 = Instant::now();
@@ -219,7 +208,7 @@ impl<'p> FleetSessionBuilder<'p> {
         // Each job ships its whole configuration, so what a worker was
         // started with never shows through. A job whose overrides do not
         // patch ends here, `failed` exactly as in-process.
-        let ctx = ExecContext { config: &self.config, cache: None, recorder: None, pool: None };
+        let ctx = ExecContext { config: &self.config, cache: None, recorder: None };
         let (mut resolved, mut failed) = (Vec::new(), Vec::new());
         for (i, spec) in self.jobs.iter().enumerate() {
             match spec.config(&self.config) {
@@ -241,48 +230,27 @@ impl<'p> FleetSessionBuilder<'p> {
 
     fn run_in_process(self) -> (Vec<JobOutcome>, FleetCounters) {
         let n = self.jobs.len();
-        let threads = self.threads.max(1).min(n.max(1));
         let counters = FleetCounters {
-            workers: threads as u64,
+            workers: self.threads.min(n.max(1)) as u64,
             processes: false,
             jobs: n as u64,
             ..FleetCounters::default()
         };
-        // Result slots indexed by submission order; the queue is a shared
-        // cursor over the job list.
-        let slots: Vec<Mutex<Option<JobOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let worker = |w: usize| {
-            let ctx = ExecContext {
-                config: &self.config,
-                cache: self.cache.clone(),
-                recorder: self.recorder.as_deref(),
-                pool: self.pool,
-            };
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = self.jobs.get(i) else { return };
-                let t0 = Instant::now();
-                let mut out = match self.fleet.timeout {
-                    None => execute_contained(spec, &ctx),
-                    Some(limit) => self.run_deadlined(spec, limit),
-                };
-                out.wall = t0.elapsed();
-                out.worker = w;
-                *slots[i].lock().unwrap() = Some(out);
-            }
+        let ctx = ExecContext {
+            config: &self.config,
+            cache: self.cache.clone(),
+            recorder: self.recorder.as_deref(),
         };
-        thread::scope(|scope| {
-            for w in 1..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
-            }
-            worker(0);
+        let outcomes = scatter(self.threads, &self.jobs, |w, _, spec| {
+            let t0 = Instant::now();
+            let mut out = match self.fleet.timeout {
+                None => execute_contained(spec, &ctx),
+                Some(limit) => self.run_deadlined(spec, limit),
+            };
+            out.wall = t0.elapsed();
+            out.worker = w;
+            out
         });
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("job slot unfilled"))
-            .collect();
         (outcomes, counters)
     }
 
@@ -291,14 +259,13 @@ impl<'p> FleetSessionBuilder<'p> {
     /// detached: a stuck analysis cannot be killed, but it stops occupying a
     /// worker and its eventual send fails harmlessly into a dropped
     /// receiver. The thread may outlive this session, so it owns what it
-    /// uses; the resident pool, a borrow, stays behind.
+    /// uses.
     fn run_deadlined(&self, spec: &JobSpec, limit: Duration) -> JobOutcome {
         let (tx, rx) = mpsc::channel();
         let (job, config) = (spec.clone(), self.config.clone());
         let (cache, recorder) = (self.cache.clone(), self.recorder.clone());
         thread::spawn(move || {
-            let ctx =
-                ExecContext { config: &config, cache, recorder: recorder.as_deref(), pool: None };
+            let ctx = ExecContext { config: &config, cache, recorder: recorder.as_deref() };
             let _ = tx.send(execute_contained(&job, &ctx));
         });
         match rx.recv_timeout(limit) {
@@ -327,6 +294,7 @@ fn default_worker_cmd() -> Vec<String> {
 mod tests {
     use super::*;
     use astree_obs::Json;
+    use std::sync::atomic::Ordering::SeqCst;
 
     fn tiny_jobs() -> Vec<JobSpec> {
         vec![
@@ -368,7 +336,7 @@ mod tests {
                 true
             }
             fn record(&self, event: &Event) {
-                if matches!(event, Event::Phase { .. }) && !self.0.swap(true, Ordering::SeqCst) {
+                if matches!(event, Event::Phase { .. }) && !self.0.swap(true, SeqCst) {
                     panic!("bomb in the recorder");
                 }
             }

@@ -48,7 +48,7 @@ pub enum Event<'a> {
     Merge { stage: u64, slices: usize, nanos: u64 },
     /// A stage fell back to sequential execution.
     Fallback { reason: &'static str },
-    /// Worker-pool counters of a run that had a pool.
+    /// Slice-scatter counters of a run with `jobs > 1`.
     Pool(&'a PoolCounters),
     /// A batch job finished.
     BatchJob(BatchJobEvent<'a>),

@@ -394,23 +394,23 @@ impl FrameCounters {
     }
 }
 
-/// Worker-pool counters for one analysis run.
+/// What one analysis run's parallel stages scattered on their threads.
 ///
-/// Emitted once per run by the analysis session when a worker pool was
-/// active; the [`Collector`] keeps the last report (the pool's counters
-/// are cumulative over the session).
+/// Emitted once per run by the analysis session when `jobs > 1`; the
+/// [`Collector`] keeps the last report (the counters are cumulative over
+/// the session).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Logical workers (pool threads + the participating caller).
+    /// Workers per stage (`jobs`: the caller + `jobs − 1` threads).
     pub workers: u64,
-    /// Tasks pushed onto the queue over the session.
+    /// Slices scattered over the session.
     pub tasks: u64,
-    /// Always 0 since the pool has one shared queue; kept because readers
+    /// Always 0 since the workers share one cursor; kept because readers
     /// of `astree-metrics/1` name the slot.
     pub steals: u64,
-    /// Deepest the queue ever got.
+    /// The most slices one stage scattered.
     pub max_queue_depth: u64,
-    /// Per-worker nanoseconds spent executing tasks (index 0 = caller).
+    /// Per-worker nanoseconds spent running slices (index 0 = caller).
     pub busy_nanos: Vec<u64>,
 }
 
@@ -691,7 +691,7 @@ pub struct SchedulerMetrics {
     pub fallbacks: BTreeMap<&'static str, u64>,
     /// Batch job outcomes.
     pub batch_jobs: Vec<BatchJobRecord>,
-    /// Worker-pool counters (absent when no pool ran).
+    /// Slice-scatter counters (absent when `jobs = 1`).
     pub pool: Option<PoolCounters>,
 }
 

@@ -35,7 +35,13 @@ pub(crate) struct PArc<T> {
     ptr: NonNull<Inner<T>>,
 }
 
+// SAFETY: `ptr` is the one field. A handle sent to another thread hands it
+// `&T` (so `T: Sync`) and may drop the value there as the last owner (so
+// `T: Send`); the count it shares is atomic. The bounds are `std::sync::Arc`'s.
 unsafe impl<T: Send + Sync> Send for PArc<T> {}
+// SAFETY: a shared `&PArc<T>` gives other threads `&T` (so `T: Sync`) and
+// lets them clone a handle they may drop as the last owner (so `T: Send`);
+// `clone` touches only the atomic count.
 unsafe impl<T: Send + Sync> Sync for PArc<T> {}
 
 impl<T> PArc<T> {
@@ -44,10 +50,16 @@ impl<T> PArc<T> {
         let raw: NonNull<Inner<T>> = match slab::class_of(layout) {
             Some(class) => slab::alloc_class(class).cast(),
             None => {
+                // SAFETY: `Inner<T>` holds an `AtomicUsize`, so the layout's
+                // size is not zero; a null return is handled on the next line.
                 let p = unsafe { std::alloc::alloc(layout) };
                 NonNull::new(p.cast()).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
             }
         };
+        // SAFETY: `raw` is fresh memory for `Inner<T>`: a global allocation
+        // of its layout, or a slot of the class `class_of` picked for it —
+        // at least that size and aligned to `SLAB_ALIGN`, which `class_of`
+        // only picks when the layout asks for no more.
         unsafe {
             raw.as_ptr().write(Inner { refcount: AtomicUsize::new(1), value });
         }
@@ -83,6 +95,9 @@ impl<T> PArc<T> {
 
     #[inline]
     fn inner(&self) -> &Inner<T> {
+        // SAFETY: `new` initialized the pointee, and it lives while this
+        // handle does: the handle holds one count, and only the drop that
+        // takes the count to 0 destroys it.
         unsafe { self.ptr.as_ref() }
     }
 }
@@ -115,6 +130,11 @@ impl<T> Drop for PArc<T> {
             return;
         }
         fence(Ordering::Acquire);
+        // SAFETY: the count went from 1 to 0, so this was the last handle,
+        // and the fence orders every other handle's use of the pointee
+        // before this point. The value is dropped once, and the memory goes
+        // back where `new` took it from: both sides decide from
+        // `Layout::new::<Inner<T>>()`.
         unsafe {
             std::ptr::drop_in_place(self.ptr.as_ptr());
             let layout = Layout::new::<Inner<T>>();

@@ -12,8 +12,9 @@
 //! touches no allocator at all: nodes nobody else can see are written in
 //! place. Nodes live in a size-classed slab arena ([`mod@slab`])
 //! behind a minimal refcounted pointer, with dropped nodes recycled through
-//! free lists — [`PmapStats::nodes_recycled`] and the `slab_bytes_*` counters
-//! quantify the allocator traffic this removes from the hot path.
+//! free lists — the `nodes_recycled` and `slab_bytes_*` counters of
+//! [`take_stats`] quantify the allocator traffic this removes from the hot
+//! path.
 //!
 //! # Examples
 //!
@@ -30,12 +31,16 @@
 //! assert_eq!(joined.len(), 1000);
 //! ```
 
+// The workspace's only `unsafe`: the refcount and the slab it allocates
+// from. Every site states why it is sound.
+#[allow(unsafe_code)]
 mod arc;
 mod map;
 mod set;
+#[allow(unsafe_code)]
 mod slab;
 mod stats;
 
 pub use map::{Iter, MergeOutcome, PMap};
 pub use set::PSet;
-pub use stats::{ptr_shortcuts_enabled, set_ptr_shortcuts, take_stats, PmapStats};
+pub use stats::{ptr_shortcuts_enabled, set_ptr_shortcuts, take_stats};

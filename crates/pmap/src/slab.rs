@@ -29,7 +29,7 @@
 //! Telemetry: every classed allocation/free updates the thread-local
 //! `slab_bytes_allocated`/`slab_bytes_freed` counters, and allocations
 //! served from a free list count as `nodes_recycled` — surfaced through
-//! [`crate::PmapStats`] so the recycling win is measurable next to
+//! [`crate::take_stats`] so the recycling win is measurable next to
 //! `nodes_allocated`.
 
 use crate::stats;
@@ -70,7 +70,9 @@ struct FreeSlot {
 }
 
 /// Intrusive LIFO of freed slots with O(1) concatenation (`tail` is the
-/// oldest slot; valid whenever `head` is non-null).
+/// oldest slot; valid whenever `head` is non-null). A listed slot belongs to
+/// the list alone: its owner gave it up in [`free_class`], and it leaves the
+/// list only through `pop` (or with the whole list, through `absorb`).
 struct FreeList {
     head: *mut FreeSlot,
     tail: *mut FreeSlot,
@@ -83,6 +85,9 @@ impl FreeList {
     #[inline]
     fn push(&mut self, slot: NonNull<u8>) {
         let slot = slot.cast::<FreeSlot>().as_ptr();
+        // SAFETY: `slot` is a slot its owner gave up (`free_class`): at least
+        // `GRANULE` bytes, `SLAB_ALIGN`-aligned, inside memory that is never
+        // deallocated, and used by no one else — so it can hold the link.
         unsafe { (*slot).next = self.head };
         if self.head.is_null() {
             self.tail = slot;
@@ -94,6 +99,8 @@ impl FreeList {
     #[inline]
     fn pop(&mut self) -> Option<NonNull<u8>> {
         NonNull::new(self.head).map(|slot| {
+            // SAFETY: a non-null `head` is a listed slot, whose link `push`
+            // (or `absorb`) wrote and which no one else uses while listed.
             self.head = unsafe { (*slot.as_ptr()).next };
             if self.head.is_null() {
                 self.tail = ptr::null_mut();
@@ -108,6 +115,8 @@ impl FreeList {
         if other.head.is_null() {
             return;
         }
+        // SAFETY: `other` is not empty, so its `tail` is a listed slot (the
+        // list's invariant), owned by that list alone and still allocated.
         unsafe { (*other.tail).next = self.head };
         if self.head.is_null() {
             self.tail = other.tail;
@@ -130,6 +139,8 @@ struct Chunk {
 impl Chunk {
     fn new() -> Chunk {
         let layout = Layout::from_size_align(CHUNK_BYTES, SLAB_ALIGN).expect("static layout");
+        // SAFETY: the layout's size, `CHUNK_BYTES`, is not zero; a null
+        // return is handled on the next line.
         let p = unsafe { alloc(layout) };
         let base = NonNull::new(p).unwrap_or_else(|| handle_alloc_error(layout));
         Chunk { base, off: 0 }
@@ -140,6 +151,9 @@ impl Chunk {
         if self.off + bytes > CHUNK_BYTES {
             return None;
         }
+        // SAFETY: `off + bytes <= CHUNK_BYTES` was just checked, so the
+        // offset stays inside the chunk's allocation, and a pointer into an
+        // allocation at a non-null base is not null.
         let p = unsafe { NonNull::new_unchecked(self.base.as_ptr().add(self.off)) };
         self.off += bytes;
         Some(p)
@@ -155,6 +169,11 @@ struct GlobalPool {
     chunks: Vec<Chunk>,
 }
 
+// SAFETY: `free` holds the lists of exited threads and `chunks` the bump
+// chunks they left; every pointer in either addresses memory that is never
+// deallocated and that no thread uses while it sits here, and the mutex
+// around `GLOBAL` orders each hand-over between the releasing and the
+// reusing thread.
 unsafe impl Send for GlobalPool {}
 
 static GLOBAL: Mutex<GlobalPool> =
@@ -246,12 +265,16 @@ pub(crate) fn alloc_class(class: usize) -> NonNull<u8> {
     SLAB.try_with(|s| s.borrow_mut().alloc(class)).unwrap_or_else(|_| {
         let layout =
             Layout::from_size_align(class_bytes(class), SLAB_ALIGN).expect("static layout");
+        // SAFETY: `class_bytes` is at least `GRANULE`, so the layout's size
+        // is not zero; a null return is handled on the next line.
         let p = unsafe { alloc(layout) };
         NonNull::new(p).unwrap_or_else(|| handle_alloc_error(layout))
     })
 }
 
-/// Returns a slot to its class's free list. During thread teardown the
+/// Returns a slot to its class's free list. `slot` must come from
+/// [`alloc_class`] with the same `class`, and its owner must not use it
+/// again: the free list writes its link into it. During thread teardown the
 /// slot is leaked instead — it stays inside a never-deallocated chunk (or
 /// a teardown fallback allocation), so this is sound, merely unthrifty in
 /// a path that runs O(1) times per thread.
@@ -326,5 +349,26 @@ mod tests {
         .join()
         .unwrap();
         assert!(recycled, "slot freed on an exited thread is drawn by a later thread");
+    }
+
+    #[test]
+    fn churned_threads_build_on_their_predecessors_slots() {
+        // A thread per round, as every parallel stage starts and joins its
+        // own: each exit hands the slots to `GLOBAL`, and the next thread
+        // must draw them instead of carving fresh chunks. 800-byte values
+        // put the nodes in a size class no other test touches.
+        for round in 0..4 {
+            let st = std::thread::spawn(|| {
+                let map: crate::PMap<u32, [u8; 800]> = (0..64).map(|k| (k, [0; 800])).collect();
+                drop(map);
+                crate::take_stats()
+            })
+            .join()
+            .unwrap();
+            assert_eq!(st.nodes_allocated, 64, "round {round}");
+            if round > 0 {
+                assert_eq!(st.nodes_recycled, 64, "round {round}: every node on a recycled slot");
+            }
+        }
     }
 }

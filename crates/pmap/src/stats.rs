@@ -15,8 +15,9 @@
 //! alarms/invariants bit-for-bit between the two modes while the allocation
 //! counters expose how much work sharing actually saves. Thread-local (not
 //! a process global) so concurrently running tests cannot perturb each
-//! other; the analysis session propagates the flag into its worker pool.
+//! other; the analysis session propagates the flag into its worker threads.
 
+use astree_obs::PmapCounters;
 use std::cell::Cell;
 
 thread_local! {
@@ -31,53 +32,9 @@ thread_local! {
     static PTR_SHORTCUTS: Cell<bool> = const { Cell::new(true) };
 }
 
-/// A drained snapshot of this thread's persistent-map counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PmapStats {
-    /// Tree nodes allocated (`Arc<Node>` constructions).
-    pub nodes_allocated: u64,
-    /// Binary merge entry points (`union_with` / `union_outcome`).
-    pub merge_calls: u64,
-    /// Merges/walks answered entirely by root physical equality.
-    pub root_shortcut_hits: u64,
-    /// Shared subtrees skipped inside a merge/walk recursion.
-    pub interior_shortcut_hits: u64,
-    /// Operations that returned an *input* tree unchanged without the root
-    /// shortcut: identity-preserving merges and no-op writes.
-    pub identity_preserved: u64,
-    /// Node allocations served from a slab free list instead of fresh
-    /// chunk (or global-allocator) memory.
-    pub nodes_recycled: u64,
-    /// Bytes handed out by the slab (fresh and recycled alike).
-    pub slab_bytes_allocated: u64,
-    /// Bytes returned to the slab free lists.
-    pub slab_bytes_freed: u64,
-}
-
-impl PmapStats {
-    /// Accumulates `other` into `self` (merging per-thread drains).
-    pub fn absorb(&mut self, other: &PmapStats) {
-        self.nodes_allocated += other.nodes_allocated;
-        self.merge_calls += other.merge_calls;
-        self.root_shortcut_hits += other.root_shortcut_hits;
-        self.interior_shortcut_hits += other.interior_shortcut_hits;
-        self.identity_preserved += other.identity_preserved;
-        self.nodes_recycled += other.nodes_recycled;
-        self.slab_bytes_allocated += other.slab_bytes_allocated;
-        self.slab_bytes_freed += other.slab_bytes_freed;
-    }
-
-    /// Approximate live slab bytes over the drained window: allocations
-    /// minus frees, clamped at zero (a window can free nodes allocated
-    /// before it started — e.g. warm-store state dropped mid-run).
-    pub fn bytes_live(&self) -> u64 {
-        self.slab_bytes_allocated.saturating_sub(self.slab_bytes_freed)
-    }
-}
-
 /// Drains this thread's counters, resetting them to zero.
-pub fn take_stats() -> PmapStats {
-    PmapStats {
+pub fn take_stats() -> PmapCounters {
+    PmapCounters {
         nodes_allocated: NODES_ALLOCATED.with(|c| c.replace(0)),
         merge_calls: MERGE_CALLS.with(|c| c.replace(0)),
         root_shortcut_hits: ROOT_SHORTCUT_HITS.with(|c| c.replace(0)),

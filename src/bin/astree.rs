@@ -383,17 +383,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         Err(e) => {
-            // The source line too, to match against `analyze`'s alarms.
-            let mut line = None;
-            for f in &program.funcs {
-                astree::ir::stmt::for_each_stmt(&f.body, &mut |s| {
-                    if Some(s.id) == e.stmt() {
-                        line = Some(s.loc.line);
-                    }
-                });
-            }
-            let at = line.map_or(String::new(), |l| format!(" (line {l})"));
-            println!("run-time error after {} ticks: {e}{at}", interp.ticks());
+            println!("run-time error after {} ticks: {e}", interp.ticks());
             Ok(ExitCode::from(1))
         }
     }

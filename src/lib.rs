@@ -12,8 +12,9 @@
 //!   linearization (Sect. 6.2–6.3)
 //! - [`memory`] — the memory abstract domain (Sect. 6.1)
 //! - [`core`] — the iterator, fixpoint engine, packing, alarms (Sect. 5, 7),
-//!   and the worker pool the slices of a parallel analysis run on (one
-//!   queue, results in input order, à la Monniaux's parallel ASTRÉE)
+//!   and `scatter`, the scoped threads the slices of a parallel analysis
+//!   run on (one cursor, results in input order, à la Monniaux's parallel
+//!   ASTRÉE)
 //! - [`slicer`] — backward slicing for alarm inspection (Sect. 3.3)
 //! - [`gen`] — the synthetic periodic synchronous program family (Sect. 4)
 //! - [`obs`] — structured analysis telemetry (recorder, metrics schema)
@@ -23,7 +24,7 @@
 //!   with one job queue and a shared warm store, behind the unified
 //!   `FleetSession` API
 //! - [`serve`] — the one resident process, a module of [`fleet`]: it runs
-//!   fleet jobs on a warm pool and a shared invariant store for clients and
+//!   fleet jobs on a warm shared invariant store for clients and
 //!   coordinators alike (`astree-serve/2` wire protocol)
 //! - [`options`] — the CLI's flag tables, parse loop and `--help`
 

@@ -376,7 +376,9 @@ pub fn fuzz((corpus, output, fleet, run): &mut FuzzArgs) -> Command<'_> {
 
 /// `astree serve`'s own flags, and whether it serves stdin/stdout.
 pub const SERVE: &[Flag<(ServeOptions, bool)>] = &[
-    Flag::value("--jobs", "N", "pool workers (default 1)", |o, v| put(&mut o.0.jobs, count(v)?)),
+    Flag::value("--jobs", "N", "threads per analysis (default 1)", |o, v| {
+        put(&mut o.0.jobs, count(v)?)
+    }),
     Flag::value("--max-inflight", "N", "rejects requests past N (default 8)", |o, v| {
         put(&mut o.0.max_inflight, count(v)?)
     }),

@@ -7,6 +7,9 @@
 //! a per-statement allocation back into the loop shows here as a count,
 //! independent of how fast or loaded the host is.
 
+// A counting `GlobalAlloc` can only be written with `unsafe`.
+#![allow(unsafe_code)]
+
 use astree::core::{AnalysisConfig, AnalysisSession};
 use astree::frontend::Frontend;
 use astree::gen::{generate, GenConfig};

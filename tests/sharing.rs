@@ -87,7 +87,7 @@ fn sharing_flag_propagates_to_parallel_workers() {
         let (par_off, par_off_pmap) = run(&src, jobs, true);
         // The sharing contract is a *mode* differential: at a fixed worker
         // count, disabling every fast path must not change one observable
-        // bit. This is what proves the flag reached every pool thread.
+        // bit. This is what proves the flag reached every worker thread.
         assert_bit_identical(&format!("jobs={jobs} on-vs-off"), &par_on, &par_off);
         // Across worker counts the determinism contract (tests/parallel.rs)
         // covers alarms, census and the widening schedule; rendered float

@@ -350,44 +350,3 @@ fn sequential_sessions_never_spin_a_worker_pool() {
     let pool = m.scheduler.pool.expect("jobs=3 session records pool counters");
     assert_eq!(pool.workers, 3);
 }
-
-#[test]
-fn external_pool_sessions_report_per_run_deltas() {
-    // A resident service hands every session the same long-lived pool; the
-    // per-run pool counters must then be deltas over the run, not the
-    // pool's cumulative lifetime totals.
-    use astree::core::pool::WorkerPool;
-    let src = generate(&GenConfig { channels: 6, seed: 42, bug: None });
-    let p = Frontend::new().compile_str(&src).expect("compiles");
-    let pool = WorkerPool::new(4);
-    let mut cfg = AnalysisConfig::default();
-    cfg.jobs = 4;
-
-    let mut tasks_per_run = Vec::new();
-    let mut results = Vec::new();
-    for _ in 0..2 {
-        let c = Collector::new();
-        let result =
-            AnalysisSession::builder(&p).config(cfg.clone()).recorder(&c).pool(&pool).build().run();
-        let counters = c.snapshot().scheduler.pool.expect("pool counters recorded");
-        assert_eq!(counters.workers, 4);
-        tasks_per_run.push(counters.tasks);
-        results.push(result);
-    }
-    assert!(tasks_per_run[0] > 0, "the sliced dispatch runs pool tasks");
-    assert!(tasks_per_run[1] > 0, "the second run also runs pool tasks");
-    // Slices are cut when the block is planned, so both runs push the same
-    // tasks; cumulative reporting would make run 2 read twice run 1.
-    assert_eq!(tasks_per_run[0], tasks_per_run[1], "per-run task counts differ");
-    assert_eq!(
-        tasks_per_run[0] + tasks_per_run[1],
-        pool.stats().tasks,
-        "per-run pool counters must be deltas that sum to the lifetime total"
-    );
-    assert_eq!(results[0].alarms, results[1].alarms);
-    assert_eq!(
-        results[0].main_invariant.as_ref().map(|s| s.to_string()),
-        results[1].main_invariant.as_ref().map(|s| s.to_string()),
-        "shared-pool runs stay bit-identical"
-    );
-}
