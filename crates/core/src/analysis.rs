@@ -4,13 +4,13 @@
 //! all orthogonal options behind one `run()`.
 
 use crate::alarms::Alarm;
-use crate::cache::{packs_fingerprint, InvariantStore, StoreKey};
+use crate::cache::{InvariantStore, StoreKey};
 use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::Iter;
 use crate::packs::Packs;
 use crate::state::AbsState;
-use astree_ir::{globals_fingerprint, program_fingerprint, Program, StmtId};
+use astree_ir::{Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
 use astree_obs::{CacheCounters, Event, FrameCounters, Recorder, NULL};
 use std::collections::HashMap;
@@ -211,12 +211,7 @@ impl<'a> AnalysisSession<'a> {
         // before the lookup.
         let mut miss: Option<(&InvariantStore, StoreKey, CacheCounters)> = None;
         if let Some(store) = &self.cache {
-            let key = StoreKey {
-                layout_fp: globals_fingerprint(self.program),
-                packs_fp: packs_fingerprint(&packs),
-                config_fp: self.config.fingerprint(),
-                program_fp: program_fingerprint(self.program),
-            };
+            let key = StoreKey::new(self.program, &self.config);
             let store_before = store.counters();
             // A verbatim replay carries no per-statement states, so the
             // collection flag forces the full pipeline.

@@ -11,18 +11,20 @@
 //! what it found. A store therefore never changes a result, only how long it
 //! takes to get it.
 //!
-//! A result is identified by four fingerprints, all of them in its file name
-//! ([`StoreKey::file_name`]) and repeated in its header: the *exact* program
-//! fingerprint ([`astree_ir::program_fingerprint`], which covers statement
-//! ids and source lines), and three guards under which the stored invariant
-//! was encoded — the cell-layout fingerprint (a state names cells by id),
-//! the pack-structure fingerprint (octagon matrices and tree shapes are
-//! indexed by pack) and the analysis-relevant configuration fingerprint
-//! ([`crate::AnalysisConfig::fingerprint`] — see `DESIGN.md` for what is
-//! deliberately left out). The program fingerprint alone determines the
-//! other two of a given build; they stay because they catch a store written
-//! by a build whose layout or pack discovery differs. The directory is the map: a lookup
-//! reads one file, a run writes one, eviction removes whole results.
+//! A result is identified by three fingerprints, all of them in its file name
+//! ([`StoreKey::file_name`]) and repeated in its header: the analyzer id
+//! ([`ANALYZER_ID`], a hash of the source of the crates that compute and
+//! encode invariants, fixed by `build.rs`), the analysis-relevant
+//! configuration fingerprint ([`crate::AnalysisConfig::fingerprint`] — see
+//! `DESIGN.md` for what is deliberately left out) and the *exact* program
+//! fingerprint ([`astree_ir::program_fingerprint`], which covers the
+//! variable and record tables, statement ids and source lines). The cell
+//! layout and the packs a stored state is indexed by are functions of these
+//! three, and the decoder still checks every cell and pack against the
+//! current ones. A build whose analyzer source differs reads none of another
+//! build's results: a soundness fix misses the whole store. The directory is
+//! the map: a lookup reads one file, a run writes one, eviction removes whole
+//! results.
 //!
 //! The on-disk format ([`CACHE_FORMAT`]) is a line-oriented text format with
 //! `f64` values stored as IEEE bit patterns, so every value round-trips
@@ -33,10 +35,11 @@
 use crate::alarms::{Alarm, AlarmKind};
 use crate::analysis::AnalysisStats;
 use crate::census::Census;
+use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
-use astree_ir::{Fnv, Loc, ScalarType, StmtId};
+use astree_ir::{program_fingerprint, Loc, Program, ScalarType, StmtId};
 use astree_memory::{CellId, CellLayout, CellVal};
 use astree_obs::CacheCounters;
 use std::fmt::Write as _;
@@ -46,66 +49,26 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// The format identifier on the first line of every store file.
-/// `/3`: one result per file, named by all four fingerprints. Files of
-/// earlier formats carry other names and are never opened. `/4`: the
-/// `stats` line ends with the loops that ran out of their iteration budget
-/// (a `/3` file of the same name reads as corrupt: a miss, then rewritten).
-pub const CACHE_FORMAT: &str = "astree-cache/4";
+/// `/3`: one result per file, named by its fingerprints. `/4`: the `stats`
+/// line ends with the loops that ran out of their iteration budget. `/5`:
+/// the key is the analyzer id, the configuration and the program; files of
+/// earlier formats carry other names and are never opened.
+pub const CACHE_FORMAT: &str = "astree-cache/5";
+
+include!(concat!(env!("OUT_DIR"), "/analyzer_id.rs"));
 
 // ---------------------------------------------------------------------------
-// Fingerprints
+// Keys
 // ---------------------------------------------------------------------------
 
-/// Fingerprint of the discovered pack *structure*: the member cells of each
-/// octagon and decision-tree pack and the `(a, b, x, y, tmp)` shape of each
-/// filter, in pack-index order. Stored states index their relational
-/// components by pack, so any structural drift must select a different cache
-/// file. Statement ids (`start_stmt`/`commit_stmt`) are deliberately *not*
-/// hashed: they are renumbered by unrelated edits but do not affect what a
-/// stored filter bound means.
-pub fn packs_fingerprint(packs: &Packs) -> u64 {
-    let mut h = Fnv::new();
-    h.str("astree-packs");
-    h.usize(packs.octagons.len());
-    for p in &packs.octagons {
-        h.usize(p.cells.len());
-        for c in &p.cells {
-            h.u32(c.0);
-        }
-    }
-    h.usize(packs.dtrees.len());
-    for p in &packs.dtrees {
-        h.usize(p.bools.len());
-        for c in &p.bools {
-            h.u32(c.0);
-        }
-        h.usize(p.nums.len());
-        for c in &p.nums {
-            h.u32(c.0);
-        }
-    }
-    h.usize(packs.ellipses.len());
-    for e in &packs.ellipses {
-        h.f64(e.a);
-        h.f64(e.b);
-        h.u32(e.x.0);
-        h.u32(e.y.0);
-        h.u32(e.tmp.0);
-    }
-    h.finish()
-}
-
-/// The identity of one stored result: the exact program and the three guard
-/// fingerprints its invariant was encoded under. A state can only be decoded
-/// against the exact cell layout, pack structure and configuration it was
-/// encoded with.
+/// The identity of one stored result: the analyzer that computed it, the
+/// configuration and the exact program. A state can only be decoded against
+/// the exact cell layout and pack structure it was encoded with, and these
+/// three determine both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreKey {
-    /// [`astree_ir::globals_fingerprint`] of the program's variable table
-    /// (determines the cell layout).
-    pub layout_fp: u64,
-    /// [`packs_fingerprint`] of the discovered packs.
-    pub packs_fp: u64,
+    /// [`ANALYZER_ID`] of the build that stored the result.
+    pub analyzer: u64,
     /// [`crate::AnalysisConfig::fingerprint`] of the analysis configuration.
     pub config_fp: u64,
     /// [`astree_ir::program_fingerprint`] of the program.
@@ -113,16 +76,22 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
+    /// The key this build stores `program` under with `config`.
+    pub fn new(program: &Program, config: &AnalysisConfig) -> StoreKey {
+        StoreKey {
+            analyzer: ANALYZER_ID,
+            config_fp: config.fingerprint(),
+            program_fp: program_fingerprint(program),
+        }
+    }
+
     /// The on-disk file name for this key (also its wire name for remote
     /// store sync).
     pub fn file_name(&self) -> String {
-        format!(
-            "k-{:016x}-{:016x}-{:016x}-{:016x}.astc",
-            self.layout_fp, self.packs_fp, self.config_fp, self.program_fp
-        )
+        format!("k-{:016x}-{:016x}-{:016x}.astc", self.analyzer, self.config_fp, self.program_fp)
     }
 
-    /// The key a well-formed store file name (`k-<4 × hex64>.astc`) stands
+    /// The key a well-formed store file name (`k-<3 × hex64>.astc`) stands
     /// for; `None` for any other name.
     fn from_file_name(name: &str) -> Option<StoreKey> {
         let body = name.strip_prefix("k-")?.strip_suffix(".astc")?;
@@ -133,8 +102,7 @@ impl StoreKey {
             u64::from_str_radix(g, 16).ok().filter(|_| printed)
         });
         let mut fp = || groups.next().flatten();
-        let key =
-            StoreKey { layout_fp: fp()?, packs_fp: fp()?, config_fp: fp()?, program_fp: fp()? };
+        let key = StoreKey { analyzer: fp()?, config_fp: fp()?, program_fp: fp()? };
         groups.next().is_none().then_some(key)
     }
 }
@@ -797,11 +765,8 @@ fn serialize_result(
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{CACHE_FORMAT}");
-    let _ = writeln!(
-        out,
-        "key {:016x} {:016x} {:016x} {:016x}",
-        key.layout_fp, key.packs_fp, key.config_fp, key.program_fp
-    );
+    let _ =
+        writeln!(out, "key {:016x} {:016x} {:016x}", key.analyzer, key.config_fp, key.program_fp);
     let _ = writeln!(out, "alarms {}", alarms.len());
     for a in alarms {
         let _ = writeln!(
@@ -861,8 +826,7 @@ fn parse_result(
     }
     let mut t = toks(lines.next()?);
     if t.tok()? != "key"
-        || t.hex64()? != key.layout_fp
-        || t.hex64()? != key.packs_fp
+        || t.hex64()? != key.analyzer
         || t.hex64()? != key.config_fp
         || t.hex64()? != key.program_fp
     {
@@ -922,7 +886,6 @@ fn parse_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AnalysisConfig;
     use astree_frontend::Frontend;
     use astree_memory::LayoutConfig;
 
@@ -953,15 +916,6 @@ mod tests {
         let layout = CellLayout::new(program, &LayoutConfig::default());
         let packs = Packs::discover(program, &layout, config);
         (layout, packs)
-    }
-
-    fn key_of(program: &astree_ir::Program, config: &AnalysisConfig, packs: &Packs) -> StoreKey {
-        StoreKey {
-            layout_fp: astree_ir::globals_fingerprint(program),
-            packs_fp: packs_fingerprint(packs),
-            config_fp: config.fingerprint(),
-            program_fp: astree_ir::program_fingerprint(program),
-        }
     }
 
     fn roundtrip(st: &AbsState, layout: &CellLayout, packs: &Packs) -> AbsState {
@@ -1097,7 +1051,7 @@ mod tests {
     fn stored_sample() -> (StoreKey, String, CellLayout, Packs) {
         let (program, config) = sample();
         let (layout, packs) = shapes(&program, &config);
-        let key = key_of(&program, &config, &packs);
+        let key = StoreKey::new(&program, &config);
         let r = crate::analysis::AnalysisSession::builder(&program).build().run();
         let text =
             serialize_result(&key, &r.alarms, r.main_census, r.main_invariant.as_ref(), &r.stats);
@@ -1181,8 +1135,8 @@ mod tests {
         assert!(stale.exists());
     }
 
-    /// A result is one file under a name made of its four fingerprints;
-    /// names of earlier formats (`k-` with three groups, `p-`) are not store
+    /// A result is one file under a name made of its three fingerprints;
+    /// names of earlier formats (`k-` with four groups, `p-`) are not store
     /// files: never listed, exported, imported or opened.
     #[test]
     fn one_result_per_file_and_older_files_are_ignored() {
@@ -1191,20 +1145,20 @@ mod tests {
         assert_eq!(StoreKey::from_file_name(&name), Some(key));
         let g = "0123456789abcdef";
         for bad in [
-            format!("k-{g}-{g}-{g}.astc"),
+            format!("k-{g}-{g}.astc"),
+            format!("k-{g}-{g}-{g}-{g}.astc"),
             format!("p-{g}.astc"),
-            format!("k-{g}-{g}-{g}-{g}-{g}.astc"),
-            format!("k-{g}-{g}-{g}-{}.astc", g.to_uppercase()),
-            format!("k-{g}-{g}-{g}-+123456789abcdef.astc"),
-            format!("k-{g}-{g}-{g}-{g}.astc.tmp"),
-            format!("../k-{g}-{g}-{g}-{g}.astc"),
+            format!("k-{g}-{g}-{}.astc", g.to_uppercase()),
+            format!("k-{g}-{g}-+123456789abcdef.astc"),
+            format!("k-{g}-{g}-{g}.astc.tmp"),
+            format!("../k-{g}-{g}-{g}.astc"),
         ] {
             assert!(!valid_store_file_name(&bad), "{bad}");
         }
 
         let store = temp_store("one-file");
-        let old = format!("k-{g}-{g}-{g}.astc");
-        std::fs::write(store.dir().join(&old), "astree-cache/2\nend\n").expect("writes");
+        let old = format!("k-{g}-{g}-{g}-{g}.astc");
+        std::fs::write(store.dir().join(&old), "astree-cache/4\nend\n").expect("writes");
         assert!(store.import_file(&name, &text));
         assert!(!store.import_file(&name, &text), "the same bytes again change nothing");
         assert!(!store.import_file(&old, &text) && store.export_file(&old).is_none());
@@ -1214,6 +1168,22 @@ mod tests {
         // A file under another result's name is not that result.
         let other = StoreKey { program_fp: key.program_fp ^ 1, ..key };
         assert!(!store.import_file(&other.file_name(), &text));
+        assert_eq!(store.counters().corrupt_files, 0);
+    }
+
+    /// A result another build of the analyzer stored is never this build's:
+    /// its name differs, so the lookup is a clean miss, not a corrupt file.
+    #[test]
+    fn another_analyzers_result_is_a_clean_miss() {
+        let (key, text, layout, packs) = stored_sample();
+        assert_eq!(key.analyzer, ANALYZER_ID);
+        let older = StoreKey { analyzer: key.analyzer ^ 1, ..key };
+        let store = temp_store("other-analyzer");
+        let header = format!("key {:016x}", key.analyzer);
+        let theirs = text.replace(&header, &format!("key {:016x}", older.analyzer));
+        assert!(store.import_file(&older.file_name(), &theirs));
+        assert!(store.lookup_full(&older, &layout, &packs).is_some(), "theirs is well formed");
+        assert!(store.lookup_full(&key, &layout, &packs).is_none());
         assert_eq!(store.counters().corrupt_files, 0);
     }
 }

@@ -36,20 +36,12 @@ impl Frame {
     }
 }
 
-/// Why a call statement runs on the caller's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Whole {
-    /// The callee may tick the clock: every clocked value in the state moves.
-    Wait,
-    /// The callee's call tree is deeper than the syntactic walk follows.
-    DepthCap,
-}
-
-/// What a depth-0 call statement runs on.
+/// What a depth-0 call statement runs on: a frame, or the caller's whole
+/// state, for the reason its touched cells are unbounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum FrameChoice {
     Framed(Frame),
-    Whole(Whole),
+    Whole(Unbounded),
 }
 
 /// The frame of every call statement the entry function executes at depth 0
@@ -76,8 +68,7 @@ impl Frames {
         for_each_stmt(&program.func(program.entry).body, &mut |s| {
             let StmtKind::Call(ret, callee, args) = &s.kind else { return };
             let choice = match call_touched_cells(program, layout, ret.as_ref(), *callee, args) {
-                Err(Unbounded::Wait) => FrameChoice::Whole(Whole::Wait),
-                Err(Unbounded::DepthCap) => FrameChoice::Whole(Whole::DepthCap),
+                Err(why) => FrameChoice::Whole(why),
                 Ok(touched) => FrameChoice::Framed(close_under_packs(
                     program,
                     layout,

@@ -19,8 +19,9 @@
 
 use crate::alarms::AlarmSink;
 use crate::config::AnalysisConfig;
-use crate::frames::{FrameChoice, Frames, Whole};
+use crate::frames::{FrameChoice, Frames};
 use crate::packs::Packs;
+use crate::parallel::Unbounded;
 use crate::solve::{solve, LoopRec, Pass, Solved};
 use crate::state::{float_view, meet_cell_with_float, AbsState, DTree, PackEnv};
 use crate::substitute::substitute_block;
@@ -992,8 +993,8 @@ impl<'a> Iter<'a> {
             Some(FrameChoice::Framed(frame)) => frame,
             Some(FrameChoice::Whole(why)) => {
                 let n = match why {
-                    Whole::Wait => &mut self.stats.frames.calls_whole_wait,
-                    Whole::DepthCap => &mut self.stats.frames.calls_whole_depth_cap,
+                    Unbounded::Wait => &mut self.stats.frames.calls_whole_wait,
+                    Unbounded::DepthCap => &mut self.stats.frames.calls_whole_depth_cap,
                 };
                 *n += 1;
                 return self.inline_call(state, callee, args, ret, s, depth);

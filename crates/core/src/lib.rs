@@ -70,7 +70,7 @@ pub use alarms::{Alarm, AlarmKind};
 pub use analysis::{
     AnalysisResult, AnalysisSession, AnalysisSessionBuilder, AnalysisStats, CacheReport,
 };
-pub use cache::{packs_fingerprint, InvariantStore, StoreKey};
+pub use cache::{InvariantStore, StoreKey};
 pub use census::{under_constrained_vars, Census, CensusEntry};
 pub use config::{AnalysisConfig, Flag, Takes};
 pub use packs::{DtreePack, EllipsePack, OctPack, Packs};

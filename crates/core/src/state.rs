@@ -56,22 +56,6 @@ impl PackEnv {
         }
         out
     }
-
-    /// Meets a member cell with a value.
-    #[must_use]
-    pub fn meet_cell(&self, cell: CellId, val: CellVal) -> PackEnv {
-        match self.get(cell) {
-            Some(old) => {
-                let m = old.meet(&val);
-                let mut out = self.set(cell, m);
-                if m.is_bottom() {
-                    out.unreachable = true;
-                }
-                out
-            }
-            None => self.clone(),
-        }
-    }
 }
 
 impl Lattice for PackEnv {

@@ -26,8 +26,7 @@ use std::fmt;
 /// assert!(Ellipsoid::stable(1.5, 0.7));
 /// let e = Ellipsoid::new(1.5, 0.7, 100.0);
 /// // One filter step with |t| ≤ 1 keeps k bounded.
-/// let e2 = e.filter_update(1.0);
-/// assert!(e2.k.is_finite());
+/// assert!(e.delta(1.0).is_finite());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ellipsoid {
@@ -100,14 +99,6 @@ impl Ellipsoid {
         round::mul_up(s, s)
     }
 
-    /// Transfer for the filter assignment: returns the constraint holding
-    /// between `(X', X)` after `X' := aX − bY + t` given this constraint on
-    /// `(X, Y)`.
-    #[must_use]
-    pub fn filter_update(self, t_max: f64) -> Ellipsoid {
-        Ellipsoid { k: self.delta(t_max), ..self }
-    }
-
     /// Reduction from the interval component: the supremum of the quadratic
     /// form over the box `x × y` refines `k` (the form is convex, so the
     /// supremum is attained at a corner).
@@ -127,19 +118,6 @@ impl Ellipsoid {
             }
         }
         Ellipsoid { k: self.k.min(sup.max(0.0)), ..self }
-    }
-
-    /// Refinement when `X = Y` is known: `(1 − a + b)·X² ≤ k` (paper's
-    /// special reinitialization case).
-    #[must_use]
-    pub fn reduce_equal_vars(self, x: FloatItv) -> Ellipsoid {
-        if x.is_bottom() || !x.lo.is_finite() || !x.hi.is_finite() {
-            return self;
-        }
-        let c = round::add_up(round::sub_up(1.0, self.a), self.b);
-        let m = x.lo.abs().max(x.hi.abs());
-        let k = round::mul_up(c.max(0.0), round::mul_up(m, m));
-        Ellipsoid { k: self.k.min(k), ..self }
     }
 
     /// Upward-rounded evaluation of `x² − a·x·y + b·y²`.
@@ -293,17 +271,6 @@ mod tests {
         assert!(r.k.is_finite());
         // sup over the box of x²−1.5xy+0.7y² is at a corner: 1+1.5+0.7 = 3.2.
         assert!(r.k <= 3.2 + 1e-9 && r.k >= 3.2 - 1e-9, "{}", r.k);
-    }
-
-    #[test]
-    fn equal_vars_reduction_is_tighter() {
-        let e = Ellipsoid::top(A, B);
-        let x = FloatItv::new(-2.0, 2.0);
-        let eq = e.reduce_equal_vars(x);
-        let gen = e.reduce_from_box(x, x);
-        assert!(eq.k <= gen.k);
-        // (1 − 1.5 + 0.7)·4 = 0.8.
-        assert!(eq.k <= 0.8 + 1e-9);
     }
 
     #[test]

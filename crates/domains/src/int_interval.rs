@@ -72,11 +72,6 @@ impl IntItv {
         self.lo > self.hi
     }
 
-    /// `true` for [−∞, +∞].
-    pub fn is_top(self) -> bool {
-        self.lo == NEG && self.hi == POS
-    }
-
     /// `true` if `v` is in the interval.
     pub fn contains(self, v: i64) -> bool {
         self.lo <= v && v <= self.hi
@@ -488,7 +483,7 @@ mod tests {
         assert!(a.bitor(b).hi <= 15);
         assert_eq!(a.bitxor(b).lo, 0);
         // Negative operands degrade to top.
-        assert!(IntItv::new(-1, 1).bitand(b).is_top());
+        assert_eq!(IntItv::new(-1, 1).bitand(b), IntItv::TOP);
     }
 
     #[test]

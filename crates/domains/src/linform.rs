@@ -90,11 +90,6 @@ impl<K: Ord + Clone> LinForm<K> {
         self.terms.iter()
     }
 
-    /// Number of variables with non-zero coefficient.
-    pub fn num_vars(&self) -> usize {
-        self.terms.len()
-    }
-
     /// `true` when the form is a plain constant.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
@@ -108,15 +103,6 @@ impl<K: Ord + Clone> LinForm<K> {
         }
         let (k, c) = self.terms.iter().next().expect("one term");
         (c.lo == 1.0 && c.hi == 1.0).then_some((k, self.cst))
-    }
-
-    /// `Some((v, c))` when the form is exactly `−1·v + c`.
-    pub fn as_neg_var_plus_const(&self) -> Option<(&K, FloatItv)> {
-        if self.terms.len() != 1 {
-            return None;
-        }
-        let (k, c) = self.terms.iter().next().expect("one term");
-        (c.lo == -1.0 && c.hi == -1.0).then_some((k, self.cst))
     }
 
     /// `self + other`.
@@ -175,12 +161,6 @@ impl<K: Ord + Clone> LinForm<K> {
             acc = iadd(acc, imul(*c, lookup(k)));
         }
         acc
-    }
-
-    /// Collapses the form to its interval value (used when a non-linear
-    /// operator needs an interval argument).
-    pub fn to_interval(&self, lookup: impl Fn(&K) -> FloatItv) -> FloatItv {
-        self.eval(lookup)
     }
 
     /// Absorbs the floating-point rounding error of evaluating this form at
@@ -265,7 +245,6 @@ mod tests {
         assert_eq!(*v, "Y");
         assert_eq!(c, FloatItv::new(1.0, 2.0));
         let neg = y.neg().add(&LinForm::constant(FloatItv::singleton(0.0)));
-        assert!(neg.as_neg_var_plus_const().is_some());
         assert!(neg.as_unit_var_plus_const().is_none());
     }
 

@@ -398,11 +398,6 @@ impl Octagon {
         Octagon { n, buf, closure: Closure::Closed }
     }
 
-    /// Number of variables in the pack.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
     /// The live canonical slots.
     #[inline(always)]
     fn hm(&self) -> &[f64] {

@@ -7,11 +7,10 @@
 //! cheap to keep: a job's outcome depends only on its spec and the base
 //! configuration, never on which process ran it.
 
-use crate::job::{JobOutcome, JobSpec, JobStatus, OracleJob};
+use crate::job::{JobOutcome, JobSpec, JobStatus};
 use astree_core::{panic_message, AnalysisConfig, AnalysisSession, InvariantStore};
 use astree_frontend::Frontend;
 use astree_obs::Recorder;
-use astree_oracle::{run_member, OracleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,10 +29,9 @@ pub struct ExecContext<'a> {
 /// [`JobStatus::Failed`]; panics propagate (see [`execute_contained`]).
 pub fn execute(spec: &JobSpec, ctx: &ExecContext<'_>) -> JobOutcome {
     let t0 = Instant::now();
-    let mut out = match (spec.config(ctx.config), &spec.oracle) {
-        (Err(e), _) => failed(format!("overrides: {e}")),
-        (Ok(config), Some(oracle)) => oracle_job(oracle, config),
-        (Ok(config), None) => analysis_job(spec, config, ctx),
+    let mut out = match spec.config(ctx.config) {
+        Err(e) => failed(format!("overrides: {e}")),
+        Ok(config) => analysis_job(spec, config, ctx),
     };
     out.name = spec.name.clone();
     out.wall = t0.elapsed();
@@ -83,32 +81,9 @@ fn analysis_job(spec: &JobSpec, config: AnalysisConfig, ctx: &ExecContext<'_>) -
     out
 }
 
-fn oracle_job(oracle: &OracleJob, analysis: AnalysisConfig) -> JobOutcome {
-    let cfg = OracleConfig {
-        members: 1,
-        seeds: oracle.seeds,
-        ticks: oracle.ticks,
-        max_steps: oracle.max_steps,
-        shrink: oracle.shrink,
-        analysis,
-        debug_tighten_cell: oracle.debug_tighten_cell.clone(),
-        ..OracleConfig::default()
-    };
-    match run_member(&oracle.spec, &cfg) {
-        Ok(member) => {
-            let mut out = JobOutcome::empty("", JobStatus::Done);
-            out.alarms = Some(member.alarms.values().map(|&n| n as usize).sum());
-            out.oracle = Some(member);
-            out
-        }
-        Err(e) => failed(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astree_oracle::MemberSpec;
 
     fn base_ctx(config: &AnalysisConfig) -> ExecContext<'_> {
         ExecContext { config, cache: None, recorder: None }
@@ -133,23 +108,5 @@ mod tests {
         let out = execute(&spec, &base_ctx(&config));
         assert_eq!(out.status, JobStatus::Failed);
         assert!(out.detail.unwrap().contains("compile error"));
-    }
-
-    #[test]
-    fn oracle_job_runs_a_member() {
-        let mut spec = JobSpec::new("m", "");
-        spec.oracle = Some(OracleJob {
-            spec: MemberSpec { channels: 1, gen_seed: 1, bug: None, knobs: Default::default() },
-            seeds: 1,
-            ticks: 4,
-            max_steps: 200_000,
-            shrink: false,
-            debug_tighten_cell: None,
-        });
-        let config = AnalysisConfig::default();
-        let out = execute(&spec, &base_ctx(&config));
-        assert_eq!(out.status, JobStatus::Done, "detail: {:?}", out.detail);
-        let member = out.oracle.unwrap();
-        assert!(member.executions >= 1);
     }
 }

@@ -1,42 +1,31 @@
 //! The one job shape every fan-out surface shares.
 //!
-//! `astree batch`, the serve daemon's `run` requests and the fuzz
-//! campaign used to carry three private job structs; they all now submit
+//! `astree batch` and the serve daemon's `run` requests submit
 //! [`JobSpec`]s and get [`JobOutcome`]s back, so the wire protocol, the
-//! campaign reports and the CLI cannot drift on spelling or shape.
+//! reports and the CLI cannot drift on spelling or shape. Every job is an
+//! analysis.
 
 use astree_core::AnalysisConfig;
 use astree_obs::{FleetCounters, Json};
-use astree_oracle::{MemberOutcome, MemberSpec};
 use std::time::Duration;
 
-/// One fleet job: a named source plus per-job configuration overrides, and
-/// optionally an oracle payload turning the job into a fuzz-campaign member.
+/// One fleet job: a named source plus per-job configuration overrides.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Display name (file name, generated-program identifier, or member
-    /// label).
+    /// Display name (file name or generated-program identifier).
     pub name: String,
-    /// C source text (derived from the member spec for oracle jobs).
+    /// C source text.
     pub source: String,
     /// Per-job overrides of the fleet's base configuration: a partial
     /// [`AnalysisConfig::to_json`] object, in the configuration's own keys,
     /// applied with [`AnalysisConfig::patch`]. `{}` keeps the base.
     pub overrides: Json,
-    /// When set, the job runs the differential soundness oracle on this
-    /// member instead of a plain analysis.
-    pub oracle: Option<OracleJob>,
 }
 
 impl JobSpec {
     /// A plain analysis job with no overrides.
     pub fn new(name: impl Into<String>, source: impl Into<String>) -> JobSpec {
-        JobSpec {
-            name: name.into(),
-            source: source.into(),
-            overrides: Json::Obj(Vec::new()),
-            oracle: None,
-        }
+        JobSpec { name: name.into(), source: source.into(), overrides: Json::Obj(Vec::new()) }
     }
 
     /// The configuration this job runs under: `base` with the overrides
@@ -48,28 +37,9 @@ impl JobSpec {
     }
 }
 
-/// The oracle payload of a fuzz-campaign job: the member to analyze plus
-/// the per-member campaign parameters (the corpus-level parameters stay
-/// with the caller).
-#[derive(Debug, Clone)]
-pub struct OracleJob {
-    /// The corpus member.
-    pub spec: MemberSpec,
-    /// Execution seeds fuzzed against the member.
-    pub seeds: u64,
-    /// Clock ticks per execution.
-    pub ticks: u64,
-    /// Interpreter step budget per execution.
-    pub max_steps: u64,
-    /// Shrink counterexamples before reporting.
-    pub shrink: bool,
-    /// Fault injection for tests (see `OracleConfig::debug_tighten_cell`).
-    pub debug_tighten_cell: Option<String>,
-}
-
 /// How a fleet job ended. Serialized exclusively through [`JobStatus::slug`]
-/// / [`JobStatus::from_slug`], so the serve wire protocol, campaign reports
-/// and the CLI all spell outcomes identically.
+/// / [`JobStatus::from_slug`], so the serve wire protocol, the reports and
+/// the CLI all spell outcomes identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JobStatus {
     /// The job ran to completion.
@@ -143,8 +113,6 @@ pub struct JobOutcome {
     pub resent: u32,
     /// Error detail for failed jobs (panic message or compile error).
     pub detail: Option<String>,
-    /// Oracle outcome, for fuzz-campaign jobs that completed.
-    pub oracle: Option<MemberOutcome>,
 }
 
 impl JobOutcome {
@@ -162,7 +130,6 @@ impl JobOutcome {
             worker: 0,
             resent: 0,
             detail: None,
-            oracle: None,
         }
     }
 }
@@ -203,7 +170,7 @@ impl FleetReport {
     }
 
     /// A deterministic rendering of the run's *results* — names, statuses,
-    /// alarms, invariants, censuses and oracle outcomes in submission order
+    /// alarms, invariants and censuses in submission order
     /// — excluding everything scheduling-dependent (wall times, worker
     /// indices, re-send counts, cache hits). Two runs of the same fleet at
     /// any worker count must produce byte-identical stable reports; the
@@ -232,21 +199,6 @@ impl FleetReport {
             }
             if let Some(d) = &o.detail {
                 out.push_str(&format!("detail {}\n", d.replace('\n', " ")));
-            }
-            if let Some(m) = &o.oracle {
-                out.push_str(&format!(
-                    "oracle executions={} states={} inconclusive={}\n",
-                    m.executions, m.states_checked, m.inconclusive
-                ));
-                for (k, n) in &m.alarms {
-                    out.push_str(&format!("oracle-alarm {k} {n}\n"));
-                }
-                for d in &m.divergences {
-                    out.push_str(&format!(
-                        "oracle-divergence seed={} stmt={} tick={} shrunk={} {:?}\n",
-                        d.exec_seed, d.stmt, d.tick, d.shrunk, d.kind
-                    ));
-                }
             }
         }
         out

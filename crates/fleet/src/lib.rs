@@ -3,9 +3,9 @@
 //! one resident process, which serves the same jobs to clients and
 //! coordinators alike.
 //!
-//! The analyzer's fan-out surfaces — `astree batch`, the serve daemon's
-//! `run` request, and `astree fuzz` — all describe their work as
-//! [`JobSpec`]s and run them through a [`FleetSession`]:
+//! The analyzer's fan-out surfaces — `astree batch` and the serve daemon's
+//! `run` request — describe their work as [`JobSpec`]s, each one analysis,
+//! and run them through a [`FleetSession`]:
 //!
 //! ```
 //! use astree_fleet::{FleetSession, JobSpec};
@@ -39,8 +39,7 @@
 //!   the store exchange ([`Transport`], [`ProcessTransport`],
 //!   [`SocketTransport`]);
 //! - [`session`]: the [`FleetSession`] builder tying it together;
-//! - [`corpus`]: fleet construction for generated members and oracle
-//!   campaigns;
+//! - [`corpus`]: fleet construction for generated members;
 //! - [`serve`]: the resident process (`astree-serve/2`): one connection
 //!   loop for sockets and stdio, and its client.
 
@@ -54,8 +53,8 @@ pub mod session;
 pub mod wire;
 
 pub use coordinator::{run_fleet, FleetConfig, ProcessTransport, SocketTransport, Transport};
-pub use corpus::{campaign_from_outcomes, campaign_jobs, generated_jobs};
+pub use corpus::generated_jobs;
 pub use exec::{execute, ExecContext};
-pub use job::{FleetReport, JobOutcome, JobSpec, JobStatus, OracleJob};
+pub use job::{FleetReport, JobOutcome, JobSpec, JobStatus};
 pub use proto::{read_frame, write_frame, Conn, Endpoint, MAX_FRAME};
 pub use session::{FleetOptions, FleetSession, FleetSessionBuilder};

@@ -1,6 +1,6 @@
 //! The unified Fleet API: one builder for every fan-out surface.
 //!
-//! `astree batch`, the serve daemon's `run` request, and `astree fuzz` all
+//! `astree batch` and the serve daemon's `run` request both
 //! construct a [`FleetSession`] and call [`FleetSessionBuilder::run`]. The
 //! builder decides the execution strategy from its distribution knobs:
 //!
@@ -45,8 +45,8 @@ impl FleetSession {
 /// Where a fleet's jobs run: the distribution knobs of a
 /// [`FleetSessionBuilder`], set one at a time by its methods (which say what
 /// each does; a field without a method says it here) or all at once by
-/// [`FleetSessionBuilder::fleet`], as `astree batch` and `astree fuzz` do
-/// from their fleet flags.
+/// [`FleetSessionBuilder::fleet`], as `astree batch` does from its fleet
+/// flags.
 #[derive(Debug, Default, Clone)]
 pub struct FleetOptions {
     pub workers: usize,

@@ -6,8 +6,9 @@
 //! every analysis-visible detail *including* statement ids, loop ids and
 //! source locations. Two programs with equal exact fingerprints produce
 //! byte-identical analysis results (alarms carry statement ids and lines,
-//! so those must match for a stored result to be replayable verbatim).
-//! [`globals_fingerprint`] covers what determines the cell layout.
+//! so those must match for a stored result to be replayable verbatim). It
+//! also covers the variable and record tables, which determine the cell
+//! layout.
 //!
 //! The **stable** per-function closure fingerprints ([`func_fingerprints`],
 //! [`parametric_fingerprints`]) exclude statement ids, loop ids and
@@ -530,24 +531,6 @@ fn closure_fp(
     fp
 }
 
-/// Fingerprint of everything that determines the abstract cell layout: the
-/// full variable table (names, types, storage classes, input ranges) and the
-/// record table, in order.
-///
-/// A stored invariant names cells by id; it is only meaningful against the
-/// layout it was computed with, so this hash gates all reuse.
-pub fn globals_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv::new();
-    h.usize(program.vars.len());
-    for v in &program.vars {
-        h.str(&v.name);
-        hash_type(&mut h, &v.ty, &program.records);
-        h.byte(v.kind as u8);
-        hash_input_range(&mut h, v.volatile_input);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,7 +571,6 @@ mod tests {
         let p = two_func_program();
         assert_eq!(program_fingerprint(&p), program_fingerprint(&p));
         assert_eq!(func_fingerprints(&p), func_fingerprints(&p));
-        assert_eq!(globals_fingerprint(&p), globals_fingerprint(&p));
     }
 
     #[test]
@@ -668,7 +650,6 @@ mod tests {
 
         assert_eq!(func_fingerprints(&a)[0], func_fingerprints(&b)[0]);
         assert_ne!(program_fingerprint(&a), program_fingerprint(&b));
-        assert_ne!(globals_fingerprint(&a), globals_fingerprint(&b));
     }
 
     #[test]

@@ -24,8 +24,7 @@ pub mod types;
 
 pub use expr::{Access, Binop, Expr, FloatBits, Lvalue, Unop};
 pub use fingerprint::{
-    canon_ident, channel_tag, func_fingerprints, globals_fingerprint, parametric_fingerprints,
-    program_fingerprint, Fnv,
+    canon_ident, channel_tag, func_fingerprints, parametric_fingerprints, program_fingerprint, Fnv,
 };
 pub use interp::{
     is_persistent, CellKey, ExecError, InputProvider, Interp, InterpConfig, RuntimeEvent,

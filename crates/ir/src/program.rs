@@ -139,11 +139,6 @@ impl Program {
         &self.funcs[id.0 as usize]
     }
 
-    /// Finds a function by name.
-    pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
-    }
-
     /// Finds a variable by name.
     pub fn var_by_name(&self, name: &str) -> Option<VarId> {
         self.vars.iter().position(|v| v.name == name).map(|i| VarId(i as u32))
@@ -166,15 +161,6 @@ impl Program {
             };
         }
         t
-    }
-
-    /// The scalar type of a scalar l-value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the l-value is not scalar.
-    pub fn lvalue_scalar_type(&self, lv: &Lvalue) -> ScalarType {
-        self.lvalue_type(lv).as_scalar().expect("l-value is not scalar")
     }
 
     /// Re-numbers every statement id so they are unique across the program,
@@ -572,7 +558,7 @@ mod tests {
             volatile_input: None,
         });
         let lv = Lvalue::index(arr, Expr::int(2));
-        assert_eq!(p.lvalue_scalar_type(&lv), ScalarType::Float(FloatKind::F64));
+        assert_eq!(p.lvalue_type(&lv).as_scalar(), Some(ScalarType::Float(FloatKind::F64)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::contain::{render_abs, render_value, value_in, CellTable, PreparedInvariants};
 use crate::shrink::shrink_divergence;
-use astree_core::{AlarmKind, AnalysisConfig, AnalysisSession};
+use astree_core::{panic_message, scatter, AlarmKind, AnalysisConfig, AnalysisSession};
 use astree_frontend::Frontend;
 use astree_gen::{generate_with, BugKind, GenConfig, StructKnobs};
 use astree_ir::{
@@ -13,6 +13,8 @@ use astree_ir::{
 use astree_memory::{CellLayout, LayoutConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 /// One member of the fuzzing corpus.
@@ -141,7 +143,7 @@ pub struct Divergence {
 }
 
 /// Outcome of one member's analysis + fuzzing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemberOutcome {
     /// The member.
     pub spec: MemberSpec,
@@ -156,6 +158,24 @@ pub struct MemberOutcome {
     pub alarms: BTreeMap<&'static str, u64>,
     /// Divergences found (first per execution).
     pub divergences: Vec<Divergence>,
+}
+
+/// Why a corpus member produced no outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MemberError {
+    /// The member failed to compile or analyze.
+    Failed(String),
+    /// Its analysis or one of its executions panicked (the panic message).
+    Panicked(String),
+}
+
+impl fmt::Display for MemberError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemberError::Failed(m) => write!(f, "failed: {m}"),
+            MemberError::Panicked(m) => write!(f, "panicked: {m}"),
+        }
+    }
 }
 
 /// Aggregate campaign result.
@@ -174,6 +194,8 @@ pub struct Campaign {
     /// All divergences, ranked (shrunk first, then by member size, seed,
     /// tick).
     pub divergences: Vec<Divergence>,
+    /// Each member's own result, in corpus order.
+    pub runs: Vec<(MemberSpec, Result<MemberOutcome, MemberError>)>,
 }
 
 impl Campaign {
@@ -189,9 +211,10 @@ impl Campaign {
         self.divergences.extend(outcome.divergences.iter().cloned());
     }
 
-    /// Folds a member that failed to compile or analyze into the aggregate.
-    /// Such a member is itself a corpus bug; it surfaces as an escape-kind
-    /// divergence at the entry so campaigns never silently drop members.
+    /// Folds a member that failed to compile or analyze, or panicked, into
+    /// the aggregate. Such a member is itself a corpus bug; it surfaces as an
+    /// escape-kind divergence at the entry so campaigns never silently drop
+    /// members.
     pub fn absorb_failure(&mut self, spec: &MemberSpec, error: String) {
         self.divergences.push(Divergence {
             member: spec.clone(),
@@ -472,19 +495,25 @@ pub fn run_member(spec: &MemberSpec, cfg: &OracleConfig) -> Result<MemberOutcome
 }
 
 /// Runs the whole campaign: corpus generation, analysis, fuzzing,
-/// shrinking, aggregation. `progress` is called after each member with its
-/// outcome (use it for streaming logs; pass `|_| {}` otherwise).
-pub fn run_campaign(cfg: &OracleConfig, mut progress: impl FnMut(&MemberOutcome)) -> Campaign {
+/// shrinking, aggregation. The members run on `threads` workers
+/// ([`scatter`]), each under `catch_unwind`: a panicking member fails alone,
+/// as [`MemberError::Panicked`]. Outcomes fold in corpus order, so the
+/// campaign is the same at any thread count.
+pub fn run_campaign(cfg: &OracleConfig, threads: usize) -> Campaign {
     let corpus = build_corpus(cfg);
+    let results = scatter(threads, &corpus, |_, _, spec| {
+        catch_unwind(AssertUnwindSafe(|| run_member(spec, cfg).map_err(MemberError::Failed)))
+            .unwrap_or_else(|payload| Err(MemberError::Panicked(panic_message(payload.as_ref()))))
+    });
     let mut campaign = Campaign::default();
-    for spec in &corpus {
-        match run_member(spec, cfg) {
-            Ok(outcome) => {
-                campaign.absorb(&outcome);
-                progress(&outcome);
+    for (spec, result) in corpus.into_iter().zip(results) {
+        match &result {
+            Ok(outcome) => campaign.absorb(outcome),
+            Err(MemberError::Failed(e) | MemberError::Panicked(e)) => {
+                campaign.absorb_failure(&spec, e.clone())
             }
-            Err(e) => campaign.absorb_failure(spec, e),
         }
+        campaign.runs.push((spec, result));
     }
     campaign.finish();
     campaign

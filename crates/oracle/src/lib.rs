@@ -27,7 +27,7 @@
 //!     include_bugs: false,
 //!     ..OracleConfig::default()
 //! };
-//! let campaign = run_campaign(&cfg, |_| {});
+//! let campaign = run_campaign(&cfg, 1);
 //! assert_eq!(campaign.members, 2);
 //! assert!(campaign.divergences.is_empty());
 //! ```
@@ -39,8 +39,8 @@ mod shrink;
 
 pub use campaign::{
     analyze_member, build_corpus, error_alarm_kind, event_alarm_kind, run_campaign, run_execution,
-    run_member, AnalyzedMember, Campaign, Divergence, DivergenceKind, ExecRecord, MemberOutcome,
-    MemberSpec, OracleConfig,
+    run_member, AnalyzedMember, Campaign, Divergence, DivergenceKind, ExecRecord, MemberError,
+    MemberOutcome, MemberSpec, OracleConfig,
 };
 pub use contain::{render_abs, render_value, value_in, CellTable, PreparedInvariants};
 pub use report::{campaign_to_json, parse_summary, CampaignSummary, SCHEMA};
@@ -161,7 +161,7 @@ mod tests {
     fn report_round_trips_through_json_parse() {
         let mut cfg = tiny_cfg();
         cfg.members = 2;
-        let campaign = run_campaign(&cfg, |_| {});
+        let campaign = run_campaign(&cfg, 1);
         let json = campaign_to_json(&campaign, None);
         let text = json.to_compact();
         let summary = parse_summary(&text).expect("parses back");

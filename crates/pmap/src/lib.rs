@@ -1,4 +1,4 @@
-//! Persistent balanced maps and sets with structural sharing.
+//! Persistent balanced maps with structural sharing.
 //!
 //! The PLDI 2003 analyzer (Sect. 6.1.2) stores abstract environments in
 //! functional maps implemented as sharable balanced binary trees, with
@@ -36,11 +36,9 @@
 #[allow(unsafe_code)]
 mod arc;
 mod map;
-mod set;
 #[allow(unsafe_code)]
 mod slab;
 mod stats;
 
 pub use map::{Iter, MergeOutcome, PMap};
-pub use set::PSet;
 pub use stats::{ptr_shortcuts_enabled, set_ptr_shortcuts, take_stats};

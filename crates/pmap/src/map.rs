@@ -852,25 +852,6 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
             (None, _) => self.set(k.clone(), absent(k), &same),
         });
     }
-
-    /// Applies `f` to every value, producing a new map with the same keys.
-    #[must_use]
-    pub fn map_values(&self, mut f: impl FnMut(&K, &V) -> V) -> Self {
-        fn go<K: Clone, V: Clone>(t: &Link<K, V>, f: &mut impl FnMut(&K, &V) -> V) -> Link<K, V> {
-            t.as_ref().map(|n| {
-                stats::note_node_alloc();
-                PArc::new(Node {
-                    key: n.key.clone(),
-                    value: f(&n.key, &n.value),
-                    height: n.height,
-                    size: n.size,
-                    left: go(&n.left, f),
-                    right: go(&n.right, f),
-                })
-            })
-        }
-        PMap { root: go(&self.root, &mut f) }
-    }
 }
 
 impl<K: Ord, V> PMap<K, V> {
@@ -913,11 +894,6 @@ impl<K: Ord, V> PMap<K, V> {
             return;
         }
         diff2(&self.root, &other.root, &mut f)
-    }
-
-    /// [`PMap::diff2`] under its historical name.
-    pub fn for_each_diff(&self, other: &Self, f: impl FnMut(&K, Option<&V>, Option<&V>)) {
-        self.diff2(other, f)
     }
 
     /// Folds an accumulator over the [`PMap::diff2`] traversal.
@@ -1333,15 +1309,6 @@ mod tests {
             None
         });
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn map_values_preserves_shape() {
-        let m: PMap<u32, u32> = (0..100).map(|i| (i, i)).collect();
-        let d = m.map_values(|_, v| v * 2);
-        check_avl(&d.root);
-        assert_eq!(d.get(&21), Some(&42));
-        assert_eq!(d.len(), 100);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use astree::gen::generate;
 use astree::ir::{Interp, InterpConfig, SeededInputs};
 use astree::obs::Json;
 use astree::options::{self, parse_args, RunOptions};
-use astree::oracle::{campaign_to_json, DivergenceKind};
+use astree::oracle::{campaign_to_json, run_campaign, DivergenceKind};
 use astree::serve::client::AnalyzeRequest;
 use astree::serve::{self, Client, Endpoint, Server};
 use astree::slicer::Slicer;
@@ -164,8 +164,8 @@ fn print_verdict(
 }
 
 /// Runs `jobs` as one fleet session under the fleet and run flags of
-/// `batch` and `fuzz`, on `threads` in-process workers unless `--workers`
-/// or `--connect` say otherwise.
+/// `batch`, on `threads` in-process workers unless `--workers` or
+/// `--connect` say otherwise.
 fn run_fleet(
     jobs: Vec<JobSpec>,
     config: AnalysisConfig,
@@ -437,8 +437,7 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
-    let Some(((corpus, (quiet, report, baseline), fleet, run), _)) =
-        parse_args(options::fuzz, args)?
+    let Some(((corpus, (quiet, report, baseline), run), _)) = parse_args(options::fuzz, args)?
     else {
         return Ok(ExitCode::SUCCESS);
     };
@@ -449,29 +448,24 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
         }
         None => None,
     };
-    let jobs = fleet::campaign_jobs(&corpus);
-    let config = corpus.analysis.clone();
-    let fleet_report = run_fleet(jobs.clone(), config, run.jobs.unwrap_or(1), fleet, &run)?;
+    let campaign = run_campaign(&corpus, run.jobs.unwrap_or(1));
     if !quiet {
-        for o in &fleet_report.outcomes {
-            match &o.oracle {
-                Some(outcome) => {
+        for (spec, result) in &campaign.runs {
+            match result {
+                Ok(outcome) => {
                     let verdict = if outcome.divergences.is_empty() { "ok" } else { "DIVERGED" };
                     println!(
                         "{:24} {} executions, {} states checked, {} alarms: {verdict}",
-                        o.name,
+                        spec.label(),
                         outcome.executions,
                         outcome.states_checked,
                         outcome.alarms.values().sum::<u64>(),
                     );
                 }
-                None => {
-                    println!("{:24} {}: {}", o.name, o.status, o.detail.as_deref().unwrap_or("-"))
-                }
+                Err(e) => println!("{:24} {e}", spec.label()),
             }
         }
     }
-    let campaign = fleet::campaign_from_outcomes(&jobs, &fleet_report.outcomes);
     for d in &campaign.divergences {
         let what = match &d.kind {
             DivergenceKind::Escape { cell, value, abs } => {

@@ -4,8 +4,8 @@
 //! A [`Flag`] row is a flag, what it takes, its help line and a setter. A
 //! [`Command`] is a usage line, what the command does, and the tables it
 //! accepts, each bound to the value its setters write. The groups several
-//! commands share are [`RUN`] (`analyze`, `batch`, `fuzz`), [`FLEET`]
-//! (`batch`, `fuzz`), [`ENDPOINT`] (`serve`, `client`) and the
+//! commands share are [`RUN`] (`analyze`, `batch`; `fuzz` takes its
+//! `--jobs`), [`ENDPOINT`] (`serve`, `client`) and the
 //! configuration's own [`ANALYSIS`] (`analyze`); every other table belongs
 //! to one command. A command's arguments are a tuple of the values its
 //! tables set (`AnalyzeArgs`, …), and a function of the same name binds them.
@@ -168,8 +168,8 @@ fn list<T>(v: &str, item: fn(&str) -> Result<T, String>) -> Result<Vec<T>, Strin
 }
 
 /// The run group, set by [`RUN`]: workers, telemetry and the invariant
-/// store. `analyze` runs `jobs` workers inside the analysis, `batch` and
-/// `fuzz` that many jobs at once.
+/// store. `analyze` runs `jobs` workers inside the analysis, `batch` that
+/// many jobs at once and `fuzz` that many corpus members.
 #[derive(Debug, Default, Clone)]
 pub struct RunOptions {
     pub jobs: Option<usize>,
@@ -254,7 +254,7 @@ impl Telemetry {
     }
 }
 
-/// The fleet group: where the jobs of `batch` and `fuzz` run.
+/// The fleet group: where the jobs of `batch` run.
 pub const FLEET: &[Flag<FleetOptions>] = &[
     Flag::value("--workers", "N", "worker processes (default 0)", |o, v| num(&mut o.workers, v)),
     Flag::value("--worker-cmd", "CMD", "spawns them with CMD", |o, v| {
@@ -363,15 +363,14 @@ pub const FUZZ: &[Flag<(bool, Option<String>, Option<String>)>] = &[
 ];
 
 /// `astree fuzz`'s arguments.
-pub type FuzzArgs =
-    (OracleConfig, (bool, Option<String>, Option<String>), FleetOptions, RunOptions);
+pub type FuzzArgs = (OracleConfig, (bool, Option<String>, Option<String>), RunOptions);
 
-pub fn fuzz((corpus, output, fleet, run): &mut FuzzArgs) -> Command<'_> {
+/// `fuzz` runs its members in-process: of the run group it takes `--jobs`.
+pub fn fuzz((corpus, output, run): &mut FuzzArgs) -> Command<'_> {
     Command::new("fuzz", "checks invariants and alarms against concrete runs; exit 1: divergences")
         .table("corpus", CORPUS, corpus)
         .table("output", FUZZ, output)
-        .table("fleet", FLEET, fleet)
-        .table("run", RUN, run)
+        .table("run", &RUN[..1], run)
 }
 
 /// `astree serve`'s own flags, and whether it serves stdin/stdout.

@@ -105,6 +105,13 @@ fn unknown_flags_and_missing_values_are_one_line_errors() {
     }
     let Program(file) = &program("trace");
     assert_usage_error(&["analyze", file, "--trace"], "unknown option --trace");
+    // A campaign runs in-process: it takes no worker and opens no store.
+    for (flag, value) in [("--workers", "2"), ("--connect", "unix:/tmp/w.sock"), ("--cache", "d")] {
+        assert_usage_error(
+            &["fuzz", flag, value, "--members", "1"],
+            &format!("unknown option {flag}"),
+        );
+    }
 }
 
 #[test]

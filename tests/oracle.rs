@@ -1,15 +1,15 @@
 //! Integration tests for the differential soundness oracle: bounded
-//! campaigns over the generated family, planted-divergence detection with
-//! stable shrinking, report round-tripping, and a regression test for the
-//! checking-pass soundness bug the oracle itself discovered.
+//! campaigns over the generated family, at any thread count, planted-divergence
+//! detection with stable shrinking, report round-tripping, and a regression
+//! test for the checking-pass soundness bug the oracle itself discovered.
 
 use astree::core::{AnalysisConfig, AnalysisSession};
 use astree::frontend::Frontend;
 use astree::gen::{BugKind, StructKnobs};
 use astree::obs::Json;
 use astree::oracle::{
-    campaign_to_json, parse_summary, run_campaign, run_member, DivergenceKind, MemberSpec,
-    OracleConfig, SCHEMA,
+    build_corpus, campaign_to_json, parse_summary, run_campaign, run_member, Campaign,
+    DivergenceKind, MemberSpec, OracleConfig, SCHEMA,
 };
 
 fn bounded_cfg() -> OracleConfig {
@@ -22,13 +22,13 @@ fn bounded_cfg() -> OracleConfig {
 /// concrete error covered by an alarm.
 #[test]
 fn bounded_campaign_has_zero_divergences() {
-    let mut seen = 0u64;
-    let campaign = run_campaign(&bounded_cfg(), |outcome| {
-        seen += 1;
-        assert!(outcome.executions > 0, "{}: no executions", outcome.spec.label());
-    });
+    let campaign = run_campaign(&bounded_cfg(), 1);
     assert_eq!(campaign.members, 8);
-    assert_eq!(seen, campaign.members, "progress callback fires once per member");
+    assert_eq!(campaign.runs.len(), 8, "one result per member");
+    for (spec, result) in &campaign.runs {
+        let outcome = result.as_ref().unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
+        assert!(outcome.executions > 0, "{}: no executions", spec.label());
+    }
     assert!(campaign.divergences.is_empty(), "{:?}", campaign.divergences);
     assert!(campaign.states_checked > 10_000, "oracle barely exercised: {campaign:?}");
     assert!(
@@ -36,6 +36,23 @@ fn bounded_campaign_has_zero_divergences() {
         "fault variants should alarm: {:?}",
         campaign.alarm_census
     );
+}
+
+/// The one campaign driver scatters its members over threads and folds them
+/// in corpus order: the report and every member's outcome are the same at
+/// one thread and at four.
+#[test]
+fn threaded_campaign_matches_the_sequential_one() {
+    let one = run_campaign(&bounded_cfg(), 1);
+    let four = run_campaign(&bounded_cfg(), 4);
+    assert_eq!(
+        campaign_to_json(&four, None).to_compact(),
+        campaign_to_json(&one, None).to_compact()
+    );
+    let labels = |c: &Campaign| c.runs.iter().map(|(s, _)| s.label()).collect::<Vec<_>>();
+    let corpus: Vec<String> = build_corpus(&bounded_cfg()).iter().map(MemberSpec::label).collect();
+    assert_eq!(labels(&one), corpus, "corpus order");
+    assert_eq!(four.runs, one.runs);
 }
 
 /// A planted divergence (fault-injected empty invariant for one cell) is
@@ -47,7 +64,7 @@ fn planted_divergence_shrinks_and_round_trips() {
     cfg.members = 4;
     cfg.channels_max = 2;
     cfg.debug_tighten_cell = Some("count0".into());
-    let campaign = run_campaign(&cfg, |_| {});
+    let campaign = run_campaign(&cfg, 1);
     assert!(!campaign.divergences.is_empty(), "planted divergence missed");
     let d = &campaign.divergences[0];
     assert!(d.shrunk);
@@ -91,7 +108,7 @@ fn golden_report_shape() {
         include_bugs: false,
         ..OracleConfig::default()
     };
-    let campaign = run_campaign(&cfg, |_| {});
+    let campaign = run_campaign(&cfg, 1);
     let baseline = Json::parse(
         r#"{"schema":"astree-campaign/1","members":2,"executions":2,
             "states_checked":1,"inconclusive":0,"divergence_count":0,
