@@ -4,7 +4,7 @@
 //! all orthogonal options behind one `run()`.
 
 use crate::alarms::Alarm;
-use crate::cache::{InvariantStore, StoreKey};
+use crate::cache::{FullHit, InvariantStore, StoreKey};
 use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::iterator::Iter;
@@ -12,22 +12,22 @@ use crate::packs::Packs;
 use crate::state::AbsState;
 use astree_ir::{Program, StmtId};
 use astree_memory::{CellLayout, LayoutConfig};
-use astree_obs::{CacheCounters, Event, FrameCounters, Recorder, NULL};
+use astree_obs::{CacheCounters, Event, FrameCounters, PremiseCounters, Recorder, NULL};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Aggregated statistics of one analysis run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisStats {
-    /// Wall time of the invariant-generation phase. On a cache replay this
+    /// Wall time of the invariant-generation phase. On a store hit this
     /// is the *stored cold-run* time, so throughput comparisons stay
-    /// meaningful; the actual replay cost is in
-    /// [`AnalysisStats::time_replay`].
+    /// meaningful; the hit's own cost is in [`AnalysisStats::time_replay`].
     pub time_iterate: Duration,
-    /// Wall time of the checking phase (stored cold-run time on a replay).
+    /// Wall time of the checking phase (stored cold-run time on a hit).
     pub time_check: Duration,
-    /// Wall time spent replaying a cached result (zero on cold runs).
+    /// Wall time of a store hit, its checking pass included (zero on cold
+    /// runs).
     pub time_replay: Duration,
     /// Number of abstract cells after array expansion/shrinking.
     pub cells: usize,
@@ -56,9 +56,14 @@ pub struct AnalysisStats {
     pub loops_solved: u64,
     /// Loops the checking pass solved in context: every visit to a loop
     /// other than the main one (the checking pass is handed the main loop's
-    /// invariant only), and the main loop's when its witness does not cover
-    /// the arriving iterate.
+    /// invariant only).
     pub loops_rechecked: u64,
+    /// The invariants the checking pass tested against
+    /// [`crate::solve::premise`], and those that failed (0 unless the
+    /// analyzer has a bug; nothing is proven then).
+    pub premise: PremiseCounters,
+    /// The loops whose invariant failed, as (function, loop id), in order.
+    pub premise_loops: Vec<(String, u32)>,
     /// Threshold-free widenings the iteration pass applied past
     /// `max_iterations` (0 unless a loop ran out of its budget).
     pub widen_top: u64,
@@ -90,23 +95,23 @@ impl AnalysisStats {
 pub struct CacheReport {
     /// `true` when the session had a store attached.
     pub enabled: bool,
-    /// `true` when the whole stored result was replayed verbatim (no
-    /// abstract interpretation ran).
+    /// `true` when the stored main invariant was re-proved: the checking
+    /// pass ran from it, and the iteration pass did not run.
     pub full_hit: bool,
 }
 
 /// The result of an analysis.
 #[derive(Debug)]
 pub struct AnalysisResult {
-    /// All alarms (empty means the program is proven free of run-time
-    /// errors under the environment assumptions).
+    /// All alarms (none, with every premise test passed, means the program
+    /// is proven free of run-time errors under the environment assumptions).
     pub alarms: Vec<Alarm>,
     /// Statistics.
     pub stats: AnalysisStats,
-    /// Census of the main loop invariant (the first top-level loop of the
-    /// entry function), when the program has one.
+    /// Census of the invariant the checking pass used at the report loop
+    /// (the main loop, else the first loop anywhere), when there is one.
     pub main_census: Option<Census>,
-    /// The invariant at the main loop head.
+    /// That invariant.
     pub main_invariant: Option<AbsState>,
     /// Cache participation report.
     pub cache: CacheReport,
@@ -195,9 +200,11 @@ impl<'a> AnalysisSession<'a> {
         &self.config
     }
 
-    /// Runs the analysis: replay the stored result when the store has an
-    /// exact match, otherwise run both phases (iteration, then checking)
-    /// exactly as if no store were attached and store the result.
+    /// Runs the analysis. On an exact match in the store, the checking pass
+    /// re-proves the stored main invariant; when every premise test passes
+    /// that is the result, else the file is counted corrupt. Otherwise both
+    /// passes run exactly as if no store were attached, and a result whose
+    /// premise held is stored.
     pub fn run(&self) -> AnalysisResult {
         let t_start = Instant::now();
         let rec = self.recorder;
@@ -206,50 +213,59 @@ impl<'a> AnalysisSession<'a> {
             &LayoutConfig { shrink_threshold: self.config.shrink_threshold },
         );
         let packs = Packs::discover(self.program, &layout, &self.config);
-
-        // The store to write the result to, with its key and its counters
-        // before the lookup.
-        let mut miss: Option<(&InvariantStore, StoreKey, CacheCounters)> = None;
-        if let Some(store) = &self.cache {
-            let key = StoreKey::new(self.program, &self.config);
-            let store_before = store.counters();
-            // A verbatim replay carries no per-statement states, so the
-            // collection flag forces the full pipeline.
-            let full_hit = if self.config.collect_stmt_invariants {
-                None
-            } else {
-                store.lookup_full(&key, &layout, &packs)
-            };
-            if let Some(hit) = full_hit {
-                let time_replay = t_start.elapsed();
-                let mut stats = hit.stats;
-                stats.time_replay = time_replay;
-                let cold = stats.time_iterate + stats.time_check;
+        let Some(store) = &self.cache else {
+            return self.passes(&layout, &packs, None, rec).0;
+        };
+        let key = StoreKey::new(self.program, &self.config);
+        let before = store.counters();
+        if let Some(hit) = store.lookup_full(&key, &layout, &packs) {
+            // The hit's pass records nothing: a rejected one leaves no trace
+            // but the corrupt file.
+            let (mut result, _) = self.passes(&layout, &packs, Some(hit), &NULL);
+            if result.stats.premise.failed == 0 {
+                result.stats.time_replay = t_start.elapsed();
+                let replay = result.stats.time_replay.as_nanos() as u64;
+                let cold = (result.stats.time_iterate + result.stats.time_check).as_nanos() as u64;
                 let run = CacheCounters {
                     full_hits: 1,
-                    replay_nanos: time_replay.as_nanos() as u64,
-                    saved_nanos: cold.as_nanos().saturating_sub(time_replay.as_nanos()) as u64,
+                    replay_nanos: replay,
+                    saved_nanos: cold.saturating_sub(replay),
                     ..CacheCounters::default()
                 };
                 if rec.enabled() {
-                    rec.record(&Event::Phase {
-                        phase: "replay",
-                        nanos: time_replay.as_nanos() as u64,
-                    });
+                    rec.record(&Event::Phase { phase: "replay", nanos: replay });
+                    rec.record(&Event::Premise(&result.stats.premise));
                 }
-                report_cache_run(store, rec, run, &store_before);
-                return AnalysisResult {
-                    alarms: hit.alarms,
-                    stats,
-                    main_census: hit.census,
-                    main_invariant: hit.invariant,
-                    cache: CacheReport { enabled: true, full_hit: true },
-                    stmt_invariants: None,
-                };
+                report_cache_run(store, rec, run, &before);
+                return result;
             }
-            miss = Some((store, key, store_before));
+            store.reject();
         }
+        let (result, main) = self.passes(&layout, &packs, None, rec);
+        // A result that failed its premise is an analyzer bug: nothing to keep.
+        if result.stats.premise.failed == 0 {
+            store.update(&key, main.as_ref(), &result.stats);
+        }
+        let run = CacheCounters {
+            misses: 1,
+            loops_solved: result.stats.loops_solved,
+            ..CacheCounters::default()
+        };
+        report_cache_run(store, rec, run, &before);
+        result
+    }
 
+    /// Both passes, or on a `hit` the checking pass alone from its main
+    /// invariant, with the hit's stored statistics but for this run's
+    /// checking-pass counters. Returns the result and the main loop's
+    /// invariant the checking pass was handed.
+    fn passes(
+        &self,
+        layout: &CellLayout,
+        packs: &Packs,
+        hit: Option<FullHit>,
+        rec: &dyn Recorder,
+    ) -> (AnalysisResult, Option<AbsState>) {
         // Reset the thread-local fast-path counters so a previous analysis
         // on this thread (with telemetry off) cannot leak into this run.
         let _ = astree_domains::take_saved_closures();
@@ -261,20 +277,51 @@ impl<'a> AnalysisSession<'a> {
         // — it is excluded from the cache fingerprint.
         let prev_shortcuts = astree_pmap::set_ptr_shortcuts(!self.config.debug_no_ptr_shortcuts);
 
-        let mut iter = Iter::with_recorder(self.program, &layout, &packs, &self.config, rec);
+        let mut iter = Iter::with_recorder(self.program, layout, packs, &self.config, rec);
 
         let t0 = Instant::now();
-        let (_, pair) = iter.iterate();
+        let (main, stored) = match hit {
+            Some(hit) => (hit.invariant, Some(hit.stats)),
+            None => (iter.iterate().1, None),
+        };
         let time_iterate = t0.elapsed();
 
         let t1 = Instant::now();
-        let _ = iter.check(pair.as_ref());
+        let (_, report) = iter.check(main.as_ref());
         let time_check = t1.elapsed();
 
         let saved_closures = astree_domains::take_saved_closures();
         let mut pmap = astree_pmap::take_stats();
         pmap.add(&iter.pmap_worker_stats);
         astree_pmap::set_ptr_shortcuts(prev_shortcuts);
+        let main_census = report.as_ref().map(|s| Census::of_state(s, layout, packs));
+        let it = &mut iter.stats;
+        let full_hit = stored.is_some();
+        // A hit keeps what only the iteration pass knows.
+        let mut stats = stored.unwrap_or_else(|| AnalysisStats {
+            time_iterate,
+            time_check,
+            cells: layout.num_cells(),
+            octagon_packs: packs.octagons.len(),
+            useful_octagon_packs: (iter.oct_useful.iter().enumerate())
+                .filter_map(|(i, n)| (*n > 0).then_some(i))
+                .collect(),
+            dtree_packs: packs.dtrees.len(),
+            ellipse_packs: packs.ellipses.len(),
+            loop_iterations: it.loop_iterations,
+            stmts_interpreted: it.stmts_interpreted,
+            peak_partitions: it.peak_partitions,
+            invariant_cells: report.as_ref().map_or(0, |s| s.env.len()),
+            parallel_stages: it.par_stages,
+            parallel_slices: it.par_slices,
+            loops_solved: it.loops_solved,
+            widen_top: it.widen_top,
+            budget_loops: std::mem::take(&mut it.budget_loops).into_iter().collect(),
+            ..AnalysisStats::default()
+        });
+        stats.loops_rechecked = it.loops_rechecked;
+        stats.premise = it.premise;
+        stats.premise_loops = std::mem::take(&mut it.premise_loops).into_iter().collect();
         if rec.enabled() {
             rec.record(&Event::Phase { phase: "iterate", nanos: time_iterate.as_nanos() as u64 });
             rec.record(&Event::Phase { phase: "check", nanos: time_check.as_nanos() as u64 });
@@ -296,58 +343,19 @@ impl<'a> AnalysisSession<'a> {
             if self.config.jobs > 1 {
                 rec.record(&Event::Pool(&iter.pool_counters));
             }
+            rec.record(&Event::Premise(&stats.premise));
         }
 
-        let main_invariant = pair.map(|p| p.invariant);
-        let main_census = main_invariant.as_ref().map(|s| Census::of_state(s, &layout, &packs));
-
-        let useful: Vec<usize> =
-            iter.oct_useful.iter().enumerate().filter(|(_, n)| **n > 0).map(|(i, _)| i).collect();
-        let invariant_cells = main_invariant.as_ref().map_or(0, |s| s.env.len());
-
-        let stats = AnalysisStats {
-            time_iterate,
-            time_check,
-            time_replay: Duration::ZERO,
-            cells: layout.num_cells(),
-            octagon_packs: packs.octagons.len(),
-            useful_octagon_packs: useful,
-            dtree_packs: packs.dtrees.len(),
-            ellipse_packs: packs.ellipses.len(),
-            loop_iterations: iter.stats.loop_iterations,
-            stmts_interpreted: iter.stats.stmts_interpreted,
-            peak_partitions: iter.stats.peak_partitions,
-            invariant_cells,
-            parallel_stages: iter.stats.par_stages,
-            parallel_slices: iter.stats.par_slices,
-            loops_solved: iter.stats.loops_solved,
-            loops_rechecked: iter.stats.loops_rechecked,
-            widen_top: iter.stats.widen_top,
-            budget_loops: std::mem::take(&mut iter.stats.budget_loops).into_iter().collect(),
-        };
-        let alarms = std::mem::take(&mut iter.sink).into_sorted();
-
-        if let Some((store, key, store_before)) = miss {
-            store.update(&key, &alarms, main_census, main_invariant.as_ref(), &stats);
-            let run = CacheCounters {
-                misses: 1,
-                loops_solved: stats.loops_solved,
-                ..CacheCounters::default()
-            };
-            report_cache_run(store, rec, run, &store_before);
-        }
-
-        let stmt_invariants =
-            self.config.collect_stmt_invariants.then(|| std::mem::take(&mut iter.stmt_invariants));
-
-        AnalysisResult {
-            alarms,
+        let result = AnalysisResult {
+            alarms: std::mem::take(&mut iter.sink).into_sorted(),
             stats,
             main_census,
-            main_invariant,
-            cache: CacheReport { enabled: self.cache.is_some(), full_hit: false },
-            stmt_invariants,
-        }
+            main_invariant: report,
+            cache: CacheReport { enabled: self.cache.is_some(), full_hit },
+            stmt_invariants: (self.config.collect_stmt_invariants)
+                .then(|| std::mem::take(&mut iter.stmt_invariants)),
+        };
+        (result, main)
     }
 }
 
@@ -498,6 +506,34 @@ mod tests {
         assert!(r.stats.stmts_interpreted > 0);
         assert!(r.stats.loops_solved > 0);
         assert!(!r.cache.enabled);
+    }
+
+    /// A planted unsound narrowing — the solve of a callee loop drops a
+    /// finite bound of its invariant, in both passes — is caught by the
+    /// premise test after the loop's alarm pass, and nothing else fails.
+    #[test]
+    fn an_unsound_narrowing_fails_the_premise_of_its_loop() {
+        let src = r#"
+            volatile int in; int k; int acc;
+            void fill(void) { k = 0; while (k < 100) { acc = in; k = k + 1; } }
+            void main(void) {
+                __astree_input_int(in, 0, 10);
+                while (1) { fill(); __astree_wait(); }
+            }
+        "#;
+        let p = Frontend::new().compile_str(src).unwrap();
+        // Not unrolled, the checking pass meets each loop once.
+        let mut cfg = AnalysisConfig::default();
+        cfg.loop_unroll = 0;
+        let clean = AnalysisSession::builder(&p).config(cfg.clone()).build().run();
+        assert!(clean.alarms.is_empty(), "{:?}", clean.alarms);
+        assert_eq!(clean.stats.premise, PremiseCounters { checked: 2, failed: 0 });
+        // `fill`'s loop is the first one lowered: loop 0.
+        crate::iterator::UNSOUND_NARROWING.set(Some(0));
+        let r = AnalysisSession::builder(&p).config(cfg).build().run();
+        crate::iterator::UNSOUND_NARROWING.set(None);
+        assert_eq!(r.stats.premise, PremiseCounters { checked: 2, failed: 1 });
+        assert_eq!(r.stats.premise_loops, [("fill".to_string(), 0)]);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! the same codebase while tuning the parametrization (Sect. 7), and many of
 //! those runs repeat one that was already made. An [`InvariantStore`] keeps
 //! one result per file and the analysis session uses it in exactly one way —
-//! **replay or solve**: on an exact match the stored alarms, census, main
-//! invariant and statistics are replayed verbatim (bit-identical to the cold
-//! run by construction, no abstract interpretation runs at all); otherwise
-//! the session solves exactly as if no store were attached and then stores
-//! what it found. A store therefore never changes a result, only how long it
-//! takes to get it.
+//! **re-prove or solve**: on an exact match the checking pass runs from the
+//! stored main-loop invariant as it does after a cold iteration pass, and
+//! admits it only if it is inductive where the pass meets it (a file that
+//! lies is counted corrupt and solved cold); otherwise the session solves
+//! exactly as if no store were attached and stores the main invariant and
+//! statistics it found. A store never changes a result, only its cost.
 //!
 //! A result is identified by three fingerprints, all of them in its file name
 //! ([`StoreKey::file_name`]) and repeated in its header: the analyzer id
@@ -32,14 +32,12 @@
 //! treated as a miss (counted in [`CacheCounters::corrupt_files`]); the
 //! analysis then runs cold and rewrites the file.
 
-use crate::alarms::{Alarm, AlarmKind};
 use crate::analysis::AnalysisStats;
-use crate::census::Census;
 use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
-use astree_ir::{program_fingerprint, Loc, Program, ScalarType, StmtId};
+use astree_ir::{program_fingerprint, Program, ScalarType};
 use astree_memory::{CellId, CellLayout, CellVal};
 use astree_obs::CacheCounters;
 use std::fmt::Write as _;
@@ -52,8 +50,9 @@ use std::time::Duration;
 /// `/3`: one result per file, named by its fingerprints. `/4`: the `stats`
 /// line ends with the loops that ran out of their iteration budget. `/5`:
 /// the key is the analyzer id, the configuration and the program; files of
-/// earlier formats carry other names and are never opened.
-pub const CACHE_FORMAT: &str = "astree-cache/5";
+/// earlier formats carry other names and are never opened. `/6`: no alarms
+/// and no census — a hit re-proves the main invariant and checks again.
+pub const CACHE_FORMAT: &str = "astree-cache/6";
 
 include!(concat!(env!("OUT_DIR"), "/analyzer_id.rs"));
 
@@ -118,17 +117,13 @@ pub fn valid_store_file_name(name: &str) -> bool {
 // Store
 // ---------------------------------------------------------------------------
 
-/// A replayable stored result, decoded.
+/// A stored result, decoded: what the checking pass needs to re-prove it.
 #[derive(Debug)]
 pub struct FullHit {
-    /// The stored alarms, verbatim.
-    pub alarms: Vec<Alarm>,
-    /// The stored main-loop census, verbatim.
-    pub census: Option<Census>,
-    /// The stored main-loop invariant.
+    /// The stored main-loop invariant, not yet re-proved.
     pub invariant: Option<AbsState>,
-    /// The stored *cold-run* statistics (phase times included, so replayed
-    /// results keep meaningful `time_iterate`/`time_check`).
+    /// The stored *cold-run* statistics (phase times included, so hits keep
+    /// meaningful `time_iterate`/`time_check`).
     pub stats: AnalysisStats,
 }
 
@@ -206,17 +201,17 @@ impl InvariantStore {
         hit
     }
 
-    /// Stores the outcome of a cold run under `key`.
-    pub fn update(
-        &self,
-        key: &StoreKey,
-        alarms: &[Alarm],
-        census: Option<Census>,
-        invariant: Option<&AbsState>,
-        stats: &AnalysisStats,
-    ) {
-        let text = serialize_result(key, alarms, census, invariant, stats);
-        self.write_file(&key.file_name(), &text);
+    /// Counts a decoded result the session refused — its invariant failed
+    /// the checking pass's premise test — as a corrupt file. The cold run
+    /// that follows rewrites it.
+    pub fn reject(&self) {
+        self.counters.lock().expect("store poisoned").corrupt_files += 1;
+    }
+
+    /// Stores the outcome of a cold run under `key`: its main invariant and
+    /// its statistics.
+    pub fn update(&self, key: &StoreKey, invariant: Option<&AbsState>, stats: &AnalysisStats) {
+        self.write_file(&key.file_name(), &serialize_result(key, invariant, stats));
     }
 
     /// Lists the store's results by file name (sorted, valid names only) —
@@ -330,45 +325,6 @@ impl InvariantStore {
 // Text codec
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    if s.is_empty() {
-        return "\\e".to_string();
-    }
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\_"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> Option<String> {
-    if s == "\\e" {
-        return Some(String::new());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c == '\\' {
-            match it.next()? {
-                '\\' => out.push('\\'),
-                '_' => out.push(' '),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                _ => return None,
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Some(out)
-}
-
 /// Space-separated token reader with typed accessors; every accessor returns
 /// `None` on malformed input so decoding bails out cleanly.
 struct Toks<'a, I: Iterator<Item = &'a str>> {
@@ -418,31 +374,6 @@ fn toks(line: &str) -> Toks<'_, std::str::SplitAsciiWhitespace<'_>> {
     Toks { it: line.split_ascii_whitespace() }
 }
 
-fn kind_code(k: AlarmKind) -> u8 {
-    match k {
-        AlarmKind::DivByZero => 0,
-        AlarmKind::IntOverflow => 1,
-        AlarmKind::FloatOverflow => 2,
-        AlarmKind::InvalidFloatOp => 3,
-        AlarmKind::ShiftRange => 4,
-        AlarmKind::OutOfBounds => 5,
-        AlarmKind::InvalidCast => 6,
-    }
-}
-
-fn kind_from_code(c: u8) -> Option<AlarmKind> {
-    Some(match c {
-        0 => AlarmKind::DivByZero,
-        1 => AlarmKind::IntOverflow,
-        2 => AlarmKind::FloatOverflow,
-        3 => AlarmKind::InvalidFloatOp,
-        4 => AlarmKind::ShiftRange,
-        5 => AlarmKind::OutOfBounds,
-        6 => AlarmKind::InvalidCast,
-        _ => return None,
-    })
-}
-
 fn encode_stats(out: &mut String, s: &AnalysisStats) {
     let _ = write!(
         out,
@@ -460,7 +391,7 @@ fn encode_stats(out: &mut String, s: &AnalysisStats) {
         s.parallel_stages,
         s.parallel_slices,
     );
-    // The loops that ran out of their budget close the line, so a replay
+    // The loops that ran out of their budget close the line, so a hit
     // reports them like the cold run.
     let _ = write!(out, " {} {}", s.widen_top, s.budget_loops.len());
     for (func, id) in &s.budget_loops {
@@ -477,7 +408,6 @@ fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
     Some(AnalysisStats {
         time_iterate: Duration::from_nanos(t.u64()?),
         time_check: Duration::from_nanos(t.u64()?),
-        time_replay: Duration::ZERO,
         cells: t.usize()?,
         octagon_packs: t.usize()?,
         useful_octagon_packs: useful,
@@ -489,8 +419,6 @@ fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
         invariant_cells: t.usize()?,
         parallel_stages: t.u64()?,
         parallel_slices: t.u64()?,
-        loops_solved: 0,
-        loops_rechecked: 0,
         widen_top: t.u64()?,
         budget_loops: {
             // The count comes from the file: grow with the tokens there.
@@ -500,6 +428,7 @@ fn decode_stats(line: &str, useful: Vec<usize>) -> Option<AnalysisStats> {
             }
             loops
         },
+        ..AnalysisStats::default()
     })
 }
 
@@ -756,44 +685,11 @@ fn skip_state<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Option<()> {
 // One result, one file
 // ---------------------------------------------------------------------------
 
-fn serialize_result(
-    key: &StoreKey,
-    alarms: &[Alarm],
-    census: Option<Census>,
-    invariant: Option<&AbsState>,
-    stats: &AnalysisStats,
-) -> String {
+fn serialize_result(key: &StoreKey, invariant: Option<&AbsState>, stats: &AnalysisStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{CACHE_FORMAT}");
     let _ =
         writeln!(out, "key {:016x} {:016x} {:016x}", key.analyzer, key.config_fp, key.program_fp);
-    let _ = writeln!(out, "alarms {}", alarms.len());
-    for a in alarms {
-        let _ = writeln!(
-            out,
-            "a {} {} {} {}",
-            a.stmt.0,
-            a.loc.line,
-            kind_code(a.kind),
-            esc(&a.context)
-        );
-    }
-    match census {
-        None => out.push_str("census 0\n"),
-        Some(c) => {
-            let _ = writeln!(
-                out,
-                "census 1 {} {} {} {} {} {} {}",
-                c.boolean_intervals,
-                c.intervals,
-                c.clock_assertions,
-                c.octagon_additive,
-                c.octagon_subtractive,
-                c.decision_trees,
-                c.ellipsoids,
-            );
-        }
-    }
     encode_stats(&mut out, stats);
     let _ = write!(out, "useful {}", stats.useful_octagon_packs.len());
     for u in &stats.useful_octagon_packs {
@@ -832,30 +728,6 @@ fn parse_result(
     {
         return None;
     }
-    let n = decode_count(&mut lines, "alarms")?;
-    let alarms = decode_section(&mut lines, "a", n, |t| {
-        let stmt = StmtId(t.u32()?);
-        let line = t.u32()?;
-        let kind = kind_from_code(t.u32()?.try_into().ok()?)?;
-        Some(Alarm { stmt, loc: Loc { line }, kind, context: unesc(t.tok()?)? })
-    })?;
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "census" {
-        return None;
-    }
-    let census = if t.bool()? {
-        Some(Census {
-            boolean_intervals: t.usize()?,
-            intervals: t.usize()?,
-            clock_assertions: t.usize()?,
-            octagon_additive: t.usize()?,
-            octagon_subtractive: t.usize()?,
-            decision_trees: t.usize()?,
-            ellipsoids: t.usize()?,
-        })
-    } else {
-        None
-    };
     let stats_line = lines.next()?;
     let mut t = toks(lines.next()?);
     if t.tok()? != "useful" {
@@ -880,12 +752,13 @@ fn parse_result(
         }
     };
     let closed = lines.next()? == "end" && lines.next().is_none();
-    closed.then_some(FullHit { alarms, census, invariant, stats })
+    closed.then_some(FullHit { invariant, stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::census::Census;
     use astree_frontend::Frontend;
     use astree_memory::LayoutConfig;
 
@@ -965,38 +838,6 @@ mod tests {
         }
     }
 
-    /// The seam a re-proof builds on: the checking pass needs nothing but
-    /// the main loop's pair. Round-tripped through the store codec and handed
-    /// to a fresh iterator, it gives the cold run's alarms and census, and
-    /// the main loop is taken from the pair, not solved again.
-    #[test]
-    fn a_checking_pass_from_the_decoded_main_pair_reproduces_the_cold_run() {
-        use crate::iterator::{Iter, MainPair};
-        let gen = astree_gen::GenConfig {
-            channels: 4,
-            seed: 3,
-            bug: Some(astree_gen::BugKind::DivByZero),
-        };
-        let program = Frontend::new().compile_str(&astree_gen::generate(&gen)).expect("compiles");
-        let config = AnalysisConfig::default();
-        let (layout, packs) = shapes(&program, &config);
-        let cold = crate::analysis::AnalysisSession::builder(&program).build().run();
-        assert!(!cold.alarms.is_empty(), "the planted division by zero alarms");
-
-        let (_, pair) = Iter::new(&program, &layout, &packs, &config).iterate();
-        let pair = pair.expect("a main loop");
-        let decoded = MainPair {
-            witness: roundtrip(&pair.witness, &layout, &packs),
-            invariant: roundtrip(&pair.invariant, &layout, &packs),
-        };
-        let mut fresh = Iter::new(&program, &layout, &packs, &config);
-        fresh.check(Some(&decoded));
-        assert_eq!(std::mem::take(&mut fresh.sink).into_sorted(), cold.alarms);
-        assert_eq!(cold.main_census, Some(Census::of_state(&decoded.invariant, &layout, &packs)));
-        assert_eq!(fresh.stats.loops_rechecked, cold.stats.loops_rechecked);
-        assert_eq!(fresh.stats.loop_iterations, 0, "the checking pass counts no widening");
-    }
-
     /// Two million `N 0` tokens: a tree no pack can hold, deep enough to
     /// overflow the stack of a decoder that recurses once per token.
     fn bottomless_tree() -> String {
@@ -1053,8 +894,7 @@ mod tests {
         let (layout, packs) = shapes(&program, &config);
         let key = StoreKey::new(&program, &config);
         let r = crate::analysis::AnalysisSession::builder(&program).build().run();
-        let text =
-            serialize_result(&key, &r.alarms, r.main_census, r.main_invariant.as_ref(), &r.stats);
+        let text = serialize_result(&key, r.main_invariant.as_ref(), &r.stats);
         (key, text, layout, packs)
     }
 
@@ -1066,7 +906,7 @@ mod tests {
         let hostile = [
             "astree-cache/1\ngarbage\n".to_string(),
             // A count no file could back: must not be reserved up front.
-            good.replace("\nalarms 0\n", "\nalarms 1000000000000\n"),
+            good.replace(" 0 0\nuseful 0\n", " 0 1000000000000\nuseful 0\n"),
             good.replace("\nuseful 0\n", "\nuseful 1000000000000\n"),
             good.replace(tree, &bottomless_tree()),
             // Something after the result.

@@ -104,10 +104,10 @@ pub struct AnalysisConfig {
     /// [`AnalysisResult::stmt_invariants`]. Used by the differential
     /// soundness oracle to compare concrete interpreter states against the
     /// claimed invariants at each program point. Collection forces the Check
-    /// pass to run sequentially (parallel slices would drop their captures)
-    /// and bypasses verbatim cache replay (a replayed result carries no
-    /// per-statement states); alarms and invariants are unaffected, so the
-    /// flag is excluded from the cache fingerprint.
+    /// pass to run sequentially (parallel slices would drop their captures);
+    /// a store hit collects them too, since it runs the checking pass.
+    /// Alarms and invariants are unaffected, so the flag is excluded from
+    /// the cache fingerprint.
     pub collect_stmt_invariants: bool,
 }
 

@@ -156,7 +156,7 @@ mod tests {
     use super::*;
     use crate::alarms::Alarm;
     use crate::config::AnalysisConfig;
-    use crate::iterator::{Iter, IterStats, MainPair};
+    use crate::iterator::{Iter, IterStats};
     use crate::state::AbsState;
     use astree_frontend::Frontend;
     use astree_gen::{generate, generate_with, BugKind, GenConfig, StructKnobs};
@@ -168,7 +168,9 @@ mod tests {
     struct Run {
         after_iterate: AbsState,
         after_check: AbsState,
-        pair: Option<MainPair>,
+        main: Option<AbsState>,
+        /// The invariant the checking pass used at the report loop.
+        used: Option<AbsState>,
         alarms: Vec<Alarm>,
         stats: IterStats,
     }
@@ -196,12 +198,13 @@ mod tests {
             let mut it = Iter::new(&self.program, &self.layout, &self.packs, &self.config);
             it.frames = Arc::new(frames);
             it.differential = differential;
-            let (after_iterate, pair) = it.iterate();
-            let after_check = it.check(pair.as_ref());
+            let (after_iterate, main) = it.iterate();
+            let (after_check, used) = it.check(main.as_ref());
             Run {
                 after_iterate,
                 after_check,
-                pair,
+                main,
+                used,
                 alarms: std::mem::take(&mut it.sink).into_sorted(),
                 stats: it.stats.clone(),
             }
@@ -229,17 +232,10 @@ mod tests {
         assert_eq!(framed.alarms, whole.alarms);
         assert_eq!(framed.stats.loop_iterations, whole.stats.loop_iterations);
         assert_eq!(framed.stats.stmts_interpreted, whole.stats.stmts_interpreted);
-        let (framed_pair, whole_pair) = (framed.pair.as_ref(), whole.pair.as_ref());
-        assert_eq!(framed_pair.is_some(), whole_pair.is_some());
-        for (f, w) in framed_pair.into_iter().zip(whole_pair) {
-            // A report loop inside a frame keeps a frame-sized pair: the
-            // unframed one restricted to those keys.
-            for (what, a, b) in
-                [("witness", &f.witness, &w.witness), ("invariant", &f.invariant, &w.invariant)]
-            {
-                assert_eq!(a.is_bottom(), b.is_bottom(), "{what}");
-                assert_same(a, &b.restrict_to(a), what);
-            }
+        // The main loop is at depth 0, never inside a frame.
+        assert_eq!(framed.main.is_some(), whole.main.is_some());
+        for (f, w) in framed.main.iter().zip(&whole.main) {
+            assert_same(f, w, "main loop invariant");
         }
         assert_eq!(whole.stats.frames, FrameCounters::default());
         framed
@@ -299,7 +295,7 @@ mod tests {
         for src in [clocked, chained] {
             let run = differential(src, config.clone());
             assert!(run.stats.narrowings_cut > 0, "no narrowing pass was cut");
-            let inv = &run.pair.as_ref().expect("a main loop").invariant;
+            let inv = run.main.as_ref().expect("a main loop");
             assert!(!inv.narrowable(), "narrowing left an infinite bound: {inv}");
         }
     }
@@ -561,12 +557,13 @@ mod tests {
         let stats = differential(src, AnalysisConfig::default()).stats.frames;
         assert!(stats.calls_framed > 0, "{stats:?}");
 
-        // `main` has no loop, so the census reports on `fill`'s: its pair is
-        // the last visit's and has that site's shape (`b1`'s frame), holding
-        // none of `b0`'s cells.
+        // `main` has no loop, so the census reports on `fill`'s: the
+        // invariant the checking pass used at its last visit, which has that
+        // site's shape (`b1`'s frame), holding none of `b0`'s cells.
         let setup = Setup::new(src, AnalysisConfig::default());
         let run = setup.run(setup.frames(), false);
-        let inv = &run.pair.expect("fill has a loop").invariant;
+        assert!(run.main.is_none(), "no main loop");
+        let inv = &run.used.expect("fill has a loop");
         let tracks = |name: &str| {
             setup.layout.iter().any(|(c, info)| info.name.starts_with(name) && inv.env.tracks(c))
         };

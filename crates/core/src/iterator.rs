@@ -7,10 +7,12 @@
 //!
 //! - **the iteration pass** ([`Iter::iterate`]) computes loop invariants;
 //!   no warnings are emitted, and the main loop's invariant is the one
-//!   result it keeps ([`MainPair`]);
+//!   result it keeps;
 //! - **the checking pass** ([`Iter::check`]) replays the program from that
 //!   one invariant, solves every other loop where it meets it, and issues
-//!   one alarm per operator application that may err.
+//!   one alarm per operator application that may err. It admits no
+//!   invariant without testing that it is inductive in the context it
+//!   arrives in ([`crate::solve::premise`]).
 //!
 //! Calls are analyzed by abstract inlining (context-sensitive polyvariant
 //! analysis, Sect. 5.4); by-reference parameters are substituted by the
@@ -22,7 +24,7 @@ use crate::config::AnalysisConfig;
 use crate::frames::{FrameChoice, Frames};
 use crate::packs::Packs;
 use crate::parallel::Unbounded;
-use crate::solve::{solve, LoopRec, Pass, Solved};
+use crate::solve::{premise, reduce_above, solve, LoopRec, Pass, Solved};
 use crate::state::{float_view, meet_cell_with_float, AbsState, DTree, PackEnv};
 use crate::substitute::substitute_block;
 use astree_domains::dtree::Lattice;
@@ -32,7 +34,9 @@ use astree_ir::{
     StmtId, StmtKind, Unop, VarId,
 };
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal, Evaluator};
-use astree_obs::{AlarmEvent, Event, FrameCounters, PmapCounters, PoolCounters, Recorder};
+use astree_obs::{
+    AlarmEvent, Event, FrameCounters, PmapCounters, PoolCounters, PremiseCounters, Recorder,
+};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,27 +75,17 @@ pub struct IterStats {
     #[cfg(test)]
     pub(crate) narrowings_cut: u64,
     /// Loops the checking pass solved in context: every visit to a loop
-    /// other than the main one, and the main loop's when its witness does
-    /// not cover the arriving iterate (see [`Iter::exec_loop`]).
+    /// other than the main one (see [`Iter::exec_loop`]).
     pub loops_rechecked: u64,
+    /// The invariants the checking pass tested against
+    /// [`crate::solve::premise`] (one per visit that reaches a residual
+    /// loop), and those that failed.
+    pub premise: PremiseCounters,
+    /// The loops whose invariant failed, as (function, loop id).
+    pub premise_loops: BTreeSet<(String, u32)>,
     /// How the depth-0 call statements ran (see [`crate::frames`]); the
     /// per-frame sizes are filled in by the session when it reports.
     pub frames: FrameCounters,
-}
-
-/// What the iteration pass hands the checking pass: the main loop's
-/// invariant and its *coverage witness*, the post-unroll iterate it was
-/// solved above. The invariant is a post-fixpoint of the body transfer
-/// above the witness, so it soundly describes every context at or below
-/// it. The invariant itself cannot serve as the witness: the loop-done
-/// reduction preserves concretizations but can tighten the invariant below
-/// the iterate in the abstract order.
-#[derive(Debug, Clone)]
-pub struct MainPair {
-    /// The post-unroll iterate of the iteration pass's visit.
-    pub witness: AbsState,
-    /// The loop-head invariant.
-    pub invariant: AbsState,
 }
 
 /// The iterator.
@@ -103,14 +97,16 @@ pub struct Iter<'a> {
     eval: Evaluator<'a>,
     pub(crate) mode: Mode,
     /// The main loop (see [`main_loop`]): the one loop the checking pass
-    /// may take the pair for. `None` in the iterators the main one hands
+    /// takes an invariant for. `None` in the iterators the main one hands
     /// work to — no slice or in-context solve contains the main loop.
     main: Option<LoopId>,
-    /// The loop whose pair the iteration pass keeps (see [`report_loop`]).
+    /// The loop whose invariant the checking pass keeps (see [`report_loop`]).
     report: Option<LoopId>,
-    /// The report loop's pair: written at each iteration-pass visit, handed
-    /// in for the checking pass.
-    pair: Option<MainPair>,
+    /// The main loop's invariant handed to the checking pass.
+    main_inv: Option<AbsState>,
+    /// The invariant a pass keeps: the main loop's in the iteration pass,
+    /// the report loop's (its last visit's) in the checking pass.
+    kept: Option<AbsState>,
     /// What every depth-0 call statement runs on; shared with slice workers
     /// and the checking pass's scratch iterators.
     pub(crate) frames: Arc<Frames>,
@@ -235,7 +231,8 @@ impl<'a> Iter<'a> {
             mode: Mode::Iterate,
             main: None,
             report: None,
-            pair: None,
+            main_inv: None,
+            kept: None,
             frames,
             stmt_invariants: HashMap::new(),
             sink: AlarmSink::new(),
@@ -272,31 +269,33 @@ impl<'a> Iter<'a> {
     }
 
     /// The iteration pass: runs the program from the entry point, solving
-    /// every loop. Returns the final state and the report loop's pair
-    /// (`None` when no loop is reached).
-    pub fn iterate(&mut self) -> (AbsState, Option<MainPair>) {
-        self.pair = None;
-        let exit = self.run(Mode::Iterate);
-        (exit, self.pair.take())
+    /// every loop. Returns the final state and the main loop's invariant
+    /// (`None` when there is no main loop; ⊥ when its residual is not
+    /// reached).
+    pub fn iterate(&mut self) -> (AbsState, Option<AbsState>) {
+        self.run(Mode::Iterate)
     }
 
     /// The checking pass: runs the program from the entry point, collecting
-    /// alarms. It takes `pair`'s invariant for the main loop when the
-    /// witness covers the arriving iterate and solves every other loop where
-    /// it meets it. Returns the final state.
-    pub fn check(&mut self, pair: Option<&MainPair>) -> AbsState {
-        self.pair = pair.cloned();
-        let exit = self.run(Mode::Check);
-        self.pair = None;
-        exit
+    /// alarms. It takes `main` as the main loop's invariant, solves every
+    /// other loop where it meets it, and tests each invariant it uses
+    /// against its premise. Returns the final state and the invariant it
+    /// used at the report loop (see [`report_loop`]).
+    pub fn check(&mut self, main: Option<&AbsState>) -> (AbsState, Option<AbsState>) {
+        self.main_inv = main.cloned();
+        let out = self.run(Mode::Check);
+        self.main_inv = None;
+        out
     }
 
-    fn run(&mut self, mode: Mode) -> AbsState {
+    fn run(&mut self, mode: Mode) -> (AbsState, Option<AbsState>) {
         self.mode = mode;
+        self.kept = None;
         let state = AbsState::initial(self.layout, self.packs);
         let program: &'a Program = self.program;
         let entry = program.func(program.entry);
-        self.exec_function(state, entry, &entry.body, None, 0)
+        let exit = self.exec_function(state, entry, &entry.body, None, 0);
+        (exit, self.kept.take())
     }
 
     // ----- functions -------------------------------------------------------
@@ -457,12 +456,13 @@ impl<'a> Iter<'a> {
     /// same in both modes. Where `inv` comes from is not:
     ///
     /// - **Iterate** solves the residual loop ([`Iter::solve_loop`]) and, at
-    ///   the report loop, keeps `inv` and the post-unroll iterate as the
-    ///   [`MainPair`].
-    /// - **Check** takes the pair's invariant at the main loop when the
-    ///   witness covers the arriving iterate, else solves the loop in context
-    ///   on a scratch iterator, keeping only the invariant; one
-    ///   alarm-collecting body pass from `inv` follows (Sect. 5.4).
+    ///   the main loop, keeps `inv`.
+    /// - **Check** takes the handed-in invariant at the main loop, else
+    ///   solves the loop in context on a scratch iterator, keeping only the
+    ///   invariant; one alarm-collecting body pass from `inv` follows
+    ///   (Sect. 5.4), and its back edge decides whether `inv` is admitted:
+    ///   the premise test ([`crate::solve::premise`]) counts every failure
+    ///   and names its loop. At the report loop it keeps `inv`.
     ///
     /// A `return` in the body leaves the function, not the loop: what the
     /// unrolled passes, the solve's stabilizing pass (Iterate) or the alarm
@@ -507,12 +507,8 @@ impl<'a> Iter<'a> {
                 if track {
                     self.loop_stack.pop();
                 }
-                if !check && Some(id) == self.report {
-                    // Residual unreachable in this context: a checking-mode
-                    // context that *does* reach the residual is uncovered.
-                    let bottom = AbsState::bottom();
-                    self.pair = Some(MainPair { witness: bottom.clone(), invariant: bottom });
-                }
+                // Residual unreachable in this context.
+                self.keep(id, &AbsState::bottom());
                 flow.parts = vec![exits];
                 return;
             }
@@ -527,18 +523,15 @@ impl<'a> Iter<'a> {
                 self.loop_stack.pop();
             }
         }
+        let scope = crate::parallel::loop_done_scope(self.program, layout, depth, cond, body);
         let inv = if !check {
-            let solved = self.solve_loop(&cur, id, cond, body, ret_target, depth);
+            let solved = self.solve_loop(&cur, id, cond, body, ret_target, depth, scope.as_ref());
             flow.returns(solved.returned, layout, packs);
-            if Some(id) == self.report {
-                self.pair = Some(MainPair { witness: cur, invariant: solved.inv.clone() });
-            }
             solved.inv
         } else {
-            let covered =
-                self.pair.as_ref().filter(|p| Some(id) == self.main && cur.leq(&p.witness));
-            let inv = match covered {
-                Some(p) => p.invariant.clone(),
+            let given = self.main_inv.as_ref().filter(|_| Some(id) == self.main);
+            let inv = match given {
+                Some(inv) => inv.clone(),
                 None => {
                     let mut w = self.scratch();
                     // Pack usefulness is the one thing the scratch solve
@@ -548,7 +541,8 @@ impl<'a> Iter<'a> {
                     {
                         w.differential = self.differential;
                     }
-                    let inv = w.solve_loop(&cur, id, cond, body, ret_target, depth).inv;
+                    let scope = scope.as_ref();
+                    let inv = w.solve_loop(&cur, id, cond, body, ret_target, depth, scope).inv;
                     self.oct_useful = w.oct_useful;
                     #[cfg(test)]
                     {
@@ -570,14 +564,34 @@ impl<'a> Iter<'a> {
             if track {
                 self.loop_stack.pop();
             }
+            let t0 = self.rec_on.then(Instant::now);
+            let holds = premise(&cur, &pass.next, &inv, scope.as_ref(), layout, packs);
+            self.op_timed(t0, "state", "premise", 0);
+            self.stats.premise.checked += 1;
+            if !holds {
+                self.stats.premise.failed += 1;
+                self.stats.premise_loops.insert((self.cur_func().to_string(), id.0));
+            }
             inv
         };
+        self.keep(id, &inv);
         flow.parts = vec![exits.join(&self.state_guard(inv, cond, false), layout, packs)];
+    }
+
+    /// Keeps `inv` when loop `id` is the one this pass keeps an invariant
+    /// of: the main loop in the iteration pass, the report loop in the
+    /// checking pass.
+    fn keep(&mut self, id: LoopId, inv: &AbsState) {
+        let kept = if self.mode == Mode::Check { self.report } else { self.main };
+        if Some(id) == kept {
+            self.kept = Some(inv.clone());
+        }
     }
 
     /// Solves the residual loop above `base` with `F` this iterator's body
     /// pass ([`crate::solve`]), counts the solve, and applies the loop-done
-    /// reduction to the invariant.
+    /// reduction over `scope` to the invariant ([`reduce_above`]).
+    #[allow(clippy::too_many_arguments)]
     fn solve_loop(
         &mut self,
         base: &AbsState,
@@ -586,6 +600,7 @@ impl<'a> Iter<'a> {
         body: &Block,
         ret_target: Option<&Lvalue>,
         depth: u32,
+        scope: Option<&BTreeSet<CellId>>,
     ) -> Solved {
         let (layout, packs, config) = (self.layout, self.packs, self.config);
         let func = self.cur_func();
@@ -608,21 +623,13 @@ impl<'a> Iter<'a> {
             self.stats.widen_top += solved.stats.widen_top;
             self.stats.budget_loops.insert((func.to_string(), id.0));
         }
-        // The loop-done reduction, over the planner's scope plus the cells
-        // the solve moved (enumerated by `diff2` in proportion to the diff,
-        // alike with sharing on and off).
+        #[cfg(test)]
+        if UNSOUND_NARROWING.get() == Some(id.0) {
+            drop_a_bound(&mut solved.inv);
+        }
         let t0 = self.rec_on.then(Instant::now);
         let useful = Some(&mut self.oct_useful[..]);
-        match crate::parallel::loop_done_scope(self.program, layout, depth, cond, body) {
-            Some(cells) => {
-                let mut cells: Vec<CellId> = cells.into_iter().collect();
-                base.env.changed_cells(&solved.inv.env, &mut cells);
-                cells.sort_unstable();
-                cells.dedup();
-                solved.inv.reduce_local(layout, packs, &cells, useful)
-            }
-            None => solved.inv.reduce_counting(layout, packs, useful),
-        };
+        reduce_above(&mut solved.inv, base, scope, layout, packs, useful);
         self.op_timed(t0, "octagon", "closure", 0);
         solved
     }
@@ -1362,8 +1369,8 @@ fn main_loop(program: &Program) -> Option<LoopId> {
 }
 
 /// The loop the census reports on: the main loop, else the first loop
-/// anywhere. Such a loop may sit in a callee reached more than once; its
-/// pair is then its last visit's, which the checking pass never takes.
+/// anywhere. Such a loop may sit in a callee reached more than once; the
+/// invariant reported is then its last visit's in the checking pass.
 fn report_loop(program: &Program) -> Option<LoopId> {
     main_loop(program).or_else(|| {
         let mut found = None;
@@ -1376,6 +1383,28 @@ fn report_loop(program: &Program) -> Option<LoopId> {
         }
         found
     })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A planted fault: the solve of this loop, on this thread, drops a
+    /// bound of its invariant as an unsound narrowing would.
+    pub(crate) static UNSOUND_NARROWING: std::cell::Cell<Option<u32>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The planted fault of [`UNSOUND_NARROWING`]: lowers the first finite upper
+/// bound of an integer cell wider than a point.
+#[cfg(test)]
+fn drop_a_bound(inv: &mut AbsState) {
+    let found = inv.env.iter().find_map(|(c, v)| match v {
+        CellVal::Int(x) if x.val.lo < x.val.hi && x.val.hi != i64::MAX => Some((*c, *x)),
+        _ => None,
+    });
+    if let Some((c, mut x)) = found {
+        x.val.hi -= 1;
+        inv.env.set(c, CellVal::Int(x));
+    }
 }
 
 /// Cells listed in a leaf (helper for rebuilding a `PackEnv`).

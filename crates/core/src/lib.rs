@@ -35,7 +35,7 @@
 //! assert_eq!(result.alarms.len(), 0); // no possible run-time error
 //! ```
 //!
-//! Telemetry, an invariant store (replay or solve) and intra-analysis parallelism
+//! Telemetry, an invariant store (re-prove or solve) and intra-analysis parallelism
 //! are orthogonal builder options:
 //!
 //! ```no_run

@@ -14,15 +14,17 @@
 //! the invariant bit for bit ([`reference()`] runs them all).
 //!
 //! Both passes of the iterator call it, the checking pass on a scratch
-//! iterator; the caller keeps the main pair, applies the loop-done
-//! reduction and joins [`Solved::returned`] into the function's returns.
+//! iterator; the caller applies the loop-done reduction ([`reduce_above`])
+//! and joins [`Solved::returned`] into the function's returns. The checking
+//! pass admits an invariant only if it passes [`premise`].
 
 use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::AbsState;
 use astree_domains::{FloatItv, Thresholds};
-use astree_memory::{AbsEnv, CellLayout, CellVal};
+use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
 use astree_obs::{Event, LoopDoneEvent, LoopIterEvent, Phase, Recorder};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// One body pass `F(inv)`.
@@ -184,6 +186,50 @@ fn solve_with(
         }));
     }
     Solved { inv, returned, stats }
+}
+
+/// The loop-done reduction of `st`, a state solved above `base`: over
+/// `scope` plus the cells `st` moved from `base` (enumerated by `diff2` in
+/// proportion to the diff, alike with sharing on and off), or over the whole
+/// state when `scope` is `None` (see `parallel::loop_done_scope`). `useful`
+/// is credited per octagon pack that tightened a cell.
+pub fn reduce_above(
+    st: &mut AbsState,
+    base: &AbsState,
+    scope: Option<&BTreeSet<CellId>>,
+    layout: &CellLayout,
+    packs: &Packs,
+    useful: Option<&mut [usize]>,
+) {
+    match scope {
+        Some(cells) => {
+            let mut cells: Vec<CellId> = cells.iter().copied().collect();
+            base.env.changed_cells(&st.env, &mut cells);
+            cells.sort_unstable();
+            cells.dedup();
+            st.reduce_local(layout, packs, &cells, useful)
+        }
+        None => st.reduce_counting(layout, packs, useful),
+    };
+}
+
+/// The premise of the checking pass (Sect. 5.3–5.4): `inv` is inductive in
+/// the context `cur` it arrives in, `reduce(cur ⊔ F(inv)) ⊑ inv`, `next`
+/// being the back edge of `F(inv)`. The reduction is the loop-done one over
+/// `scope` ([`reduce_above`]) and credits no pack: [`AbsState::leq`]
+/// compares component by component, which is not the reduced product's
+/// order, and the loop-done reduction rewrote `inv` in that product.
+pub fn premise(
+    cur: &AbsState,
+    next: &AbsState,
+    inv: &AbsState,
+    scope: Option<&BTreeSet<CellId>>,
+    layout: &CellLayout,
+    packs: &Packs,
+) -> bool {
+    let mut post = cur.join(next, layout, packs);
+    reduce_above(&mut post, cur, scope, layout, packs, None);
+    post.leq(inv)
 }
 
 impl LoopRec<'_> {

@@ -44,6 +44,8 @@ impl IterStats {
         self.widen_top += o.widen_top;
         self.budget_loops.extend(o.budget_loops);
         self.loops_rechecked += o.loops_rechecked;
+        self.premise.add(&o.premise);
+        self.premise_loops.extend(o.premise_loops);
         self.frames.add(&o.frames);
     }
 }

@@ -4,7 +4,9 @@
 //! from a generated list of cell operations.
 //!
 //! - for a monotone `F`, the invariant lies above the base and is a
-//!   post-fixpoint, `base ⊔ F(inv) ⊑ inv`, after narrowing;
+//!   post-fixpoint, `base ⊔ F(inv) ⊑ inv`, after narrowing: the checking
+//!   pass's premise test (`astree_core::solve::premise`) admits it, over the
+//!   whole state and over any reduction scope;
 //! - for any `F`, the solve terminates within a stated number of
 //!   iterations, and `widen_top` counts exactly its iterations past
 //!   `max_iterations` that were not unions (the unions of `widening_delay`
@@ -15,7 +17,7 @@
 //! A non-monotone `F` can lose the post-fixpoint property to narrowing: the
 //! generator finds such cases, and one is pinned below as a non-law.
 
-use astree_core::solve::{reference, solve, LoopRec, Pass, Solved};
+use astree_core::solve::{premise, reference, solve, LoopRec, Pass, Solved};
 use astree_core::{AbsState, AnalysisConfig, Packs};
 use astree_domains::{Clocked, FloatItv, IntItv, Thresholds};
 use astree_frontend::Frontend;
@@ -23,6 +25,7 @@ use astree_memory::{CellId, CellLayout, CellVal, LayoutConfig};
 use astree_obs::{Event, Phase, Recorder};
 use proptest::prelude::*;
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 const INTS: usize = 3;
@@ -236,9 +239,9 @@ fn both(
     (solved, cut_calls, full, calls.get(), phases.0.into_inner().unwrap())
 }
 
-/// `base ⊔ F(inv) ⊑ inv`.
+/// `base ⊔ F(inv) ⊑ inv`, as the checking pass tests it at depth 0.
 fn post_fixpoint(sp: &Space, base: &AbsState, inv: &AbsState, ops: &[Op]) -> bool {
-    base.join(&apply(ops, sp, inv).next, &sp.layout, &sp.packs).leq(inv)
+    premise(base, &apply(ops, sp, inv).next, inv, None, &sp.layout, &sp.packs)
 }
 
 /// Bounds one iteration past the budget can send to infinity for good: a
@@ -260,6 +263,23 @@ proptest! {
         prop_assert!(base.leq(&solved.inv), "inv ⋣ base: {}", solved.inv);
         let inv = &solved.inv;
         prop_assert!(post_fixpoint(&sp, &base, inv, &ops), "not a post-fixpoint: {inv}");
+    }
+
+    #[test]
+    fn the_premise_test_admits_every_solve_of_a_monotone_body_in_any_scope(
+        ops in ops(true),
+        (ints, floats, t) in base(),
+        config in config(),
+        scoped in proptest::collection::btree_set(0..INTS + FLOATS, 0..=INTS + FLOATS),
+    ) {
+        let sp = space();
+        let base = base_state(&sp, &ints, &floats, t);
+        let inv = solve(&base, &sp.layout, &sp.packs, &config, None, |s| apply(&ops, &sp, s)).inv;
+        let next = apply(&ops, &sp, &inv).next;
+        let scope: BTreeSet<_> = scoped.iter().map(|&i| sp.cells[i]).collect();
+        for scope in [None, Some(&scope)] {
+            prop_assert!(premise(&base, &next, &inv, scope, &sp.layout, &sp.packs), "{inv}");
+        }
     }
 
     #[test]
@@ -338,8 +358,8 @@ fn the_cuts_skip_passes_and_some_narrowings_refine() {
 /// `i0 = 0` and no thresholds, the first iterate widens to `[0, +∞]`,
 /// where `F` folds to `[0, 0]`: stable. Narrowing then refines the
 /// invariant to `base ⊔ F(inv) = [0, 0]`, whose successor `[1, 1]` it does
-/// not contain. Whether the iterator's own transfers can do this is what
-/// checking the premise in the checking pass would answer.
+/// not contain. Should the iterator's own transfers ever do this, the
+/// checking pass's premise test names the loop.
 #[test]
 fn narrowing_a_non_monotone_body_can_leave_the_post_fixpoint() {
     let sp = space();

@@ -103,7 +103,7 @@ pub struct JobOutcome {
     pub main_invariant: Option<String>,
     /// Rendered main-loop census, when one was computed.
     pub main_census: Option<String>,
-    /// The shared invariant store answered this job verbatim.
+    /// The shared invariant store answered this job (a re-proved hit).
     pub cache_full_hit: bool,
     /// Wall-clock time the job occupied a worker.
     pub wall: Duration,

@@ -65,7 +65,7 @@ pub struct RequestOutcome {
     pub main_invariant: Option<String>,
     /// The main loop invariant census, rendered exactly as `--census`.
     pub main_census: Option<String>,
-    /// Whether the daemon's shared store replayed the whole result.
+    /// Whether the daemon's shared store answered (a re-proved hit).
     pub cache_full_hit: bool,
     /// Event frames received before the result.
     pub events: Vec<Json>,

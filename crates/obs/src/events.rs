@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use crate::json::Json;
 use crate::{
     AlarmEvent, BatchJobEvent, CacheCounters, FleetCounters, FrameCounters, LoopDoneEvent,
-    LoopIterEvent, PmapCounters, PoolCounters, SliceEvent,
+    LoopIterEvent, PmapCounters, PoolCounters, PremiseCounters, SliceEvent,
 };
 
 /// One analysis event.
@@ -60,6 +60,8 @@ pub enum Event<'a> {
     Pmap(&'a PmapCounters),
     /// Frame usage of a run.
     Frames(&'a FrameCounters),
+    /// Premise tests of a run's checking pass.
+    Premise(&'a PremiseCounters),
     /// Variables per discovered octagon pack, once per run.
     PackSizes(&'a [usize]),
 }
@@ -133,6 +135,7 @@ impl Event<'_> {
             Event::Cache(c) => ("cache", c.to_json()),
             Event::Pmap(c) => ("pmap", c.to_json()),
             Event::Frames(c) => ("frames", c.to_json()),
+            Event::Premise(c) => ("premise", c.to_json()),
             Event::PackSizes(sizes) => {
                 let mut histogram = BTreeMap::new();
                 count_pack_sizes(&mut histogram, sizes);
@@ -157,6 +160,7 @@ impl Event<'_> {
                 | Event::Cache(_)
                 | Event::Pmap(_)
                 | Event::Frames(_)
+                | Event::Premise(_)
                 | Event::PackSizes(_)
         )
     }

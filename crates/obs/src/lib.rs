@@ -334,6 +334,29 @@ impl PmapCounters {
     }
 }
 
+/// The checking pass's premise tests of one analysis run (every invariant it
+/// used, tested inductive in its context), summed by the [`Collector`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PremiseCounters {
+    /// Invariants tested.
+    pub checked: u64,
+    /// Invariants that failed the test (0 unless the analyzer has a bug).
+    pub failed: u64,
+}
+
+impl PremiseCounters {
+    /// Field-wise sum.
+    pub fn add(&mut self, o: &PremiseCounters) {
+        self.checked += o.checked;
+        self.failed += o.failed;
+    }
+
+    /// The document's `premise` section and the `premise` event.
+    pub fn to_json(&self) -> Json {
+        Json::obj([("checked", Json::UInt(self.checked)), ("failed", Json::UInt(self.failed))])
+    }
+}
+
 /// Frame usage of one analysis run: how the entry function's call
 /// statements ran and how large their frames are.
 ///
@@ -714,6 +737,8 @@ pub struct Metrics {
     pub pmap: PmapCounters,
     /// Frame usage, summed across recorded runs.
     pub frames: FrameCounters,
+    /// Premise tests, summed across recorded runs.
+    pub premise: PremiseCounters,
     /// Octagon pack-size histogram (variables per pack → pack count),
     /// summed across recorded runs. The mass at 2–3 variables is what
     /// justifies the specialized small-pack closure kernels.
@@ -816,6 +841,7 @@ impl Metrics {
             ("cache", self.cache.to_json()),
             ("pmap", self.pmap.to_json()),
             ("core", Json::obj([("frames", self.frames.to_json())])),
+            ("premise", self.premise.to_json()),
             ("packs", events::packs_json(&self.pack_size_histogram)),
             ("fleet", self.fleet.as_ref().map_or(Json::Null, FleetCounters::to_json)),
         ])
@@ -930,6 +956,7 @@ impl Recorder for Collector {
             Event::Cache(c) => m.cache.add(c),
             Event::Pmap(c) => m.pmap.add(c),
             Event::Frames(c) => m.frames.add(c),
+            Event::Premise(c) => m.premise.add(c),
             Event::PackSizes(sizes) => events::count_pack_sizes(&mut m.pack_size_histogram, sizes),
         }
     }
@@ -1072,6 +1099,7 @@ mod tests {
             "cache",
             "pmap",
             "core",
+            "premise",
             "packs",
             "fleet",
         ] {

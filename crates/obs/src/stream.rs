@@ -146,9 +146,10 @@ mod tests {
             Event::Pmap(_) => 16,
             Event::Frames(_) => 17,
             Event::PackSizes(_) => 18,
+            Event::Premise(_) => 19,
         }
     }
-    const VARIANTS: usize = 19;
+    const VARIANTS: usize = 20;
 
     /// Hands `f` one event of every variant.
     fn one_of_each(f: &mut dyn FnMut(&Event)) {
@@ -167,6 +168,7 @@ mod tests {
             ..FleetCounters::default()
         };
         let cache = CacheCounters { misses: 1, loops_solved: 4, ..CacheCounters::default() };
+        let premise = PremiseCounters { checked: 94, failed: 0 };
         let pmap = PmapCounters { nodes_allocated: 10, merge_calls: 3, ..Default::default() };
         let frames = FrameCounters {
             calls_framed: 7,
@@ -223,6 +225,7 @@ mod tests {
             Event::Pmap(&pmap),
             Event::Frames(&frames),
             Event::PackSizes(&[2, 3, 2]),
+            Event::Premise(&premise),
         ];
         for e in &events {
             f(e);
@@ -271,6 +274,7 @@ mod tests {
         assert_eq!(Some(&record("pack_sizes")), doc.get("packs"));
         assert_eq!(Some(&record("frames")), doc.get("core").and_then(|c| c.get("frames")));
         assert_eq!(Some(&record("cache")), doc.get("cache"));
+        assert_eq!(Some(&record("premise")), doc.get("premise"));
         let first = |section: Option<&Json>| match section {
             Some(Json::Arr(items)) => items[0].clone(),
             other => panic!("not an array: {other:?}"),

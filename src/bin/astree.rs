@@ -109,7 +109,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     );
     if result.cache.full_hit {
         println!(
-            "time: {:.2?} replay from cache (cold run: {:.2?} invariant generation + {:.2?} checking)",
+            "time: {:.2?} re-proved from cache (cold run: {:.2?} invariant generation + {:.2?} checking)",
             result.stats.time_replay, result.stats.time_iterate, result.stats.time_check
         );
     } else {
@@ -119,7 +119,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     if result.cache.enabled && result.cache.full_hit {
-        println!("cache: full hit, replayed the stored invariants and alarms");
+        println!("cache: full hit, re-proved the stored invariant");
     } else if result.cache.enabled {
         println!("cache: miss, solved and stored");
     }
@@ -132,19 +132,26 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if let Some(line) = result.stats.budget_line(max_iterations) {
         println!("{line}");
     }
+    for (func, id) in &result.stats.premise_loops {
+        println!("premise: {func} loop {id} is not inductive in its context");
+    }
     let census = result.main_census.filter(|_| census);
-    let alarmed =
-        print_verdict(census, result.main_invariant.filter(|_| invariant), &result.alarms);
-    Ok(if alarmed { ExitCode::from(1) } else { ExitCode::SUCCESS })
+    let invariant = result.main_invariant.filter(|_| invariant);
+    let premise_held = result.stats.premise.failed == 0;
+    let unproven = print_verdict(census, invariant, &result.alarms, premise_held);
+    Ok(if unproven { ExitCode::from(1) } else { ExitCode::SUCCESS })
 }
 
 /// Prints the census and invariant (when given) and the alarms — the
 /// verdict part of a report, shared by `analyze` and `client` so the two
-/// match byte for byte. Returns whether any alarm fired.
+/// match byte for byte. Without alarms, the program is proven only when
+/// every invariant passed its premise test (`premise_held`). Returns
+/// whether the program is not proven.
 fn print_verdict(
     census: Option<impl Display>,
     invariant: Option<impl Display>,
     alarms: &[impl Display],
+    premise_held: bool,
 ) -> bool {
     if let Some(c) = census {
         println!("\nmain loop invariant census:\n{c}");
@@ -152,15 +159,17 @@ fn print_verdict(
     if let Some(inv) = invariant {
         println!("\nmain loop invariant:\n{inv}");
     }
-    if alarms.is_empty() {
+    if alarms.is_empty() && premise_held {
         println!("\nno alarms: the program is proven free of run-time errors");
+    } else if alarms.is_empty() {
+        println!("\nno alarms, but an invariant is not inductive: nothing is proven");
     } else {
         println!("\n{} alarm(s):", alarms.len());
         for a in alarms {
             println!("  {a}");
         }
     }
-    !alarms.is_empty()
+    !alarms.is_empty() || !premise_held
 }
 
 /// Runs `jobs` as one fleet session under the fleet and run flags of
@@ -345,8 +354,8 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         let census = outcome.main_census.filter(|_| census);
-        alarmed |=
-            print_verdict(census, outcome.main_invariant.filter(|_| invariant), &outcome.alarms);
+        let invariant = outcome.main_invariant.filter(|_| invariant);
+        alarmed |= print_verdict(census, invariant, &outcome.alarms, true);
     }
     if requests.status {
         let frame = client.status().map_err(|e| format!("status: {e}"))?;

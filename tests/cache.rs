@@ -1,12 +1,13 @@
-//! End-to-end tests of the invariant store: an exact match replays
-//! bit-identically and fast, anything else is solved as if no store were
-//! attached, every result is one file, and damaged files degrade to a clean
-//! cold run.
+//! End-to-end tests of the invariant store: an exact match is re-proved by
+//! the checking pass, bit-identically and fast, anything else is solved as
+//! if no store were attached, every result is one file, and damaged or
+//! forged files degrade to a clean cold run.
 
 use astree::core::{AnalysisConfig, AnalysisResult, AnalysisSession, InvariantStore};
 use astree::frontend::Frontend;
-use astree::gen::{generate, GenConfig};
+use astree::gen::{generate, BugKind, GenConfig};
 use astree::ir::Program;
+use astree::memory::{CellLayout, LayoutConfig};
 use astree::obs::Collector;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -48,8 +49,9 @@ fn compile(src: &str) -> Program {
 }
 
 /// The headline guarantee: re-analyzing an unchanged program (≥50
-/// functions) through a warm store replays the stored result bit-identically
-/// — same alarms, same census, same invariant — at least 5× faster.
+/// functions) through a warm store re-proves the stored result
+/// bit-identically — same alarms, same census, same invariant — at least 5×
+/// faster.
 #[test]
 fn warm_rerun_is_bit_identical_and_at_least_5x_faster() {
     let dir = temp_dir("full-hit");
@@ -66,22 +68,21 @@ fn warm_rerun_is_bit_identical_and_at_least_5x_faster() {
     let (warm, warm_wall) = run_cached(&program, &store);
     assert!(warm.cache.full_hit, "unchanged program must be a full hit");
 
-    assert_eq!(cold.alarms, warm.alarms, "alarms must replay bit-identically");
-    assert_eq!(cold.main_census, warm.main_census, "census must replay bit-identically");
-    let cold_inv = cold.main_invariant.as_ref().map(|s| s.to_string());
-    let warm_inv = warm.main_invariant.as_ref().map(|s| s.to_string());
-    assert_eq!(cold_inv, warm_inv, "invariant must replay bit-identically");
+    assert_eq!(answer(&cold), answer(&warm), "the report must be the cold run's");
 
-    // Replay-specific accounting: the stored cold times survive, the actual
-    // replay cost is reported separately.
+    // Hit-specific accounting: the stored cold times survive, the hit's own
+    // cost is reported separately; the checking pass is this run's.
     assert_eq!(warm.stats.time_iterate, cold.stats.time_iterate);
     assert_eq!(warm.stats.time_check, cold.stats.time_check);
     assert!(warm.stats.time_replay.as_nanos() > 0);
     assert_eq!(warm.stats.loops_solved, 0);
+    assert_eq!(warm.stats.loops_rechecked, cold.stats.loops_rechecked);
+    assert_eq!(warm.stats.premise, cold.stats.premise);
+    assert_eq!(cold.stats.premise.failed, 0);
 
     assert!(
         cold_wall >= 5.0 * warm_wall,
-        "warm replay not ≥5× faster: cold {cold_wall:.3}s, warm {warm_wall:.3}s"
+        "warm hit not ≥5× faster: cold {cold_wall:.3}s, warm {warm_wall:.3}s"
     );
     let c = store.counters();
     assert_eq!(c.full_hits, 1);
@@ -177,7 +178,7 @@ fn tailed(tail: &str) -> Program {
     Frontend::new().compile_str(&src).expect("compiles")
 }
 
-/// Replay or solve: a store that holds no exact match — the same program
+/// Re-prove or solve: a store that holds no exact match — the same program
 /// before an edit inside one function, before an edit outside its loop, or a
 /// smaller member of the same family — changes nothing the run reports,
 /// down to the number of loops it solves.
@@ -304,6 +305,123 @@ fn concurrent_writers_publish_whole_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrites the token list of `var`'s cell line in the one stored file of
+/// `program` in `dir` with `edit`.
+fn forge(dir: &std::path::Path, program: &Program, var: &str, edit: fn(&mut [String])) {
+    let layout = CellLayout::new(program, &LayoutConfig::default());
+    let cell = layout.scalar_cell(program.var_by_name(var).expect("declared"));
+    let prefix = format!("c {} ", cell.0);
+    let files: Vec<_> = std::fs::read_dir(dir).expect("lists").map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1);
+    let text = std::fs::read_to_string(&files[0]).expect("reads");
+    let forged: Vec<String> = (text.lines())
+        .map(|line| match line.strip_prefix(&prefix) {
+            Some(_) => {
+                let mut t: Vec<String> = line.split(' ').map(str::to_string).collect();
+                edit(&mut t);
+                t.join(" ")
+            }
+            None => line.to_string(),
+        })
+        .collect();
+    let forged = forged.join("\n") + "\n";
+    assert_ne!(forged, text, "{var} is not stored");
+    std::fs::write(&files[0], forged).expect("writes");
+}
+
+/// A hit is the checking pass run from the stored main invariant, and the
+/// invariant is admitted only if it is inductive where the pass meets it. An
+/// honest hit reports the cold run's alarms; a forged one is rejected,
+/// counted corrupt and solved cold, its report the cold run's, and the file
+/// rewritten. Two forgeries: a `--bug div0` member's `bug_den` narrowed to
+/// exclude -1, the value that makes `bug_den + 1` zero, and a clean
+/// member's input bound tightened by one ulp.
+#[test]
+fn a_forged_invariant_is_rejected_and_solved_cold() {
+    let bug = Some(BugKind::DivByZero);
+    let div0 = compile(&generate(&GenConfig { channels: 4, seed: 3, bug }));
+    let clean = compile(&member(4));
+    let cases: [(&str, &Program, &str, fn(&mut [String])); 2] = [
+        ("div0", &div0, "bug_den", |t| {
+            assert_eq!((t[2].as_str(), t[3].as_str()), ("i", "-1"));
+            t[3] = "0".into();
+        }),
+        ("ulp", &clean, "in0", |t| {
+            let hi = f64::from_bits(u64::from_str_radix(&t[4], 16).expect("hex"));
+            assert!(t[2] == "f" && hi > 0.0);
+            t[4] = format!("{:016x}", hi.to_bits() - 1);
+        }),
+    ];
+    for (tag, program, var, edit) in cases {
+        let dir = temp_dir(&format!("forged-{tag}"));
+        let (cold, _) = run_on(program, &dir);
+        assert_eq!(
+            cold.alarms.iter().any(|a| a.kind == astree::core::AlarmKind::DivByZero),
+            tag == "div0"
+        );
+        let (honest, store) = run_on(program, &dir);
+        assert!(honest.cache.full_hit && store.counters().corrupt_files == 0, "{tag}");
+        assert_eq!(answer(&honest), answer(&cold), "{tag}");
+        assert_eq!(honest.stats.loops_rechecked, cold.stats.loops_rechecked, "{tag}");
+
+        forge(&dir, program, var, edit);
+        let (forged, store) = run_on(program, &dir);
+        assert!(!forged.cache.full_hit, "{tag}: a forged invariant was admitted");
+        assert_eq!(store.counters().corrupt_files, 1, "{tag}");
+        assert_eq!(answer(&forged), answer(&cold), "{tag}");
+        assert_eq!(forged.stats.premise.failed, 0, "{tag}: the report is the cold run's");
+        let (rewritten, store) = run_on(program, &dir);
+        assert!(rewritten.cache.full_hit && store.counters().corrupt_files == 0, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A hit runs the checking pass, so it collects the cold run's
+/// per-statement states.
+#[test]
+fn a_hit_collects_the_cold_runs_per_statement_states() {
+    let dir = temp_dir("stmt-states");
+    let program = compile(&member(4));
+    let mut cfg = AnalysisConfig::default();
+    cfg.collect_stmt_invariants = true;
+    let run = || {
+        let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
+        AnalysisSession::builder(&program).config(cfg.clone()).cache(store).build().run()
+    };
+    let (cold, warm) = (run(), run());
+    assert!(!cold.cache.full_hit && warm.cache.full_hit);
+    let (cold, warm) = (cold.stmt_invariants.expect("cold"), warm.stmt_invariants.expect("warm"));
+    assert!(!cold.is_empty());
+    assert_eq!(cold.len(), warm.len());
+    for (id, c) in &cold {
+        let w = &warm[id];
+        assert_eq!(c.to_string(), w.to_string(), "statement {id:?}");
+        assert!(c.leq(w) && w.leq(c), "statement {id:?}: packs differ");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run that exhausts its iteration budget reports it the same cold and
+/// warm: only the iteration pass knows it, and the store keeps it.
+#[test]
+fn a_hit_reports_the_cold_runs_budget_line() {
+    let dir = temp_dir("budget");
+    let program = two_workers("2");
+    let mut cfg = AnalysisConfig::default();
+    cfg.max_iterations = 1;
+    let run = || {
+        let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
+        AnalysisSession::builder(&program).config(cfg.clone()).cache(store).build().run()
+    };
+    let (cold, warm) = (run(), run());
+    assert!(!cold.cache.full_hit && warm.cache.full_hit);
+    let line = cold.stats.budget_line(cfg.max_iterations);
+    assert!(line.is_some(), "the budget did not run out");
+    assert_eq!(line, warm.stats.budget_line(cfg.max_iterations));
+    assert_eq!(answer(&cold), answer(&warm));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The metrics document grows a `cache` section with the run's counters.
 #[test]
 fn metrics_document_reports_cache_counters() {
@@ -321,6 +439,7 @@ fn metrics_document_reports_cache_counters() {
         let json = collector.to_json().to_string();
         assert!(json.contains("\"cache\""), "{json}");
         let m = collector.snapshot();
+        assert!(m.premise.checked > 0 && m.premise.failed == 0, "{:?}", m.premise);
         if expect_hit {
             assert_eq!(m.cache.full_hits, 1);
             assert!(m.cache.saved_nanos > 0);
