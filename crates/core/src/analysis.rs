@@ -266,17 +266,9 @@ impl<'a> AnalysisSession<'a> {
         hit: Option<FullHit>,
         rec: &dyn Recorder,
     ) -> (AnalysisResult, Option<AbsState>) {
-        // Reset the thread-local fast-path counters so a previous analysis
-        // on this thread (with telemetry off) cannot leak into this run.
-        let _ = astree_domains::take_saved_closures();
+        // Reset the thread-local pmap counters so a previous analysis on
+        // this thread (with telemetry off) cannot leak into this run.
         let _ = astree_pmap::take_stats();
-        // Arm (or, for the CI differential, disarm) the pointer shortcuts on
-        // the calling thread; worker slices re-arm their own threads from the
-        // config. Restored below so concurrent sessions on this thread (e.g.
-        // the test harness) are not affected. The flag never changes results
-        // — it is excluded from the cache fingerprint.
-        let prev_shortcuts = astree_pmap::set_ptr_shortcuts(!self.config.debug_no_ptr_shortcuts);
-
         let mut iter = Iter::with_recorder(self.program, layout, packs, &self.config, rec);
 
         let t0 = Instant::now();
@@ -290,10 +282,8 @@ impl<'a> AnalysisSession<'a> {
         let (_, report) = iter.check(main.as_ref());
         let time_check = t1.elapsed();
 
-        let saved_closures = astree_domains::take_saved_closures();
         let mut pmap = astree_pmap::take_stats();
         pmap.add(&iter.pmap_worker_stats);
-        astree_pmap::set_ptr_shortcuts(prev_shortcuts);
         let main_census = report.as_ref().map(|s| Census::of_state(s, layout, packs));
         let it = &mut iter.stats;
         let full_hit = stored.is_some();
@@ -325,12 +315,6 @@ impl<'a> AnalysisSession<'a> {
         if rec.enabled() {
             rec.record(&Event::Phase { phase: "iterate", nanos: time_iterate.as_nanos() as u64 });
             rec.record(&Event::Phase { phase: "check", nanos: time_check.as_nanos() as u64 });
-            rec.record(&Event::DomainOps {
-                domain: "octagon",
-                op: "closure_saved",
-                count: saved_closures,
-                nanos: 0,
-            });
             rec.record(&Event::Pmap(&pmap));
             rec.record(&Event::Frames(&FrameCounters {
                 cells_per_frame: iter.frames.framed().map(|f| f.cells.len() as u64).collect(),

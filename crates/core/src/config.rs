@@ -90,15 +90,6 @@ pub struct AnalysisConfig {
     /// replayed sequentially and the reason lands in the metrics output).
     #[doc(hidden)]
     pub debug_panic_slice: Option<usize>,
-    /// Disables every pointer-equality shortcut in the persistent-map layer
-    /// (root/interior merge shortcuts, identity-preserving no-op inserts,
-    /// `diff2`/`all2` shared-subtree skips and the iterator's `ptr_eq` fast
-    /// paths). The analysis recomputes everything the shortcuts would have
-    /// skipped; alarms, census and invariants must stay bit-identical to the
-    /// default run — CI diffs both modes. Purely a validation knob: it is
-    /// excluded from the cache fingerprint.
-    #[doc(hidden)]
-    pub debug_no_ptr_shortcuts: bool,
     /// Records the joined abstract state observed at *every* statement during
     /// the Check pass (not just loop heads) into
     /// [`AnalysisResult::stmt_invariants`]. Used by the differential
@@ -137,7 +128,6 @@ impl Default for AnalysisConfig {
             octagon_packs_extra: Vec::new(),
             jobs: 1,
             debug_panic_slice: None,
-            debug_no_ptr_shortcuts: false,
             collect_stmt_invariants: false,
         }
     }
@@ -172,7 +162,7 @@ impl AnalysisConfig {
         Json::obj(self.fields())
     }
 
-    fn fields(&self) -> [(&'static str, Json); 25] {
+    fn fields(&self) -> [(&'static str, Json); 24] {
         let AnalysisConfig {
             thresholds,
             widening_delay,
@@ -197,7 +187,6 @@ impl AnalysisConfig {
             octagon_packs_extra,
             jobs,
             debug_panic_slice,
-            debug_no_ptr_shortcuts,
             collect_stmt_invariants,
         } = self;
         let uint = |n: usize| Json::UInt(n as u64);
@@ -238,7 +227,6 @@ impl AnalysisConfig {
             ),
             ("jobs", uint(*jobs)),
             ("debug_panic_slice", debug_panic_slice.map_or(Json::Null, uint)),
-            ("debug_no_ptr_shortcuts", Json::Bool(*debug_no_ptr_shortcuts)),
             ("collect_stmt_invariants", Json::Bool(*collect_stmt_invariants)),
         ]
     }
@@ -302,7 +290,6 @@ impl AnalysisConfig {
                 "debug_panic_slice" => {
                     c.debug_panic_slice = want(k, v, "null or an index", |v| nullable(v, int))?
                 }
-                "debug_no_ptr_shortcuts" => c.debug_no_ptr_shortcuts = flag()?,
                 "collect_stmt_invariants" => c.collect_stmt_invariants = flag()?,
                 _ => return Err(format!("unknown config key `{k}`")),
             }
@@ -361,17 +348,13 @@ pub const ANALYSIS: &[Flag<AnalysisConfig>] = &[
         c.octagon_packs_extra.push(v.split(',').map(|s| s.trim().to_string()).collect());
         Ok(())
     }),
-    Flag::switch("--debug-no-ptr-shortcuts", "disables the pmap fast paths", |c, _| {
-        c.set("debug_no_ptr_shortcuts", "true")
-    }),
 ];
 
 /// The keys the store fingerprint leaves out, each with the reason it
 /// cannot change a stored result.
-pub const UNKEYED: [(&str, &str); 4] = [
+pub const UNKEYED: [(&str, &str); 3] = [
     ("jobs", "slicing at any worker count is bit-identical to the sequential analysis"),
     ("debug_panic_slice", "a stage replayed after a slice panic is bit-identical too"),
-    ("debug_no_ptr_shortcuts", "it disables pure fast paths; results are bit-identical"),
     ("collect_stmt_invariants", "it only adds per-statement captures beside the result"),
 ];
 

@@ -164,6 +164,11 @@ mod tests {
     use astree_obs::FrameCounters;
     use std::sync::Arc;
 
+    /// Whether the fast paths under test are compiled in. A `reference`
+    /// build runs every call on the whole state and every narrowing, so
+    /// its runs count no framed call and no cut narrowing.
+    const FAST: bool = !cfg!(feature = "reference");
+
     /// Everything one run of both passes yields.
     struct Run {
         after_iterate: AbsState,
@@ -232,10 +237,15 @@ mod tests {
         assert_eq!(framed.alarms, whole.alarms);
         assert_eq!(framed.stats.loop_iterations, whole.stats.loop_iterations);
         assert_eq!(framed.stats.stmts_interpreted, whole.stats.stmts_interpreted);
-        // The main loop is at depth 0, never inside a frame.
+        // The main loop is at depth 0, never inside a frame; the report loop
+        // may be, and its invariant is kept on the caller's whole state.
         assert_eq!(framed.main.is_some(), whole.main.is_some());
         for (f, w) in framed.main.iter().zip(&whole.main) {
             assert_same(f, w, "main loop invariant");
+        }
+        assert_eq!(framed.used.is_some(), whole.used.is_some());
+        for (f, w) in framed.used.iter().zip(&whole.used) {
+            assert_same(f, w, "report loop invariant");
         }
         assert_eq!(whole.stats.frames, FrameCounters::default());
         framed
@@ -248,17 +258,18 @@ mod tests {
     #[test]
     fn framed_family_members_match_the_unframed_analysis() {
         let run = differential(&member(8, 42, None), AnalysisConfig::default());
-        assert!(run.stats.frames.calls_framed > 0, "{:?}", run.stats.frames);
-        assert!(run.stats.narrowings_cut > 0, "no narrowing pass was cut");
+        assert_eq!(run.stats.frames.calls_framed > 0, FAST, "{:?}", run.stats.frames);
+        assert_eq!(run.stats.narrowings_cut > 0, FAST, "narrowing passes cut");
         for bug in [BugKind::DivByZero, BugKind::OutOfBounds, BugKind::IntOverflow] {
             let run = differential(&member(3, 11, Some(bug)), AnalysisConfig::default());
-            assert!(run.stats.frames.calls_framed > 0, "{bug:?}: {:?}", run.stats.frames);
-            assert!(run.stats.narrowings_cut > 0, "{bug:?}: no narrowing pass was cut");
+            assert_eq!(run.stats.frames.calls_framed > 0, FAST, "{bug:?}: {:?}", run.stats.frames);
+            assert_eq!(run.stats.narrowings_cut > 0, FAST, "{bug:?}: narrowing passes cut");
         }
         // Cross-channel coupling: a frame reaches into the neighbour channel.
         let coupled = StructKnobs { cross_couple: true, ..StructKnobs::default() };
         let src = generate_with(&GenConfig { channels: 5, seed: 9, bug: None }, &coupled);
-        assert!(differential(&src, AnalysisConfig::default()).stats.frames.calls_framed > 0);
+        let stats = differential(&src, AnalysisConfig::default()).stats.frames;
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     /// Loops whose narrowing does refine bounds, so the reference solve of
@@ -294,7 +305,7 @@ mod tests {
         config.narrowing_iterations = 3;
         for src in [clocked, chained] {
             let run = differential(src, config.clone());
-            assert!(run.stats.narrowings_cut > 0, "no narrowing pass was cut");
+            assert_eq!(run.stats.narrowings_cut > 0, FAST, "narrowing passes cut");
             let inv = run.main.as_ref().expect("a main loop");
             assert!(!inv.narrowable(), "narrowing left an infinite bound: {inv}");
         }
@@ -303,7 +314,7 @@ mod tests {
     #[test]
     fn framed_46_channel_member_matches_the_unframed_analysis() {
         let stats = differential(&member(46, 1, None), AnalysisConfig::default()).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     /// By-reference struct and array arguments, two call sites per helper
@@ -351,7 +362,7 @@ mod tests {
     #[test]
     fn by_ref_aggregates_and_dynamic_indices() {
         let stats = differential(BY_REF, AnalysisConfig::default()).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     /// Early returns inside branches, a guard that makes the callee's whole
@@ -395,7 +406,7 @@ mod tests {
     #[test]
     fn returns_in_branches_bottom_guards_shared_packs_and_entry_block_calls() {
         let stats = differential(CONTROL, AnalysisConfig::default()).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     #[test]
@@ -413,7 +424,7 @@ mod tests {
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
         let framed = setup.run(setup.frames(), true);
-        assert!(framed.stats.frames.calls_framed > 0);
+        assert_eq!(framed.stats.frames.calls_framed > 0, FAST);
         assert!(framed.after_check.is_bottom());
         assert!(framed.alarms.is_empty(), "{:?}", framed.alarms);
         differential(src, AnalysisConfig::default());
@@ -441,7 +452,7 @@ mod tests {
         let mut config = AnalysisConfig::default();
         config.partitioned_functions.insert("sel".to_string());
         let stats = differential(src, config).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     #[test]
@@ -469,7 +480,7 @@ mod tests {
             }
         "#;
         let stats = differential(src, AnalysisConfig::default()).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
     }
 
     #[test]
@@ -486,7 +497,8 @@ mod tests {
         "#;
         let setup = Setup::new(src, AnalysisConfig::default());
         let stats = setup.run(setup.frames(), true).stats.frames;
-        assert!(stats.calls_framed > 0 && stats.calls_whole_wait > 0, "{stats:?}");
+        assert_eq!(stats.calls_framed > 0, FAST, "{stats:?}");
+        assert!(stats.calls_whole_wait > 0, "{stats:?}");
         assert_eq!(stats.calls_whole_depth_cap, 0);
         differential(src, AnalysisConfig::default());
     }
@@ -502,7 +514,8 @@ mod tests {
         src.push_str("void main(void) { __astree_input_int(in, 0, 9); f17(in); f3(in); }\n");
         let setup = Setup::new(&src, AnalysisConfig::default());
         let stats = setup.run(setup.frames(), true).stats.frames;
-        assert_eq!((stats.calls_whole_depth_cap, stats.calls_framed), (2, 2), "{stats:?}");
+        let framed = if FAST { 2 } else { 0 };
+        assert_eq!((stats.calls_whole_depth_cap, stats.calls_framed), (2, framed), "{stats:?}");
         differential(&src, AnalysisConfig::default());
     }
 
@@ -554,19 +567,19 @@ mod tests {
                 n1 = b1[0];
             }
         "#;
-        let stats = differential(src, AnalysisConfig::default()).stats.frames;
-        assert!(stats.calls_framed > 0, "{stats:?}");
+        let run = differential(src, AnalysisConfig::default());
+        assert_eq!(run.stats.frames.calls_framed > 0, FAST, "{:?}", run.stats.frames);
 
         // `main` has no loop, so the census reports on `fill`'s: the
-        // invariant the checking pass used at its last visit, which has that
-        // site's shape (`b1`'s frame), holding none of `b0`'s cells.
-        let setup = Setup::new(src, AnalysisConfig::default());
-        let run = setup.run(setup.frames(), false);
+        // invariant the checking pass used at its last visit (the `b1`
+        // site's), on the caller's whole state — `b0`'s cells included,
+        // though they are outside that call's frame.
         assert!(run.main.is_none(), "no main loop");
         let inv = &run.used.expect("fill has a loop");
+        let setup = Setup::new(src, AnalysisConfig::default());
         let tracks = |name: &str| {
             setup.layout.iter().any(|(c, info)| info.name.starts_with(name) && inv.env.tracks(c))
         };
-        assert!(tracks("b1") && !tracks("b0"), "the invariant is the `b1` site's");
+        assert!(tracks("b0") && tracks("b1"), "the whole state");
     }
 }

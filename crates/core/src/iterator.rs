@@ -996,8 +996,10 @@ impl<'a> Iter<'a> {
             return state;
         }
         let frames = Arc::clone(&self.frames);
+        // The one selection point of frames: a `reference` build runs every
+        // call on the whole state.
         let frame = match frames.get(s.id).filter(|_| depth == 0) {
-            Some(FrameChoice::Framed(frame)) => frame,
+            Some(FrameChoice::Framed(frame)) if !cfg!(feature = "reference") => frame,
             Some(FrameChoice::Whole(why)) => {
                 let n = match why {
                     Unbounded::Wait => &mut self.stats.frames.calls_whole_wait,
@@ -1006,7 +1008,7 @@ impl<'a> Iter<'a> {
                 *n += 1;
                 return self.inline_call(state, callee, args, ret, s, depth);
             }
-            None => return self.inline_call(state, callee, args, ret, s, depth),
+            _ => return self.inline_call(state, callee, args, ret, s, depth),
         };
         self.stats.frames.calls_framed += 1;
         #[cfg(test)]
@@ -1018,10 +1020,21 @@ impl<'a> Iter<'a> {
         let t0 = self.rec_on.then(Instant::now);
         let pre = state.project(frame);
         self.op_timed(t0, "state", "project", 0);
+        let outer_kept = self.kept.take();
         let post = self.inline_call(pre.clone(), callee, args, ret, s, depth);
         // A key the callee added is a write the frame did not foresee:
         // `absorb` carries it over (sound), debug builds stop.
         debug_assert!(post.is_bottom() || post.same_shape(&pre), "callee left its frame");
+        // An invariant kept inside the call holds the frame's cells only:
+        // it is kept on the caller's whole state, as an unframed call keeps it.
+        self.kept = match self.kept.take() {
+            Some(inner) => {
+                let mut whole = state.clone();
+                whole.absorb(&pre, &inner, self.layout, self.packs);
+                Some(whole)
+            }
+            None => outer_kept,
+        };
         let t0 = self.rec_on.then(Instant::now);
         state.absorb(&pre, &post, self.layout, self.packs);
         self.op_timed(t0, "state", "absorb", 0);

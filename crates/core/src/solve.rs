@@ -71,7 +71,8 @@ pub struct LoopRec<'a> {
 }
 
 /// Solves the residual loop above `base`, `F` being `f` (see the module
-/// documentation).
+/// documentation). The one selection point of the narrowing cuts: a
+/// `reference` build solves as [`reference()`] does, recording as this does.
 pub fn solve(
     base: &AbsState,
     layout: &CellLayout,
@@ -80,7 +81,7 @@ pub fn solve(
     rec: Option<LoopRec>,
     f: impl FnMut(&AbsState) -> Pass,
 ) -> Solved {
-    solve_with(true, base, layout, packs, config, rec, f)
+    solve_with(!cfg!(feature = "reference"), base, layout, packs, config, rec, f)
 }
 
 /// The specification of [`solve`]'s narrowing cuts: the same solve with

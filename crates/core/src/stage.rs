@@ -26,8 +26,6 @@ struct SliceOut {
     /// The worker that ran the slice (0 = the caller).
     worker: usize,
     wall: Duration,
-    /// Octagon closures the ref fast paths skipped on this slice's thread.
-    saved_closures: u64,
     /// Persistent-map counters drained from this slice's thread.
     pmap_stats: PmapCounters,
 }
@@ -116,10 +114,6 @@ impl<'a> Iter<'a> {
                 if config.debug_panic_slice == Some(ci) {
                     panic!("injected slice fault (debug_panic_slice)");
                 }
-                // Worker threads start with the default thread-local sharing
-                // flag: align it with the session's configuration on every
-                // slice (the session only sets the caller's thread).
-                astree_pmap::set_ptr_shortcuts(!config.debug_no_ptr_shortcuts);
                 let t0 = Instant::now();
                 let mut w = this.scratch();
                 w.mode = this.mode;
@@ -134,7 +128,6 @@ impl<'a> Iter<'a> {
                     oct_useful: w.oct_useful,
                     worker: wid,
                     wall: t0.elapsed(),
-                    saved_closures: astree_domains::take_saved_closures(),
                     pmap_stats: astree_pmap::take_stats(),
                 }
             }))
@@ -179,7 +172,6 @@ impl<'a> Iter<'a> {
         }
         let t_merge = self.rec_on.then(Instant::now);
         let mut merged = pre.clone();
-        let mut saved_closures = 0u64;
         for (ci, out) in results.into_iter().enumerate() {
             let post = out.post.expect("checked above");
             merged.overlay_from(&pre, &post, &slices[ci].effects, self.layout, self.packs);
@@ -188,17 +180,10 @@ impl<'a> Iter<'a> {
             for (pi, n) in out.oct_useful.into_iter().enumerate() {
                 self.oct_useful[pi] += n;
             }
-            saved_closures += out.saved_closures;
             self.pmap_worker_stats.add(&out.pmap_stats);
         }
         if let Some(t0) = t_merge {
             let nanos = t0.elapsed().as_nanos() as u64;
-            self.rec.record(&Event::DomainOps {
-                domain: "octagon",
-                op: "closure_saved",
-                count: saved_closures,
-                nanos: 0,
-            });
             self.rec.record(&Event::Merge { stage: stage_no, slices: slices.len(), nanos });
         }
         self.stats.par_stages += 1;

@@ -37,7 +37,6 @@ fn every_field_moved() -> AnalysisConfig {
         octagon_packs_extra: vec![vec!["a".into(), "b".into()], vec!["c".into()]],
         jobs: 4,
         debug_panic_slice: Some(1),
-        debug_no_ptr_shortcuts: true,
         collect_stmt_invariants: true,
     }
 }
@@ -69,7 +68,6 @@ fn assert_bit_identical(a: &AnalysisConfig, b: &AnalysisConfig) {
         octagon_packs_extra,
         jobs,
         debug_panic_slice,
-        debug_no_ptr_shortcuts,
         collect_stmt_invariants,
     } = a;
     let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -106,10 +104,7 @@ fn assert_bit_identical(a: &AnalysisConfig, b: &AnalysisConfig) {
     assert_eq!(octagon_pack_filter, &b.octagon_pack_filter);
     assert_eq!(octagon_packs_extra, &b.octagon_packs_extra);
     assert_eq!((jobs, debug_panic_slice), (&b.jobs, &b.debug_panic_slice));
-    assert_eq!(
-        (debug_no_ptr_shortcuts, collect_stmt_invariants),
-        (&b.debug_no_ptr_shortcuts, &b.collect_stmt_invariants)
-    );
+    assert_eq!(collect_stmt_invariants, &b.collect_stmt_invariants);
 }
 
 fn keys(config: &AnalysisConfig) -> Vec<(String, Json)> {
@@ -138,7 +133,7 @@ fn every_field_survives_to_json_then_patch_bit_exactly() {
 fn fingerprint_ignores_exactly_the_unkeyed_keys() {
     let base = AnalysisConfig::default();
     let moved = keys(&every_field_moved());
-    assert_eq!(moved.len(), 25, "one key per field");
+    assert_eq!(moved.len(), 24, "one key per field");
     for (key, _) in &UNKEYED {
         assert!(moved.iter().any(|(k, _)| k == key), "UNKEYED names `{key}`, not a key");
     }

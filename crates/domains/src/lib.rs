@@ -37,5 +37,5 @@ pub use flags::ErrFlags;
 pub use float_interval::FloatItv;
 pub use int_interval::IntItv;
 pub use linform::LinForm;
-pub use octagon::{take_saved_closures, Octagon};
+pub use octagon::Octagon;
 pub use thresholds::Thresholds;

@@ -29,27 +29,9 @@
 use crate::float_interval::FloatItv;
 use crate::thresholds::Thresholds;
 use astree_float::round;
-use std::cell::Cell;
 use std::fmt;
 
 const INF: f64 = f64::INFINITY;
-
-thread_local! {
-    /// Clone-then-close operations avoided by the `*_ref` fast paths on
-    /// already-closed operands. Thread-local so parallel slice workers
-    /// count without synchronization; drained per-slice by the iterator
-    /// and reported as a batched `Event::DomainOps` (`octagon.closure_saved`).
-    static SAVED_CLOSURES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drains this thread's saved-closure counter (see [`Octagon::leq_ref`]).
-pub fn take_saved_closures() -> u64 {
-    SAVED_CLOSURES.with(|c| c.replace(0))
-}
-
-fn note_saved_closure() {
-    SAVED_CLOSURES.with(|c| c.set(c.get() + 1));
-}
 
 // ---------------------------------------------------------------------------
 // Half-matrix layout
@@ -272,6 +254,66 @@ fn close_full_body(m: &mut [f64], dim: usize) {
     strengthen_body(m, dim);
 }
 
+/// Strong closure of `m`, an `n`-variable half matrix: incremental on the
+/// variables of `mask`, or full for `None`. The one selection point of the
+/// closure kernel: a `reference` build runs [`close_reference`] instead,
+/// which is bitwise the same (`closure_kernel_is_bitwise_the_reference`).
+#[inline(always)]
+fn close_kernel(m: &mut [f64], n: usize, mask: Option<u32>) {
+    if cfg!(feature = "reference") {
+        #[cfg(any(test, feature = "reference"))]
+        return close_reference(m, n, mask);
+    }
+    match mask {
+        None => close_full_body(m, 2 * n),
+        Some(mask) => close_incremental_body(m, n, mask),
+    }
+}
+
+/// Incremental strong closure for a matrix that was strongly closed
+/// before entries touching the variables of `mask` were modified.
+///
+/// Correctness follows the standard Floyd–Warshall invariant with the
+/// node order "interior nodes first, then modified nodes": pairs of
+/// untouched nodes are already shortest paths through interior
+/// intermediates (the old closure; loosened V̂ entries only lengthen
+/// paths, so they stay valid), phase 1 brings every pair touching V̂
+/// up to date through all intermediates, and phase 2 routes every pair
+/// through the modified nodes. One strengthening pass then restores
+/// strong closure exactly as in the full algorithm. On the half matrix
+/// a canonical slot stands for a full entry *and* its mirror; the
+/// touched-node set is closed under the bar map, so "slot touches V̂"
+/// is exactly the full-matrix "row or column touches V̂".
+fn close_incremental_body(m: &mut [f64], n: usize, mask: u32) {
+    let dim = 2 * n;
+    with_scratch(2 * dim, |rows| {
+        let (rowk, rowk1) = rows.split_at_mut(dim);
+        // Phase 1: relax every canonical slot with a touched endpoint
+        // through every intermediate pair.
+        for t in 0..n {
+            let k = 2 * t;
+            for j in 0..dim {
+                rowk[j] = g(m, k, j);
+                rowk1[j] = g(m, k + 1, j);
+            }
+            relax_through_pair(m, dim, k, rowk, rowk1, Slots::Touching(mask));
+        }
+        // Phase 2: route every canonical slot through the touched pairs.
+        for t in 0..n.min(32) {
+            if mask & (1 << t) == 0 {
+                continue;
+            }
+            let k = 2 * t;
+            for j in 0..dim {
+                rowk[j] = g(m, k, j);
+                rowk1[j] = g(m, k + 1, j);
+            }
+            relax_through_pair(m, dim, k, rowk, rowk1, Slots::All);
+        }
+    });
+    strengthen_body(m, dim);
+}
+
 /// Octagon strengthening: combine the two unary chains
 /// (`m[i][j] ← min(m[i][j], (m[i][ī] + m[ȷ̄][j])/2)`).
 ///
@@ -303,6 +345,94 @@ fn strengthen_body(m: &mut [f64], dim: usize) {
             }
         }
     });
+}
+
+/// The relaxation loop the kernel replaced, kept as its reference: every
+/// slot of every row is offered to `keep`, and a kept slot is relaxed
+/// through `bk` and then through `bk1`, each write in place.
+#[cfg(any(test, feature = "reference"))]
+fn relax_through_pair_reference(
+    m: &mut [f64],
+    dim: usize,
+    k: usize,
+    rowk: &[f64],
+    rowk1: &[f64],
+    keep: impl Fn(usize, usize) -> bool,
+) {
+    let k1 = k + 1;
+    let mkk1 = rowk[k1];
+    let mk1k = rowk1[k];
+    for i in 0..dim {
+        let ik = g(m, i, k);
+        let ik1 = g(m, i, k1);
+        let mut bk = ik;
+        let via = round::add_up(ik1, mk1k);
+        if via < bk {
+            bk = via;
+        }
+        let mut bk1 = ik1;
+        let via = round::add_up(ik, mkk1);
+        if via < bk1 {
+            bk1 = via;
+        }
+        if bk == INF && bk1 == INF {
+            continue;
+        }
+        let base = ((i + 1) * (i + 1)) / 2;
+        for j in 0..=(i | 1) {
+            if !keep(i, j) {
+                continue;
+            }
+            let v = round::add_up(bk, rowk[j]);
+            if v < m[base + j] {
+                m[base + j] = v;
+            }
+            let v = round::add_up(bk1, rowk1[j]);
+            if v < m[base + j] {
+                m[base + j] = v;
+            }
+        }
+    }
+}
+
+/// The reference closure: phase 1 sweeps every slot through a
+/// touched-endpoint predicate (`mask = None` is the full closure, whose
+/// only phase keeps every slot), then phase 2 and the unfiltered
+/// strengthening.
+#[cfg(any(test, feature = "reference"))]
+fn close_reference(m: &mut [f64], n: usize, mask: Option<u32>) {
+    let dim = 2 * n;
+    let snapshot = |m: &[f64], k: usize| -> (Vec<f64>, Vec<f64>) {
+        ((0..dim).map(|j| g(m, k, j)).collect(), (0..dim).map(|j| g(m, k + 1, j)).collect())
+    };
+    let touched = |node: usize| mask.is_some_and(|mask| mask & (1 << (node / 2)) != 0);
+    for t in 0..n {
+        let (rowk, rowk1) = snapshot(m, 2 * t);
+        relax_through_pair_reference(m, dim, 2 * t, &rowk, &rowk1, |i, j| {
+            mask.is_none() || touched(i) || touched(j)
+        });
+    }
+    for t in (0..n).filter(|t| touched(2 * t)) {
+        let (rowk, rowk1) = snapshot(m, 2 * t);
+        relax_through_pair_reference(m, dim, 2 * t, &rowk, &rowk1, |_, _| true);
+    }
+    strengthen_reference(m, dim);
+}
+
+/// The strengthening pass the filtered one replaced, kept as its reference:
+/// every candidate is rounded up exactly.
+#[cfg(any(test, feature = "reference"))]
+fn strengthen_reference(m: &mut [f64], dim: usize) {
+    let udiag: Vec<f64> = (0..dim).map(|j| m[hm_idx(j ^ 1, j)]).collect();
+    for i in 0..dim {
+        let ui = m[hm_idx(i, i ^ 1)];
+        for j in 0..=(i | 1) {
+            let v = round::add_up(ui, udiag[j]) / 2.0;
+            if v < m[hm_idx(i, j)] {
+                m[hm_idx(i, j)] = v;
+            }
+        }
+    }
 }
 
 /// Entrywise combine over the live half slices.
@@ -586,55 +716,17 @@ impl Octagon {
 
     /// Full strong closure (cubic Floyd–Warshall + strengthening).
     fn close_full(&mut self) {
-        let dim = 2 * self.n;
-        close_full_body(self.hm_mut(), dim);
+        let n = self.n;
+        close_kernel(self.hm_mut(), n, None);
         self.closure = Closure::Closed;
     }
 
     /// Incremental strong closure for a matrix that was strongly closed
-    /// before entries touching the variables of `mask` were modified.
-    ///
-    /// Correctness follows the standard Floyd–Warshall invariant with the
-    /// node order "interior nodes first, then modified nodes": pairs of
-    /// untouched nodes are already shortest paths through interior
-    /// intermediates (the old closure; loosened V̂ entries only lengthen
-    /// paths, so they stay valid), phase 1 brings every pair touching V̂
-    /// up to date through all intermediates, and phase 2 routes every pair
-    /// through the modified nodes. One strengthening pass then restores
-    /// strong closure exactly as in the full algorithm. On the half matrix
-    /// a canonical slot stands for a full entry *and* its mirror; the
-    /// touched-node set is closed under the bar map, so "slot touches V̂"
-    /// is exactly the full-matrix "row or column touches V̂".
+    /// before entries touching the variables of `mask` were modified (see
+    /// [`close_incremental_body`]).
     fn close_incremental(&mut self, mask: u32) {
         let n = self.n;
-        let dim = 2 * n;
-        let m = self.hm_mut();
-        with_scratch(2 * dim, |rows| {
-            let (rowk, rowk1) = rows.split_at_mut(dim);
-            // Phase 1: relax every canonical slot with a touched endpoint
-            // through every intermediate pair.
-            for t in 0..n {
-                let k = 2 * t;
-                for j in 0..dim {
-                    rowk[j] = g(m, k, j);
-                    rowk1[j] = g(m, k + 1, j);
-                }
-                relax_through_pair(m, dim, k, rowk, rowk1, Slots::Touching(mask));
-            }
-            // Phase 2: route every canonical slot through the touched pairs.
-            for t in 0..n.min(32) {
-                if mask & (1 << t) == 0 {
-                    continue;
-                }
-                let k = 2 * t;
-                for j in 0..dim {
-                    rowk[j] = g(m, k, j);
-                    rowk1[j] = g(m, k + 1, j);
-                }
-                relax_through_pair(m, dim, k, rowk, rowk1, Slots::All);
-            }
-        });
-        strengthen_body(m, dim);
+        close_kernel(self.hm_mut(), n, Some(mask));
         self.closure = Closure::Closed;
     }
 
@@ -786,14 +878,6 @@ impl Octagon {
         self.taint_var(i);
     }
 
-    /// Bottom test on an already-closed matrix (no closure, no clone).
-    fn is_bottom_closed(&self) -> bool {
-        debug_assert_eq!(self.closure, Closure::Closed);
-        let dim = 2 * self.n;
-        let m = self.hm();
-        (0..dim).any(|i| m[hm_idx(i, i)] < 0.0)
-    }
-
     /// Bitwise identity: same pack size, same closure bookkeeping, and
     /// every stored entry bit-identical (`to_bits`, which distinguishes
     /// `-0.0` from `0.0` and is reflexive on infinities and NaNs). The
@@ -823,60 +907,23 @@ impl Octagon {
         Octagon { n: self.n, buf, closure }
     }
 
-    /// Least upper bound of immutable operands. Operands that are already
-    /// strongly closed skip the defensive clone-then-close entirely (the
-    /// avoided work is counted by [`take_saved_closures`]); the result is
-    /// bit-identical to the clone path because closing a closed matrix is
-    /// a no-op.
+    /// Least upper bound of immutable operands (clones both, then
+    /// [`Octagon::join`]).
     #[must_use]
     pub fn join_ref(&self, other: &Octagon) -> Octagon {
-        assert_eq!(self.n, other.n, "pack size mismatch");
-        if self.closure == Closure::Closed && other.closure == Closure::Closed {
-            note_saved_closure();
-            if self.is_bottom_closed() {
-                return other.clone();
-            }
-            if other.is_bottom_closed() {
-                return self.clone();
-            }
-            return self.zip_with(other, Closure::Closed, astree_float::max_total);
-        }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.join(&mut b)
+        self.clone().join(&mut other.clone())
     }
 
     /// Widening of immutable operands (see [`Octagon::widen`] for the
-    /// termination contract). A right operand that is already strongly
-    /// closed skips the defensive clone-then-close.
+    /// termination contract).
     #[must_use]
     pub fn widen_ref(&self, other: &Octagon, thresholds: &Thresholds) -> Octagon {
-        assert_eq!(self.n, other.n, "pack size mismatch");
-        if other.closure == Closure::Closed {
-            note_saved_closure();
-            return self.zip_with(other, Closure::Dirty, |a, b| {
-                if b > a {
-                    thresholds.above(b)
-                } else {
-                    a
-                }
-            });
-        }
-        let mut b = other.clone();
-        self.widen(&mut b, thresholds)
+        self.widen(&mut other.clone(), thresholds)
     }
 
-    /// Inclusion test of immutable operands. A left operand that is
-    /// already strongly closed is compared entrywise without the
-    /// defensive clone-then-close.
+    /// Inclusion test of immutable operands.
     pub fn leq_ref(&self, other: &Octagon) -> bool {
-        assert_eq!(self.n, other.n, "pack size mismatch");
-        if self.closure == Closure::Closed {
-            note_saved_closure();
-            return leq_body(self.hm(), other.hm());
-        }
-        let mut a = self.clone();
-        a.leq(other)
+        self.clone().leq(other)
     }
 
     /// Least upper bound (entrywise max of closed forms).
@@ -1402,75 +1449,6 @@ mod tests {
         }
     }
 
-    /// The relaxation loop the kernel replaced, kept as its reference: every
-    /// slot of every row is offered to `keep`, and a kept slot is relaxed
-    /// through `bk` and then through `bk1`, each write in place.
-    fn relax_through_pair_reference(
-        m: &mut [f64],
-        dim: usize,
-        k: usize,
-        rowk: &[f64],
-        rowk1: &[f64],
-        keep: impl Fn(usize, usize) -> bool,
-    ) {
-        let k1 = k + 1;
-        let mkk1 = rowk[k1];
-        let mk1k = rowk1[k];
-        for i in 0..dim {
-            let ik = g(m, i, k);
-            let ik1 = g(m, i, k1);
-            let mut bk = ik;
-            let via = round::add_up(ik1, mk1k);
-            if via < bk {
-                bk = via;
-            }
-            let mut bk1 = ik1;
-            let via = round::add_up(ik, mkk1);
-            if via < bk1 {
-                bk1 = via;
-            }
-            if bk == INF && bk1 == INF {
-                continue;
-            }
-            let base = ((i + 1) * (i + 1)) / 2;
-            for j in 0..=(i | 1) {
-                if !keep(i, j) {
-                    continue;
-                }
-                let v = round::add_up(bk, rowk[j]);
-                if v < m[base + j] {
-                    m[base + j] = v;
-                }
-                let v = round::add_up(bk1, rowk1[j]);
-                if v < m[base + j] {
-                    m[base + j] = v;
-                }
-            }
-        }
-    }
-
-    /// The reference closure: phase 1 sweeps every slot through a
-    /// touched-endpoint predicate (`mask = None` is the full closure, whose
-    /// only phase keeps every slot), then phase 2 and strengthening.
-    fn close_reference(m: &mut [f64], n: usize, mask: Option<u32>) {
-        let dim = 2 * n;
-        let snapshot = |m: &[f64], k: usize| -> (Vec<f64>, Vec<f64>) {
-            ((0..dim).map(|j| g(m, k, j)).collect(), (0..dim).map(|j| g(m, k + 1, j)).collect())
-        };
-        let touched = |node: usize| mask.is_some_and(|mask| mask & (1 << (node / 2)) != 0);
-        for t in 0..n {
-            let (rowk, rowk1) = snapshot(m, 2 * t);
-            relax_through_pair_reference(m, dim, 2 * t, &rowk, &rowk1, |i, j| {
-                mask.is_none() || touched(i) || touched(j)
-            });
-        }
-        for t in (0..n).filter(|t| touched(2 * t)) {
-            let (rowk, rowk1) = snapshot(m, 2 * t);
-            relax_through_pair_reference(m, dim, 2 * t, &rowk, &rowk1, |_, _| true);
-        }
-        strengthen_body(m, dim);
-    }
-
     /// Bounds that exercise every branch of the kernel: `+∞` often and `−∞`
     /// (so `+∞ + −∞` pairs produce NaN), both zeros often (so a relaxation
     /// can tie a stored bound of the other sign), both overflow edges (near
@@ -1510,18 +1488,14 @@ mod tests {
             for n in 2..=8 {
                 let drawn = &bounds[..hm_len(n)];
                 for mask in (1..1u32 << n).map(Some).chain([None]) {
-                    let mut kernel = Octagon {
-                        n,
-                        buf: Buf::Heap(drawn.to_vec().into_boxed_slice()),
-                        closure: Closure::Dirty,
-                    };
+                    let mut kernel = drawn.to_vec();
                     match mask {
-                        Some(mask) => kernel.close_incremental(mask),
-                        None => kernel.close_full(),
+                        Some(mask) => close_incremental_body(&mut kernel, n, mask),
+                        None => close_full_body(&mut kernel, 2 * n),
                     }
                     let mut reference = drawn.to_vec();
                     close_reference(&mut reference, n, mask);
-                    prop_assert_eq!(bits(kernel.hm()), bits(&reference), "n {} mask {:?}", n, mask);
+                    prop_assert_eq!(bits(&kernel), bits(&reference), "n {} mask {:?}", n, mask);
                 }
             }
         }
@@ -1538,16 +1512,7 @@ mod tests {
                 let mut kernel = bounds[..hm_len(n)].to_vec();
                 let mut reference = kernel.clone();
                 strengthen_body(&mut kernel, dim);
-                let udiag: Vec<f64> = (0..dim).map(|j| reference[hm_idx(j ^ 1, j)]).collect();
-                for i in 0..dim {
-                    let ui = reference[hm_idx(i, i ^ 1)];
-                    for j in 0..=(i | 1) {
-                        let v = round::add_up(ui, udiag[j]) / 2.0;
-                        if v < reference[hm_idx(i, j)] {
-                            reference[hm_idx(i, j)] = v;
-                        }
-                    }
-                }
+                strengthen_reference(&mut reference, dim);
                 prop_assert_eq!(bits(&kernel), bits(&reference), "n {}", n);
             }
         }
@@ -1569,38 +1534,5 @@ mod tests {
         assert!(matches!(o.closure, Closure::DirtyVars(_)));
         let m = o.meet(&Octagon::top(3));
         assert_eq!(m.closure, Closure::Dirty);
-    }
-
-    #[test]
-    fn ref_fast_paths_match_clone_paths_and_count_savings() {
-        let _ = take_saved_closures();
-        let mut a = Octagon::top(2);
-        a.assign_interval(0, FloatItv::new(0.0, 1.0));
-        a.add_diff_le(0, 1, 2.0);
-        a.close();
-        let mut b = Octagon::top(2);
-        b.assign_interval(0, FloatItv::new(0.5, 3.0));
-        b.close();
-        assert_eq!(take_saved_closures(), 0, "close() itself never counts as saved");
-
-        let j_fast = a.join_ref(&b);
-        assert_eq!(take_saved_closures(), 1);
-        let j_slow = a.clone().join(&mut b.clone());
-        assert_eq!(j_fast, j_slow);
-
-        let t = Thresholds::geometric(1.0, 100.0, 4);
-        let w_fast = a.widen_ref(&b, &t);
-        assert_eq!(take_saved_closures(), 1);
-        let w_slow = a.widen(&mut b.clone(), &t);
-        assert_eq!(w_fast, w_slow);
-
-        assert_eq!(a.leq_ref(&j_fast), a.clone().leq(&j_fast));
-        assert_eq!(take_saved_closures(), 1);
-
-        // A dirty operand falls back to the clone path: nothing saved.
-        let mut dirty = b.clone();
-        dirty.add_upper(1, 7.0);
-        let _ = dirty.leq_ref(&j_fast);
-        assert_eq!(take_saved_closures(), 0);
     }
 }

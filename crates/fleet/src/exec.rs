@@ -75,6 +75,7 @@ fn analysis_job(spec: &JobSpec, config: AnalysisConfig, ctx: &ExecContext<'_>) -
     let mut out = JobOutcome::empty("", JobStatus::Done);
     out.alarms = Some(result.alarms.len());
     out.alarm_lines = result.alarms.iter().map(|a| a.to_string()).collect();
+    out.premise_failed = result.stats.premise_loops.to_vec();
     out.main_invariant = result.main_invariant.as_ref().map(|s| s.to_string());
     out.main_census = result.main_census.as_ref().map(|c| c.to_string());
     out.cache_full_hit = result.cache.full_hit;

@@ -99,6 +99,10 @@ pub struct JobOutcome {
     /// Rendered alarm lines, when the job completed (same `Display` as
     /// `astree analyze`, so reports diff byte-for-byte).
     pub alarm_lines: Vec<String>,
+    /// The loops, as (function, loop id), whose invariant failed the
+    /// checking pass's premise test: an analyzer bug that fails the job's
+    /// verdict whatever its alarms.
+    pub premise_failed: Vec<(String, u32)>,
     /// Rendered main-loop invariant, when one was computed.
     pub main_invariant: Option<String>,
     /// Rendered main-loop census, when one was computed.
@@ -123,6 +127,7 @@ impl JobOutcome {
             status,
             alarms: None,
             alarm_lines: Vec::new(),
+            premise_failed: Vec::new(),
             main_invariant: None,
             main_census: None,
             cache_full_hit: false,
@@ -161,6 +166,14 @@ impl FleetReport {
         self.outcomes.iter().filter_map(|o| o.alarms).sum()
     }
 
+    /// Whether every job completed with no alarm and every invariant passed
+    /// its premise test: `batch`'s exit status.
+    pub fn clean(&self) -> bool {
+        self.outcomes.iter().all(|o| {
+            o.status == JobStatus::Done && o.alarms == Some(0) && o.premise_failed.is_empty()
+        })
+    }
+
     /// Observed speedup (sequential cost over fleet wall time).
     pub fn speedup(&self) -> f64 {
         if self.wall.is_zero() {
@@ -186,6 +199,9 @@ impl FleetReport {
             }
             for line in &o.alarm_lines {
                 out.push_str(&format!("alarm {line}\n"));
+            }
+            for (func, id) in &o.premise_failed {
+                out.push_str(&format!("premise {func} {id}\n"));
             }
             if let Some(inv) = &o.main_invariant {
                 for line in inv.lines() {
@@ -242,5 +258,29 @@ mod tests {
             counters: FleetCounters::default(),
         };
         assert_eq!(ra.stable_report(), rb.stable_report());
+    }
+
+    #[test]
+    fn a_failed_premise_fails_the_report_and_only_its_bytes_move() {
+        let mut proven = JobOutcome::empty("j", JobStatus::Done);
+        proven.alarms = Some(0);
+        let report = |o: &JobOutcome| FleetReport {
+            outcomes: vec![o.clone()],
+            wall: Duration::from_secs(1),
+            workers: 1,
+            total_job_time: Duration::from_secs(1),
+            counters: FleetCounters::default(),
+        };
+        let passing = report(&proven);
+        assert!(passing.clean());
+        assert_eq!(passing.stable_report(), "fleet-report/1\njob j\nstatus done\nalarms 0\n");
+        let mut unsound = proven.clone();
+        unsound.premise_failed = vec![("step3".into(), 2), ("main".into(), 0)];
+        let failing = report(&unsound);
+        assert!(!failing.clean(), "a failed premise with no alarm is not proven");
+        assert_eq!(
+            failing.stable_report(),
+            "fleet-report/1\njob j\nstatus done\nalarms 0\npremise step3 2\npremise main 0\n"
+        );
     }
 }

@@ -61,6 +61,9 @@ pub struct AnalyzeRequest {
 pub struct RequestOutcome {
     /// Alarms, rendered exactly as the one-shot CLI renders them.
     pub alarms: Vec<String>,
+    /// The loops, as (function, loop id), whose invariant failed its
+    /// premise test: the program is not proven whatever its alarms.
+    pub premise_failed: Vec<(String, u32)>,
     /// The main loop invariant, rendered exactly as `--dump-invariant`.
     pub main_invariant: Option<String>,
     /// The main loop invariant census, rendered exactly as `--census`.
@@ -155,6 +158,7 @@ impl Client {
         }
         Ok(RequestOutcome {
             alarms: out.alarm_lines,
+            premise_failed: out.premise_failed,
             main_invariant: out.main_invariant,
             main_census: out.main_census,
             cache_full_hit: out.cache_full_hit,

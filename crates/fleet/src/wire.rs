@@ -83,6 +83,7 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
         ("status", Json::str(o.status.slug())),
         ("alarms", o.alarms.map_or(Json::Null, |n| Json::UInt(n as u64))),
         ("alarm_lines", Json::Arr(o.alarm_lines.iter().map(Json::str).collect())),
+        ("premise_failed", Json::Arr(o.premise_failed.iter().map(premise_to_json).collect())),
         ("main_invariant", o.main_invariant.as_deref().map_or(Json::Null, Json::str)),
         ("main_census", o.main_census.as_deref().map_or(Json::Null, Json::str)),
         ("cache_full_hit", Json::Bool(o.cache_full_hit)),
@@ -102,6 +103,12 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
         status,
         alarms: j.get("alarms").and_then(Json::as_u64).map(|n| n as usize),
         alarm_lines: get_str_arr(j, "alarm_lines").unwrap_or_default(),
+        premise_failed: match j.get("premise_failed") {
+            Some(Json::Arr(loops)) => {
+                loops.iter().map(premise_from_json).collect::<Result<_, _>>()?
+            }
+            _ => return Err("missing `premise_failed`".into()),
+        },
         main_invariant: opt_str(j, "main_invariant"),
         main_census: opt_str(j, "main_census"),
         cache_full_hit: j.get("cache_full_hit").and_then(Json::as_bool).unwrap_or(false),
@@ -110,6 +117,22 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
         resent: 0,
         detail: opt_str(j, "detail"),
     })
+}
+
+/// A loop whose invariant failed its premise test, as `["func", loop]`.
+fn premise_to_json((func, id): &(String, u32)) -> Json {
+    Json::Arr(vec![Json::str(func), Json::UInt((*id).into())])
+}
+
+fn premise_from_json(j: &Json) -> Result<(String, u32), String> {
+    if let Json::Arr(pair) = j {
+        if let [Json::Str(func), id] = pair.as_slice() {
+            if let Some(id) = id.as_u64().and_then(|n| u32::try_from(n).ok()) {
+                return Ok((func.clone(), id));
+            }
+        }
+    }
+    Err(format!("bad `premise_failed` entry {}", j.to_compact()))
 }
 
 /// The outcomes a `result` frame carries, in submission order.
@@ -186,6 +209,7 @@ mod tests {
         out.alarms = Some(2);
         out.alarm_lines = vec!["line 3: possible division by zero in `x / d`".into()];
         out.main_invariant = Some("x in [0, 4]\n".into());
+        out.premise_failed = vec![("step1".into(), 3)];
         out.cache_full_hit = true;
         out.wall = Duration::from_nanos(1234);
         let text = outcome_to_json(&out).to_compact();
@@ -193,6 +217,7 @@ mod tests {
         assert_eq!(back.status, JobStatus::Done);
         assert_eq!(back.alarms, Some(2));
         assert_eq!(back.alarm_lines, out.alarm_lines);
+        assert_eq!(back.premise_failed, out.premise_failed);
         assert_eq!(back.main_invariant, out.main_invariant);
         assert!(back.cache_full_hit);
         assert_eq!(back.wall, out.wall);

@@ -54,6 +54,12 @@ pub fn parse(tokens: &[Token]) -> Result<AstProgram, ParseError> {
 ///
 /// Returns a [`ParseError`] describing the conflict.
 pub fn link(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
+    // The one selection point of the indexed linker below: a `reference`
+    // build scans instead.
+    if cfg!(feature = "reference") {
+        #[cfg(any(test, feature = "reference"))]
+        return link_reference(units);
+    }
     let mut out = AstProgram::default();
     // Name → position in `out`: one probe per declaration, not a scan of
     // everything merged so far (a paper-scale program has ~22 k globals).
@@ -122,6 +128,62 @@ pub fn link(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
                         line: f.line,
                         msg: format!("multiple definitions of function {}", f.name),
                     })
+                }
+                (None, Some(b)) => {
+                    existing.params = f.params;
+                    existing.body = Some(b);
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The linker the indexed one replaced, kept as its reference: each
+/// declaration is looked up by a linear scan of everything merged so far.
+#[cfg(any(test, feature = "reference"))]
+fn link_reference(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
+    let err = |line, msg: String| Err(ParseError { line, msg });
+    let mut out = AstProgram::default();
+    for unit in units {
+        for (tag, fields) in unit.structs {
+            match out.structs.iter().find(|(t, _)| *t == tag) {
+                None => out.structs.push((tag, fields)),
+                Some((_, existing)) if *existing == fields => {}
+                Some(_) => return err(0, format!("conflicting definitions of struct {tag}")),
+            }
+        }
+        for g in unit.globals {
+            let Some(existing) = out.globals.iter_mut().find(|o| o.name == g.name) else {
+                out.globals.push(g);
+                continue;
+            };
+            if existing.ty != g.ty {
+                return err(g.line, format!("conflicting types for global {}", g.name));
+            }
+            match (&existing.init, &g.init) {
+                (Some(_), Some(_)) => {
+                    return err(g.line, format!("multiple initializations of {}", g.name))
+                }
+                (None, Some(_)) => {
+                    existing.init = g.init;
+                    existing.is_extern = existing.is_extern && g.is_extern;
+                }
+                _ => {}
+            }
+        }
+        for f in unit.funcs {
+            let Some(existing) = out.funcs.iter_mut().find(|o| o.name == f.name) else {
+                out.funcs.push(f);
+                continue;
+            };
+            if existing.params.len() != f.params.len() || existing.ret != f.ret {
+                return err(f.line, format!("conflicting declarations of function {}", f.name));
+            }
+            match (&existing.body, f.body) {
+                (Some(_), Some(_)) => {
+                    return err(f.line, format!("multiple definitions of function {}", f.name))
                 }
                 (None, Some(b)) => {
                     existing.params = f.params;
@@ -1166,61 +1228,6 @@ mod tests {
         let a = parse_src("int f(void) { return 1; }");
         let b = parse_src("int f(void) { return 2; }");
         assert!(link(vec![a, b]).is_err());
-    }
-
-    /// The linker the indexed one replaced, kept as its reference: each
-    /// declaration is looked up by a linear scan of everything merged so far.
-    fn link_reference(units: Vec<AstProgram>) -> Result<AstProgram, ParseError> {
-        let err = |line, msg: String| Err(ParseError { line, msg });
-        let mut out = AstProgram::default();
-        for unit in units {
-            for (tag, fields) in unit.structs {
-                match out.structs.iter().find(|(t, _)| *t == tag) {
-                    None => out.structs.push((tag, fields)),
-                    Some((_, existing)) if *existing == fields => {}
-                    Some(_) => return err(0, format!("conflicting definitions of struct {tag}")),
-                }
-            }
-            for g in unit.globals {
-                let Some(existing) = out.globals.iter_mut().find(|o| o.name == g.name) else {
-                    out.globals.push(g);
-                    continue;
-                };
-                if existing.ty != g.ty {
-                    return err(g.line, format!("conflicting types for global {}", g.name));
-                }
-                match (&existing.init, &g.init) {
-                    (Some(_), Some(_)) => {
-                        return err(g.line, format!("multiple initializations of {}", g.name))
-                    }
-                    (None, Some(_)) => {
-                        existing.init = g.init;
-                        existing.is_extern = existing.is_extern && g.is_extern;
-                    }
-                    _ => {}
-                }
-            }
-            for f in unit.funcs {
-                let Some(existing) = out.funcs.iter_mut().find(|o| o.name == f.name) else {
-                    out.funcs.push(f);
-                    continue;
-                };
-                if existing.params.len() != f.params.len() || existing.ret != f.ret {
-                    return err(f.line, format!("conflicting declarations of function {}", f.name));
-                }
-                match (&existing.body, f.body) {
-                    (Some(_), Some(_)) => {
-                        return err(f.line, format!("multiple definitions of function {}", f.name))
-                    }
-                    (None, Some(b)) => {
-                        existing.params = f.params;
-                        existing.body = Some(b);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(out)
     }
 
     #[test]

@@ -202,6 +202,12 @@ impl CellLayout {
     /// `idx_eval` returns the interval of an index expression in the current
     /// abstract environment.
     pub fn resolve(&self, lv: &Lvalue, mut idx_eval: impl FnMut(&Expr) -> IntItv) -> Resolved {
+        // The one selection point of the fast path below: a `reference`
+        // build takes the general walk on every path.
+        if cfg!(feature = "reference") {
+            #[cfg(any(test, feature = "reference"))]
+            return self.resolve_general(lv, idx_eval);
+        }
         let mut walk = Walk { strong: true, may_oob: false };
         // Fast path: while the path stays on one node (fields, singleton
         // in-range indices, shrunk arrays) no node list is built.
@@ -225,7 +231,7 @@ impl CellLayout {
 
     /// [`CellLayout::resolve`] by the general walk alone — the reference
     /// the fast path is tested against.
-    #[cfg(test)]
+    #[cfg(any(test, feature = "reference"))]
     fn resolve_general(&self, lv: &Lvalue, idx_eval: impl FnMut(&Expr) -> IntItv) -> Resolved {
         let walk = Walk { strong: true, may_oob: false };
         walk.general(vec![&self.roots[lv.base.0 as usize]], &lv.path, idx_eval)

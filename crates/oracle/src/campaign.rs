@@ -158,6 +158,10 @@ pub struct MemberOutcome {
     pub alarms: BTreeMap<&'static str, u64>,
     /// Divergences found (first per execution).
     pub divergences: Vec<Divergence>,
+    /// The loops, as (function, loop id), whose invariant failed the
+    /// checking pass's premise test: an unsound invariant, whether or not an
+    /// execution reaches what it wrongly excludes.
+    pub premise_failed: Vec<(String, u32)>,
 }
 
 /// Why a corpus member produced no outcome.
@@ -209,6 +213,18 @@ impl Campaign {
             *self.alarm_census.entry(k).or_insert(0) += n;
         }
         self.divergences.extend(outcome.divergences.iter().cloned());
+    }
+
+    /// Every failed premise test, as (member, (function, loop id)), in
+    /// corpus order. Any one fails the campaign, as a divergence does.
+    pub fn premise_failures(&self) -> impl Iterator<Item = (&MemberSpec, &(String, u32))> {
+        let outcomes = self.runs.iter().filter_map(|(spec, r)| Some((spec, r.as_ref().ok()?)));
+        outcomes.flat_map(|(spec, o)| o.premise_failed.iter().map(move |failed| (spec, failed)))
+    }
+
+    /// Whether the campaign found no divergence and no failed premise.
+    pub fn passed(&self) -> bool {
+        self.divergences.is_empty() && self.premise_failures().next().is_none()
     }
 
     /// Folds a member that failed to compile or analyze, or panicked, into
@@ -309,6 +325,8 @@ pub struct AnalyzedMember {
     pub alarm_set: HashSet<(u32, AlarmKind)>,
     /// Alarm counts by kind slug.
     pub alarms: BTreeMap<&'static str, u64>,
+    /// The loops whose invariant failed its premise test.
+    pub premise_failed: Vec<(String, u32)>,
     /// `Wait` statement ids, for tick attribution in the observer.
     pub wait_stmts: HashSet<u32>,
 }
@@ -351,7 +369,17 @@ pub fn analyze_member(spec: &MemberSpec, cfg: &OracleConfig) -> Result<AnalyzedM
             }
         });
     }
-    Ok(AnalyzedMember { program, layout, table, prepared, alarm_set, alarms, wait_stmts })
+    let premise_failed = result.stats.premise_loops.to_vec();
+    Ok(AnalyzedMember {
+        program,
+        layout,
+        table,
+        prepared,
+        alarm_set,
+        alarms,
+        premise_failed,
+        wait_stmts,
+    })
 }
 
 /// Result of one fuzzed execution.
@@ -473,6 +501,7 @@ pub fn run_member(spec: &MemberSpec, cfg: &OracleConfig) -> Result<MemberOutcome
         inconclusive: 0,
         alarms: am.alarms.clone(),
         divergences: Vec::new(),
+        premise_failed: am.premise_failed.clone(),
     };
     for exec_seed in 0..cfg.seeds {
         let rec = run_execution(&am, exec_seed, cfg.ticks, cfg.max_steps);

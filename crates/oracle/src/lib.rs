@@ -172,6 +172,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_premise_fails_the_campaign() {
+        let outcome = run_member(&tiny_member(), &tiny_cfg()).unwrap();
+        assert!(outcome.premise_failed.is_empty());
+        let mut campaign = Campaign::default();
+        campaign.runs.push((outcome.spec.clone(), Ok(outcome.clone())));
+        assert!(campaign.passed());
+        let passing = campaign_to_json(&campaign, None);
+        assert!(passing.get("premise_failures").is_none(), "a passing report keeps its bytes");
+        // The same member with an invariant that failed its premise test,
+        // and no execution reaching what it wrongly excludes.
+        let unsound = MemberOutcome { premise_failed: vec![("step0".into(), 1)], ..outcome };
+        campaign.runs.push((unsound.spec.clone(), Ok(unsound.clone())));
+        assert!(!campaign.passed(), "a failed premise must fail the campaign");
+        let failing = campaign_to_json(&campaign, None);
+        let want = Json::obj([
+            ("member", Json::str(unsound.spec.label())),
+            ("func", Json::str("step0")),
+            ("loop", Json::UInt(1)),
+        ]);
+        assert_eq!(failing.get("premise_failures"), Some(&Json::Arr(vec![want])));
+    }
+
+    #[test]
     fn baseline_delta_reports_alarm_drift() {
         let baseline = Json::parse(
             r#"{"schema":"astree-campaign/1","members":1,"executions":1,

@@ -8,9 +8,13 @@
 //!   "inconclusive": 0,
 //!   "alarm_census": { "div_by_zero": 6 },
 //!   "divergences": [ { "member": "ch1-seed4", "channels": 1, ... } ],
+//!   "premise_failures": [ { "member": "ch2-seed1", "func": "step1", "loop": 0 } ],
 //!   "baseline_delta": { "div_by_zero": 1 }
 //! }
 //! ```
+//!
+//! `premise_failures` is present only when an invariant failed its premise
+//! test, so a passing campaign's report keeps its bytes.
 
 use crate::campaign::{Campaign, Divergence, DivergenceKind};
 use astree_obs::Json;
@@ -70,6 +74,20 @@ pub fn campaign_to_json(c: &Campaign, baseline: Option<&Json>) -> Json {
         ("alarm_census", census),
         ("divergences", Json::Arr(c.divergences.iter().map(divergence_json).collect())),
     ];
+    let failures: Vec<Json> = c
+        .premise_failures()
+        .map(|(spec, (func, id))| {
+            let loop_id = Json::UInt((*id).into());
+            Json::obj([
+                ("member", Json::str(spec.label())),
+                ("func", Json::str(func)),
+                ("loop", loop_id),
+            ])
+        })
+        .collect();
+    if !failures.is_empty() {
+        pairs.push(("premise_failures", Json::Arr(failures)));
+    }
     if let Some(base) = baseline {
         let mut delta: BTreeMap<String, i64> = BTreeMap::new();
         for (k, n) in &c.alarm_census {

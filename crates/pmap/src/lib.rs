@@ -41,4 +41,4 @@ mod slab;
 mod stats;
 
 pub use map::{Iter, MergeOutcome, PMap};
-pub use stats::{ptr_shortcuts_enabled, set_ptr_shortcuts, take_stats};
+pub use stats::take_stats;

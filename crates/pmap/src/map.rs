@@ -276,6 +276,10 @@ fn split<K: Clone + Ord, V: Clone>(t: &Link<K, V>, key: &K) -> (Link<K, V>, Opti
     }
 }
 
+/// Whether the physical-equality fast paths are compiled in: every shortcut
+/// below tests this, and the `reference` feature turns them all off at once.
+const SHORTCUTS: bool = !cfg!(feature = "reference");
+
 fn links_eq<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
     match (a, b) {
         (None, None) => true,
@@ -284,12 +288,11 @@ fn links_eq<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
     }
 }
 
-/// `links_eq` gated by the thread's shortcut switch, counting interior hits.
-/// Every *semantic-shortcut* use of physical equality inside the bulk
-/// operations goes through here, so `debug_no_ptr_shortcuts` turns all of
-/// them off at once.
+/// `links_eq` gated by [`SHORTCUTS`], counting interior hits. Every
+/// *semantic-shortcut* use of physical equality inside the bulk operations
+/// goes through here.
 fn shared<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
-    if stats::ptr_shortcuts_enabled() && links_eq(a, b) {
+    if SHORTCUTS && links_eq(a, b) {
         stats::note_interior_shortcut();
         true
     } else {
@@ -337,19 +340,13 @@ fn union_outcome<K: Clone + Ord, V: Clone>(
                 let right = union_outcome(&an.right, &bn.right, f);
                 match f(&an.key, &an.value, &bn.value) {
                     MergeOutcome::Left => {
-                        if stats::ptr_shortcuts_enabled()
-                            && links_eq(&left, &an.left)
-                            && links_eq(&right, &an.right)
-                        {
+                        if SHORTCUTS && links_eq(&left, &an.left) && links_eq(&right, &an.right) {
                             return Some(an.clone());
                         }
                         join(an.key.clone(), an.value.clone(), left, right)
                     }
                     MergeOutcome::Right => {
-                        if stats::ptr_shortcuts_enabled()
-                            && links_eq(&left, &bn.left)
-                            && links_eq(&right, &bn.right)
-                        {
+                        if SHORTCUTS && links_eq(&left, &bn.left) && links_eq(&right, &bn.right) {
                             return Some(bn.clone());
                         }
                         join(bn.key.clone(), bn.value.clone(), left, right)
@@ -377,10 +374,7 @@ fn union_outcome<K: Clone + Ord, V: Clone>(
                 }
                 // The left value survives (key absent on the right, or the
                 // combiner kept it).
-                if stats::ptr_shortcuts_enabled()
-                    && links_eq(&left, &an.left)
-                    && links_eq(&right, &an.right)
-                {
+                if SHORTCUTS && links_eq(&left, &an.left) && links_eq(&right, &an.right) {
                     return Some(an.clone());
                 }
                 join(an.key.clone(), an.value.clone(), left, right)
@@ -604,8 +598,8 @@ impl<K, V> PMap<K, V> {
     ///
     /// This is a constant-time conservative equality: `true` implies the maps
     /// are equal, `false` implies nothing. Unlike the internal shortcuts this
-    /// primitive is *not* disabled by `debug_no_ptr_shortcuts` — callers that
-    /// use it as a semantic fast path must gate themselves.
+    /// primitive is *not* compiled out by the `reference` feature — callers
+    /// that use it as a semantic fast path must gate themselves.
     pub fn ptr_eq(&self, other: &Self) -> bool {
         links_eq(&self.root, &other.root)
     }
@@ -697,15 +691,15 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
     /// to the persistent, rebalancing `insert`.
     ///
     /// `same` may be any conservative identity check (`true` implies the
-    /// values are interchangeable); bitwise comparisons are ideal. Under
-    /// `debug_no_ptr_shortcuts` it is not consulted and the write always
-    /// happens — the resulting bindings are the same either way.
+    /// values are interchangeable); bitwise comparisons are ideal. A
+    /// `reference` build does not consult it and always writes — the
+    /// resulting bindings are the same either way.
     pub fn set(&mut self, key: K, value: V, same: impl FnOnce(&V, &V) -> bool) {
         let Some(old) = self.get(&key) else {
             *self = self.insert(key, value);
             return;
         };
-        if stats::ptr_shortcuts_enabled() && same(old, &value) {
+        if SHORTCUTS && same(old, &value) {
             stats::note_identity_preserved();
             return;
         }
@@ -779,7 +773,7 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
     ///
     /// The same idempotence contract as `union_with` applies: on physically
     /// shared subtrees `f` is never called, so `f(k, v, v)` must keep `v`
-    /// (either side) for the two modes of `debug_no_ptr_shortcuts` to agree.
+    /// (either side) for a `reference` build, which never skips, to agree.
     #[must_use]
     pub fn union_outcome(
         &self,
@@ -787,14 +781,12 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
         mut f: impl FnMut(&K, &V, &V) -> MergeOutcome<V>,
     ) -> Self {
         stats::note_merge_call();
-        if stats::ptr_shortcuts_enabled() && links_eq(&self.root, &other.root) {
+        if SHORTCUTS && links_eq(&self.root, &other.root) {
             stats::note_root_shortcut();
             return self.clone();
         }
         let root = union_outcome(&self.root, &other.root, &mut f);
-        if stats::ptr_shortcuts_enabled()
-            && (links_eq(&root, &self.root) || links_eq(&root, &other.root))
-        {
+        if SHORTCUTS && (links_eq(&root, &self.root) || links_eq(&root, &other.root)) {
             stats::note_identity_preserved();
         }
         PMap { root }
@@ -869,7 +861,7 @@ impl<K: Ord, V> PMap<K, V> {
         mut only_b: impl FnMut(&K, &V) -> bool,
         mut both: impl FnMut(&K, &V, &V) -> bool,
     ) -> bool {
-        if stats::ptr_shortcuts_enabled() && links_eq(&self.root, &other.root) {
+        if SHORTCUTS && links_eq(&self.root, &other.root) {
             stats::note_root_shortcut();
             return true;
         }
@@ -889,7 +881,7 @@ impl<K: Ord, V> PMap<K, V> {
     /// regions are skipped wholesale at every level, so the cost is
     /// proportional to the *diff* between the maps, not their size.
     pub fn diff2(&self, other: &Self, mut f: impl FnMut(&K, Option<&V>, Option<&V>)) {
-        if stats::ptr_shortcuts_enabled() && links_eq(&self.root, &other.root) {
+        if SHORTCUTS && links_eq(&self.root, &other.root) {
             stats::note_root_shortcut();
             return;
         }
@@ -1065,7 +1057,7 @@ mod tests {
         let m: PMap<u32, u32> = (0..100).map(|i| (i, i)).collect();
         let mut same = m.clone();
         same.set(7, 7, |a, b| a == b);
-        assert!(m.ptr_eq(&same), "no-op set must leave the tree untouched");
+        assert_eq!(m.ptr_eq(&same), SHORTCUTS, "a no-op set leaves the tree untouched");
         let mut changed = m.clone();
         changed.set(7, 99, |a, b| a == b);
         assert!(!m.ptr_eq(&changed));
@@ -1129,6 +1121,8 @@ mod tests {
         check_avl(&u.root);
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn union_shares_identical_subtrees() {
         use std::cell::Cell;
@@ -1146,6 +1140,8 @@ mod tests {
         assert!(calls.get() < 64, "combine ran {} times", calls.get());
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn union_outcome_preserves_left_identity() {
         let a: PMap<u32, u32> = (0..500).map(|i| (i, i)).collect();
@@ -1159,6 +1155,8 @@ mod tests {
         assert!(u.ptr_eq(&a), "identity-preserving merge must return the right input");
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn union_outcome_rebuilds_only_changed_paths() {
         let a: PMap<u32, u32> = (0..1000).map(|i| (i, i)).collect();
@@ -1201,6 +1199,8 @@ mod tests {
 
     #[test]
     fn disabled_shortcuts_same_logical_result() {
+        // Both builds agree with a plain model; only the identities differ,
+        // and a `reference` build keeps none.
         let a: PMap<u32, u32> = (0..200).map(|i| (i, i)).collect();
         let b = a.insert(50, 500).insert(150, 1);
         let max = |_: &u32, x: &u32, y: &u32| {
@@ -1210,17 +1210,16 @@ mod tests {
                 MergeOutcome::Right
             }
         };
-        let fast = a.union_outcome(&b, max);
-        let was = stats::set_ptr_shortcuts(false);
-        let slow = a.union_outcome(&b, max);
-        let mut slow_ins = a.clone();
-        slow_ins.set(7, 7, |x, y| x == y);
-        stats::set_ptr_shortcuts(was);
-        assert_eq!(fast, slow, "shortcut and no-shortcut merges must agree");
-        assert!(!slow.ptr_eq(&a) && !slow.ptr_eq(&b), "no identity without shortcuts");
-        assert_eq!(slow_ins, a);
-        assert!(!slow_ins.ptr_eq(&a), "no-op set fast path must be off");
-        check_avl(&slow.root);
+        let merged = a.union_outcome(&b, max);
+        let model: Vec<(u32, u32)> =
+            a.iter().zip(b.iter()).map(|((k, x), (_, y))| (*k, *x.max(y))).collect();
+        assert!(merged.iter().map(|(k, v)| (*k, *v)).eq(model), "the merge lost a binding");
+        check_avl(&merged.root);
+        assert_eq!(a.union_outcome(&a.clone(), max).ptr_eq(&a), SHORTCUTS, "no-op merge identity");
+        let mut noop = a.clone();
+        noop.set(7, 7, |x, y| x == y);
+        assert_eq!(noop, a);
+        assert_eq!(noop.ptr_eq(&a), SHORTCUTS, "no-op set identity");
     }
 
     #[test]
@@ -1233,6 +1232,8 @@ mod tests {
         assert!(!a.all2(&c, |_, _| false, |_, _| true, |_, _, _| true));
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn all2_skips_shared_interior() {
         use std::cell::Cell;
@@ -1267,6 +1268,8 @@ mod tests {
         assert_eq!(diffs.len(), 2);
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn diff2_visits_diff_not_size() {
         use std::cell::Cell;
@@ -1311,6 +1314,8 @@ mod tests {
         assert!(m.is_empty());
     }
 
+    // A fast path fired: a `reference` build has none.
+    #[cfg(not(feature = "reference"))]
     #[test]
     fn stats_count_allocations_and_shortcuts() {
         let _ = stats::take_stats();

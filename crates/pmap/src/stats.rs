@@ -1,4 +1,4 @@
-//! Thread-local sharing telemetry and the pointer-shortcut kill switch.
+//! Thread-local sharing telemetry.
 //!
 //! Every counter is a plain thread-local `Cell` so the persistent-map hot
 //! path (node allocation, merge recursion) counts without synchronization;
@@ -7,15 +7,13 @@
 //! saved-closure counter. The aggregate surfaces as the `pmap` section of
 //! the `astree-metrics/1` document.
 //!
-//! The kill switch ([`set_ptr_shortcuts`]) disables every physical-equality
-//! fast path (root and interior subtree skips, identity-preserving merge
-//! returns, the no-op write that leaves the tree alone). Disabling is always
-//! semantics-preserving — the combiners the analyzer passes are idempotent
-//! (`f(k, v, v) == v`) and the predicates reflexive — so CI can diff
-//! alarms/invariants bit-for-bit between the two modes while the allocation
-//! counters expose how much work sharing actually saves. Thread-local (not
-//! a process global) so concurrently running tests cannot perturb each
-//! other; the analysis session propagates the flag into its worker threads.
+//! The pointer shortcuts these counters count (root and interior subtree
+//! skips, identity-preserving merge returns, the no-op write that leaves the
+//! tree alone) are compiled out by the crate's `reference` feature, the one
+//! switch of every fast path and its plain reference: a reference build
+//! counts no shortcut hit and no preserved identity, and its results are
+//! bit-identical — the combiners the analyzer passes are idempotent
+//! (`f(k, v, v) == v`) and the predicates reflexive.
 
 use astree_obs::PmapCounters;
 use std::cell::Cell;
@@ -29,7 +27,6 @@ thread_local! {
     static NODES_RECYCLED: Cell<u64> = const { Cell::new(0) };
     static SLAB_BYTES_ALLOCATED: Cell<u64> = const { Cell::new(0) };
     static SLAB_BYTES_FREED: Cell<u64> = const { Cell::new(0) };
-    static PTR_SHORTCUTS: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Drains this thread's counters, resetting them to zero.
@@ -44,17 +41,6 @@ pub fn take_stats() -> PmapCounters {
         slab_bytes_allocated: SLAB_BYTES_ALLOCATED.with(|c| c.replace(0)),
         slab_bytes_freed: SLAB_BYTES_FREED.with(|c| c.replace(0)),
     }
-}
-
-/// `true` while physical-equality fast paths are enabled on this thread.
-pub fn ptr_shortcuts_enabled() -> bool {
-    PTR_SHORTCUTS.with(|c| c.get())
-}
-
-/// Enables or disables the pointer shortcuts on this thread; returns the
-/// previous setting so callers can save/restore around a scope.
-pub fn set_ptr_shortcuts(enabled: bool) -> bool {
-    PTR_SHORTCUTS.with(|c| c.replace(enabled))
 }
 
 pub(crate) fn note_node_alloc() {

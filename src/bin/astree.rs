@@ -132,27 +132,28 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if let Some(line) = result.stats.budget_line(max_iterations) {
         println!("{line}");
     }
-    for (func, id) in &result.stats.premise_loops {
-        println!("premise: {func} loop {id} is not inductive in its context");
-    }
     let census = result.main_census.filter(|_| census);
     let invariant = result.main_invariant.filter(|_| invariant);
-    let premise_held = result.stats.premise.failed == 0;
-    let unproven = print_verdict(census, invariant, &result.alarms, premise_held);
+    let unproven = print_verdict(census, invariant, &result.alarms, &result.stats.premise_loops);
     Ok(if unproven { ExitCode::from(1) } else { ExitCode::SUCCESS })
 }
 
-/// Prints the census and invariant (when given) and the alarms — the
-/// verdict part of a report, shared by `analyze` and `client` so the two
-/// match byte for byte. Without alarms, the program is proven only when
-/// every invariant passed its premise test (`premise_held`). Returns
-/// whether the program is not proven.
+/// Prints the loops whose invariant failed its premise test, the census
+/// and invariant (when given) and the alarms — the verdict part of a
+/// report, shared by `analyze` and `client` so the two match byte for byte.
+/// Without alarms, the program is proven only when every invariant passed
+/// its premise test (`premise_failed` is empty). Returns whether the
+/// program is not proven.
 fn print_verdict(
     census: Option<impl Display>,
     invariant: Option<impl Display>,
     alarms: &[impl Display],
-    premise_held: bool,
+    premise_failed: &[(String, u32)],
 ) -> bool {
+    for (func, id) in premise_failed {
+        println!("premise: {func} loop {id} is not inductive in its context");
+    }
+    let premise_held = premise_failed.is_empty();
     if let Some(c) = census {
         println!("\nmain loop invariant census:\n{c}");
     }
@@ -234,7 +235,10 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         for o in &report.outcomes {
             match o.alarms {
                 Some(a) => {
-                    println!("  {:<24} {:>9} {:>4} alarm(s)  {:.2?}", o.name, o.status, a, o.wall)
+                    println!("  {:<24} {:>9} {:>4} alarm(s)  {:.2?}", o.name, o.status, a, o.wall);
+                    for (func, id) in &o.premise_failed {
+                        println!("    premise: {func} loop {id} is not inductive in its context");
+                    }
                 }
                 None => println!(
                     "  {:<24} {:>9}  {}",
@@ -271,8 +275,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    let clean = report.completed() == n && report.total_alarms() == 0;
-    Ok(if clean { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if report.clean() { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 /// The `batch --json` document.
@@ -355,7 +358,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
         }
         let census = outcome.main_census.filter(|_| census);
         let invariant = outcome.main_invariant.filter(|_| invariant);
-        alarmed |= print_verdict(census, invariant, &outcome.alarms, true);
+        alarmed |= print_verdict(census, invariant, &outcome.alarms, &outcome.premise_failed);
     }
     if requests.status {
         let frame = client.status().map_err(|e| format!("status: {e}"))?;
@@ -462,7 +465,11 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
         for (spec, result) in &campaign.runs {
             match result {
                 Ok(outcome) => {
-                    let verdict = if outcome.divergences.is_empty() { "ok" } else { "DIVERGED" };
+                    let verdict = match (&outcome.divergences[..], &outcome.premise_failed[..]) {
+                        ([], []) => "ok",
+                        ([], _) => "PREMISE FAILED",
+                        _ => "DIVERGED",
+                    };
                     println!(
                         "{:24} {} executions, {} states checked, {} alarms: {verdict}",
                         spec.label(),
@@ -491,6 +498,9 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
             d.tick
         );
     }
+    for (spec, (func, id)) in campaign.premise_failures() {
+        eprintln!("premise: {}: {func} loop {id} is not inductive in its context", spec.label());
+    }
     println!(
         "campaign: {} members, {} executions, {} states checked, {} divergences",
         campaign.members,
@@ -504,5 +514,5 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
         text.push('\n');
         std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
     }
-    Ok(if campaign.divergences.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(if campaign.passed() { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }

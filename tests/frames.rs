@@ -8,8 +8,12 @@
 //!   byte for byte, so "identical to the parent" is checked on every run
 //!   from now on. A change that moves an invariant on purpose regenerates
 //!   them (the commands are in `golden_reports_are_reproduced`) and says so.
-//! - `--jobs 1/4` and `--debug-no-ptr-shortcuts` give identical reports with
-//!   frames on.
+//!   `shape-*.txt` are the reports of `tests/shapes/*.c`, whose entry
+//!   function has no loop: the census reports on a callee's loop, on the
+//!   caller's whole state, framed or not.
+//! - `--jobs 1/4` give identical reports with frames on, and the sharing
+//!   shortcuts do not move a byte: the `reference` build (no shortcut, no
+//!   frame, every narrowing) runs these tests too, against the same goldens.
 //!
 //! The differential against the same callee run on the caller's state sits
 //! inside `astree-core` (`frames::tests`), where frames can be forced and
@@ -92,6 +96,10 @@ fn golden_reports_are_reproduced() {
         let file = generate(&dir, 3, 11, Some(kind));
         assert_golden(&format!("analyze-bug-{kind}.txt"), &stable_report(&file, &[]));
     }
+    for shape in ["return_in_loop", "return_in_nested_loop", "return_value_in_loop"] {
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/shapes/{shape}.c"));
+        assert_golden(&format!("shape-{shape}.txt"), &stable_report(&file, &[]));
+    }
     // astree batch --gen 6 --channels 1,2,3 --report F
     let report = dir.join("batch-report.txt");
     let out = astree()
@@ -114,22 +122,21 @@ fn reports_are_identical_across_jobs_and_sharing_modes() {
     // state, and the projection and write-back are attributed.
     let doc = Json::parse(&std::fs::read_to_string(&metrics).expect("metrics written"))
         .expect("metrics parse");
+    // A `reference` build runs every call on the whole state instead.
+    let fast = !cfg!(feature = "reference");
     let frames = doc.get("core").and_then(|c| c.get("frames")).expect("core.frames");
     assert_eq!(frames.get("frames"), Some(&Json::UInt(12)));
-    assert!(matches!(frames.get("calls_framed"), Some(Json::UInt(n)) if *n > 0));
+    assert!(matches!(frames.get("calls_framed"), Some(Json::UInt(n)) if (*n > 0) == fast));
     let whole = frames.get("calls_whole").expect("calls_whole");
     for why in ["wait", "depth_cap"] {
         assert_eq!(whole.get(why), Some(&Json::UInt(0)), "{why}");
     }
     let state_ops = doc.get("domains").and_then(|d| d.get("state")).expect("domains.state");
-    assert!(state_ops.get("project").is_some() && state_ops.get("absorb").is_some());
+    assert_eq!(state_ops.get("project").is_some() && state_ops.get("absorb").is_some(), fast);
 
     assert_eq!(base, stable_report(&file, &["--jobs", "4"]), "--jobs 4");
-    assert_eq!(base, stable_report(&file, &["--debug-no-ptr-shortcuts"]), "no ptr shortcuts");
-    assert_eq!(
-        base,
-        stable_report(&file, &["--jobs", "4", "--debug-no-ptr-shortcuts"]),
-        "--jobs 4 without ptr shortcuts"
-    );
+    // The sharing modes: both builds reproduce the same golden, sliced too.
+    let m8 = generate(&dir, 8, 42, None);
+    assert_golden("analyze-8ch-s42-u1.txt", &stable_report(&m8, &["--jobs", "4"]));
     let _ = std::fs::remove_dir_all(&dir);
 }

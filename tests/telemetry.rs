@@ -326,7 +326,9 @@ fn json_document_has_the_documented_shape() {
     };
     let calls = count(frames.get("calls_framed"))
         + ["wait", "depth_cap"].iter().map(|k| count(whole.get(k))).sum::<u64>();
-    assert!(calls > 0, "a 2-channel member calls its two stepK every iteration");
+    // A `reference` build runs them on the whole state, uncounted.
+    let fast = !cfg!(feature = "reference");
+    assert_eq!(calls > 0, fast, "a 2-channel member calls its two stepK every iteration");
     let rendered = j.to_string();
     assert_eq!(rendered.matches('{').count(), rendered.matches('}').count());
     assert!(rendered.contains("\"div_by_zero\""));
