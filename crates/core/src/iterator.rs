@@ -939,8 +939,10 @@ impl<'a> Iter<'a> {
                                 astree_memory::AbsVal::Float(f) => CellVal::Float(f),
                             }
                         } else {
-                            // Errors possible: fall back to the env's value.
-                            env.read(cell, layout)
+                            // Errors possible: ⊤. The cell's value before
+                            // the assignment is no bound of the value after
+                            // it (`x := x + 1` moves `x − clock` past it).
+                            CellVal::top_of(layout.info(cell).ty)
                         };
                         leaf.set(cell, new_val)
                     })

@@ -6,7 +6,9 @@
 //! it takes unions while `widening_delay` lasts and while the unstable cells
 //! keep shrinking (`stabilization_grace` such unions past the delay,
 //! Sect. 7.1.3), else widenings with thresholds up to `max_iterations`
-//! (Sect. 7.1.2), then threshold-free ones ([`Phase::WidenTop`]); float
+//! (Sect. 7.1.2), in which a bound the clock bounds jumps to it
+//! ([`astree_domains::widening`]) and a widening that jumped is followed by
+//! a union, then threshold-free ones ([`Phase::WidenTop`]); float
 //! bounds are perturbed by `float_perturbation` (Sect. 7.1.4). Then come at
 //! most `narrowing_iterations` narrowings (Sect. 5.5), each only while a
 //! bound could narrow and the one before refined something, the first on
@@ -21,9 +23,10 @@
 use crate::config::AnalysisConfig;
 use crate::packs::Packs;
 use crate::state::AbsState;
-use astree_domains::{FloatItv, Thresholds};
+use astree_domains::{FloatItv, Thresholds, Widening};
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
-use astree_obs::{Event, LoopDoneEvent, LoopIterEvent, Phase, Recorder};
+use astree_obs::{Event, Grown, LoopDoneEvent, LoopIterEvent, Phase, Recorder};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -111,6 +114,13 @@ fn solve_with(
     let mut inv = base.clone();
     let mut grace = config.stabilization_grace;
     let mut prev_unstable = usize::MAX;
+    // `--no-clock` keeps no `x ± clock` parts to jump from, and so widens
+    // on the plain ramp.
+    let jumped = Cell::new(false);
+    let widening = match config.enable_clocked {
+        true => Widening::clocked(&config.thresholds, config.max_clock).noting_jumps(&jumped),
+        false => Widening::from(&config.thresholds),
+    };
     let no_thresholds = Thresholds::none();
     let returned;
     // `F(inv)` of the stabilizing iteration, computed from the very
@@ -131,10 +141,16 @@ fn solve_with(
         let stabilizing = unstable < prev_unstable && grace > 0;
         prev_unstable = unstable;
         // Snapshot the invariant's env (cheap: persistent map) so the
-        // event can classify which bounds moved and how.
-        let before = rec.map(|_| (inv.env.clone(), Instant::now()));
+        // event can classify which bounds moved and how, and count what
+        // held the iteration open.
+        let before = rec.map(|_| (inv.env.clone(), fval.grown(&inv), Instant::now()));
         let phase;
-        if iter <= u64::from(config.widening_delay) || stabilizing {
+        // After a widening that jumped, a union (within the budget): what
+        // is computed from a jumped bound (`dout` from `count`) moves one
+        // visit later, and settles where it lands instead of climbing the
+        // ramp.
+        let after_jump = jumped.replace(false) && iter <= u64::from(config.max_iterations);
+        if iter <= u64::from(config.widening_delay) || stabilizing || after_jump {
             if stabilizing && iter > u64::from(config.widening_delay) {
                 grace -= 1;
             }
@@ -142,17 +158,24 @@ fn solve_with(
             inv = inv.join(&fval, layout, packs);
         } else if iter <= u64::from(config.max_iterations) {
             phase = Phase::Widen;
-            inv = inv.widen(&fval, layout, packs, &config.thresholds);
+            inv = inv.widen(&fval, layout, packs, &widening);
         } else {
             // Hard cap: finish with threshold-free widening.
             phase = Phase::WidenTop;
             stats.widen_top += 1;
-            inv = inv.widen(&fval, layout, packs, &no_thresholds);
+            inv = inv.widen(&fval, layout, packs, &Widening::from(&no_thresholds));
         }
-        if let (Some(r), Some((before, t0))) = (rec, before) {
+        if let (Some(r), Some((before, grown, t0))) = (rec, before) {
             let op = if phase == Phase::Union { "join" } else { "widen" };
-            let moved = widen_deltas(layout, &before, &inv.env);
-            r.iteration(t0, op, iter, phase, unstable as u64, moved);
+            let (threshold_hits, infinity_escapes) = widen_deltas(layout, &before, &inv.env);
+            let counts = LoopIterEvent {
+                unstable_cells: unstable as u64,
+                threshold_hits,
+                infinity_escapes,
+                grown,
+                ..r.event(iter, phase)
+            };
+            r.iteration(t0, op, counts);
         }
     }
     // Narrowing iterations (Sect. 5.5). `narrow` rewrites nothing but
@@ -172,7 +195,7 @@ fn solve_with(
         inv = next;
         if let (Some(r), Some(t0)) = (rec, t0) {
             let iter = stats.stabilized_at + stats.narrowings;
-            r.iteration(t0, "narrow", iter, Phase::Narrow, 0, (0, 0));
+            r.iteration(t0, "narrow", r.event(iter, Phase::Narrow));
         }
         if settled && cuts {
             break;
@@ -233,29 +256,27 @@ pub fn premise(
     post.leq(inv)
 }
 
-impl LoopRec<'_> {
-    /// Records one iteration: the state operation `op` it applied (timed
-    /// from `t0`), then its `LoopIter` event.
-    fn iteration(
-        &self,
-        t0: Instant,
-        op: &'static str,
-        n: u64,
-        phase: Phase,
-        unstable: u64,
-        moved: (u64, u64),
-    ) {
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.rec.record(&Event::DomainOp { domain: "state", op, nanos });
-        self.rec.record(&Event::LoopIter(LoopIterEvent {
+impl<'a> LoopRec<'a> {
+    /// The `LoopIter` event of iteration `n` of this loop, its counts zero.
+    fn event(&self, n: u64, phase: Phase) -> LoopIterEvent<'a> {
+        LoopIterEvent {
             func: self.func,
             loop_id: self.loop_id,
             iteration: n,
             phase,
-            unstable_cells: unstable,
-            threshold_hits: moved.0,
-            infinity_escapes: moved.1,
-        }));
+            unstable_cells: 0,
+            threshold_hits: 0,
+            infinity_escapes: 0,
+            grown: Grown::default(),
+        }
+    }
+
+    /// Records one iteration: the state operation `op` it applied (timed
+    /// from `t0`), then its `LoopIter` event.
+    fn iteration(&self, t0: Instant, op: &'static str, event: LoopIterEvent) {
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.rec.record(&Event::DomainOp { domain: "state", op, nanos });
+        self.rec.record(&Event::LoopIter(event));
     }
 }
 
@@ -276,9 +297,10 @@ fn perturb(state: &mut AbsState, eps: f64) {
 }
 
 /// Diffs the invariant environment across one join/widen step: a bound that
-/// moved to a finite value is a threshold hit, one that escaped to the
-/// type's extreme is an infinity escape. Driven by the changed-cell set
-/// (`diff2` skips shared subtrees wholesale), not a full env walk.
+/// grew to a finite value is a threshold hit, one that escaped to the
+/// type's extreme is an infinity escape; an integer cell's `x ± clock`
+/// parts count as bounds too. Driven by the changed-cell set (`diff2` skips
+/// shared subtrees wholesale), not a full env walk.
 fn widen_deltas(layout: &CellLayout, before: &AbsEnv, after: &AbsEnv) -> (u64, u64) {
     let (mut hits, mut escapes) = (0u64, 0u64);
     let mut count = |grew: bool, infinite: bool| {
@@ -291,8 +313,10 @@ fn widen_deltas(layout: &CellLayout, before: &AbsEnv, after: &AbsEnv) -> (u64, u
     for id in changed {
         match (before.read(id, layout), after.read(id, layout)) {
             (CellVal::Int(o), CellVal::Int(n)) => {
-                count(n.val.lo < o.val.lo, n.val.lo == i64::MIN);
-                count(n.val.hi > o.val.hi, n.val.hi == i64::MAX);
+                for (o, n) in [(o.val, n.val), (o.minus, n.minus), (o.plus, n.plus)] {
+                    count(n.lo < o.lo, n.lo == i64::MIN);
+                    count(n.hi > o.hi, n.hi == i64::MAX);
+                }
             }
             (CellVal::Float(o), CellVal::Float(n)) => {
                 count(n.lo < o.lo, n.lo == f64::NEG_INFINITY);

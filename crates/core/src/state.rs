@@ -11,8 +11,9 @@
 use crate::frames::Frame;
 use crate::packs::{CellIndex, Packs};
 use astree_domains::dtree::Lattice;
-use astree_domains::{Clocked, DecisionTree, Ellipsoid, FloatItv, IntItv, Octagon, Thresholds};
+use astree_domains::{Clocked, DecisionTree, Ellipsoid, FloatItv, IntItv, Octagon, Widening};
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
+use astree_obs::Grown;
 use astree_pmap::{MergeOutcome, PMap};
 use std::borrow::Cow;
 use std::fmt;
@@ -77,7 +78,7 @@ impl Lattice for PackEnv {
         }
     }
 
-    fn widen(&self, other: &Self, t: &Thresholds) -> Self {
+    fn widen(&self, other: &Self, w: &Widening) -> Self {
         if self.unreachable {
             return other.clone();
         }
@@ -89,7 +90,7 @@ impl Lattice for PackEnv {
                 .cells
                 .iter()
                 .zip(&other.cells)
-                .map(|((c, a), (_, b))| (*c, a.widen(b, t)))
+                .map(|((c, a), (_, b))| (*c, a.widen(b, w)))
                 .collect(),
             unreachable: false,
         }
@@ -465,14 +466,18 @@ impl AbsState {
         }
     }
 
-    /// Widening `∇` (with the same pre-widening ellipsoid reduction).
+    /// Widening `∇` (with the same pre-widening ellipsoid reduction). The
+    /// environment widens first; the decision-tree leaves then widen at its
+    /// widened clock, and each octagon over the widened intervals of its
+    /// integer cells, so that every bound the clock bounds jumps to it
+    /// ([`astree_domains::widening`]).
     #[must_use]
     pub fn widen(
         &self,
         other: &AbsState,
         layout: &CellLayout,
         packs: &Packs,
-        t: &Thresholds,
+        w: &Widening,
     ) -> AbsState {
         if self.is_bottom() {
             return other.clone();
@@ -481,6 +486,7 @@ impl AbsState {
             return self.clone();
         }
         debug_assert_eq!(self.sizes(), other.sizes(), "widening across shapes");
+        let t = w.thresholds();
         let ellipses = self.ellipses.union_outcome(&other.ellipses, |k, a, b| {
             merged(a, b, f64_same, |a, b| {
                 let pi = *k as usize;
@@ -489,14 +495,27 @@ impl AbsState {
                 Ellipsoid { a: p.a, b: p.b, k: *a }.widen(Ellipsoid { a: p.a, b: p.b, k: b }, t).k
             })
         });
+        let env = self.env.widen(&other.env, w);
+        let w = w.at_clock(env.clock);
+        let octs = self.octs.union_outcome(&other.octs, |k, a, b| {
+            merged(a, b, Octagon::same, |a, b| {
+                let vars: Vec<IntItv> = packs.octagons[*k as usize]
+                    .cells
+                    .iter()
+                    .map(|c| match env.get(*c, layout) {
+                        CellVal::Int(v) => v.val,
+                        CellVal::Float(_) => IntItv::TOP,
+                    })
+                    .collect();
+                a.widen_ref(b, w.over(&vars))
+            })
+        });
         AbsState {
-            env: self.env.widen(&other.env, t),
-            octs: self.octs.union_outcome(&other.octs, |_, a, b| {
-                merged(a, b, Octagon::same, |a, b| a.widen_ref(b, t))
-            }),
+            octs,
             dtrees: self.dtrees.union_outcome(&other.dtrees, |_, a, b| {
-                merged(a, b, dtree_same, |a, b| a.widen(b, t))
+                merged(a, b, dtree_same, |a, b| a.widen(b, &w))
             }),
+            env,
             ellipses,
             pending: self.pending.union_outcome(&other.pending, |_, a, b| {
                 merged(a, b, f64_same, |a, b| astree_float::max_total(*a, *b))
@@ -572,6 +591,23 @@ impl AbsState {
             && self.octs.all2(&other.octs, |_, _| false, |_, _| false, |_, a, b| a.leq_ref(b))
             && self.dtrees.all2(&other.dtrees, |_, _| false, |_, _| false, |_, a, b| a.leq(b))
             && self.ellipses.all2(&other.ellipses, |_, _| false, |_, _| false, |_, a, b| a <= b)
+    }
+
+    /// The components of this state not below `inv`'s, by domain: what
+    /// keeps `self ⊑ inv` from holding (`self` an iterate `F(inv)`).
+    pub fn grown(&self, inv: &AbsState) -> Grown {
+        fn count<V>(a: &PMap<u32, V>, b: &PMap<u32, V>, leq: impl Fn(&V, &V) -> bool) -> u64 {
+            a.fold2(b, 0, |n, _, x, y| match (x, y) {
+                (Some(x), Some(y)) => n + u64::from(!leq(x, y)),
+                _ => n + 1,
+            })
+        }
+        Grown {
+            cells: self.env.count_not_leq(&inv.env) as u64,
+            octagons: count(&self.octs, &inv.octs, Octagon::leq_ref),
+            dtrees: count(&self.dtrees, &inv.dtrees, DTree::leq),
+            filters: count(&self.ellipses, &inv.ellipses, |a, b| a <= b),
+        }
     }
 
     /// Bidirectional reduction between the environment and every relational
@@ -765,12 +801,16 @@ impl AbsState {
     /// environment's (otherwise later reductions would meet stale bounds —
     /// unsound).
     pub fn tick_relational(&mut self) {
+        // The environment has ticked: its clock is the new one.
+        let clock = self.env.clock;
         self.dtrees.set_each(|_, tree| {
             let ticked = tree.map(&|leaf: &PackEnv| {
                 let mut out = leaf.clone();
                 for (_, v) in &mut out.cells {
                     if let CellVal::Int(c) = v {
-                        *v = CellVal::Int(c.tick());
+                        let ticked = c.tick(clock);
+                        out.unreachable |= ticked.is_bottom();
+                        *v = CellVal::Int(ticked);
                     }
                 }
                 out

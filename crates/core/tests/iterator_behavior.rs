@@ -258,3 +258,39 @@ fn alarm_lines_point_at_source() {
     assert_eq!(r.alarms.len(), 1);
     assert_eq!(r.alarms[0].loc.line, 4, "{:?}", r.alarms);
 }
+
+/// A widening that jumped is followed by a union: `dout` is computed from
+/// the counter, whose bound jumps to the one the clock implies, and settles
+/// at what the guard allows instead of climbing the ramp past it (with no
+/// grace union left, a widening would round it up to 10¹⁰).
+#[test]
+fn a_value_computed_from_a_jumped_bound_settles_without_climbing_the_ramp() {
+    use astree_domains::IntItv;
+    use astree_memory::{CellLayout, CellVal, LayoutConfig};
+    let src = r#"
+        volatile int ev; int count; int dout;
+        void main(void) {
+            __astree_input_int(ev, 0, 1);
+            while (1) {
+                if (ev == 1) { count = count + 1; }
+                if (count < 1000) { dout = count * 2000000; }
+                __astree_wait();
+            }
+        }
+    "#;
+    let p = Frontend::new().compile_str(src).expect("compiles");
+    let cfg = AnalysisConfig { stabilization_grace: 0, ..AnalysisConfig::default() };
+    let r = AnalysisSession::builder(&p).config(cfg).build().run();
+    assert!(r.alarms.is_empty(), "{:?}", r.alarms);
+    let inv = r.main_invariant.expect("a main loop");
+    let layout = CellLayout::new(&p, &LayoutConfig::default());
+    let value = |name: &str| {
+        let (id, _) = layout.iter().find(|(_, info)| info.name == name).expect("a cell");
+        match inv.env.get(id, &layout) {
+            CellVal::Int(c) => c.val,
+            other => panic!("{name}: {other:?}"),
+        }
+    };
+    assert_eq!(value("count"), IntItv::new(0, 3_600_000));
+    assert_eq!(value("dout"), IntItv::new(0, 1_998_000_000));
+}

@@ -7,15 +7,16 @@
 //! merged opportunistically. Pack sizes are capped by the analyzer
 //! (Sect. 7.2.3), keeping the exponential worst case at bay.
 
-use crate::thresholds::Thresholds;
+use crate::widening::Widening;
 use std::fmt;
 
 /// The lattice interface decision-tree leaves must implement.
 pub trait Lattice: Clone + PartialEq {
     /// Least upper bound.
     fn join(&self, other: &Self) -> Self;
-    /// Widening (with thresholds).
-    fn widen(&self, other: &Self, t: &Thresholds) -> Self;
+    /// Widening (with thresholds, and the clock's bound: see
+    /// [`crate::widening`]).
+    fn widen(&self, other: &Self, w: &Widening) -> Self;
     /// Inclusion.
     fn leq(&self, other: &Self) -> bool;
     /// The unreachable element.
@@ -28,8 +29,8 @@ impl Lattice for crate::int_interval::IntItv {
     fn join(&self, other: &Self) -> Self {
         crate::int_interval::IntItv::join(*self, *other)
     }
-    fn widen(&self, other: &Self, t: &Thresholds) -> Self {
-        crate::int_interval::IntItv::widen(*self, *other, t)
+    fn widen(&self, other: &Self, w: &Widening) -> Self {
+        crate::int_interval::IntItv::widen(*self, *other, w.thresholds())
     }
     fn leq(&self, other: &Self) -> bool {
         crate::int_interval::IntItv::leq(*self, *other)
@@ -168,8 +169,8 @@ impl<K: Ord + Copy, L: Lattice> DecisionTree<K, L> {
 
     /// Widening (pointwise on aligned leaves).
     #[must_use]
-    pub fn widen(&self, other: &Self, th: &Thresholds) -> Self {
-        self.merge(other, &|a, b| a.widen(b, th))
+    pub fn widen(&self, other: &Self, w: &Widening) -> Self {
+        self.merge(other, &|a, b| a.widen(b, w))
     }
 
     /// Inclusion test.
@@ -317,6 +318,7 @@ impl<K: Ord + Copy + fmt::Display, L: Lattice + fmt::Display> fmt::Display for D
 mod tests {
     use super::*;
     use crate::int_interval::IntItv;
+    use crate::thresholds::Thresholds;
 
     type T = DecisionTree<u32, IntItv>;
 
@@ -399,7 +401,7 @@ mod tests {
         let th = Thresholds::none();
         let a = T::node(0, T::leaf(IntItv::new(0, 1)), T::leaf(IntItv::new(0, 2)));
         let b = T::node(0, T::leaf(IntItv::new(0, 5)), T::leaf(IntItv::new(0, 2)));
-        let w = a.widen(&b, &th);
+        let w = a.widen(&b, &Widening::from(&th));
         assert_eq!(w.guard(0, false).collapse().hi, i64::MAX);
         assert_eq!(w.guard(0, true).collapse(), IntItv::new(0, 2));
     }

@@ -18,7 +18,9 @@
 //! - [`linform`] — interval linear forms `Σ [aᵢ,bᵢ]·vᵢ + [a,b]` and the
 //!   linearization of expressions with absolute rounding-error accounting
 //!   (Sect. 6.3);
-//! - [`thresholds`] — the widening-threshold sets `±α·λᵏ` (Sect. 7.1.2).
+//! - [`thresholds`] — the widening-threshold sets `±α·λᵏ` (Sect. 7.1.2);
+//! - [`widening`] — what one widening step may jump to: the ramp, and the
+//!   bound the clock implies (Sect. 6.2.1).
 
 pub mod clocked;
 pub mod dtree;
@@ -29,6 +31,7 @@ pub mod int_interval;
 pub mod linform;
 pub mod octagon;
 pub mod thresholds;
+pub mod widening;
 
 pub use clocked::Clocked;
 pub use dtree::DecisionTree;
@@ -39,3 +42,4 @@ pub use int_interval::IntItv;
 pub use linform::LinForm;
 pub use octagon::Octagon;
 pub use thresholds::Thresholds;
+pub use widening::Widening;

@@ -27,7 +27,8 @@
 //! must be linearized first (Sect. 6.3) before reaching the octagon.
 
 use crate::float_interval::FloatItv;
-use crate::thresholds::Thresholds;
+use crate::thresholds::{f64_at_least, f64_at_most};
+use crate::widening::Widening;
 use astree_float::round;
 use std::fmt;
 
@@ -915,10 +916,10 @@ impl Octagon {
     }
 
     /// Widening of immutable operands (see [`Octagon::widen`] for the
-    /// termination contract).
+    /// termination contract); a bare `&Thresholds` is the plain ramp.
     #[must_use]
-    pub fn widen_ref(&self, other: &Octagon, thresholds: &Thresholds) -> Octagon {
-        self.widen(&mut other.clone(), thresholds)
+    pub fn widen_ref<'w>(&self, other: &Octagon, w: impl Into<Widening<'w>>) -> Octagon {
+        self.widen(&mut other.clone(), &w.into())
     }
 
     /// Inclusion test of immutable operands.
@@ -949,15 +950,48 @@ impl Octagon {
     }
 
     /// Widening: entries that grew jump to the next threshold (then +∞).
+    /// When `w` carries the variables' widened intervals, an entry that grew
+    /// over integer variables jumps instead to the bound those intervals
+    /// imply, when that bound covers the new entry (see
+    /// [`crate::widening`]); an entry over a float variable keeps the ramp.
     ///
     /// The left operand must be the previous loop-head element *as returned
     /// by the previous widening* (not re-closed), the standard requirement
     /// for termination of DBM widenings.
     #[must_use]
-    pub fn widen(&self, other: &mut Octagon, thresholds: &Thresholds) -> Octagon {
+    pub fn widen(&self, other: &mut Octagon, w: &Widening) -> Octagon {
         assert_eq!(self.n, other.n, "pack size mismatch");
         other.close();
-        self.zip_with(other, Closure::Dirty, |a, b| if b > a { thresholds.above(b) } else { a })
+        let t = w.thresholds();
+        let mut out =
+            self.zip_with(other, Closure::Dirty, |a, b| if b > a { t.above(b) } else { a });
+        let Some(vars) = w.vars() else { return out };
+        debug_assert_eq!(vars.len(), self.n, "one interval per variable");
+        with_scratch(2 * self.n, |ub| {
+            // Upper bounds of the nodes `V₂ₖ = xₖ` and `V₂ₖ₊₁ = −xₖ`.
+            for (k, v) in vars.iter().enumerate() {
+                let int = !v.is_bottom() && v.lo > i64::MIN && v.hi < i64::MAX;
+                ub[2 * k] = if int { f64_at_least(v.hi) } else { INF };
+                ub[2 * k + 1] = if int { -f64_at_most(v.lo) } else { INF };
+            }
+            let (a, b) = (self.hm(), other.hm());
+            let m = out.hm_mut();
+            for i in 0..2 * self.n {
+                for j in 0..=(i | 1) {
+                    let slot = hm_idx(i, j);
+                    if b[slot] <= a[slot] {
+                        continue;
+                    }
+                    // `m[i][j]` bounds `Vⱼ − Vᵢ ≤ ub(Vⱼ) + ub(Vᵢ̄)`.
+                    let implied = round::add_up(ub[j], ub[i ^ 1]);
+                    if implied < INF && implied >= b[slot] {
+                        m[slot] = implied;
+                        w.note_jump();
+                    }
+                }
+            }
+        });
+        out
     }
 
     /// Inclusion test `γ(self) ⊆ γ(other)`.
@@ -1007,6 +1041,8 @@ impl fmt::Display for Octagon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::int_interval::IntItv;
+    use crate::thresholds::Thresholds;
     use proptest::prelude::*;
 
     #[test]
@@ -1152,15 +1188,39 @@ mod tests {
         a.close();
         let mut b = Octagon::top(1);
         b.assign_interval(0, FloatItv::new(0.0, 2.0));
-        let w = a.widen(&mut b, &t);
+        let w = a.widen(&mut b, &Widening::from(&t));
         // Upper bound escaped: 2·hi jumps to a threshold ≥ 4 on the 2c scale.
         let mut wc = w.clone();
         wc.close();
         assert!(wc.bounds(0).hi >= 2.0);
         // Widening again with included element is stable.
         let mut same = wc.clone();
-        let w2 = w.widen(&mut same, &t);
+        let w2 = w.widen(&mut same, &Widening::from(&t));
         assert!(w.same(&w2), "widening an included element must be a fixpoint");
+    }
+
+    #[test]
+    fn widening_jumps_to_the_bounds_of_integer_variables_only() {
+        let t = Thresholds::geometric_default();
+        let point = |x: f64, y: f64| {
+            let mut o = Octagon::top(2);
+            o.assign_interval(0, FloatItv::new(0.0, x));
+            o.assign_interval(1, FloatItv::new(0.0, y));
+            o.close();
+            o
+        };
+        let (a, b) = (point(1.0, 1.0), point(2.0, 2.0));
+        // `x` is an integer variable in [0, 1000], `y` a float one.
+        let vars = [IntItv::new(0, 1000), IntItv::TOP];
+        let w = Widening::clocked(&t, 1000).over(&vars);
+        let r = a.widen(&mut b.clone(), &w.at_clock(IntItv::new(0, 5)));
+        assert_eq!(r.bounds(0).hi, 1000.0, "2x jumps to 2·1000");
+        assert_eq!(r.bounds(1).hi, 5.0, "2y climbs to the rung 10");
+        assert_eq!(r.sum_bound(0, 1), 10.0, "x + y is over a float: it climbs");
+        // A singleton clock, or the plain ramp, makes no jump.
+        for w in [w.at_clock(IntItv::singleton(5)), Widening::from(&t)] {
+            assert_eq!(a.widen(&mut b.clone(), &w).bounds(0).hi, 5.0);
+        }
     }
 
     #[test]

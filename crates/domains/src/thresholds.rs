@@ -149,7 +149,7 @@ impl Default for Thresholds {
 /// Smallest `f64` that is `≥ x` exactly. `x as f64` rounds to nearest, so
 /// above 2⁵³ it can land *below* `x` (by up to 1023 near `i64::MAX`); the
 /// `i128` comparison is exact for every `f64` in range.
-fn f64_at_least(x: i64) -> f64 {
+pub(crate) fn f64_at_least(x: i64) -> f64 {
     let f = x as f64;
     if (f as i128) < x as i128 {
         astree_float::round::next_up(f)
@@ -159,7 +159,7 @@ fn f64_at_least(x: i64) -> f64 {
 }
 
 /// Largest `f64` that is `≤ x` exactly; mirror of [`f64_at_least`].
-fn f64_at_most(x: i64) -> f64 {
+pub(crate) fn f64_at_most(x: i64) -> f64 {
     let f = x as f64;
     if (f as i128) > x as i128 {
         astree_float::round::next_down(f)

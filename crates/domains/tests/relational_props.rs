@@ -2,7 +2,7 @@
 //! against concrete point tracking, and decision trees against explicit
 //! context enumeration.
 
-use astree_domains::{DecisionTree, FloatItv, IntItv, Octagon, Thresholds};
+use astree_domains::{DecisionTree, FloatItv, IntItv, Octagon, Thresholds, Widening};
 use proptest::prelude::*;
 
 // ----- octagons --------------------------------------------------------------
@@ -124,7 +124,7 @@ proptest! {
         check_in(&j, &b)?;
         let t = Thresholds::geometric_default();
         let mut jb = j.clone();
-        let w = ta.oct.widen(&mut jb, &t);
+        let w = ta.oct.widen(&mut jb, &Widening::from(&t));
         check_in(&w, &a)?;
         check_in(&w, &b)?;
     }

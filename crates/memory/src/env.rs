@@ -1,7 +1,7 @@
 //! Abstract environments: persistent maps from cells to abstract values.
 
 use crate::layout::{CellId, CellLayout};
-use astree_domains::{Clocked, FloatItv, IntItv, Thresholds};
+use astree_domains::{Clocked, FloatItv, IntItv, Widening};
 use astree_ir::ScalarType;
 use astree_pmap::{MergeOutcome, PMap};
 use std::fmt;
@@ -61,12 +61,13 @@ impl CellVal {
         }
     }
 
-    /// Pointwise widening.
+    /// Pointwise widening: an integer cell's bounds that the clock bounds
+    /// jump to that bound ([`Clocked::widen`]), a float cell's climb the ramp.
     #[must_use]
-    pub fn widen(&self, other: &CellVal, t: &Thresholds) -> CellVal {
+    pub fn widen(&self, other: &CellVal, w: &Widening) -> CellVal {
         match (self, other) {
-            (CellVal::Int(a), CellVal::Int(b)) => CellVal::Int(a.widen(*b, t)),
-            (CellVal::Float(a), CellVal::Float(b)) => CellVal::Float(a.widen(*b, t)),
+            (CellVal::Int(a), CellVal::Int(b)) => CellVal::Int(a.widen(*b, w)),
+            (CellVal::Float(a), CellVal::Float(b)) => CellVal::Float(a.widen(*b, w.thresholds())),
             _ => panic!("cell kind mismatch in widen"),
         }
     }
@@ -343,20 +344,23 @@ impl AbsEnv {
     }
 
     /// Widening (cell-wise with thresholds, identity-preserving like
-    /// [`AbsEnv::join`]).
+    /// [`AbsEnv::join`]): the clock first ([`Widening::clock`]), then every
+    /// cell at the widened clock.
     #[must_use]
-    pub fn widen(&self, other: &AbsEnv, t: &Thresholds) -> AbsEnv {
+    pub fn widen(&self, other: &AbsEnv, w: &Widening) -> AbsEnv {
         if self.bottom {
             return other.clone();
         }
         if other.bottom {
             return self.clone();
         }
+        let clock = w.clock(self.clock, other.clock);
+        let w = w.at_clock(clock);
         AbsEnv {
-            cells: self
-                .cells
-                .union_outcome(&other.cells, |_, a, b| CellVal::merged(a, b, |a, b| a.widen(b, t))),
-            clock: self.clock.widen(other.clock, t),
+            cells: self.cells.union_outcome(&other.cells, |_, a, b| {
+                CellVal::merged(a, b, |a, b| a.widen(b, &w))
+            }),
+            clock,
             bottom: false,
         }
     }
@@ -438,6 +442,15 @@ impl AbsEnv {
             CellVal::top_of(layout.info(*c).ty)
         });
         self.clock = post.clock;
+    }
+
+    /// Counts the cells whose value is not below `other`'s (or that one
+    /// side alone tracks), walking only the subtrees the two do not share.
+    pub fn count_not_leq(&self, other: &AbsEnv) -> usize {
+        self.cells.fold2(&other.cells, 0, |n, _, a, b| match (a, b) {
+            (Some(a), Some(b)) => n + usize::from(!a.leq(b)),
+            _ => n + 1,
+        })
     }
 
     /// Counts cells whose value differs from `other` (diagnostics, packing

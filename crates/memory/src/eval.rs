@@ -699,11 +699,15 @@ impl<'a> Evaluator<'a> {
             return AbsEnv::bottom();
         }
         if self.clocked {
-            // Shift every integer cell's clock-relative components.
+            // Shift every integer cell's clock-relative components, and
+            // reduce each triple at the new clock.
             env.set_each(|v| match v {
-                CellVal::Int(c) => Some(CellVal::Int(c.tick())),
+                CellVal::Int(c) => Some(CellVal::Int(c.tick(clock))),
                 CellVal::Float(_) => None,
             });
+            if env.is_bottom() {
+                return env;
+            }
         }
         env.clock = clock;
         env

@@ -82,6 +82,10 @@ impl Event<'_> {
                     ("unstable_cells", Json::UInt(e.unstable_cells)),
                     ("threshold_hits", Json::UInt(e.threshold_hits)),
                     ("infinity_escapes", Json::UInt(e.infinity_escapes)),
+                    ("grown_cells", Json::UInt(e.grown.cells)),
+                    ("grown_octagons", Json::UInt(e.grown.octagons)),
+                    ("grown_dtrees", Json::UInt(e.grown.dtrees)),
+                    ("grown_filters", Json::UInt(e.grown.filters)),
                 ]),
             ),
             Event::LoopDone(e) => (

@@ -73,10 +73,28 @@ pub struct LoopIterEvent<'a> {
     pub phase: Phase,
     /// Environment cells still unstable at this iteration.
     pub unstable_cells: u64,
-    /// Bounds that were widened onto a finite threshold this iteration.
+    /// Bounds that grew onto a finite value this iteration (a threshold, or
+    /// a bound the clock implies), `x ± clock` parts included.
     pub threshold_hits: u64,
     /// Bounds that escaped past every threshold to ±∞ this iteration.
     pub infinity_escapes: u64,
+    /// What held the iteration open: the components of `F(inv)` not below
+    /// the invariant `inv` (zero for a narrowing).
+    pub grown: Grown,
+}
+
+/// The components of a loop iterate `F(inv)` not below the invariant `inv`
+/// it was computed from, by domain. Only a run with a recorder counts them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Grown {
+    /// Environment cells (a value or its `x ± clock` parts).
+    pub cells: u64,
+    /// Octagon packs.
+    pub octagons: u64,
+    /// Decision-tree packs.
+    pub dtrees: u64,
+    /// Filter (ellipsoid) packs.
+    pub filters: u64,
 }
 
 /// Emitted once per loop when its fixpoint computation finishes.
@@ -975,6 +993,7 @@ mod tests {
             unstable_cells: 2,
             threshold_hits: u64::from(phase == Phase::Widen),
             infinity_escapes: 0,
+            grown: Grown::default(),
         })
     }
 

@@ -185,6 +185,7 @@ mod tests {
                 unstable_cells: 3,
                 threshold_hits: 1,
                 infinity_escapes: 0,
+                grown: Grown { cells: 2, octagons: 1, dtrees: 0, filters: 0 },
             }),
             Event::LoopDone(LoopDoneEvent {
                 func: "main",

@@ -2,7 +2,7 @@
 //! one with per-statement invariant collection, then fuzz the concrete
 //! interpreter against the claimed invariants.
 
-use crate::contain::{render_abs, render_value, value_in, CellTable, PreparedInvariants};
+use crate::contain::{clock_in, render_abs, render_value, value_in, CellTable, PreparedInvariants};
 use crate::shrink::shrink_divergence;
 use astree_core::{panic_message, scatter, AlarmKind, AnalysisConfig, AnalysisSession};
 use astree_frontend::Frontend;
@@ -351,7 +351,8 @@ pub fn analyze_member(spec: &MemberSpec, cfg: &OracleConfig) -> Result<AnalyzedM
         .stmt_invariants
         .as_ref()
         .ok_or_else(|| format!("{}: no per-statement invariants collected", spec.label()))?;
-    let mut prepared = PreparedInvariants::new(stmt_invariants, &layout);
+    let clocked = cfg.analysis.enable_clocked;
+    let mut prepared = PreparedInvariants::new(stmt_invariants, &layout, clocked);
     if let Some(name) = &cfg.debug_tighten_cell {
         prepared.debug_empty_cell(&layout, name);
     }
@@ -424,12 +425,24 @@ pub fn run_execution(
                     let tick = o.tick;
                     o.first = Some((stmt.0, tick, DivergenceKind::Unreachable));
                 }
-                Some(cells) => {
+                Some(inv) if !clock_in(inv.clock, o.tick) => {
+                    let tick = o.tick;
+                    o.first = Some((
+                        stmt.0,
+                        tick,
+                        DivergenceKind::Escape {
+                            cell: "clock".to_string(),
+                            value: tick.to_string(),
+                            abs: format!("[{}, {}]", inv.clock.lo, inv.clock.hi),
+                        },
+                    ));
+                }
+                Some(inv) => {
                     for ((var, path), value) in store {
                         let Some(cell) = table.lookup(*var, path) else { continue };
                         o.states_checked += 1;
-                        let abs = &cells[cell.0 as usize];
-                        if !value_in(abs, value) {
+                        let abs = &inv.cells[cell.0 as usize];
+                        if !value_in(abs, value, o.tick) {
                             let tick = o.tick;
                             o.first = Some((
                                 stmt.0,

@@ -7,9 +7,12 @@
 //! A concrete store `σ` is *inside* an abstract state `ρ#` at a program
 //! point iff for every persistent concrete cell `(v, path)` with value `x`:
 //!
-//! - integer cells: `x ∈ γ(ρ#(cell))` via [`IntItv::contains`] (the clocked
-//!   domain's value interval — the relational `x + clock` bound is an
-//!   *additional* constraint and is not consulted here);
+//! - the clock: the number of ticks the run has taken, `t`, lies in the
+//!   abstract clock interval;
+//! - integer cells: `x ∈ γ(ρ#(cell))` via [`Clocked::contains`], the whole
+//!   clocked triple: `x` in the value interval, `x − t` in `x − clock`'s
+//!   and `x + t` in `x + clock`'s (the value alone when the analysis ran
+//!   without the clocked domain, which keeps no such parts);
 //! - float cells: `x ∈ [lo, hi]` via [`FloatItv::contains`] under the
 //!   numeric order (so `-0.0 ∈ [0.0, 0.0]`; the *bitwise* total-order
 //!   comparison of rendered invariants is a reproducibility device for
@@ -24,9 +27,10 @@
 //! would false-diverge without weakening the soundness statement the paper
 //! makes (Sect. 5.4 quantifies over the persistent state machine).
 //!
-//! [`IntItv::contains`]: astree_domains::IntItv::contains
+//! [`Clocked::contains`]: astree_domains::Clocked::contains
 //! [`FloatItv::contains`]: astree_domains::FloatItv::contains
 
+use astree_domains::{Clocked, IntItv};
 use astree_ir::{is_persistent, Program, Type, Value, VarId};
 use astree_memory::{CellId, CellLayout, CellVal};
 use std::collections::HashMap;
@@ -114,11 +118,12 @@ fn build_node(
     }
 }
 
-/// Whether a concrete value lies inside the concretization of an abstract
-/// cell value (see the module docs for the per-domain meaning).
-pub fn value_in(abs: &CellVal, v: &Value) -> bool {
+/// Whether a concrete value, observed after `ticks` clock ticks, lies
+/// inside the concretization of an abstract cell value (see the module docs
+/// for the per-domain meaning).
+pub fn value_in(abs: &CellVal, v: &Value, ticks: u64) -> bool {
     match (abs, v) {
-        (CellVal::Int(c), Value::Int(x)) => c.val.contains(*x),
+        (CellVal::Int(c), Value::Int(x)) => c.contains(*x, tick_count(ticks)),
         (CellVal::Float(f), Value::Float(x)) => f.contains(*x),
         // A type mismatch between concrete and abstract cell is itself a
         // divergence (the layout and interpreter disagree on the cell kind).
@@ -126,34 +131,58 @@ pub fn value_in(abs: &CellVal, v: &Value) -> bool {
     }
 }
 
+/// A tick count as the clock's integer type (saturating: no run comes near).
+fn tick_count(ticks: u64) -> i64 {
+    i64::try_from(ticks).unwrap_or(i64::MAX)
+}
+
+/// Whether `ticks` clock ticks lie in an abstract clock interval.
+pub fn clock_in(clock: IntItv, ticks: u64) -> bool {
+    clock.contains(tick_count(ticks))
+}
+
+/// One statement's abstract state, rendered for the checks.
+pub struct StmtInvariant {
+    /// The clock interval.
+    pub clock: IntItv,
+    /// The cell values, indexed by `CellId`.
+    pub cells: Vec<CellVal>,
+}
+
 /// Per-statement abstract states rendered into dense per-cell vectors for
 /// fast per-observation checks. Statements absent from the map are claimed
 /// unreachable.
 pub struct PreparedInvariants {
-    by_stmt: HashMap<u32, Vec<CellVal>>,
+    by_stmt: HashMap<u32, StmtInvariant>,
 }
 
 impl PreparedInvariants {
     /// Renders each statement's abstract environment into a vector indexed
-    /// by `CellId`.
+    /// by `CellId`. Without the clocked domain (`clocked` false) the
+    /// analysis keeps no `x ± clock` parts up to date, so they render as ⊤.
     pub fn new(
         stmt_invariants: &HashMap<astree_ir::StmtId, astree_core::AbsState>,
         layout: &CellLayout,
+        clocked: bool,
     ) -> PreparedInvariants {
         let n = layout.num_cells();
         let mut by_stmt = HashMap::with_capacity(stmt_invariants.len());
+        let render = |v: CellVal| match v {
+            CellVal::Int(c) if !clocked => CellVal::Int(Clocked { val: c.val, ..Clocked::TOP }),
+            v => v,
+        };
         for (id, st) in stmt_invariants {
             let cells: Vec<CellVal> =
-                (0..n).map(|c| st.env.get(CellId(c as u32), layout)).collect();
-            by_stmt.insert(id.0, cells);
+                (0..n).map(|c| render(st.env.get(CellId(c as u32), layout))).collect();
+            by_stmt.insert(id.0, StmtInvariant { clock: st.env.clock, cells });
         }
         PreparedInvariants { by_stmt }
     }
 
-    /// The rendered cell vector for a statement, `None` when the analyzer
-    /// claims the statement unreachable.
-    pub fn at(&self, stmt: astree_ir::StmtId) -> Option<&[CellVal]> {
-        self.by_stmt.get(&stmt.0).map(|v| v.as_slice())
+    /// The rendered state of a statement, `None` when the analyzer claims
+    /// the statement unreachable.
+    pub fn at(&self, stmt: astree_ir::StmtId) -> Option<&StmtInvariant> {
+        self.by_stmt.get(&stmt.0)
     }
 
     /// Number of statements with a recorded state.
@@ -176,8 +205,8 @@ impl PreparedInvariants {
             return 0;
         };
         let mut touched = 0;
-        for cells in self.by_stmt.values_mut() {
-            cells[target.0 as usize] = CellVal::Float(astree_domains::FloatItv::BOTTOM);
+        for inv in self.by_stmt.values_mut() {
+            inv.cells[target.0 as usize] = CellVal::Float(astree_domains::FloatItv::BOTTOM);
             touched += 1;
         }
         touched
@@ -187,7 +216,10 @@ impl PreparedInvariants {
 /// Renders an abstract cell value for diagnostics.
 pub fn render_abs(abs: &CellVal) -> String {
     match abs {
-        CellVal::Int(c) => format!("[{}, {}]", c.val.lo, c.val.hi),
+        CellVal::Int(c) => format!(
+            "[{}, {}] (x-clock [{}, {}], x+clock [{}, {}])",
+            c.val.lo, c.val.hi, c.minus.lo, c.minus.hi, c.plus.lo, c.plus.hi
+        ),
         CellVal::Float(f) => format!("[{}, {}]", f.lo, f.hi),
     }
 }

@@ -42,7 +42,9 @@ pub use campaign::{
     run_member, AnalyzedMember, Campaign, Divergence, DivergenceKind, ExecRecord, MemberError,
     MemberOutcome, MemberSpec, OracleConfig,
 };
-pub use contain::{render_abs, render_value, value_in, CellTable, PreparedInvariants};
+pub use contain::{
+    clock_in, render_abs, render_value, value_in, CellTable, PreparedInvariants, StmtInvariant,
+};
 pub use report::{campaign_to_json, parse_summary, CampaignSummary, SCHEMA};
 pub use shrink::shrink_divergence;
 
@@ -105,11 +107,17 @@ mod tests {
 
     #[test]
     fn clean_member_has_no_divergences() {
-        let outcome = run_member(&tiny_member(), &tiny_cfg()).unwrap();
-        assert!(outcome.divergences.is_empty(), "{:?}", outcome.divergences);
-        assert_eq!(outcome.executions, 2);
-        assert!(outcome.states_checked > 0);
-        assert_eq!(outcome.inconclusive, 0);
+        // Without the clocked domain the `x ± clock` parts are not kept, and
+        // only the values are checked.
+        let mut unclocked = tiny_cfg();
+        unclocked.analysis.enable_clocked = false;
+        for cfg in [tiny_cfg(), unclocked] {
+            let outcome = run_member(&tiny_member(), &cfg).unwrap();
+            assert!(outcome.divergences.is_empty(), "{:?}", outcome.divergences);
+            assert_eq!(outcome.executions, 2);
+            assert!(outcome.states_checked > 0);
+            assert_eq!(outcome.inconclusive, 0);
+        }
     }
 
     #[test]
@@ -236,14 +244,36 @@ mod tests {
         use astree_domains::{Clocked, FloatItv, IntItv};
         use astree_memory::CellVal;
         let int_cell = CellVal::Int(Clocked::of_val(IntItv::new(-5, 5), IntItv::new(0, 100)));
-        assert!(value_in(&int_cell, &Value::Int(0)));
-        assert!(!value_in(&int_cell, &Value::Int(6)));
+        assert!(value_in(&int_cell, &Value::Int(0), 3));
+        assert!(!value_in(&int_cell, &Value::Int(6), 3));
         // Type mismatch is a divergence, not a pass.
-        assert!(!value_in(&int_cell, &Value::Float(0.0)));
+        assert!(!value_in(&int_cell, &Value::Float(0.0), 3));
         let float_cell = CellVal::Float(FloatItv::new(0.0, 1.0));
-        assert!(value_in(&float_cell, &Value::Float(0.5)));
+        assert!(value_in(&float_cell, &Value::Float(0.5), 3));
         // −0.0 is numerically inside [0.0, 1.0] (numeric order, not bitwise).
-        assert!(value_in(&float_cell, &Value::Float(-0.0)));
-        assert!(!value_in(&float_cell, &Value::Float(1.5)));
+        assert!(value_in(&float_cell, &Value::Float(-0.0), 3));
+        assert!(!value_in(&float_cell, &Value::Float(1.5), 3));
+        assert!(clock_in(IntItv::new(0, 100), 3) && !clock_in(IntItv::new(4, 100), 3));
+    }
+
+    /// The clocked parts are checked against the run's tick count `t`: a
+    /// counter whose `x − clock` a tick left unshifted at `[0, 0]` holds
+    /// `x = 3` at `t = 3`, and lets it escape at `t = 4` (`x − t = −1`),
+    /// although its value interval holds it. The fault itself is planted in
+    /// `Clocked::tick` by the domain's own tests.
+    #[test]
+    fn value_in_checks_the_clocked_parts_against_the_ticks() {
+        use astree_domains::{Clocked, IntItv};
+        use astree_memory::CellVal;
+        let unshifted = Clocked {
+            val: IntItv::new(0, 10),
+            minus: IntItv::singleton(0),
+            plus: IntItv::new(0, 20),
+        };
+        let cell = CellVal::Int(unshifted);
+        assert!(value_in(&cell, &Value::Int(3), 3));
+        assert!(unshifted.val.contains(3));
+        assert!(!value_in(&cell, &Value::Int(3), 4), "x − ticks = −1 is outside x − clock");
+        assert!(!value_in(&cell, &Value::Int(9), 12), "x + ticks = 21 is outside x + clock");
     }
 }

@@ -122,6 +122,33 @@ fn statement_invariants_contain_concrete_states() {
     }
 }
 
+/// The clock-aware widening jumps to the configured `max_clock`, not to a
+/// constant: with `max_clock = 998`, the main loop's clock and every event
+/// counter are bounded by 998, and no alarm appears.
+#[test]
+fn the_clock_and_its_counters_are_bounded_by_max_clock() {
+    use astree::domains::IntItv;
+    use astree::memory::{CellLayout, CellVal, LayoutConfig};
+    let src = generate(&GenConfig { channels: 2, seed: 1, bug: None });
+    let program = Frontend::new().compile_str(&src).expect("compiles");
+    let cfg = AnalysisConfig { max_clock: 998, ..AnalysisConfig::default() };
+    let layout =
+        CellLayout::new(&program, &LayoutConfig { shrink_threshold: cfg.shrink_threshold });
+    let r = AnalysisSession::builder(&program).config(cfg).build().run();
+    assert!(r.alarms.is_empty(), "{:?}", r.alarms);
+    let inv = r.main_invariant.expect("a main loop");
+    assert!(inv.to_string().starts_with("clock = [1, 998]\n"), "{inv}");
+    let counters: Vec<IntItv> = layout
+        .iter()
+        .filter(|(_, info)| info.name.starts_with("count"))
+        .map(|(id, _)| match inv.env.get(id, &layout) {
+            CellVal::Int(c) => c.val,
+            other => panic!("counter {other:?}"),
+        })
+        .collect();
+    assert_eq!(counters, vec![IntItv::new(0, 998); 2]);
+}
+
 /// Disabling each domain must never *remove* alarms relative to the full
 /// stack (monotonicity of refinement: coarser analyses are sound too, so
 /// they can only add false alarms).
